@@ -1,4 +1,13 @@
-"""Unit tests for the processor-sharing saturation simulator."""
+"""Unit tests for the processor-sharing saturation simulator.
+
+The golden fixtures under ``tests/golden/saturation/`` pin the engine's
+four timing matrices bitwise; they were written by running this file
+(``PYTHONPATH=src python tests/sim/test_saturation.py``) and are never
+rewritten to silence a drift.
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +20,8 @@ from repro.sim.topology import single_switch_mapping
 
 B_CORE = 6.5e9
 B_SOCKET = 40e9
+GOLDEN_DIR = Path(__file__).parents[1] / "golden" / "saturation"
+MATRICES = ("exec_start", "exec_end", "post_end", "completion")
 
 
 def make_cfg(n_ranks=10, ppn=20, n_steps=5, work=65e6, **kw):
@@ -146,3 +157,56 @@ class TestValidation:
         cfg = make_cfg(delays=(DelaySpec(rank=0, step=99, duration=1e-3),))
         with pytest.raises(ValueError, match="outside"):
             simulate_saturation(cfg)
+
+
+def golden_configs() -> dict:
+    """The runs whose timing matrices ``tests/golden/saturation/`` pins."""
+    from repro.cluster import EMMY
+    from repro.experiments import ext_membound
+    from repro.workloads.lbm import LbmWorkload, lbm_saturation_config
+    from repro.workloads.stream import triad_saturation_config
+
+    # Every fifth (rank, step) phase streams nothing.
+    r, k = np.indices((12, 15))
+    work = np.where((r + k) % 5 == 0, 0.0, 1e6 * (1 + (3 * r + 7 * k) % 11))
+    return {
+        # A Fig. 1(a) point shrunk to two full sockets.
+        "fig1_triad_2sockets": triad_saturation_config(
+            EMMY.with_nodes(16), n_sockets=2, ppn=20, n_steps=40, seed=3),
+        # Fig. 2's per-rank traffic on 24 ranks: two full sockets, one of four.
+        "fig2_lbm_small": lbm_saturation_config(
+            EMMY.with_nodes(8), workload=LbmWorkload(domain=(72, 302, 302), n_ranks=24),
+            n_steps=30, seed=1),
+        "ext_membound_saturated_delay": ext_membound._config(
+            work_bytes=40e6, b_core=6.5e9, b_socket=40e9,
+            delays=(DelaySpec(rank=4, step=0, duration=ext_membound.DELAY),)),
+        "eager_unidirectional_zero_work": make_cfg(
+            n_ranks=12, n_steps=15, work=work, t_serial=5e-5,
+            noise=ExponentialNoise(2e-4), seed=4,
+            pattern=CommPattern(direction=Direction.UNIDIRECTIONAL, distance=2,
+                                periodic=False),
+            delays=(DelaySpec(rank=3, step=2, duration=4e-3),)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_golden_fixture_replays_bitwise(name):
+    record = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    res = simulate_saturation(golden_configs()[name])
+    for key in MATRICES:
+        np.testing.assert_array_equal(
+            getattr(res, key), np.asarray(record[key]),
+            err_msg=f"saturation golden {name}: {key} drifted")
+
+
+def write_golden_fixtures() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, cfg in golden_configs().items():
+        res = simulate_saturation(cfg)
+        record = {"name": name, "n_ranks": cfg.n_ranks, "n_steps": cfg.n_steps,
+                  **{key: getattr(res, key).tolist() for key in MATRICES}}
+        (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden_fixtures()
