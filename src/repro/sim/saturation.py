@@ -26,16 +26,17 @@ analysis layer applies unchanged.
 
 from __future__ import annotations
 
-import heapq
+import itertools
+import math
 from dataclasses import dataclass, field
-from enum import Enum
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.sim.delay import DelaySpec
 from repro.sim.lockstep import LockstepResult
 from repro.sim.noise import NoiseModel, NoNoise
-from repro.sim.program import CommPattern
+from repro.sim.program import CommPattern, Direction
 from repro.sim.topology import ProcessMapping
 
 __all__ = ["SaturationConfig", "simulate_saturation"]
@@ -94,6 +95,9 @@ class SaturationConfig:
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        for name in ("b_core", "b_socket", "t_serial", "t_flight", "o_post"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b_core <= 0 or self.b_socket <= 0:
             raise ValueError("bandwidths must be > 0")
         if self.t_serial < 0 or self.t_flight < 0 or self.o_post < 0:
@@ -116,20 +120,26 @@ class SaturationConfig:
             raise ValueError(
                 f"work matrix shape {w.shape} != ({self.n_ranks}, {self.n_steps})"
             )
+        if not np.isfinite(w).all():
+            raise ValueError("work_bytes must be finite")
         if np.any(w < 0):
             raise ValueError("work_bytes must be >= 0")
         return w
 
 
-class _Phase(Enum):
-    STREAM = 0  # consuming socket bandwidth
-    TAIL = 1  # serial tail (noise/delay), no bandwidth use
-    WAIT = 2  # in Waitall
-    BLOCKED = 3  # waiting for previous step's dependencies before computing
+_START, _TAIL, _STREAM = range(3)  # event kinds
 
 
 def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None = None) -> LockstepResult:
-    """Run the processor-sharing simulation; returns dense timing matrices."""
+    """Run the processor-sharing simulation; returns dense timing matrices.
+
+    Every rank streaming on a socket has been drained up to the socket's
+    last change at the socket's current rate, so a change drains them all
+    by one amount and schedules only the socket's earliest stream end; a
+    tie goes to the first such rank in the socket's set iteration order
+    (the golden fixtures pin this order).  A later change bumps the
+    socket's epoch, which marks the scheduled event stale.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -147,8 +157,6 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     # Waitall of step k can complete).  Under bidirectional rendezvous the
     # progress-coupling rule (σ = 2, see repro.sim.engine) widens the
     # dependency window to the partners' partners.
-    from repro.sim.program import Direction
-
     dep_sources: list[list[int]] = []
     for rank in range(n):
         deps = set(cfg.pattern.recv_sources(rank, n))
@@ -171,117 +179,91 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     post_end = np.zeros((n, steps))
     completion = np.zeros((n, steps))
 
-    socket_of = np.array([cfg.mapping.socket_of(r) for r in range(n)])
-    n_sockets = int(socket_of.max()) + 1
+    socket_of = [cfg.mapping.socket_of(r) for r in range(n)]
+    n_sockets = max(socket_of) + 1
+    # share[k]: each rank's rate while k ranks stream on one socket.
+    share = [0.0] + [min(cfg.b_core, cfg.b_socket / k) for k in range(1, n + 1)]
+    # Per socket: the ranks streaming, when they were last drained, their
+    # common rate since then, and a count of changes.
     active: list[set[int]] = [set() for _ in range(n_sockets)]
+    last = [0.0] * n_sockets
+    rate = [0.0] * n_sockets
+    epoch = [0] * n_sockets
 
-    phase = [_Phase.BLOCKED] * n
+    remaining = [0.0] * n  # bytes left to stream in the current phase
     step_of = [0] * n
-    remaining = np.zeros(n)  # bytes left to stream in the current phase
-    last_update = np.zeros(n)  # when `remaining` was last drained
-    rate = np.zeros(n)
-    missing_deps = [0] * n  # outstanding dependency notifications for current step
+    waiting = [False] * n  # in the Waitall of step step_of[r]
+    # pending[r][k]: dependencies of rank r whose phase-k end is unknown.
+    pending = [[len(deps)] * steps for deps in dep_sources]
     done = [False] * n
+    rendezvous, t_flight, o_post = cfg.rendezvous, cfg.t_flight, cfg.o_post
 
-    # Event heap: (time, seq, rank, kind).  Lazy invalidation via epoch.
-    heap: list[tuple[float, int, int, str]] = []
-    seq = 0
-    epoch = [0] * n
+    # Events (time, seq, kind, rank, socket epoch), started at t=0 in rank order.
+    heap = [(0.0, r, _START, r, 0) for r in range(n)]
+    seq = itertools.count(n)
 
-    def push(t: float, rank: int, kind: str) -> None:
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (t, seq, rank, kind))
-
-    def socket_rate(s: int) -> float:
-        k = len(active[s])
-        if k == 0:
-            return 0.0
-        return min(cfg.b_core, cfg.b_socket / k)
-
-    def rebalance(s: int, now: float) -> None:
-        """Drain progress and reschedule completion estimates on socket ``s``."""
-        new_rate = socket_rate(s)
+    def rebalance(s: int, now: float, started: int = -1) -> None:
+        """Drain socket ``s`` up to ``now`` and schedule its next stream end."""
+        drain = rate[s] * (now - last[s])
+        last[s] = now
+        epoch[s] += 1
+        rate[s] = new_rate = share[len(active[s])]
+        if not new_rate:
+            return
+        first = -1
         for r in active[s]:
-            remaining[r] = max(0.0, remaining[r] - rate[r] * (now - last_update[r]))
-            last_update[r] = now
-            rate[r] = new_rate
-            epoch[r] += 1
-            if new_rate > 0:
-                push(now + remaining[r] / new_rate, r, f"stream:{epoch[r]}")
-
-    def start_phase(r: int, now: float) -> None:
-        k = step_of[r]
-        exec_start[r, k] = now
-        phase[r] = _Phase.STREAM
-        remaining[r] = work[r, k]
-        last_update[r] = now
-        s = socket_of[r]
-        active[s].add(r)
-        rebalance(s, now)
-        if remaining[r] == 0.0:
-            # Degenerate pure-serial phase: finish streaming immediately.
-            pass  # the rebalance above scheduled an event at `now`
-
-    def finish_stream(r: int, now: float) -> None:
-        s = socket_of[r]
-        active[s].discard(r)
-        phase[r] = _Phase.TAIL
-        rebalance(s, now)
-        push(now + serial[r, step_of[r]], r, "tail")
-
-    arrivals_pending: list[dict[int, int]] = [dict() for _ in range(n)]
-    # arrivals_pending[r][k] = number of peers whose phase-k end is still unknown
-    peer_end = exec_end  # alias for clarity
-
-    def finish_phase(r: int, now: float) -> None:
-        k = step_of[r]
-        exec_end[r, k] = now
-        post_end[r, k] = now + cfg.o_post
-        phase[r] = _Phase.WAIT
-        # Notify dependents that our phase-k end time is now known.
-        for dep in notifies[r]:
-            pend = arrivals_pending[dep]
-            pend[k] = pend.get(k, len(dep_sources[dep])) - 1
-            if pend[k] == 0 and step_of[dep] == k and phase[dep] == _Phase.WAIT:
-                complete_wait(dep, k)
-        pend = arrivals_pending[r]
-        if pend.get(k, len(dep_sources[r])) == 0 or not dep_sources[r]:
-            complete_wait(r, k)
+            rem = remaining[r]
+            if r != started:
+                rem -= drain
+                remaining[r] = rem = rem if rem > 0.0 else 0.0
+            t = now + rem / new_rate
+            if first < 0 or t < t_first:
+                first, t_first = r, t
+        heappush(heap, (t_first, next(seq), _STREAM, first, epoch[s]))
 
     def complete_wait(r: int, k: int) -> None:
         """All of rank r's step-k dependencies are known: compute Waitall end."""
-        t = post_end[r, k]
+        t = post_end.item(r, k)
+        own_end = exec_end.item(r, k)
         for src in dep_sources[r]:
-            if cfg.rendezvous:
-                t = max(t, max(peer_end[src, k], peer_end[r, k]) + cfg.t_flight)
-            else:
-                t = max(t, peer_end[src, k] + cfg.t_flight)
+            end = exec_end.item(src, k)
+            t = max(t, (max(end, own_end) if rendezvous else end) + t_flight)
         completion[r, k] = t
+        waiting[r] = False
         if k + 1 < steps:
             step_of[r] = k + 1
-            phase[r] = _Phase.BLOCKED
-            push(t, r, "start")
+            heappush(heap, (t, next(seq), _START, r, 0))
         else:
             done[r] = True
-            phase[r] = _Phase.BLOCKED
-
-    # Kick off step 0 on all ranks at t=0.
-    for r in range(n):
-        push(0.0, r, "start")
 
     while heap:
-        now, _, r, kind = heapq.heappop(heap)
-        if kind.startswith("stream:"):
-            if phase[r] != _Phase.STREAM or int(kind.split(":")[1]) != epoch[r]:
-                continue  # stale estimate
-            finish_stream(r, now)
-        elif kind == "tail":
-            finish_phase(r, now)
-        elif kind == "start":
-            start_phase(r, now)
-        else:  # pragma: no cover
-            raise RuntimeError(f"unknown event kind {kind}")
+        now, _, kind, r, ep = heappop(heap)
+        k = step_of[r]
+        if kind == _STREAM:
+            s = socket_of[r]
+            if ep != epoch[s]:
+                continue  # the socket changed since this estimate
+            active[s].discard(r)
+            rebalance(s, now)
+            heappush(heap, (now + serial.item(r, k), next(seq), _TAIL, r, 0))
+        elif kind == _TAIL:
+            exec_end[r, k] = now
+            post_end[r, k] = now + o_post
+            waiting[r] = True
+            # Notify dependents that our phase-k end time is now known.
+            for dep in notifies[r]:
+                left = pending[dep]
+                left[k] -= 1
+                if not left[k] and step_of[dep] == k and waiting[dep]:
+                    complete_wait(dep, k)
+            if not pending[r][k]:
+                complete_wait(r, k)
+        else:
+            exec_start[r, k] = now
+            remaining[r] = work.item(r, k)
+            s = socket_of[r]
+            active[s].add(r)
+            rebalance(s, now, r)
 
     if not all(done):
         raise RuntimeError("saturation simulation did not complete all ranks")

@@ -148,6 +148,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=">= 0"):
             make_cfg(work=-1.0).work_matrix()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["b_core", "b_socket", "t_serial", "t_flight", "o_post"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_cfg(**{name: value})
+
+    @pytest.mark.parametrize("work", [np.nan, np.inf, np.array([1e6] * 9 + [np.nan])])
+    def test_non_finite_work_rejected(self, work):
+        with pytest.raises(ValueError, match="work_bytes must be finite"):
+            simulate_saturation(make_cfg(work=work))
+
     def test_result_monotone_and_valid(self):
         res = simulate_saturation(make_cfg(noise=ExponentialNoise(1e-4), n_steps=6))
         assert (np.diff(res.completion, axis=1) > 0).all()
