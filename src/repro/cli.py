@@ -18,9 +18,8 @@ Usage::
     repro-experiment report run fig7_speed --cache-dir ~/.cache/repro
     repro-experiment report validate my_report.toml     # compile-check a file
 
-    repro-experiment store ls --cache-dir ~/.cache/repro       # contents
-    repro-experiment store migrate --cache-dir ~/.cache/repro  # pack shards
-    repro-experiment store gc --cache-dir ~/.cache/repro       # prune orphans
+    repro-experiment store ls --cache-dir ~/.cache/repro   # contents
+    repro-experiment store gc --cache-dir ~/.cache/repro   # prune orphans
 
     repro-experiment stats show run.jsonl        # telemetry span tree
     repro-experiment stats summarize run.jsonl   # hit rates, phase times
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'perf' commands delegate to their own subcommands: "
             "repro-experiment scenario {list,validate,run,sweep}, "
             "repro-experiment report {list,validate,run}, "
-            "repro-experiment store {ls,migrate,gc}, "
+            "repro-experiment store {ls,gc}, "
             "repro-experiment stats {show,summarize,diff,trace}, "
             "repro-experiment runs {ls,show,tail}, "
             "repro-experiment perf {record,history,diff,check} ..."

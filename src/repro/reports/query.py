@@ -10,18 +10,14 @@ back to dispatching the remaining work through
 :func:`repro.runtime.executor.run_campaign`, inheriting ``--jobs``
 sharding, block batching, and deterministic seeding.
 
-Two scale features ride on the packed store backend
-(:mod:`repro.runtime.shards`):
-
-- **zero-copy reads** — cached fetches pass ``mmap=True`` to the store,
-  so array fields of packed records arrive as read-only views into the
-  shard's memory map; stacking a ``(B, P, S)`` timing batch then gathers
-  straight from the mapped pages with no per-record intermediate copy.
-- **streaming** — :func:`stream_campaign` yields a fully-cached
-  campaign's values in fixed-size blocks, loading each block only when
-  the consumer reaches it: a report over a huge sweep holds one grid
-  point's draws in memory at a time instead of materializing all of
-  them (:func:`repro.reports.runner.run_report` consumes it per point).
+**Streaming** keeps a fully-cached report's memory flat:
+:func:`stream_campaign` yields the campaign's values in fixed-size
+blocks, loading each block only when the consumer reaches it, so a
+report over a huge sweep holds one grid point's draws in memory at a
+time instead of materializing all of them
+(:func:`repro.reports.runner.run_report` consumes it per point).  Store
+reads copy each record's arrays into a fresh buffer, so a block's
+memory is released as soon as the consumer drops it.
 """
 
 from __future__ import annotations
@@ -54,32 +50,18 @@ class CampaignFetch:
         return len(self.values)
 
 
-def _store_get(store, key: str, mmap: bool) -> "Mapping | None":
-    """One store lookup, zero-copy when asked for and supported."""
-    if mmap:
-        try:
-            return store.get(key, mmap=True)
-        except TypeError:  # store-like test double without the kwarg
-            return store.get(key)
-    return store.get(key)
-
-
 def load_cached(
     store: "ResultStore | None", specs: "Sequence[RunSpec]",
-    mmap: bool = False,
 ) -> "tuple[list[Mapping | None], list[RunSpec]]":
     """Look every task up by its content hash; no execution, ever.
 
     Returns ``(values, missing)``: ``values`` has one entry per task in
     order (``None`` on a miss), ``missing`` lists the specs that need
-    dispatching.  With no store, everything is missing.  ``mmap=True``
-    requests zero-copy (read-only) array views for packed records.
+    dispatching.  With no store, everything is missing.
     """
     if store is None:
         return [None] * len(specs), list(specs)
-    values: "list[Mapping | None]" = [
-        _store_get(store, spec.key, mmap) for spec in specs
-    ]
+    values: "list[Mapping | None]" = [store.get(spec.key) for spec in specs]
     missing = [spec for spec, value in zip(specs, values) if value is None]
     return values, missing
 
@@ -89,7 +71,6 @@ def fetch_campaign(
     store: "ResultStore | None" = None,
     jobs: int = 1,
     batcher=None,
-    mmap: bool = False,
     retry=None,
     stall_action: str = "warn",
 ) -> CampaignFetch:
@@ -103,7 +84,7 @@ def fetch_campaign(
     :class:`~repro.runtime.executor.TaskError`.
     """
     specs = tuple(specs)
-    values, missing = load_cached(store, specs, mmap=mmap)
+    values, missing = load_cached(store, specs)
     if not missing:
         # The fully-cached path bypasses run_campaign (and its event
         # emission), so publish the hits here — a warm report still
@@ -133,12 +114,11 @@ class CampaignStream:
     """A campaign's values, deliverable block by block.
 
     On the fully-cached path the stream is *lazy*: each block's records
-    are loaded (``mmap`` zero-copy for packed records) only when the
-    consumer reaches it, and nothing retains them afterwards — peak
-    memory is one block, however large the sweep.  Any cache miss
-    degrades to one eager :func:`fetch_campaign` over the whole spec
-    list (execution has to materialize those values anyway), after which
-    blocks are served as slices.
+    are loaded only when the consumer reaches it, and nothing retains
+    them afterwards — peak memory is one block, however large the
+    sweep.  Any cache miss degrades to one eager :func:`fetch_campaign`
+    over the whole spec list (execution has to materialize those values
+    anyway), after which blocks are served as slices.
 
     ``n_loaded`` / ``n_executed`` are running counts; they are complete
     once :meth:`blocks` is exhausted.
@@ -148,7 +128,6 @@ class CampaignStream:
     store: "ResultStore | None" = None
     jobs: int = 1
     batcher: object = None
-    mmap: bool = True
     retry: object = None
     stall_action: str = "warn"
     n_loaded: int = field(default=0, init=False)
@@ -170,7 +149,7 @@ class CampaignStream:
         if not self._fully_cached():
             fetch = fetch_campaign(self.specs, store=self.store,
                                    jobs=self.jobs, batcher=self.batcher,
-                                   mmap=self.mmap, retry=self.retry,
+                                   retry=self.retry,
                                    stall_action=self.stall_action)
             self.n_loaded = fetch.n_loaded
             self.n_executed = fetch.n_executed
@@ -181,7 +160,7 @@ class CampaignStream:
         for start in range(0, len(self.specs), size):
             block = []
             for spec in self.specs[start:start + size]:
-                value = _store_get(self.store, spec.key, self.mmap)
+                value = self.store.get(spec.key)
                 if value is None:
                     # The presence probe raced a gc/teardown: recompute
                     # just this task through the executor.
@@ -207,7 +186,6 @@ def stream_campaign(
     store: "ResultStore | None" = None,
     jobs: int = 1,
     batcher=None,
-    mmap: bool = True,
     retry=None,
     stall_action: str = "warn",
 ) -> CampaignStream:
@@ -219,5 +197,5 @@ def stream_campaign(
     is read lazily in blocks instead of being materialized whole.
     """
     return CampaignStream(specs=tuple(specs), store=store, jobs=jobs,
-                          batcher=batcher, mmap=mmap, retry=retry,
+                          batcher=batcher, retry=retry,
                           stall_action=stall_action)

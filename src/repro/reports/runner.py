@@ -5,9 +5,8 @@
 1. each target's timing campaign is resolved against the result store
    (:mod:`repro.reports.query`) — fully cached sweeps never touch the
    engine and **stream**: draws are read lazily one grid point at a
-   time (zero-copy mmap views for packed records), so a huge sweep is
-   never materialized whole; misses dispatch through the campaign
-   runtime with batching;
+   time, so a huge sweep is never materialized whole; misses dispatch
+   through the campaign runtime with batching;
 2. each grid point's draws are stacked into one ``(B, P, S)``
    :class:`~repro.reports.timing.BatchedTiming` and every metric kernel
    runs once per point (vectorized over draws — no per-draw loop);

@@ -2,7 +2,7 @@
 
 Reports separate *simulation* from *analysis*: the campaign task persists
 a run's dense timing matrices (the :class:`~repro.core.timing.RunTiming`
-triple, stored as NPZ side-cars by the content-addressed result store),
+triple, stored as raw array segments in the result store's shards),
 and the metric kernels re-derive every reported quantity from those
 matrices at report time.  Changing a report's metrics, grouping, or
 artifacts therefore never invalidates the cache — a new report over an

@@ -16,12 +16,11 @@ into first-class, schedulable work:
   across cores, stream results back as they complete, and isolate
   per-task failures instead of killing the campaign.
 - :mod:`repro.runtime.store` — a content-addressed on-disk result store
-  (packed append-only shards with a sidecar index and mmap reads, plus
-  the legacy JSON + NPZ per-file layout, keyed by the task hash) so
-  repeated invocations skip already-computed runs.
+  (packed append-only shards with a sidecar index, keyed by the task
+  hash) so repeated invocations skip already-computed runs.
 - :mod:`repro.runtime.shards` — the packed shard backend: per-process
   append-only shard files, index recovery from self-describing entries,
-  and zero-copy array reconstruction over memory maps.
+  and array reconstruction from raw array segments.
 - :mod:`repro.runtime.aggregate` — reduction helpers (mean / percentile
   across runs, grouping by sweep parameter) consumed by the campaign
   analyses.
@@ -67,7 +66,6 @@ from repro.runtime.seeding import derive_rng, derive_seed, seed_sequence
 from repro.runtime.spec import RunSpec, SweepSpec, canonical, spec_key
 from repro.runtime.store import (
     GcStats,
-    MigrateStats,
     ResultStore,
     StoreEntry,
     StoreError,
@@ -79,7 +77,6 @@ __all__ = [
     "ChaosError",
     "ChaosSpec",
     "GcStats",
-    "MigrateStats",
     "QUARANTINE_AFTER",
     "ResultStore",
     "RetryPolicy",

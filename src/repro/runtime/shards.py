@@ -13,9 +13,10 @@ array segment holding every ndarray field's bytes::
     ...        array segment  raw C/F-contiguous array bytes, 8-aligned
 
 Arrays are stored as raw bytes with their dtype/shape/order recorded in
-the JSON descriptor, so a read can reconstruct them as **zero-copy
-views** into a memory map of the shard — slicing a dense timing matrix
-out of a multi-gigabyte shard touches only the pages it spans.
+the JSON descriptor, so a read rebuilds them without a decode step: it
+reads the record's array segment into one fresh buffer and views each
+array out of it.  Reads copy on purpose — nothing of a shard stays
+mapped or resident after the read returns.
 
 Next to each shard lives a sidecar index ``<shard>.idx``: one JSON line
 per entry (key, offset, lengths, and the listing metadata ``entries()``
@@ -62,10 +63,10 @@ class StoreError(RuntimeError):
 
     Raised when the cache directory is unwritable (``ResultStore.
     ensure_writable`` — the CLIs call it before starting a campaign) and
-    when a write fails mid-run (disk full, permissions yanked).  Write
-    failures leave the store consistent: per-file writes are atomic, and
-    a failed packed-shard append truncates back to the entry start so
-    the sidecar index never points at torn bytes.  Defined here (the
+    when a write fails mid-run (disk full, permissions yanked, a
+    ``shards`` path that cannot be created).  Write failures leave the
+    store consistent: a failed append truncates back to the entry start
+    so the sidecar index never points at torn bytes.  Defined here (the
     lowest store layer) and re-exported by :mod:`repro.runtime.store`,
     its public home.
     """
@@ -136,25 +137,15 @@ def _describe_array(arr: np.ndarray, offset: int) -> "tuple[dict, np.ndarray]":
     return descr, contig
 
 
-def _reconstruct(buf, descr: Mapping, base_offset: int,
-                 copy: bool) -> np.ndarray:
-    """Rebuild one array from its descriptor over a buffer (mmap or bytes).
-
-    With ``copy=False`` the result is a read-only view into ``buf``;
-    with ``copy=True`` it is a fresh writable array, matching what
-    ``np.load`` returns for the legacy per-file layout.
-    """
+def _reconstruct(segment: np.ndarray, descr: Mapping) -> np.ndarray:
+    """Rebuild one array from its descriptor as a view into ``segment``,
+    a record's freshly read (writable, caller-owned) array segment."""
     dtype = np.lib.format.descr_to_dtype(descr["dtype"])
     shape = tuple(descr["shape"])
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if descr["nbytes"] == 0 and count != 0:  # pragma: no cover - defensive
-        raise ValueError("array descriptor with zero bytes but nonzero size")
-    flat = np.frombuffer(buf, dtype=dtype, count=count,
-                         offset=base_offset + int(descr["offset"]))
-    arr = flat.reshape(shape, order=descr.get("order", "C"))
-    if copy:
-        arr = arr.copy(order=descr.get("order", "C"))
-    return arr
+    flat = np.frombuffer(segment, dtype=dtype, count=count,
+                         offset=int(descr["offset"]))
+    return flat.reshape(shape, order=descr.get("order", "C"))
 
 
 class PackedShards:
@@ -162,8 +153,8 @@ class PackedShards:
 
     One instance serves one process: it owns at most one shard file for
     writing (per pid — a forked child opens its own) and caches an
-    in-memory key index plus per-shard memory maps for reading.  The
-    on-disk state it manages is multi-process safe (see module docs).
+    in-memory key index for reading.  The on-disk state it manages is
+    multi-process safe (see module docs).
     """
 
     def __init__(self, root: "str | Path") -> None:
@@ -171,7 +162,6 @@ class PackedShards:
         # key -> ShardEntry; covered -> bytes of each shard already indexed
         self._index: "dict[str, ShardEntry]" = {}
         self._covered: "dict[str, int]" = {}
-        self._mmaps: "dict[str, tuple]" = {}  # shard -> (np.memmap, size)
         self._writer = None  # (pid, shard_name, shard_fh, idx_fh)
 
     # -- pickling: handles and caches are process-local -----------------
@@ -223,7 +213,11 @@ class PackedShards:
         self.root.mkdir(parents=True, exist_ok=True)
         name = f"w{pid:x}-{uuid.uuid4().hex[:8]}.shard"
         shard_fh = open(self.root / name, "ab")
-        idx_fh = open(self.root / f"{name}.idx", "a")
+        try:
+            idx_fh = open(self.root / f"{name}.idx", "a")
+        except OSError:
+            shard_fh.close()
+            raise
         self._writer = (pid, name, shard_fh, idx_fh)
         return self._writer
 
@@ -239,16 +233,18 @@ class PackedShards:
         self._writer = None
 
     def append(self, key: str, plain: Mapping, arrays: "Mapping[str, np.ndarray]",
-               spec: "Mapping | None" = None) -> Path:
-        """Pack one record into this process's shard; returns the shard path.
+               spec: "Mapping | None" = None) -> ShardEntry:
+        """Pack one record into this process's shard; returns its entry.
 
         The shard entry lands (flushed) before its index line, so a crash
         between the two leaves a recoverable shard tail, never an index
-        line pointing at missing bytes.  A write that fails midway
-        (ENOSPC, yanked permissions) is truncated back to the entry
-        start and re-raised as :class:`StoreError`: the shard keeps no
-        torn tail and the sidecar index — which never saw the entry —
-        stays consistent.
+        line pointing at missing bytes.  A shard file that cannot be
+        opened (``shards`` blocked by a regular file, permissions, ENOSPC)
+        raises :class:`StoreError` naming the key before any byte is
+        written; a write that fails midway is truncated back to the
+        entry start and re-raised as :class:`StoreError` too: the shard
+        keeps no torn tail and the sidecar index — which never saw the
+        entry — stays consistent.
         """
         descrs, sources, pos = {}, [], 0
         for name in sorted(arrays):
@@ -266,7 +262,12 @@ class PackedShards:
             record["spec"] = dict(spec)
         payload = json.dumps(record, sort_keys=True).encode("utf-8")
 
-        _, name, shard_fh, idx_fh = self._writer_handles()
+        try:
+            _, name, shard_fh, idx_fh = self._writer_handles()
+        except OSError as exc:
+            raise StoreError(
+                f"result store write of {key!r} under {self.root} "
+                f"failed: {exc}") from exc
         offset = shard_fh.tell()
         try:
             shard_fh.write(_HEADER.pack(_MAGIC, zlib.crc32(payload),
@@ -311,7 +312,7 @@ class PackedShards:
         telemetry.count("store.shard.appends")
         if chaos.active() is not None and chaos.torn_shard_write(name):
             self._tear_tail(shard_fh, name)
-        return self.root / name
+        return entry
 
     def _tear_tail(self, shard_fh, name: str) -> None:
         """Chaos hook: simulate this writer crashing mid-append.
@@ -474,50 +475,32 @@ class PackedShards:
             entry = self._index.get(key)
         return entry
 
-    def _mmap_for(self, shard: str, needed: int):
-        """A (cached) read-only memory map covering at least ``needed``."""
-        cached = self._mmaps.get(shard)
-        if cached is not None and cached[1] >= needed:
-            return cached[0]
-        path = self.root / shard
-        size = path.stat().st_size
-        mm = np.memmap(path, dtype=np.uint8, mode="r", shape=(size,))
-        self._mmaps[shard] = (mm, size)
-        return mm
+    def read(self, key: str) -> "tuple[ShardEntry, dict] | None":
+        """Load ``(entry, value)`` for a key, or ``None`` on a miss.
 
-    def read(self, key: str, mmap: bool = False) -> "tuple[dict, dict] | None":
-        """Load ``(record, value)`` for a key, or ``None`` on a miss.
-
-        ``value`` is the caller-facing result dict (plain fields plus
-        reconstructed arrays).  With ``mmap=True`` the arrays are
-        read-only zero-copy views into the shard's memory map; the
-        default returns fresh writable copies, byte-identical to what
-        the legacy per-file layout's ``np.load`` would produce.
+        ``value`` is the caller-facing result dict: plain fields plus
+        arrays viewed out of one freshly allocated, writable buffer that
+        holds the record's array segment (8-aligned, owned by the caller
+        alone).
         """
         entry = self.lookup(key)
         if entry is None:
             return None
         try:
-            if mmap:
-                buf = self._mmap_for(entry.shard, entry.end)
-            else:
-                with open(self.root / entry.shard, "rb") as fh:
-                    fh.seek(entry.offset)
-                    buf = fh.read(entry.end - entry.offset)
-                if len(buf) < entry.end - entry.offset:
-                    raise OSError("shard truncated under a live index")
-            base = entry.offset if mmap else 0
-            payload = bytes(buf[base + _HEADER.size:
-                                base + _HEADER.size + entry.json_len])
+            with open(self.root / entry.shard, "rb") as fh:
+                fh.seek(entry.offset + _HEADER.size)
+                payload = fh.read(entry.json_len)
+                segment = np.empty(entry.arr_len, dtype=np.uint8)
+                n_read = fh.readinto(segment)
+            if len(payload) < entry.json_len or n_read < entry.arr_len:
+                raise OSError("shard truncated under a live index")
             record = json.loads(payload)
             value = dict(record.get("value", {}))
-            arr_base = base + _HEADER.size + entry.json_len
             for name, descr in record.get("arrays", {}).items():
-                value[name] = _reconstruct(buf, descr, arr_base,
-                                           copy=not mmap)
+                value[name] = _reconstruct(segment, descr)
         except (OSError, ValueError, KeyError):
             # Torn shard tail, raced compaction, or corrupt descriptor:
             # the store contract is "unreadable counts as a miss".
             self._index.pop(key, None)
             return None
-        return record, value
+        return entry, value

@@ -32,18 +32,13 @@ def _sweep(n_tasks, base_seed):
     )
 
 
-def _store_bytes(root):
-    return {p.relative_to(root): p.read_bytes()
-            for p in sorted(root.rglob("*.json"))}
-
-
 @settings(max_examples=5, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(chaos_seed=st.integers(min_value=0, max_value=2**32 - 1),
        base_seed=st.integers(min_value=0, max_value=2**16),
        n_tasks=st.integers(min_value=4, max_value=10))
 def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
-        tmp_path_factory, chaos_seed, base_seed, n_tasks):
+        tmp_path_factory, store_record_bytes, chaos_seed, base_seed, n_tasks):
     tmp_path = tmp_path_factory.mktemp("chaos-parity")
     tasks = _sweep(n_tasks, base_seed).tasks()
 
@@ -62,7 +57,8 @@ def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
 
     assert not chaotic.failures
     assert chaotic.values() == clean.values()
-    assert _store_bytes(tmp_path / "chaotic") == _store_bytes(tmp_path / "clean")
+    assert store_record_bytes(tmp_path / "chaotic") \
+        == store_record_bytes(tmp_path / "clean")
 
 
 @settings(max_examples=5, deadline=None,
@@ -71,11 +67,12 @@ def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
        n_tasks=st.integers(min_value=4, max_value=10),
        n_keep=st.integers(min_value=1, max_value=3))
 def test_resumed_campaign_replays_cached_values_bit_exactly(
-        tmp_path_factory, base_seed, n_tasks, n_keep):
-    """Golden replay: drop all but ``n_keep`` records from a finished
-    campaign's store, rerun, and the completed campaign must be
-    value-identical to the original — with the kept records served from
-    cache, untouched on disk."""
+        tmp_path_factory, store_record_bytes, interrupt_store,
+        base_seed, n_tasks, n_keep):
+    """Golden replay: cut a finished campaign's store back to its first
+    ``n_keep`` records (what a kill mid-campaign leaves), rerun, and the
+    completed campaign must be value-identical to the original — with
+    the kept records served from cache, untouched on disk."""
     tmp_path = tmp_path_factory.mktemp("resume-replay")
     tasks = _sweep(n_tasks, base_seed).tasks()
 
@@ -83,15 +80,14 @@ def test_resumed_campaign_replays_cached_values_bit_exactly(
     first = run_campaign(tasks, jobs=1, store=store)
     assert not first.failures
 
-    keys = sorted(store.keys())
-    for key in keys[min(n_keep, len(keys)):]:
-        store.path_for(key).unlink()
-    kept = _store_bytes(tmp_path / "cache")
+    interrupt_store(tmp_path / "cache", n_keep)
+    kept = store_record_bytes(tmp_path / "cache")
+    assert len(kept) == n_keep
 
     resumed = run_campaign(tasks, jobs=1, store=ResultStore(tmp_path / "cache"))
     assert not resumed.failures
-    assert resumed.n_cached == min(n_keep, len(keys))
+    assert resumed.n_cached == n_keep
     assert resumed.values() == first.values()
-    after = _store_bytes(tmp_path / "cache")
-    for path, payload in kept.items():
-        assert after[path] == payload
+    after = store_record_bytes(tmp_path / "cache")
+    for key, payload in kept.items():
+        assert after[key] == payload

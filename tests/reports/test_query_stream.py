@@ -31,9 +31,9 @@ class RecordingStore:
     def __contains__(self, key):
         return key in self.inner
 
-    def get(self, key, mmap=False):
+    def get(self, key):
         self.gets.append(key)
-        return self.inner.get(key, mmap=mmap)
+        return self.inner.get(key)
 
     def put(self, key, value, spec=None):
         return self.inner.put(key, value, spec=spec)
@@ -42,7 +42,7 @@ class RecordingStore:
 @pytest.fixture
 def warm(tmp_path):
     """A store with a 6-task campaign fully cached, plus its specs."""
-    store = ResultStore(tmp_path / "cache", layout="packed")
+    store = ResultStore(tmp_path / "cache")
     specs = make_specs(6)
     run_campaign(specs, store=store)
     return store, specs
@@ -83,13 +83,15 @@ class TestStreamLazy:
             assert got["seed"] == want["seed"]
             assert got["draws"] == want["draws"]
 
-    def test_mmap_views_are_read_only(self, warm):
+    def test_streamed_arrays_are_caller_owned_copies(self, warm):
         store, specs = warm
-        # Plant a packed record with an array field under a real spec key.
+        # Plant a record with an array field under a real spec key.
         store.put(specs[0].key, {"values": np.arange(4.0)})
         (block,) = list(stream_campaign(specs[:1], store=store).blocks(1))
         arr = block[0]["values"]
-        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        assert isinstance(arr, np.ndarray) and arr.flags.writeable
+        arr[0] = -1.0  # mutating a streamed block never reaches the store
+        assert store.get(specs[0].key)["values"][0] == 0.0
 
     def test_bad_block_size_rejected(self, warm):
         store, specs = warm
@@ -123,11 +125,11 @@ class TestStreamFallback:
         class VanishingStore(RecordingStore):
             """Passes the presence probe, then loses one record."""
 
-            def get(self, key, mmap=False):
+            def get(self, key):
                 self.gets.append(key)
                 if key == specs[1].key:
                     return None  # gc'd between probe and read
-                return self.inner.get(key, mmap=mmap)
+                return self.inner.get(key)
 
         stream = CampaignStream(specs=specs, store=VanishingStore(store))
         values = [v for b in stream.blocks(3) for v in b]
@@ -142,15 +144,3 @@ class TestLoadCached:
         values, missing = load_cached(store, specs + extra)
         assert values[-1] is None and all(v is not None for v in values[:6])
         assert missing == list(extra)
-
-    def test_mmap_kwarg_falls_back_for_test_doubles(self, warm):
-        store, specs = warm
-
-        class LegacyDouble:
-            """Store-like object whose get() lacks the mmap kwarg."""
-
-            def get(self, key):
-                return {"ok": key}
-
-        values, missing = load_cached(LegacyDouble(), specs[:2], mmap=True)
-        assert not missing and values[0] == {"ok": specs[0].key}

@@ -159,14 +159,13 @@ class TestStoreBacked:
         assert warm.n_loaded == warm.n_tasks
         assert [r.values for r in warm.rows] == [r.values for r in cold.rows]
 
-    def test_partial_cache_fills_the_gap(self, tmp_path):
+    def test_partial_cache_fills_the_gap(self, tmp_path, interrupt_store):
         store = ResultStore(tmp_path / "store")
         compiled = compile_report(make_spec())
         cold = run_report(compiled, store=store)
-        # Drop one record: the rerun must re-execute exactly that task.
-        key = next(iter(store.keys()))
-        store.path_for(key).unlink()
-        again = run_report(compiled, store=store)
+        # Lose the last record: the rerun must re-execute exactly that task.
+        interrupt_store(store.root, len(store) - 1)
+        again = run_report(compiled, store=ResultStore(store.root))
         assert again.n_executed == 1
         assert again.n_loaded == again.n_tasks - 1
         assert [r.values for r in again.rows] == [r.values for r in cold.rows]

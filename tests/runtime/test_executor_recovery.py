@@ -61,7 +61,8 @@ class TestSoftRetries:
         # Every failed task burned its full retry budget.
         assert all(r.retries == 1 for r in campaign.failures)
 
-    def test_retried_store_records_byte_identical(self, tmp_path):
+    def test_retried_store_records_byte_identical(self, tmp_path,
+                                                  store_record_bytes):
         tasks = probe_sweep(n_tasks=8).tasks()
         clean_store = ResultStore(tmp_path / "clean")
         run_campaign(tasks, jobs=1, store=clean_store)
@@ -70,11 +71,8 @@ class TestSoftRetries:
         run_campaign(tasks, jobs=1, store=chaotic_store,
                      retry=RetryPolicy(retries=2, backoff_s=0.001))
         chaos.uninstall()
-        clean_bytes = {p.relative_to(tmp_path / "clean"): p.read_bytes()
-                       for p in sorted((tmp_path / "clean").rglob("*.json"))}
-        chaotic_bytes = {p.relative_to(tmp_path / "chaotic"): p.read_bytes()
-                         for p in sorted((tmp_path / "chaotic").rglob("*.json"))}
-        assert clean_bytes == chaotic_bytes
+        assert store_record_bytes(tmp_path / "chaotic") \
+            == store_record_bytes(tmp_path / "clean")
 
     def test_retry_events_are_emitted(self):
         chaos.install(ChaosSpec(seed=0, crash_rate=1.0))
@@ -178,7 +176,7 @@ class TestStallRetry:
 class TestInterrupt:
     def test_keyboard_interrupt_shuts_the_pool_down(self, tmp_path):
         """^C mid-campaign cancels cleanly and leaves no torn records."""
-        store = ResultStore(tmp_path / "cache", layout="packed")
+        store = ResultStore(tmp_path / "cache")
         calls = {"n": 0}
 
         def boom(result):
@@ -191,7 +189,7 @@ class TestInterrupt:
                          store=store, on_result=boom)
         # Whatever was persisted before the interrupt is fully readable:
         # no torn shard entries, and a fresh campaign completes from it.
-        reread = ResultStore(tmp_path / "cache", layout="packed")
+        reread = ResultStore(tmp_path / "cache")
         for key in reread.keys():
             assert reread.get(key) is not None
         campaign = run_campaign(probe_sweep(n_tasks=12).tasks(), jobs=1,

@@ -1,7 +1,5 @@
 """Unit tests for the content-addressed on-disk result store."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -28,21 +26,28 @@ class TestRoundTrip:
         assert loaded["x"].hex() == value["x"].hex()
         assert loaded["y"].hex() == value["y"].hex()
 
-    def test_ndarray_fields_via_npz(self, store):
-        arr = np.linspace(0.0, 1.0, 7)
-        store.put(KEY, {"curve": arr, "n": 7})
-        loaded = store.get(KEY)
-        np.testing.assert_array_equal(loaded["curve"], arr)
-        assert loaded["n"] == 7
-        assert store._npz_path(KEY).exists()
+    def test_arrays_are_writeable_and_not_memmap_views(self, store):
+        # Reads copy: nothing of the shard stays mapped (and resident)
+        # once get() returns, and the caller owns what it got.
+        store.put(KEY, {"m": np.arange(6.0).reshape(2, 3),
+                        "i": np.arange(4, dtype=np.int32)})
+        value = store.get(KEY)
+        for arr in (value["m"], value["i"]):
+            assert arr.flags.writeable and arr.flags.aligned
+            base = arr
+            while base is not None:
+                assert not isinstance(base, np.memmap)
+                base = getattr(base, "base", None)
+        value["m"][0, 0] = -1.0
+        assert store.get(KEY)["m"][0, 0] == 0.0
 
     def test_numpy_scalars_stored_as_python(self, store):
         store.put(KEY, {"a": np.float64(0.5), "b": np.int64(4)})
         assert store.get(KEY) == {"a": 0.5, "b": 4}
 
-    def test_spec_recorded_for_provenance(self, store):
-        path = store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
-        record = json.loads(path.read_text())
+    def test_spec_recorded_for_provenance(self, store, shard_record):
+        store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
+        record = shard_record(store.root, KEY)
         assert record["spec"] == {"fn": "m:f", "seed": 9}
         assert record["key"] == KEY
 
@@ -53,14 +58,17 @@ class TestMissesAndErrors:
         assert KEY not in store
 
     def test_torn_record_counts_as_miss(self, store):
-        path = store.put(KEY, {"x": 1})
-        path.write_text("{ not json")
+        shard = store.put(KEY, {"x": 1, "curve": np.ones(3)})
+        shard.write_bytes(shard.read_bytes()[:-3])  # torn under the index
         assert store.get(KEY) is None
+        assert ResultStore(store.root).get(KEY) is None  # and re-scanned
 
-    def test_missing_npz_sidecar_counts_as_miss(self, store):
-        store.put(KEY, {"curve": np.ones(3)})
-        store._npz_path(KEY).unlink()
+    def test_missing_npz_sidecar_counts_as_miss(self, store, legacy_record):
+        # The retired per-file layout is never read, whole or broken.
+        path = legacy_record(store.root, KEY, {"n": 3}, {"curve": np.ones(3)})
+        path.with_suffix(".npz").unlink()
         assert store.get(KEY) is None
+        assert KEY not in store
 
     def test_non_mapping_value_rejected(self, store):
         with pytest.raises(TypeError, match="mappings"):
@@ -68,7 +76,7 @@ class TestMissesAndErrors:
 
     def test_malformed_key_rejected(self, store):
         with pytest.raises(ValueError, match="malformed"):
-            store.path_for("../escape")
+            store.put("../escape", {"x": 1})
 
 
 class TestMaintenance:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.runtime.cli import store_main
+from repro.runtime.shards import _HEADER
 from repro.runtime.store import ResultStore
 
 
@@ -16,6 +17,13 @@ def store(tmp_path):
     store.put("aa" * 16, {"x": 1.0}, spec={"fn": "m:f", "seed": 7})
     store.put("bb" * 16, {"arr": np.arange(4.0)})
     return store
+
+
+@pytest.fixture
+def legacy(store, legacy_record):
+    """The store plus a ``bb/`` pair the retired per-file layout wrote."""
+    return legacy_record(store.root, "bb" * 16, {"n": 4},
+                         {"arr": np.arange(4.0)})
 
 
 class TestEntries:
@@ -35,58 +43,52 @@ class TestEntries:
     def test_mtime_comes_from_stat(self, store):
         import os
 
-        key = "aa" * 16
-        os.utime(store.path_for(key), (1_000_000_000, 1_000_000_000))
-        entry = {e.key: e for e in store.entries()}[key]
-        assert entry.mtime == 1_000_000_000
+        (shard,) = (store.root / "shards").glob("*.shard")
+        os.utime(shard, (1_000_000_000, 1_000_000_000))
+        assert {e.mtime for e in store.entries()} == {1_000_000_000}
 
     def test_torn_and_partial_records_are_skipped(self, store):
         """A store holding torn records lists only the readable ones.
 
-        Three flavors of damage: a record truncated mid-payload (the
-        header marker is gone), a record truncated mid-header (the marker
-        survives but its JSON does not), and plain garbage bytes.
+        Each flavor of damage tears the tail of its own shard (a shard is
+        append-only, so only its tail can tear): a record truncated
+        mid-payload, mid-header, mid-array segment, and plain garbage
+        bytes — with the sidecar index kept or lost.
         """
         for i, mutilate in enumerate([
-            lambda t: t[: t.index('"value"') + 10],          # mid-payload
-            lambda t: t[: t.rindex('"spec"') + 8],           # mid-header
-            lambda t: "{not json",                            # garbage
+            lambda b: b[: _HEADER.size + 10],                 # mid-payload
+            lambda b: b[:8],                                  # mid-header
+            lambda b: b[:-5],                                 # mid-arrays
+            lambda b: b"\xff\xfe garbage",                    # garbage
         ]):
             key = f"{i}{i}" * 16
-            store.put(key, {"x": list(range(50))}, spec={"fn": "m:f", "seed": i})
-            path = store.path_for(key)
-            path.write_text(mutilate(path.read_text()))
-        # non-UTF-8 bytes (torn binary write) must also be skipped
-        store.put("33" * 16, {"x": 1})
-        store.path_for("33" * 16).write_bytes(b"\xff\xfe garbage")
-        assert {e.key for e in store.entries()} == {"aa" * 16, "bb" * 16}
+            writer = ResultStore(store.root)  # a fresh writer, own shard
+            shard = writer.put(key, {"x": list(range(50)),
+                                     "arr": np.arange(3.0)},
+                               spec={"fn": "m:f", "seed": i})
+            shard.write_bytes(mutilate(shard.read_bytes()))
+            if i % 2:
+                shard.with_name(shard.name + ".idx").unlink()
+        assert {e.key for e in ResultStore(store.root).entries()} \
+            == {"aa" * 16, "bb" * 16}
 
     def test_header_parse_skips_large_payloads(self, store):
-        """Header fields are read from the record tail, not a full parse.
+        """Listing reads the sidecar index, never the record payload.
 
-        A payload much larger than the tail window, containing decoy
-        strings that *look* like the header marker inside JSON values
-        (where raw newlines are impossible), must still list correctly.
+        A payload much larger than its metadata, containing decoy
+        strings that *look* like record fields, still lists with the
+        right provenance.
         """
         key = "cc" * 16
-        decoy = '\\n "__arrays__": [evil]'  # escaped newline, inside a string
+        decoy = '\n "spec": {"fn": "evil"}'
         store.put(
             key,
             {"blob": [decoy] * 20_000, "arr": np.arange(3.0)},
             spec={"fn": "m:big", "seed": 9},
         )
-        assert store.path_for(key).stat().st_size > ResultStore._HEADER_TAIL_BYTES
-        entry = {e.key: e for e in store.entries()}[key]
+        entry = {e.key: e for e in ResultStore(store.root).entries()}[key]
         assert entry.fn == "m:big" and entry.seed == 9 and entry.n_arrays == 1
-
-    def test_header_outside_tail_window_falls_back_to_full_parse(self, store):
-        """An oversized spec pushes the header out of the tail window."""
-        key = "dd" * 16
-        store.put(key, {"x": 1},
-                  spec={"fn": "m:wide", "seed": 3,
-                        "padding": "p" * (2 * ResultStore._HEADER_TAIL_BYTES)})
-        entry = {e.key: e for e in store.entries()}[key]
-        assert entry.fn == "m:wide" and entry.seed == 3
+        assert entry.json_bytes > 20_000 * len(decoy)
 
 
 class TestGc:
@@ -95,24 +97,23 @@ class TestGc:
         assert stats.n_removed == 0 and stats.bytes_freed == 0
         assert len(store) == 2
 
-    def test_orphan_npz_removed(self, store):
-        key = "bb" * 16
-        store.path_for(key).unlink()  # leaves the NPZ orphaned
+    def test_orphan_npz_removed(self, store, legacy):
+        legacy.unlink()  # leaves the NPZ orphaned in its fan-out dir
         stats = store.gc(min_age_s=0)
-        assert stats.n_orphan_npz == 1 and stats.bytes_freed > 0
-        assert not store._npz_path(key).exists()
-        assert store.get("aa" * 16) == {"x": 1.0}  # valid record untouched
+        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
+        assert not legacy.parent.exists()
+        assert store.get("aa" * 16) == {"x": 1.0}  # shard records untouched
+        assert len(store) == 2
 
-    def test_torn_record_removed_with_sidecar(self, store):
-        key = "bb" * 16
-        store.path_for(key).write_text("{not json")
-        stats = store.gc()
-        assert stats.n_corrupt == 1
-        assert not store.path_for(key).exists()
-        assert not store._npz_path(key).exists()
+    def test_torn_record_removed_with_sidecar(self, store, legacy):
+        legacy.write_text("{not json")
+        stats = store.gc(min_age_s=0)
+        assert stats.n_legacy_dirs == 1
+        assert not legacy.exists()
+        assert not legacy.with_suffix(".npz").exists()
 
     def test_stale_tmp_files_removed(self, store):
-        tmp = store.root / "aa" / ".leftover.json.x1y2"
+        tmp = store.root / "shards" / ".leftover.idx.x1y2"
         tmp.write_text("partial")
         stats = store.gc(min_age_s=0)
         assert stats.n_tmp == 1
@@ -120,27 +121,23 @@ class TestGc:
 
     def test_fresh_tmp_files_survive(self, store):
         # A concurrent writer's live temp file must not be unlinked.
-        tmp = store.root / "aa" / ".inflight.json.x1y2"
+        tmp = store.root / "shards" / ".inflight.idx.x1y2"
         tmp.write_text("partial")
         stats = store.gc()
         assert stats.n_tmp == 0
         assert tmp.exists()
 
-    def test_fresh_orphan_npz_survives(self, store):
-        # A concurrent put() writes the NPZ before its JSON record; a gc
-        # racing that window must not unlink the side-car.
-        key = "bb" * 16
-        store.path_for(key).unlink()
+    def test_fresh_orphan_npz_survives(self, store, legacy):
+        # --min-age spares a fan-out dir touched within the window.
+        legacy.unlink()
         stats = store.gc()
-        assert stats.n_orphan_npz == 0
-        assert store._npz_path(key).exists()
+        assert stats.n_legacy_dirs == 0
+        assert legacy.with_suffix(".npz").exists()
 
-    def test_dry_run_deletes_nothing(self, store):
-        key = "bb" * 16
-        store.path_for(key).unlink()
+    def test_dry_run_deletes_nothing(self, store, legacy):
         stats = store.gc(dry_run=True, min_age_s=0)
-        assert stats.n_orphan_npz == 1
-        assert store._npz_path(key).exists()
+        assert stats.n_legacy_dirs == 1
+        assert legacy.exists() and legacy.with_suffix(".npz").exists()
 
     def test_missing_root(self, tmp_path):
         stats = ResultStore(tmp_path / "nope").gc()
@@ -214,7 +211,7 @@ class TestGcObservability:
         out = capsys.readouterr().out
         assert "1 orphan telemetry" in out
         assert "1 torn run record(s)" in out
-        assert "removed 2 file(s)" in out
+        assert "removed 2 item(s)" in out
 
     def test_end_to_end_profiled_sweep_then_gc(self, tmp_path, capsys):
         """A real profiled sweep's ledger + telemetry are never pruned."""
@@ -248,18 +245,18 @@ class TestCli:
         assert store_main(["ls", "--cache-dir", str(tmp_path / "e")]) == 0
         assert "empty store" in capsys.readouterr().out
 
-    def test_gc_reports_counts(self, store, capsys):
-        store.path_for("bb" * 16).unlink()
+    def test_gc_reports_counts(self, store, legacy, capsys):
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--min-age", "0"]) == 0
-        assert "removed 1 file(s): 1 orphan NPZ" in capsys.readouterr().out
+        assert "removed 1 item(s): 1 legacy per-file dir(s)" \
+            in capsys.readouterr().out
+        assert not legacy.exists()
 
-    def test_gc_dry_run(self, store, capsys):
-        store.path_for("bb" * 16).unlink()
+    def test_gc_dry_run(self, store, legacy, capsys):
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--dry-run", "--min-age", "0"]) == 0
         assert "would remove 1" in capsys.readouterr().out
-        assert store._npz_path("bb" * 16).exists()
+        assert legacy.exists()
 
     def test_main_wiring(self, store, capsys):
         assert repro_main(["store", "ls", "--cache-dir",

@@ -13,8 +13,6 @@ change:
   scenarios") can never be served to the new one.
 """
 
-import json
-
 import pytest
 
 from repro.runtime import ResultStore, RunSpec, run_campaign, spec_key
@@ -96,11 +94,12 @@ class TestSweepKeysNameTheResolvedEngine:
                      batcher=ScenarioTaskBatcher())
         assert set(serial_store.keys()) == set(batched_store.keys())
 
-    def test_record_spec_provenance_names_the_engine(self, tmp_path):
+    def test_record_spec_provenance_names_the_engine(self, tmp_path,
+                                                     shard_record):
         store = ResultStore(tmp_path / "store")
         task = expanded_tasks()[0]
         run_campaign([task], jobs=1, store=store)
-        record = json.loads(store.path_for(task.key).read_text())
+        record = shard_record(store.root, task.key)
         assert record["spec"]["params"]["engine"] == "lockstep"
 
 

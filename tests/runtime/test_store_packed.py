@@ -1,9 +1,9 @@
-"""Packed shard backend: round-trips, crash consistency, migration.
+"""Packed shard backend: round-trips, crash consistency, legacy leftovers.
 
-Extends the torn-record suite of ``test_store_cli.py`` to the sharded
-layout: torn shard tails, truncated/corrupt sidecar indexes, corrupt NPZ
-side-cars, concurrent multi-writer appends, and the byte-identity
-property of ``store migrate``.
+Torn shard tails, truncated/corrupt sidecar indexes, concurrent
+multi-writer appends, a byte-identity property over arbitrary records,
+and what happens to a directory the retired per-file layout left behind
+(it reads as cold, and ``gc`` removes it).
 """
 
 import json
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.runtime import RunSpec, run_campaign
 from repro.runtime.shards import _HEADER, _MAGIC, PackedShards
 from repro.runtime.store import ResultStore
 
@@ -28,7 +29,7 @@ def keyn(i: int) -> str:
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "cache", layout="packed")
+    return ResultStore(tmp_path / "cache")
 
 
 class TestPackedRoundTrip:
@@ -36,8 +37,7 @@ class TestPackedRoundTrip:
         value = {"runtime": 0.125, "n": 3, "tags": ["a", "b"], "ok": True}
         store.put(KEY, value)
         assert store.get(KEY) == value
-        assert store.packed_active
-        assert not store.path_for(KEY).exists()  # nothing in the fan-out
+        assert [p.name for p in store.root.iterdir()] == ["shards"]
 
     def test_float_bits_survive(self, store):
         value = {"x": 0.1 + 0.2, "y": 1e-300}
@@ -68,23 +68,14 @@ class TestPackedRoundTrip:
         with pytest.raises(TypeError, match="object-dtype"):
             store.put(KEY, {"bad": np.array([object()])})
 
-    def test_mmap_read_is_zero_copy_view(self, store):
-        arr = np.arange(24.0).reshape(2, 3, 4)
-        store.put(KEY, {"stack": arr})
-        view = store.get(KEY, mmap=True)["stack"]
-        np.testing.assert_array_equal(view, arr)
-        assert not view.flags.writeable  # read-only view into the shard
-        assert view.base is not None  # not a fresh allocation
-
     def test_spec_recorded_for_provenance(self, store):
         store.put(KEY, {"x": 1}, spec={"fn": "m:f", "seed": 9})
         entry = next(iter(store.entries()))
-        assert entry.fn == "m:f" and entry.seed == 9 and entry.packed
+        assert entry.fn == "m:f" and entry.seed == 9
 
     def test_cross_instance_read(self, store):
         store.put(KEY, {"x": 1})
-        fresh = ResultStore(store.root)  # auto-detects the shards dir
-        assert fresh.packed_active
+        fresh = ResultStore(store.root)
         assert fresh.get(KEY) == {"x": 1}
 
     def test_last_write_wins_for_duplicate_keys(self, store):
@@ -110,68 +101,92 @@ class TestPackedRoundTrip:
 
 class TestShortKeys:
     def test_put_rejects_sub_fanout_keys(self, store):
-        # A 1-char key used to be writable in the per-file layout but
-        # invisible to keys()/gc() (the ``??`` fan-out glob never
-        # matches a single-character directory).
-        with pytest.raises(ValueError, match="malformed"):
-            store.put("a", {"x": 1})
-        with pytest.raises(ValueError, match="malformed"):
-            ResultStore(store.root, layout="file").path_for("a")
-        with pytest.raises(ValueError, match="malformed"):
-            store.path_for("")
+        # Content hashes are long hex strings; a 0/1-char key is a
+        # caller bug, rejected before anything is written.
+        for key in ("a", ""):
+            with pytest.raises(ValueError, match="malformed"):
+                store.put(key, {"x": 1})
+        assert not store.root.exists()
 
 
 class TestCorruptNpzSidecar:
-    """Regression: np.load raises zipfile.BadZipFile/ValueError for a
-    corrupt side-car — neither is an OSError, so they used to escape the
-    miss handler and crash the whole campaign."""
+    """A per-file record left by the retired layout is never read — not
+    even a corrupt or truncated NPZ side-car, which used to crash
+    ``np.load`` — and ``gc`` removes its fan-out directory."""
 
     @pytest.fixture
-    def legacy(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="file")
-        store.put(KEY, {"curve": np.arange(4.0), "n": 4})
+    def legacy(self, store, legacy_record):
+        legacy_record(store.root, KEY, {"n": 4}, {"curve": np.arange(4.0)})
         return store
 
+    def npz(self, store):
+        return store.root / KEY[:2] / f"{KEY}.npz"
+
     def test_garbage_npz_is_a_miss(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"not a zip at all")
-        assert legacy.get(KEY) is None  # used to raise BadZipFile
+        self.npz(legacy).write_bytes(b"not a zip at all")
+        assert legacy.get(KEY) is None
 
     def test_truncated_npz_is_a_miss(self, legacy):
-        path = legacy._npz_path(KEY)
+        path = self.npz(legacy)
         path.write_bytes(path.read_bytes()[:20])
         assert legacy.get(KEY) is None
 
     def test_gc_collects_corrupt_npz_pair(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"not a zip at all")
+        self.npz(legacy).write_bytes(b"not a zip at all")
         stats = legacy.gc(min_age_s=0)
-        assert stats.n_corrupt_npz == 1 and stats.bytes_freed > 0
-        assert not legacy.path_for(KEY).exists()
-        assert not legacy._npz_path(KEY).exists()
+        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
+        assert not (legacy.root / KEY[:2]).exists()
 
     def test_gc_collects_missing_npz_pair(self, legacy):
-        legacy._npz_path(KEY).unlink()
+        self.npz(legacy).unlink()
         stats = legacy.gc(min_age_s=0)
-        assert stats.n_corrupt_npz == 1
-        assert not legacy.path_for(KEY).exists()
+        assert stats.n_legacy_dirs == 1
+        assert not (legacy.root / KEY[:2]).exists()
 
     def test_gc_dry_run_keeps_the_pair(self, legacy):
-        legacy._npz_path(KEY).write_bytes(b"junk")
+        self.npz(legacy).write_bytes(b"junk")
         stats = legacy.gc(dry_run=True, min_age_s=0)
-        assert stats.n_corrupt_npz == 1
-        assert legacy.path_for(KEY).exists()
+        assert stats.n_legacy_dirs == 1
+        assert self.npz(legacy).exists()
 
 
 class TestLegacyClear:
-    def test_clear_removes_orphan_npz_and_empty_dirs(self, tmp_path):
-        # clear() used to unlink only pairs reachable via a readable
-        # JSON record, leaving orphan .npz files and fan-out dirs.
-        store = ResultStore(tmp_path / "cache", layout="file")
+    def test_clear_removes_orphan_npz_and_empty_dirs(self, store,
+                                                     legacy_record):
         store.put(KEY, {"a": np.ones(2)})
-        store.put("cd" * 16, {"x": 1})
-        store.path_for(KEY).unlink()  # orphan the side-car
-        assert store.clear() == 2
-        assert not store._npz_path(KEY).exists()
+        legacy_record(store.root, "cd" * 16, {"x": 1}, {"a": np.ones(2)})
+        (store.root / "cd" / f"{'cd' * 16}.json").unlink()  # orphan npz
+        assert store.clear() == 1  # only the shard record was a record
         assert not any(store.root.glob("??"))  # fan-out dirs removed
+
+
+class TestLegacyLayout:
+    def test_legacy_pair_reads_cold_recomputes_and_is_gc_removed(
+            self, store, legacy_record):
+        spec = RunSpec(fn="repro.runtime.tasks:rng_probe_task",
+                       params={"n": 3}, seed=5)
+        legacy = legacy_record(store.root, spec.key, {"seed": 5},
+                               {"draws": np.ones(3)})
+        assert spec.key not in store and store.get(spec.key) is None
+
+        cold = run_campaign([spec], store=store)
+        assert cold.n_executed == 1 and cold.n_cached == 0
+        assert sorted(store.keys()) == [spec.key]  # now in a shard
+
+        stats = store.gc(dry_run=True, min_age_s=0)
+        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
+        assert legacy.exists()
+        assert store.gc(min_age_s=0).n_legacy_dirs == 1
+        assert not legacy.parent.exists()
+
+        warm = run_campaign([spec], store=ResultStore(store.root))
+        assert warm.n_cached == 1
+        assert warm.values() == cold.values()
+
+    def test_non_hex_two_char_dirs_are_not_legacy(self, store):
+        (store.root / "zz").mkdir(parents=True)
+        assert store.gc(min_age_s=0).n_removed == 0
+        assert (store.root / "zz").exists()
 
 
 class TestTornShard:
@@ -248,7 +263,7 @@ class TestTruncatedIndex:
 
 
 def _writer_proc(root, start, n):
-    store = ResultStore(root, layout="packed")
+    store = ResultStore(root)
     for i in range(start, start + n):
         store.put(keyn(i), {"i": i, "arr": np.full(5, float(i))})
 
@@ -275,7 +290,7 @@ class TestConcurrentWriters:
 
     def test_forked_child_opens_its_own_shard(self, tmp_path):
         root = tmp_path / "cache"
-        store = ResultStore(root, layout="packed")
+        store = ResultStore(root)
         store.put(keyn(0), {"i": 0})  # parent owns a writer handle now
         ctx = multiprocessing.get_context("fork")
 
@@ -289,69 +304,6 @@ class TestConcurrentWriters:
         fresh = ResultStore(root)
         assert fresh.get(keyn(1)) == {"i": 1}
         assert len(list((root / "shards").glob("*.shard"))) == 2
-
-
-class TestMigration:
-    def _legacy_store(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", layout="file")
-        store.put(keyn(0), {"x": 0.1 + 0.2, "curve": np.linspace(0, 1, 9)},
-                  spec={"fn": "m:f", "seed": 3})
-        store.put(keyn(1), {"plain": [1, 2, 3]})
-        store.put(keyn(2), {"f": np.asfortranarray(np.eye(3))})
-        return store
-
-    def test_migrate_then_get_byte_identical(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        before = {k: store.get(k) for k in store.keys()}
-        stats = store.migrate()
-        assert stats.n_packed == 3 and stats.n_skipped == 0
-        after = ResultStore(store.root)  # fresh instance, packed reads
-        assert after.packed_active
-        for key, old in before.items():
-            new = after.get(key)
-            assert set(new) == set(old)
-            for name, item in old.items():
-                if isinstance(item, np.ndarray):
-                    assert new[name].dtype == item.dtype
-                    assert new[name].shape == item.shape
-                    assert new[name].tobytes() == item.tobytes()
-                else:
-                    assert new[name] == item
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        store.migrate()
-        again = store.migrate()
-        assert again.n_packed == 0 and again.n_already == 3
-
-    def test_migrate_skips_unreadable_records(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        store.path_for(keyn(1)).write_text("{torn")
-        store._npz_path(keyn(2)).write_bytes(b"bad zip")
-        stats = store.migrate()
-        assert stats.n_packed == 1 and stats.n_skipped == 2
-
-    def test_dry_run_packs_nothing(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        stats = store.migrate(dry_run=True)
-        assert stats.n_packed == 3
-        assert not (store.root / "shards").exists()
-
-    def test_gc_prunes_packed_originals(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        store.migrate()
-        stats = store.gc(min_age_s=0)
-        assert stats.n_migrated == 3 and stats.bytes_freed > 0
-        assert not any(store.root.glob("??/*.json"))
-        assert not any(store.root.glob("??"))  # emptied fan-out removed
-        fresh = ResultStore(store.root)
-        assert fresh.get(keyn(0))["x"] == 0.1 + 0.2
-
-    def test_entries_list_migrated_keys_once(self, tmp_path):
-        store = self._legacy_store(tmp_path)
-        store.migrate()
-        entries = list(store.entries())
-        assert len(entries) == 3 and all(e.packed for e in entries)
 
 
 _plain_values = st.one_of(
@@ -372,19 +324,16 @@ _records = st.dictionaries(
 )
 
 
-class TestMigrationProperty:
+class TestRoundTripProperty:
     @given(record=_records, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
-    def test_any_record_survives_migration_byte_identically(
+    def test_any_record_round_trips_byte_identically(
             self, tmp_path_factory, record, seed):
         root = tmp_path_factory.mktemp("prop") / "cache"
-        store = ResultStore(root, layout="file")
-        store.put(KEY, record, spec={"fn": "m:prop", "seed": seed})
-        before = store.get(KEY)
-        assert store.migrate().n_packed == 1
-        after = ResultStore(root).get(KEY)
-        assert set(after) == set(before)
-        for name, item in before.items():
+        ResultStore(root).put(KEY, record, spec={"fn": "m:prop", "seed": seed})
+        after = ResultStore(root).get(KEY)  # fresh instance: index reload
+        assert set(after) == set(record)
+        for name, item in record.items():
             if isinstance(item, np.ndarray):
                 assert after[name].dtype == item.dtype
                 assert after[name].shape == item.shape
@@ -412,5 +361,5 @@ class TestShardInternals:
         store.put(KEY, {"x": 1})
         clone = pickle.loads(pickle.dumps(store._shards))
         assert isinstance(clone, PackedShards)
-        assert clone._writer is None and not clone._mmaps
+        assert clone._writer is None and not clone._index
         assert clone.read(KEY)[1] == {"x": 1}

@@ -74,7 +74,8 @@ class TestPlanner:
 
 
 class TestBatchedCampaignBitIdentity:
-    def test_batched_store_records_equal_serial_byte_for_byte(self, tmp_path):
+    def test_batched_store_records_equal_serial_byte_for_byte(
+            self, tmp_path, store_record_bytes):
         spec = load_bundled_scenario("campaign_rate_sweep")
         serial_store = ResultStore(tmp_path / "serial")
         batched_store = ResultStore(tmp_path / "batched")
@@ -84,14 +85,13 @@ class TestBatchedCampaignBitIdentity:
                                      batch=True)
         assert serial.campaign.values() == batched.campaign.values()
         assert serial.points == batched.points
-        serial_files = {p.name: p.read_bytes()
-                        for p in sorted((tmp_path / "serial").rglob("*.json"))}
-        batched_files = {p.name: p.read_bytes()
-                         for p in sorted((tmp_path / "batched").rglob("*.json"))}
+        serial_files = store_record_bytes(tmp_path / "serial")
+        batched_files = store_record_bytes(tmp_path / "batched")
         assert serial_files.keys() == batched_files.keys()
         assert serial_files == batched_files
 
-    def test_forced_dag_sweep_records_byte_identical(self, tmp_path):
+    def test_forced_dag_sweep_records_byte_identical(
+            self, tmp_path, store_record_bytes):
         """Forced-DAG campaigns cache the same bytes batched or not.
 
         The DAG engine's batched ``StaticDag`` propagation must leave no
@@ -108,10 +108,8 @@ class TestBatchedCampaignBitIdentity:
                                      store=batched_store, batch=True)
         assert all(v["engine"] == "dag" for v in batched.campaign.values())
         assert serial.campaign.values() == batched.campaign.values()
-        serial_files = {p.name: p.read_bytes()
-                        for p in sorted((tmp_path / "serial").rglob("*.json"))}
-        batched_files = {p.name: p.read_bytes()
-                         for p in sorted((tmp_path / "batched").rglob("*.json"))}
+        serial_files = store_record_bytes(tmp_path / "serial")
+        batched_files = store_record_bytes(tmp_path / "batched")
         assert serial_files.keys() == batched_files.keys()
         assert serial_files == batched_files
 
@@ -155,7 +153,7 @@ class TestTelemetryDeterminism:
         telemetry.disable()
 
     def test_profiled_sweep_store_records_byte_identical(
-            self, tmp_path, profiled):
+            self, tmp_path, profiled, store_record_bytes):
         spec = load_bundled_scenario("campaign_rate_sweep")
         plain_store = ResultStore(tmp_path / "plain")
         plain = run_scenario_sweep(spec, engine="dag", store=plain_store)
@@ -164,10 +162,8 @@ class TestTelemetryDeterminism:
         prof = run_scenario_sweep(spec, engine="dag", store=prof_store)
         assert prof.campaign.values() == plain.campaign.values()
         assert prof.points == plain.points
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        prof_files = {p.name: p.read_bytes()
-                      for p in sorted((tmp_path / "profiled").rglob("*.json"))}
+        plain_files = store_record_bytes(tmp_path / "plain")
+        prof_files = store_record_bytes(tmp_path / "profiled")
         assert plain_files.keys() == prof_files.keys()
         assert plain_files == prof_files
 
@@ -214,7 +210,7 @@ class TestObservabilityDeterminism:
         events.disable()
 
     def test_observed_sweep_store_records_byte_identical(
-            self, tmp_path, observed):
+            self, tmp_path, observed, store_record_bytes):
         spec = load_bundled_scenario("campaign_rate_sweep")
         plain_store = ResultStore(tmp_path / "plain")
         observed.disable()
@@ -224,10 +220,8 @@ class TestObservabilityDeterminism:
         obs = run_scenario_sweep(spec, engine="dag", store=obs_store)
         assert obs.campaign.values() == plain.campaign.values()
         assert obs.points == plain.points
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        obs_files = {p.name: p.read_bytes()
-                     for p in sorted((tmp_path / "observed").rglob("*.json"))}
+        plain_files = store_record_bytes(tmp_path / "plain")
+        obs_files = store_record_bytes(tmp_path / "observed")
         assert plain_files.keys() == obs_files.keys()
         assert plain_files == obs_files
 
@@ -239,7 +233,7 @@ class TestObservabilityDeterminism:
         assert obs.campaign.values() == plain.campaign.values()
 
     def test_observed_and_profiled_together_stay_pure(
-            self, tmp_path, observed):
+            self, tmp_path, observed, store_record_bytes):
         """Telemetry + events share the worker result channel; running
         both at once must still leave the store untouched byte-wise."""
         from repro import telemetry
@@ -256,10 +250,8 @@ class TestObservabilityDeterminism:
         finally:
             telemetry.disable()
         assert both.campaign.values() == plain.campaign.values()
-        plain_files = {p.name: p.read_bytes()
-                       for p in sorted((tmp_path / "plain").rglob("*.json"))}
-        both_files = {p.name: p.read_bytes()
-                      for p in sorted((tmp_path / "both").rglob("*.json"))}
+        plain_files = store_record_bytes(tmp_path / "plain")
+        both_files = store_record_bytes(tmp_path / "both")
         assert plain_files == both_files
 
     def test_observed_warm_read_values_are_pure(self, tmp_path, observed):

@@ -21,18 +21,16 @@ def _sweep(cache, *extra):
 
 
 class TestResume:
-    def test_resume_finishes_only_the_missing_tasks(self, tmp_path, capsys):
+    def test_resume_finishes_only_the_missing_tasks(self, tmp_path, capsys,
+                                                     interrupt_store):
         cache = tmp_path / "store"
         assert _sweep(cache) == 0
         (first_id,) = _run_ids(cache)
         capsys.readouterr()
 
-        # Simulate an interrupted campaign: drop most of the records.
-        store = ResultStore(cache)
-        keys = sorted(store.keys())
-        assert len(keys) == 12
-        for key in keys[3:]:
-            store.path_for(key).unlink()
+        # Simulate an interrupted campaign: keep its first 3 records.
+        assert len(ResultStore(cache)) == 12
+        interrupt_store(cache, 3)
 
         assert _sweep(cache, "--resume", first_id) == 0
         out = capsys.readouterr().out
@@ -89,4 +87,18 @@ class TestStoreFailFast:
         bogus = tmp_path / "cache"
         bogus.write_text("a file, not a directory")
         assert _sweep(bogus) == 2
+        assert "store error" in capsys.readouterr().err
+
+    def test_blocked_shards_dir_exits_2_before_running(self, tmp_path,
+                                                       capsys, monkeypatch):
+        import repro.scenarios.sweep as sweep_mod
+
+        def no_campaign(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("campaign started on an unwritable store")
+
+        monkeypatch.setattr(sweep_mod, "run_campaign", no_campaign)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "shards").write_text("a file, not a directory")
+        assert _sweep(cache) == 2
         assert "store error" in capsys.readouterr().err
