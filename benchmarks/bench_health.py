@@ -1,12 +1,12 @@
 """Benchmark: worker-health plumbing overhead on the pool backend.
 
-The health layer (per-unit ``/proc`` resource samples riding the result
-channel, parent-side heartbeat emission, and the stall watchdog's
-timed-wait scan loop) runs on every observed pool campaign, so it
-inherits the obs-layer contract: cheap enough to leave on.  Measured on
-a 128-draw batched DAG campaign over two pool workers, a fully watched
-run (bus + tracker + renderer + default watchdog + heartbeats) must
-cost **< 2%** over an unwatched one — both sides timed as a min over
+The health layer (per-unit ``/proc`` resource samples recorded into
+each worker's telemetry snapshot, and the stall watchdog's timed-wait
+scan loop) runs on every observed pool campaign, so it inherits the
+obs-layer contract: cheap enough to leave on.  Measured on a 128-draw
+batched DAG campaign over two pool workers, a fully watched run
+(recorder + tracker + renderer + default watchdog + health samples)
+must cost **< 2%** over an unwatched one — both sides timed as a min over
 *interleaved* repetitions, pool startup excluded from neither (the
 comparison is like-for-like).  Pool scheduling carries an irreducible
 few-millisecond jitter even under min-of-reps, so the in-test assert
@@ -22,7 +22,7 @@ a watchdog scan of a 64-unit in-flight table under 1 ms.
 import io
 import time
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.health import StallWatchdog, sample_resources
 from repro.obs.ledger import RunTracker
 from repro.obs.progress import ProgressRenderer
@@ -74,37 +74,37 @@ def _interleaved_mins(fn_a, fn_b, reps: int) -> "tuple[float, float]":
 
 
 def test_bench_health_watched_pool_overhead(once, bench_record):
-    """A watched 128-draw pool campaign (heartbeats + watchdog) costs < 2%."""
+    """A watched 128-draw pool campaign (health + watchdog) costs < 2%."""
     tasks = _forced_dag_tasks()
 
     def plain():
         return run_campaign(tasks, jobs=JOBS, batcher=ScenarioTaskBatcher())
 
     def watched():
-        bus = events.enable()
+        rec = telemetry.enable()
         tracker = RunTracker()
-        bus.subscribe(tracker.handle)
+        rec.subscribe(tracker.handle)
         renderer = ProgressRenderer(stream=io.StringIO())
-        bus.subscribe(renderer.handle)
-        bus.emit("run.start", kind="scenario.sweep", name="bench_health",
+        rec.subscribe(renderer.handle)
+        rec.emit("run.start", kind="scenario.sweep", name="bench_health",
                  n_tasks=len(tasks))
         try:
             return run_campaign(tasks, jobs=JOBS,
                                 batcher=ScenarioTaskBatcher())
         finally:
-            bus.emit("run.finish", status="ok")
-            events.disable()
+            rec.emit("run.finish", status="ok")
+            telemetry.disable()
 
     # Warm every cache (DAG structure, numpy buffers, fork machinery).
     reference = plain()
-    assert not events.enabled()
+    assert not telemetry.enabled()
 
     reps = 9
     t_off, t_on = _interleaved_mins(plain, watched, reps)
 
     observed = watched()
     assert observed.values() == reference.values()  # observation is pure
-    assert not events.enabled()
+    assert not telemetry.enabled()
 
     once(plain)
 

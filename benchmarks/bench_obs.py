@@ -3,7 +3,7 @@
 The obs layer's contract mirrors telemetry's: watching a run must be
 cheap enough to leave on.  Measured on the heaviest batched path we
 have — a 64-draw batched forced-DAG campaign through ``run_campaign``
-— a fully observed run (event bus + run tracker + progress renderer at
+— a fully observed run (recorder + run tracker + progress renderer at
 its production 10 Hz throttle, exactly what ``--progress`` attaches)
 must cost **< 2%** over an unobserved one.  The disabled ``emit()``
 site must be a sub-microsecond module-global ``None`` check.
@@ -16,7 +16,7 @@ are asserted equal to the plain run's — observation is pure.
 import io
 import time
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.ledger import RunTracker
 from repro.obs.progress import ProgressRenderer
 from repro.runtime import run_campaign
@@ -57,23 +57,23 @@ def test_bench_obs_overhead_live_progress(once, bench_record):
         return run_campaign(tasks, jobs=1, batcher=ScenarioTaskBatcher())
 
     def observed():
-        bus = events.enable()
+        rec = telemetry.enable()
         tracker = RunTracker()
-        bus.subscribe(tracker.handle)
+        rec.subscribe(tracker.handle)
         renderer = ProgressRenderer(stream=io.StringIO())
-        bus.subscribe(renderer.handle)
-        bus.emit("run.start", kind="scenario.sweep", name="bench_obs",
+        rec.subscribe(renderer.handle)
+        rec.emit("run.start", kind="scenario.sweep", name="bench_obs",
                  n_tasks=len(tasks))
         try:
             return run_campaign(tasks, jobs=1,
                                 batcher=ScenarioTaskBatcher())
         finally:
-            bus.emit("run.finish", status="ok")
-            events.disable()
+            rec.emit("run.finish", status="ok")
+            telemetry.disable()
 
     # Warm every cache (DAG structure, numpy buffers) before timing.
     reference = plain()
-    assert not events.enabled()
+    assert not telemetry.enabled()
 
     reps = 7
     t_off = _min_of(plain, reps)
@@ -81,7 +81,7 @@ def test_bench_obs_overhead_live_progress(once, bench_record):
 
     watched = observed()
     assert watched.values() == reference.values()  # observation is pure
-    assert not events.enabled()
+    assert not telemetry.enabled()
 
     once(plain)
 
@@ -100,11 +100,11 @@ def test_bench_obs_overhead_live_progress(once, bench_record):
 
 def test_bench_obs_disabled_emit_cost(bench_record):
     """A disabled emit site is one global None check: < 1 µs."""
-    assert not events.enabled()
+    assert not telemetry.enabled()
     n = 100_000
     t0 = time.perf_counter()
     for i in range(n):
-        events.emit("bench.noop", index=i)
+        telemetry.emit("bench.noop", index=i)
     per_site = (time.perf_counter() - t0) / n
     bench_record(n_emits=n, t_per_emit_s=per_site)
     print(f"\ndisabled emit crossing: {per_site * 1e9:.0f} ns")

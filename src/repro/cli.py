@@ -59,7 +59,8 @@ from repro.experiments import (
     run_experiment,
 )
 
-__all__ = ["main", "build_parser", "jobs_arg"]
+__all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
+           "jobs_arg", "observe_campaign", "retry_policy"]
 
 
 def jobs_arg(text: str) -> int:
@@ -73,6 +74,80 @@ def jobs_arg(text: str) -> int:
             f"--jobs must be >= 0 (0 = auto-detect CPU count), got {value}"
         )
     return value
+
+
+def add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """The campaign flags ``scenario run|sweep`` and ``report run`` share."""
+    parser.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
+                        help="worker processes for cache misses (0 = auto)")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="content-addressed result store; cached runs "
+                             "are loaded with zero engine invocations")
+    parser.add_argument("--no-batch", action="store_true",
+                        help="run cache misses one engine call at a time "
+                             "instead of batched (results are identical)")
+    parser.add_argument("--profile", action="store_true",
+                        help="print the run's telemetry summary (spans, "
+                             "cache hit rates) and keep its JSONL under "
+                             "<cache-dir>/telemetry/; results are unchanged")
+    parser.add_argument("--telemetry-out", default=None, metavar="FILE",
+                        help="write the run's telemetry JSONL here "
+                             "(implies --profile); inspect with "
+                             "'repro-experiment stats'")
+    parser.add_argument("--progress", action=argparse.BooleanOptionalAction,
+                        default=None,
+                        help="live progress line on stderr (default: auto "
+                             "when stderr is a TTY)")
+    parser.add_argument("--retries", type=int, default=0, metavar="N",
+                        help="retry failed tasks up to N times with "
+                             "deterministic seed-jittered backoff (results "
+                             "are bit-identical to a first-attempt success)")
+    parser.add_argument("--retry-backoff", type=float, default=0.05,
+                        metavar="SECONDS",
+                        help="base backoff between retry attempts; doubles "
+                             "per attempt (default: 0.05)")
+    parser.add_argument("--stall-action", choices=["warn", "retry"],
+                        default="warn",
+                        help="watchdog response to stalled tasks: warn "
+                             "only, or abandon the stalled block and "
+                             "re-dispatch its tasks (default: warn)")
+    parser.add_argument("--resume", default=None, metavar="RUN_ID",
+                        help="resume an interrupted run: completed tasks "
+                             "are served from the run's cache, and the new "
+                             "ledger record links back via resumed_from "
+                             "(requires --cache-dir)")
+
+
+def campaign_store(cache_dir: "str | None"):
+    """The ``--cache-dir`` result store, checked writable (or ``None``)."""
+    if cache_dir is None:
+        return None
+    from repro.runtime.store import ResultStore
+
+    store = ResultStore(cache_dir)
+    # Fail before the campaign starts, not after it computed results it
+    # cannot persist.
+    store.ensure_writable()
+    return store
+
+
+def retry_policy(args):
+    """The ``--retries``/``--retry-backoff`` policy, or ``None``."""
+    if args.retries:
+        from repro.runtime.retry import RetryPolicy
+
+        return RetryPolicy(retries=args.retries,
+                           backoff_s=args.retry_backoff)
+    return None
+
+
+def observe_campaign(args, kind: str, name: str):
+    """:func:`repro.obs.observe_run` wired to the campaign flags."""
+    from repro.obs import observe_run
+
+    return observe_run(kind, name, cache_dir=args.cache_dir,
+                       progress=args.progress, profile=args.profile,
+                       telemetry_out=args.telemetry_out)
 
 
 def build_parser() -> argparse.ArgumentParser:

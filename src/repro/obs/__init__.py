@@ -1,14 +1,15 @@
-"""Live run observability: event bus, progress rendering, run ledger.
+"""Live run observability: progress rendering and the run ledger.
 
-Three cooperating pieces, layered over (not into) the simulation code:
+The obs layer consumes the one instrument stream, the telemetry
+recorder (:mod:`repro.telemetry`), whose lifecycle events the executor
+and runners emit (``run.start``, ``task.done``, ``block.fallback``, …;
+the vocabulary is :mod:`repro.obs.events`):
 
-- :mod:`repro.obs.events` — the structured lifecycle event bus.
-  Emission sites in the executor and runners publish typed events
-  (``run.start``, ``task.done``, ``block.fallback``, …) through a
-  module-level fast path that costs one ``None`` check when no consumer
-  is attached — the same discipline as the telemetry recorder.
 - :mod:`repro.obs.progress` — a TTY-aware single-line renderer
-  (throughput, cache-hit rate, EWMA-based ETA) subscribed to the bus.
+  (throughput, cache-hit rate, EWMA-based ETA) subscribed to the
+  recorder.
+- :mod:`repro.obs.health` — worker resource samples (recorded as
+  ``worker.*`` histograms) and the pool's stall watchdog.
 - :mod:`repro.obs.ledger` / :mod:`repro.obs.session` — per-run
   provenance records under ``<cache-dir>/runs/`` and the
   :func:`observe_run` context manager that wires a whole CLI run
@@ -19,8 +20,7 @@ bytes the store persists (enforced by ``tests/scenarios/test_batch.py``
 and ``benchmarks/bench_obs.py``).
 """
 
-from repro.obs import events
-from repro.obs.events import EVENT_VERSION, EventBus, KNOWN_EVENTS
+from repro.obs.events import EVENT_VERSION, KNOWN_EVENTS
 from repro.obs.ledger import (
     RUN_RECORD_VERSION,
     RunLedger,
@@ -32,13 +32,11 @@ from repro.obs.session import observe_run
 
 __all__ = [
     "EVENT_VERSION",
-    "EventBus",
     "KNOWN_EVENTS",
     "ProgressRenderer",
     "RUN_RECORD_VERSION",
     "RunLedger",
     "RunTracker",
-    "events",
     "observe_run",
     "render_run_summary",
 ]

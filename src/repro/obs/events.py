@@ -1,272 +1,43 @@
-"""Structured lifecycle event bus: the live counterpart of telemetry.
+"""The lifecycle event vocabulary.
 
-Where :mod:`repro.telemetry` answers *"where did the time go?"* after a
-run, this bus answers *"what is happening right now?"* during one.
-Emission sites publish typed lifecycle events through the module-level
-fast path::
-
-    from repro.obs import events
-
-    events.emit("task.done", index=spec.index)
-
-which is a no-op — one global ``None`` check, no clock reads, no dict
-allocation — unless a live consumer (the CLI's progress renderer / run
-ledger session) has called :func:`enable`.  Keyword arguments become the
-event's data payload; subscribers (renderer, run tracker) see every
-event synchronously, in emission order.
-
-**Determinism contract.**  An event's *identity* is ``(seq, name,
-data)`` — its position, type, and payload.  Timestamps are carried
-separately and excluded from :meth:`EventBus.identity`, so two runs of
-the same campaign with the same seed and ``--jobs 1`` produce *equal*
-identity streams.  Event payloads must therefore never contain
-durations, wall-clock values, tracebacks, or memory addresses — put
-those in telemetry spans or the run ledger instead.
-
-**Cross-process transport.**  Pool workers enable a fresh bus of their
-own, and the executor ships :meth:`EventBus.drain`'s plain tuples back
-through the existing pickled result channel; the parent re-sequences
-them via :func:`absorb`.  Worker-local ``run.*`` events are dropped on
-absorption: a worker executing one unit of a campaign is *inside* the
-parent's run, and its private run lifecycle would corrupt the parent's
-totals.
+Events are instants on the telemetry recorder: emission sites call
+``telemetry.emit("task.done", index=spec.index)``, a no-op unless a run
+is observed, and live consumers (the progress renderer, the run tracker)
+subscribe to the recorder.  See :mod:`repro.telemetry.recorder` for the
+event tuple and the identity-stream determinism contract.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable
-
-__all__ = [
-    "EVENT_VERSION",
-    "KNOWN_EVENTS",
-    "EventBus",
-    "absorb",
-    "current_bus",
-    "disable",
-    "emit",
-    "enable",
-    "enabled",
-    "in_run",
-]
+__all__ = ["EVENT_VERSION", "KNOWN_EVENTS"]
 
 #: Version of the event schema (names + payload conventions).  Bump on
-#: renames or payload-shape changes and note it in the PR description —
-#: ledger records carry it so old records stay interpretable.  v2 added
-#: the fault-tolerance events: ``task.retry``, ``task.quarantined``,
-#: ``pool.respawn``.
-EVENT_VERSION = 2
+#: renames, removals or payload-shape changes and note it in the PR
+#: description — ledger records carry it so old records stay
+#: interpretable.  v2 added the fault-tolerance events: ``task.retry``,
+#: ``task.quarantined``, ``pool.respawn``.  v3 removed
+#: ``worker.heartbeat``: worker health samples are now the
+#: ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.
+EVENT_VERSION = 3
 
 #: The typed lifecycle vocabulary.  ``emit`` does not enforce membership
 #: (forward compatibility for downstream consumers), but events outside
 #: this set are invisible to the progress renderer and the run tracker.
 #:
-#: The ``worker.*`` family, ``task.stall``, and ``pool.respawn`` are
-#: **pool-only**: they describe wall-clock health (heartbeats, stalled
-#: tasks, dead workers) that serial runs never emit, so the ``--jobs 1``
-#: identity-stream determinism contract above is unaffected.  Their
-#: payloads still follow the rules (no durations or timestamps in
-#: ``data``) — resource figures like ``rss_bytes`` are measurements,
-#: carried because these events are already outside the identity
-#: contract by construction.  ``task.retry`` (payload: ``index``,
-#: ``attempt``) fires for both worker-side soft retries — deterministic
-#: given deterministic failures, e.g. under the chaos harness — and
-#: pool-side re-dispatches after a worker death or abandoned stall,
-#: which are pool-only like the events that caused them.
-#: ``task.quarantined`` precedes the ``task.failed`` of a task the
-#: executor refuses to run again.
+#: ``task.stall`` and ``pool.respawn`` are **pool-only**: they describe
+#: wall-clock health (stalled tasks, dead workers) that serial runs never
+#: emit, so the ``--jobs 1`` identity-stream determinism contract is
+#: unaffected.  ``task.retry`` (payload: ``index``, ``attempt``) fires
+#: for both worker-side soft retries — deterministic given deterministic
+#: failures, e.g. under the chaos harness — and pool-side re-dispatches
+#: after a worker death or abandoned stall, which are pool-only like the
+#: events that caused them.  ``task.quarantined`` precedes the
+#: ``task.failed`` of a task the executor refuses to run again.
 KNOWN_EVENTS = frozenset({
     "run.start", "run.finish",
     "task.submit", "task.start", "task.done", "task.failed",
     "task.cache_hit", "task.stall", "task.retry", "task.quarantined",
     "block.dispatch", "block.fallback",
-    "worker.heartbeat", "pool.respawn",
+    "pool.respawn",
     "report.phase",
 })
-
-
-class EventBus:
-    """An in-process ordered stream of lifecycle events.
-
-    Events are stored as plain tuples ``(seq, name, t, wall, data)``:
-
-    - ``seq``: 0-based emission order on *this* bus;
-    - ``name``: dotted lowercase event type (see :data:`KNOWN_EVENTS`);
-    - ``t``: seconds since the bus was created (``perf_counter`` based);
-    - ``wall``: Unix timestamp of emission;
-    - ``data``: payload dict, or ``None`` — the part that must stay
-      deterministic.
-
-    Not thread-safe by design: emission happens on the owning thread
-    (the executor's completion loop, or a worker's task code), exactly
-    like the telemetry recorder.
-    """
-
-    __slots__ = ("events", "subscribers", "_t0", "_run_depth")
-
-    def __init__(self) -> None:
-        self.events: "list[tuple]" = []
-        self.subscribers: "list[Callable[[tuple], None]]" = []
-        self._t0 = time.perf_counter()
-        self._run_depth = 0
-
-    # -- emission -----------------------------------------------------
-
-    def emit(self, name: str, /, **data: Any) -> tuple:
-        """Record one event and notify subscribers synchronously."""
-        event = (len(self.events), name, time.perf_counter() - self._t0,
-                 time.time(), data or None)
-        self.events.append(event)
-        if name == "run.start":
-            self._run_depth += 1
-        elif name == "run.finish":
-            self._run_depth = max(0, self._run_depth - 1)
-        for callback in self.subscribers:
-            callback(event)
-        return event
-
-    # -- subscription -------------------------------------------------
-
-    def subscribe(self, callback: "Callable[[tuple], None]") -> None:
-        """Attach a synchronous per-event callback (renderer, tracker)."""
-        self.subscribers.append(callback)
-
-    def unsubscribe(self, callback: "Callable[[tuple], None]") -> None:
-        if callback in self.subscribers:
-            self.subscribers.remove(callback)
-
-    # -- inspection ---------------------------------------------------
-
-    @property
-    def t0(self) -> float:
-        """The bus epoch: ``perf_counter()`` at creation.
-
-        Event ``t`` values are relative to it; consumers that must line
-        events up with telemetry spans (whose starts live in the raw
-        ``perf_counter`` domain) add it back.
-        """
-        return self._t0
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def identity(self) -> "list[tuple]":
-        """The deterministic view: ``(seq, name, data)`` per event.
-
-        Two equal-seed ``--jobs 1`` runs of the same campaign must
-        produce equal identity streams; tests compare exactly this.
-        """
-        return [(seq, name, data) for seq, name, _, _, data in self.events]
-
-    def counts(self) -> "dict[str, int]":
-        """Events per name — a quick invariant check for tests."""
-        out: "dict[str, int]" = {}
-        for _, name, _, _, _ in self.events:
-            out[name] = out.get(name, 0) + 1
-        return out
-
-    # -- cross-process transport --------------------------------------
-
-    def drain(self) -> "list[tuple]":
-        """Detach all events as ``(name, t, wall, data)`` transport tuples.
-
-        Sequence numbers are dropped — the absorbing parent assigns
-        fresh ones — so the payload pickles small and merges cleanly.
-        """
-        drained = [(name, t, wall, data)
-                   for _, name, t, wall, data in self.events]
-        self.events.clear()
-        return drained
-
-    def mark_in_run(self) -> None:
-        """Declare this bus *inside* an enclosing run without an event.
-
-        Pool workers call this (via :func:`enable`) so task code that
-        would own a run lifecycle at top level — e.g. ``run_scenario``
-        inside ``scenario_task`` — stays silent: the worker is by
-        definition executing one unit of the parent's run.
-        """
-        self._run_depth += 1
-
-    def unmark_in_run(self) -> None:
-        """Undo one :meth:`mark_in_run` (clamped at zero)."""
-        self._run_depth = max(0, self._run_depth - 1)
-
-    def absorb(self, drained: "list[tuple]") -> None:
-        """Append a worker's drained events, re-sequenced onto this bus.
-
-        Worker-local ``run.*`` events are dropped: the worker ran inside
-        the parent's run, and a nested lifecycle would double-start the
-        consumers (see the module docstring).
-        """
-        for name, _t, _wall, data in drained:
-            if name.startswith("run."):
-                continue
-            if data:
-                self.emit(name, **data)
-            else:
-                self.emit(name)
-
-
-# -- module-level fast path -------------------------------------------
-
-_BUS: "EventBus | None" = None
-
-#: Shared immutable "nothing happened" event, returned by the disabled
-#: :func:`emit` so call sites never branch on the return value.
-_NULL_EVENT: tuple = (-1, "", 0.0, 0.0, None)
-
-
-def enable(fresh: bool = True, in_run: bool = False) -> EventBus:
-    """Install (and return) the process-wide bus; idempotent per process.
-
-    ``fresh`` (the default) replaces any live bus — pool workers call
-    this to discard the stale bus copy a fork-started worker inherits
-    from an observing parent.  ``in_run`` marks the new bus as already
-    inside an enclosing run (see :meth:`EventBus.mark_in_run`).
-    """
-    global _BUS
-    if _BUS is None or fresh:
-        _BUS = EventBus()
-    if in_run:
-        _BUS.mark_in_run()
-    return _BUS
-
-
-def disable() -> "EventBus | None":
-    """Uninstall and return the live bus (``None`` if already disabled)."""
-    global _BUS
-    bus, _BUS = _BUS, None
-    return bus
-
-
-def enabled() -> bool:
-    return _BUS is not None
-
-
-def current_bus() -> "EventBus | None":
-    return _BUS
-
-
-def in_run() -> bool:
-    """True while a ``run.start`` has been emitted without its finish.
-
-    Runners use this to emit run lifecycle events only when they *own*
-    the run: a scenario executed as one task of a sweep (or a report's
-    campaign) is inside the outer run and must stay silent.
-    """
-    return _BUS is not None and _BUS._run_depth > 0
-
-
-def emit(name: str, /, **data: Any) -> tuple:
-    """Emit one event on the live bus; a single ``None`` check when off."""
-    if _BUS is None:
-        return _NULL_EVENT
-    return _BUS.emit(name, **data)
-
-
-def absorb(drained: "list[tuple] | None") -> None:
-    """Merge a worker's drained events into the live bus (no-op when off)."""
-    if _BUS is None or not drained:
-        return
-    _BUS.absorb(drained)

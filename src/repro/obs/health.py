@@ -2,17 +2,19 @@
 
 Long campaigns die in two undramatic ways: a worker quietly balloons
 its RSS until the OOM killer takes it, or one task wedges and the pool
-looks "busy" forever.  Both are invisible to the lifecycle events PR 7
-added — those only fire when something *completes*.  This module makes
-liveness itself observable:
+looks "busy" forever.  Both are invisible to the lifecycle events,
+which only fire when something *completes*.  This module makes liveness
+itself observable:
 
 - :func:`sample_resources` reads the calling process's RSS and CPU time
   from ``/proc`` (falling back to :func:`resource.getrusage` where
-  ``/proc`` is unavailable).  Workers sample themselves at the end of
-  every execution unit and the sample rides home through the executor's
-  pickled result channel, where the parent emits a ``worker.heartbeat``
-  event and feeds ``worker.rss_bytes`` / ``worker.cpu_s`` telemetry
-  histograms.
+  ``/proc`` is unavailable).  An observed pool worker calls
+  :func:`observe_health` at the end of every execution unit, which
+  records the sample into the worker's own recorder as the
+  ``worker.rss_bytes`` / ``worker.cpu_s`` histograms; they travel home
+  in the unit's telemetry snapshot and sum into the parent's.  The run
+  ledger reads ``n_heartbeats`` (the histogram count: one sample per
+  returned unit) and ``worker_rss_peak_bytes`` (its max) from them.
 - :class:`StallWatchdog` watches the parent's in-flight table between
   pool completions.  It keeps an EWMA of observed task durations and
   flags any unit that has been out for more than ``multiple`` times
@@ -21,17 +23,16 @@ liveness itself observable:
   the progress renderer (``N stalled!``) and counted into the run
   ledger record (``n_stalls``).
 
-**Determinism note.**  ``worker.heartbeat`` and ``task.stall`` are
-*pool-only* events driven by wall-clock behavior; they are explicitly
-outside the ``--jobs 1`` identity-stream contract
-(:mod:`repro.obs.events`), which serial runs keep bit-for-bit.  A
-watchdog can misfire on a genuinely slow (not hung) task — a stall
-event is a *warning* by default: the executor's failure isolation
-already bounds the damage of a truly dead worker.  With
-``stall_action="retry"`` the executor additionally abandons a flagged
-unit's future and re-dispatches its tasks, racing the zombie; the first
-completion wins, so a misfire costs duplicated work, never a wrong or
-missing result.
+**Determinism note.**  Health samples and ``task.stall`` are *pool-only*
+and driven by wall-clock behavior; serial runs record neither, so the
+``--jobs 1`` identity-stream contract (:mod:`repro.telemetry.recorder`)
+holds bit-for-bit.  A watchdog can misfire on a genuinely slow (not
+hung) task — a stall event is a *warning* by default: the executor's
+failure isolation already bounds the damage of a truly dead worker.
+With ``stall_action="retry"`` the executor additionally abandons a
+flagged unit's future and re-dispatches its tasks, racing the zombie;
+the first completion wins, so a misfire costs duplicated work, never a
+wrong or missing result.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import os
 import time
 from typing import Any, Mapping
 
-from repro.obs import events
+from repro import telemetry
 
-__all__ = ["StallWatchdog", "sample_resources"]
+__all__ = ["StallWatchdog", "observe_health", "sample_resources"]
 
 #: EWMA smoothing for observed task durations — matches the progress
 #: renderer's completion-gap smoothing: recent tasks dominate, history
@@ -97,6 +98,13 @@ def sample_resources() -> dict:
             pass
     return {"pid": os.getpid(), "rss_bytes": int(rss or 0),
             "cpu_s": float(cpu or 0.0)}
+
+
+def observe_health() -> None:
+    """Record one resource sample as ``worker.*`` telemetry histograms."""
+    sample = sample_resources()
+    telemetry.observe("worker.rss_bytes", sample["rss_bytes"])
+    telemetry.observe("worker.cpu_s", sample["cpu_s"])
 
 
 class StallWatchdog:
@@ -169,7 +177,7 @@ class StallWatchdog:
             flagged.append(token)
             for _pos, spec in unit:
                 self.n_stalled += 1
-                events.emit("task.stall", index=spec.index)
+                telemetry.emit("task.stall", index=spec.index)
         return flagged
 
     def scan(self, in_flight: "Mapping[Any, tuple]",

@@ -7,9 +7,9 @@ landed.  One atomically written single-line JSON file per run keeps the
 ledger append-only under concurrent campaigns (two runs never contend
 on one file) while ``cat runs/*.json`` still yields valid JSONL.
 
-:class:`RunTracker` is the bus subscriber that accumulates a record's
-fields from lifecycle events; :class:`RunLedger` reads and writes the
-directory.  The CLI surface is :mod:`repro.obs.cli` (``runs ls|show|
+:class:`RunTracker` is the recorder subscriber that accumulates a
+record's fields from lifecycle events; :class:`RunLedger` reads and
+writes the directory.  The CLI surface is :mod:`repro.obs.cli` (``runs ls|show|
 tail``).
 """
 
@@ -21,7 +21,7 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.obs.events import EVENT_VERSION
 
@@ -49,13 +49,14 @@ def new_run_id(kind: str, started_unix: float) -> str:
 class RunTracker:
     """Accumulates one ledger record from the event stream.
 
-    Subscribe :meth:`handle` to the bus; the first ``run.start`` defines
-    the run's identity (kind, name, totals, spec key) and later ones are
-    ignored — nested or worker-side lifecycles never overwrite the
-    outer run.  Callers attach out-of-band provenance directly:
+    Subscribe :meth:`handle` to the recorder; the first ``run.start``
+    defines the run's identity (kind, name, totals, spec key) and later
+    ones are ignored — nested or worker-side lifecycles never overwrite
+    the outer run.  Callers attach out-of-band provenance directly:
     :meth:`add_artifact` for written artifact paths,
     :meth:`set_telemetry` for the profiled JSONL path, and
-    :meth:`note_failure` for run-level exceptions.
+    :meth:`note_failure` for run-level exceptions.  Worker health comes
+    from the recorder's histograms when :meth:`record` builds the record.
     """
 
     def __init__(self) -> None:
@@ -75,8 +76,6 @@ class RunTracker:
         self.n_pool_respawns = 0
         self.retry_wasted_s = 0.0
         self.resumed_from: "str | None" = None
-        self.n_heartbeats = 0
-        self.worker_rss_peak_bytes = 0
         self.n_events = 0
         self.failures: "list[str]" = []
         self.failed_tasks: "list[int]" = []
@@ -86,7 +85,7 @@ class RunTracker:
         self.telemetry: "str | None" = None
         self.artifacts: "list[str]" = []
 
-    # -- bus subscriber -----------------------------------------------
+    # -- recorder subscriber ------------------------------------------
 
     def handle(self, event: tuple) -> None:
         _, name, _, _, data = event
@@ -120,12 +119,6 @@ class RunTracker:
             self.n_quarantined += 1
         elif name == "pool.respawn":
             self.n_pool_respawns += 1
-        elif name == "worker.heartbeat":
-            self.n_heartbeats += 1
-            rss = data.get("rss_bytes")
-            if rss is not None:
-                self.worker_rss_peak_bytes = max(
-                    self.worker_rss_peak_bytes, int(rss))
         elif name == "run.finish":
             self.run_finished = True
             self.finish_status = data.get("status", self.finish_status)
@@ -137,10 +130,10 @@ class RunTracker:
             self.failures.append(str(summary))
 
     def add_artifact(self, path) -> None:
-        self.artifacts.append(str(path))
+        self.artifacts.append(os.path.abspath(path))
 
     def set_telemetry(self, path) -> None:
-        self.telemetry = str(path)
+        self.telemetry = os.path.abspath(path)
 
     def set_resumed_from(self, run_id: "str | None") -> None:
         """Link this run to the ledger record it resumes."""
@@ -154,9 +147,15 @@ class RunTracker:
     # -- record -------------------------------------------------------
 
     def record(self, run_id: str, status: str, kind: str, name: str,
-               wall_s: float, started_unix: float,
-               finished_unix: float) -> dict:
-        """Build the ledger record dict (see :data:`RUN_RECORD_VERSION`)."""
+               wall_s: float, started_unix: float, finished_unix: float,
+               hists: "Mapping | None" = None) -> dict:
+        """Build the ledger record dict (see :data:`RUN_RECORD_VERSION`).
+
+        ``hists`` are the run recorder's histograms: the
+        ``worker.rss_bytes`` samples (one per pool unit) give
+        ``n_heartbeats`` and ``worker_rss_peak_bytes``.
+        """
+        rss = (hists or {}).get("worker.rss_bytes") or (0, 0, 0, 0)
         n_tasks = self.n_tasks if self.n_tasks is not None else self.n_done
         n_executed = self.n_done - self.n_cached - self.n_failed
         hit_rate = (self.n_cached / n_tasks) if n_tasks else None
@@ -187,8 +186,8 @@ class RunTracker:
             "n_pool_respawns": self.n_pool_respawns,
             "retry_wasted_s": self.retry_wasted_s,
             "resumed_from": self.resumed_from,
-            "n_heartbeats": self.n_heartbeats,
-            "worker_rss_peak_bytes": self.worker_rss_peak_bytes,
+            "n_heartbeats": int(rss[0]),
+            "worker_rss_peak_bytes": int(rss[3]),
             "telemetry": self.telemetry,
             "artifacts": list(self.artifacts),
             "n_events": self.n_events,

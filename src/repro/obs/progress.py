@@ -1,11 +1,11 @@
-"""TTY progress rendering: one live line driven by bus events.
+"""TTY progress rendering: one live line driven by lifecycle events.
 
-:class:`ProgressRenderer` subscribes to the event bus and keeps a single
-``\\r``-rewritten line on ``stderr`` up to date with task counts,
-throughput, cache-hit rate, and an ETA derived from an exponentially
-weighted moving average of completion gaps.  It is a pure *consumer*:
-it never touches run state, so attaching or detaching it cannot change
-results (the same purity contract telemetry holds).
+:class:`ProgressRenderer` subscribes to the run's telemetry recorder
+and keeps a single ``\\r``-rewritten line on ``stderr`` up to date with
+task counts, throughput, cache-hit rate, and an ETA derived from an
+exponentially weighted moving average of completion gaps.  It is a pure
+*consumer*: it never touches run state, so attaching or detaching it
+cannot change results (the same purity contract telemetry holds).
 
 Rendering is throttled (default 10 Hz) so a 10k-task sweep of
 sub-millisecond cache hits does not spend its time writing to the
@@ -71,7 +71,7 @@ class ProgressRenderer:
     # -- event feed ---------------------------------------------------
 
     def handle(self, event: tuple) -> None:
-        """Bus subscriber entry point."""
+        """Recorder subscriber entry point."""
         _, name, _, _, data = event
         data = data or {}
         if name == "run.start":

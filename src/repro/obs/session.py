@@ -1,13 +1,15 @@
-"""One observed run: bus lifecycle, progress wiring, ledger write.
+"""One observed run: recorder lifecycle, progress wiring, ledger write.
 
 :func:`observe_run` is the CLI-facing composition root of the obs layer.
-It enables the event bus for the duration of one run, attaches the
-:class:`~repro.obs.ledger.RunTracker` (always) and the
-:class:`~repro.obs.progress.ProgressRenderer` (when requested, or
-automatically on a TTY), and on exit — success *or* failure — builds
-the ledger record, persists it under ``<cache-dir>/runs/``, and prints
-the exit summary line.  The summary is rendered from the persisted
-record dict, so terminal output and ledger provenance cannot diverge.
+It enables the telemetry recorder — the run's one instrument stream of
+spans, instruments and lifecycle events — for the duration of one run,
+opens the root span, attaches the :class:`~repro.obs.ledger.RunTracker`
+(always) and the :class:`~repro.obs.progress.ProgressRenderer` (when
+requested, or automatically on a TTY), and on exit — success *or*
+failure — writes the telemetry JSONL when asked, builds the ledger
+record, persists it under ``<cache-dir>/runs/``, and prints the exit
+summary line.  The summary is rendered from the persisted record dict,
+so terminal output and ledger provenance cannot diverge.
 
 Library code never calls this: runners only *emit*; sessions are owned
 by whoever owns the terminal (the CLI handlers, or a future daemon).
@@ -18,8 +20,9 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
 from repro.obs.progress import ProgressRenderer
@@ -29,14 +32,16 @@ __all__ = ["observe_run"]
 
 @contextmanager
 def observe_run(kind: str, name: str, cache_dir=None,
-                progress: "bool | None" = None, stream=None, echo=print):
+                progress: "bool | None" = None, stream=None, echo=print,
+                profile: bool = False, telemetry_out=None):
     """Observe one run end to end; yields its :class:`RunTracker`.
 
     Parameters
     ----------
     kind:
         Run kind (``scenario.sweep``, ``scenario.run``, ``report.run``) —
-        the default if no ``run.start`` event supplies one.
+        the root span's name, and the default if no ``run.start`` event
+        supplies one.
     name:
         Scenario/report name fallback, same rule.
     cache_dir:
@@ -49,24 +54,34 @@ def observe_run(kind: str, name: str, cache_dir=None,
         Renderer output stream (default ``sys.stderr``).
     echo:
         Summary sink (default :func:`print`); ``None`` silences it.
+    profile:
+        ``--profile``: print the telemetry summary at exit and, with a
+        ``cache_dir``, write the JSONL to
+        ``<cache_dir>/telemetry/<run id>.jsonl``.
+    telemetry_out:
+        ``--telemetry-out``: also write the JSONL here (implies
+        ``profile``).  The ledger record links the written file by its
+        absolute path.
     """
     stream = stream if stream is not None else sys.stderr
     if progress is None:
         progress = bool(getattr(stream, "isatty", lambda: False)())
+    profile = profile or telemetry_out is not None
 
-    bus = events.enable()
+    rec = telemetry.enable()
     tracker = RunTracker()
-    bus.subscribe(tracker.handle)
+    rec.subscribe(tracker.handle)
     renderer = None
     if progress:
         renderer = ProgressRenderer(stream=stream)
-        bus.subscribe(renderer.handle)
+        rec.subscribe(renderer.handle)
 
     started_unix = time.time()
-    t0 = time.perf_counter()
+    root = rec.span(kind)
     status = "ok"
     try:
-        yield tracker
+        with root:
+            yield tracker
     except BaseException as exc:
         # ^C (and a polite SystemExit) is an interruption, not a crash:
         # the record persists either way — the `finally` below runs on
@@ -83,7 +98,7 @@ def observe_run(kind: str, name: str, cache_dir=None,
         # A runner that crashed before its own run.finish still closes
         # the lifecycle, so subscribers always see a complete stream.
         if not tracker.run_finished:
-            events.emit("run.finish", status=status)
+            rec.emit("run.finish", status=status)
         if renderer is not None:
             if status == "ok":
                 renderer.finish()
@@ -92,14 +107,29 @@ def observe_run(kind: str, name: str, cache_dir=None,
                 # print — erase the half-painted line instead of leaving
                 # it for the diagnostics to concatenate onto.
                 renderer.clear()
-        events.disable()
+        telemetry.disable()
 
-        wall_s = time.perf_counter() - t0
-        finished_unix = time.time()
+        run_id = new_run_id(tracker.kind or kind, started_unix)
+        snap = rec.snapshot()
+        written = []
+        if profile:
+            targets = [telemetry_out] if telemetry_out is not None else []
+            if cache_dir is not None:
+                targets.append(Path(cache_dir) / "telemetry"
+                               / f"{run_id}.jsonl")
+            for target in targets:
+                try:
+                    written.append(telemetry.write_jsonl(snap, target,
+                                                         label=kind))
+                except OSError as exc:
+                    print(f"[telemetry not written: {exc}]",
+                          file=sys.stderr)
+            if written:
+                tracker.set_telemetry(written[-1])
         record = tracker.record(
-            run_id=new_run_id(tracker.kind or kind, started_unix),
-            status=status, kind=kind, name=name, wall_s=wall_s,
-            started_unix=started_unix, finished_unix=finished_unix,
+            run_id=run_id, status=status, kind=kind, name=name,
+            wall_s=root.duration, started_unix=started_unix,
+            finished_unix=time.time(), hists=rec.hists,
         )
         path = None
         if cache_dir is not None:
@@ -111,6 +141,10 @@ def observe_run(kind: str, name: str, cache_dir=None,
                 # error on this path); the summary line still prints.
                 path = None
         if echo is not None:
+            if profile:
+                echo(telemetry.render_summary(snap))
+                for p in written:
+                    echo(f"[telemetry written to {p}]")
             echo(render_run_summary(record))
             if path is not None:
                 echo(f"[run recorded in {path}]")

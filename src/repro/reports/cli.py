@@ -23,7 +23,8 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg
+from repro.cli import add_campaign_args, campaign_store, \
+    observe_campaign, retry_policy
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -57,67 +58,10 @@ def build_report_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a report and print its table")
     p_run.add_argument("report", metavar="NAME_OR_FILE")
-    p_run.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
-                       help="worker processes for cache misses (0 = auto)")
-    p_run.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed result store; cached runs "
-                            "are loaded with zero engine invocations")
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="write the report's declared artifacts below DIR")
-    p_run.add_argument("--no-batch", action="store_true",
-                       help="run cache misses one engine call at a time "
-                            "instead of batched (results are identical)")
-    p_run.add_argument("--profile", action="store_true",
-                       help="record telemetry (spans, cache hit rates) and "
-                            "print a summary; results are unchanged")
-    p_run.add_argument("--telemetry-out", default=None, metavar="FILE",
-                       help="write the run's telemetry JSONL here "
-                            "(implies --profile); inspect with "
-                            "'repro-experiment stats'")
-    p_run.add_argument("--progress", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="live progress line on stderr (default: auto "
-                            "when stderr is a TTY)")
-    p_run.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry failed tasks up to N times with "
-                            "deterministic seed-jittered backoff (results "
-                            "are bit-identical to a first-attempt success)")
-    p_run.add_argument("--retry-backoff", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="base backoff between retry attempts; doubles "
-                            "per attempt (default: 0.05)")
-    p_run.add_argument("--stall-action", choices=["warn", "retry"],
-                       default="warn",
-                       help="watchdog response to stalled tasks: warn only, "
-                            "or abandon the stalled block and re-dispatch "
-                            "its tasks (default: warn)")
-    p_run.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume an interrupted report run: simulated "
-                            "tasks are served from the run's cache, and the "
-                            "new ledger record links back via resumed_from "
-                            "(requires --cache-dir)")
+    add_campaign_args(p_run)
     return parser
-
-
-def _store(cache_dir: "str | None"):
-    if cache_dir is None:
-        return None
-    from repro.runtime.store import ResultStore
-
-    store = ResultStore(cache_dir)
-    # Fail before the campaign starts, not after it computed results it
-    # cannot persist.
-    store.ensure_writable()
-    return store
-
-
-def _retry_policy(args):
-    if getattr(args, "retries", 0):
-        from repro.runtime.retry import RetryPolicy
-
-        return RetryPolicy(retries=args.retries,
-                           backoff_s=args.retry_backoff)
-    return None
 
 
 def _cmd_list(args) -> int:
@@ -171,7 +115,6 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     spec = resolve_report(args.report)
     compiled = compile_report(spec)
-    from repro.obs import observe_run
     from repro.runtime.store import StoreError
 
     resumed = None
@@ -190,27 +133,14 @@ def _cmd_run(args) -> int:
             return 2
 
     try:
-        with observe_run("report.run", spec.name, cache_dir=args.cache_dir,
-                         progress=args.progress) as tracker:
+        with observe_campaign(args, "report.run", spec.name) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
-            if args.profile or args.telemetry_out:
-                from repro import telemetry
-
-                profiled = telemetry.profiled(
-                    "report.run", out=args.telemetry_out,
-                    cache_dir=args.cache_dir, on_write=tracker.set_telemetry)
-            else:
-                from contextlib import nullcontext
-
-                profiled = nullcontext()
-            with profiled:
-                result = run_report(
-                    compiled, store=_store(args.cache_dir), jobs=args.jobs,
-                    batch=not args.no_batch,
-                    retry=_retry_policy(args),
-                    stall_action=args.stall_action,
-                )
+            result = run_report(
+                compiled, store=campaign_store(args.cache_dir),
+                jobs=args.jobs, batch=not args.no_batch,
+                retry=retry_policy(args), stall_action=args.stall_action,
+            )
             print(result.render())
             if args.out is not None:
                 from repro.reports.artifacts import write_artifacts

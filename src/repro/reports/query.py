@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from repro.obs.events import enabled as events_enabled
+from repro import telemetry
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ResultStore
 
@@ -89,11 +89,9 @@ def fetch_campaign(
         # The fully-cached path bypasses run_campaign (and its event
         # emission), so publish the hits here — a warm report still
         # streams one terminal event per task.
-        if events_enabled():
-            from repro.obs import events
-
+        if telemetry.enabled():
             for spec in specs:
-                events.emit("task.cache_hit", index=spec.index)
+                telemetry.emit("task.cache_hit", index=spec.index)
         return CampaignFetch(values=tuple(values), n_loaded=len(specs),
                              n_executed=0)
 
@@ -156,7 +154,7 @@ class CampaignStream:
             for start in range(0, len(self.specs), size):
                 yield fetch.values[start:start + size]
             return
-        publish = events_enabled()
+        publish = telemetry.enabled()
         for start in range(0, len(self.specs), size):
             block = []
             for spec in self.specs[start:start + size]:
@@ -174,9 +172,7 @@ class CampaignStream:
                 else:
                     self.n_loaded += 1
                     if publish:
-                        from repro.obs import events
-
-                        events.emit("task.cache_hit", index=spec.index)
+                        telemetry.emit("task.cache_hit", index=spec.index)
                 block.append(value)
             yield tuple(block)
 

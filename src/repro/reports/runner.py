@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.obs import events
 from repro.reports.compiler import SCENARIO_COLUMN, CompiledReport
 from repro.reports.errors import ReportError
 from repro.reports.kernels import MetricContext
@@ -161,15 +160,16 @@ def run_report(
     # group key -> (group dict, {draw column -> list of sample arrays})
     groups: "dict[tuple, tuple[dict, dict]]" = {}
     n_tasks = n_loaded = n_executed = 0
-    owns_run = events.enabled() and not events.in_run()
+    owns_run = telemetry.enabled() and not telemetry.in_run()
     if owns_run:
-        events.emit("run.start", kind="report.run", name=report.spec.name,
-                    n_tasks=sum(t.sweep.size for t in report.targets),
-                    jobs=jobs)
+        telemetry.emit("run.start", kind="report.run",
+                       name=report.spec.name,
+                       n_tasks=sum(t.sweep.size for t in report.targets),
+                       jobs=jobs)
     for target in report.targets:
         if owns_run:
-            events.emit("report.phase", phase="fetch",
-                        scenario=target.scenario.name)
+            telemetry.emit("report.phase", phase="fetch",
+                           scenario=target.scenario.name)
         draws = target.draws_per_point
         with telemetry.span("report.fetch", scenario=target.scenario.name):
             tasks = target.sweep.tasks()
@@ -187,9 +187,9 @@ def run_report(
             first_block = next(blocks, ())
         blocks = itertools.chain([first_block], blocks)
         if owns_run:
-            events.emit("report.phase", phase="metrics",
-                        scenario=target.scenario.name,
-                        n_points=len(target.grid.points))
+            telemetry.emit("report.phase", phase="metrics",
+                           scenario=target.scenario.name,
+                           n_points=len(target.grid.points))
         with telemetry.span("report.metrics", scenario=target.scenario.name,
                             n_points=len(target.grid.points)):
             for (overrides, compiled_point), block in zip(
@@ -232,7 +232,8 @@ def run_report(
 
     rows = []
     if owns_run:
-        events.emit("report.phase", phase="aggregate", n_groups=len(groups))
+        telemetry.emit("report.phase", phase="aggregate",
+                       n_groups=len(groups))
     with telemetry.span("report.aggregate", n_groups=len(groups)):
         for group, samples in groups.values():
             pooled = {column: np.concatenate(arrays)
@@ -247,8 +248,9 @@ def run_report(
                                   values=values, draws=pooled))
 
     if owns_run:
-        events.emit("run.finish", status="ok", n_tasks=n_tasks,
-                    n_cached=n_loaded, n_executed=n_executed, n_failed=0)
+        telemetry.emit("run.finish", status="ok", n_tasks=n_tasks,
+                       n_cached=n_loaded, n_executed=n_executed,
+                       n_failed=0)
     return ReportResult(
         report=report,
         rows=tuple(rows),

@@ -21,7 +21,8 @@ import argparse
 import json
 import sys
 
-from repro.cli import jobs_arg
+from repro.cli import add_campaign_args, campaign_store, \
+    observe_campaign, retry_policy
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -58,64 +59,8 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                        help="override the scenario's seed")
         p.add_argument("--engine", choices=["auto", "lockstep", "dag"],
                        default="auto", help="engine selection (default: auto)")
-        p.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
-                       help="worker processes for sweeps (0 = auto)")
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="content-addressed result store for sweep runs")
-        p.add_argument("--no-batch", action="store_true",
-                       help="run sweep replicates one engine call at a time "
-                            "instead of batched (results are identical)")
-        p.add_argument("--profile", action="store_true",
-                       help="record telemetry (spans, cache hit rates) and "
-                            "print a summary; results are unchanged")
-        p.add_argument("--telemetry-out", default=None, metavar="FILE",
-                       help="write the run's telemetry JSONL here "
-                            "(implies --profile); inspect with "
-                            "'repro-experiment stats'")
-        p.add_argument("--progress", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="live progress line on stderr (default: auto "
-                            "when stderr is a TTY)")
-        p.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry failed tasks up to N times with "
-                            "deterministic seed-jittered backoff (results "
-                            "are bit-identical to a first-attempt success)")
-        p.add_argument("--retry-backoff", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="base backoff between retry attempts; doubles "
-                            "per attempt (default: 0.05)")
-        p.add_argument("--stall-action", choices=["warn", "retry"],
-                       default="warn",
-                       help="watchdog response to stalled tasks: warn only, "
-                            "or abandon the stalled block and re-dispatch "
-                            "its tasks (default: warn)")
-        p.add_argument("--resume", default=None, metavar="RUN_ID",
-                       help="resume an interrupted sweep: completed tasks "
-                            "are served from the run's cache, and the new "
-                            "ledger record links back via resumed_from "
-                            "(requires --cache-dir)")
+        add_campaign_args(p)
     return parser
-
-
-def _store(cache_dir: "str | None"):
-    if cache_dir is None:
-        return None
-    from repro.runtime.store import ResultStore
-
-    store = ResultStore(cache_dir)
-    # Fail before the campaign starts, not after it computed results it
-    # cannot persist.
-    store.ensure_writable()
-    return store
-
-
-def _retry_policy(args):
-    if getattr(args, "retries", 0):
-        from repro.runtime.retry import RetryPolicy
-
-        return RetryPolicy(retries=args.retries,
-                           backoff_s=args.retry_backoff)
-    return None
 
 
 def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
@@ -126,7 +71,7 @@ def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
     resuming a run whose grid does not hash to the same spec key would
     silently execute the *wrong* campaign against the old cache.
     """
-    if not getattr(args, "resume", None):
+    if not args.resume:
         return None, None
     if args.cache_dir is None:
         return None, ("--resume requires --cache-dir: completed tasks are "
@@ -147,26 +92,6 @@ def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
             f"(spec_key {record['spec_key']}, this invocation {spec_key}); "
             "pass the same scenario, --seed, and --engine to resume it")
     return record, None
-
-
-def _maybe_profiled(args, label: str, tracker=None):
-    """Telemetry wiring for ``--profile`` / ``--telemetry-out`` runs.
-
-    Returns a no-op context unless profiling was requested; profiled runs
-    additionally persist their record next to the store artifacts when a
-    cache dir is in play.  With a live run ``tracker`` the written
-    telemetry path is recorded in the run's ledger entry.
-    """
-    if not (getattr(args, "profile", False) or args.telemetry_out):
-        from contextlib import nullcontext
-
-        return nullcontext()
-    from repro import telemetry
-
-    return telemetry.profiled(
-        label, out=args.telemetry_out, cache_dir=args.cache_dir,
-        on_write=tracker.set_telemetry if tracker is not None else None,
-    )
 
 
 def _cmd_list(args) -> int:
@@ -215,8 +140,7 @@ def _cmd_validate(args) -> int:
 
 
 def _observed_sweep(args, spec) -> int:
-    """One observed sweep: event bus + progress + ledger + exit summary."""
-    from repro.obs import observe_run
+    """One observed sweep: recorder + progress + ledger + exit summary."""
     from repro.runtime.store import StoreError
 
     resumed, problem = _resume_record(args, spec)
@@ -224,19 +148,16 @@ def _observed_sweep(args, spec) -> int:
         print(f"scenario error: {problem}", file=sys.stderr)
         return 2
     try:
-        with observe_run("scenario.sweep", spec.name,
-                         cache_dir=args.cache_dir,
-                         progress=args.progress) as tracker:
+        with observe_campaign(args, "scenario.sweep", spec.name) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
-            with _maybe_profiled(args, "scenario.sweep", tracker):
-                result = run_scenario_sweep(
-                    spec, base_seed=args.seed, engine=args.engine,
-                    jobs=args.jobs, store=_store(args.cache_dir),
-                    batch=not args.no_batch,
-                    retry=_retry_policy(args),
-                    stall_action=args.stall_action,
-                )
+            result = run_scenario_sweep(
+                spec, base_seed=args.seed, engine=args.engine,
+                jobs=args.jobs, store=campaign_store(args.cache_dir),
+                batch=not args.no_batch,
+                retry=retry_policy(args),
+                stall_action=args.stall_action,
+            )
             tracker.set_retry_wasted(result.campaign.retry_wasted_s)
             print(result.render())
     except StoreError as exc:
@@ -249,16 +170,12 @@ def _cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
     if spec.sweep is not None:
         return _observed_sweep(args, spec)
-    if getattr(args, "resume", None):
+    if args.resume:
         print("scenario error: --resume only applies to sweeps (this "
               "scenario has no sweep block)", file=sys.stderr)
         return 2
-    from repro.obs import observe_run
-
-    with observe_run("scenario.run", spec.name, cache_dir=args.cache_dir,
-                     progress=args.progress) as tracker:
-        with _maybe_profiled(args, "scenario.run", tracker):
-            run = run_scenario(spec, seed=args.seed, engine=args.engine)
+    with observe_campaign(args, "scenario.run", spec.name):
+        run = run_scenario(spec, seed=args.seed, engine=args.engine)
         print(run.render())
     return 0
 

@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.obs import events
 from repro.core.timing import RunTiming
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.outputs import compute_outputs
@@ -211,20 +210,20 @@ def run_scenario(
             compiled = compile_scenario(scenario, engine=engine)
     # Own the run lifecycle only at top level: as one task of a sweep or
     # report campaign this stays silent (the campaign emits per-task
-    # events; worker-local run.* events are dropped on absorption).
-    owns_run = events.enabled() and not events.in_run()
+    # events; worker-local run.* events are dropped on merge).
+    owns_run = telemetry.enabled() and not telemetry.in_run()
     if owns_run:
         run_seed = compiled.spec.seed if seed is None else int(seed)
-        events.emit("run.start", kind="scenario.run",
-                    name=compiled.spec.name, n_tasks=1,
-                    engine=compiled.engine, seed_root=run_seed, jobs=1)
-        events.emit("task.start", index=0)
+        telemetry.emit("run.start", kind="scenario.run",
+                       name=compiled.spec.name, n_tasks=1,
+                       engine=compiled.engine, seed_root=run_seed, jobs=1)
+        telemetry.emit("task.start", index=0)
     prepared = prepare_scenario_run(compiled, seed)
     timing = _execute_prepared(compiled, prepared)
     run = finish_scenario_run(compiled, prepared, timing)
     if owns_run:
-        events.emit("task.done", index=0)
-        events.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
+        telemetry.emit("task.done", index=0)
+        telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
     return run
 
 

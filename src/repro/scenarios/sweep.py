@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.obs import events
 from repro.runtime import CampaignResult, SweepSpec, run_campaign
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
@@ -202,7 +201,7 @@ def _sweep_spec_key(tasks) -> str:
 
     Same alphabet/length as a store key, but derived from *all* task
     hashes — two sweeps share it iff they would hit the same records.
-    Only computed when a run consumer is live (events enabled).
+    Only computed when a run is observed (telemetry enabled).
     """
     import hashlib
 
@@ -238,9 +237,9 @@ def run_scenario_sweep(
         tasks = sweep.tasks()
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.
-    owns_run = events.enabled() and not events.in_run()
+    owns_run = telemetry.enabled() and not telemetry.in_run()
     if owns_run:
-        events.emit(
+        telemetry.emit(
             "run.start", kind="scenario.sweep", name=spec.name,
             n_tasks=len(tasks), engine=dict(sweep.base)["engine"],
             seed_root=sweep.base_seed, jobs=jobs,
@@ -252,11 +251,12 @@ def run_scenario_sweep(
         retry=retry, stall_action=stall_action,
     )
     if owns_run:
-        events.emit("run.finish",
-                    status="failed" if campaign.failures else "ok",
-                    n_tasks=len(campaign), n_failed=len(campaign.failures),
-                    n_cached=campaign.n_cached,
-                    n_executed=campaign.n_executed)
+        telemetry.emit("run.finish",
+                       status="failed" if campaign.failures else "ok",
+                       n_tasks=len(campaign),
+                       n_failed=len(campaign.failures),
+                       n_cached=campaign.n_cached,
+                       n_executed=campaign.n_executed)
     campaign.raise_failures()
 
     with telemetry.span("sweep.aggregate", n_runs=len(campaign)):

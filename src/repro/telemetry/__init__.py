@@ -1,4 +1,4 @@
-"""Zero-dependency runtime telemetry: spans, counters, sinks, stats CLI.
+"""Zero-dependency runtime telemetry: spans, counters, events, sinks.
 
 Instrumentation sites call the module-level fast path::
 
@@ -8,19 +8,17 @@ Instrumentation sites call the module-level fast path::
         ...
         sp.set(n_levels=levels)
     telemetry.count("dag.cache.hits")
+    telemetry.emit("task.done", index=spec.index)
 
-which is a no-op (shared null span, no clock reads) unless a CLI
-``--profile`` run — or a test — has called :func:`enable`.  The
-:func:`profiled` context manager is the one-stop wiring used by
-``scenario run|sweep`` and ``report run``: enable, open a root span,
-and on exit snapshot, write sinks, and print the summary.
+which is a no-op (shared null span, no clock reads) unless an observed
+run — :func:`repro.obs.observe_run`, which every ``scenario run|sweep``
+and ``report run`` opens — or a test has called :func:`enable`.  The
+one recorder carries spans, instruments and lifecycle events alike;
+``--profile`` / ``--telemetry-out`` only decide whether its summary is
+printed and its JSONL written when the run ends.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
-from pathlib import Path
 
 from .recorder import (
     Recorder,
@@ -28,9 +26,11 @@ from .recorder import (
     count,
     current_recorder,
     disable,
+    emit,
     enable,
     enabled,
     gauge,
+    in_run,
     merge_snapshot,
     observe,
     span,
@@ -46,13 +46,14 @@ __all__ = [
     "count",
     "current_recorder",
     "disable",
+    "emit",
     "enable",
     "enabled",
     "export_chrome_trace",
     "gauge",
+    "in_run",
     "merge_snapshot",
     "observe",
-    "profiled",
     "read_jsonl",
     "render_summary",
     "span",
@@ -62,54 +63,3 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
-
-
-@contextmanager
-def profiled(label: str, out=None, cache_dir=None, echo=print,
-             on_write=None):
-    """Record one profiled run and flush it to sinks on exit.
-
-    Enables telemetry, opens a root span named ``label``, and yields the
-    live recorder.  On exit (even via an exception) the recorder is
-    snapshotted and disabled, the JSONL export is written to ``out``
-    (``--telemetry-out``) and/or persisted under
-    ``<cache_dir>/telemetry/<label>-<unix>.jsonl`` next to the store
-    artifacts, and the summary table is printed through ``echo``
-    (pass ``echo=None`` to silence it).  ``on_write`` is called with
-    each written path — the run ledger uses it to record where a run's
-    telemetry landed.
-
-    When an obs event bus is live (the CLI nests ``profiled`` inside
-    ``observe_run``), the lifecycle events emitted so far ride along in
-    the snapshot as ``events`` — timestamps rebased into the recorder's
-    clock domain — so one JSONL file carries both observation channels
-    and ``stats trace`` can lay them out on a single timeline.
-    """
-    rec = enable()
-    try:
-        with rec.span(label):
-            yield rec
-    finally:
-        snap = rec.snapshot()
-        disable()
-        from repro.obs import events as obs_events
-
-        bus = obs_events.current_bus()
-        if bus is not None and bus.events:
-            snap["events"] = [(name, t + bus.t0, data)
-                              for _, name, t, _, data in bus.events]
-        paths = []
-        if out:
-            paths.append(write_jsonl(snap, out, label=label))
-        if cache_dir:
-            stamp = int(snap.get("wall0") or time.time())
-            paths.append(write_jsonl(
-                snap, Path(cache_dir) / "telemetry" / f"{label}-{stamp}.jsonl",
-                label=label))
-        if on_write is not None:
-            for p in paths:
-                on_write(p)
-        if echo is not None:
-            echo(render_summary(snap))
-            for p in paths:
-                echo(f"[telemetry written to {p}]")

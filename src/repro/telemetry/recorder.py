@@ -1,13 +1,15 @@
-"""Process-local telemetry recorder: spans, counters, gauges, histograms.
+"""Process-local telemetry recorder: spans, instruments, lifecycle events.
 
-The runtime telemetry substrate the campaign server, store scale-out, and
-adaptive-planner work measure themselves with.  Design constraints, in
-order:
+One recorder is a run's single instrument stream: timed spans, counters,
+gauges and histograms answer *"where did the time go?"*, and lifecycle
+event instants (``run.start``, ``task.done``, ...; the vocabulary is
+:mod:`repro.obs.events`) answer *"what is happening right now?"* for the
+live consumers subscribed to it.  Design constraints, in order:
 
 1. **Zero cost when disabled.**  Every instrumentation point in a hot
    path compiles down to one module-global check: :func:`span` returns a
-   shared no-op object, :func:`count`/:func:`gauge`/:func:`observe`
-   return immediately.  Disabled telemetry must never show up in a
+   shared no-op object, :func:`count`/:func:`gauge`/:func:`observe`/
+   :func:`emit` return immediately.  Disabled telemetry must never show up in a
    profile (``benchmarks/bench_telemetry.py`` asserts < 2% overhead even
    *enabled*).
 2. **Cheap when enabled.**  A finished span is one list append of a
@@ -19,12 +21,18 @@ order:
    executor's pickled result channel and serialize to JSONL unchanged
    (:mod:`repro.telemetry.sinks`).
 
-Span clocks are ``time.perf_counter()`` values.  Within one process they
-are exact; across the processes of one campaign they are comparable
-wherever ``perf_counter`` is system-wide monotonic (Linux), and merged
-worker spans are only ever *grouped by name* in the summaries, never
-ordered against parent-process spans, so a platform with per-process
-clocks degrades gracefully.
+**Event identity.**  An event is the tuple ``(seq, name, t, wall,
+data)``; its *identity* is ``(seq, name, data)``.  Timestamps are kept
+out of it, so two runs of the same campaign with the same seed and
+``--jobs 1`` produce equal identity streams.  Payloads therefore never
+carry durations, wall-clock values, tracebacks, or memory addresses —
+those belong in spans or the run ledger.
+
+Span and event clocks are ``time.perf_counter()`` values.  Within one
+process they are exact; across the processes of one campaign they are
+comparable wherever ``perf_counter`` is system-wide monotonic (Linux).
+The summaries only ever *group* merged worker spans by name, so on a
+platform with per-process clocks only the Chrome-trace timeline skews.
 
 Naming convention (see CONTRIBUTING.md): dotted lowercase
 ``layer.noun[.verb]`` — ``engine.dag.propagate`` (span),
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "Recorder",
@@ -44,9 +52,11 @@ __all__ = [
     "count",
     "current_recorder",
     "disable",
+    "emit",
     "enable",
     "enabled",
     "gauge",
+    "in_run",
     "merge_snapshot",
     "observe",
     "span",
@@ -127,26 +137,37 @@ _NULL_SPAN = _NullSpan()
 
 
 class Recorder:
-    """Collects one process's telemetry events.
+    """Collects one process's telemetry.
 
     Spans are stored as plain tuples ``(id, parent, name, start,
     duration, attrs)`` with ``parent == -1`` for roots; counters are
     ``name -> number`` sums, gauges ``name -> last value``, histograms
-    ``name -> [count, total, min, max]``.
+    ``name -> [count, total, min, max]``.  Lifecycle events are
+    ``(seq, name, t, wall, data)`` tuples: ``seq`` is the 0-based
+    position in :attr:`events`, ``t`` a ``perf_counter`` value (the span
+    clock), ``wall`` a Unix timestamp, and ``data`` the payload dict or
+    ``None``.
+
+    Not thread-safe by design: instrumentation runs on the owning thread
+    (the executor's completion loop, or a worker's task code).
     """
 
-    __slots__ = ("spans", "counters", "gauges", "hists", "t0", "wall0",
-                 "_stack", "_next_id")
+    __slots__ = ("spans", "counters", "gauges", "hists", "events",
+                 "subscribers", "t0", "wall0", "_stack", "_next_id",
+                 "_run_depth")
 
     def __init__(self) -> None:
         self.spans: "list[tuple]" = []
         self.counters: "dict[str, float]" = {}
         self.gauges: "dict[str, float]" = {}
         self.hists: "dict[str, list]" = {}
+        self.events: "list[tuple]" = []
+        self.subscribers: "list[Callable[[tuple], None]]" = []
         self.t0 = _perf_counter()
         self.wall0 = time.time()
         self._stack: "list[int]" = []
         self._next_id = 0
+        self._run_depth = 0
 
     # -- spans ---------------------------------------------------------
 
@@ -188,6 +209,53 @@ class Recorder:
             if value > h[3]:
                 h[3] = value
 
+    # -- lifecycle events ----------------------------------------------
+
+    def emit(self, name: str, /, **data: Any) -> None:
+        """Record one event instant and notify subscribers synchronously."""
+        event = (len(self.events), name, _perf_counter(), time.time(),
+                 data or None)
+        self.events.append(event)
+        if name == "run.start":
+            self._run_depth += 1
+        elif name == "run.finish":
+            self._run_depth = max(0, self._run_depth - 1)
+        for callback in self.subscribers:
+            callback(event)
+
+    def subscribe(self, callback: "Callable[[tuple], None]") -> None:
+        """Attach a per-event callback (progress renderer, run tracker)."""
+        self.subscribers.append(callback)
+
+    def unsubscribe(self, callback: "Callable[[tuple], None]") -> None:
+        if callback in self.subscribers:
+            self.subscribers.remove(callback)
+
+    def mark_in_run(self) -> None:
+        """Declare this recorder *inside* an enclosing run, without an event.
+
+        Campaigns and pool workers mark their recorder so task code that
+        would own a run lifecycle at top level (``run_scenario`` inside
+        ``scenario_task``) stays silent: it executes one unit of the
+        enclosing run.
+        """
+        self._run_depth += 1
+
+    def unmark_in_run(self) -> None:
+        """Undo one :meth:`mark_in_run` (clamped at zero)."""
+        self._run_depth = max(0, self._run_depth - 1)
+
+    def identity(self) -> "list[tuple]":
+        """The deterministic view: ``(seq, name, data)`` per event."""
+        return [(seq, name, data) for seq, name, _, _, data in self.events]
+
+    def counts(self) -> "dict[str, int]":
+        """Events per name."""
+        out: "dict[str, int]" = {}
+        for _, name, _, _, _ in self.events:
+            out[name] = out.get(name, 0) + 1
+        return out
+
     # -- export / merge ------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -197,7 +265,8 @@ class Recorder:
         a worker snapshot's re-rooted spans with their origin, which is
         what lets the Chrome-trace exporter
         (:mod:`repro.telemetry.trace_export`) lay worker spans out on
-        per-worker tracks.
+        per-worker tracks.  Events travel as ``(name, t, data)``: the
+        merging recorder assigns fresh sequence numbers.
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -208,6 +277,8 @@ class Recorder:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "hists": {k: list(v) for k, v in self.hists.items()},
+            "events": [(name, t, data)
+                       for _, name, t, _, data in self.events],
         }
 
     def merge(self, snap: Mapping, parent: "int | None" = None) -> None:
@@ -224,6 +295,14 @@ class Recorder:
         from ours), each re-rooted root span gains a ``worker_pid``
         attribute — the provenance mark the trace exporter turns into
         per-worker thread ids.
+
+        Events are appended in snapshot order with fresh sequence numbers
+        and passed to the subscribers.  Each keeps the ``t`` it was
+        emitted at: ``perf_counter`` is system-wide on Linux, so a
+        worker's ``task.start`` stays before its task's span ends.  The
+        snapshot's ``run.*`` events are dropped: a worker executing one
+        unit of a campaign is *inside* this recorder's run, and a nested
+        lifecycle would double-start the consumers.
         """
         if parent is None:
             parent = self._stack[-1] if self._stack else -1
@@ -256,6 +335,14 @@ class Recorder:
                 h[1] += total
                 h[2] = min(h[2], lo)
                 h[3] = max(h[3], hi)
+        wall_offset = snap.get("wall0", 0.0) - snap.get("t0", 0.0)
+        for name, t, data in snap.get("events", ()):
+            if name.startswith("run."):
+                continue
+            event = (len(self.events), name, t, t + wall_offset, data)
+            self.events.append(event)
+            for callback in self.subscribers:
+                callback(event)
 
     def iter_spans(self) -> "Iterator[tuple]":
         return iter(self.spans)
@@ -337,6 +424,24 @@ def observe(name: str, value: float) -> None:
     rec = _RECORDER
     if rec is not None:
         rec.observe(name, value)
+
+
+def emit(name: str, /, **data: Any) -> None:
+    """Record one lifecycle event; a single ``None`` check when disabled."""
+    rec = _RECORDER
+    if rec is not None:
+        rec.emit(name, **data)
+
+
+def in_run() -> bool:
+    """True while a ``run.start`` is open (or a run mark is set).
+
+    Runners emit run lifecycle events only when they *own* the run: a
+    scenario executed as one task of a sweep (or a report's campaign) is
+    inside the outer run and must stay silent.
+    """
+    rec = _RECORDER
+    return rec is not None and rec._run_depth > 0
 
 
 def merge_snapshot(snap: "Mapping | None", parent: "int | None" = None) -> None:

@@ -15,11 +15,9 @@ record; every further line is one event:
 
 Span (and event) ``start`` values are normalized to the recorder's epoch
 (``t0``) so files from different runs line up at 0; ``parent`` is -1 for
-roots.  ``event`` records are the obs-bus lifecycle events a profiled
-*observed* run captured alongside its spans (``repro.telemetry.profiled``
-snapshots the live bus) — they share the span timeline, which is what
-lets the Chrome-trace exporter derive cache-hit and queue-depth counter
-tracks.  The format is append-only and versioned via the meta line;
+roots.  ``event`` records are the recorder's lifecycle event instants
+— they share the span timeline, which is what lets the Chrome-trace
+exporter draw them and derive cache-hit and queue-depth counter tracks.  The format is append-only and versioned via the meta line;
 readers must ignore record types they do not know.
 """
 

@@ -14,12 +14,13 @@ instead of tabulated:
   ``worker_pid``): parent-process spans render on tid 0 (``main``),
   each worker's spans on a track named after its pid — the
   trace-level view of the executor's id-remap;
-- obs lifecycle events (embedded by ``profiled`` when a bus was live)
-  become instant events (``ph: "i"``), and the ``task.cache_hit`` /
+- the recorder's lifecycle events become instant events (``ph:
+  "i"``) at the time they were emitted — a worker's ``task.start`` at
+  its worker-side time — and the ``task.cache_hit`` /
   ``task.submit``/terminal streams are integrated into cumulative
   **counter tracks** (``ph: "C"``): ``cache hits`` and ``queue depth``;
-- without embedded events, final counter sums (``*.cache.*``) still emit
-  one closing counter sample each, so cache economics always appear.
+- without events, final counter sums (``*.cache.*``) still emit one
+  closing counter sample each, so cache economics always appear.
 
 All timestamps are shifted so the earliest one is 0 (viewers dislike
 negative ``ts``).  :func:`validate_trace` is a pure-stdlib schema check

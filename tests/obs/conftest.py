@@ -1,12 +1,12 @@
-"""Obs test hygiene: never leak a live event bus between tests."""
+"""Obs test hygiene: never leak a live recorder between tests."""
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 
 
 @pytest.fixture(autouse=True)
-def no_bus_leak():
-    events.disable()
+def no_recorder_leak():
+    telemetry.disable()
     yield
-    events.disable()
+    telemetry.disable()

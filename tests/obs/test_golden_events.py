@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.reports import compile_report, load_bundled_report, run_report
 from repro.runtime import ResultStore
 from repro.scenarios import load_bundled_scenario, run_scenario_sweep
@@ -24,12 +24,12 @@ GOLDEN_DIR = Path(__file__).parents[1] / "golden" / "events"
 
 def identity_stream(fn) -> list:
     """``fn()``'s identity stream, in JSON form (lists, not tuples)."""
-    bus = events.enable()
+    rec = telemetry.enable()
     try:
         fn()
     finally:
-        events.disable()
-    return [[seq, name, data] for seq, name, data in bus.identity()]
+        telemetry.disable()
+    return [[seq, name, data] for seq, name, data in rec.identity()]
 
 
 def sweep(batch: bool):

@@ -1,10 +1,10 @@
 """Worker health: resource samples, the stall watchdog, and the pool
 wiring that surfaces both.
 
-The ISSUE 9 acceptance: an injected stalled task produces a
-``task.stall`` event naming it, the run ledger counts the stall, and
-the progress line warns — while serial runs stay free of the pool-only
-health events (``--jobs 1`` identity contract).
+The acceptance: an injected stalled task produces a ``task.stall``
+event naming it, the run ledger counts the stall, and the progress line
+warns — while serial runs stay free of the pool-only health samples and
+events (``--jobs 1`` identity contract).
 """
 
 import io
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.obs.health import StallWatchdog, sample_resources
 from repro.obs.ledger import RunTracker
 from repro.obs.progress import ProgressRenderer
@@ -71,7 +71,7 @@ class TestStallWatchdog:
 
     def test_scan_flags_each_unit_once(self):
         wd = StallWatchdog(multiple=2.0, min_stall_s=0.5)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             now = time.perf_counter()
             token = object()
@@ -82,9 +82,9 @@ class TestStallWatchdog:
             assert wd.n_stalled == 2
             assert wd.scan(in_flight, now=now) == []  # already flagged
             assert wd.n_stalled == 2
-            assert bus.counts()["task.stall"] == 2
+            assert rec.counts()["task.stall"] == 2
         finally:
-            events.disable()
+            telemetry.disable()
 
     def test_scan_leaves_young_units_alone(self):
         wd = StallWatchdog(multiple=2.0, min_stall_s=5.0)
@@ -108,74 +108,67 @@ class TestPoolIntegration:
     def test_injected_stall_is_flagged_counted_and_rendered(self):
         """The acceptance path: sleeper -> task.stall -> ledger/progress."""
         specs = sleep_specs([0.5] + [0.01] * 5)
-        bus = events.enable()
+        rec = telemetry.enable()
         tracker = RunTracker()
-        bus.subscribe(tracker.handle)
+        rec.subscribe(tracker.handle)
         stream = io.StringIO()
         renderer = ProgressRenderer(stream=stream, interval=0)
-        bus.subscribe(renderer.handle)
-        bus.emit("run.start", kind="campaign", name="stall-test",
+        rec.subscribe(renderer.handle)
+        rec.emit("run.start", kind="campaign", name="stall-test",
                  n_tasks=len(specs))
         watchdog = StallWatchdog(multiple=2.0, min_stall_s=0.05,
                                  poll_s=0.02)
         try:
             campaign = run_campaign(specs, jobs=2, watchdog=watchdog)
-            bus.emit("run.finish", status="ok")
+            rec.emit("run.finish", status="ok")
         finally:
-            events.disable()
+            telemetry.disable()
 
         assert not campaign.failures
-        stalled = [e[4]["index"] for e in bus.events if e[1] == "task.stall"]
+        stalled = [e[4]["index"] for e in rec.events if e[1] == "task.stall"]
         assert 0 in stalled  # the 0.5s sleeper was flagged
         assert watchdog.n_stalled == len(stalled) > 0
 
-        # Heartbeats ride the result channel; ledger counts both.
-        counts = bus.counts()
-        assert counts["worker.heartbeat"] > 0
+        # Health samples ride the unit snapshots; the ledger counts both.
+        n_samples, _, _, rss_peak = rec.hists["worker.rss_bytes"]
+        assert n_samples == len(specs)  # one per returned unit
         assert tracker.n_stalls == len(stalled)
-        assert tracker.n_heartbeats == counts["worker.heartbeat"]
-        assert tracker.worker_rss_peak_bytes > 0
         record = tracker.record(
             run_id="stall-test", status="ok", kind="campaign",
             name="stall-test", wall_s=1.0, started_unix=0.0,
-            finished_unix=1.0)
+            finished_unix=1.0, hists=rec.hists)
         assert record["version"] >= 2
         assert record["n_stalls"] == len(stalled)
-        assert record["n_heartbeats"] == counts["worker.heartbeat"]
-        assert record["worker_rss_peak_bytes"] > 0
+        assert record["n_heartbeats"] == n_samples
+        assert record["worker_rss_peak_bytes"] == rss_peak > 0
 
         assert "stalled!" in stream.getvalue()
 
     def test_heartbeats_feed_telemetry_histograms(self):
-        from repro import telemetry
-
         specs = sleep_specs([0.0] * 4)
         recorder = telemetry.enable()
-        events.enable()
         try:
             run_campaign(specs, jobs=2)
             snap = recorder.snapshot()
         finally:
-            events.disable()
             telemetry.disable()
-        assert snap["hists"].get("worker.rss_bytes")
-        assert snap["hists"].get("worker.cpu_s")
+        assert snap["hists"]["worker.rss_bytes"][0] == 4
+        assert snap["hists"]["worker.cpu_s"][0] == 4
         assert all(v > 0 for v in snap["hists"]["worker.rss_bytes"])
 
     def test_serial_runs_emit_no_health_events(self):
-        """Pool-only events stay out of the --jobs 1 identity stream."""
+        """Pool-only health stays out of the --jobs 1 identity stream."""
         specs = sleep_specs([0.0] * 4)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             run_campaign(specs, jobs=1)
         finally:
-            events.disable()
-        counts = bus.counts()
-        assert "worker.heartbeat" not in counts
-        assert "task.stall" not in counts
+            telemetry.disable()
+        assert "task.stall" not in rec.counts()
+        assert not any(name.startswith("worker.") for name in rec.hists)
 
     def test_unobserved_pool_run_stays_clean(self):
-        """No bus, no watchdog: plain pool runs are unchanged."""
+        """No recorder, no watchdog: plain pool runs are unchanged."""
         specs = sleep_specs([0.0] * 4)
         campaign = run_campaign(specs, jobs=2)
         assert not campaign.failures

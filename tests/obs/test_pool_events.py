@@ -1,16 +1,17 @@
 """Event semantics under the campaign runtime: ordering, pool merge,
 fallback/died-block accounting, and content determinism.
 
-The core invariants (ISSUE 7): every task reaches exactly one terminal
-event (``done``/``failed``/``cache_hit``) regardless of backend; worker
-events merge back through the pickled result channel alongside telemetry
-snapshots; a failed block's per-task fallback never double-counts; and
-for a fixed seed with ``--jobs 1`` the identity stream is reproducible.
+The core invariants: every task reaches exactly one terminal event
+(``done``/``failed``/``cache_hit``) regardless of backend; worker events
+merge back inside the unit's telemetry snapshot, at the time the worker
+emitted them; a failed block's per-task fallback never double-counts;
+and for a fixed seed with ``--jobs 1`` the identity stream is
+reproducible.
 """
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.runtime import ResultStore, run_campaign
 from repro.scenarios import (
     ScenarioTaskBatcher,
@@ -42,40 +43,40 @@ class UnreturnableResultBatcher(ScenarioTaskBatcher):
 
 
 def observed_campaign(tasks, **kw):
-    bus = events.enable()
+    rec = telemetry.enable()
     try:
         campaign = run_campaign(tasks, **kw)
     finally:
-        events.disable()
-    return campaign, bus
+        telemetry.disable()
+    return campaign, rec
 
 
-def terminal_indexes(bus, name="task.done"):
-    return [e[4]["index"] for e in bus.events if e[1] == name]
+def terminal_indexes(rec, name="task.done"):
+    return [e[4]["index"] for e in rec.events if e[1] == name]
 
 
 class TestSerialEventStream:
     def test_batched_serial_counts(self):
         tasks = sweep_tasks()  # 12 tasks in 3 replicate blocks
-        campaign, bus = observed_campaign(
+        campaign, rec = observed_campaign(
             tasks, jobs=1, batcher=ScenarioTaskBatcher())
         assert not campaign.failures
-        assert bus.counts() == {
+        assert rec.counts() == {
             "block.dispatch": 3, "task.submit": 12, "task.done": 12}
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_unbatched_serial_emits_task_start_per_task(self):
         tasks = sweep_tasks()
-        campaign, bus = observed_campaign(tasks, jobs=1)
-        assert bus.counts() == {
+        campaign, rec = observed_campaign(tasks, jobs=1)
+        assert rec.counts() == {
             "task.submit": 12, "task.start": 12, "task.done": 12}
 
     def test_submit_precedes_terminal_for_every_task(self):
         tasks = sweep_tasks()
-        _, bus = observed_campaign(
+        _, rec = observed_campaign(
             tasks, jobs=1, batcher=ScenarioTaskBatcher())
         submitted = set()
-        for _, name, _, _, data in bus.events:
+        for _, name, _, _, data in rec.events:
             if name == "task.submit":
                 submitted.add(data["index"])
             elif name == "task.done":
@@ -85,9 +86,9 @@ class TestSerialEventStream:
         tasks = sweep_tasks()
         store = ResultStore(tmp_path / "store")
         run_campaign(tasks, jobs=1, store=store)  # cold, unobserved
-        campaign, bus = observed_campaign(tasks, jobs=1, store=store)
+        campaign, rec = observed_campaign(tasks, jobs=1, store=store)
         assert campaign.n_cached == 12
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["task.cache_hit"] == 12
         assert "task.done" not in counts
 
@@ -95,91 +96,100 @@ class TestSerialEventStream:
 class TestPoolEventMerge:
     def test_pool_terminal_events_match_serial(self):
         tasks = sweep_tasks()
-        serial, serial_bus = observed_campaign(
+        serial, serial_rec = observed_campaign(
             tasks, jobs=1, batcher=ScenarioTaskBatcher())
-        pool, pool_bus = observed_campaign(
+        pool, pool_rec = observed_campaign(
             tasks, jobs=2, batcher=ScenarioTaskBatcher())
         assert pool.values() == serial.values()
-        # Health events (worker.heartbeat/task.stall) are pool-only by
-        # design; the lifecycle stream itself must match serial exactly.
-        pool_counts = {name: n for name, n in pool_bus.counts().items()
-                       if not name.startswith("worker.")
-                       and name != "task.stall"}
-        assert pool_counts == serial_bus.counts()
-        assert sorted(terminal_indexes(pool_bus)) == list(range(12))
+        # task.stall is pool-only by design; the lifecycle stream
+        # itself must match serial exactly.
+        pool_counts = {name: n for name, n in pool_rec.counts().items()
+                       if name != "task.stall"}
+        assert pool_counts == serial_rec.counts()
+        assert sorted(terminal_indexes(pool_rec)) == list(range(12))
 
     def test_unbatched_pool_merges_worker_task_starts(self):
         tasks = sweep_tasks()
-        _, bus = observed_campaign(tasks, jobs=2)
-        counts = bus.counts()
+        _, rec = observed_campaign(tasks, jobs=2)
+        counts = rec.counts()
         assert counts["task.start"] == 12  # shipped back from workers
         assert counts["task.done"] == 12
 
     def test_pool_merges_telemetry_and_events_together(self):
-        """Both observation channels ride the same result tuples."""
-        from repro import telemetry
-
+        """Spans, events and health ride the one unit snapshot."""
         tasks = sweep_tasks()
-        telemetry.enable()
-        try:
-            _, bus = observed_campaign(
-                tasks, jobs=2, batcher=ScenarioTaskBatcher())
-            rec = telemetry.current_recorder()
-            span_names = {s[2] for s in rec.spans}
-        finally:
-            telemetry.disable()
+        _, rec = observed_campaign(
+            tasks, jobs=2, batcher=ScenarioTaskBatcher())
+        span_names = {s[2] for s in rec.spans}
         assert "executor.block" in span_names  # worker span merged
-        assert bus.counts()["task.done"] == 12  # worker events merged
+        assert rec.counts()["task.done"] == 12
+        # one health sample per returned unit (3 replicate blocks)
+        assert rec.hists["worker.rss_bytes"][0] == 3
+
+    def test_worker_events_keep_their_emission_time(self):
+        """A merged task.start keeps the worker's clock: it precedes its
+        task by at least the task's own duration, so the trace draws it
+        where the task began, not where the parent merged the result."""
+        tasks = sweep_tasks()
+        campaign, rec = observed_campaign(tasks, jobs=2)
+        times = {}
+        for _, name, t, _, data in rec.events:
+            if name in ("task.start", "task.done"):
+                times.setdefault(data["index"], {})[name] = t
+        assert len(times) == len(tasks)
+        for result in campaign:
+            t = times[result.index]
+            assert t["task.done"] - t["task.start"] >= result.duration
 
 
 class TestFallbackAccounting:
     def test_broken_batch_fallback_counts_each_task_once(self):
         tasks = sweep_tasks()
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             with pytest.warns(RuntimeWarning,
                               match="batch infrastructure down"):
                 campaign = run_campaign(tasks, jobs=1,
                                         batcher=ExplodingBatcher())
         finally:
-            events.disable()
+            telemetry.disable()
         assert not campaign.failures
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["block.fallback"] == 3
         assert counts["task.done"] == 12
         assert counts["task.start"] == 12  # fallback runs per task
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_died_block_retry_terminals_stay_unique(self):
         """A block whose future dies re-enqueues singletons: extra
         submits are expected, but each task's terminal event is unique."""
         tasks = sweep_tasks()
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             with pytest.warns(RuntimeWarning, match="retrying per task"):
                 campaign = run_campaign(tasks, jobs=2,
                                         batcher=UnreturnableResultBatcher())
         finally:
-            events.disable()
+            telemetry.disable()
         assert not campaign.failures
-        counts = bus.counts()
+        counts = rec.counts()
         assert counts["task.done"] == 12
         assert "task.failed" not in counts
         assert counts["task.submit"] > 12  # retries re-submit
-        assert sorted(terminal_indexes(bus)) == list(range(12))
+        assert sorted(terminal_indexes(rec)) == list(range(12))
 
     def test_failing_task_emits_task_failed(self):
         from repro.runtime import RunSpec
 
         bad = (RunSpec(fn="repro.runtime.tasks:no_such_task",
                        params=(), seed=0, index=0),)
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             campaign = run_campaign(bad, jobs=1)
         finally:
-            events.disable()
+            telemetry.disable()
         assert campaign.failures
-        assert bus.counts()["task.failed"] == 1
+        assert rec.counts()["task.failed"] == 1
 
 
 class TestDeterminism:
@@ -187,12 +197,12 @@ class TestDeterminism:
         spec = load_bundled_scenario("campaign_rate_sweep")
 
         def identity():
-            bus = events.enable()
+            rec = telemetry.enable()
             try:
                 run_scenario_sweep(spec, engine="dag", jobs=1)
             finally:
-                events.disable()
-            return bus.identity()
+                telemetry.disable()
+            return rec.identity()
 
         first = identity()
         second = identity()
@@ -203,12 +213,12 @@ class TestDeterminism:
 
     def test_run_start_payload_carries_provenance(self):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        bus = events.enable()
+        rec = telemetry.enable()
         try:
             run_scenario_sweep(spec, engine="dag", jobs=1)
         finally:
-            events.disable()
-        (start,) = [e for e in bus.events if e[1] == "run.start"]
+            telemetry.disable()
+        (start,) = [e for e in rec.events if e[1] == "run.start"]
         data = start[4]
         assert data["kind"] == "scenario.sweep"
         assert data["name"] == spec.name
@@ -221,10 +231,10 @@ class TestDeterminism:
         nested run lifecycle (serial or pooled)."""
         spec = load_bundled_scenario("campaign_rate_sweep")
         for jobs in (1, 2):
-            bus = events.enable()
+            rec = telemetry.enable()
             try:
                 run_scenario_sweep(spec, jobs=jobs)
             finally:
-                events.disable()
-            assert bus.counts()["run.start"] == 1
-            assert bus.counts()["run.finish"] == 1
+                telemetry.disable()
+            assert rec.counts()["run.start"] == 1
+            assert rec.counts()["run.finish"] == 1

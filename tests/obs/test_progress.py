@@ -2,17 +2,18 @@
 
 import io
 
-from repro.obs.events import EventBus
 from repro.obs.progress import ProgressRenderer, format_eta
+from repro.telemetry import Recorder
 
 
 def feed(renderer, *events_in):
-    """Drive a renderer through a bus so sequencing matches production."""
-    bus = EventBus()
-    bus.subscribe(renderer.handle)
+    """Drive a renderer through a recorder so sequencing matches
+    production."""
+    rec = Recorder()
+    rec.subscribe(renderer.handle)
     for name, data in events_in:
-        bus.emit(name, **data)
-    return bus
+        rec.emit(name, **data)
+    return rec
 
 
 class TestFormatEta:
@@ -136,14 +137,14 @@ class TestRenderer:
         assert out.getvalue() == ""
 
     def test_renderer_is_a_pure_consumer(self):
-        """Attaching the renderer never mutates the bus's event stream."""
-        bus_plain = EventBus()
-        bus_plain.emit("run.start", n_tasks=1)
-        bus_plain.emit("task.done", index=0)
+        """Attaching the renderer never mutates the event stream."""
+        plain = Recorder()
+        plain.emit("run.start", n_tasks=1)
+        plain.emit("task.done", index=0)
 
-        bus_rendered = EventBus()
-        bus_rendered.subscribe(
+        rendered = Recorder()
+        rendered.subscribe(
             ProgressRenderer(stream=io.StringIO(), interval=0).handle)
-        bus_rendered.emit("run.start", n_tasks=1)
-        bus_rendered.emit("task.done", index=0)
-        assert bus_rendered.identity() == bus_plain.identity()
+        rendered.emit("run.start", n_tasks=1)
+        rendered.emit("task.done", index=0)
+        assert rendered.identity() == plain.identity()

@@ -164,6 +164,52 @@ class TestRunsCli:
         assert "sweep-" in capsys.readouterr().out
 
 
+class TestTelemetryLinks:
+    def test_same_second_profiled_runs_keep_their_own_files(
+            self, tmp_path, capsys):
+        """Telemetry files are named by run id: two profiled runs in one
+        second neither share nor overwrite a file."""
+        toml = tmp_path / "sweep.toml"
+        toml.write_text(SWEEP)
+        store = tmp_path / "store"
+        for _ in range(2):
+            assert scenario_main([
+                "sweep", str(toml), "--engine", "dag",
+                "--cache-dir", str(store), "--profile", "--no-progress",
+            ]) == 0
+        capsys.readouterr()
+        records = list(RunLedger(store).records())
+        paths = {r["telemetry"] for r in records}
+        assert len(paths) == 2
+        for r in records:
+            assert r["telemetry"] == str(
+                store / "telemetry" / f"{r['id']}.jsonl")
+        assert sorted((store / "telemetry").glob("*.jsonl")) == \
+            sorted(map(type(store), paths))
+
+    def test_relative_cache_dir_shows_telemetry_from_elsewhere(
+            self, tmp_path, capsys, monkeypatch):
+        """A relative --cache-dir is stored absolute: `runs show
+        --telemetry` finds the file from any working directory."""
+        toml = tmp_path / "sweep.toml"
+        toml.write_text(SWEEP)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert scenario_main([
+            "sweep", str(toml), "--engine", "dag", "--cache-dir", "t2",
+            "--profile", "--no-progress",
+        ]) == 0
+        monkeypatch.chdir(tmp_path)
+        (record,) = RunLedger(work / "t2").records()
+        assert record["telemetry"] == str(
+            work / "t2" / "telemetry" / f"{record['id']}.jsonl")
+        capsys.readouterr()
+        assert runs_main(["show", record["id"], "--cache-dir", "work/t2",
+                          "--telemetry"]) == 0
+        assert "telemetry summary" in capsys.readouterr().out
+
+
 class TestReportLedger:
     def test_report_run_records_artifacts(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -181,3 +227,18 @@ class TestReportLedger:
         assert record["artifacts"]
         for path in record["artifacts"]:
             assert path.startswith(str(out_dir))
+
+    def test_relative_out_dir_artifacts_are_recorded_absolute(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.reports.cli import report_main
+
+        monkeypatch.chdir(tmp_path)
+        assert report_main([
+            "run", "fig7_speed", "--cache-dir", "store", "--out", "out",
+            "--no-progress",
+        ]) == 0
+        capsys.readouterr()
+        (record,) = RunLedger(tmp_path / "store").records()
+        assert record["artifacts"]
+        for path in record["artifacts"]:
+            assert path.startswith(str(tmp_path / "out"))

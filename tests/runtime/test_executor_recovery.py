@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.obs import events
+from repro import telemetry
 from repro.runtime import (
     ChaosSpec,
     ResultStore,
@@ -76,15 +76,15 @@ class TestSoftRetries:
 
     def test_retry_events_are_emitted(self):
         chaos.install(ChaosSpec(seed=0, crash_rate=1.0))
-        bus = events.enable(fresh=True)
+        rec = telemetry.enable(fresh=True)
         try:
             run_campaign(probe_sweep(n_tasks=2).tasks(), jobs=1,
                          retry=RetryPolicy(retries=1, backoff_s=0.0))
         finally:
             chaos.uninstall()
-            retries = [e for e in bus.identity()
+            retries = [e for e in rec.identity()
                        if e[1] == "task.retry"]
-            events.disable()
+            telemetry.disable()
         assert len(retries) == 2
         assert all(e[2]["attempt"] == 1 for e in retries)
 
@@ -127,14 +127,14 @@ class TestPoolRecovery:
         specs = list(probe_sweep(n_tasks=3).tasks())
         specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 9),),
                              seed=0, index=len(specs)))
-        bus = events.enable(fresh=True)
+        rec = telemetry.enable(fresh=True)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 campaign = run_campaign(specs, jobs=2, quarantine_after=2)
-            names = [e[1] for e in bus.identity()]
+            names = [e[1] for e in rec.identity()]
         finally:
-            events.disable()
+            telemetry.disable()
         assert campaign.n_quarantined == 1
         assert "task.quarantined" in names
         assert "pool.respawn" in names

@@ -198,16 +198,16 @@ class TestTelemetryDeterminism:
 
 
 class TestObservabilityDeterminism:
-    """The event bus is pure observation, like telemetry: enabling it
+    """Lifecycle events are pure observation, like spans: recording them
     never changes engine outputs or the bytes the store persists."""
 
     @pytest.fixture
     def observed(self):
-        from repro.obs import events
+        from repro import telemetry
 
-        events.enable()
-        yield events
-        events.disable()
+        telemetry.enable()
+        yield telemetry
+        telemetry.disable()
 
     def test_observed_sweep_store_records_byte_identical(
             self, tmp_path, observed, store_record_bytes):
@@ -234,21 +234,22 @@ class TestObservabilityDeterminism:
 
     def test_observed_and_profiled_together_stay_pure(
             self, tmp_path, observed, store_record_bytes):
-        """Telemetry + events share the worker result channel; running
-        both at once must still leave the store untouched byte-wise."""
-        from repro import telemetry
+        """A whole profiled session (recorder, tracker, ledger, JSONL)
+        around a pool sweep must still leave the store untouched
+        byte-wise."""
+        from repro.obs import observe_run
 
         spec = load_bundled_scenario("campaign_rate_sweep")
         observed.disable()
         plain_store = ResultStore(tmp_path / "plain")
         plain = run_scenario_sweep(spec, engine="dag", store=plain_store)
-        observed.enable()
-        telemetry.enable()
-        try:
+        with observe_run("scenario.sweep", spec.name,
+                         cache_dir=tmp_path / "both", progress=False,
+                         echo=None, profile=True):
             both_store = ResultStore(tmp_path / "both")
-            both = run_scenario_sweep(spec, engine="dag", store=both_store)
-        finally:
-            telemetry.disable()
+            both = run_scenario_sweep(spec, engine="dag", jobs=2,
+                                      store=both_store)
+        assert list((tmp_path / "both" / "telemetry").glob("*.jsonl"))
         assert both.campaign.values() == plain.campaign.values()
         plain_files = store_record_bytes(tmp_path / "plain")
         both_files = store_record_bytes(tmp_path / "both")
@@ -262,8 +263,8 @@ class TestObservabilityDeterminism:
         cold = run_scenario_sweep(spec, store=store)
         observed.enable()
         warm = run_scenario_sweep(spec, store=store)
-        bus = observed.current_bus()
-        assert bus.counts()["task.cache_hit"] == len(warm.campaign)
+        rec = observed.current_recorder()
+        assert rec.counts()["task.cache_hit"] == len(warm.campaign)
         assert warm.campaign.values() == cold.campaign.values()
 
 

@@ -123,14 +123,18 @@ class TestAcceptance:
     def test_profiled_run_persists_record_next_to_store(
             self, sweep_toml, tmp_path, capsys):
         """--profile with a cache dir drops a telemetry record under
-        <cache-dir>/telemetry/, outside the store's record globs."""
+        <cache-dir>/telemetry/<run id>.jsonl, outside the store's record
+        globs."""
+        from repro.obs.ledger import RunLedger
+
         store = tmp_path / "store"
         assert scenario_main([
             "sweep", str(sweep_toml), "--engine", "dag",
             "--cache-dir", str(store), "--profile",
         ]) == 0
-        records = list((store / "telemetry").glob("scenario.sweep-*.jsonl"))
-        assert len(records) == 1
+        records = list((store / "telemetry").glob("*.jsonl"))
+        (run,) = RunLedger(store).records()
+        assert records == [store / "telemetry" / f"{run['id']}.jsonl"]
         snap = read_jsonl(records[0])
         assert snap["meta"]["label"] == "scenario.sweep"
         # the store itself does not see the telemetry file as a record
