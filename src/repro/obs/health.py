@@ -8,11 +8,11 @@ itself observable:
 
 - :func:`sample_resources` reads the calling process's RSS and CPU time
   from ``/proc`` (falling back to :func:`resource.getrusage` where
-  ``/proc`` is unavailable).  An observed pool worker calls
-  :func:`observe_health` at the end of every execution unit, which
-  records the sample into the worker's own recorder as the
-  ``worker.rss_bytes`` / ``worker.cpu_s`` histograms; they travel home
-  in the unit's telemetry snapshot and sum into the parent's.  The run
+  ``/proc`` is unavailable).  An observed pool worker samples itself at
+  the end of every execution unit and records the sample into its own
+  recorder as the ``worker.rss_bytes`` / ``worker.cpu_s`` histograms;
+  they travel home in the unit's telemetry snapshot and sum into the
+  parent's.  The run
   ledger reads ``n_heartbeats`` (the histogram count: one sample per
   returned unit) and ``worker_rss_peak_bytes`` (its max) from them.
 - :class:`StallWatchdog` watches the parent's in-flight table between
@@ -43,7 +43,7 @@ from typing import Any, Mapping
 
 from repro import telemetry
 
-__all__ = ["StallWatchdog", "observe_health", "sample_resources"]
+__all__ = ["StallWatchdog", "sample_resources"]
 
 #: EWMA smoothing for observed task durations — matches the progress
 #: renderer's completion-gap smoothing: recent tasks dominate, history
@@ -98,13 +98,6 @@ def sample_resources() -> dict:
             pass
     return {"pid": os.getpid(), "rss_bytes": int(rss or 0),
             "cpu_s": float(cpu or 0.0)}
-
-
-def observe_health() -> None:
-    """Record one resource sample as ``worker.*`` telemetry histograms."""
-    sample = sample_resources()
-    telemetry.observe("worker.rss_bytes", sample["rss_bytes"])
-    telemetry.observe("worker.cpu_s", sample["cpu_s"])
 
 
 class StallWatchdog:

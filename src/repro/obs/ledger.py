@@ -9,8 +9,8 @@ on one file) while ``cat runs/*.json`` still yields valid JSONL.
 
 :class:`RunTracker` is the recorder subscriber that accumulates a
 record's fields from lifecycle events; :class:`RunLedger` reads and
-writes the directory.  The CLI surface is :mod:`repro.obs.cli` (``runs ls|show|
-tail``).
+writes the directory.  The CLI surface is :mod:`repro.obs.cli`
+(``runs ls|show|tail``).
 """
 
 from __future__ import annotations

@@ -334,11 +334,11 @@ def _execute_unit(
     into a fresh recorder of its own, marked as inside the parent's run,
     and ships its snapshot home through the result channel: the unit's
     spans, counters, lifecycle events, and a closing resource sample of
-    the worker as the ``worker.rss_bytes`` / ``worker.cpu_s`` histograms
-    (:func:`repro.obs.health.observe_health`).  ``enable()`` here also
-    discards the stale recorder a fork-started worker inherits from an
-    observed parent.  The serial backend records straight into the
-    caller's recorder and gets ``None`` for the snapshot (serial runs
+    the worker (:func:`repro.obs.health.sample_resources`) as the
+    ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.  ``enable()``
+    here also discards the stale recorder a fork-started worker inherits
+    from an observed parent.  The serial backend records straight into
+    the caller's recorder and gets ``None`` for the snapshot (serial runs
     sample no worker health).  ``submit_t`` is the parent's
     ``perf_counter()`` at submission: ``perf_counter`` is system-wide
     monotonic on Linux, so the difference is the unit's pool queue wait.
@@ -357,9 +357,11 @@ def _execute_unit(
         else:
             outcomes = _execute_block(unit, batcher, retry)
         if own:
-            from repro.obs.health import observe_health
+            from repro.obs.health import sample_resources
 
-            observe_health()
+            health = sample_resources()
+            telemetry.observe("worker.rss_bytes", health["rss_bytes"])
+            telemetry.observe("worker.cpu_s", health["cpu_s"])
     finally:
         # Workers are reused across units: always release an owned
         # recorder, or an aborting unit would leave it live (and
@@ -453,9 +455,10 @@ def run_campaign(
     watchdog:
         Optional :class:`repro.obs.health.StallWatchdog` for the pool
         backend.  When the run is observed (telemetry enabled) and none
-        is given, a default watchdog is installed; pass one to tune its thresholds (tests
-        inject aggressive ones).  Serial runs never use it — stall
-        detection is pool-only by the determinism contract.
+        is given, a default watchdog is installed; pass one to tune its
+        thresholds (tests inject aggressive ones).  Serial runs never
+        use it — stall detection is pool-only by the determinism
+        contract.
     retry:
         Optional :class:`~repro.runtime.retry.RetryPolicy`: soft task
         failures are re-executed with deterministic backoff (in the
@@ -639,6 +642,20 @@ def _run_pool(
         completed.add(pos)
         finish(pos, result)
 
+    def apply_unit(unit, outcomes, snap) -> None:
+        """Fold one returned unit in: its snapshot, then its results."""
+        # Worker spans land under the live campaign.run span with their
+        # counters/histograms summed in, and worker lifecycle events are
+        # re-sequenced onto the recorder.  A died block's events never
+        # came back, so its retried singletons are the only events its
+        # tasks produce.
+        telemetry.merge_snapshot(snap)
+        if watchdog is not None:
+            for outcome in outcomes:
+                watchdog.note_duration(outcome[2])
+        for (pos, spec), outcome in zip(unit, outcomes):
+            finish_pos(pos, _as_task_result(spec, *outcome))
+
     def fail_unit(unit, note: str) -> None:
         telemetry.count("executor.not_attempted", len(unit))
         for pos, spec in unit:
@@ -758,16 +775,10 @@ def _run_pool(
                         # its re-dispatch owns recovery.
                         zombie_unit = abandoned.pop(future)
                         try:
-                            outcomes, snap = future.result()
+                            returned = future.result()
                         except Exception:
                             continue
-                        telemetry.merge_snapshot(snap)
-                        if watchdog is not None:
-                            for outcome in outcomes:
-                                watchdog.note_duration(outcome[2])
-                        for (pos, spec), outcome in zip(zombie_unit,
-                                                        outcomes):
-                            finish_pos(pos, _as_task_result(spec, *outcome))
+                        apply_unit(zombie_unit, *returned)
                         continue
                     if future not in in_flight:
                         continue
@@ -797,17 +808,7 @@ def _run_pool(
                             continue
                         outcomes, snap = [("error", traceback.format_exc(),
                                            0.0, _NO_RETRIES)], None
-                    if watchdog is not None:
-                        for outcome in outcomes:
-                            watchdog.note_duration(outcome[2])
-                    # Worker spans land under the live campaign.run span
-                    # with their counters/histograms summed in, and worker
-                    # lifecycle events are re-sequenced onto the recorder.
-                    # A died block's events never came back, so its retried
-                    # singletons are the only events its tasks produce.
-                    telemetry.merge_snapshot(snap)
-                    for (pos, spec), outcome in zip(unit, outcomes):
-                        finish_pos(pos, _as_task_result(spec, *outcome))
+                    apply_unit(unit, outcomes, snap)
                 refill()
         except _PoolBroke as broke:
             stats["respawns"] += 1

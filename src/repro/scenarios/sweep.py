@@ -232,19 +232,21 @@ def run_scenario_sweep(
     """
     from repro.scenarios.batch import ScenarioTaskBatcher
 
-    with telemetry.span("sweep.expand", scenario=spec.name):
-        sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
-        tasks = sweep.tasks()
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.
     owns_run = telemetry.enabled() and not telemetry.in_run()
-    if owns_run:
-        telemetry.emit(
-            "run.start", kind="scenario.sweep", name=spec.name,
-            n_tasks=len(tasks), engine=dict(sweep.base)["engine"],
-            seed_root=sweep.base_seed, jobs=jobs,
-            spec_key=_sweep_spec_key(tasks),
-        )
+    with telemetry.span("sweep.expand", scenario=spec.name):
+        sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
+        tasks = sweep.tasks()
+        if owns_run:
+            # Hashing every task key is part of expanding the grid: the
+            # span keeps that time inside the run's phase breakdown.
+            telemetry.emit(
+                "run.start", kind="scenario.sweep", name=spec.name,
+                n_tasks=len(tasks), engine=dict(sweep.base)["engine"],
+                seed_root=sweep.base_seed, jobs=jobs,
+                spec_key=_sweep_spec_key(tasks),
+            )
     campaign = run_campaign(
         tasks, jobs=jobs, store=store,
         batcher=ScenarioTaskBatcher() if batch else None,

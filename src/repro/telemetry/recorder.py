@@ -9,9 +9,9 @@ live consumers subscribed to it.  Design constraints, in order:
 1. **Zero cost when disabled.**  Every instrumentation point in a hot
    path compiles down to one module-global check: :func:`span` returns a
    shared no-op object, :func:`count`/:func:`gauge`/:func:`observe`/
-   :func:`emit` return immediately.  Disabled telemetry must never show up in a
-   profile (``benchmarks/bench_telemetry.py`` asserts < 2% overhead even
-   *enabled*).
+   :func:`emit` return immediately.  Disabled telemetry must never show
+   up in a profile (``benchmarks/bench_telemetry.py`` asserts < 2%
+   overhead even *enabled*).
 2. **Cheap when enabled.**  A finished span is one list append of a
    plain tuple; counters/histograms are dict updates.  No locks — a
    recorder is process-local by construction, and worker processes run
@@ -226,10 +226,6 @@ class Recorder:
     def subscribe(self, callback: "Callable[[tuple], None]") -> None:
         """Attach a per-event callback (progress renderer, run tracker)."""
         self.subscribers.append(callback)
-
-    def unsubscribe(self, callback: "Callable[[tuple], None]") -> None:
-        if callback in self.subscribers:
-            self.subscribers.remove(callback)
 
     def mark_in_run(self) -> None:
         """Declare this recorder *inside* an enclosing run, without an event.

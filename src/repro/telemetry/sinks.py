@@ -17,8 +17,9 @@ Span (and event) ``start`` values are normalized to the recorder's epoch
 (``t0``) so files from different runs line up at 0; ``parent`` is -1 for
 roots.  ``event`` records are the recorder's lifecycle event instants
 — they share the span timeline, which is what lets the Chrome-trace
-exporter draw them and derive cache-hit and queue-depth counter tracks.  The format is append-only and versioned via the meta line;
-readers must ignore record types they do not know.
+exporter draw them and derive cache-hit and queue-depth counter tracks.
+The format is append-only and versioned via the meta line; readers
+must ignore record types they do not know.
 """
 
 from __future__ import annotations

@@ -96,6 +96,32 @@ class TestRunTracker:
         assert r["artifacts"] == ["/out/table.csv"]
         assert r["telemetry"] == "/cache/telemetry/run.jsonl"
 
+    def test_relative_provenance_paths_are_stored_absolute(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        t = RunTracker()
+        t.add_artifact("out/table.csv")
+        t.set_telemetry("cache/telemetry/run.jsonl")
+        r = t.record(run_id="x", status="ok", kind="k", name="n",
+                     wall_s=0, started_unix=0, finished_unix=0)
+        assert r["artifacts"] == [str(tmp_path / "out" / "table.csv")]
+        assert r["telemetry"] == str(tmp_path / "cache" / "telemetry"
+                                     / "run.jsonl")
+
+    def test_worker_health_comes_from_the_rss_histogram(self):
+        t = RunTracker()
+        r = t.record(run_id="x", status="ok", kind="k", name="n",
+                     wall_s=0, started_unix=0, finished_unix=0,
+                     hists={"worker.rss_bytes": [3, 6e8, 1e8, 3e8],
+                            "worker.cpu_s": [3, 1.5, 0.25, 0.75]})
+        assert (r["n_heartbeats"], r["worker_rss_peak_bytes"]) == \
+            (3, 300_000_000)
+        serial = t.record(run_id="y", status="ok", kind="k", name="n",
+                          wall_s=0, started_unix=0, finished_unix=0,
+                          hists={})
+        assert (serial["n_heartbeats"],
+                serial["worker_rss_peak_bytes"]) == (0, 0)
+
 
 class TestRunId:
     def test_shape_and_uniqueness(self):

@@ -227,18 +227,3 @@ class TestReportLedger:
         assert record["artifacts"]
         for path in record["artifacts"]:
             assert path.startswith(str(out_dir))
-
-    def test_relative_out_dir_artifacts_are_recorded_absolute(
-            self, tmp_path, capsys, monkeypatch):
-        from repro.reports.cli import report_main
-
-        monkeypatch.chdir(tmp_path)
-        assert report_main([
-            "run", "fig7_speed", "--cache-dir", "store", "--out", "out",
-            "--no-progress",
-        ]) == 0
-        capsys.readouterr()
-        (record,) = RunLedger(tmp_path / "store").records()
-        assert record["artifacts"]
-        for path in record["artifacts"]:
-            assert path.startswith(str(tmp_path / "out"))

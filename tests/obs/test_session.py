@@ -43,3 +43,28 @@ class TestExitStatus:
         (record,) = _records(tmp_path)
         assert record["status"] == "failed"
         assert any("boom" in f for f in record["failures"])
+
+
+class TestTelemetryOutput:
+    def test_unprofiled_run_writes_no_telemetry(self, tmp_path):
+        with observe_run("scenario.sweep", "demo", cache_dir=tmp_path,
+                         progress=False, echo=None):
+            pass
+        (record,) = _records(tmp_path)
+        assert record["telemetry"] is None
+        assert not (tmp_path / "telemetry").exists()
+
+    def test_profiled_run_prints_summary_and_links_its_file(self, tmp_path):
+        lines = []
+        out = tmp_path / "out.jsonl"
+        with observe_run("scenario.sweep", "demo", cache_dir=tmp_path,
+                         progress=False, echo=lines.append,
+                         telemetry_out=out):
+            pass
+        (record,) = _records(tmp_path)
+        linked = tmp_path / "telemetry" / f"{record['id']}.jsonl"
+        assert record["telemetry"] == str(linked)
+        assert out.exists() and linked.exists()
+        assert lines[0].startswith("telemetry summary — scenario.sweep")
+        assert lines[1:3] == [f"[telemetry written to {out}]",
+                              f"[telemetry written to {linked}]"]
