@@ -28,7 +28,7 @@ def pytest_addoption(parser):
         "--chaos", action="store_true", default=False,
         help="run the chaos-injection benchmarks: campaigns under "
              "deterministic fault injection, asserting recovery and "
-             "recording retry overhead (skipped by default)")
+             "recording respawn overhead (skipped by default)")
 
 
 @pytest.fixture

@@ -51,6 +51,7 @@ import json
 import sys
 import time
 import traceback
+from typing import Callable
 
 from repro.experiments import (
     EXPERIMENTS,
@@ -60,7 +61,7 @@ from repro.experiments import (
 )
 
 __all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
-           "jobs_arg", "observe_campaign", "retry_policy"]
+           "jobs_arg", "observe_campaign", "resume_record"]
 
 
 def jobs_arg(text: str) -> int:
@@ -98,19 +99,6 @@ def add_campaign_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="live progress line on stderr (default: auto "
                              "when stderr is a TTY)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry failed tasks up to N times with "
-                             "deterministic seed-jittered backoff (results "
-                             "are bit-identical to a first-attempt success)")
-    parser.add_argument("--retry-backoff", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="base backoff between retry attempts; doubles "
-                             "per attempt (default: 0.05)")
-    parser.add_argument("--stall-action", choices=["warn", "retry"],
-                        default="warn",
-                        help="watchdog response to stalled tasks: warn "
-                             "only, or abandon the stalled block and "
-                             "re-dispatch its tasks (default: warn)")
     parser.add_argument("--resume", default=None, metavar="RUN_ID",
                         help="resume an interrupted run: completed tasks "
                              "are served from the run's cache, and the new "
@@ -131,14 +119,43 @@ def campaign_store(cache_dir: "str | None"):
     return store
 
 
-def retry_policy(args):
-    """The ``--retries``/``--retry-backoff`` policy, or ``None``."""
-    if args.retries:
-        from repro.runtime.retry import RetryPolicy
+def resume_record(args, kind: str, name: str,
+                  spec_key: "Callable[[], str] | None" = None) -> "dict | None":
+    """Resolve ``--resume RUN_ID`` to the ledger record of the run resumed.
 
-        return RetryPolicy(retries=args.retries,
-                           backoff_s=args.retry_backoff)
-    return None
+    Returns ``None`` without ``--resume``.  Raises :class:`ValueError`
+    when there is no ``--cache-dir``, when the id is unknown or
+    ambiguous, and when the record is not a ``kind`` run of ``name`` —
+    or, given ``spec_key`` (called only here), swept a different grid:
+    resuming another run would silently compute the wrong campaign
+    against its cache.  The caller reports the error with exit 2 before
+    any ledger record is written.
+    """
+    if not args.resume:
+        return None
+    if args.cache_dir is None:
+        raise ValueError("--resume requires --cache-dir: completed tasks "
+                         "are served from the result store of the "
+                         "interrupted run")
+    from repro.obs.ledger import RunLedger
+
+    try:
+        record = RunLedger(args.cache_dir).find(args.resume)
+    except KeyError as exc:
+        raise ValueError(str(exc.args[0])) from None
+    if (record.get("kind"), record.get("name")) != (kind, name):
+        raise ValueError(
+            f"run {record['id']} is a {record.get('kind')} of "
+            f"{record.get('name')!r}, not a {kind} of {name!r}; "
+            "--resume continues the same run")
+    if spec_key is not None and record.get("spec_key"):
+        key = spec_key()
+        if record["spec_key"] != key:
+            raise ValueError(
+                f"run {record['id']} swept a different grid "
+                f"(spec_key {record['spec_key']}, this invocation {key}); "
+                "pass the same scenario, --seed, and --engine to resume it")
+    return record
 
 
 def observe_campaign(args, kind: str, name: str):

@@ -158,7 +158,6 @@ def _cmd_show(args) -> int:
             ("retried", r.get("n_retried")),
             ("quarantined", r.get("n_quarantined")),
             ("pool respawns", r.get("n_pool_respawns")),
-            ("retry wasted", f"{r.get('retry_wasted_s', 0.0):.3f}s"),
             ("resumed from", r.get("resumed_from") or "-"),
         ])
     for label, value in rows:

@@ -24,15 +24,14 @@ EVENT_VERSION = 3
 #: (forward compatibility for downstream consumers), but events outside
 #: this set are invisible to the progress renderer and the run tracker.
 #:
-#: ``task.stall`` and ``pool.respawn`` are **pool-only**: they describe
-#: wall-clock health (stalled tasks, dead workers) that serial runs never
-#: emit, so the ``--jobs 1`` identity-stream determinism contract is
-#: unaffected.  ``task.retry`` (payload: ``index``, ``attempt``) fires
-#: for both worker-side soft retries — deterministic given deterministic
-#: failures, e.g. under the chaos harness — and pool-side re-dispatches
-#: after a worker death or abandoned stall, which are pool-only like the
-#: events that caused them.  ``task.quarantined`` precedes the
-#: ``task.failed`` of a task the executor refuses to run again.
+#: ``task.stall``, ``pool.respawn`` and ``task.retry`` are
+#: **pool-only**: they describe wall-clock health (stalled tasks, dead
+#: workers) that serial runs never emit, so the ``--jobs 1``
+#: identity-stream determinism contract is unaffected.  ``task.retry``
+#: (payload: ``index``, ``attempt``, the task's worker-death count)
+#: fires for each re-dispatch after a worker death.
+#: ``task.quarantined`` precedes the ``task.failed`` of a task the
+#: executor refuses to run again.
 KNOWN_EVENTS = frozenset({
     "run.start", "run.finish",
     "task.submit", "task.start", "task.done", "task.failed",

@@ -27,12 +27,11 @@ itself observable:
 and driven by wall-clock behavior; serial runs record neither, so the
 ``--jobs 1`` identity-stream contract (:mod:`repro.telemetry.recorder`)
 holds bit-for-bit.  A watchdog can misfire on a genuinely slow (not
-hung) task — a stall event is a *warning* by default: the executor's
-failure isolation already bounds the damage of a truly dead worker.
-With ``stall_action="retry"`` the executor additionally abandons a
-flagged unit's future and re-dispatches its tasks, racing the zombie;
-the first completion wins, so a misfire costs duplicated work, never a
-wrong or missing result.
+hung) task — so a stall event is only ever a *warning*: the flagged
+unit keeps running, and the executor's failure isolation already
+bounds the damage of a truly dead worker.  Re-dispatching a stalled
+task would not help: tasks are deterministic, and a running pool call
+cannot be cancelled, so the copy would redo the same work beside it.
 """
 
 from __future__ import annotations
@@ -146,40 +145,29 @@ class StallWatchdog:
         return max(self.min_stall_s,
                    self.multiple * self.ewma_s * max(1, n_tasks))
 
-    def scan_flagged(self, in_flight: "Mapping[Any, tuple]",
-                     now: "float | None" = None) -> "list[Any]":
+    def scan(self, in_flight: "Mapping[Any, tuple]",
+             now: "float | None" = None) -> "list[int]":
         """Check the in-flight table; emit ``task.stall`` for new stalls.
 
         ``in_flight`` maps a future (any hashable token) to ``(unit,
         submit_t)`` where ``unit`` is the executor's tuple of ``(pos,
         spec)`` pairs and ``submit_t`` its ``perf_counter`` submission
-        time.  Each unit is flagged at most once; returns the tokens
-        newly flagged on this scan — what the executor needs to act on a
-        stall (``stall_action="retry"`` abandons exactly these futures).
+        time.  Each unit is flagged at most once; returns the task
+        indexes newly flagged on this scan.
         """
         if now is None:
             now = time.perf_counter()
-        flagged: "list[Any]" = []
+        stalled: "list[int]" = []
         for token, (unit, submit_t) in in_flight.items():
             key = id(token)
-            if key in self._flagged:
-                continue
-            if now - submit_t <= self.threshold_s(len(unit)):
+            if key in self._flagged \
+                    or now - submit_t <= self.threshold_s(len(unit)):
                 continue
             self._flagged.add(key)
-            flagged.append(token)
             for _pos, spec in unit:
                 self.n_stalled += 1
+                stalled.append(spec.index)
                 telemetry.emit("task.stall", index=spec.index)
-        return flagged
-
-    def scan(self, in_flight: "Mapping[Any, tuple]",
-             now: "float | None" = None) -> "list[int]":
-        """Like :meth:`scan_flagged`, returning newly stalled task indexes."""
-        stalled: "list[int]" = []
-        for token in self.scan_flagged(in_flight, now):
-            unit, _submit_t = in_flight[token]
-            stalled.extend(spec.index for _pos, spec in unit)
         return stalled
 
     def forget(self, token: Any) -> None:

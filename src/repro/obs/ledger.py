@@ -32,8 +32,10 @@ __all__ = ["RUN_RECORD_VERSION", "RunLedger", "RunTracker", "new_run_id",
 #: v2 added the worker-health fields: ``n_stalls``, ``n_heartbeats``,
 #: ``worker_rss_peak_bytes``.  v3 added the fault-tolerance economics —
 #: ``n_retried``, ``n_quarantined``, ``n_pool_respawns``,
-#: ``retry_wasted_s`` — and the resume link ``resumed_from``.
-RUN_RECORD_VERSION = 3
+#: ``retry_wasted_s`` — and the resume link ``resumed_from``.  v4
+#: dropped ``retry_wasted_s`` with the in-worker retries that filled it;
+#: ``n_retried`` now counts only re-dispatches after a worker death.
+RUN_RECORD_VERSION = 4
 
 #: Failure summaries kept per record — enough to diagnose, bounded so a
 #: 10k-task wreck cannot bloat the ledger.
@@ -74,7 +76,6 @@ class RunTracker:
         self.n_retried = 0
         self.n_quarantined = 0
         self.n_pool_respawns = 0
-        self.retry_wasted_s = 0.0
         self.resumed_from: "str | None" = None
         self.n_events = 0
         self.failures: "list[str]" = []
@@ -139,11 +140,6 @@ class RunTracker:
         """Link this run to the ledger record it resumes."""
         self.resumed_from = str(run_id) if run_id is not None else None
 
-    def set_retry_wasted(self, seconds: float) -> None:
-        """Record the wall clock burned by retried attempts (a duration,
-        so it travels out of band — never in an event payload)."""
-        self.retry_wasted_s = float(seconds)
-
     # -- record -------------------------------------------------------
 
     def record(self, run_id: str, status: str, kind: str, name: str,
@@ -184,7 +180,6 @@ class RunTracker:
             "n_retried": self.n_retried,
             "n_quarantined": self.n_quarantined,
             "n_pool_respawns": self.n_pool_respawns,
-            "retry_wasted_s": self.retry_wasted_s,
             "resumed_from": self.resumed_from,
             "n_heartbeats": int(rss[0]),
             "worker_rss_peak_bytes": int(rss[3]),

@@ -102,13 +102,12 @@ def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
         "n_failed": record.get("n_failed"),
         "cache_hit_rate": record.get("cache_hit_rate"),
         "n_stalls": record.get("n_stalls"),
-        # v3 fault-tolerance economics: the retry family lets the trend
-        # gate flag a retry storm (a workload that still passes but now
-        # burns attempts) as a regression, not silence.
+        # v3 fault-tolerance economics: the re-dispatch family lets the
+        # trend gate flag a crash storm (a workload that still passes but
+        # now kills workers) as a regression, not silence.
         "n_retried": record.get("n_retried"),
         "n_quarantined": record.get("n_quarantined"),
         "n_pool_respawns": record.get("n_pool_respawns"),
-        "retry_wasted_s": record.get("retry_wasted_s"),
         # 0 here means "no heartbeat sampled" (serial or fully cached
         # run), not "zero memory" — recording it would make the next
         # real measurement an infinite regression against a zero EWMA.

@@ -24,7 +24,7 @@ import json
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
-    observe_campaign, retry_policy
+    observe_campaign, resume_record
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -117,21 +117,11 @@ def _cmd_run(args) -> int:
     compiled = compile_report(spec)
     from repro.runtime.store import StoreError
 
-    resumed = None
-    if args.resume:
-        if args.cache_dir is None:
-            print("report error: --resume requires --cache-dir: completed "
-                  "tasks are served from the result store of the "
-                  "interrupted run", file=sys.stderr)
-            return 2
-        from repro.obs.ledger import RunLedger
-
-        try:
-            resumed = RunLedger(args.cache_dir).find(args.resume)
-        except KeyError as exc:
-            print(f"report error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
+    try:
+        resumed = resume_record(args, "report.run", spec.name)
+    except ValueError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
+        return 2
     try:
         with observe_campaign(args, "report.run", spec.name) as tracker:
             if resumed is not None:
@@ -139,7 +129,6 @@ def _cmd_run(args) -> int:
             result = run_report(
                 compiled, store=campaign_store(args.cache_dir),
                 jobs=args.jobs, batch=not args.no_batch,
-                retry=retry_policy(args), stall_action=args.stall_action,
             )
             print(result.render())
             if args.out is not None:

@@ -71,8 +71,6 @@ def fetch_campaign(
     store: "ResultStore | None" = None,
     jobs: int = 1,
     batcher=None,
-    retry=None,
-    stall_action: str = "warn",
 ) -> CampaignFetch:
     """All task values, from the store where possible, executed otherwise.
 
@@ -97,8 +95,7 @@ def fetch_campaign(
 
     from repro.runtime.executor import run_campaign
 
-    campaign = run_campaign(specs, jobs=jobs, store=store, batcher=batcher,
-                            retry=retry, stall_action=stall_action)
+    campaign = run_campaign(specs, jobs=jobs, store=store, batcher=batcher)
     campaign.raise_failures()
     return CampaignFetch(
         values=tuple(result.value for result in campaign),
@@ -126,8 +123,6 @@ class CampaignStream:
     store: "ResultStore | None" = None
     jobs: int = 1
     batcher: object = None
-    retry: object = None
-    stall_action: str = "warn"
     n_loaded: int = field(default=0, init=False)
     n_executed: int = field(default=0, init=False)
 
@@ -146,9 +141,7 @@ class CampaignStream:
             raise ValueError(f"block size must be positive, got {size}")
         if not self._fully_cached():
             fetch = fetch_campaign(self.specs, store=self.store,
-                                   jobs=self.jobs, batcher=self.batcher,
-                                   retry=self.retry,
-                                   stall_action=self.stall_action)
+                                   jobs=self.jobs, batcher=self.batcher)
             self.n_loaded = fetch.n_loaded
             self.n_executed = fetch.n_executed
             for start in range(0, len(self.specs), size):
@@ -164,8 +157,7 @@ class CampaignStream:
                     # just this task through the executor.
                     from repro.runtime.executor import run_campaign
 
-                    campaign = run_campaign([spec], jobs=1, store=self.store,
-                                            retry=self.retry)
+                    campaign = run_campaign([spec], jobs=1, store=self.store)
                     campaign.raise_failures()
                     value = campaign.results[0].value
                     self.n_executed += 1
@@ -182,16 +174,12 @@ def stream_campaign(
     store: "ResultStore | None" = None,
     jobs: int = 1,
     batcher=None,
-    retry=None,
-    stall_action: str = "warn",
 ) -> CampaignStream:
     """A :class:`CampaignStream` over the campaign's tasks.
 
     The streaming counterpart of :func:`fetch_campaign`: same dispatch
-    and failure semantics (including the forwarded
-    :class:`~repro.runtime.retry.RetryPolicy`), but a fully-cached sweep
-    is read lazily in blocks instead of being materialized whole.
+    and failure semantics, but a fully-cached sweep is read lazily in
+    blocks instead of being materialized whole.
     """
     return CampaignStream(specs=tuple(specs), store=store, jobs=jobs,
-                          batcher=batcher, retry=retry,
-                          stall_action=stall_action)
+                          batcher=batcher)

@@ -127,8 +127,6 @@ def run_report(
     store=None,
     jobs: int = 1,
     batch: bool = True,
-    retry=None,
-    stall_action: str = "warn",
 ) -> ReportResult:
     """Execute a compiled report.
 
@@ -176,7 +174,6 @@ def run_report(
             stream = stream_campaign(
                 tasks, store=store, jobs=jobs,
                 batcher=ReportTaskBatcher() if batch else None,
-                retry=retry, stall_action=stall_action,
             )
             # Prime the stream inside the fetch span: a cache miss
             # dispatches the whole campaign here (as fetch_campaign

@@ -61,7 +61,6 @@ from repro.runtime.executor import (
     resolve_jobs,
     run_campaign,
 )
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.seeding import derive_rng, derive_seed, seed_sequence
 from repro.runtime.spec import RunSpec, SweepSpec, canonical, spec_key
 from repro.runtime.store import (
@@ -79,7 +78,6 @@ __all__ = [
     "GcStats",
     "QUARANTINE_AFTER",
     "ResultStore",
-    "RetryPolicy",
     "StoreEntry",
     "StoreError",
     "RunSpec",

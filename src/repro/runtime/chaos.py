@@ -1,16 +1,16 @@
 """Deterministic chaos injection for the campaign runtime.
 
-The fault-tolerance machinery (retries, pool respawn, quarantine, torn
-shard recovery) is only trustworthy if it is *tested against real
-faults* — workers that raise, workers that die mid-task, tasks that
-wedge, shard files with garbage tails.  This module is the testing
-substrate: a :class:`ChaosSpec` describes fault rates, and every
-injection decision is a pure function of ``(chaos seed, task key,
-attempt)``, so a chaos run is exactly reproducible — the same tasks
-fault on the same attempts regardless of job count, pool scheduling, or
-retry interleaving.  That is what lets the property tests assert that a
-``--jobs 2`` sweep under injected crashes produces store records
-byte-identical to a fault-free serial run.
+The fault-tolerance machinery (pool respawn, quarantine, torn shard
+recovery) is only trustworthy if it is *tested against real faults* —
+workers that die mid-task, shard files with garbage tails.  This module
+is the testing substrate: a :class:`ChaosSpec` describes fault rates,
+and every injection decision is a pure function of the chaos seed and
+what it is about (a task key and attempt, or a stored key), so a chaos
+run is exactly reproducible — the same tasks fault on the same attempts
+regardless of job count or pool scheduling.  That is what lets the
+property tests assert that a ``--jobs 2`` sweep under injected worker
+deaths produces store records byte-identical to a fault-free serial
+run.
 
 Installation is process-global and travels two ways:
 
@@ -19,23 +19,21 @@ Installation is process-global and travels two ways:
   into pool worker processes under any start method — workers load it
   lazily on their first injection check (:func:`active`).
 
-Fault kinds (all off by default):
+Fault kinds (both off by default):
 
-- ``crash_rate`` — raise :class:`ChaosError` inside the task (a soft
-  failure: caught by the executor, eligible for retry);
 - ``abort_rate`` — kill the hosting process via ``os._exit`` (a hard
   worker death: exercises broken-pool recovery).  Degrades to a raised
   :class:`ChaosError` outside a multiprocessing child, so a serial run
   cannot take down the calling process;
-- ``stall_rate``/``stall_s`` — sleep ``stall_s`` before the task runs
-  (exercises the stall watchdog; keep it finite so tests terminate);
 - ``torn_write_rate`` — after a successful packed-shard append, write a
   garbage partial record at the shard tail and retire the writer handle
   (simulating a writer killed mid-append; the committed record stays
   readable and recovery must scan around the torn tail).
 
-``max_faults_per_task`` bounds injection per task: attempts at or above
-it always run clean, so any retry budget >= that bound converges.
+An abort's ``attempt`` is the number of workers the task has already
+killed, which the executor passes in.  ``max_faults_per_task`` bounds
+injection per task: attempts at or above it always run clean, so a
+bound below the executor's ``quarantine_after`` heals under respawn.
 """
 
 from __future__ import annotations
@@ -63,21 +61,15 @@ class ChaosSpec:
     """Fault rates and the seed that makes their injection deterministic."""
 
     seed: int = 0
-    crash_rate: float = 0.0
     abort_rate: float = 0.0
-    stall_rate: float = 0.0
-    stall_s: float = 0.0
     torn_write_rate: float = 0.0
     max_faults_per_task: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "abort_rate", "stall_rate",
-                     "torn_write_rate"):
+        for name in ("abort_rate", "torn_write_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.stall_s < 0:
-            raise ValueError(f"stall_s must be >= 0, got {self.stall_s}")
         if self.max_faults_per_task < 0:
             raise ValueError("max_faults_per_task must be >= 0")
 
@@ -97,32 +89,22 @@ class ChaosSpec:
                 f"expected a subset of {sorted(known)}")
         return cls(**data)
 
-    def roll(self, kind: str, task_key: str, attempt: int) -> float:
+    def roll(self, kind: str, key: str, attempt: int) -> float:
         """The uniform draw deciding fault ``kind`` for one attempt.
 
-        A pure hash of ``(seed, kind, task_key, attempt)`` mapped to
-        ``[0, 1)`` — no RNG state, no process affinity: every process
-        asking about the same attempt gets the same answer.
+        A pure hash of ``(seed, kind, key, attempt)`` mapped to ``[0, 1)``
+        — no RNG state, no process affinity: every process asking about
+        the same attempt gets the same answer.  ``key`` is a task key for
+        an abort and a stored key for a torn write.
         """
         digest = hashlib.sha256(
-            f"{self.seed}:{kind}:{task_key}:{attempt}".encode()).digest()
+            f"{self.seed}:{kind}:{key}:{attempt}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
-    def faults_for(self, task_key: str, attempt: int) -> "list[str]":
-        """Fault kinds injected for this attempt, in application order."""
-        if attempt >= self.max_faults_per_task:
-            return []
-        out = []
-        if self.stall_rate > 0 and self.stall_s > 0 and \
-                self.roll("stall", task_key, attempt) < self.stall_rate:
-            out.append("stall")
-        if self.abort_rate > 0 and \
-                self.roll("abort", task_key, attempt) < self.abort_rate:
-            out.append("abort")
-        elif self.crash_rate > 0 and \
-                self.roll("crash", task_key, attempt) < self.crash_rate:
-            out.append("crash")
-        return out
+    def aborts(self, task_key: str, attempt: int) -> bool:
+        """Whether this attempt of the task kills its worker."""
+        return (attempt < self.max_faults_per_task and self.abort_rate > 0
+                and self.roll("abort", task_key, attempt) < self.abort_rate)
 
 
 # Process-global installation.  ``_env_checked`` makes the common no-op
@@ -163,70 +145,43 @@ def _in_worker() -> bool:
 
 
 def maybe_inject(task_key: str, attempt: int) -> None:
-    """Apply any faults due for this task attempt (no-op without a spec).
+    """Abort this task attempt if the spec says so (no-op without one).
 
-    Called by the executor immediately before running a task.  ``abort``
+    Called by the executor immediately before running a task.  An abort
     hard-kills a worker process; in the parent process (serial backend)
     it degrades to a raised :class:`ChaosError` so chaos can never kill
     the campaign driver itself.
     """
     spec = active()
-    if spec is None:
+    if spec is None or not spec.aborts(task_key, attempt):
         return
-    for fault in spec.faults_for(task_key, attempt):
-        if fault == "stall":
-            import time
-
-            time.sleep(spec.stall_s)
-        elif fault == "abort":
-            if _in_worker():
-                os._exit(37)
-            raise ChaosError(
-                f"injected abort (degraded to exception outside a worker) "
-                f"for task {task_key} attempt {attempt}")
-        else:
-            raise ChaosError(
-                f"injected failure for task {task_key} attempt {attempt}")
+    if _in_worker():
+        os._exit(37)
+    raise ChaosError(
+        f"injected abort (degraded to exception outside a worker) "
+        f"for task {task_key} attempt {attempt}")
 
 
 def maybe_inject_block(task_keys: "list[str]") -> None:
-    """Fault a batched block if any member task would fault on attempt 0.
+    """Abort a batched block if any member task aborts on attempt 0.
 
     Batched blocks run through the engine in one call, so per-task
-    injection cannot reach inside them; instead the whole block faults,
-    which exercises exactly the production path: a failed block falls
-    back to per-task execution, where per-task injection (and the retry
-    policy) takes over.
+    injection cannot reach inside them; instead the whole block dies,
+    which exercises exactly the production path: the pool respawns and
+    probes the block's tasks as singletons, where per-task injection
+    takes over.  A block only ever runs on its members' first dispatch.
     """
-    spec = active()
-    if spec is None:
-        return
     for key in task_keys:
-        for fault in spec.faults_for(key, 0):
-            if fault == "stall":
-                import time
-
-                time.sleep(spec.stall_s)
-            elif fault == "abort" and _in_worker():
-                os._exit(37)
-            else:
-                raise ChaosError(
-                    f"injected block failure (member task {key})")
+        maybe_inject(key, 0)
 
 
-def torn_shard_write(shard_name: str) -> bool:
-    """Whether to tear the shard tail after the append just committed.
+def torn_shard_write(key: str) -> bool:
+    """Whether to tear the shard tail after ``key``'s entry committed.
 
-    Decided per ``(seed, shard name, committed-append count)`` so the
-    injection is deterministic per writer lineage; the caller tracks the
-    count and performs the actual tear.
+    Decided per ``(seed, key)`` alone, so the same puts tear the same
+    entries in every process and every run; the caller performs the
+    actual tear.
     """
     spec = active()
-    if spec is None or spec.torn_write_rate <= 0:
-        return False
-    global _torn_count
-    _torn_count += 1
-    return spec.roll("torn", shard_name, _torn_count) < spec.torn_write_rate
-
-
-_torn_count = 0
+    return (spec is not None and spec.torn_write_rate > 0
+            and spec.roll("torn", key, 0) < spec.torn_write_rate)

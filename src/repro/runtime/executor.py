@@ -28,23 +28,17 @@ values.
 
 **Fault tolerance.**  A failing task never kills the campaign: the
 exception (with its traceback, captured inside the worker) is recorded
-on that task's :class:`TaskResult` and every other shard proceeds.  On
-top of that isolation sit three recovery layers:
-
-- a :class:`~repro.runtime.retry.RetryPolicy` re-executes soft task
-  failures (raised exceptions) with deterministic exponential backoff —
-  inside the worker, so retries never block the parent's completion
-  loop, and with results bit-identical to a first-attempt success;
-- a **broken pool is respawned**: when a worker dies hard (segfault,
-  OOM kill, ``os._exit``), the in-flight tasks are re-enqueued and
-  probed *one at a time* on a fresh pool so a repeat death attributes
-  the kill to exactly one task; a task that kills workers
-  ``quarantine_after`` times is **quarantined** — recorded as a typed
-  failure (:attr:`TaskResult.quarantined`), never retried again — so
-  one poison task cannot wedge a campaign;
-- ``stall_action="retry"`` gives the stall watchdog teeth: a stalled
-  unit's future is abandoned and its tasks re-dispatched per task (the
-  first completion wins; the zombie's late result is discarded).
+on that task's :class:`TaskResult` and every other shard proceeds.  A
+raised exception is final: every task is a pure function of its spec
+and baked-in seed, so running it again would raise again.  The one
+fault that re-execution heals is a dead worker, which takes innocent
+in-flight tasks down with it: a **broken pool is respawned** (segfault,
+OOM kill, ``os._exit``), the in-flight tasks are re-enqueued and probed
+*one at a time* on a fresh pool so a repeat death attributes the kill
+to exactly one task, and a task that kills workers ``quarantine_after``
+times is **quarantined** — recorded as a typed failure
+(:attr:`TaskResult.quarantined`), never dispatched again — so one
+poison task cannot wedge a campaign.
 
 ``KeyboardInterrupt`` / ``SystemExit`` in the calling process are *not*
 treated as task failures: the pool is shut down deliberately (queued
@@ -67,7 +61,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.runtime import chaos
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ResultStore
 
@@ -91,8 +84,6 @@ _INFLIGHT_PER_JOB = 4
 #: probe deaths on top of one group death is decisive.
 QUARANTINE_AFTER = 3
 
-_NO_RETRIES = (0, 0.0)  # retry_info of an un-retried outcome
-
 
 class TaskError(RuntimeError):
     """Raised by :meth:`CampaignResult.raise_failures` when tasks failed."""
@@ -107,10 +98,8 @@ class TaskResult:
     ``duration`` is the task's own wall-clock seconds (0 for cache hits);
     tasks executed inside a batched block report the block's wall clock
     divided evenly across its tasks, since the engine computes them as
-    one inseparable call.  ``retries`` counts the soft re-executions the
-    final dispatch of this task consumed, ``wasted_s`` the wall clock
-    its failed attempts burned, and ``quarantined`` marks a task the
-    executor refused to run again after it repeatedly killed workers.
+    one inseparable call.  ``quarantined`` marks a task the executor
+    refused to run again after it repeatedly killed workers.
     """
 
     spec: RunSpec
@@ -118,8 +107,6 @@ class TaskResult:
     error: "str | None" = None
     cached: bool = False
     duration: float = 0.0
-    retries: int = 0
-    wasted_s: float = 0.0
     quarantined: bool = False
 
     @property
@@ -135,15 +122,15 @@ class TaskResult:
 class CampaignResult:
     """All task outcomes of one campaign, in task (spec) order.
 
-    ``n_redispatched`` counts parent-side re-dispatches (tasks re-run
-    after a worker death or an abandoned stall); ``n_pool_respawns`` the
-    times a broken pool was replaced.  Both are 0 for serial runs.
+    ``n_retried`` counts re-dispatches of tasks a worker death took
+    down; ``n_pool_respawns`` the times a broken pool was replaced.
+    Both are 0 for serial runs.
     """
 
     results: "tuple[TaskResult, ...]"
     jobs: int = 1
     elapsed: float = 0.0
-    n_redispatched: int = 0
+    n_retried: int = 0
     n_pool_respawns: int = 0
 
     def __len__(self) -> int:
@@ -169,18 +156,8 @@ class CampaignResult:
         return sum(1 for r in self.results if r.ok and not r.cached)
 
     @property
-    def n_retried(self) -> int:
-        """Total re-executions: worker-side soft retries + re-dispatches."""
-        return self.n_redispatched + sum(r.retries for r in self.results)
-
-    @property
     def n_quarantined(self) -> int:
         return sum(1 for r in self.results if r.quarantined)
-
-    @property
-    def retry_wasted_s(self) -> float:
-        """Wall-clock seconds burned by failed attempts that were retried."""
-        return sum(r.wasted_s for r in self.results)
 
     def raise_failures(self) -> "CampaignResult":
         """Raise :class:`TaskError` if any task failed; else return self."""
@@ -231,63 +208,43 @@ class TaskBatcher:
         raise NotImplementedError
 
 
-def _execute(spec: RunSpec,
-             retry: "RetryPolicy | None" = None
-             ) -> "tuple[str, Any, float, tuple[int, float]]":
+def _execute(spec: RunSpec, attempt: int = 0) -> "tuple[str, Any, float]":
     """Worker entry point: run one task, capturing any exception.
 
-    Returns ``("ok", value, duration, retry_info)`` or ``("error",
-    traceback_text, duration, retry_info)`` so that failures — including
-    ones whose exception types would not survive pickling — travel back
-    to the parent as plain data; ``retry_info`` is ``(retries_used,
-    wasted_s)``.  The duration comes from an always-timed
-    ``executor.task`` telemetry span around the task code itself, so
-    pool queue wait never inflates it.  With a :class:`RetryPolicy`,
-    soft failures are re-executed in place — ``task.retry`` is emitted,
-    the deterministic backoff is slept, and the task reruns with its
-    unchanged spec (same baked-in seed), so a retried success is
-    bit-identical to a first-attempt one.  ``KeyboardInterrupt`` and
+    Returns ``("ok", value, duration)`` or ``("error", traceback_text,
+    duration)`` so that failures — including ones whose exception types
+    would not survive pickling — travel back to the parent as plain
+    data.  The duration comes from an always-timed ``executor.task``
+    telemetry span around the task code itself, so pool queue wait
+    never inflates it.  ``attempt`` is the number of workers this task
+    has already killed; it only keys chaos injection, so a bounded
+    injected abort heals under pool respawn.  ``KeyboardInterrupt`` and
     ``SystemExit`` propagate: in the serial backend they must abort the
     campaign, and in a worker the pool machinery reports them anyway.
     """
-    attempt = 0
-    wasted = 0.0
-    while True:
-        status, payload = "ok", None
-        telemetry.emit("task.start", index=spec.index)
-        with telemetry.timed_span("executor.task", fn=spec.fn) as sp:
-            try:
-                if chaos.active() is not None:
-                    chaos.maybe_inject(spec.key, attempt)
-                payload = spec.call()
-            except Exception:  # noqa: BLE001 — isolation is the whole point
-                status, payload = "error", traceback.format_exc()
-                telemetry.count("executor.task_failures")
-        if status == "ok" or retry is None \
-                or not retry.should_retry(attempt + 1):
-            return status, payload, sp.duration, (attempt, wasted)
-        attempt += 1
-        wasted += sp.duration
-        telemetry.count("executor.task_retries")
-        telemetry.observe("executor.retry_wasted_s", sp.duration)
-        telemetry.emit("task.retry", index=spec.index, attempt=attempt)
-        retry.sleep(spec, attempt)
+    status, payload = "ok", None
+    telemetry.emit("task.start", index=spec.index)
+    with telemetry.timed_span("executor.task", fn=spec.fn) as sp:
+        try:
+            if chaos.active() is not None:
+                chaos.maybe_inject(spec.key, attempt)
+            payload = spec.call()
+        except Exception:  # noqa: BLE001 — isolation is the whole point
+            status, payload = "error", traceback.format_exc()
+            telemetry.count("executor.task_failures")
+    return status, payload, sp.duration
 
 
 def _execute_block(
     unit: "tuple[RunSpec, ...]", batcher: TaskBatcher,
-    retry: "RetryPolicy | None" = None,
-) -> "list[tuple[str, Any, float, tuple[int, float]]]":
+) -> "list[tuple[str, Any, float]]":
     """Run one batched block; one outcome per task.
 
     A block that raises falls back to per-task execution, so a
     batch-infrastructure failure degrades to exactly the isolation
     semantics of unbatched execution — with a :class:`RuntimeWarning`
     naming the cause, since per-task execution may succeed and would
-    otherwise hide the batcher defect entirely.  The retry policy rides
-    the fallback path: blocks themselves are never retried (the
-    per-task fallback already re-executes their tasks), but each
-    fallen-back task gets the full per-task retry budget.
+    otherwise hide the batcher defect entirely.
     ``KeyboardInterrupt``/``SystemExit`` propagate as in :func:`_execute`.
     """
     failure = None
@@ -314,10 +271,10 @@ def _execute_block(
         # any task individually), so the fallback's task.start stream
         # counts each task exactly once.
         telemetry.emit("block.fallback", n_tasks=len(unit))
-        return [_execute(spec, retry) for spec in unit]
+        return [_execute(spec) for spec in unit]
     telemetry.observe("executor.block_size", len(unit))
     per_task = sp.duration / len(unit)
-    return [("ok", value, per_task, _NO_RETRIES) for value in values]
+    return [("ok", value, per_task) for value in values]
 
 
 def _execute_unit(
@@ -325,7 +282,7 @@ def _execute_unit(
     batcher: "TaskBatcher | None",
     own: bool = False,
     submit_t: "float | None" = None,
-    retry: "RetryPolicy | None" = None,
+    attempt: int = 0,
 ) -> "tuple[list[tuple], dict | None]":
     """Run one unit (a single task or a batched block) plus its telemetry.
 
@@ -342,9 +299,8 @@ def _execute_unit(
     sample no worker health).  ``submit_t`` is the parent's
     ``perf_counter()`` at submission: ``perf_counter`` is system-wide
     monotonic on Linux, so the difference is the unit's pool queue wait.
-    ``retry`` applies the per-task retry policy inside this process (see
-    :func:`_execute`), so backoff sleeps occupy the worker, never the
-    parent's completion loop.
+    ``attempt`` is handed to :func:`_execute` for a single-task unit; a
+    multi-task block only ever runs on its first dispatch.
     """
     if own:
         telemetry.enable().mark_in_run()
@@ -353,9 +309,9 @@ def _execute_unit(
             telemetry.observe("executor.queue_wait_s",
                               max(0.0, time.perf_counter() - submit_t))
         if len(unit) == 1 or batcher is None:
-            outcomes = [_execute(spec, retry) for spec in unit]
+            outcomes = [_execute(spec, attempt) for spec in unit]
         else:
-            outcomes = _execute_block(unit, batcher, retry)
+            outcomes = _execute_block(unit, batcher)
         if own:
             from repro.obs.health import sample_resources
 
@@ -387,10 +343,7 @@ def _plan_units(
 
 
 def _as_task_result(spec: RunSpec, status: str, payload: Any,
-                    duration: float,
-                    retry_info: "tuple[int, float]" = _NO_RETRIES
-                    ) -> TaskResult:
-    retries, wasted_s = retry_info
+                    duration: float) -> TaskResult:
     if status == "ok":
         if not isinstance(payload, Mapping):
             return TaskResult(
@@ -399,12 +352,10 @@ def _as_task_result(spec: RunSpec, status: str, payload: Any,
                     f"task returned {type(payload).__name__}, expected a "
                     "mapping of named result fields"
                 ),
-                duration=duration, retries=retries, wasted_s=wasted_s,
+                duration=duration,
             )
-        return TaskResult(spec=spec, value=payload, duration=duration,
-                          retries=retries, wasted_s=wasted_s)
-    return TaskResult(spec=spec, error=str(payload), duration=duration,
-                      retries=retries, wasted_s=wasted_s)
+        return TaskResult(spec=spec, value=payload, duration=duration)
+    return TaskResult(spec=spec, error=str(payload), duration=duration)
 
 
 def _emit_dispatch(unit: "tuple[tuple[int, RunSpec], ...]") -> None:
@@ -427,8 +378,6 @@ def run_campaign(
     on_result: "Callable[[TaskResult], None] | None" = None,
     batcher: "TaskBatcher | None" = None,
     watchdog: "Any | None" = None,
-    retry: "RetryPolicy | None" = None,
-    stall_action: str = "warn",
     quarantine_after: int = QUARANTINE_AFTER,
 ) -> CampaignResult:
     """Execute a campaign of tasks, sharded, cached, and optionally batched.
@@ -458,15 +407,7 @@ def run_campaign(
         is given, a default watchdog is installed; pass one to tune its
         thresholds (tests inject aggressive ones).  Serial runs never
         use it — stall detection is pool-only by the determinism
-        contract.
-    retry:
-        Optional :class:`~repro.runtime.retry.RetryPolicy`: soft task
-        failures are re-executed with deterministic backoff (in the
-        worker, for the pool backend).  ``None`` disables retrying.
-    stall_action:
-        ``"warn"`` (default) leaves ``task.stall`` a warning; ``"retry"``
-        abandons a stalled unit's future and re-dispatches its tasks per
-        task (pool backend only — first completion wins).
+        contract.  A stall is a warning: the unit is left to finish.
     quarantine_after:
         Worker kills after which a task is quarantined instead of
         re-probed (see the module docstring).
@@ -477,9 +418,6 @@ def run_campaign(
         Per-task outcomes in task order.  Failed tasks carry their
         worker traceback instead of a value; they never abort siblings.
     """
-    if stall_action not in ("warn", "retry"):
-        raise ValueError(
-            f"stall_action must be 'warn' or 'retry', got {stall_action!r}")
     if quarantine_after < 1:
         raise ValueError(
             f"quarantine_after must be >= 1, got {quarantine_after}")
@@ -488,11 +426,6 @@ def run_campaign(
     slots: "list[TaskResult | None]" = [None] * len(specs)
 
     def finish(pos: int, result: TaskResult) -> None:
-        if slots[pos] is not None:
-            # A re-dispatched task's abandoned first future can still
-            # come home; whichever completion lands first is the task's
-            # one result — the straggler is discarded.
-            return
         slots[pos] = result
         if store is not None and result.ok and not result.cached:
             store.put(result.spec.key, result.value, spec=result.spec.describe())
@@ -515,7 +448,7 @@ def run_campaign(
     rec = telemetry.current_recorder()
     if rec is not None:
         rec.mark_in_run()
-    pool_stats = {"respawns": 0, "redispatched": 0}
+    n_retried = n_respawns = 0
     try:
         # ``elapsed`` is the span's wall clock — the same two perf_counter
         # reads the pre-telemetry bookkeeping made, recorded only if a
@@ -539,13 +472,12 @@ def run_campaign(
                 for unit in units:
                     _emit_dispatch(unit)
                     outcomes, _ = _execute_unit(
-                        tuple(spec for _, spec in unit), batcher, retry=retry)
+                        tuple(spec for _, spec in unit), batcher)
                     for (pos, spec), outcome in zip(unit, outcomes):
                         finish(pos, _as_task_result(spec, *outcome))
             else:
-                pool_stats = _run_pool(units, jobs, batcher, finish,
-                                       watchdog, retry, stall_action,
-                                       quarantine_after)
+                n_retried, n_respawns = _run_pool(
+                    units, jobs, batcher, finish, watchdog, quarantine_after)
     finally:
         if rec is not None:
             rec.unmark_in_run()
@@ -554,8 +486,8 @@ def run_campaign(
         results=tuple(slots),
         jobs=jobs,
         elapsed=campaign_span.duration,
-        n_redispatched=pool_stats["redispatched"],
-        n_pool_respawns=pool_stats["respawns"],
+        n_retried=n_retried,
+        n_pool_respawns=n_respawns,
     )
 
 
@@ -573,10 +505,8 @@ def _run_pool(
     batcher: "TaskBatcher | None",
     finish: "Callable[[int, TaskResult], None]",
     watchdog: "Any | None" = None,
-    retry: "RetryPolicy | None" = None,
-    stall_action: str = "warn",
     quarantine_after: int = QUARANTINE_AFTER,
-) -> dict:
+) -> "tuple[int, int]":
     """Shard execution units over a process pool, streaming completions.
 
     A unit is one task or one batched block; blocks travel to a worker
@@ -590,42 +520,38 @@ def _run_pool(
     units become crash suspects, a fresh pool is started
     (``pool.respawn`` event), and the suspects are re-dispatched as
     singletons *one at a time* — probe isolation — so a repeat death is
-    attributed to exactly one task.  A task whose crash count reaches
+    attributed to exactly one task.  Each re-dispatch emits
+    ``task.retry`` and runs with its worker-death count as the attempt
+    (see :func:`_execute`).  A task whose crash count reaches
     ``quarantine_after`` is quarantined: finished as a typed failure
     (``task.quarantined`` event, :attr:`TaskResult.quarantined`) and
     never submitted again.  Submit errors never propagate out of here:
     if the pool cannot even be (re)started, the remaining tasks are
-    recorded as failures and the campaign result stays complete.
+    recorded as failures and the campaign result stays complete.  Every
+    position sits in exactly one place until it finishes — pending,
+    probe, block re-runs, or in flight — so each finishes once.
 
     When the run is observed, each returned unit's snapshot (spans,
     events, and the worker's health histograms) is merged into the live
     recorder, and between completions a
     :class:`~repro.obs.health.StallWatchdog` scans the in-flight table,
     emitting ``task.stall`` for units out far longer than the EWMA task
-    duration.  With ``stall_action="retry"`` a flagged unit's future is
-    abandoned and its tasks are re-dispatched per task — *first
-    completion wins*: if the abandoned zombie comes home before the
-    re-dispatch, its results are applied and the re-dispatch is dropped
-    at submit time (and vice versa, via the ``finish`` slot guard), so a
-    watchdog misfire costs duplicated work, never a wrong or missing
-    result.  A worker left running an abandoned unit at campaign end is
-    not waited for.
+    duration.  A stall is a warning: the unit keeps running.
 
     ``KeyboardInterrupt``/``SystemExit`` shut the pool down deliberately
     — queued futures cancelled, running workers not waited for — and
     re-raise, so an interrupt never leaves the campaign wedged on dead
     futures.
 
-    Returns ``{"respawns": ..., "redispatched": ...}`` — the recovery
-    economics :func:`run_campaign` folds into the campaign result.
+    Returns ``(n_retried, n_respawns)`` — the recovery economics
+    :func:`run_campaign` folds into the campaign result.
     """
     max_workers = min(jobs, len(units))
     window = max_workers * _INFLIGHT_PER_JOB
     pending: "deque" = deque(units)
     probe: "deque" = deque()  # crash suspects, probed one at a time
     crashes: "dict[int, int]" = {}  # position -> worker kills survived
-    redispatches: "dict[int, int]" = {}  # position -> re-dispatch count
-    stats = {"respawns": 0, "redispatched": 0}
+    n_retried = n_respawns = 0
     own = telemetry.enabled()
     if watchdog is None and own:
         from repro.obs.health import StallWatchdog
@@ -633,33 +559,24 @@ def _run_pool(
         watchdog = StallWatchdog()
     telemetry.gauge("executor.jobs", max_workers)
 
-    # Positions already finished in this pool run (including by a zombie
-    # whose unit was abandoned): re-dispatches of them are dropped at
-    # submit time, so an always-stalling task cannot livelock the loop.
-    completed: "set[int]" = set()
-
-    def finish_pos(pos: int, result: TaskResult) -> None:
-        completed.add(pos)
-        finish(pos, result)
-
     def apply_unit(unit, outcomes, snap) -> None:
         """Fold one returned unit in: its snapshot, then its results."""
         # Worker spans land under the live campaign.run span with their
         # counters/histograms summed in, and worker lifecycle events are
         # re-sequenced onto the recorder.  A died block's events never
-        # came back, so its retried singletons are the only events its
+        # came back, so its re-run singletons are the only events its
         # tasks produce.
         telemetry.merge_snapshot(snap)
         if watchdog is not None:
             for outcome in outcomes:
                 watchdog.note_duration(outcome[2])
         for (pos, spec), outcome in zip(unit, outcomes):
-            finish_pos(pos, _as_task_result(spec, *outcome))
+            finish(pos, _as_task_result(spec, *outcome))
 
     def fail_unit(unit, note: str) -> None:
         telemetry.count("executor.not_attempted", len(unit))
         for pos, spec in unit:
-            finish_pos(pos, _as_task_result(spec, "error", note, 0.0))
+            finish(pos, _as_task_result(spec, "error", note, 0.0))
 
     def fail_remaining(note: str) -> None:
         while probe:
@@ -667,16 +584,9 @@ def _run_pool(
         while pending:
             fail_unit(pending.popleft(), note)
 
-    def note_redispatch(entry) -> None:
-        """Count one task's parent-side re-dispatch and emit task.retry."""
-        pos, spec = entry
-        n = redispatches[pos] = redispatches.get(pos, 0) + 1
-        stats["redispatched"] += 1
-        telemetry.count("executor.task_redispatches")
-        telemetry.emit("task.retry", index=spec.index, attempt=n)
-
     def absorb_crash(suspect_units) -> None:
         """Sort a broken generation's casualties into probe vs quarantine."""
+        nonlocal n_retried
         for unit in suspect_units:
             for entry in unit:
                 pos, spec = entry
@@ -684,13 +594,15 @@ def _run_pool(
                 if n >= quarantine_after:
                     telemetry.count("executor.quarantined")
                     telemetry.emit("task.quarantined", index=spec.index)
-                    finish_pos(pos, TaskResult(
+                    finish(pos, TaskResult(
                         spec=spec, quarantined=True,
                         error=(f"quarantined after killing its worker "
                                f"{n} time(s); not retried again"),
                     ))
                 else:
-                    note_redispatch(entry)
+                    n_retried += 1
+                    telemetry.count("executor.task_redispatches")
+                    telemetry.emit("task.retry", index=spec.index, attempt=n)
                     probe.append((entry,))
 
     while pending or probe:
@@ -701,21 +613,18 @@ def _run_pool(
                            f"pool: {exc}")
             break
         in_flight: dict = {}
-        abandoned: dict = {}  # zombie future -> its unit (race still open)
         block_retries: "deque" = deque()  # healthy-pool singleton re-runs
 
         def submit_unit(unit) -> None:
-            # A zombie may have finished some (or all) of these tasks
-            # since they were queued: only dispatch what is still open.
-            unit = tuple(e for e in unit if e[0] not in completed)
-            if not unit:
-                return
             spec_block = tuple(spec for _, spec in unit)
             _emit_dispatch(unit)
             submit_t = time.perf_counter()
+            # Probe units are singletons; a multi-task block never holds
+            # a position that killed a worker, so its attempt is 0.
+            attempt = crashes.get(unit[0][0], 0)
             try:
                 future = pool.submit(_execute_unit, spec_block, batcher,
-                                     own, submit_t, retry)
+                                     own, submit_t, attempt)
             except BrokenProcessPool:
                 raise _PoolBroke([unit] + [u for u, _ in in_flight.values()])
             except Exception:  # shutdown races, unpicklable spec
@@ -727,7 +636,7 @@ def _run_pool(
         def refill() -> None:
             # Probe isolation: while crash suspects are queued, run them
             # strictly one at a time with nothing else in flight.  (Loop:
-            # a suspect already finished by a zombie submits nothing.)
+            # a suspect whose submit failed leaves nothing in flight.)
             if probe:
                 while probe and not in_flight and not block_retries:
                     submit_unit(probe.popleft())
@@ -743,45 +652,13 @@ def _run_pool(
 
         try:
             refill()
-            # Keep the generation alive while real futures are out — and
-            # while abandoned zombies might still win races that queued
-            # work would otherwise re-run.  (Zombies with no remaining
-            # work are not waited for: shutdown below skips them.)
-            while in_flight or (abandoned
-                                and (pending or probe or block_retries)):
+            while in_flight:
                 timeout = watchdog.poll_s if watchdog is not None else None
-                done, _ = wait(set(in_flight) | set(abandoned),
-                               timeout=timeout,
+                done, _ = wait(in_flight, timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 if watchdog is not None:
-                    flagged = watchdog.scan_flagged(in_flight)
-                    if stall_action == "retry":
-                        for token in flagged:
-                            unit, _sub = in_flight.pop(token)
-                            abandoned[token] = unit
-                            watchdog.forget(token)
-                            telemetry.count("executor.stall_abandons",
-                                            len(unit))
-                            for entry in unit:
-                                note_redispatch(entry)
-                            for entry in reversed(unit):
-                                pending.appendleft((entry,))
+                    watchdog.scan(in_flight)
                 for future in done:
-                    if future in abandoned:
-                        # The zombie came home: first completion wins.
-                        # Apply whatever it finished (the slot guard
-                        # drops anything its re-dispatch already won);
-                        # a zombie that errored is simply forgotten —
-                        # its re-dispatch owns recovery.
-                        zombie_unit = abandoned.pop(future)
-                        try:
-                            returned = future.result()
-                        except Exception:
-                            continue
-                        apply_unit(zombie_unit, *returned)
-                        continue
-                    if future not in in_flight:
-                        continue
                     unit, _submit_t = in_flight.pop(future)
                     if watchdog is not None:
                         watchdog.forget(future)
@@ -807,11 +684,11 @@ def _run_pool(
                             block_retries.extend((entry,) for entry in unit)
                             continue
                         outcomes, snap = [("error", traceback.format_exc(),
-                                           0.0, _NO_RETRIES)], None
+                                           0.0)], None
                     apply_unit(unit, outcomes, snap)
                 refill()
         except _PoolBroke as broke:
-            stats["respawns"] += 1
+            n_respawns += 1
             telemetry.count("executor.pool_respawns")
             pool.shutdown(wait=False, cancel_futures=True)
             # Units queued for healthy-pool re-runs were never submitted
@@ -836,6 +713,5 @@ def _run_pool(
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
-            # Abandoned zombies may still be running; don't wait on them.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-    return stats
+            pool.shutdown(wait=True, cancel_futures=True)
+    return n_retried, n_respawns

@@ -310,7 +310,7 @@ class PackedShards:
         self._index[key] = entry
         self._covered[name] = entry.end
         telemetry.count("store.shard.appends")
-        if chaos.active() is not None and chaos.torn_shard_write(name):
+        if chaos.active() is not None and chaos.torn_shard_write(key):
             self._tear_tail(shard_fh, name)
         return entry
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from repro.sim.campaign import DelayCampaign
 __all__ = [
     "campaign_draw_task",
     "failing_task",
-    "flaky_exit_task",
     "hard_exit_task",
     "lockstep_delay_task",
     "ring_runtime",
@@ -160,25 +158,3 @@ def hard_exit_task(code: int = 1, replicate: int = 0, seed: int = 0) -> dict:
     the serial backend the hosting process is *your* process.
     """
     os._exit(int(code))
-
-
-def flaky_exit_task(sentinel: str = "", fail_times: int = 1,
-                    replicate: int = 0, seed: int = 0) -> dict:
-    """Kill the hosting process the first ``fail_times`` attempts, then
-    succeed.
-
-    ``sentinel`` names a directory used to count attempts across worker
-    processes (one marker file per death), so the task models a
-    *transient* worker crash — an OOM kill under memory pressure that a
-    respawned pool survives.  The recovery tests use it to prove that a
-    crashed-but-recoverable task is re-dispatched and completes instead
-    of being quarantined.  Same serial caveat as :func:`hard_exit_task`.
-    """
-    root = Path(sentinel)
-    root.mkdir(parents=True, exist_ok=True)
-    attempts = len(list(root.glob(f"attempt-{replicate}-*")))
-    if attempts < int(fail_times):
-        (root / f"attempt-{replicate}-{attempts}").touch()
-        os._exit(13)
-    return {"attempts": attempts, "replicate": int(replicate),
-            "seed": int(seed)}

@@ -22,7 +22,7 @@ import json
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
-    observe_campaign, retry_policy
+    observe_campaign, resume_record
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -31,7 +31,8 @@ from repro.scenarios.registry import (
     resolve_scenario,
 )
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.sweep import run_scenario_sweep
+from repro.scenarios.sweep import _sweep_spec_key, run_scenario_sweep, \
+    scenario_sweep_spec
 
 __all__ = ["scenario_main", "build_scenario_parser"]
 
@@ -61,37 +62,6 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                        default="auto", help="engine selection (default: auto)")
         add_campaign_args(p)
     return parser
-
-
-def _resume_record(args, spec) -> "tuple[dict | None, str | None]":
-    """Resolve ``--resume RUN_ID`` to its ledger record.
-
-    Returns ``(record, None)`` on success and ``(None, message)`` when the
-    resume target is missing, ambiguous, or names a different sweep —
-    resuming a run whose grid does not hash to the same spec key would
-    silently execute the *wrong* campaign against the old cache.
-    """
-    if not args.resume:
-        return None, None
-    if args.cache_dir is None:
-        return None, ("--resume requires --cache-dir: completed tasks are "
-                      "skipped via the result store of the interrupted run")
-    from repro.obs.ledger import RunLedger
-    from repro.scenarios.sweep import _sweep_spec_key, scenario_sweep_spec
-
-    try:
-        record = RunLedger(args.cache_dir).find(args.resume)
-    except KeyError as exc:
-        return None, str(exc.args[0])
-    sweep = scenario_sweep_spec(spec, base_seed=args.seed,
-                                engine=args.engine)
-    spec_key = _sweep_spec_key(sweep.tasks())
-    if record.get("spec_key") and record["spec_key"] != spec_key:
-        return None, (
-            f"run {record['id']} swept a different grid "
-            f"(spec_key {record['spec_key']}, this invocation {spec_key}); "
-            "pass the same scenario, --seed, and --engine to resume it")
-    return record, None
 
 
 def _cmd_list(args) -> int:
@@ -124,8 +94,6 @@ def _cmd_validate(args) -> int:
             spec = resolve_scenario(target)
             compile_scenario(spec)
             if spec.sweep is not None:
-                from repro.scenarios.sweep import scenario_sweep_spec
-
                 scenario_sweep_spec(spec)
         except ScenarioError as exc:
             failures += 1
@@ -143,9 +111,15 @@ def _observed_sweep(args, spec) -> int:
     """One observed sweep: recorder + progress + ledger + exit summary."""
     from repro.runtime.store import StoreError
 
-    resumed, problem = _resume_record(args, spec)
-    if problem is not None:
-        print(f"scenario error: {problem}", file=sys.stderr)
+    def spec_key() -> str:
+        sweep = scenario_sweep_spec(spec, base_seed=args.seed,
+                                    engine=args.engine)
+        return _sweep_spec_key(sweep.tasks())
+
+    try:
+        resumed = resume_record(args, "scenario.sweep", spec.name, spec_key)
+    except ValueError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:
         with observe_campaign(args, "scenario.sweep", spec.name) as tracker:
@@ -155,10 +129,7 @@ def _observed_sweep(args, spec) -> int:
                 spec, base_seed=args.seed, engine=args.engine,
                 jobs=args.jobs, store=campaign_store(args.cache_dir),
                 batch=not args.no_batch,
-                retry=retry_policy(args),
-                stall_action=args.stall_action,
             )
-            tracker.set_retry_wasted(result.campaign.retry_wasted_s)
             print(result.render())
     except StoreError as exc:
         print(f"store error: {exc}", file=sys.stderr)

@@ -216,19 +216,14 @@ def run_scenario_sweep(
     jobs: int = 1,
     store=None,
     batch: bool = True,
-    retry=None,
-    stall_action: str = "warn",
 ) -> ScenarioSweepResult:
     """Run a scenario's grid through the campaign runtime and aggregate.
 
-    ``jobs``/``store``/``retry``/``stall_action`` are forwarded to
+    ``jobs``/``store`` are forwarded to
     :func:`repro.runtime.executor.run_campaign`; task failures raise.
     With ``batch`` (the default) contiguous replicate blocks of one grid
     point execute as single batched-engine invocations — results are
-    bit-identical to unbatched runs, only faster.  A
-    :class:`~repro.runtime.retry.RetryPolicy` makes transient task
-    failures self-heal with results bit-identical to a first-attempt
-    success.
+    bit-identical to unbatched runs, only faster.
     """
     from repro.scenarios.batch import ScenarioTaskBatcher
 
@@ -250,7 +245,6 @@ def run_scenario_sweep(
     campaign = run_campaign(
         tasks, jobs=jobs, store=store,
         batcher=ScenarioTaskBatcher() if batch else None,
-        retry=retry, stall_action=stall_action,
     )
     if owns_run:
         telemetry.emit("run.finish",

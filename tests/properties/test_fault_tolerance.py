@@ -1,12 +1,14 @@
 """Property-based contract: faults never change campaign bytes.
 
-The fault-tolerance layer promises that retries, worker crashes, and
-resume are *invisible in the data*: a chaotic parallel campaign must
+The fault-tolerance layer promises that worker deaths and resume are
+*invisible in the data*: a chaotic parallel campaign must
 persist byte-identical store records to a fault-free serial run of the
 same sweep, and a resumed campaign must replay cached values bit-exactly.
 Any divergence would mean injected faults leak into results — the one
 failure mode a reproducibility harness can never have.
 """
+
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 from repro.runtime import (
     ChaosSpec,
     ResultStore,
-    RetryPolicy,
     SweepSpec,
     chaos,
     run_campaign,
@@ -46,17 +47,23 @@ def test_chaotic_parallel_run_is_byte_identical_to_clean_serial(
     clean = run_campaign(tasks, jobs=1, store=clean_store)
     assert not clean.failures
 
-    chaos.install(ChaosSpec(seed=chaos_seed, crash_rate=0.4,
-                            max_faults_per_task=2))
+    # Two injected worker deaths per task at most, below the executor's
+    # quarantine_after of 3: every task heals under pool respawn.
+    spec = ChaosSpec(seed=chaos_seed, abort_rate=0.4, max_faults_per_task=2)
+    chaos.install(spec)
     try:
         chaotic_store = ResultStore(tmp_path / "chaotic")
-        chaotic = run_campaign(tasks, jobs=2, store=chaotic_store,
-                               retry=RetryPolicy(retries=2, backoff_s=0.001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            chaotic = run_campaign(tasks, jobs=2, store=chaotic_store)
     finally:
         chaos.uninstall()
 
     assert not chaotic.failures
     assert chaotic.values() == clean.values()
+    # The pool broke iff some task's first dispatch rolls an abort.
+    assert (chaotic.n_pool_respawns > 0) \
+        == any(spec.aborts(task.key, 0) for task in tasks)
     assert store_record_bytes(tmp_path / "chaotic") \
         == store_record_bytes(tmp_path / "clean")
 

@@ -88,6 +88,28 @@ class TestResume:
                             "--resume", "run-deadbeef"]) == 2
         assert "--resume requires --cache-dir" in capsys.readouterr().err
 
+    def test_resume_of_a_different_run_is_refused(self, tmp_path, capsys):
+        """Resume links only a run of the same kind and name: neither a
+        scenario sweep nor another report is accepted, and a refusal
+        writes no ledger record."""
+        from repro.obs.ledger import RunLedger
+
+        cache = str(tmp_path / "cache")
+        assert repro_main(["scenario", "sweep", "campaign_rate_sweep",
+                           "--cache-dir", cache]) == 0
+        assert report_main(["run", "campaign_rate_response",
+                            "--cache-dir", cache]) == 0
+        sweep, report = RunLedger(cache).records()
+        capsys.readouterr()
+
+        assert report_main(["run", "fig7_speed", "--cache-dir", cache,
+                            "--resume", sweep["id"]]) == 2
+        assert "not a report.run of 'fig7_speed'" in capsys.readouterr().err
+        assert report_main(["run", "fig7_speed", "--cache-dir", cache,
+                            "--resume", report["id"]]) == 2
+        assert "not a report.run of 'fig7_speed'" in capsys.readouterr().err
+        assert len(list(RunLedger(cache).records())) == 2
+
     def test_resume_of_unknown_run_exits_2(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert report_main(["run", "campaign_rate_response",

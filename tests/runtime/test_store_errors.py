@@ -136,3 +136,27 @@ class TestChaosTornWrites:
         assert reread.get("aa11") == {"x": 1}
         assert reread.get("bb22") == {"x": 2}
         assert sorted(reread.keys()) == ["aa11", "bb22"]
+
+    def test_same_puts_tear_the_same_entries(self, tmp_path):
+        """A tear is keyed on the committed entry — not on the shard's
+        random file name or a process-wide counter — so a chaotic run
+        replays exactly: two stores given the same puts split their
+        keys into the same shards."""
+        def shard_groups(root):
+            store = ResultStore(root)
+            for i in range(20):
+                store.put(f"{i:04x}", {"x": i}, spec={"fn": "f", "seed": i})
+            packed = shards.PackedShards(root / "shards")
+            groups: "dict[str, list[str]]" = {}
+            for key in packed.keys():
+                groups.setdefault(packed.lookup(key).shard, []).append(key)
+            return sorted(sorted(keys) for keys in groups.values())
+
+        chaos.install(ChaosSpec(seed=0, torn_write_rate=0.5))
+        try:
+            first = shard_groups(tmp_path / "a")
+            second = shard_groups(tmp_path / "b")
+        finally:
+            chaos.uninstall()
+        assert 1 < len(first) < 20  # some puts tore, some did not
+        assert first == second

@@ -337,6 +337,28 @@ class TestBatcherFailureIsolation:
         assert not campaign.failures
         assert campaign.values() == run_campaign(tasks, jobs=1).values()
 
+    def test_worker_death_in_a_batched_block_heals_as_probed_singletons(
+            self, monkeypatch):
+        """An injected abort inside a batched block kills its worker; the
+        pool respawns and the block's tasks heal as probed singletons,
+        with the values of a clean serial sweep."""
+        from repro.runtime import chaos
+        from repro.runtime.chaos import ChaosSpec
+
+        spec = load_bundled_scenario("campaign_rate_sweep")
+        clean = run_scenario_sweep(spec, jobs=1)
+        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
+        chaos.install(ChaosSpec(seed=7, abort_rate=0.25,
+                                max_faults_per_task=1))
+        try:
+            with pytest.warns(RuntimeWarning, match="worker pool broke"):
+                chaotic = run_scenario_sweep(spec, jobs=2)
+        finally:
+            chaos.uninstall()
+        assert chaotic.campaign.n_pool_respawns >= 1
+        assert not chaotic.campaign.failures
+        assert chaotic.campaign.values() == clean.campaign.values()
+
     def test_invalid_plan_is_rejected(self):
         class OverlappingPlan(ScenarioTaskBatcher):
             def plan(self, specs):

@@ -75,6 +75,21 @@ class TestResume:
         # No second ledger record was written for the refused run.
         assert len(_run_ids(cache)) == 1
 
+    def test_resume_of_a_report_run_is_refused(self, tmp_path, capsys):
+        """A report run's record carries no spec key, so the grid check
+        alone would pass it: the kind check refuses it, and no second
+        ledger record is written."""
+        from repro.reports.cli import report_main
+
+        cache = tmp_path / "store"
+        assert report_main(["run", "campaign_rate_response",
+                            "--cache-dir", str(cache)]) == 0
+        (report_id,) = _run_ids(cache)
+        capsys.readouterr()
+        assert _sweep(cache, "--resume", report_id) == 2
+        assert "not a scenario.sweep" in capsys.readouterr().err
+        assert _run_ids(cache) == [report_id]
+
     def test_resume_rejected_for_non_sweep_scenarios(self, capsys):
         assert main(["scenario", "run", "fig4_single_delay",
                      "--resume", "run-deadbeef"]) == 2
