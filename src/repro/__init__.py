@@ -34,129 +34,74 @@ Quickstart::
     print(f"idle wave speed: {v:.1f} ranks/s")
 """
 
-from repro.core import (
-    DecayMeasurement,
-    DecayStatistics,
-    EliminationPoint,
-    IdlePeriod,
-    RunTiming,
-    SpeedMeasurement,
-    Wave,
-    WaveFront,
-    decay_statistics,
-    default_threshold,
-    elimination_scan,
-    excess_runtime,
-    find_waves,
-    idle_periods,
-    measure_decay,
-    measure_speed,
-    meeting_ranks,
-    resync_step,
-    runtime_spread,
-    sigma_factor,
-    silent_speed,
-    silent_speed_for,
-    superposition_defect,
-    wave_front,
-)
-from repro.sim import (
-    BimodalNoise,
-    CommDomain,
-    CommPattern,
-    DelaySpec,
-    Direction,
-    ExponentialNoise,
-    GammaNoise,
-    HockneyModel,
-    LockstepConfig,
-    LockstepResult,
-    LogGPModel,
-    MachineTopology,
-    NetworkModel,
-    NoNoise,
-    NoiseModel,
-    OpRecord,
-    ProcessMapping,
-    Program,
-    Protocol,
-    SaturationConfig,
-    SimConfig,
-    Trace,
-    TraceNoise,
-    UniformNetwork,
-    UniformNoise,
-    build_exec_times,
-    build_lockstep_program,
-    delays_at_local_rank,
-    random_delays,
-    select_protocol,
-    simulate,
-    simulate_lockstep,
-    simulate_saturation,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # sim
-    "BimodalNoise",
-    "CommDomain",
-    "CommPattern",
-    "DelaySpec",
-    "Direction",
-    "ExponentialNoise",
-    "GammaNoise",
-    "HockneyModel",
-    "LockstepConfig",
-    "LockstepResult",
-    "LogGPModel",
-    "MachineTopology",
-    "NetworkModel",
-    "NoNoise",
-    "NoiseModel",
-    "OpRecord",
-    "ProcessMapping",
-    "Program",
-    "Protocol",
-    "SaturationConfig",
-    "SimConfig",
-    "Trace",
-    "TraceNoise",
-    "UniformNetwork",
-    "UniformNoise",
-    "build_exec_times",
-    "build_lockstep_program",
-    "delays_at_local_rank",
-    "random_delays",
-    "select_protocol",
-    "simulate",
-    "simulate_lockstep",
-    "simulate_saturation",
-    # core
-    "DecayMeasurement",
-    "DecayStatistics",
-    "EliminationPoint",
-    "IdlePeriod",
-    "RunTiming",
-    "SpeedMeasurement",
-    "Wave",
-    "WaveFront",
-    "decay_statistics",
-    "default_threshold",
-    "elimination_scan",
-    "excess_runtime",
-    "find_waves",
-    "idle_periods",
-    "measure_decay",
-    "measure_speed",
-    "meeting_ranks",
-    "resync_step",
-    "runtime_spread",
-    "sigma_factor",
-    "silent_speed",
-    "silent_speed_for",
-    "superposition_defect",
-    "wave_front",
-]
+
+def _lazy_exports(module: str, exports: "dict[str, tuple[str, ...]]"):
+    """PEP 562 hooks that import a module's re-exports on first access.
+
+    ``exports`` maps each defining module to the public names it
+    provides, so every name is listed exactly once; a leading dot makes
+    the module path relative to the package ``module`` (as in
+    :func:`importlib.import_module`).  Returns ``(names, __getattr__,
+    __dir__)``: the module builds its ``__all__`` from ``names`` and
+    installs the hooks.  A resolved name is cached in the module's
+    namespace, so later accesses skip the hook.  Any other attribute is
+    tried as a submodule (``repro.sim.topology`` after ``import
+    repro``); an ``ImportError`` raised inside an existing submodule
+    propagates.
+    """
+    home = {name: source for source, names in exports.items()
+            for name in names}
+
+    def __getattr__(name: str):
+        source = home.get(name)
+        if source is not None:
+            value = getattr(importlib.import_module(source, module), name)
+            setattr(sys.modules[module], name, value)
+            return value
+        if not name.startswith("__"):  # not for probes such as __path__
+            try:
+                return importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{module}.{name}":
+                    raise
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    def __dir__() -> "list[str]":
+        return sorted({*vars(sys.modules[module]), *home})
+
+    return sorted(home), __getattr__, __dir__
+
+
+_names, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".core.decay": ("DecayMeasurement", "DecayStatistics", "decay_statistics",
+                    "measure_decay"),
+    ".core.elimination": ("EliminationPoint", "elimination_scan",
+                          "excess_runtime", "runtime_spread"),
+    ".core.idle_wave": ("IdlePeriod", "WaveFront", "default_threshold",
+                        "idle_periods", "wave_front"),
+    ".core.interaction": ("Wave", "find_waves", "meeting_ranks",
+                          "resync_step", "superposition_defect"),
+    ".core.speed": ("SpeedMeasurement", "measure_speed", "sigma_factor",
+                    "silent_speed", "silent_speed_for"),
+    ".core.timing": ("RunTiming",),
+    ".sim.delay": ("DelaySpec", "delays_at_local_rank", "random_delays"),
+    ".sim.engine": ("SimConfig", "simulate"),
+    ".sim.lockstep": ("LockstepResult", "simulate_lockstep"),
+    ".sim.mpi": ("Protocol", "select_protocol"),
+    ".sim.network": ("HockneyModel", "LogGPModel", "NetworkModel",
+                     "UniformNetwork"),
+    ".sim.noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise",
+                   "NoNoise", "NoiseModel", "TraceNoise", "UniformNoise"),
+    ".sim.program": ("CommPattern", "Direction", "LockstepConfig", "Program",
+                     "build_exec_times", "build_lockstep_program"),
+    ".sim.saturation": ("SaturationConfig", "simulate_saturation"),
+    ".sim.topology": ("CommDomain", "MachineTopology", "ProcessMapping"),
+    ".sim.trace": ("OpRecord", "Trace"),
+})
+__all__ = ["__version__", *_names]
+del _names

@@ -53,13 +53,6 @@ import time
 import traceback
 from typing import Callable
 
-from repro.experiments import (
-    EXPERIMENTS,
-    RuntimeOptions,
-    experiment_descriptions,
-    run_experiment,
-)
-
 __all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
            "jobs_arg", "observe_campaign", "resume_record"]
 
@@ -168,6 +161,8 @@ def observe_campaign(args, kind: str, name: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
         description=(
@@ -234,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_experiments(as_json: bool) -> int:
+    from repro.experiments import experiment_descriptions
+
     descriptions = experiment_descriptions()
     if as_json:
         print(json.dumps(
@@ -290,6 +287,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     if args.experiment == "list":
         return _list_experiments(args.as_json)
+
+    from repro.experiments import EXPERIMENTS, RuntimeOptions, run_experiment
 
     run_all = args.experiment == "all"
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]

@@ -1,22 +1,9 @@
 """Cluster descriptions: the paper's testbeds as calibrated machine specs."""
 
-from repro.cluster.machine import CpuSpec, MachineSpec
-from repro.cluster.presets import (
-    EMMY,
-    MACHINES,
-    MEGGIE,
-    SIMULATED,
-    get_machine,
-    noise_for_smt,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CpuSpec",
-    "EMMY",
-    "MACHINES",
-    "MEGGIE",
-    "MachineSpec",
-    "SIMULATED",
-    "get_machine",
-    "noise_for_smt",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".machine": ("CpuSpec", "MachineSpec"),
+    ".presets": ("EMMY", "MACHINES", "MEGGIE", "SIMULATED", "get_machine",
+                 "noise_for_smt"),
+})

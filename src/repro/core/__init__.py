@@ -8,63 +8,19 @@ decay under noise (Fig. 8), analyzes wave interaction/cancellation
 entirely (Fig. 9).
 """
 
-from repro.core.decay import DecayMeasurement, DecayStatistics, decay_statistics, measure_decay
-from repro.core.elimination import (
-    EliminationPoint,
-    elimination_scan,
-    excess_runtime,
-    runtime_spread,
-)
-from repro.core.idle_wave import (
-    IdlePeriod,
-    WaveFront,
-    default_threshold,
-    idle_periods,
-    wave_front,
-)
-from repro.core.interaction import (
-    Wave,
-    find_waves,
-    meeting_ranks,
-    resync_step,
-    superposition_defect,
-)
-from repro.core.speed import (
-    SpeedMeasurement,
-    measure_speed,
-    sigma_factor,
-    silent_speed,
-    silent_speed_for,
-)
-from repro.core.timing import RunTiming
-from repro.core.tracking import WaveSnapshot, WaveTrack, track_wave
+from repro import _lazy_exports
 
-__all__ = [
-    "DecayMeasurement",
-    "DecayStatistics",
-    "EliminationPoint",
-    "IdlePeriod",
-    "RunTiming",
-    "SpeedMeasurement",
-    "Wave",
-    "WaveFront",
-    "WaveSnapshot",
-    "WaveTrack",
-    "decay_statistics",
-    "default_threshold",
-    "elimination_scan",
-    "excess_runtime",
-    "find_waves",
-    "idle_periods",
-    "measure_decay",
-    "measure_speed",
-    "meeting_ranks",
-    "resync_step",
-    "runtime_spread",
-    "sigma_factor",
-    "silent_speed",
-    "silent_speed_for",
-    "superposition_defect",
-    "track_wave",
-    "wave_front",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".decay": ("DecayMeasurement", "DecayStatistics", "decay_statistics",
+               "measure_decay"),
+    ".elimination": ("EliminationPoint", "elimination_scan", "excess_runtime",
+                     "runtime_spread"),
+    ".idle_wave": ("IdlePeriod", "WaveFront", "default_threshold",
+                   "idle_periods", "wave_front"),
+    ".interaction": ("Wave", "find_waves", "meeting_ranks", "resync_step",
+                     "superposition_defect"),
+    ".speed": ("SpeedMeasurement", "measure_speed", "sigma_factor",
+               "silent_speed", "silent_speed_for"),
+    ".timing": ("RunTiming",),
+    ".tracking": ("WaveSnapshot", "WaveTrack", "track_wave"),
+})

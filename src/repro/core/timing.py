@@ -9,12 +9,14 @@ engine's :class:`~repro.sim.trace.Trace` and the fast engines'
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.engine import DagResult
-from repro.sim.lockstep import LockstepResult
-from repro.sim.trace import Trace
+if TYPE_CHECKING:
+    from repro.sim.engine import DagResult
+    from repro.sim.lockstep import LockstepResult
+    from repro.sim.trace import Trace
 
 __all__ = ["RunTiming"]
 
@@ -106,6 +108,10 @@ class RunTiming:
         """Coerce any supported run representation to a :class:`RunTiming`."""
         if isinstance(run, RunTiming):
             return run
+        from repro.sim.engine import DagResult
+        from repro.sim.lockstep import LockstepResult
+        from repro.sim.trace import Trace
+
         if isinstance(run, Trace):
             return cls.from_trace(run)
         if isinstance(run, LockstepResult):

@@ -12,18 +12,12 @@ plot "model vs. measurement" exactly as the paper does:
   (the modeling language of the LogGOPSim comparator).
 """
 
-from repro.models.ecm import ECMModel
-from repro.models.hockney import HockneyCommModel, nonoverlap_runtime, triad_strong_scaling_model
-from repro.models.loggops import LogGOPSParams, LogGPParams, LogPParams
-from repro.models.roofline import RooflineModel
+from repro import _lazy_exports
 
-__all__ = [
-    "ECMModel",
-    "HockneyCommModel",
-    "LogGOPSParams",
-    "LogGPParams",
-    "LogPParams",
-    "RooflineModel",
-    "nonoverlap_runtime",
-    "triad_strong_scaling_model",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".ecm": ("ECMModel",),
+    ".hockney": ("HockneyCommModel", "nonoverlap_runtime",
+                 "triad_strong_scaling_model"),
+    ".loggops": ("LogGOPSParams", "LogGPParams", "LogPParams"),
+    ".roofline": ("RooflineModel",),
+})

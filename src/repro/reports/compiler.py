@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from repro.reports.errors import ReportError
 from repro.reports.kernels import MetricKernel, get_kernel
 from repro.reports.spec import MetricRequest, ReportSpec
-from repro.reports.tasks import TIMING_TASK_FN
 from repro.runtime.spec import SweepSpec
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import resolve_scenario
@@ -27,6 +26,11 @@ __all__ = ["CompiledReport", "ReportTarget", "ResolvedMetric", "compile_report"]
 
 #: The implicit group column naming the target scenario.
 SCENARIO_COLUMN = "scenario"
+
+#: The campaign task every report target sweeps; named here, not
+#: imported, so compiling (and serving a warm report) never loads the
+#: execution path in :mod:`repro.reports.tasks`.
+TIMING_TASK_FN = "repro.reports.tasks:scenario_timing_task"
 
 
 @dataclass(frozen=True)

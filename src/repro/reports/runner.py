@@ -4,19 +4,19 @@
 
 1. each target's timing campaign is resolved against the result store
    (:mod:`repro.reports.query`) — fully cached sweeps never touch the
-   engine and **stream**: draws are read lazily one grid point at a
-   time, so a huge sweep is never materialized whole; misses dispatch
+   engine and **stream**: draws are read lazily one record at a time,
+   so a huge sweep is never materialized whole; misses dispatch
    through the campaign runtime with batching;
-2. each grid point's draws are stacked into one ``(B, P, S)``
-   :class:`~repro.reports.timing.BatchedTiming` and every metric kernel
-   runs once per point (vectorized over draws — no per-draw loop);
+2. each grid point's draws are folded into one ``(B, P, S)``
+   :class:`~repro.reports.timing.BatchedTiming` as they arrive and
+   every metric kernel runs once per point (vectorized over draws — no
+   per-draw loop); the stack is dropped before the next point loads;
 3. per-draw metric arrays are pooled by the report's ``group_by`` paths
    and reduced with the requested statistics into the final table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,6 @@ from repro import telemetry
 from repro.reports.compiler import SCENARIO_COLUMN, CompiledReport
 from repro.reports.errors import ReportError
 from repro.reports.kernels import MetricContext
-from repro.reports.tasks import ReportTaskBatcher
 from repro.reports.query import stream_campaign
 from repro.reports.timing import BatchedTiming
 from repro.viz.tables import format_table
@@ -169,30 +168,28 @@ def run_report(
             telemetry.emit("report.phase", phase="fetch",
                            scenario=target.scenario.name)
         draws = target.draws_per_point
+        points = list(zip(target.grid.points, target.grid.compiled))
         with telemetry.span("report.fetch", scenario=target.scenario.name):
-            tasks = target.sweep.tasks()
-            stream = stream_campaign(
-                tasks, store=store, jobs=jobs,
-                batcher=ReportTaskBatcher() if batch else None,
-            )
-            # Prime the stream inside the fetch span: a cache miss
-            # dispatches the whole campaign here (as fetch_campaign
-            # did), while a fully-cached sweep only loads the first
-            # point's draws — later blocks are read lazily, one grid
-            # point at a time, so the sweep is never materialized whole.
-            blocks = stream.blocks(draws)
-            first_block = next(blocks, ())
-        blocks = itertools.chain([first_block], blocks)
+            stream = stream_campaign(target.sweep.tasks(), store=store,
+                                     jobs=jobs, batch=batch)
+            values = iter(stream)
+            # Build the first point's stack inside the fetch span: a
+            # cache miss runs the whole campaign here, while a
+            # fully-cached sweep reads only the first point's draws —
+            # later points are read lazily, so the sweep is never
+            # materialized whole.
+            timing = BatchedTiming.from_records(
+                values, draws, meta=_point_meta(points[0][1]))
         if owns_run:
             telemetry.emit("report.phase", phase="metrics",
                            scenario=target.scenario.name,
-                           n_points=len(target.grid.points))
+                           n_points=len(points))
         with telemetry.span("report.metrics", scenario=target.scenario.name,
-                            n_points=len(target.grid.points)):
-            for (overrides, compiled_point), block in zip(
-                    zip(target.grid.points, target.grid.compiled), blocks):
-                timing = BatchedTiming.from_records(
-                    block, meta=_point_meta(compiled_point))
+                            n_points=len(points)):
+            for overrides, compiled_point in points:
+                if timing is None:
+                    timing = BatchedTiming.from_records(
+                        values, draws, meta=_point_meta(compiled_point))
                 ctx = MetricContext(compiled=compiled_point)
 
                 group = {}
@@ -223,6 +220,9 @@ def run_report(
                     for field_name, arr in fields.items():
                         column = f"{metric.label}.{field_name}"
                         samples.setdefault(column, []).append(arr)
+                # A point's stack must not outlive its kernels: drop it
+                # before the next point's draws are read.
+                timing = None
         n_tasks += stream.n_tasks
         n_loaded += stream.n_loaded
         n_executed += stream.n_executed

@@ -12,6 +12,10 @@ already-run sweep touches the engine zero times.
 :class:`repro.scenarios.batch.ScenarioTaskBatcher`: contiguous blocks of
 tasks that differ only in their seed execute as one batched lockstep
 invocation, with per-task values bit-identical to unbatched execution.
+
+The module imports the whole execution path at module top, so the
+campaign pool, which imports it before forking, leaves its workers
+nothing to import; a warm report never imports it at all.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.timing import RunTiming
+from repro.reports.compiler import TIMING_TASK_FN
 from repro.runtime.executor import TaskBatcher
 from repro.runtime.spec import RunSpec, hashable
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.runner import _execute_prepared, prepare_scenario_run
 from repro.scenarios.tasks import resolve_task_scenario
+from repro.sim.engine import simulate_dag_batch
+from repro.sim.lockstep import simulate_lockstep_batch
 
-__all__ = ["TIMING_TASK_FN", "ReportTaskBatcher", "scenario_timing_task"]
-
-TIMING_TASK_FN = "repro.reports.tasks:scenario_timing_task"
+__all__ = ["ReportTaskBatcher", "scenario_timing_task"]
 
 
 def scenario_timing_task(
@@ -46,9 +53,6 @@ def scenario_timing_task(
     (``exec_end`` / ``completion`` / ``idle``) instead of the scenario's
     evaluated outputs, which is what the report kernels consume.
     """
-    from repro.scenarios.compiler import compile_scenario
-    from repro.scenarios.runner import _execute_prepared, prepare_scenario_run
-
     spec = resolve_task_scenario(scenario, overrides)
     compiled = compile_scenario(spec, engine=engine)
     prepared = prepare_scenario_run(compiled, seed)
@@ -125,11 +129,6 @@ class ReportTaskBatcher(TaskBatcher):
         is bit-identical to the corresponding unbatched task call (the
         batched recurrence is elementwise along the batch axis).
         """
-        from repro.scenarios.compiler import compile_scenario
-        from repro.scenarios.runner import prepare_scenario_run
-        from repro.sim.engine import simulate_dag_batch
-        from repro.sim.lockstep import simulate_lockstep_batch
-
         first = specs[0].kwargs
         spec = resolve_task_scenario(first["scenario"], first.get("overrides"))
         compiled = compile_scenario(spec, engine=first.get("engine", "auto"))

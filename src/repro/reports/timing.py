@@ -6,21 +6,23 @@ invocation extracts a metric from *all* draws of a campaign at once,
 without a per-draw Python loop.  :class:`BatchedTiming` is the substrate
 they operate on — the three :class:`~repro.core.timing.RunTiming`
 matrices (``exec_end``, ``completion``, ``idle``) stacked over the batch
-axis, assembled either from cached store records, from a
-:class:`~repro.sim.lockstep.BatchedLockstepResult`, or from individual
-run timings.
+axis, assembled either from cached store records (folded in one at a
+time), from a :class:`~repro.sim.lockstep.BatchedLockstepResult`, or
+from individual run timings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.timing import RunTiming
-from repro.sim.engine import BatchedDagResult
-from repro.sim.lockstep import BatchedLockstepResult
+
+if TYPE_CHECKING:
+    from repro.sim.engine import BatchedDagResult
+    from repro.sim.lockstep import BatchedLockstepResult
 
 __all__ = ["BatchedTiming"]
 
@@ -137,24 +139,41 @@ class BatchedTiming:
         )
 
     @classmethod
-    def from_records(cls, records: "Sequence[Mapping]",
+    def from_records(cls, records: "Iterable[Mapping]", n: int,
                      meta: "dict | None" = None) -> "BatchedTiming":
-        """Stack store records (``{"exec_end", "completion", "idle"}`` dicts).
+        """Fold the next ``n`` store records into one batch, one at a time.
 
-        This is the shape :func:`repro.reports.tasks.scenario_timing_task`
-        persists — the form cached campaign results come back in.
+        Records are ``{"exec_end", "completion", "idle"}`` dicts, the
+        shape :func:`repro.reports.tasks.scenario_timing_task` persists
+        and cached campaign results come back in.  The three ``(n, P,
+        S)`` matrices are allocated when the first record arrives and
+        each record is copied in as it comes, so a streamed point's
+        records are never all alive at once and no stacking copy is
+        made.  Exactly ``n`` records are taken from ``records``.
         """
-        if not records:
+        if n < 1:
             raise ValueError("need at least one timing record to stack")
-        arrays = {}
-        for name in TIMING_FIELDS:
+        arrays: "dict[str, np.ndarray]" = {}
+        count = 0
+        for b, rec in zip(range(n), records):
             try:
-                arrays[name] = np.stack(
-                    [np.asarray(rec[name], dtype=float) for rec in records]
-                )
+                rows = [np.asarray(rec[name]) for name in TIMING_FIELDS]
             except KeyError as exc:
                 raise KeyError(
-                    f"timing record is missing the {name!r} matrix; got "
-                    f"fields {sorted(records[0])}"
+                    f"timing record is missing the {exc.args[0]!r} matrix; "
+                    f"got fields {sorted(rec)}"
                 ) from exc
+            if not arrays:
+                shape = rows[0].shape
+                arrays = {name: np.empty((n, *shape), dtype=float)
+                          for name in TIMING_FIELDS}
+            for name, row in zip(TIMING_FIELDS, rows):
+                if row.shape != shape:
+                    raise ValueError(
+                        f"timing record {b} has a {name} matrix of shape "
+                        f"{row.shape}, expected {shape}")
+                arrays[name][b] = row
+            count = b + 1
+        if count < n:
+            raise ValueError(f"need {n} timing records to stack, got {count}")
         return cls(**arrays, meta=dict(meta or {}))

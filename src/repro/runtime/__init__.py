@@ -44,56 +44,15 @@ Typical use::
     runtimes = [v["runtime"] for v in campaign.values()]
 """
 
-from repro.runtime.aggregate import (
-    AggregationError,
-    collect,
-    group_by_param,
-    reduce_runs,
-    summarize,
-)
-from repro.runtime.chaos import ChaosError, ChaosSpec
-from repro.runtime.executor import (
-    QUARANTINE_AFTER,
-    CampaignResult,
-    TaskBatcher,
-    TaskError,
-    TaskResult,
-    resolve_jobs,
-    run_campaign,
-)
-from repro.runtime.seeding import derive_rng, derive_seed, seed_sequence
-from repro.runtime.spec import RunSpec, SweepSpec, canonical, spec_key
-from repro.runtime.store import (
-    GcStats,
-    ResultStore,
-    StoreEntry,
-    StoreError,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationError",
-    "CampaignResult",
-    "ChaosError",
-    "ChaosSpec",
-    "GcStats",
-    "QUARANTINE_AFTER",
-    "ResultStore",
-    "StoreEntry",
-    "StoreError",
-    "RunSpec",
-    "SweepSpec",
-    "TaskBatcher",
-    "TaskError",
-    "TaskResult",
-    "canonical",
-    "collect",
-    "derive_rng",
-    "derive_seed",
-    "group_by_param",
-    "reduce_runs",
-    "resolve_jobs",
-    "run_campaign",
-    "seed_sequence",
-    "spec_key",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".aggregate": ("AggregationError", "collect", "group_by_param",
+                   "reduce_runs", "summarize"),
+    ".chaos": ("ChaosError", "ChaosSpec"),
+    ".executor": ("QUARANTINE_AFTER", "CampaignResult", "TaskBatcher",
+                  "TaskError", "TaskResult", "resolve_jobs", "run_campaign"),
+    ".seeding": ("derive_rng", "derive_seed", "seed_sequence"),
+    ".spec": ("RunSpec", "SweepSpec", "canonical", "spec_key"),
+    ".store": ("GcStats", "ResultStore", "StoreEntry", "StoreError"),
+})

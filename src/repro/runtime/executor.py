@@ -10,7 +10,8 @@ on one of two backends:
   shards tasks across a ``concurrent.futures.ProcessPoolExecutor`` and
   streams results back *as they complete* (an ``on_result`` callback
   fires in completion order), while the returned campaign keeps task
-  order.
+  order.  The task and batcher modules are imported before the pool
+  starts, so forked workers inherit them instead of importing them again.
 
 An optional **batcher** lets a task family execute contiguous blocks of
 compatible cache-missing tasks in one call (e.g. B delay-campaign draws
@@ -49,6 +50,7 @@ results are only ever persisted from the parent's completion loop.
 
 from __future__ import annotations
 
+import importlib
 import os
 import time
 import traceback
@@ -187,7 +189,9 @@ class TaskBatcher:
     Implementations must be picklable (blocks are sharded to worker
     processes whole) and must honor the batching contract: the values
     returned by :meth:`execute` for a block are exactly — bit for bit —
-    the values the tasks would produce when called one by one.
+    the values the tasks would produce when called one by one.  Their
+    module should import what :meth:`execute` runs at module top: the
+    pool imports it before forking, so workers inherit that code.
 
     See :class:`repro.scenarios.batch.ScenarioTaskBatcher` for the
     canonical implementation (batched lockstep-engine execution of
@@ -491,6 +495,28 @@ def run_campaign(
     )
 
 
+def _import_task_code(
+    units: "Sequence[tuple[tuple[int, RunSpec], ...]]",
+    batcher: "TaskBatcher | None",
+) -> None:
+    """Import every task function's module and the batcher's module
+    before the pool forks, so each worker inherits them instead of
+    importing (and compiling) them again.
+
+    Task modules import what they execute at module top, so this covers
+    the engines too.  A module that fails to import is left to fail
+    again inside its tasks, isolated as a task failure.
+    """
+    modules = {spec.fn.partition(":")[0] for unit in units for _, spec in unit}
+    if batcher is not None:
+        modules.add(type(batcher).__module__)
+    for name in sorted(modules):
+        try:
+            importlib.import_module(name)
+        except Exception:  # noqa: BLE001 — reported by the task itself
+            pass
+
+
 class _PoolBroke(Exception):
     """Internal: a worker died hard; ``units`` are the crash suspects."""
 
@@ -546,6 +572,7 @@ def _run_pool(
     Returns ``(n_retried, n_respawns)`` — the recovery economics
     :func:`run_campaign` folds into the campaign result.
     """
+    _import_task_code(units, batcher)
     max_workers = min(jobs, len(units))
     window = max_workers * _INFLIGHT_PER_JOB
     pending: "deque" = deque(units)

@@ -15,12 +15,14 @@ from ``(base_seed, task_index)`` (see :mod:`repro.runtime.seeding`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import itertools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
@@ -92,11 +94,6 @@ def hashable(value: Any) -> Any:
     return value
 
 
-def _canonical_json(value: Any) -> str:
-    """Deterministic JSON text for hashing (sorted keys, repr-exact floats)."""
-    return json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One campaign task: importable function + parameters + seed.
@@ -112,7 +109,8 @@ class RunSpec:
         pairs of canonical plain data (see :func:`canonical`).
     seed:
         Derived per-task integer seed, or ``None`` for seedless tasks.
-        Passed to the function as a ``seed=`` keyword when not ``None``.
+        Passed to the function as a ``seed=`` keyword when not ``None``;
+        normalized like a parameter (a NumPy integer becomes an ``int``).
     index:
         Position of this task within its campaign.  Metadata only: it
         determines the seed at sweep-expansion time but does not enter
@@ -140,6 +138,7 @@ class RunSpec:
                 "seed — it would be silently overwritten at call time"
             )
         object.__setattr__(self, "params", norm)
+        object.__setattr__(self, "seed", canonical(self.seed, path="seed"))
 
     @property
     def kwargs(self) -> dict:
@@ -165,9 +164,12 @@ class RunSpec:
             kwargs["seed"] = self.seed
         return self.resolve()(**kwargs)
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        """Stable content hash of ``(fn, params, seed)`` — the cache address."""
+        """Stable content hash of ``(fn, params, seed)`` — the cache address.
+
+        Computed once per spec: the frozen fields it hashes never change.
+        """
         return spec_key(self)
 
     def describe(self) -> dict:
@@ -180,10 +182,13 @@ def spec_key(spec: RunSpec) -> str:
 
     Depends only on the function path, canonicalized parameters, and the
     derived seed — not on the task's campaign position, the backend, or
-    the process that computes it.
+    the process that computes it.  The hashed text is deterministic JSON
+    (sorted keys, repr-exact floats) of the fields ``__post_init__``
+    already normalized, so nothing is canonicalized twice.
     """
-    payload = _canonical_json(
-        {"fn": spec.fn, "params": dict(spec.params), "seed": spec.seed}
+    payload = json.dumps(
+        {"fn": spec.fn, "params": dict(spec.params), "seed": spec.seed},
+        sort_keys=True, separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 

@@ -32,69 +32,20 @@ Typical use::
     print(run.render())
 """
 
-from repro.scenarios.batch import ScenarioTaskBatcher
-from repro.scenarios.compiler import (
-    CompiledScenario,
-    compile_scenario,
-    lockstep_eligible,
-)
-from repro.scenarios.errors import ScenarioError
-from repro.scenarios.loader import load_scenario_file, parse_scenario_text
-from repro.scenarios.registry import (
-    BUNDLED_SCENARIO_DIR,
-    bundled_scenario_names,
-    iter_bundled_scenarios,
-    load_bundled_scenario,
-    resolve_scenario,
-)
-from repro.scenarios.runner import ScenarioRun, run_scenario, run_scenario_batch
-from repro.scenarios.spec import (
-    CampaignSection,
-    CommSection,
-    DelayEntry,
-    MachineSection,
-    NoiseSection,
-    ScenarioSpec,
-    SweepAxis,
-    SweepSection,
-    WorkloadSection,
-    apply_overrides,
-)
-from repro.scenarios.sweep import (
-    ScenarioSweepResult,
-    SweepPointSummary,
-    run_scenario_sweep,
-    scenario_sweep_spec,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BUNDLED_SCENARIO_DIR",
-    "CampaignSection",
-    "CommSection",
-    "CompiledScenario",
-    "DelayEntry",
-    "MachineSection",
-    "NoiseSection",
-    "ScenarioError",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "ScenarioSweepResult",
-    "ScenarioTaskBatcher",
-    "SweepAxis",
-    "SweepPointSummary",
-    "SweepSection",
-    "WorkloadSection",
-    "apply_overrides",
-    "bundled_scenario_names",
-    "compile_scenario",
-    "iter_bundled_scenarios",
-    "load_bundled_scenario",
-    "load_scenario_file",
-    "lockstep_eligible",
-    "parse_scenario_text",
-    "resolve_scenario",
-    "run_scenario",
-    "run_scenario_batch",
-    "run_scenario_sweep",
-    "scenario_sweep_spec",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".batch": ("ScenarioTaskBatcher",),
+    ".compiler": ("CompiledScenario", "compile_scenario", "lockstep_eligible"),
+    ".errors": ("ScenarioError",),
+    ".loader": ("load_scenario_file", "parse_scenario_text"),
+    ".registry": ("BUNDLED_SCENARIO_DIR", "bundled_scenario_names",
+                  "iter_bundled_scenarios", "load_bundled_scenario",
+                  "resolve_scenario"),
+    ".runner": ("ScenarioRun", "run_scenario", "run_scenario_batch"),
+    ".spec": ("CampaignSection", "CommSection", "DelayEntry", "MachineSection",
+              "NoiseSection", "ScenarioSpec", "SweepAxis", "SweepSection",
+              "WorkloadSection", "apply_overrides"),
+    ".sweep": ("ScenarioSweepResult", "SweepPointSummary",
+               "run_scenario_sweep", "scenario_sweep_spec"),
+})

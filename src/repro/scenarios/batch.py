@@ -29,6 +29,9 @@ from typing import Mapping, Sequence
 
 from repro.runtime.executor import TaskBatcher
 from repro.runtime.spec import RunSpec, hashable
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.runner import run_scenario_batch
+from repro.scenarios.tasks import resolve_task_scenario
 
 __all__ = ["SCENARIO_TASK_FN", "ScenarioTaskBatcher"]
 
@@ -89,10 +92,6 @@ class ScenarioTaskBatcher(TaskBatcher):
         randomness — so each returned value is bit-identical to the
         corresponding unbatched task call.
         """
-        from repro.scenarios.compiler import compile_scenario
-        from repro.scenarios.runner import run_scenario_batch
-        from repro.scenarios.tasks import resolve_task_scenario
-
         first = specs[0].kwargs
         spec = resolve_task_scenario(first["scenario"], first.get("overrides"))
         compiled = compile_scenario(spec, engine=first.get("engine", "auto"))

@@ -27,6 +27,7 @@ the offending spec field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cluster.machine import MachineSpec
 from repro.cluster.presets import get_machine, noise_for_smt
@@ -34,7 +35,6 @@ from repro.scenarios.errors import ScenarioError
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.campaign import DelayCampaign
 from repro.sim.delay import DelaySpec
-from repro.sim.engine import SimConfig
 from repro.sim.mpi import DEFAULT_EAGER_LIMIT, Protocol, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
 from repro.sim.noise import (
@@ -47,7 +47,9 @@ from repro.sim.noise import (
 )
 from repro.sim.program import CommPattern, Direction, LockstepConfig
 from repro.sim.topology import CommDomain, ProcessMapping
-from repro.workloads import DivideWorkload, LbmWorkload, TriadWorkload
+
+if TYPE_CHECKING:
+    from repro.sim.engine import SimConfig
 
 __all__ = ["CompiledScenario", "compile_scenario", "lockstep_eligible"]
 
@@ -108,6 +110,8 @@ class CompiledScenario:
         — which includes the network/mapping/protocol configuration —
         is identical across them.
         """
+        from repro.sim.engine import SimConfig
+
         return SimConfig(
             network=self.network,
             mapping=self.mapping,
@@ -148,16 +152,21 @@ def _resolve_workload(spec: ScenarioSpec, machine: "MachineSpec | None") -> "tup
             path="workload.kind", scenario=spec.name,
         )
     if w.kind == "divide":
+        from repro.workloads.divide import DivideWorkload
+
         workload = DivideWorkload.for_duration(machine.cpu, w.t_exec)
         return workload.ideal_duration, _DEFAULT_MSG_SIZE
     if w.kind == "stream":
+        from repro.workloads.stream import TriadWorkload
+
         triad = TriadWorkload(
             n_elements=w.n_elements if w.n_elements is not None else 50_000_000,
             v_net=w.v_net if w.v_net is not None else 2_000_000,
         )
         t_exec = triad.work_per_rank(total_cores) / machine.b_core
         return t_exec, triad.v_net
-    # lbm
+    from repro.workloads.lbm import LbmWorkload
+
     domain3 = w.lbm_domain if w.lbm_domain is not None else (302, 302, 302)
     if domain3[0] < total_cores:
         raise ScenarioError(

@@ -15,19 +15,29 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import telemetry
-from repro.runtime import CampaignResult, SweepSpec, run_campaign
+from repro import _lazy_exports, telemetry
+from repro.runtime.spec import SweepSpec
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.spec import ScenarioSpec, apply_overrides
 from repro.viz.tables import format_table
 
+if TYPE_CHECKING:
+    from repro.runtime.executor import CampaignResult
+
 __all__ = ["GridExpansion", "SweepPointSummary", "ScenarioSweepResult",
            "expand_scenario_grid", "scenario_sweep_spec",
            "run_scenario_sweep"]
+
+# Report compilation imports this module for its grid expansion, so the
+# executor (and with it multiprocessing) is bound on the first sweep.
+_, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runtime.executor": ("run_campaign",),
+})
 
 
 def _grid_points(spec: ScenarioSpec) -> "list[dict]":
@@ -226,6 +236,7 @@ def run_scenario_sweep(
     bit-identical to unbatched runs, only faster.
     """
     from repro.scenarios.batch import ScenarioTaskBatcher
+    from repro.scenarios.sweep import run_campaign  # the lazy binding above
 
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, apply_overrides
 
 __all__ = ["resolve_task_scenario", "scenario_task"]
@@ -59,8 +60,6 @@ def scenario_task(
     seed:
         Derived per-task seed (from the sweep's base seed).
     """
-    from repro.scenarios.runner import run_scenario
-
     spec = resolve_task_scenario(scenario, overrides)
     run = run_scenario(spec, seed=seed, engine=engine)
     return {

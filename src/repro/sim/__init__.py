@@ -27,112 +27,27 @@ the paper's experiments run on:
   analysis layer in :mod:`repro.core`.
 """
 
-from repro.sim.collectives import (
-    Collective,
-    CollectiveConfig,
-    build_collective_program,
-)
-from repro.sim.delay import DelaySpec, delays_at_local_rank, random_delays
-from repro.sim.engine import (
-    BatchedDagResult,
-    DagResult,
-    EngineError,
-    SimConfig,
-    StaticDag,
-    build_dag,
-    clear_dag_cache,
-    dag_cache_info,
-    simulate,
-    simulate_dag,
-    simulate_dag_batch,
-)
-from repro.sim.hybrid import HybridConfig, hybrid_exec_times, hybrid_lockstep_config
-from repro.sim.lockstep import (
-    BatchedLockstepResult,
-    LockstepResult,
-    simulate_lockstep,
-    simulate_lockstep_batch,
-)
-from repro.sim.mpi import Protocol, select_protocol
-from repro.sim.network import HockneyModel, LogGPModel, NetworkModel, UniformNetwork
-from repro.sim.noise import (
-    BimodalNoise,
-    ExponentialNoise,
-    GammaNoise,
-    NoiseModel,
-    NoNoise,
-    TraceNoise,
-    UniformNoise,
-)
-from repro.sim.program import (
-    CommPattern,
-    Direction,
-    LockstepConfig,
-    Op,
-    OpKind,
-    Program,
-    build_exec_times,
-    build_lockstep_program,
-)
-from repro.sim.saturation import SaturationConfig, simulate_saturation
-from repro.sim.topology import CommDomain, MachineTopology, ProcessMapping
-from repro.sim.trace import OpRecord, Trace
-from repro.sim.traceio import read_jsonl, write_csv, write_jsonl
+from repro import _lazy_exports
 
-__all__ = [
-    "BatchedDagResult",
-    "BatchedLockstepResult",
-    "BimodalNoise",
-    "Collective",
-    "CollectiveConfig",
-    "CommDomain",
-    "CommPattern",
-    "DagResult",
-    "DelaySpec",
-    "Direction",
-    "EngineError",
-    "ExponentialNoise",
-    "GammaNoise",
-    "HockneyModel",
-    "HybridConfig",
-    "LockstepConfig",
-    "LockstepResult",
-    "LogGPModel",
-    "MachineTopology",
-    "NetworkModel",
-    "NoNoise",
-    "NoiseModel",
-    "Op",
-    "OpKind",
-    "OpRecord",
-    "ProcessMapping",
-    "Program",
-    "Protocol",
-    "SaturationConfig",
-    "SimConfig",
-    "StaticDag",
-    "Trace",
-    "TraceNoise",
-    "UniformNetwork",
-    "UniformNoise",
-    "build_collective_program",
-    "build_dag",
-    "build_exec_times",
-    "build_lockstep_program",
-    "clear_dag_cache",
-    "dag_cache_info",
-    "delays_at_local_rank",
-    "hybrid_exec_times",
-    "hybrid_lockstep_config",
-    "random_delays",
-    "read_jsonl",
-    "select_protocol",
-    "simulate",
-    "simulate_dag",
-    "simulate_dag_batch",
-    "simulate_lockstep",
-    "simulate_lockstep_batch",
-    "simulate_saturation",
-    "write_csv",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".collectives": ("Collective", "CollectiveConfig",
+                     "build_collective_program"),
+    ".delay": ("DelaySpec", "delays_at_local_rank", "random_delays"),
+    ".engine": ("BatchedDagResult", "DagResult", "EngineError", "SimConfig",
+                "StaticDag", "build_dag", "clear_dag_cache", "dag_cache_info",
+                "simulate", "simulate_dag", "simulate_dag_batch"),
+    ".hybrid": ("HybridConfig", "hybrid_exec_times", "hybrid_lockstep_config"),
+    ".lockstep": ("BatchedLockstepResult", "LockstepResult",
+                  "simulate_lockstep", "simulate_lockstep_batch"),
+    ".mpi": ("Protocol", "select_protocol"),
+    ".network": ("HockneyModel", "LogGPModel", "NetworkModel",
+                 "UniformNetwork"),
+    ".noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise", "NoNoise",
+               "NoiseModel", "TraceNoise", "UniformNoise"),
+    ".program": ("CommPattern", "Direction", "LockstepConfig", "Op", "OpKind",
+                 "Program", "build_exec_times", "build_lockstep_program"),
+    ".saturation": ("SaturationConfig", "simulate_saturation"),
+    ".topology": ("CommDomain", "MachineTopology", "ProcessMapping"),
+    ".trace": ("OpRecord", "Trace"),
+    ".traceio": ("read_jsonl", "write_csv", "write_jsonl"),
+})

@@ -1,13 +1,9 @@
 """Terminal visualization: ASCII timelines, histograms, and text tables."""
 
-from repro.viz.ascii_histogram import render_histogram
-from repro.viz.ascii_timeline import render_idle_heatmap, render_timeline
-from repro.viz.tables import format_series, format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "format_series",
-    "format_table",
-    "render_histogram",
-    "render_idle_heatmap",
-    "render_timeline",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".ascii_histogram": ("render_histogram",),
+    ".ascii_timeline": ("render_idle_heatmap", "render_timeline"),
+    ".tables": ("format_series", "format_table"),
+})

@@ -1,27 +1,11 @@
 """Workloads: the paper's benchmarks as runnable kernels + traffic models."""
 
-from repro.workloads.divide import DivideWorkload, measure_host_noise
-from repro.workloads.lbm import D3Q19, LbmKernel, LbmWorkload, lbm_saturation_config
-from repro.workloads.stream import TriadWorkload, triad_kernel, triad_saturation_config
-from repro.workloads.synthetic import (
-    SyntheticWorkload,
-    constant_times,
-    imbalanced_times,
-    ramp_times,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "D3Q19",
-    "DivideWorkload",
-    "LbmKernel",
-    "LbmWorkload",
-    "SyntheticWorkload",
-    "TriadWorkload",
-    "constant_times",
-    "imbalanced_times",
-    "lbm_saturation_config",
-    "measure_host_noise",
-    "ramp_times",
-    "triad_kernel",
-    "triad_saturation_config",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".divide": ("DivideWorkload", "measure_host_noise"),
+    ".lbm": ("D3Q19", "LbmKernel", "LbmWorkload", "lbm_saturation_config"),
+    ".stream": ("TriadWorkload", "triad_kernel", "triad_saturation_config"),
+    ".synthetic": ("SyntheticWorkload", "constant_times", "imbalanced_times",
+                   "ramp_times"),
+})

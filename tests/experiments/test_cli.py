@@ -123,12 +123,12 @@ class TestMainFailureHandling:
 
         # Shrink "all" to a failing and a passing experiment: exercising
         # every driver here would just duplicate the driver tests.
+        # The CLI looks the registry up in repro.experiments on each call.
         monkeypatch.setattr(
             experiments, "EXPERIMENTS",
             {"fig4": experiments.EXPERIMENTS["fig4"],
              "eq2": experiments.EXPERIMENTS["eq2"]},
         )
-        monkeypatch.setattr("repro.cli.EXPERIMENTS", experiments.EXPERIMENTS)
 
         assert main(["all"]) == 1
         out = capsys.readouterr().out

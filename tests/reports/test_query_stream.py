@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reports.query import (
-    CampaignStream,
-    fetch_campaign,
-    load_cached,
-    stream_campaign,
-)
+from repro.reports.query import CampaignStream, stream_campaign
 from repro.runtime import ResultStore, RunSpec, run_campaign
 
 FN = "repro.runtime.tasks:rng_probe_task"
@@ -50,36 +45,35 @@ def warm(tmp_path):
 
 class TestStreamLazy:
     def test_blocks_load_only_when_consumed(self, warm):
+        """Each record is read when the consumer reaches its value."""
         store, specs = warm
         recording = RecordingStore(store)
-        stream = stream_campaign(specs, store=recording)
-        blocks = stream.blocks(2)
+        values = iter(stream_campaign(specs, store=recording))
         assert recording.gets == []  # nothing read yet
-        first = next(blocks)
-        assert len(first) == 2
-        assert recording.gets == [s.key for s in specs[:2]]
-        next(blocks)
-        assert recording.gets == [s.key for s in specs[:4]]
-        assert list(blocks) and recording.gets == [s.key for s in specs]
+        first = next(values)
+        assert first["seed"] == specs[0].seed
+        assert recording.gets == [specs[0].key]
+        next(values)
+        next(values)
+        assert recording.gets == [s.key for s in specs[:3]]
+        assert len(list(values)) == 3
+        assert recording.gets == [s.key for s in specs]
 
     def test_counts_complete_after_exhaustion(self, warm):
         store, specs = warm
         stream = stream_campaign(specs, store=store)
-        blocks = list(stream.blocks(4))
-        assert [len(b) for b in blocks] == [4, 2]  # trailing partial block
+        values = list(stream)
+        assert len(values) == 6
         assert stream.n_tasks == 6
         assert stream.n_loaded == 6 and stream.n_executed == 0
 
     def test_values_match_eager_fetch(self, warm):
+        """Streamed values equal an eager, direct run_campaign."""
         store, specs = warm
-        eager = fetch_campaign(specs, store=store)
-        streamed = [
-            value
-            for block in stream_campaign(specs, store=store).blocks(2)
-            for value in block
-        ]
-        assert len(streamed) == len(eager.values)
-        for got, want in zip(streamed, eager.values):
+        direct = run_campaign(specs, store=store).values()
+        streamed = list(stream_campaign(specs, store=store))
+        assert len(streamed) == len(direct)
+        for got, want in zip(streamed, direct):
             assert got["seed"] == want["seed"]
             assert got["draws"] == want["draws"]
 
@@ -87,36 +81,42 @@ class TestStreamLazy:
         store, specs = warm
         # Plant a record with an array field under a real spec key.
         store.put(specs[0].key, {"values": np.arange(4.0)})
-        (block,) = list(stream_campaign(specs[:1], store=store).blocks(1))
-        arr = block[0]["values"]
+        (value,) = list(stream_campaign(specs[:1], store=store))
+        arr = value["values"]
         assert isinstance(arr, np.ndarray) and arr.flags.writeable
-        arr[0] = -1.0  # mutating a streamed block never reaches the store
+        arr[0] = -1.0  # mutating a streamed value never reaches the store
         assert store.get(specs[0].key)["values"][0] == 0.0
-
-    def test_bad_block_size_rejected(self, warm):
-        store, specs = warm
-        with pytest.raises(ValueError, match="block size"):
-            next(stream_campaign(specs, store=store).blocks(0))
 
 
 class TestStreamFallback:
     def test_miss_degrades_to_eager_fetch(self, warm):
+        """A miss runs the whole campaign, then streams its values."""
         store, specs = warm
         extra = make_specs(8)[6:]  # two uncached tasks
         stream = stream_campaign(specs + extra, store=store)
-        blocks = list(stream.blocks(4))
-        assert sum(len(b) for b in blocks) == 8
+        assert len(list(stream)) == 8
         assert stream.n_loaded == 6 and stream.n_executed == 2
         # The recomputed tasks are now cached for the next stream.
         follow = stream_campaign(specs + extra, store=store)
-        list(follow.blocks(4))
+        list(follow)
         assert follow.n_loaded == 8 and follow.n_executed == 0
+
+    @pytest.mark.parametrize("n_cached", [0, 3])
+    def test_miss_reads_each_record_once(self, tmp_path, n_cached):
+        store = ResultStore(tmp_path / "cache")
+        specs = make_specs(6)
+        run_campaign(specs[:n_cached], store=store)
+        recording = RecordingStore(store)
+        stream = stream_campaign(specs, store=recording)
+        assert len(list(stream)) == 6
+        assert recording.gets == [s.key for s in specs]
+        assert stream.n_loaded == n_cached
+        assert stream.n_executed == 6 - n_cached
 
     def test_no_store_executes_everything(self):
         specs = make_specs(3)
         stream = stream_campaign(specs, store=None)
-        blocks = list(stream.blocks(2))
-        assert sum(len(b) for b in blocks) == 3
+        assert len(list(stream)) == 3
         assert stream.n_loaded == 0 and stream.n_executed == 3
 
     def test_probe_race_recomputes_single_task(self, warm):
@@ -132,15 +132,6 @@ class TestStreamFallback:
                 return self.inner.get(key)
 
         stream = CampaignStream(specs=specs, store=VanishingStore(store))
-        values = [v for b in stream.blocks(3) for v in b]
+        values = list(stream)
         assert len(values) == 6 and values[1] is not None
         assert stream.n_loaded == 5 and stream.n_executed == 1
-
-
-class TestLoadCached:
-    def test_partition_hits_and_misses(self, warm):
-        store, specs = warm
-        extra = make_specs(7)[6:]
-        values, missing = load_cached(store, specs + extra)
-        assert values[-1] is None and all(v is not None for v in values[:6])
-        assert missing == list(extra)

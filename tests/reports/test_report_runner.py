@@ -1,6 +1,7 @@
 """Tests for report compilation, execution, and artifact generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,76 @@ class TestStoreBacked:
         result = run_report(other, store=store)
         assert result.n_executed == 0
         assert result.n_loaded == result.n_tasks
+
+
+#: The Fig. 7/8 ring of the benchmark campaign (60 ranks x 70 steps),
+#: cut to 3 noise levels x 32 draws.
+RING = """\
+n_ranks = 60
+n_steps = 70
+seed = 11
+outputs = ["runtime"]
+
+[machine]
+preset = "simulated"
+
+[workload]
+kind = "synthetic"
+t_exec = 3e-3
+
+[comm]
+direction = "bidirectional"
+distance = 1
+periodic = true
+msg_size = 8192
+protocol = "eager"
+
+[noise]
+model = "exponential"
+level = 0.02
+
+[[delays]]
+rank = 0
+step = 0
+duration = 90e-3
+
+[sweep]
+replicates = 32
+
+[[sweep.axes]]
+path = "noise.level"
+values = [0.02, 0.05, 0.1]
+"""
+
+
+class TestStreamingMemory:
+    def test_warm_report_holds_about_one_points_stack(self, tmp_path):
+        """A warm report folds each record into its point's stack as it
+        is read and drops the stack after the point's kernels: the traced
+        peak stays near one point's three (B, P, S) float64 matrices,
+        not a point's records next to their stacked copy."""
+        scenario = tmp_path / "ring.toml"
+        scenario.write_text(RING)
+        compiled = compile_report(ReportSpec.from_dict({
+            "name": "ring", "scenario": str(scenario),
+            "group_by": ["noise.level"],
+            "aggregate": ["mean", "median", "p95"],
+            "metrics": [{"name": name} for name in (
+                "runtime", "wave_speed", "decay_rate", "idle_histogram")],
+        }))
+        store = ResultStore(tmp_path / "store")
+        cold = run_report(compiled, store=store)
+        point_bytes = 3 * 32 * 60 * 70 * 8
+
+        tracemalloc.start()
+        try:
+            warm = run_report(compiled, store=store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert warm.n_loaded == 96 and warm.n_executed == 0
+        assert [r.values for r in warm.rows] == [r.values for r in cold.rows]
+        assert peak < 2.5 * point_bytes, peak / point_bytes
 
 
 class TestArtifacts:

@@ -112,6 +112,54 @@ class TestRunSpec:
         assert spec.kwargs == {"seed": 7}
 
 
+#: A report task's nested scenario document (the shape
+#: ``scenario_timing_task`` specs carry).
+_SCENARIO = {
+    "n_ranks": 8, "n_steps": 10, "seed": 5,
+    "machine": {"preset": "simulated"},
+    "workload": {"kind": "synthetic", "t_exec": 3e-3},
+    "comm": {"direction": "bidirectional", "distance": 1, "periodic": True},
+    "noise": {"model": "exponential", "level": 0.02},
+    "delays": [{"rank": 0, "step": 0, "duration": 90e-3}],
+}
+
+
+class TestLiteralKeys:
+    """Cache addresses pinned to literal hashes.
+
+    Any change to the hashed payload — its fields, separators, key
+    order, or how a value is normalized — moves every address and
+    silently turns every existing store cold.  These literals must never
+    be edited to make a change pass.
+    """
+
+    @pytest.mark.parametrize("spec, key", [
+        (RunSpec(fn="repro.reports.tasks:scenario_timing_task",
+                 params={"scenario": _SCENARIO,
+                         "overrides": {"noise.level": 0.05},
+                         "replicate": 3, "engine": "lockstep"},
+                 seed=123456789, index=3),
+         "839ae8d1652ae01dd7bb65a202ec990a"),
+        (RunSpec(fn="repro.runtime.tasks:rng_probe_task",
+                 params={"n": 3, "sizes": [1, 2, 3]}, seed=0),
+         "d385a3d43fe43ae0ff3144f87165f3e3"),
+        (RunSpec(fn="m:f", params={"rate": 0.1}, seed=1),
+         "9e12b570c9458dce0980fd3f66dc6d91"),
+        (RunSpec(fn="m:f", params={"flag": True}, seed=2),
+         "4cadbb0097be4a662d451fc685513d50"),
+        (RunSpec(fn="m:f", params={"x": 1}),
+         "2910d295e5097f7abb897a1a903096d1"),
+        (RunSpec(fn="m:f", params={"x": 1}, seed=7),
+         "79568d723f18e6155a0f9eb88d75cae1"),
+        (RunSpec(fn="m:f", params={"x": 1}, seed=np.int64(7)),
+         "79568d723f18e6155a0f9eb88d75cae1"),
+    ], ids=["report-task", "list", "float", "bool", "none-seed", "int-seed",
+            "numpy-seed"])
+    def test_key_is_pinned(self, spec, key):
+        assert spec_key(spec) == key
+        assert spec.key == key
+
+
 class TestSweepSpec:
     def sweep(self, **kw):
         defaults = dict(
