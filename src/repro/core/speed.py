@@ -139,7 +139,7 @@ def measure_speed(
     if threshold is None:
         threshold = default_threshold(timing)
     front = wave_front(
-        run, source, direction=direction, threshold=threshold, periodic=periodic,
+        timing, source, direction=direction, threshold=threshold, periodic=periodic,
         max_hops=max_hops,
     )
     if len(front) < min_hops:

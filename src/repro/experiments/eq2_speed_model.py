@@ -18,10 +18,8 @@ from repro.sim import (
     Direction,
     LockstepConfig,
     Protocol,
-    SimConfig,
     UniformNetwork,
-    build_lockstep_program,
-    simulate,
+    simulate_lockstep,
 )
 from repro.sim.topology import CommDomain
 from repro.viz.tables import format_table
@@ -51,10 +49,8 @@ def measure_configuration(
         delays=(DelaySpec(rank=source, step=0, duration=5 * t_exec),),
         seed=seed,
     )
-    trace = simulate(
-        build_lockstep_program(cfg), SimConfig(network=net, protocol=protocol)
-    )
-    measured = measure_speed(trace, source, +1).speed
+    result = simulate_lockstep(cfg, network=net, protocol=protocol)
+    measured = measure_speed(result, source, +1).speed
     t_comm = net.total_pingpong_time(msg_size, CommDomain.INTER_NODE)
     model = silent_speed(
         t_exec,

@@ -19,11 +19,9 @@ Measured quantities per algorithm:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
-from repro.sim import DelaySpec, SimConfig, UniformNetwork, simulate
+from repro.sim import DelaySpec, SimConfig, UniformNetwork, simulate_dag
 from repro.sim.collectives import Collective, CollectiveConfig, build_collective_program
 from repro.viz.tables import format_table
 
@@ -38,12 +36,14 @@ DELAY = 4 * T_EXEC
 
 def run_collective(collective: Collective, delays=(), seed: int = 0,
                    n_ranks: int = N_RANKS, n_steps: int = N_STEPS):
-    """Simulate one collective configuration; returns the trace."""
+    """Simulate one collective configuration; returns its ``DagResult``
+    (collectives are not lockstep-shaped, and no per-op record is built)."""
     cfg = CollectiveConfig(
         n_ranks=n_ranks, n_steps=n_steps, collective=collective,
         t_exec=T_EXEC, msg_size=8192, delays=tuple(delays), seed=seed,
     )
-    return simulate(build_collective_program(cfg), SimConfig(network=UniformNetwork()))
+    return simulate_dag(build_collective_program(cfg),
+                        SimConfig(network=UniformNetwork()))
 
 
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:

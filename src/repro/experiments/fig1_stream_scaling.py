@@ -16,8 +16,6 @@ bandwidth; with PPN=1 the model is accurate (no saturation to exploit).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.statistics import RunStatistics
 from repro.cluster import EMMY
 from repro.experiments.base import ExperimentResult

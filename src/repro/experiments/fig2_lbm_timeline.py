@@ -14,8 +14,6 @@ count is reduced (the structure emerges within a few hundred steps); pass
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.fourier import skew_profile, skew_spectrum
 from repro.cluster import EMMY
 from repro.experiments.base import ExperimentResult

@@ -9,8 +9,6 @@ unaffected (the eager protocol lets them "get rid of their messages").
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import default_threshold, measure_speed, silent_speed, wave_front
 from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
@@ -19,10 +17,8 @@ from repro.sim import (
     DelaySpec,
     Direction,
     LockstepConfig,
-    SimConfig,
     UniformNetwork,
-    build_lockstep_program,
-    simulate,
+    simulate_lockstep,
 )
 from repro.sim.topology import CommDomain
 from repro.viz.ascii_timeline import render_timeline
@@ -50,13 +46,12 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         delays=(DelaySpec(rank=SOURCE_RANK, step=0, duration=DELAY_PHASES * t_exec),),
         seed=seed,
     )
-    trace = simulate(build_lockstep_program(cfg), SimConfig(network=net))
-    timing = RunTiming.of(trace)
+    timing = RunTiming.of(simulate_lockstep(cfg, network=net))
 
     threshold = default_threshold(timing)
-    front = wave_front(trace, source=SOURCE_RANK, direction=+1, threshold=threshold)
-    down = wave_front(trace, source=SOURCE_RANK, direction=-1, threshold=threshold)
-    speed = measure_speed(trace, source=SOURCE_RANK, threshold=threshold)
+    front = wave_front(timing, source=SOURCE_RANK, direction=+1, threshold=threshold)
+    down = wave_front(timing, source=SOURCE_RANK, direction=-1, threshold=threshold)
+    speed = measure_speed(timing, source=SOURCE_RANK, threshold=threshold)
 
     t_comm = net.total_pingpong_time(cfg.msg_size, CommDomain.INTER_NODE)
     v_model = silent_speed(t_exec, t_comm)
@@ -87,7 +82,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         name="fig4",
         title="Basic idle-wave propagation (eager, unidirectional, noise-free)",
         tables={
-            "timeline (rank/time; D=delay, #=idle)": render_timeline(trace, width=96),
+            "timeline (rank/time; D=delay, #=idle)": render_timeline(timing, width=96),
             "wave-front arrivals": arrivals,
         },
         data={

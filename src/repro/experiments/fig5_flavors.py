@@ -15,6 +15,10 @@ Expected mechanisms (all asserted by the integration tests):
 - (e/f) rendezvous unidirectional: backward propagation appears (the
   sender cannot get rid of its messages).
 - (g/h) rendezvous bidirectional: speed doubles (σ = 2 in Eq. 2).
+
+The panels run on the DAG engine's record-building ``simulate`` because
+each keeps its full trace (ISEND/IRECV records, ``meta["engine"]``) in
+``data``, which the ``perfbench/reference/`` digests pin.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.core import (
     silent_speed,
     wave_front,
 )
+from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import (
     CommPattern,
@@ -92,10 +97,11 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
 
     for label, size, direction, periodic in FLAVORS:
         trace = run_flavor(size, direction, periodic, seed=seed)
-        up = wave_front(trace, SOURCE_RANK, +1, periodic=periodic)
-        down = wave_front(trace, SOURCE_RANK, -1, periodic=periodic)
+        timing = RunTiming.of(trace)
+        up = wave_front(timing, SOURCE_RANK, +1, periodic=periodic)
+        down = wave_front(timing, SOURCE_RANK, -1, periodic=periodic)
         try:
-            speed_up = measure_speed(trace, SOURCE_RANK, +1, periodic=periodic).speed
+            speed_up = measure_speed(timing, SOURCE_RANK, +1, periodic=periodic).speed
         except ValueError:
             speed_up = float("nan")
         rendezvous = size > EAGER_LIMIT
@@ -103,8 +109,8 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         t_comm = net.total_pingpong_time(size, CommDomain.INTER_NODE)
         v_model = silent_speed(T_EXEC, t_comm, d=1,
                                bidirectional=bidirectional, rendezvous=rendezvous)
-        meet = meeting_ranks(trace)
-        resync = resync_step(trace)
+        meet = meeting_ranks(timing)
+        resync = resync_step(timing)
         rows.append(
             (label, up.reach, down.reach, speed_up, v_model,
              ",".join(map(str, meet)) or "-", resync if resync is not None else -1)

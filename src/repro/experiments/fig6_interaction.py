@@ -23,7 +23,6 @@ from repro.core import find_waves, resync_step, superposition_defect
 from repro.experiments.base import ExperimentResult
 from repro.sim import (
     CommPattern,
-    DelaySpec,
     Direction,
     LockstepConfig,
     delays_at_local_rank,

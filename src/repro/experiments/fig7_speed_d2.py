@@ -4,6 +4,9 @@ Rendezvous protocol, open boundaries, noise-free, neighbor distance 2:
 (a) unidirectional vs. (b) bidirectional.  Bidirectional communication
 doubles the propagation speed (σ = 2 in Eq. 2); with d = 2 the absolute
 speeds are twice their d = 1 counterparts.
+
+As in Fig. 5, the panels stay on ``simulate``: the ``perfbench/reference/``
+digests pin the full trace each keeps in ``data``.
 """
 
 from __future__ import annotations
