@@ -16,9 +16,9 @@ package closes the loop from "run a sweep" to "publishable numbers":
   **zero** times; misses fall back to the campaign runtime;
 - :mod:`repro.reports.runner` / :mod:`~repro.reports.artifacts` — group,
   aggregate, render, and write CSV/JSON/NPZ/ascii artifacts;
-- :mod:`repro.reports.registry` — bundled report specs under
-  ``reports/data/`` (including the Fig. 7 speed and Fig. 8 decay-rate
-  reproductions and a cross-scenario comparison).
+- :mod:`repro.reports.registry` — TOML/JSON file loading and the bundled
+  report specs under ``reports/data/`` (including the Fig. 7 speed and
+  Fig. 8 decay-rate reproductions and a cross-scenario comparison).
 
 Typical use::
 
@@ -39,9 +39,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".errors": ("ReportError",),
     ".kernels": ("MetricContext", "MetricKernel", "batched_wave_front",
                  "get_kernel", "kernel_names", "register_kernel"),
-    ".loader": ("load_report_file", "parse_report_text"),
     ".registry": ("bundled_report_names", "iter_bundled_reports",
-                  "load_bundled_report", "resolve_report"),
+                  "load_bundled_report", "load_report_file",
+                  "parse_report_text", "resolve_report"),
     ".runner": ("ReportResult", "ReportRow", "run_report"),
     ".spec": ("ArtifactRequest", "MetricRequest", "ReportSpec"),
     ".timing": ("BatchedTiming",),

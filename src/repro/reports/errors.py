@@ -8,38 +8,19 @@ rather than at a Python traceback deep inside the compiler.
 
 from __future__ import annotations
 
+from repro.fields import SpecError
+
 __all__ = ["ReportError"]
 
 
-class ReportError(ValueError):
+class ReportError(SpecError):
     """A report spec failed validation or compilation.
 
-    Parameters
-    ----------
-    message:
-        Human-readable description of what is wrong and what would fix it.
-    path:
-        Dotted path of the offending field within the report document
-        (e.g. ``"metrics[0].name"``), or ``""`` for document-level
-        problems.
-    report:
-        Name of the report, when known — distinguishes failures when
-        validating a batch of files.
+    See :class:`repro.fields.SpecError`; the ``report`` keyword sets its
+    ``name``.
     """
 
-    def __init__(self, message: str, path: str = "", report: str = "") -> None:
-        self.message = message
-        self.path = path
-        self.report = report
-        prefix = ""
-        if report:
-            prefix += f"report {report!r}: "
-        if path:
-            prefix += f"field '{path}': "
-        super().__init__(prefix + message)
+    kind = "report"
 
-    def with_report(self, name: str) -> "ReportError":
-        """A copy of this error tagged with the report name."""
-        if self.report:
-            return self
-        return ReportError(self.message, path=self.path, report=name)
+    def __init__(self, message: str, path: str = "", report: str = "") -> None:
+        super().__init__(message, path, report)

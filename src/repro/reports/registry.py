@@ -1,59 +1,40 @@
-"""The bundled report registry.
+"""Report files: parsing, loading, and the bundled registry.
 
-Report files shipped with the package live in ``reports/data/``; the
-registry lists them, loads them by name, and resolves a CLI argument that
-may be either a bundled name or a path to a user's own file — the same
-data-driven growth path the scenario registry established.
+TOML is the native authoring format; JSON is accepted for
+machine-generated reports.  The file stem supplies the report name when
+the document has none.  Report files shipped with the package live in
+``reports/data/``; a CLI argument may be either a bundled name or a path
+to a user's own file.  The file format itself is
+:class:`repro.fields.SpecFiles`, shared with the scenario language.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.fields import SpecFiles
 from repro.reports.errors import ReportError
-from repro.reports.loader import load_report_file
 from repro.reports.spec import ReportSpec
 
 __all__ = [
     "BUNDLED_REPORT_DIR",
+    "REPORT_FILES",
     "bundled_report_names",
-    "load_bundled_report",
     "iter_bundled_reports",
+    "load_bundled_report",
+    "load_report_file",
+    "parse_report_text",
     "resolve_report",
 ]
 
 BUNDLED_REPORT_DIR = Path(__file__).parent / "data"
 
+#: The report language's files; the functions below are its methods.
+REPORT_FILES = SpecFiles(ReportSpec, ReportError, BUNDLED_REPORT_DIR)
 
-def bundled_report_names() -> "list[str]":
-    """Sorted, deduplicated names of all bundled reports (file stems)."""
-    return sorted({
-        p.stem
-        for pattern in ("*.toml", "*.json")
-        for p in BUNDLED_REPORT_DIR.glob(pattern)
-    })
-
-
-def load_bundled_report(name: str) -> ReportSpec:
-    """Load one bundled report by name."""
-    for suffix in (".toml", ".json"):
-        path = BUNDLED_REPORT_DIR / f"{name}{suffix}"
-        if path.exists():
-            return load_report_file(path)
-    raise ReportError(
-        f"unknown bundled report {name!r}; "
-        f"available: {bundled_report_names()}"
-    )
-
-
-def iter_bundled_reports() -> "list[ReportSpec]":
-    """Load every bundled report (validated on load)."""
-    return [load_bundled_report(name) for name in bundled_report_names()]
-
-
-def resolve_report(name_or_path: str) -> ReportSpec:
-    """Resolve a CLI argument: bundled name, or path to a report file."""
-    candidate = Path(name_or_path)
-    if candidate.suffix.lower() in (".toml", ".json") or candidate.exists():
-        return load_report_file(candidate)
-    return load_bundled_report(name_or_path)
+parse_report_text = REPORT_FILES.parse_text
+load_report_file = REPORT_FILES.load_file
+bundled_report_names = REPORT_FILES.names
+load_bundled_report = REPORT_FILES.load_bundled
+iter_bundled_reports = REPORT_FILES.load_all
+resolve_report = REPORT_FILES.resolve

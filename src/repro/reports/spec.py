@@ -32,19 +32,6 @@ NAMED_STATS = ("mean", "std", "median", "min", "max")
 _PERCENTILE_RE = re.compile(r"^p(\d{1,2}(?:\.\d+)?|100)$")
 
 
-class _Fields(StrictFields):
-    """Report-flavored strict reader (errors carry the report name)."""
-
-    def __init__(self, data: Any, path: str, report: str = "") -> None:
-        self.report = report
-        super().__init__(
-            data, path,
-            make_error=lambda message, p: ReportError(
-                message, path=p, report=report),
-            root_label="report",
-        )
-
-
 def _str_list(values: "list | None", path: str, report: str,
               allow_empty: bool = True) -> "tuple[str, ...] | None":
     if values is None:
@@ -86,7 +73,7 @@ class MetricRequest:
 
     @classmethod
     def parse(cls, data: Any, where: str, report: str = "") -> "MetricRequest":
-        f = _Fields(data, where, report)
+        f = StrictFields(data, where, ReportError, report)
         name = f.take("name", "str", required=True)
         alias = f.take("alias", "str")
         params = f.take("params", "table", default={})
@@ -120,7 +107,7 @@ class ArtifactRequest:
 
     @classmethod
     def parse(cls, data: Any, where: str, report: str = "") -> "ArtifactRequest":
-        f = _Fields(data, where, report)
+        f = StrictFields(data, where, ReportError, report)
         kind = f.take("kind", "str", required=True)
         path = f.take("path", "str")
         f.finish()
@@ -188,7 +175,7 @@ class ReportSpec:
         stem) when the document has none.
         """
         report = name or (data.get("name", "") if isinstance(data, Mapping) else "")
-        f = _Fields(data, "", report)
+        f = StrictFields(data, "", ReportError, report)
         doc_name = f.take("name", "str", default=name)
         description = f.take("description", "str", default="")
         scenario = f.take("scenario", "str")

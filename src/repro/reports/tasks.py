@@ -10,8 +10,8 @@ already-run sweep touches the engine zero times.
 
 :class:`ReportTaskBatcher` mirrors
 :class:`repro.scenarios.batch.ScenarioTaskBatcher`: contiguous blocks of
-tasks that differ only in their seed execute as one batched lockstep
-invocation, with per-task values bit-identical to unbatched execution.
+tasks that differ only in their seed execute as one batched engine
+call, with per-task values bit-identical to unbatched execution.
 
 The module imports the whole execution path at module top, so the
 campaign pool, which imports it before forking, leaves its workers
@@ -20,7 +20,6 @@ nothing to import; a warm report never imports it at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -30,10 +29,9 @@ from repro.reports.compiler import TIMING_TASK_FN
 from repro.runtime.executor import TaskBatcher
 from repro.runtime.spec import RunSpec, hashable
 from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.runner import _execute_prepared, prepare_scenario_run
+from repro.scenarios.runner import _execute_prepared, \
+    _execute_prepared_batch, prepare_scenario_run
 from repro.scenarios.tasks import resolve_task_scenario
-from repro.sim.engine import simulate_dag_batch
-from repro.sim.lockstep import simulate_lockstep_batch
 
 __all__ = ["ReportTaskBatcher", "scenario_timing_task"]
 
@@ -75,43 +73,17 @@ def _task_seed(spec: RunSpec) -> int:
     return int(spec.kwargs.get("seed", 0))
 
 
-@dataclass(frozen=True)
 class ReportTaskBatcher(TaskBatcher):
     """Group contiguous same-grid-point timing tasks into engine batches.
 
     Tasks are batchable when they share everything but their seed — either
     the derived per-task seed of a replicate block, or an explicit
     ``seed`` axis value (reports with a ``seeds = [...]`` list).  Each
-    block compiles the scenario once and runs all its draws as a single
-    ``[B, n_ranks, n_steps]`` batched invocation — the lockstep
-    recurrence, or one batched propagation through a cached
-    :class:`~repro.sim.engine.StaticDag` for forced-DAG blocks.
-
-    Parameters
-    ----------
-    max_block:
-        Upper bound on tasks per batch, limiting the peak size of the
-        stacked timing arrays.
+    block compiles the scenario once and runs all its draws through the
+    batched dispatch :func:`~repro.scenarios.runner.run_scenario_batch`
+    uses.  Planning and ``max_block`` come from
+    :class:`~repro.runtime.executor.TaskBatcher`.
     """
-
-    max_block: int = 64
-
-    def plan(self, specs: "Sequence[RunSpec]") -> "list[list[int]]":
-        blocks: "list[list[int]]" = []
-        current: "list[int]" = []
-        current_sig: "tuple | None" = None
-        for i, spec in enumerate(specs):
-            sig = self._signature(spec)
-            if (sig is not None and sig == current_sig
-                    and len(current) < self.max_block):
-                current.append(i)
-            else:
-                if current:
-                    blocks.append(current)
-                current, current_sig = [i], sig
-        if current:
-            blocks.append(current)
-        return blocks
 
     @staticmethod
     def _signature(spec: RunSpec) -> "tuple | None":
@@ -133,20 +105,5 @@ class ReportTaskBatcher(TaskBatcher):
         spec = resolve_task_scenario(first["scenario"], first.get("overrides"))
         compiled = compile_scenario(spec, engine=first.get("engine", "auto"))
         prepared = [prepare_scenario_run(compiled, _task_seed(s)) for s in specs]
-
-        stacked = np.stack([p.exec_times for p in prepared])
-        if compiled.engine == "lockstep":
-            batch = simulate_lockstep_batch(
-                compiled.cfg, stacked,
-                network=compiled.network, domain=compiled.domain,
-                protocol=compiled.protocol, eager_limit=compiled.eager_limit,
-                mapping=compiled.mapping,
-            )
-            timings = (RunTiming.from_lockstep(batch[b])
-                       for b in range(len(specs)))
-        else:
-            dag_batch = simulate_dag_batch(compiled.cfg, stacked,
-                                           compiled.sim_config())
-            timings = (RunTiming.from_dag(dag_batch[b])
-                       for b in range(len(specs)))
-        return [_timing_value(t) for t in timings]
+        return [_timing_value(t)
+                for t in _execute_prepared_batch(compiled, prepared)]

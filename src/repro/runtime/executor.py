@@ -183,8 +183,15 @@ def resolve_jobs(jobs: "int | None") -> int:
     return jobs
 
 
+@dataclass(frozen=True)
 class TaskBatcher:
     """Strategy interface: execute blocks of compatible tasks in one call.
+
+    :meth:`plan` groups neighbouring tasks whose :meth:`_signature` keys
+    are equal and not ``None`` into blocks of at most ``max_block``
+    tasks, which bounds the arrays a batched call stacks.  A subclass
+    supplies only the key and :meth:`execute`; the base key is always
+    ``None``, so the base batches nothing.
 
     Implementations must be picklable (blocks are sharded to worker
     processes whole) and must honor the batching contract: the values
@@ -192,20 +199,39 @@ class TaskBatcher:
     the values the tasks would produce when called one by one.  Their
     module should import what :meth:`execute` runs at module top: the
     pool imports it before forking, so workers inherit that code.
-
-    See :class:`repro.scenarios.batch.ScenarioTaskBatcher` for the
-    canonical implementation (batched lockstep-engine execution of
-    scenario replicate blocks).
+    See :class:`repro.scenarios.batch.ScenarioTaskBatcher` and
+    :class:`repro.reports.tasks.ReportTaskBatcher`.
     """
+
+    max_block: int = 64
 
     def plan(self, specs: "Sequence[RunSpec]") -> "list[list[int]]":
         """Partition ``specs`` into ordered blocks of batchable tasks.
 
         Returns a list of index blocks covering ``range(len(specs))``
         exactly once, in order.  Singleton blocks run through the normal
-        per-task path.  The default plan batches nothing.
+        per-task path.
         """
-        return [[i] for i in range(len(specs))]
+        blocks: "list[list[int]]" = []
+        current: "list[int]" = []
+        current_sig: "tuple | None" = None
+        for i, spec in enumerate(specs):
+            sig = self._signature(spec)
+            if (sig is not None and sig == current_sig
+                    and len(current) < self.max_block):
+                current.append(i)
+            else:
+                if current:
+                    blocks.append(current)
+                current, current_sig = [i], sig
+        if current:
+            blocks.append(current)
+        return blocks
+
+    @staticmethod
+    def _signature(spec: RunSpec) -> "tuple | None":
+        """Batch-compatibility key of one task; ``None`` never batches."""
+        return None
 
     def execute(self, specs: "Sequence[RunSpec]") -> "list[Mapping]":
         """Run one multi-task block; returns one value per spec, in order."""

@@ -7,7 +7,6 @@ and the pipeline does the rest:
 
 - :mod:`repro.scenarios.spec` — frozen plain-data spec with strict,
   path-precise validation (:class:`ScenarioSpec` and its sections).
-- :mod:`repro.scenarios.loader` — TOML/JSON file loading.
 - :mod:`repro.scenarios.compiler` — resolution against the machine
   presets, workload models, and noise/campaign generators, plus engine
   dispatch: the batched hierarchy-aware lockstep engine by default
@@ -20,8 +19,9 @@ and the pipeline does the rest:
   across worker counts.
 - :mod:`repro.scenarios.batch` — the campaign-runtime batcher that runs
   contiguous replicate blocks as single batched-engine invocations.
-- :mod:`repro.scenarios.registry` — the bundled scenario files under
-  ``scenarios/data/``.
+- :mod:`repro.scenarios.registry` — TOML/JSON file loading and the
+  bundled scenario files under ``scenarios/data/`` (the file format is
+  :class:`repro.fields.SpecFiles`, shared with the report language).
 
 Typical use::
 
@@ -38,9 +38,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".batch": ("ScenarioTaskBatcher",),
     ".compiler": ("CompiledScenario", "compile_scenario", "lockstep_eligible"),
     ".errors": ("ScenarioError",),
-    ".loader": ("load_scenario_file", "parse_scenario_text"),
     ".registry": ("BUNDLED_SCENARIO_DIR", "bundled_scenario_names",
                   "iter_bundled_scenarios", "load_bundled_scenario",
+                  "load_scenario_file", "parse_scenario_text",
                   "resolve_scenario"),
     ".runner": ("ScenarioRun", "run_scenario", "run_scenario_batch"),
     ".spec": ("CampaignSection", "CommSection", "DelayEntry", "MachineSection",

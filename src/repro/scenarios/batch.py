@@ -8,65 +8,35 @@ clock on fixed per-run overhead — compilation, program setup, and the
 Python-level per-step loop over small per-rank arrays.
 
 :class:`ScenarioTaskBatcher` plugs into
-:func:`repro.runtime.executor.run_campaign` and collapses each contiguous
-replicate block into **one** batched engine call: the scenario is
-compiled once, each task's randomness is drawn from its own seed exactly
-as in serial execution, and the B execution-time matrices run as a single
-``[B, n_ranks, n_steps]`` invocation — the lockstep recurrence
-(:func:`repro.sim.lockstep.simulate_lockstep_batch`), or one batched
-propagation through a cached :class:`~repro.sim.engine.StaticDag`
-(:func:`repro.sim.engine.simulate_dag_batch`) for forced-DAG blocks.
-Because both batched propagations are elementwise along the batch axis,
-every task's outputs — and therefore its content-addressed cache record —
-are bit-identical to unbatched execution (guarded by
-``tests/scenarios/test_batch.py``).
+:func:`repro.runtime.executor.run_campaign` and runs each contiguous
+replicate block through :func:`repro.scenarios.runner.run_scenario_batch`:
+the scenario is compiled once, each task's randomness is drawn from its
+own seed exactly as in serial execution, and the B draws run as one
+batched engine call.  Every task's outputs — and therefore its
+content-addressed cache record — are bit-identical to unbatched
+execution (guarded by ``tests/scenarios/test_batch.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.runtime.executor import TaskBatcher
 from repro.runtime.spec import RunSpec, hashable
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.runner import run_scenario_batch
+from repro.scenarios.sweep import SCENARIO_TASK_FN
 from repro.scenarios.tasks import resolve_task_scenario
 
 __all__ = ["SCENARIO_TASK_FN", "ScenarioTaskBatcher"]
 
-SCENARIO_TASK_FN = "repro.scenarios.tasks:scenario_task"
 
-
-@dataclass(frozen=True)
 class ScenarioTaskBatcher(TaskBatcher):
     """Group contiguous same-grid-point scenario tasks into engine batches.
 
-    Parameters
-    ----------
-    max_block:
-        Upper bound on tasks per batch, limiting the peak size of the
-        stacked ``[B, n_ranks, n_steps]`` timing arrays.
+    Planning and ``max_block`` come from
+    :class:`~repro.runtime.executor.TaskBatcher`.
     """
-
-    max_block: int = 64
-
-    def plan(self, specs: "Sequence[RunSpec]") -> "list[list[int]]":
-        blocks: "list[list[int]]" = []
-        current: "list[int]" = []
-        current_sig: "tuple | None" = None
-        for i, spec in enumerate(specs):
-            sig = self._signature(spec)
-            if (sig is not None and sig == current_sig
-                    and len(current) < self.max_block):
-                current.append(i)
-            else:
-                if current:
-                    blocks.append(current)
-                current, current_sig = [i], sig
-        if current:
-            blocks.append(current)
-        return blocks
 
     @staticmethod
     def _signature(spec: RunSpec) -> "tuple | None":

@@ -8,38 +8,19 @@ line rather than at a Python traceback deep inside the compiler.
 
 from __future__ import annotations
 
+from repro.fields import SpecError
+
 __all__ = ["ScenarioError"]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(SpecError):
     """A scenario spec failed validation or compilation.
 
-    Parameters
-    ----------
-    message:
-        Human-readable description of what is wrong and what would fix it.
-    path:
-        Dotted path of the offending field within the scenario document
-        (e.g. ``"noise.mean_delay"``), or ``""`` for document-level
-        problems.
-    scenario:
-        Name of the scenario, when known — distinguishes failures when
-        validating a batch of files.
+    See :class:`repro.fields.SpecError`; the ``scenario`` keyword sets its
+    ``name``.
     """
 
-    def __init__(self, message: str, path: str = "", scenario: str = "") -> None:
-        self.message = message
-        self.path = path
-        self.scenario = scenario
-        prefix = ""
-        if scenario:
-            prefix += f"scenario {scenario!r}: "
-        if path:
-            prefix += f"field '{path}': "
-        super().__init__(prefix + message)
+    kind = "scenario"
 
-    def with_scenario(self, name: str) -> "ScenarioError":
-        """A copy of this error tagged with the scenario name."""
-        if self.scenario:
-            return self
-        return ScenarioError(self.message, path=self.path, scenario=name)
+    def __init__(self, message: str, path: str = "", scenario: str = "") -> None:
+        super().__init__(message, path, scenario)

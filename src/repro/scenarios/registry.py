@@ -1,64 +1,41 @@
-"""The bundled scenario registry.
+"""Scenario files: parsing, loading, and the bundled registry.
 
-Scenario files shipped with the package live in ``scenarios/data/``; the
-registry lists them, loads them by name, and resolves a CLI argument that
-may be either a bundled name or a path to a user's own file.  Growing the
-scenario space is a data change: drop a ``.toml`` file into the data
-directory (or point the CLI at one anywhere on disk) — no code edits.
+TOML is the native authoring format (tables map 1:1 onto spec sections);
+JSON is accepted for machine-generated scenarios.  The file stem supplies
+the scenario name when the document has none, so a directory of scenario
+files needs no redundant ``name =`` lines.  Scenario files shipped with
+the package live in ``scenarios/data/``; a CLI argument may be either a
+bundled name or a path to a user's own file.  The file format itself is
+:class:`repro.fields.SpecFiles`, shared with the report language.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.fields import SpecFiles
 from repro.scenarios.errors import ScenarioError
-from repro.scenarios.loader import load_scenario_file
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "BUNDLED_SCENARIO_DIR",
+    "SCENARIO_FILES",
     "bundled_scenario_names",
-    "load_bundled_scenario",
     "iter_bundled_scenarios",
+    "load_bundled_scenario",
+    "load_scenario_file",
+    "parse_scenario_text",
     "resolve_scenario",
 ]
 
 BUNDLED_SCENARIO_DIR = Path(__file__).parent / "data"
 
+#: The scenario language's files; the functions below are its methods.
+SCENARIO_FILES = SpecFiles(ScenarioSpec, ScenarioError, BUNDLED_SCENARIO_DIR)
 
-def bundled_scenario_names() -> "list[str]":
-    """Sorted, deduplicated names of all bundled scenarios (file stems).
-
-    A ``.toml`` and a ``.json`` sharing a stem count as one scenario
-    (the TOML wins at load time, matching :func:`load_bundled_scenario`).
-    """
-    return sorted({
-        p.stem
-        for pattern in ("*.toml", "*.json")
-        for p in BUNDLED_SCENARIO_DIR.glob(pattern)
-    })
-
-
-def load_bundled_scenario(name: str) -> ScenarioSpec:
-    """Load one bundled scenario by name."""
-    for suffix in (".toml", ".json"):
-        path = BUNDLED_SCENARIO_DIR / f"{name}{suffix}"
-        if path.exists():
-            return load_scenario_file(path)
-    raise ScenarioError(
-        f"unknown bundled scenario {name!r}; "
-        f"available: {bundled_scenario_names()}"
-    )
-
-
-def iter_bundled_scenarios() -> "list[ScenarioSpec]":
-    """Load every bundled scenario (validated on load)."""
-    return [load_bundled_scenario(name) for name in bundled_scenario_names()]
-
-
-def resolve_scenario(name_or_path: str) -> ScenarioSpec:
-    """Resolve a CLI argument: bundled name, or path to a scenario file."""
-    candidate = Path(name_or_path)
-    if candidate.suffix.lower() in (".toml", ".json") or candidate.exists():
-        return load_scenario_file(candidate)
-    return load_bundled_scenario(name_or_path)
+parse_scenario_text = SCENARIO_FILES.parse_text
+load_scenario_file = SCENARIO_FILES.load_file
+bundled_scenario_names = SCENARIO_FILES.names
+load_bundled_scenario = SCENARIO_FILES.load_bundled
+iter_bundled_scenarios = SCENARIO_FILES.load_all
+resolve_scenario = SCENARIO_FILES.resolve

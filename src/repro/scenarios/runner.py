@@ -171,6 +171,41 @@ def _execute_prepared_inner(
     return RunTiming.from_dag(result)
 
 
+def _execute_prepared_batch(
+    compiled: CompiledScenario, prepared: "Sequence[PreparedRun]"
+) -> "list[RunTiming]":
+    """Run prepared draws of one compiled scenario as one batched call.
+
+    The B execution-time matrices are stacked into one
+    ``[B, n_ranks, n_steps]`` lockstep recurrence, or flow through one
+    cached :class:`~repro.sim.engine.StaticDag` as a single batched
+    propagation.  Both are elementwise along the batch axis, so each
+    timing is bit-identical to :func:`_execute_prepared` on its draw.
+    """
+    stacked = np.stack([p.exec_times for p in prepared])
+    with telemetry.span("scenario.execute", engine=compiled.engine,
+                        batch=len(prepared)):
+        if compiled.engine == "lockstep":
+            batch = simulate_lockstep_batch(
+                compiled.cfg, stacked,
+                network=compiled.network, domain=compiled.domain,
+                protocol=compiled.protocol, eager_limit=compiled.eager_limit,
+                mapping=compiled.mapping,
+            )
+            from_result = RunTiming.from_lockstep
+        else:
+            batch = simulate_dag_batch(compiled.cfg, stacked,
+                                       compiled.sim_config())
+            from_result = RunTiming.from_dag
+    timings = []
+    for b, p in enumerate(prepared):
+        result = batch[b]
+        result.meta.pop("n_batch", None)
+        result.meta.update({"delays": p.cfg.delays, "seed": p.seed})
+        timings.append(from_result(result))
+    return timings
+
+
 def finish_scenario_run(
     compiled: CompiledScenario, prepared: PreparedRun, timing: RunTiming
 ) -> ScenarioRun:
@@ -235,12 +270,8 @@ def run_scenario_batch(
     """Execute one scenario for many seeds as a single batched engine call.
 
     The runs share everything but their seed (campaign schedule, noise
-    draw), which is the shape of a delay-campaign replicate block.  On the
-    lockstep engine the B execution-time matrices are stacked into one
-    ``[B, n_ranks, n_steps]`` recurrence; on the DAG engine (forced, or
-    chosen for a program the fast path cannot express) the B draws flow
-    through one cached :class:`~repro.sim.engine.StaticDag` structure as
-    a single batched propagation.  Either way, each returned
+    draw), which is the shape of a delay-campaign replicate block.  The
+    engine call is :func:`_execute_prepared_batch`, so each returned
     :class:`ScenarioRun` is bit-identical to
     ``run_scenario(scenario, seed=s)`` for its seed.
     """
@@ -252,26 +283,6 @@ def run_scenario_batch(
     if not seeds:
         return []
     prepared = [prepare_scenario_run(compiled, s) for s in seeds]
-
-    stacked = np.stack([p.exec_times for p in prepared])
-    with telemetry.span("scenario.execute", engine=compiled.engine,
-                        batch=len(prepared)):
-        if compiled.engine == "lockstep":
-            batch = simulate_lockstep_batch(
-                compiled.cfg, stacked,
-                network=compiled.network, domain=compiled.domain,
-                protocol=compiled.protocol, eager_limit=compiled.eager_limit,
-                mapping=compiled.mapping,
-            )
-            from_result = RunTiming.from_lockstep
-        else:
-            batch = simulate_dag_batch(compiled.cfg, stacked,
-                                       compiled.sim_config())
-            from_result = RunTiming.from_dag
-    runs = []
-    for b, p in enumerate(prepared):
-        result = batch[b]
-        result.meta.pop("n_batch", None)
-        result.meta.update({"delays": p.cfg.delays, "seed": p.seed})
-        runs.append(finish_scenario_run(compiled, p, from_result(result)))
-    return runs
+    timings = _execute_prepared_batch(compiled, prepared)
+    return [finish_scenario_run(compiled, p, timing)
+            for p, timing in zip(prepared, timings)]

@@ -48,19 +48,6 @@ PROTOCOLS = ("auto", "eager", "rendezvous")
 DOMAINS = ("intra_socket", "inter_socket", "inter_node")
 
 
-class _Fields(StrictFields):
-    """Scenario-flavored strict reader (errors carry the scenario name)."""
-
-    def __init__(self, data: Any, path: str, scenario: str = "") -> None:
-        self.scenario = scenario
-        super().__init__(
-            data, path,
-            make_error=lambda message, p: ScenarioError(
-                message, path=p, scenario=scenario),
-            root_label="scenario",
-        )
-
-
 def _check_choice(value: str, choices: Any, path: str, scenario: str) -> str:
     if value not in choices:
         raise ScenarioError(
@@ -104,7 +91,7 @@ class MachineSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "MachineSection":
-        f = _Fields(data, "machine", scenario)
+        f = StrictFields(data, "machine", ScenarioError, scenario)
         preset = f.take("preset", "str")
         smt = f.take("smt", "str")
         ppn = f.take("ppn", "int")
@@ -194,7 +181,7 @@ class WorkloadSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "WorkloadSection":
-        f = _Fields(data, "workload", scenario)
+        f = StrictFields(data, "workload", ScenarioError, scenario)
         kind = f.take("kind", "str", default="synthetic")
         t_exec = f.take("t_exec", "float", default=3e-3)
         threads = f.take("threads", "int", default=1)
@@ -262,7 +249,7 @@ class CommSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "CommSection":
-        f = _Fields(data, "comm", scenario)
+        f = StrictFields(data, "comm", ScenarioError, scenario)
         direction = f.take("direction", "str", default="unidirectional")
         distance = f.take("distance", "int", default=1)
         periodic = f.take("periodic", "bool", default=False)
@@ -315,7 +302,7 @@ class NoiseSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "NoiseSection":
-        f = _Fields(data, "noise", scenario)
+        f = StrictFields(data, "noise", ScenarioError, scenario)
         model = f.take("model", "str", default="none")
         mean_delay = f.take("mean_delay", "float")
         level = f.take("level", "float")
@@ -401,7 +388,7 @@ class DelayEntry:
 
     @classmethod
     def parse(cls, data: Any, path: str, scenario: str = "") -> "DelayEntry":
-        f = _Fields(data, path, scenario)
+        f = StrictFields(data, path, ScenarioError, scenario)
         rank = f.take("rank", "int", required=True)
         step = f.take("step", "int", default=0)
         duration = f.take("duration", "float")
@@ -453,7 +440,7 @@ class CampaignSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "CampaignSection":
-        f = _Fields(data, "campaign", scenario)
+        f = StrictFields(data, "campaign", ScenarioError, scenario)
         rate = f.take("rate", "float", required=True)
         duration_low = f.take("duration_low", "float")
         duration_high = f.take("duration_high", "float")
@@ -513,7 +500,7 @@ class SweepAxis:
 
     @classmethod
     def parse(cls, data: Any, where: str, scenario: str = "") -> "SweepAxis":
-        f = _Fields(data, where, scenario)
+        f = StrictFields(data, where, ScenarioError, scenario)
         path = f.take("path", "str", required=True)
         values = f.take("values", "list", required=True)
         f.finish()
@@ -535,7 +522,7 @@ class SweepSection:
 
     @classmethod
     def parse(cls, data: Any, scenario: str = "") -> "SweepSection":
-        f = _Fields(data, "sweep", scenario)
+        f = StrictFields(data, "sweep", ScenarioError, scenario)
         raw_axes = f.take("axes", "list", default=[])
         replicates = f.take("replicates", "int", default=1)
         f.finish()
@@ -603,7 +590,7 @@ class ScenarioSpec:
         stem) when the document has none.
         """
         scenario = name or (data.get("name", "") if isinstance(data, Mapping) else "")
-        f = _Fields(data, "", scenario)
+        f = StrictFields(data, "", ScenarioError, scenario)
         doc_name = f.take("name", "str", default=name)
         description = f.take("description", "str", default="")
         n_ranks = f.take("n_ranks", "int", required=True)

@@ -33,6 +33,10 @@ __all__ = ["GridExpansion", "SweepPointSummary", "ScenarioSweepResult",
            "expand_scenario_grid", "scenario_sweep_spec",
            "run_scenario_sweep"]
 
+#: The campaign task every scenario sweep runs; named here, not imported,
+#: so expanding a grid never loads the execution path.
+SCENARIO_TASK_FN = "repro.scenarios.tasks:scenario_task"
+
 # Report compilation imports this module for its grid expansion, so the
 # executor (and with it multiprocessing) is bound on the first sweep.
 _, __getattr__, __dir__ = _lazy_exports(__name__, {
@@ -136,7 +140,7 @@ def scenario_sweep_spec(
     """
     grid = expand_scenario_grid(spec, engine=engine)
     return SweepSpec(
-        fn="repro.scenarios.tasks:scenario_task",
+        fn=SCENARIO_TASK_FN,
         base={"scenario": grid.document, "engine": grid.engine},
         axes=(
             ("overrides", grid.points),

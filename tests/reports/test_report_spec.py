@@ -3,7 +3,7 @@
 import pytest
 
 from repro.reports import ReportError, ReportSpec
-from repro.reports.loader import load_report_file, parse_report_text
+from repro.reports.registry import load_report_file, parse_report_text
 
 MINIMAL = {
     "name": "r",

@@ -58,13 +58,17 @@ class TestBundled:
         assert len(names) == len(set(names))
 
     def test_json_stem_dedupes_against_toml(self, monkeypatch, tmp_path):
+        import repro.reports.registry as report_registry
         import repro.scenarios.registry as registry
 
         (tmp_path / "a.toml").write_text("n_ranks = 4\nn_steps = 2\n")
         (tmp_path / "a.json").write_text('{"n_ranks": 4, "n_steps": 2}')
         (tmp_path / "b.json").write_text('{"n_ranks": 4, "n_steps": 2}')
-        monkeypatch.setattr(registry, "BUNDLED_SCENARIO_DIR", tmp_path)
+        monkeypatch.setattr(registry.SCENARIO_FILES, "bundled_dir", tmp_path)
+        monkeypatch.setattr(report_registry.REPORT_FILES, "bundled_dir",
+                            tmp_path)
         assert registry.bundled_scenario_names() == ["a", "b"]
+        assert report_registry.bundled_report_names() == ["a", "b"]
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ScenarioError, match="unknown bundled scenario"):

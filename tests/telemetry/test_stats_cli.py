@@ -179,7 +179,7 @@ class TestWorkerMerge:
         """Profiling a parallel sweep changes nothing about the results."""
         from repro import telemetry
         from repro.scenarios import run_scenario_sweep
-        from repro.scenarios.loader import load_scenario_file
+        from repro.scenarios.registry import load_scenario_file
 
         spec = load_scenario_file(sweep_toml)
         serial = run_scenario_sweep(spec, engine="dag", jobs=1)
