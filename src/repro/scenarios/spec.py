@@ -15,6 +15,7 @@ the exact dotted path of the offending field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -62,6 +63,9 @@ def _check_positive(value: float, path: str, scenario: str,
     if value < 0 or (value == 0 and not allow_zero):
         bound = ">= 0" if allow_zero else "> 0"
         raise ScenarioError(f"must be {bound}, got {value}",
+                            path=path, scenario=scenario)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"must be finite, got {value}",
                             path=path, scenario=scenario)
     return value
 
@@ -472,6 +476,7 @@ class CampaignSection:
                 f"must be >= campaign.{unit}_low ({lo}), got {hi}",
                 path=f"campaign.{unit}_high", scenario=scenario,
             )
+        _check_positive(hi, f"campaign.{unit}_high", scenario, allow_zero=True)
         return cls(rate=rate, duration_low=duration_low,
                    duration_high=duration_high, phases_low=phases_low,
                    phases_high=phases_high)

@@ -9,6 +9,7 @@ duration on odd sockets, random durations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class DelaySpec:
             raise ValueError(f"step must be >= 0, got {self.step}")
         if self.duration < 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
 
     def in_phases(self, t_exec: float) -> float:
         """Delay duration expressed in units of execution phases."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -64,7 +65,7 @@ class SaturationConfig:
         Contention-independent seconds per phase (e.g. in-core compute).
     noise / delays:
         Extra serial time per phase: fine-grained noise and one-off delays.
-    pattern / msg_size:
+    pattern:
         Communication pattern along the rank chain.
     t_flight:
         One-way message flight time in seconds.
@@ -86,7 +87,6 @@ class SaturationConfig:
     noise: NoiseModel = field(default_factory=NoNoise)
     delays: tuple[DelaySpec, ...] = ()
     pattern: CommPattern = field(default_factory=lambda: CommPattern())
-    msg_size: int = 8192
     t_flight: float = 2e-6
     o_post: float = 1e-6
     rendezvous: bool = False
@@ -137,14 +137,13 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     last change at the socket's current rate, so a change drains them all
     by one amount and schedules only the socket's earliest stream end; a
     tie goes to the first such rank in the socket's set iteration order
-    (the golden fixtures pin this order).  A later change bumps the
-    socket's epoch, which marks the scheduled event stale.
+    (the golden fixtures pin this order).  A scheduled stream end is stale
+    once its sequence number is no longer the socket's latest.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
-    n = cfg.n_ranks
-    steps = cfg.n_steps
+    n, steps = cfg.n_ranks, cfg.n_steps
     work = cfg.work_matrix()
     serial = np.full((n, steps), cfg.t_serial, dtype=float)
     serial += cfg.noise.sample(rng, (n, steps))
@@ -152,6 +151,8 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
         if spec.rank >= n or spec.step >= steps:
             raise ValueError(f"delay {spec} outside the configured run")
         serial[spec.rank, spec.step] += spec.duration
+    if not np.isfinite(serial).all():
+        raise ValueError("serial time (t_serial + noise + delays) must be finite")
 
     # Communication dependencies per rank (who must finish phase k before my
     # Waitall of step k can complete).  Under bidirectional rendezvous the
@@ -168,111 +169,109 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
                     deps.update(cfg.pattern.send_targets(p, n))
                 deps.discard(rank)
         dep_sources.append(sorted(deps))
-    # Reverse index: when rank j finishes phase k, whom to notify.
+    # Reverse index: when rank j finishes phase k, whom to notify; each rank
+    # notifies itself last, so its pending count includes itself.
     notifies: list[list[int]] = [[] for _ in range(n)]
     for rank in range(n):
         for src in dep_sources[rank]:
             notifies[src].append(rank)
+    for rank, targets in enumerate(notifies):
+        targets.append(rank)
+    # The ranks whose phase ends a Waitall waits for, its own too under
+    # rendezvous.  IEEE rounding is monotone, so adding t_flight to their
+    # max is bitwise equal to the max of each end plus t_flight.
+    end_ranks = [deps + [rank] if deps and cfg.rendezvous else deps
+                 for rank, deps in enumerate(dep_sources)]
 
-    exec_start = np.zeros((n, steps))
-    exec_end = np.zeros((n, steps))
-    post_end = np.zeros((n, steps))
-    completion = np.zeros((n, steps))
+    # Rank-major 8-byte cells: phase (r, k) is cell r * steps + k, and
+    # ends_at[k] views step k's exec ends by rank.
+    exec_start, exec_end, post_end, completion = (
+        array("d", [0.0]) * (n * steps) for _ in range(4))
+    ends_at = [memoryview(exec_end)[k::steps] for k in range(steps)]
+    work, serial = memoryview(work.ravel()), memoryview(serial.ravel())
 
     socket_of = [cfg.mapping.socket_of(r) for r in range(n)]
     n_sockets = max(socket_of) + 1
     # share[k]: each rank's rate while k ranks stream on one socket.
     share = [0.0] + [min(cfg.b_core, cfg.b_socket / k) for k in range(1, n + 1)]
     # Per socket: the ranks streaming, when they were last drained, their
-    # common rate since then, and a count of changes.
+    # common rate since then, and the sequence number of its last change.
     active: list[set[int]] = [set() for _ in range(n_sockets)]
-    last = [0.0] * n_sockets
-    rate = [0.0] * n_sockets
-    epoch = [0] * n_sockets
+    last, rate, latest = [0.0] * n_sockets, [0.0] * n_sockets, [-1] * n_sockets
 
     remaining = [0.0] * n  # bytes left to stream in the current phase
-    step_of = [0] * n
-    waiting = [False] * n  # in the Waitall of step step_of[r]
-    # pending[r][k]: dependencies of rank r whose phase-k end is unknown.
-    pending = [[len(deps)] * steps for deps in dep_sources]
-    done = [False] * n
-    rendezvous, t_flight, o_post = cfg.rendezvous, cfg.t_flight, cfg.o_post
+    step_of = [0] * n  # each rank's current step; steps once it has finished
+    cell = list(range(0, n * steps, steps))  # cell of each rank's current phase
+    # pending[r][k]: phase-k ends rank r has yet to learn, its own included.
+    pending = [[len(deps) + 1] * steps for deps in dep_sources]
+    t_flight, o_post = cfg.t_flight, cfg.o_post
 
-    # Events (time, seq, kind, rank, socket epoch), started at t=0 in rank order.
-    heap = [(0.0, r, _START, r, 0) for r in range(n)]
+    # Events (time, seq, kind, rank), started at t=0 in rank order.
+    heap = [(0.0, r, _START, r) for r in range(n)]
     seq = itertools.count(n)
 
-    def rebalance(s: int, now: float, started: int = -1) -> None:
-        """Drain socket ``s`` up to ``now`` and schedule its next stream end."""
-        drain = rate[s] * (now - last[s])
-        last[s] = now
-        epoch[s] += 1
-        rate[s] = new_rate = share[len(active[s])]
-        if not new_rate:
-            return
-        first = -1
-        for r in active[s]:
-            rem = remaining[r]
-            if r != started:
-                rem -= drain
-                remaining[r] = rem = rem if rem > 0.0 else 0.0
-            t = now + rem / new_rate
-            if first < 0 or t < t_first:
-                first, t_first = r, t
-        heappush(heap, (t_first, next(seq), _STREAM, first, epoch[s]))
-
-    def complete_wait(r: int, k: int) -> None:
-        """All of rank r's step-k dependencies are known: compute Waitall end."""
-        t = post_end.item(r, k)
-        own_end = exec_end.item(r, k)
-        for src in dep_sources[r]:
-            end = exec_end.item(src, k)
-            t = max(t, (max(end, own_end) if rendezvous else end) + t_flight)
-        completion[r, k] = t
-        waiting[r] = False
-        if k + 1 < steps:
-            step_of[r] = k + 1
-            heappush(heap, (t, next(seq), _START, r, 0))
-        else:
-            done[r] = True
-
-    while heap:
-        now, _, kind, r, ep = heappop(heap)
-        k = step_of[r]
-        if kind == _STREAM:
+    def run() -> None:
+        # Its own code object puts the loop at offset 0; tracemalloc, which the
+        # memory guard test runs, scans a code object from 0 to find a line.
+        while heap:
+            now, sq, kind, r = heappop(heap)
+            if kind == _TAIL:
+                i, k = cell[r], step_of[r]
+                exec_end[i] = now
+                post_end[i] = now + o_post
+                for q in notifies[r]:
+                    left = pending[q]
+                    left[k] -= 1
+                    if left[k]:
+                        continue
+                    # All of q's step-k phase ends are known: its Waitall ends.
+                    j = cell[q]
+                    t = post_end[j]
+                    if end_ranks[q]:
+                        ends = ends_at[k]
+                        t = max(t, max([ends[src] for src in end_ranks[q]]) + t_flight)
+                    completion[j] = t
+                    cell[q], step_of[q] = j + 1, k + 1
+                    if k + 1 < steps:
+                        heappush(heap, (t, next(seq), _START, q))
+                continue
             s = socket_of[r]
-            if ep != epoch[s]:
-                continue  # the socket changed since this estimate
-            active[s].discard(r)
-            rebalance(s, now)
-            heappush(heap, (now + serial.item(r, k), next(seq), _TAIL, r, 0))
-        elif kind == _TAIL:
-            exec_end[r, k] = now
-            post_end[r, k] = now + o_post
-            waiting[r] = True
-            # Notify dependents that our phase-k end time is now known.
-            for dep in notifies[r]:
-                left = pending[dep]
-                left[k] -= 1
-                if not left[k] and step_of[dep] == k and waiting[dep]:
-                    complete_wait(dep, k)
-            if not pending[r][k]:
-                complete_wait(r, k)
-        else:
-            exec_start[r, k] = now
-            remaining[r] = work.item(r, k)
-            s = socket_of[r]
-            active[s].add(r)
-            rebalance(s, now, r)
+            started = r if kind == _START else -1
+            if kind == _STREAM:
+                if sq != latest[s]:
+                    continue  # the socket changed since this estimate
+                active[s].discard(r)
+            else:
+                i = cell[r]
+                exec_start[i] = now
+                remaining[r] = work[i]
+                active[s].add(r)
+            # Drain socket s up to now and schedule its next stream end.
+            drain = rate[s] * (now - last[s])
+            last[s] = now
+            latest[s] = sq = next(seq)
+            rate[s] = new_rate = share[len(active[s])]
+            if new_rate:
+                first = -1
+                for q in active[s]:
+                    rem = remaining[q]
+                    if q != started:
+                        rem -= drain
+                        remaining[q] = rem = rem if rem > 0.0 else 0.0
+                    t = now + rem / new_rate
+                    if first < 0 or t < t_first:
+                        first, t_first = q, t
+                heappush(heap, (t_first, sq, _STREAM, first))
+            if started < 0:
+                heappush(heap, (now + serial[cell[r]], next(seq), _TAIL, r))
 
-    if not all(done):
+    run()
+    if min(step_of) < steps:
         raise RuntimeError("saturation simulation did not complete all ranks")
 
     return LockstepResult(
-        exec_start=exec_start,
-        exec_end=exec_end,
-        post_end=post_end,
-        completion=completion,
+        *(np.frombuffer(buf).reshape(n, steps)
+          for buf in (exec_start, exec_end, post_end, completion)),
         meta={
             "engine": "saturation",
             "b_core": cfg.b_core,

@@ -232,7 +232,6 @@ def lbm_saturation_config(
         t_serial=0.0,
         noise=machine.natural_noise,
         pattern=pattern,
-        msg_size=halo,
         t_flight=t_flight,
         o_post=machine.network.send_overhead(CommDomain.INTER_NODE),
         rendezvous=True,  # multi-MB halos

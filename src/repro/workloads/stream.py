@@ -143,7 +143,6 @@ def triad_saturation_config(
         t_serial=0.0,
         noise=machine.natural_noise,
         pattern=pattern,
-        msg_size=workload.v_net,
         t_flight=t_flight,
         o_post=machine.network.send_overhead(CommDomain.INTER_NODE),
         rendezvous=True,  # 2 MB messages are far beyond any eager limit

@@ -37,6 +37,20 @@ class TestList:
         assert by_name["emmy_mapped_dag"]["engine"] == "lockstep"
 
 
+NON_FINITE = {
+    "nan_duration": "[[delays]]\nrank = 1\nduration = nan\n",
+    "inf_duration": "[[delays]]\nrank = 1\nduration = inf\n",
+    "inf_t_exec": "[workload]\nt_exec = inf\n",
+}
+
+
+def write_non_finite(tmp_path, case):
+    path = tmp_path / f"{case}.toml"
+    path.write_text('n_ranks = 6\nn_steps = 4\noutputs = ["runtime", "timeline"]\n'
+                    + NON_FINITE[case])
+    return path
+
+
 class TestValidate:
     def test_all_bundled_valid(self, capsys):
         assert main(["scenario", "validate"]) == 0
@@ -57,6 +71,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "ok    fig4_single_delay" in out
         assert "1/2 scenario(s) failed" in out
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_value_fails(self, tmp_path, capsys, case):
+        path = write_non_finite(tmp_path, case)
+        assert main(["scenario", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {path}" in out and "must be finite, got" in out
 
 
 class TestRun:
@@ -80,6 +101,13 @@ class TestRun:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["scenario", "run", "nope"]) == 2
         assert "unknown bundled scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, case):
+        assert main(["scenario", "run", str(write_non_finite(tmp_path, case))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "must be finite, got" in err
+        assert "Traceback" not in err
 
     def test_engine_override(self, capsys):
         assert main(["scenario", "run", "fig4_single_delay",

@@ -99,6 +99,27 @@ class TestPathPreciseErrors:
             ScenarioSpec.from_dict(minimal(campaign={
                 "rate": 0.1, "phases_low": 5.0, "phases_high": 2.0}))
 
+    @pytest.mark.parametrize("unit", ["duration", "phases"])
+    @pytest.mark.parametrize("high", [float("nan"), float("inf")])
+    def test_campaign_upper_bound_must_be_finite(self, unit, high):
+        with pytest.raises(ScenarioError,
+                           match=rf"campaign\.{unit}_high'?: must be finite, got {high}"):
+            ScenarioSpec.from_dict(minimal(campaign={
+                "rate": 0.1, f"{unit}_low": 1.0, f"{unit}_high": high}))
+
+    @pytest.mark.parametrize("section, body, message", [
+        ("workload", {"t_exec": float("inf")},
+         r"workload\.t_exec'?: must be finite, got inf"),
+        # A value rejected before keeps its message.
+        ("workload", {"t_exec": float("-inf")},
+         r"workload\.t_exec'?: must be > 0, got -inf"),
+        ("noise", {"model": "exponential", "mean_delay": float("nan")},
+         r"noise\.mean_delay'?: must be finite, got nan"),
+    ])
+    def test_non_finite_value_rejected(self, section, body, message):
+        with pytest.raises(ScenarioError, match=message + "$"):
+            ScenarioSpec.from_dict(minimal(**{section: body}))
+
     def test_unknown_output(self):
         with pytest.raises(ScenarioError, match=r"outputs\[1\]"):
             ScenarioSpec.from_dict(minimal(outputs=["runtime", "speed"]))

@@ -21,6 +21,11 @@ class TestDelaySpec:
         with pytest.raises(ValueError):
             DelaySpec(**kwargs)
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            DelaySpec(rank=0, step=0, duration=duration)
+
     def test_in_phases_requires_positive_t_exec(self):
         with pytest.raises(ValueError):
             DelaySpec(rank=0, step=0, duration=1e-3).in_phases(0)

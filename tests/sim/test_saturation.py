@@ -2,18 +2,21 @@
 
 The golden fixtures under ``tests/golden/saturation/`` pin the engine's
 four timing matrices bitwise; they were written by running this file
-(``PYTHONPATH=src python tests/sim/test_saturation.py``) and are never
-rewritten to silence a drift.
+(``PYTHONPATH=src python tests/sim/test_saturation.py``), which writes only
+the fixtures that do not exist yet, so none is ever rewritten to silence a
+drift.  Two full-size runs are pinned by a sha256 digest instead.
 """
 
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.sim.delay import DelaySpec
-from repro.sim.noise import ExponentialNoise
+from repro.sim.noise import ExponentialNoise, TraceNoise
 from repro.sim.program import CommPattern, Direction
 from repro.sim.saturation import SaturationConfig, simulate_saturation
 from repro.sim.topology import single_switch_mapping
@@ -159,6 +162,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="work_bytes must be finite"):
             simulate_saturation(make_cfg(work=work))
 
+    @pytest.mark.parametrize("kw", [
+        {"noise": TraceNoise((np.nan,))},
+        {"noise": ExponentialNoise(np.inf)},
+        {"t_serial": 1e308, "delays": (DelaySpec(rank=0, step=0, duration=1e308),)},
+    ], ids=["nan_noise", "inf_noise", "overflowing_delay"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_serial_time_rejected(self, kw):
+        with pytest.raises(ValueError, match=r"serial time \(t_serial \+ noise \+ delays\) must be finite"):
+            simulate_saturation(make_cfg(**kw))
+
     def test_result_monotone_and_valid(self):
         res = simulate_saturation(make_cfg(noise=ExponentialNoise(1e-4), n_steps=6))
         assert (np.diff(res.completion, axis=1) > 0).all()
@@ -202,6 +215,20 @@ def golden_configs() -> dict:
         "two_rank_stream_ties": make_cfg(
             n_ranks=2, n_steps=8, b_socket=1e10, noise=ExponentialNoise(1e-4),
             rendezvous=True, seed=7),
+        # Noise-free, so equal remainders tie at almost every rebalance of
+        # both sockets.  The odd work and bandwidths leave rounding residues
+        # in the drained remainders, so the tied rank handled first changes
+        # the timings: handling the last one first moves 48 cells.
+        "noise_free_two_socket_ties": make_cfg(
+            n_ranks=20, n_steps=12, work=12345678.9, b_core=7.9e9, b_socket=3.7e10,
+            t_flight=3e-6, rendezvous=True,
+            delays=(DelaySpec(rank=7, step=2, duration=2e-3),)),
+        "unidirectional_rendezvous_two_delays": make_cfg(
+            n_ranks=12, n_steps=15, noise=ExponentialNoise(1e-4), rendezvous=True,
+            seed=11,
+            pattern=CommPattern(direction=Direction.UNIDIRECTIONAL, periodic=True),
+            delays=(DelaySpec(rank=2, step=1, duration=6e-3),
+                    DelaySpec(rank=9, step=4, duration=3e-3))),
     }
 
 
@@ -215,13 +242,86 @@ def test_golden_fixture_replays_bitwise(name):
             err_msg=f"saturation golden {name}: {key} drifted")
 
 
-def write_golden_fixtures() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, cfg in golden_configs().items():
+def full_size_configs() -> dict:
+    """Fig. 2's fast run and Fig. 1(a)'s 9-socket point, both at seed 0."""
+    from repro.cluster import EMMY
+    from repro.workloads.lbm import lbm_saturation_config
+    from repro.workloads.stream import triad_saturation_config
+
+    return {
+        "fig2_fast": lbm_saturation_config(EMMY.with_nodes(8), n_steps=600, seed=0),
+        "fig1_9sockets_ppn20": triad_saturation_config(
+            EMMY.with_nodes(16), n_sockets=9, ppn=20, n_steps=400, seed=0),
+    }
+
+
+def matrices_digest(res) -> str:
+    """sha256 of the four timing matrices as little-endian float64 bytes."""
+    h = hashlib.sha256()
+    for key in MATRICES:
+        h.update(np.ascontiguousarray(getattr(res, key), dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+FULL_SIZE_DIGESTS = {
+    "fig2_fast": "bc6aa2fbae0716f6e3c68fc7e0b1ba832425796a8dafe0c2a73b96ca45b0a836",
+    "fig1_9sockets_ppn20": "aeee7aba08f2f1a0cc2788e09a554bf4fbb076ef18475f05c9efc15f65c15717",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_run_digest(name):
+    res = simulate_saturation(full_size_configs()[name])
+    assert matrices_digest(res) == FULL_SIZE_DIGESTS[name], f"{name} drifted"
+
+
+def test_peak_memory_stays_near_the_output_matrices():
+    """The engine keeps its state in 8-byte cells, not Python objects."""
+    cfg = full_size_configs()["fig2_fast"]
+    outputs = len(MATRICES) * cfg.n_ranks * cfg.n_steps * 8
+    simulate_saturation(make_cfg(n_steps=2))  # first-call imports are not engine memory
+    tracemalloc.start()
+    try:
+        simulate_saturation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * outputs, f"peak {peak} B is {peak / outputs:.2f}x the outputs"
+
+
+def write_golden_fixtures(directory: Path = GOLDEN_DIR,
+                          configs: "dict | None" = None) -> "list[str]":
+    """Record the fixtures missing from ``directory``; never overwrite one.
+
+    Returns the names written and prints each existing fixture it skipped.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, cfg in (golden_configs() if configs is None else configs).items():
+        path = directory / f"{name}.json"
+        if path.exists():
+            print(f"skipped {path}: exists")
+            continue
         res = simulate_saturation(cfg)
         record = {"name": name, "n_ranks": cfg.n_ranks, "n_steps": cfg.n_steps,
                   **{key: getattr(res, key).tolist() for key in MATRICES}}
-        (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        written.append(name)
+    return written
+
+
+def test_fixture_writer_never_overwrites(tmp_path, capsys):
+    kept = tmp_path / "kept.json"
+    kept.write_text("sentinel\n")
+    cfg = make_cfg(n_ranks=2, n_steps=3)
+    assert write_golden_fixtures(tmp_path, {"kept": cfg, "new": cfg}) == ["new"]
+    assert kept.read_text() == "sentinel\n"
+    out = capsys.readouterr().out
+    assert "skipped" in out and "kept.json" in out and "new.json" not in out
+    record = json.loads((tmp_path / "new.json").read_text())
+    res = simulate_saturation(cfg)
+    for key in MATRICES:
+        np.testing.assert_array_equal(getattr(res, key), np.asarray(record[key]))
 
 
 if __name__ == "__main__":
