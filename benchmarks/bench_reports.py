@@ -5,8 +5,9 @@ The tentpole claims of the report pipeline, measured:
 - **kernel-level speedup** — the full metric set of a 64-draw batched
   campaign (decay rate, wave fit, desync indices, runtime/idle summaries)
   extracted by the vectorized ``(B, P, S)`` kernels versus an equivalent
-  per-draw loop over the scalar :mod:`repro.core` / :mod:`repro.analysis`
-  functions.  Asserted >= 5x, with every extracted value agreeing to
+  per-draw loop over the single-run :mod:`repro.core` /
+  :mod:`repro.analysis` functions, which are one-draw calls of the same
+  batched code.  Asserted >= 5x, with every extracted value agreeing to
   1e-9 relative.
 - **store-backed report latency** — a bundled report executed cold
   (engine dispatch) and then warm against the same result store.  The
@@ -21,8 +22,8 @@ import numpy as np
 from repro.analysis.desync import desync_onset, overlap_efficiency, skew_spread
 from repro.core.decay import measure_decay
 from repro.core.speed import measure_speed
+from repro.core.timing import BatchedTiming
 from repro.reports import (
-    BatchedTiming,
     MetricContext,
     compile_report,
     get_kernel,
@@ -66,7 +67,7 @@ def _kernel_metrics(batch, ctx):
 
 
 def _per_draw_metrics(batch, ctx):
-    """The same quantities via the scalar per-draw functions (the old way)."""
+    """The same quantities via the single-run functions, one draw at a time."""
     out = {key: np.empty(batch.n_batch) for key in (
         "total_runtime", "total_idle", "beta", "final_skew", "max_skew",
         "overlap_efficiency", "mean_idle", "measured_speed")}

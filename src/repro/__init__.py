@@ -78,12 +78,10 @@ def _lazy_exports(module: str, exports: "dict[str, tuple[str, ...]]"):
 
 
 _names, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".core.decay": ("DecayMeasurement", "DecayStatistics", "decay_statistics",
-                    "measure_decay"),
+    ".core.decay": ("DecayMeasurement", "measure_decay"),
     ".core.elimination": ("EliminationPoint", "elimination_scan",
                           "excess_runtime", "runtime_spread"),
-    ".core.idle_wave": ("IdlePeriod", "WaveFront", "default_threshold",
-                        "idle_periods", "wave_front"),
+    ".core.idle_wave": ("WaveFront", "default_threshold", "wave_front"),
     ".core.interaction": ("Wave", "find_waves", "meeting_ranks",
                           "resync_step", "superposition_defect"),
     ".core.speed": ("SpeedMeasurement", "measure_speed", "sigma_factor",

@@ -4,11 +4,13 @@ Fourier spectra of desync patterns, and timeline extraction."""
 from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".desync": ("desync_onset", "overlap_efficiency", "skew_spread"),
-    ".fourier": ("SkewSpectrum", "dominant_wavelength", "skew_profile",
-                 "skew_spectrum"),
+    ".desync": ("batched_desync_onset", "batched_overlap_efficiency",
+                "batched_skew_spread", "desync_onset", "overlap_efficiency",
+                "skew_spread"),
+    ".fourier": ("SkewSpectrum", "batched_skew_power", "batched_skew_profile",
+                 "dominant_wavelength", "skew_profile", "skew_spectrum"),
     ".histogram": ("NoiseHistogram", "collect_noise_samples"),
-    ".statistics": ("RunStatistics", "summarize", "sweep_statistics"),
+    ".statistics": ("RunStatistics",),
     ".timeline": ("IntervalKind", "TimelineInterval", "full_timeline",
-                  "rank_timeline", "snapshot_positions"),
+                  "rank_timeline"),
 })

@@ -4,7 +4,9 @@ The prior work the paper builds on (Markidis et al. 2015, Peng et al. 2016)
 used Fourier analysis to identify idle waves as nondispersive modes; and
 the paper's own Fig. 2 observes that the emergent LBM desynchronization
 pattern has "a fundamental wavelength equal to the size of the system".
-This module extracts that structure from a run's per-rank skew profile.
+This module extracts that structure from the per-rank skew profiles of a
+batch of runs (:func:`batched_skew_profile`, :func:`batched_skew_power`);
+:func:`skew_profile` and :func:`skew_spectrum` are their one-run forms.
 """
 
 from __future__ import annotations
@@ -13,22 +15,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.timing import RunTiming
+from repro.core.timing import BatchedTiming, RunTiming
 
-__all__ = ["SkewSpectrum", "skew_profile", "skew_spectrum", "dominant_wavelength"]
+__all__ = ["SkewSpectrum", "batched_skew_power", "batched_skew_profile",
+           "dominant_wavelength", "skew_profile", "skew_spectrum"]
 
 
-def skew_profile(run, step: int) -> np.ndarray:
-    """Per-rank skew at one time step: completion minus the rank mean.
+def batched_skew_profile(batch: BatchedTiming, step: int) -> np.ndarray:
+    """Per-draw, per-rank skew at one time step, ``[B, P]``: completion
+    minus the draw's rank mean.
 
     This is the quantity plotted (as marker positions) in Fig. 2: how far
     ahead/behind each rank is at a given bulk-synchronous step.
     """
-    timing = RunTiming.of(run)
-    if not 0 <= step < timing.n_steps:
-        raise IndexError(f"step {step} out of range [0, {timing.n_steps})")
-    col = timing.completion[:, step]
-    return col - col.mean()
+    if not 0 <= step < batch.n_steps:
+        raise IndexError(f"step {step} out of range [0, {batch.n_steps})")
+    col = batch.completion[:, :, step]
+    return col - col.mean(axis=1, keepdims=True)
+
+
+def batched_skew_power(batch: BatchedTiming, step: int) -> np.ndarray:
+    """Spatial power spectrum of each draw's skew profile, ``[B, P//2 + 1]``.
+
+    Entry ``k`` is the power of wavenumber ``k`` (cycles per chain
+    length).
+    """
+    return np.abs(np.fft.rfft(batched_skew_profile(batch, step), axis=1)) ** 2
+
+
+def skew_profile(run, step: int) -> np.ndarray:
+    """One run's :func:`batched_skew_profile`, ``[P]``."""
+    return batched_skew_profile(RunTiming.of(run).batch(), step)[0]
 
 
 @dataclass(frozen=True)
@@ -60,14 +77,13 @@ class SkewSpectrum:
 
 
 def skew_spectrum(run, step: int) -> SkewSpectrum:
-    """Spatial FFT of the skew profile at one step."""
-    profile = skew_profile(run, step)
-    n = profile.size
-    spec = np.fft.rfft(profile)
+    """Spatial FFT of one run's skew profile at one step."""
+    timing = RunTiming.of(run)
+    power = batched_skew_power(timing.batch(), step)[0]
     return SkewSpectrum(
-        wavenumbers=np.arange(spec.size),
-        power=np.abs(spec) ** 2,
-        n_ranks=n,
+        wavenumbers=np.arange(power.size),
+        power=power,
+        n_ranks=timing.n_ranks,
     )
 
 

@@ -1,18 +1,18 @@
-"""Multi-run statistics helpers.
+"""Multi-run statistics.
 
 The paper reports medians with min/max whiskers over repeated runs
-(Fig. 1's performance whiskers, Fig. 8's 15-run decay statistics).  These
-helpers standardize that reporting.
+(Fig. 1's performance whiskers, Fig. 8's 15-run decay statistics).
+:class:`RunStatistics` standardizes that reporting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["RunStatistics", "summarize", "sweep_statistics"]
+__all__ = ["RunStatistics"]
 
 
 @dataclass(frozen=True)
@@ -39,39 +39,3 @@ class RunStatistics:
             std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
             n=arr.size,
         )
-
-    @property
-    def whisker_low(self) -> float:
-        """Distance from median down to the minimum."""
-        return self.median - self.minimum
-
-    @property
-    def whisker_high(self) -> float:
-        """Distance from median up to the maximum."""
-        return self.maximum - self.median
-
-
-def summarize(samples: Iterable[float]) -> RunStatistics:
-    """Shorthand for :meth:`RunStatistics.from_samples`."""
-    return RunStatistics.from_samples(samples)
-
-
-def sweep_statistics(
-    parameter_values: Iterable,
-    runner: Callable[[object, int], float],
-    n_runs: int,
-    seed0: int = 0,
-) -> "list[tuple[object, RunStatistics]]":
-    """Run ``runner(value, seed)`` ``n_runs`` times per parameter value.
-
-    Returns ``[(value, RunStatistics), ...]`` — the shape of Fig. 8's data
-    (one statistics entry per noise level).  Seeds are ``seed0 + run`` so
-    sweeps are reproducible yet runs are independent.
-    """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    out = []
-    for value in parameter_values:
-        samples = [runner(value, seed0 + run) for run in range(n_runs)]
-        out.append((value, RunStatistics.from_samples(samples)))
-    return out

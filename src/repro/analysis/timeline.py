@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.timing import RunTiming
 
-__all__ = ["IntervalKind", "TimelineInterval", "rank_timeline", "full_timeline", "snapshot_positions"]
+__all__ = ["IntervalKind", "TimelineInterval", "rank_timeline", "full_timeline"]
 
 
 class IntervalKind(Enum):
@@ -86,17 +86,3 @@ def full_timeline(run, base_exec: float | None = None) -> list[list[TimelineInte
     timing = RunTiming.of(run)
     return [rank_timeline(timing, r, base_exec=base_exec) for r in range(timing.n_ranks)]
 
-
-def snapshot_positions(run, steps: "list[int]") -> np.ndarray:
-    """Wall-clock position of each rank at selected steps (Fig. 2's markers).
-
-    Returns an array of shape ``[len(steps), n_ranks]`` with the completion
-    time of each rank at each requested step.
-    """
-    timing = RunTiming.of(run)
-    out = np.empty((len(steps), timing.n_ranks))
-    for i, step in enumerate(steps):
-        if not 0 <= step < timing.n_steps:
-            raise IndexError(f"step {step} out of range [0, {timing.n_steps})")
-        out[i] = timing.completion[:, step]
-    return out

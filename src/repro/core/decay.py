@@ -7,8 +7,8 @@ rate** β̄ in µs/rank — how much idle duration the wave loses per rank
 travelled — and finds a clear positive correlation between β̄ and the noise
 level ``E`` (mean relative delay per execution period).
 
-This module measures β̄ from a run and provides the multi-run statistics
-(median/min/max over seeds) the paper plots.
+This module measures β̄ along the wave fronts of a batch of runs
+(:func:`front_decay`), or of one run (:func:`measure_decay`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.idle_wave import default_threshold, wave_front
+from repro.core.idle_wave import (
+    BatchedWaveFront,
+    batched_wave_front,
+    default_threshold,
+    masked_linear_fit,
+)
 from repro.core.timing import RunTiming
 
-__all__ = ["DecayMeasurement", "measure_decay", "decay_statistics"]
+__all__ = ["DecayMeasurement", "front_decay", "measure_decay"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,45 @@ class DecayMeasurement:
     amplitudes: np.ndarray
 
 
+def front_decay(front: BatchedWaveFront) -> "dict[str, np.ndarray]":
+    """Per-draw decay measurements from a batched front, each ``[B]``.
+
+    The wave's amplitude at each hop is its idle duration on that rank
+    (leading-edge arrival period).  ``beta`` is the endpoint estimator
+
+    ``beta = (A_first - A_last) / (hops - 1)``,
+
+    which matches the paper's "average decay rate" (a single-hop wave
+    lost its whole amplitude in one further hop); ``slope_beta`` is the
+    negated least-squares slope of amplitude over hop.  On a noise-free
+    system both are ~0 (the wave propagates without decay until it runs
+    out or cancels).  Draws with no detected wave yield ``NaN``.
+    """
+    n = front.n_hops
+    if front.limit == 0:
+        nan = np.full(front.n_batch, np.nan)
+        return {"beta": nan, "slope_beta": nan.copy(),
+                "initial_amplitude": nan.copy(), "survival_hops": nan.copy()}
+    detected = n >= 1
+    rows = np.arange(front.n_batch)
+    amps0 = np.where(detected, front.amplitudes[:, 0], np.nan)
+    amps_last = np.where(
+        detected, front.amplitudes[rows, np.maximum(n - 1, 0)], np.nan)
+    with np.errstate(invalid="ignore"):
+        beta = np.where(n == 1, amps0,
+                        (amps0 - amps_last) / np.maximum(n - 1, 1))
+    hops = np.broadcast_to(
+        np.arange(1, front.limit + 1, dtype=float), front.amplitudes.shape)
+    slope, _ = masked_linear_fit(
+        hops, np.where(front.valid(), front.amplitudes, 0.0), front.valid())
+    return {
+        "beta": beta,
+        "slope_beta": np.where(n == 1, amps0, -slope),
+        "initial_amplitude": amps0,
+        "survival_hops": np.where(detected, n, np.nan).astype(float),
+    }
+
+
 def measure_decay(
     run,
     source: int,
@@ -60,14 +104,7 @@ def measure_decay(
 ) -> DecayMeasurement:
     """Measure the decay rate of the idle wave emanating from ``source``.
 
-    The wave's amplitude at each hop is its idle duration on that rank
-    (leading-edge arrival period).  The endpoint estimator
-
-    ``beta = (A_first - A_last) / (hops - 1)``
-
-    matches the paper's "average decay rate"; the least-squares slope over
-    all hops is reported alongside.  On a noise-free system both are ~0
-    (the wave propagates without decay until it runs out or cancels).
+    One run's :func:`front_decay`.
 
     Raises
     ------
@@ -77,52 +114,18 @@ def measure_decay(
     timing = RunTiming.of(run)
     if threshold is None:
         threshold = default_threshold(timing)
-    front = wave_front(run, source, direction=direction, threshold=threshold, periodic=periodic)
-    if len(front) == 0:
+    front = batched_wave_front(timing.batch(), source, direction, threshold,
+                               periodic)
+    reached = int(front.n_hops[0])
+    if reached == 0:
         raise ValueError(
             f"no idle wave detected from rank {source} above threshold {threshold:.3g}s"
         )
-    amps = front.amplitudes
-    if len(amps) == 1:
-        # Wave died after a single hop: it lost its whole amplitude in one
-        # further hop (the next rank shows nothing above threshold).
-        beta = float(amps[0])
-        slope_beta = float(amps[0])
-    else:
-        beta = float((amps[0] - amps[-1]) / (len(amps) - 1))
-        slope = np.polyfit(front.hops.astype(float), amps, 1)[0]
-        slope_beta = float(-slope)
+    decay = front_decay(front)
     return DecayMeasurement(
-        beta=beta,
-        slope_beta=slope_beta,
-        initial_amplitude=float(amps[0]),
-        survival_hops=int(front.reach),
-        amplitudes=amps,
-    )
-
-
-@dataclass(frozen=True)
-class DecayStatistics:
-    """Median/min/max decay rate over repeated runs (Fig. 8 error bars)."""
-
-    median: float
-    minimum: float
-    maximum: float
-    samples: tuple[float, ...]
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.samples)
-
-
-def decay_statistics(betas: "list[float] | np.ndarray") -> DecayStatistics:
-    """Summarize per-run decay rates the way Fig. 8 reports them."""
-    arr = np.asarray(list(betas), dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one decay-rate sample")
-    return DecayStatistics(
-        median=float(np.median(arr)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        samples=tuple(float(x) for x in arr),
+        beta=float(decay["beta"][0]),
+        slope_beta=float(decay["slope_beta"][0]),
+        initial_amplitude=float(decay["initial_amplitude"][0]),
+        survival_hops=reached,
+        amplitudes=front.amplitudes[0, :reached],
     )

@@ -10,8 +10,9 @@ The paper's central quantitative result for the noise-free system is
 with :math:`\\sigma = 2` for *bidirectional rendezvous* communication and
 :math:`\\sigma = 1` for every other mode, and ``d`` the largest distance to
 any communication partner.  :func:`silent_speed` implements the model;
-:func:`measure_speed` extracts the empirical speed from a run by fitting the
-wave front's arrival times.
+:func:`fit_front_speed` extracts the empirical speed from a batch of runs
+by fitting each wave front's arrival times; :func:`measure_speed` is its
+one-run form.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.idle_wave import WaveFront, default_threshold, wave_front
+from repro.core.idle_wave import (
+    BatchedWaveFront,
+    WaveFront,
+    batched_wave_front,
+    default_threshold,
+    masked_linear_fit,
+)
 from repro.core.timing import RunTiming
 from repro.sim.mpi import Protocol
 from repro.sim.program import CommPattern, Direction
 
-__all__ = ["SpeedMeasurement", "silent_speed", "silent_speed_for", "measure_speed", "sigma_factor"]
+__all__ = ["SpeedMeasurement", "fit_front_speed", "measure_speed", "sigma_factor",
+           "silent_speed", "silent_speed_for"]
 
 
 def sigma_factor(bidirectional: bool, rendezvous: bool) -> int:
@@ -114,6 +122,44 @@ class SpeedMeasurement:
         return self.front.reach
 
 
+def fit_front_speed(front: BatchedWaveFront,
+                    min_hops: int = 2) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-draw ``(speed, residual)`` of a batched front's linear fit, ``[B]``.
+
+    A straight line is fitted to (arrival time, hop distance); the slope
+    is the speed in ranks/second, and the residual is the RMS deviation
+    of arrival times from the line, in seconds (``inf`` for a zero
+    slope).  Draws with fewer than two usable arrivals yield ``NaN``;
+    callers reject fronts shorter than ``min_hops`` and non-positive
+    slopes.
+    """
+    steps = front.arrival_steps
+    valid = front.valid()
+    hops = np.broadcast_to(
+        np.arange(1, front.limit + 1, dtype=float), steps.shape)
+    # With d > 1 (or σ = 2) the front advances in groups of ranks released
+    # by the same bulk-synchronous step; group members arrive essentially
+    # simultaneously, and a group truncated by the chain boundary would
+    # bias a naive per-rank regression.  Each arrival *step* is collapsed
+    # to its leading hop before fitting — leaders always exist, so
+    # truncation is harmless.  (With d = 1 there is one hop per step and
+    # this reduces to the plain per-hop fit.)
+    keep = valid.copy()
+    if front.limit > 1:
+        keep[:, 1:] &= steps[:, 1:] != steps[:, :-1]
+    use_grouped = keep.sum(axis=1) >= min_hops
+    mask = np.where(use_grouped[:, None], keep, valid)
+
+    times = np.where(mask, front.arrival_times, 0.0)
+    slope, intercept = masked_linear_fit(times, hops, mask)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        misfit = np.where(mask, slope[:, None] * times + intercept[:, None]
+                          - hops, 0.0)
+        rms = np.sqrt((misfit * misfit).sum(axis=1) / mask.sum(axis=1))
+        residual = np.where(slope != 0, rms / np.abs(slope), np.inf)
+    return slope, residual
+
+
 def measure_speed(
     run,
     source: int,
@@ -125,62 +171,35 @@ def measure_speed(
 ) -> SpeedMeasurement:
     """Fit the leading-edge speed of the idle wave emanating from ``source``.
 
-    A straight line is fitted to (arrival time, hop distance); the slope is
-    the speed in ranks/second.  The leading slope is the quantity the paper
-    finds insensitive to noise (Sec. IV-C).
+    One run's :func:`fit_front_speed`.  The leading slope is the quantity
+    the paper finds insensitive to noise (Sec. IV-C).
 
     Raises
     ------
     ValueError
         If the wave is detected on fewer than ``min_hops`` ranks (no
-        propagation to measure).
+        propagation to measure), or the fitted speed is not positive.
     """
     timing = RunTiming.of(run)
     if threshold is None:
         threshold = default_threshold(timing)
-    front = wave_front(
-        timing, source, direction=direction, threshold=threshold, periodic=periodic,
-        max_hops=max_hops,
-    )
-    if len(front) < min_hops:
+    front = batched_wave_front(timing.batch(), source, direction, threshold,
+                               periodic, max_hops)
+    reached, need = int(front.n_hops[0]), max(min_hops, 2)  # a line needs two points
+    if reached < need:
         raise ValueError(
             f"idle wave from rank {source} (direction {direction:+d}) reached only "
-            f"{len(front)} ranks above threshold {threshold:.3g}s; need {min_hops}"
+            f"{reached} ranks above threshold {threshold:.3g}s; need {need}"
         )
-    t = front.arrival_times
-    h = front.hops.astype(float)
-    # With d > 1 (or σ = 2) the front advances in groups of ranks released
-    # by the same bulk-synchronous step; group members arrive essentially
-    # simultaneously, and a group truncated by the chain boundary would
-    # bias a naive per-rank regression.  We collapse each arrival *step* to
-    # its leading hop before fitting — leaders always exist, so truncation
-    # is harmless.  (With d = 1 there is one hop per step and this reduces
-    # to the plain per-hop fit.)
-    steps = front.arrival_steps
-    group_t: list[float] = []
-    group_h: list[float] = []
-    last_step = None
-    for ti, hi, ki in zip(t, h, steps):
-        if last_step is not None and ki == last_step:
-            continue  # keep the group's first (smallest) hop
-        group_t.append(float(ti))
-        group_h.append(float(hi))
-        last_step = int(ki)
-    if len(group_t) >= min_hops:
-        t = np.asarray(group_t)
-        h = np.asarray(group_h)
-    # Fit hops(t): slope = ranks per second.
-    slope, intercept = np.polyfit(t, h, 1)
-    fitted = slope * t + intercept
-    residual = float(np.sqrt(np.mean((fitted - h) ** 2))) / abs(slope) if slope != 0 else np.inf
-    if slope <= 0:
+    speed, residual = fit_front_speed(front, min_hops=min_hops)
+    if not speed[0] > 0:
         raise ValueError(
-            f"non-positive fitted speed {slope:.3g} ranks/s — arrivals are not "
+            f"non-positive fitted speed {speed[0]:.3g} ranks/s — arrivals are not "
             "monotonically ordered; check threshold and source"
         )
     return SpeedMeasurement(
-        speed=float(slope),
+        speed=float(speed[0]),
         direction=direction,
-        front=front,
-        residual=residual,
+        front=front[0],
+        residual=float(residual[0]),
     )

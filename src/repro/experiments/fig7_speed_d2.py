@@ -11,11 +11,8 @@ digests pin the full trace each keeps in ``data``.
 
 from __future__ import annotations
 
-from repro.core import silent_speed
-from repro.core.timing import RunTiming
+from repro.core import measure_speed, silent_speed
 from repro.experiments.base import ExperimentResult
-from repro.reports.kernels import batched_wave_front, fit_front_speed
-from repro.reports.timing import BatchedTiming
 from repro.sim import (
     CommPattern,
     DelaySpec,
@@ -30,7 +27,7 @@ from repro.sim.topology import CommDomain
 from repro.viz.ascii_timeline import render_idle_heatmap
 from repro.viz.tables import format_table
 
-__all__ = ["run", "run_d2", "measure_speed_d2"]
+__all__ = ["run", "run_d2"]
 
 T_EXEC = 3e-3
 MSG_SIZE = 31080 * 8  # rendezvous-sized, as in Fig. 5's bottom row
@@ -51,22 +48,6 @@ def run_d2(direction: Direction, n_ranks: int = 18, n_steps: int = 20, seed: int
     return simulate(build_lockstep_program(cfg), SimConfig(network=UniformNetwork()))
 
 
-def measure_speed_d2(trace) -> float:
-    """Forward wave speed of one Fig. 7 panel via the shared report kernel.
-
-    The batched front walk + Eq. 2 fit in :mod:`repro.reports.kernels` is
-    the *same* code the ``fig7_speed`` report spec runs over the scenario
-    sweep, so the experiment and report paths cannot drift apart (the
-    parity test pins them to 1e-9).
-    """
-    batch = BatchedTiming.from_timings([RunTiming.of(trace)])
-    front = batched_wave_front(batch, SOURCE, direction=+1, periodic=False)
-    speed = float(fit_front_speed(front)[0])
-    if not speed > 0:
-        raise ValueError(f"no measurable idle wave from rank {SOURCE}")
-    return speed
-
-
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Regenerate the Fig. 7 speed comparison."""
     net = UniformNetwork()
@@ -77,7 +58,8 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     for label, direction in (("(a) unidirectional", Direction.UNIDIRECTIONAL),
                              ("(b) bidirectional", Direction.BIDIRECTIONAL)):
         trace = run_d2(direction, seed=seed)
-        speed = measure_speed_d2(trace)
+        # The same front fit the fig7_speed report spec runs, on one draw.
+        speed = measure_speed(trace, SOURCE, direction=+1, periodic=False).speed
         bidi = direction == Direction.BIDIRECTIONAL
         model = silent_speed(T_EXEC, t_comm, d=2, bidirectional=bidi, rendezvous=True)
         rows.append((label, speed, model, abs(speed - model) / model * 100))

@@ -21,9 +21,10 @@ import numpy as np
 
 from repro.analysis.statistics import RunStatistics
 from repro.cluster import EMMY, MEGGIE, SIMULATED, MachineSpec
+from repro.core.decay import front_decay
+from repro.core.idle_wave import batched_wave_front
+from repro.core.timing import BatchedTiming
 from repro.experiments.base import ExperimentResult
-from repro.reports.kernels import batched_wave_front, front_decay
-from repro.reports.timing import BatchedTiming
 from repro.sim import (
     CommPattern,
     DelaySpec,
@@ -37,7 +38,7 @@ from repro.sim.noise import NoNoise
 from repro.sim.program import build_exec_times
 from repro.viz.tables import format_table
 
-__all__ = ["run", "decay_batch", "decay_for", "DELAY_DURATION"]
+__all__ = ["run", "decay_batch", "DELAY_DURATION"]
 
 T_EXEC = 3e-3
 MSG_SIZE = 8192
@@ -66,11 +67,10 @@ def decay_batch(machine: MachineSpec, E: float,
     """β̄ (seconds/rank) for one machine and noise level over many seeds.
 
     All seeds run as a *single* batched-lockstep recurrence and the decay
-    rates come out of the shared report kernel
-    (:func:`repro.reports.kernels.front_decay`) in one vectorized pass —
-    the same code path the ``fig8_decay`` report spec runs, so experiment
-    and report agree exactly (each batch slice is bit-identical to the
-    per-seed engine call the driver used to make).
+    rates come out of :func:`repro.core.decay.front_decay` in one
+    vectorized pass — the same code the ``fig8_decay`` report spec runs,
+    so experiment and report agree exactly (each batch slice is
+    bit-identical to the per-seed engine call the driver used to make).
     """
     injected = ExponentialNoise(E * T_EXEC) if E > 0 else NoNoise()
     noise = _CompositeNoise(machine.natural_noise, injected)
@@ -98,11 +98,6 @@ def decay_batch(machine: MachineSpec, E: float,
         raise ValueError(f"no idle wave detected from rank {SOURCE} for "
                          f"seed(s) {dead}")
     return betas
-
-
-def decay_for(machine: MachineSpec, E: float, seed: int) -> float:
-    """Measure β̄ (seconds/rank) for one machine, noise level, and seed."""
-    return float(decay_batch(machine, E, [seed])[0])
 
 
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:

@@ -7,10 +7,11 @@ package closes the loop from "run a sweep" to "publishable numbers":
 
 - :mod:`repro.reports.spec` — frozen plain-data :class:`ReportSpec`,
   TOML/JSON-loadable, naming scenarios, metrics, grouping, and artifacts;
-- :mod:`repro.reports.kernels` — a registry of **vectorized metric
-  kernels** (wave speed via the Eq. 2 fit, decay rate β̄, desync indices,
-  idle-histogram and Fourier summaries) operating on ``(B, P, S)`` timing
-  stacks with no per-draw Python loop;
+- :mod:`repro.reports.kernels` — a registry of **metric kernels** (wave
+  speed via the Eq. 2 fit, decay rate β̄, desync indices, idle-histogram
+  and Fourier summaries): thin adapters over the batched analyses of
+  :mod:`repro.core` and :mod:`repro.analysis`, operating on ``(B, P, S)``
+  timing stacks with no per-draw Python loop;
 - :mod:`repro.reports.query` — the store query layer: reports over an
   already-run sweep load every run by content hash and touch the engine
   **zero** times; misses fall back to the campaign runtime;
@@ -37,12 +38,11 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".compiler": ("CompiledReport", "ReportTarget", "ResolvedMetric",
                   "compile_report"),
     ".errors": ("ReportError",),
-    ".kernels": ("MetricContext", "MetricKernel", "batched_wave_front",
-                 "get_kernel", "kernel_names", "register_kernel"),
+    ".kernels": ("MetricContext", "MetricKernel", "get_kernel",
+                 "kernel_names", "register_kernel"),
     ".registry": ("bundled_report_names", "iter_bundled_reports",
                   "load_bundled_report", "load_report_file",
                   "parse_report_text", "resolve_report"),
     ".runner": ("ReportResult", "ReportRow", "run_report"),
     ".spec": ("ArtifactRequest", "MetricRequest", "ReportSpec"),
-    ".timing": ("BatchedTiming",),
 })

@@ -1,21 +1,23 @@
-"""Vectorized metric kernels: batched ``(B, P, S)`` timing → per-draw metrics.
+"""Metric kernels: batched ``(B, P, S)`` timing → per-draw metrics.
 
 Each kernel extracts one family of derived quantities — the numbers the
 paper actually reports (wave speed via the Eq. 2 fit, decay rate β̄,
 desynchronization indices, idle-histogram and spatial-Fourier summaries)
-— from a :class:`~repro.reports.timing.BatchedTiming` stack in one
-vectorized pass.  There is **no per-draw Python loop**: every operation
-is elementwise or reduced along the batch axis (the wave-front walk loops
-over *hops*, never over draws), which is what makes report extraction over
-a 64-draw campaign an order of magnitude faster than calling the scalar
-:mod:`repro.core` / :mod:`repro.analysis` functions draw by draw
-(``benchmarks/bench_reports.py`` asserts ≥ 5x).
+— from a :class:`~repro.core.timing.BatchedTiming` stack in one
+vectorized pass.  The arithmetic lives in the batched analyses of
+:mod:`repro.core` and :mod:`repro.analysis`, whose single-run names
+(``measure_speed``, ``measure_decay``, ``desync_onset``, ...) are their
+one-draw calls; a kernel adapts one of them to the registry.  There is
+**no per-draw Python loop** (the wave-front walk loops over *hops*,
+never over draws), which is what makes report extraction over a 64-draw
+campaign several times faster than calling the single-run functions draw
+by draw (``benchmarks/bench_reports.py`` asserts ≥ 5x).
 
-Every kernel agrees with its scalar counterpart to ~machine precision
-(``tests/reports/test_report_kernels.py`` checks 1e-9 relative on every field);
-draws where the scalar function would raise (no measurable wave, fewer
+Draws where a single-run function would raise (no measurable wave, fewer
 hops than the fit needs) yield ``NaN`` instead, so one dead draw cannot
-abort a whole campaign's report.
+abort a whole campaign's report.  The desync and Fourier kernels import
+their analysis in the kernel body, so a report that runs neither loads
+no :mod:`repro.analysis` module.
 
 Kernels register themselves in a module-level registry; report specs
 resolve metric names against it (see CONTRIBUTING.md for how to add one).
@@ -28,19 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.speed import silent_speed_for
+from repro.core.decay import front_decay
+from repro.core.idle_wave import batched_wave_front, row_percentile
+from repro.core.speed import fit_front_speed, silent_speed_for
+from repro.core.timing import BatchedTiming
 from repro.reports.errors import ReportError
-from repro.reports.timing import BatchedTiming
 from repro.scenarios.compiler import CompiledScenario
 
 __all__ = [
-    "BatchedWaveFront",
     "MetricContext",
     "MetricKernel",
-    "batched_default_threshold",
-    "batched_wave_front",
-    "fit_front_speed",
-    "front_decay",
     "get_kernel",
     "kernel_names",
     "register_kernel",
@@ -143,9 +142,14 @@ def register_kernel(name: str, fields: "tuple[str, ...]",
     return wrap
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (``True == 1`` would pass otherwise)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_direction(params: dict) -> "str | None":
     direction = params.get("direction", +1)
-    if direction not in (+1, -1):
+    if not (_is_int(direction) and direction in (+1, -1)):
         return f"direction must be +1 or -1, got {direction!r}"
     return None
 
@@ -155,10 +159,10 @@ def _check_wave_speed(params: dict, compiled) -> "str | None":
     if bad:
         return bad
     min_hops = params.get("min_hops", 2)
-    if not (isinstance(min_hops, int) and min_hops >= 1):
+    if not (_is_int(min_hops) and min_hops >= 1):
         return f"min_hops must be an int >= 1, got {min_hops!r}"
     max_hops = params.get("max_hops")
-    if max_hops is not None and not (isinstance(max_hops, int) and max_hops >= 1):
+    if max_hops is not None and not (_is_int(max_hops) and max_hops >= 1):
         return f"max_hops must be an int >= 1, got {max_hops!r}"
     return None
 
@@ -169,7 +173,8 @@ def _check_decay(params: dict, compiled) -> "str | None":
 
 def _check_desync(params: dict, compiled) -> "str | None":
     fraction = params.get("fraction", 0.5)
-    if not (isinstance(fraction, (int, float)) and fraction > 0):
+    if not (isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+            and fraction > 0):
         return f"fraction must be > 0, got {fraction!r}"
     return None
 
@@ -177,7 +182,7 @@ def _check_desync(params: dict, compiled) -> "str | None":
 def _check_fourier(params: dict, compiled) -> "str | None":
     step = params.get("step", -1)
     n_steps = compiled.cfg.n_steps
-    if not isinstance(step, int) or isinstance(step, bool):
+    if not _is_int(step):
         return f"step must be an int, got {step!r}"
     if not -n_steps <= step < n_steps:
         return (f"step {step} out of range for the {n_steps}-step scenario "
@@ -198,285 +203,6 @@ def get_kernel(name: str) -> MetricKernel:
         raise ReportError(
             f"unknown metric {name!r}; registered kernels: {kernel_names()}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# batched wave-front detection (shared by the speed and decay kernels)
-# ----------------------------------------------------------------------
-def _row_percentile(sorted_rows: np.ndarray, counts: np.ndarray,
-                    q: float, start: "np.ndarray | int" = 0) -> np.ndarray:
-    """Per-row linear-interpolated percentile over ``counts[r]`` entries of
-    each pre-sorted row, beginning at offset ``start[r]``.
-
-    Replicates :func:`numpy.percentile`'s default linear interpolation
-    arithmetic exactly (including its ``t >= 0.5`` lerp flip), but costs
-    one gather instead of a per-row partition — ``np.nanpercentile`` over
-    a ``(B, P, S)`` stack is the single hottest operation in the kernel
-    path.  The offset lets one ascending sort serve several sub-ranges
-    (e.g. all finite cells vs. the strictly-positive suffix).  Rows with
-    ``counts == 0`` yield ``NaN``.
-    """
-    n_rows = sorted_rows.shape[0]
-    empty = counts == 0
-    pos = (q / 100.0) * (np.maximum(counts, 1) - 1)
-    lo = np.floor(pos).astype(np.intp)
-    hi = np.ceil(pos).astype(np.intp)
-    rows = np.arange(n_rows)
-    # Clamp for rows with counts == 0 (their offset may point one past
-    # the end); their gathered values are overwritten with NaN below.
-    last = sorted_rows.shape[1] - 1
-    a = sorted_rows[rows, np.minimum(start + lo, last)]
-    b = sorted_rows[rows, np.minimum(start + hi, last)]
-    t = pos - lo
-    diff = b - a
-    out = a + diff * t
-    flip = t >= 0.5
-    out[flip] = b[flip] - diff[flip] * (1.0 - t[flip])
-    out[empty] = np.nan
-    return out
-
-
-def _sorted_idle(batch: BatchedTiming) -> "tuple[np.ndarray, np.ndarray]":
-    """Each draw's idle cells sorted ascending (NaNs last) + finite counts.
-
-    One sort serves every percentile a report's kernels need (the
-    threshold's p90 over all finite cells, the histogram's p95 over the
-    positive suffix), so it is memoized on the batch.
-    """
-    cached = batch._cache.get("sorted_idle")
-    if cached is None:
-        flat = batch.idle.reshape(batch.n_batch, -1)
-        cached = (np.sort(flat, axis=1),
-                  np.count_nonzero(np.isfinite(flat), axis=1))
-        batch._cache["sorted_idle"] = cached
-    return cached
-
-
-def batched_default_threshold(batch: BatchedTiming,
-                              factor: float = 0.5) -> np.ndarray:
-    """Per-draw idle-duration cut, ``[B]``.
-
-    Vectorized transcription of
-    :func:`repro.core.idle_wave.default_threshold`: identical arithmetic
-    per draw, evaluated for all draws at once.
-    """
-    idle = batch.idle
-    n_batch = batch.n_batch
-    t_exec = batch.t_exec
-    if t_exec:
-        base = np.full(n_batch, factor * float(t_exec))
-    elif idle[0].size == 0:
-        return np.zeros(n_batch)
-    else:
-        # Median of each draw's positive idle times; draws without any
-        # positive idle get 0 (the scalar function's early return).  The
-        # inner where keeps all-NaN rows out of nanmedian.
-        any_positive = np.any(idle > 0, axis=(1, 2))
-        positive = np.where(idle > 0, idle, np.nan).reshape(n_batch, -1)
-        med = np.nanmedian(
-            np.where(any_positive[:, None], positive, 0.0), axis=1)
-        base = 10.0 * np.where(any_positive, med, 0.0)
-    if idle[0].size == 0:
-        return base
-    max_idle = np.nanmax(idle, axis=(1, 2))
-    # nanpercentile semantics (ignore NaN cells) via one sort + gather.
-    sorted_rows, finite = _sorted_idle(batch)
-    p90 = _row_percentile(sorted_rows, finite, 90.0)
-    background = np.minimum(2.0 * p90, 0.25 * max_idle)
-    return np.maximum(np.maximum(base, 0.05 * max_idle), background)
-
-
-@dataclass
-class BatchedWaveFront:
-    """Leading edges of B idle waves, hop-indexed with per-draw validity.
-
-    Arrays are ``[B, H]`` with ``H`` the walk limit; entries at hop index
-    ``h`` are meaningful only where ``h < n_hops[b]`` (each draw's front
-    is a contiguous prefix, exactly like the scalar walk, which stops at
-    the first rank showing no above-threshold idle period).
-    """
-
-    arrival_steps: np.ndarray  # int, [B, H]
-    arrival_times: np.ndarray  # float, [B, H]
-    amplitudes: np.ndarray  # float, [B, H]
-    n_hops: np.ndarray  # int, [B]
-
-    @property
-    def n_batch(self) -> int:
-        return self.arrival_steps.shape[0]
-
-    @property
-    def limit(self) -> int:
-        return self.arrival_steps.shape[1]
-
-    def valid(self) -> np.ndarray:
-        """Boolean ``[B, H]`` mask of meaningful entries."""
-        return np.arange(self.limit)[None, :] < self.n_hops[:, None]
-
-
-def batched_wave_front(
-    batch: BatchedTiming,
-    source: int,
-    direction: int = +1,
-    threshold: "np.ndarray | None" = None,
-    periodic: bool = False,
-    max_hops: "int | None" = None,
-) -> BatchedWaveFront:
-    """Trace every draw's idle-wave leading edge in one batched walk.
-
-    The loop runs over *hops* (bounded by the rank count); at each hop all
-    B draws advance together with array operations over ``[B, S]`` slices.
-    Per-draw results are identical to :func:`repro.core.idle_wave.
-    wave_front` on the corresponding slice: same first-arrival rule
-    (first above-threshold idle period at/after the previous arrival
-    step), same stop conditions.
-    """
-    if direction not in (+1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
-    n_batch, n_ranks, n_steps = batch.exec_end.shape
-    if not 0 <= source < n_ranks:
-        raise IndexError(f"source rank {source} out of range [0, {n_ranks})")
-    cache_key = None
-    if threshold is None:
-        # The speed and decay kernels trace the same front; share it (and
-        # the default threshold) across kernel invocations on one batch.
-        cache_key = ("wave_front", source, direction, periodic, max_hops)
-        cached = batch._cache.get(cache_key)
-        if cached is not None:
-            return cached
-        threshold = batch._cache.get("default_threshold")
-        if threshold is None:
-            threshold = batched_default_threshold(batch)
-            batch._cache["default_threshold"] = threshold
-    threshold = np.asarray(threshold, dtype=float)
-
-    limit = n_ranks - 1 if periodic else n_ranks
-    if max_hops is not None:
-        limit = min(limit, max_hops)
-    limit = max(limit, 0)
-
-    starts = batch.wait_start()
-    steps_idx = np.arange(n_steps)
-    arrival_steps = np.zeros((n_batch, limit), dtype=int)
-    arrival_times = np.full((n_batch, limit), np.nan)
-    amplitudes = np.full((n_batch, limit), np.nan)
-    n_hops = np.zeros(n_batch, dtype=int)
-
-    alive = np.ones(n_batch, dtype=bool)
-    prev_step = np.zeros(n_batch, dtype=int)
-    rows = np.arange(n_batch)
-    for hop in range(1, limit + 1):
-        rank = source + direction * hop
-        if periodic:
-            rank %= n_ranks
-        elif not 0 <= rank < n_ranks:
-            break
-        row = batch.idle[:, rank, :]  # [B, S]
-        ok = (row > threshold[:, None]) & (steps_idx[None, :] >= prev_step[:, None])
-        has = ok.any(axis=1) & alive
-        if not has.any():
-            break
-        k = np.argmax(ok, axis=1)
-        col = hop - 1
-        arrival_steps[has, col] = k[has]
-        arrival_times[has, col] = starts[rows[has], rank, k[has]]
-        amplitudes[has, col] = row[rows[has], k[has]]
-        n_hops += has
-        prev_step = np.where(has, k, prev_step)
-        alive = has
-
-    front = BatchedWaveFront(
-        arrival_steps=arrival_steps,
-        arrival_times=arrival_times,
-        amplitudes=amplitudes,
-        n_hops=n_hops,
-    )
-    if cache_key is not None:
-        batch._cache[cache_key] = front
-    return front
-
-
-def _masked_linear_slope(x: np.ndarray, y: np.ndarray,
-                         mask: np.ndarray) -> np.ndarray:
-    """Per-row least-squares slope of ``y`` on ``x`` over masked entries.
-
-    Closed-form simple linear regression (identical minimizer to
-    ``np.polyfit(x, y, 1)``), vectorized over rows; rows with fewer than
-    two usable points or zero x-variance yield ``NaN``.
-    """
-    w = mask.astype(float)
-    n = w.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xm = np.where(n > 0, (w * np.where(mask, x, 0.0)).sum(axis=1) / n, 0.0)
-        ym = np.where(n > 0, (w * np.where(mask, y, 0.0)).sum(axis=1) / n, 0.0)
-        dx = np.where(mask, x - xm[:, None], 0.0)
-        dy = np.where(mask, y - ym[:, None], 0.0)
-        var = (w * dx * dx).sum(axis=1)
-        cov = (w * dx * dy).sum(axis=1)
-        slope = np.where((n >= 2) & (var > 0), cov / var, np.nan)
-    return slope
-
-
-def fit_front_speed(front: BatchedWaveFront, min_hops: int = 2) -> np.ndarray:
-    """Per-draw idle-wave speed from a batched front fit, ``[B]``.
-
-    Vectorized transcription of :func:`repro.core.speed.measure_speed`'s
-    fit: arrival *steps* are collapsed to their leading hop (groups of
-    ranks released by the same bulk-synchronous step arrive essentially
-    simultaneously), then hop distance is regressed on arrival time.
-    Draws whose front is shorter than ``min_hops``, or whose fitted slope
-    is not positive, yield ``NaN`` — the cases where the scalar function
-    raises.
-    """
-    steps = front.arrival_steps
-    valid = front.valid()
-    hops = np.broadcast_to(
-        np.arange(1, front.limit + 1, dtype=float), steps.shape)
-    keep = valid.copy()
-    if front.limit > 1:
-        keep[:, 1:] &= steps[:, 1:] != steps[:, :-1]
-    use_grouped = keep.sum(axis=1) >= min_hops
-    mask = np.where(use_grouped[:, None], keep, valid)
-
-    times = np.where(mask, front.arrival_times, 0.0)
-    slope = _masked_linear_slope(times, hops, mask)
-    measurable = front.n_hops >= min_hops
-    with np.errstate(invalid="ignore"):
-        return np.where(measurable & (slope > 0), slope, np.nan)
-
-
-def front_decay(front: BatchedWaveFront) -> "dict[str, np.ndarray]":
-    """Per-draw decay measurements from a batched front, each ``[B]``.
-
-    Vectorized transcription of :func:`repro.core.decay.measure_decay`:
-    ``beta`` is the endpoint estimator ``(A_first - A_last) / (hops - 1)``
-    (a single-hop wave lost its whole amplitude in one further hop),
-    ``slope_beta`` the least-squares amplitude slope.  Draws with no
-    detected wave yield ``NaN`` — the case where the scalar raises.
-    """
-    n = front.n_hops
-    if front.limit == 0:
-        nan = np.full(front.n_batch, np.nan)
-        return {"beta": nan, "slope_beta": nan.copy(),
-                "initial_amplitude": nan.copy(), "survival_hops": nan.copy()}
-    detected = n >= 1
-    rows = np.arange(front.n_batch)
-    amps0 = np.where(detected, front.amplitudes[:, 0], np.nan)
-    amps_last = np.where(
-        detected, front.amplitudes[rows, np.maximum(n - 1, 0)], np.nan)
-    with np.errstate(invalid="ignore"):
-        beta = np.where(n == 1, amps0,
-                        (amps0 - amps_last) / np.maximum(n - 1, 1))
-    hops = np.broadcast_to(
-        np.arange(1, front.limit + 1, dtype=float), front.amplitudes.shape)
-    slope = _masked_linear_slope(
-        hops, np.where(front.valid(), front.amplitudes, 0.0), front.valid())
-    return {
-        "beta": beta,
-        "slope_beta": np.where(n == 1, amps0, -slope),
-        "initial_amplitude": amps0,
-        "survival_hops": np.where(detected, n, np.nan).astype(float),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +246,7 @@ def _wave_speed_kernel(batch: BatchedTiming, ctx: MetricContext,
         batch, ctx.source, direction=direction, periodic=ctx.periodic,
         max_hops=max_hops,
     )
-    speed = fit_front_speed(front, min_hops=min_hops)
+    slope, _ = fit_front_speed(front, min_hops=min_hops)
 
     compiled = ctx.compiled
     predicted = silent_speed_for(
@@ -528,6 +254,10 @@ def _wave_speed_kernel(batch: BatchedTiming, ctx: MetricContext,
         compiled.t_exec, compiled.t_comm,
     )
     with np.errstate(invalid="ignore"):
+        # NaN where measure_speed raises: too short a front, or a
+        # non-positive fitted speed.
+        speed = np.where((front.n_hops >= min_hops) & (slope > 0), slope,
+                         np.nan)
         rel_err = np.abs(speed - predicted) / predicted
     return {
         "measured_speed": speed,
@@ -563,38 +293,19 @@ def _decay_rate_kernel(batch: BatchedTiming, ctx: MetricContext,
 )
 def _desync_kernel(batch: BatchedTiming, ctx: MetricContext,
                    fraction: float = 0.5) -> dict:
-    if fraction <= 0:
-        raise ValueError(f"fraction must be > 0, got {fraction}")
-    spread = np.ptp(batch.completion, axis=1)  # [B, S]
-    t_exec = batch.t_exec
-    if t_exec:
-        t_exec_b = np.full(batch.n_batch, float(t_exec))
-    else:
-        durations = np.diff(batch.completion, axis=2)
-        t_exec_b = (np.median(durations.reshape(batch.n_batch, -1), axis=1)
-                    if durations.size else np.zeros(batch.n_batch))
-    if np.any(t_exec_b <= 0):
-        raise ValueError("cannot determine the nominal phase length")
-    hits = spread > fraction * t_exec_b[:, None]
-    onset = np.where(hits.any(axis=1),
-                     np.argmax(hits, axis=1).astype(float), np.nan)
+    from repro.analysis.desync import (
+        batched_desync_onset,
+        batched_overlap_efficiency,
+        batched_skew_spread,
+    )
 
-    # exec duration = exec_end - previous completion (0 before step 0);
-    # computed in place to avoid materializing an exec_start matrix.
-    exec_durations = batch.exec_end.copy()
-    exec_durations[:, :, 1:] -= batch.completion[:, :, :-1]
-    serial_budget = (exec_durations.max(axis=1).sum(axis=1)
-                     + batch.idle.max(axis=1).sum(axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        overlap = np.where(serial_budget > 0,
-                           1.0 - batch.total_runtimes() / serial_budget,
-                           np.nan)
+    spread = batched_skew_spread(batch)  # [B, S]
     return {
         "final_skew": spread[:, -1],
         "max_skew": spread.max(axis=1),
         "mean_skew": spread.mean(axis=1),
-        "desync_onset_step": onset,
-        "overlap_efficiency": overlap,
+        "desync_onset_step": batched_desync_onset(batch, fraction),
+        "overlap_efficiency": batched_overlap_efficiency(batch),
     }
 
 
@@ -618,9 +329,9 @@ def _idle_histogram_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
         # In the ascending sort the strictly-positive cells are the
         # suffix of the finite range: reuse the shared sort, offset past
         # the non-positive prefix.
-        sorted_rows, finite = _sorted_idle(batch)
-        p95 = _row_percentile(sorted_rows, counts, 95.0,
-                              start=finite - counts)
+        sorted_rows, finite = batch.sorted_idle()
+        p95 = row_percentile(sorted_rows, counts, 95.0,
+                             start=finite - counts)
     return {
         "n_idle_periods": counts.astype(float),
         "mean_idle": mean_idle,
@@ -638,13 +349,10 @@ def _idle_histogram_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
 )
 def _fourier_kernel(batch: BatchedTiming, ctx: MetricContext,
                     step: int = -1) -> dict:
-    n_steps = batch.n_steps
-    resolved = step + n_steps if step < 0 else step
-    if not 0 <= resolved < n_steps:
-        raise IndexError(f"step {step} out of range [0, {n_steps})")
-    col = batch.completion[:, :, resolved]  # [B, P]
-    profile = col - col.mean(axis=1, keepdims=True)
-    power = np.abs(np.fft.rfft(profile, axis=1)) ** 2  # [B, P//2 + 1]
+    from repro.analysis.fourier import batched_skew_power
+
+    power = batched_skew_power(
+        batch, step + batch.n_steps if step < 0 else step)  # [B, P//2 + 1]
     if power.shape[1] < 2:
         raise ValueError("spectrum has no nonzero wavenumber (need >= 2 ranks)")
     mode = 1 + np.argmax(power[:, 1:], axis=1)

@@ -8,7 +8,7 @@
    so a huge sweep is never materialized whole; misses dispatch
    through the campaign runtime with batching;
 2. each grid point's draws are folded into one ``(B, P, S)``
-   :class:`~repro.reports.timing.BatchedTiming` as they arrive and
+   :class:`~repro.core.timing.BatchedTiming` as they arrive and
    every metric kernel runs once per point (vectorized over draws — no
    per-draw loop); the stack is dropped before the next point loads;
 3. per-draw metric arrays are pooled by the report's ``group_by`` paths
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
+from repro.core.timing import BatchedTiming
 from repro.reports.compiler import SCENARIO_COLUMN, CompiledReport
 from repro.reports.errors import ReportError
 from repro.reports.kernels import MetricContext
 from repro.reports.query import stream_campaign
-from repro.reports.timing import BatchedTiming
 from repro.viz.tables import format_table
 
 __all__ = ["ReportResult", "ReportRow", "aggregate_stat", "run_report"]

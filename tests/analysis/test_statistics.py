@@ -1,8 +1,8 @@
-"""Unit tests for the multi-run statistics helpers."""
+"""Unit tests for the multi-run statistics."""
 
 import pytest
 
-from repro.analysis.statistics import RunStatistics, summarize, sweep_statistics
+from repro.analysis.statistics import RunStatistics
 
 
 class TestRunStatistics:
@@ -14,11 +14,6 @@ class TestRunStatistics:
         assert s.mean == pytest.approx(4.0)
         assert s.n == 5
 
-    def test_whiskers(self):
-        s = RunStatistics.from_samples([1.0, 3.0, 10.0])
-        assert s.whisker_low == pytest.approx(2.0)
-        assert s.whisker_high == pytest.approx(7.0)
-
     def test_single_sample_zero_std(self):
         s = RunStatistics.from_samples([2.0])
         assert s.std == 0.0
@@ -26,27 +21,3 @@ class TestRunStatistics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             RunStatistics.from_samples([])
-
-    def test_summarize_alias(self):
-        assert summarize([1.0, 2.0]).mean == pytest.approx(1.5)
-
-
-class TestSweepStatistics:
-    def test_runner_called_with_value_and_seed(self):
-        calls = []
-
-        def runner(value, seed):
-            calls.append((value, seed))
-            return value * 10.0 + seed
-
-        out = sweep_statistics([1, 2], runner, n_runs=3, seed0=100)
-        assert len(out) == 2
-        assert calls == [(1, 100), (1, 101), (1, 102), (2, 100), (2, 101), (2, 102)]
-        value, stats = out[0]
-        assert value == 1
-        assert stats.n == 3
-        assert stats.minimum == pytest.approx(110.0)
-
-    def test_needs_runs(self):
-        with pytest.raises(ValueError):
-            sweep_statistics([1], lambda v, s: 0.0, n_runs=0)

@@ -1,13 +1,11 @@
 """Unit tests for timeline extraction."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.timeline import (
     IntervalKind,
     full_timeline,
     rank_timeline,
-    snapshot_positions,
 )
 from repro.sim import DelaySpec, LockstepConfig, simulate_lockstep
 
@@ -59,14 +57,3 @@ class TestFullTimeline:
         tls = full_timeline(delayed_run())
         assert len(tls) == 6
         assert all(tl for tl in tls)
-
-
-class TestSnapshotPositions:
-    def test_shape_and_monotonicity(self):
-        pos = snapshot_positions(delayed_run(), [0, 3, 7])
-        assert pos.shape == (3, 6)
-        assert (np.diff(pos, axis=0) > 0).all()
-
-    def test_step_bounds(self):
-        with pytest.raises(IndexError):
-            snapshot_positions(delayed_run(), [99])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.decay import decay_statistics, measure_decay
+from repro.core.decay import measure_decay
 from repro.sim import (
     CommPattern,
     DelaySpec,
@@ -75,16 +75,3 @@ class TestMeasureDecay:
             hops.append(meas.survival_hops)
         assert np.median(betas) > 0
         assert min(hops) < 39  # died before one full traversal
-
-
-class TestDecayStatistics:
-    def test_summary_fields(self):
-        stats = decay_statistics([1.0, 2.0, 3.0])
-        assert stats.median == 2.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        assert stats.n_runs == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            decay_statistics([])

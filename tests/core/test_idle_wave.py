@@ -1,9 +1,9 @@
-"""Unit tests for idle-period detection and wave-front extraction."""
+"""Unit tests for the idle threshold and wave-front extraction."""
 
 import numpy as np
 import pytest
 
-from repro.core.idle_wave import default_threshold, idle_periods, wave_front
+from repro.core.idle_wave import default_threshold, wave_front
 from repro.core.timing import RunTiming
 from repro.sim import (
     CommPattern,
@@ -47,28 +47,6 @@ class TestDefaultThreshold:
             idle=np.zeros((2, 2)),
         )
         assert default_threshold(timing) == 0.0
-
-
-class TestIdlePeriods:
-    def test_detects_wave_cells(self):
-        run = delayed_run()
-        periods = idle_periods(run)
-        ranks = {p.rank for p in periods}
-        assert ranks == set(range(5, 12))  # everyone above the source
-
-    def test_sorted_by_start(self):
-        periods = idle_periods(delayed_run())
-        starts = [p.start for p in periods]
-        assert starts == sorted(starts)
-
-    def test_durations_near_injected_delay(self):
-        periods = idle_periods(delayed_run(phases=4.0))
-        for p in periods:
-            assert p.duration == pytest.approx(4.0 * T, rel=0.01)
-
-    def test_threshold_filters(self):
-        run = delayed_run()
-        assert idle_periods(run, threshold=100.0) == []
 
 
 class TestWaveFront:

@@ -37,6 +37,16 @@ class TestValidate:
         assert report_main(["validate", str(bad)]) == 1
         assert "metrics[0].name" in capsys.readouterr().out
 
+    def test_bool_kernel_param_fails(self, tmp_path, capsys):
+        bad = tmp_path / "bool.toml"
+        bad.write_text('scenario = "fig4_single_delay"\n'
+                       '[[metrics]]\nname = "wave_speed"\n'
+                       'params = { direction = true, min_hops = true }\n')
+        assert report_main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL  {bad}: ")
+        assert "metrics[0].params': direction must be +1 or -1, got True" in out
+
 
 class TestRun:
     def test_run_prints_table(self, capsys):

@@ -2,10 +2,10 @@
 corresponding ``experiments/`` quantities to 1e-9.
 
 The experiment drivers and the report kernels share one measurement
-implementation (:mod:`repro.reports.kernels`); the remaining differences
-between the two paths — DAG vs. lockstep engine for Fig. 7, per-seed vs.
-batched recurrence for Fig. 8, preset-collapsed vs. literal network
-parameters — must all stay below 1e-9 relative.
+implementation (the batched analyses in :mod:`repro.core`); the
+remaining differences between the two paths — DAG vs. lockstep engine
+for Fig. 7, per-seed vs. batched recurrence for Fig. 8, preset-collapsed
+vs. literal network parameters — must all stay below 1e-9 relative.
 """
 
 import pytest

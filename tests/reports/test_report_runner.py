@@ -1,6 +1,7 @@
 """Tests for report compilation, execution, and artifact generation."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,25 @@ class TestCompile:
             compile_report(make_spec(
                 scenario="fig4_single_delay",
                 metrics=[{"name": "wave_speed", "params": {"direction": 2}}]))
+
+    @pytest.mark.parametrize("metric,params,message", [
+        ("wave_speed", {"direction": True},
+         "direction must be +1 or -1, got True"),
+        ("wave_speed", {"min_hops": True},
+         "min_hops must be an int >= 1, got True"),
+        ("wave_speed", {"max_hops": True},
+         "max_hops must be an int >= 1, got True"),
+        ("decay_rate", {"direction": True},
+         "direction must be +1 or -1, got True"),
+        ("desync", {"fraction": True}, "fraction must be > 0, got True"),
+        ("fourier", {"step": True}, "step must be an int, got True"),
+    ])
+    def test_bool_param_rejected(self, metric, params, message):
+        # True == 1 in Python; a bool is still not a direction or a count.
+        with pytest.raises(ReportError, match=re.escape(message)):
+            compile_report(make_spec(
+                scenario="fig4_single_delay",
+                metrics=[{"name": metric, "params": params}]))
 
     def test_group_path_must_be_common_axis(self):
         with pytest.raises(ReportError, match="not a sweep axis"):

@@ -61,9 +61,19 @@ def test_warm_report_run_loads_no_execution_path(tmp_path):
         cli + f"assert main(['report', 'run', {REPORT!r}, "
         f"'--cache-dir', {str(cache)!r}, '--out', {str(tmp_path)!r}]) == 0")
     assert "12 from store, 0 executed" in output
+    # The report runs only the runtime and idle_histogram kernels; the
+    # desync and Fourier kernels import repro.analysis in their bodies.
     for name in ("repro.experiments", "repro.sim.engine",
                  "repro.sim.saturation", "repro.runtime.executor",
-                 "repro.reports.tasks", "multiprocessing"):
+                 "repro.reports.tasks", "repro.analysis", "multiprocessing"):
+        assert not loaded(modules, name), name
+
+
+def test_experiments_import_loads_no_spec_code():
+    """The drivers call the analyses in ``repro.core`` directly, not
+    through the report kernels and their scenario/spec-file imports."""
+    _, modules = modules_after("import repro.experiments")
+    for name in ("repro.reports", "repro.scenarios", "repro.fields"):
         assert not loaded(modules, name), name
 
 
