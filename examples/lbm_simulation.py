@@ -1,40 +1,21 @@
 #!/usr/bin/env python
-"""LBM: a real D3Q19 lattice-Boltzmann solve plus the Fig. 2 timeline study.
+"""LBM: the Fig. 2 timeline study on the saturation simulator.
 
-Part 1 runs the actual D3Q19-SRT kernel on a small periodic box and checks
-the physics (mass conservation, momentum decay of a perturbation).
-
-Part 2 reproduces the paper's Fig. 2 on the saturation simulator: the
-production-scale LBM (302**3 cells, 100 ranks) develops a global
+The production-scale LBM (302**3 cells, 100 ranks) develops a global
 desynchronization pattern whose wavelength approaches the system size, and
 finishes *earlier* than the nonoverlapping model predicts.
 
 Run:  python examples/lbm_simulation.py
 """
 
-import numpy as np
-
 from repro.analysis import dominant_wavelength, skew_profile
 from repro.cluster import EMMY
 from repro.experiments.fig2_lbm_timeline import lbm_model_time_per_step
 from repro.sim import simulate_saturation
-from repro.workloads import LbmKernel, LbmWorkload, lbm_saturation_config
-
-# --- part 1: the actual kernel ------------------------------------------
-print("Part 1: D3Q19-SRT kernel on a 16^3 periodic box")
-kernel = LbmKernel((16, 16, 16), tau=0.8)
-kernel.perturb(amplitude=0.02, seed=3)
-mass0 = kernel.total_mass()
-u0 = float(np.abs(kernel.velocity()).max())
-kernel.step(20)
-mass1 = kernel.total_mass()
-u1 = float(np.abs(kernel.velocity()).max())
-print(f"  mass conservation : drift {abs(mass1 - mass0) / mass0:.2e} over 20 steps")
-print(f"  viscous damping   : max|u| {u0:.3e} -> {u1:.3e}")
-assert abs(mass1 - mass0) / mass0 < 1e-12
+from repro.workloads import LbmWorkload, lbm_saturation_config
 
 # --- part 2: the Fig. 2 timeline study -----------------------------------
-print("\nPart 2: production-scale proxy (302^3 cells, 100 ranks) on the simulator")
+print("Part 2: production-scale proxy (302^3 cells, 100 ranks) on the simulator")
 workload = LbmWorkload()
 machine = EMMY.with_nodes(8)
 N_STEPS = 600

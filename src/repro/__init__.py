@@ -4,7 +4,7 @@ A production-quality reproduction of Afzal, Hager, Wellein:
 *"Propagation and Decay of Injected One-Off Delays on Clusters: A Case
 Study"* (IEEE CLUSTER 2019, arXiv:1905.10603).
 
-The package has four layers:
+The package has five layers:
 
 1. :mod:`repro.sim` — a discrete-event simulator of MPI point-to-point
    message passing on hierarchical clusters (the substrate; the paper used
@@ -12,8 +12,8 @@ The package has four layers:
 2. :mod:`repro.core` — the idle-wave analysis toolkit: detection, speed
    (Eq. 2), decay (Fig. 8), interaction (Fig. 6), elimination (Fig. 9).
 3. :mod:`repro.models`, :mod:`repro.cluster`, :mod:`repro.workloads` —
-   analytic performance models, machine presets (Emmy/Meggie), and the
-   paper's workloads (STREAM triad, LBM, vdivpd).
+   the paper's Eq. 1 runtime model, machine presets (Emmy/Meggie), and
+   the paper's workloads (STREAM triad, LBM, vdivpd).
 4. :mod:`repro.experiments` — one driver per paper figure, runnable via
    ``python -m repro`` or the ``repro-experiment`` script.
 5. :mod:`repro.scenarios` — declarative scenarios: TOML/JSON specs

@@ -2,10 +2,10 @@
 
 The paper characterizes each system's natural noise by histogramming the
 deviation of a known-duration compute phase from its ideal length over
-3.3·10⁵ samples.  This module bins such samples (from the synthetic noise
-models or from :func:`repro.workloads.divide.measure_host_noise`) and
-extracts the summary statistics the paper quotes: mean, maximum, and the
-location of secondary modes.
+3.3·10⁵ samples.  This module bins such samples (drawn from the
+calibrated noise models of :mod:`repro.sim.noise`) and extracts the
+summary statistics the paper quotes: mean, maximum, and the location of
+secondary modes.
 """
 
 from __future__ import annotations

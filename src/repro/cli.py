@@ -54,20 +54,28 @@ import traceback
 from typing import Callable
 
 __all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
-           "jobs_arg", "observe_campaign", "resume_record"]
+           "jobs_arg", "observe_campaign", "resume_record", "seed_arg"]
 
 
-def jobs_arg(text: str) -> int:
-    """``--jobs`` parser: non-negative int (0 = auto-detect CPU count)."""
+def _non_negative_int(text: str, flag: str, note: str = "") -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 0 (0 = auto-detect CPU count), got {value}"
-        )
+            f"{flag} must be >= 0{note}, got {value}")
     return value
+
+
+def jobs_arg(text: str) -> int:
+    """``--jobs`` parser: non-negative int (0 = auto-detect CPU count)."""
+    return _non_negative_int(text, "--jobs", " (0 = auto-detect CPU count)")
+
+
+def seed_arg(text: str) -> int:
+    """``--seed`` parser: non-negative int, as NumPy seeds must be."""
+    return _non_negative_int(text, "--seed")
 
 
 def add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -197,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="paper-sized parameters (slower; default is a fast variant)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=seed_arg, default=0,
+                        help="base RNG seed (>= 0)")
     parser.add_argument(
         "--jobs",
         type=jobs_arg,

@@ -32,27 +32,17 @@ class CpuSpec:
         Reciprocal throughput of the AVX ``vdivpd`` instruction in clock
         cycles (28 on Ivy Bridge, 16 on Broadwell — Sec. III-B), the basis
         of the compute-bound divide workload.
-    flops_per_cycle:
-        Double-precision flops per cycle per core at peak.
     """
 
     name: str
     clock_hz: float = 2.2e9
     vdivpd_cycles: int = 28
-    flops_per_cycle: int = 8
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
             raise ValueError(f"clock_hz must be > 0, got {self.clock_hz}")
         if self.vdivpd_cycles < 1:
             raise ValueError(f"vdivpd_cycles must be >= 1, got {self.vdivpd_cycles}")
-        if self.flops_per_cycle < 1:
-            raise ValueError(f"flops_per_cycle must be >= 1, got {self.flops_per_cycle}")
-
-    @property
-    def peak_flops(self) -> float:
-        """Single-core peak in flop/s."""
-        return self.clock_hz * self.flops_per_cycle
 
 
 @dataclass(frozen=True)
@@ -120,22 +110,3 @@ class MachineSpec:
     def with_nodes(self, n_nodes: int) -> "MachineSpec":
         """A copy of this spec restricted/extended to ``n_nodes`` nodes."""
         return replace(self, topology=replace(self.topology, n_nodes=n_nodes))
-
-    def saturation_cores(self) -> int:
-        """Cores per socket needed to saturate the memory interface."""
-        cores = 1
-        while cores * self.b_core < self.b_socket:
-            cores += 1
-        return cores
-
-    def divide_phase_elements(self, t_exec: float) -> int:
-        """Number of ``vdivpd`` instructions for a phase of ``t_exec`` seconds.
-
-        The compute-bound workload of Sec. III-B: back-to-back dependent
-        divides with an exactly known throughput, so the pure execution
-        time is known and any excess is noise.
-        """
-        if t_exec <= 0:
-            raise ValueError(f"t_exec must be > 0, got {t_exec}")
-        per_instr = self.cpu.vdivpd_cycles / self.cpu.clock_hz
-        return max(1, round(t_exec / per_instr))

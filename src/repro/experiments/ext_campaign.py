@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.base import ExperimentResult, RuntimeOptions
-from repro.runtime import SweepSpec, group_by_param, run_campaign
+from repro.runtime import SweepSpec, run_campaign
 from repro.runtime.tasks import ring_runtime
 from repro.sim.campaign import DelayCampaign
 from repro.viz.tables import format_table
@@ -99,10 +99,13 @@ def run(fast: bool = True, seed: int = 0,
     campaign = run_campaign(
         sweep.tasks(), jobs=opts.jobs, store=opts.store()
     ).raise_failures()
+    by_rate: dict = {}
+    for result in campaign.results:
+        by_rate.setdefault(result.spec.kwargs["rate"], []).append(result.value)
 
     rows = []
     data = {}
-    for rate, values in group_by_param(campaign, "rate").items():
+    for rate, values in by_rate.items():
         hits = [v for v in values if v["injected"] > 0]
         if not hits:
             continue

@@ -1,4 +1,5 @@
-"""Hockney communication model and the paper's Eq. 1 runtime model.
+"""The paper's Eq. 1: a nonoverlapping runtime model with a Hockney-style
+communication term.
 
 Eq. 1 of the paper is the optimistic nonoverlapping model for the MPI
 STREAM triad strong-scaling experiment:
@@ -15,50 +16,7 @@ motivation (Fig. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["HockneyCommModel", "nonoverlap_runtime", "triad_strong_scaling_model"]
-
-
-@dataclass(frozen=True)
-class HockneyCommModel:
-    """Hockney point-to-point model ``T(m) = latency + m / bandwidth``."""
-
-    latency: float
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-
-    def time(self, message_bytes: float) -> float:
-        """Seconds for a single one-way message."""
-        if message_bytes < 0:
-            raise ValueError(f"message_bytes must be >= 0, got {message_bytes}")
-        return self.latency + message_bytes / self.bandwidth
-
-    def effective_bandwidth(self, message_bytes: float) -> float:
-        """Achieved bandwidth for a message of the given size (bytes/s)."""
-        if message_bytes <= 0:
-            raise ValueError(f"message_bytes must be > 0, got {message_bytes}")
-        return message_bytes / self.time(message_bytes)
-
-    def half_performance_length(self) -> float:
-        """Hockney's n_1/2: message size reaching half the asymptotic bandwidth."""
-        return self.latency * self.bandwidth
-
-
-def nonoverlap_runtime(t_exec: float, t_comm: float) -> float:
-    """The bulk-synchronous baseline ``T = T_exec + T_comm`` (Sec. I-A).
-
-    No overlap of communication and computation — the assumption idle waves
-    and desynchronization break.
-    """
-    if t_exec < 0 or t_comm < 0:
-        raise ValueError("t_exec and t_comm must be >= 0")
-    return t_exec + t_comm
+__all__ = ["triad_strong_scaling_model"]
 
 
 def triad_strong_scaling_model(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
@@ -122,6 +123,17 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        import tempfile
+
+        # Fail before the campaign runs, not after it computed a report
+        # it cannot write.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            tempfile.TemporaryFile(dir=args.out).close()
+        except OSError as exc:
+            raise ReportError(
+                f"cannot write artifacts to {args.out}: {exc}") from exc
     try:
         with observe_campaign(args, "report.run", spec.name) as tracker:
             if resumed is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import PurePath
 from typing import Any, Mapping
 
 from repro.fields import StrictFields
@@ -100,7 +101,12 @@ class MetricRequest:
 
 @dataclass(frozen=True)
 class ArtifactRequest:
-    """One output artifact: a kind and an optional relative path override."""
+    """One output artifact: a kind and an optional relative path override.
+
+    The path is taken relative to ``report run --out``; an absolute path
+    or a ``..`` component, which would write outside that directory, is
+    rejected.
+    """
 
     kind: str
     path: "str | None" = None
@@ -119,6 +125,13 @@ class ArtifactRequest:
         if path is not None and not path:
             raise ReportError("path must not be empty",
                               path=f"{where}.path", report=report)
+        below_out = PurePath(path or ".")
+        if below_out.is_absolute() or ".." in below_out.parts:
+            raise ReportError(
+                f"must be a relative path without '..' components (it is "
+                f"written below --out), got {path!r}",
+                path=f"{where}.path", report=report,
+            )
         return cls(kind=kind, path=path)
 
     def to_dict(self) -> dict:
@@ -220,10 +233,16 @@ class ReportSpec:
                 if not isinstance(s, int) or isinstance(s, bool):
                     raise ReportError(f"expected int, got {s!r}",
                                       path=f"seeds[{i}]", report=report)
+                if s < 0:
+                    raise ReportError(f"must be >= 0, got {s}",
+                                      path=f"seeds[{i}]", report=report)
             if len(set(raw_seeds)) != len(raw_seeds):
                 raise ReportError("duplicate seeds", path="seeds",
                                   report=report)
             seeds = tuple(raw_seeds)
+        if base_seed is not None and base_seed < 0:
+            raise ReportError(f"must be >= 0, got {base_seed}",
+                              path="base_seed", report=report)
         if seeds is not None and base_seed is not None:
             raise ReportError(
                 "'base_seed' drives derived replicate seeding and has no "

@@ -21,9 +21,6 @@ into first-class, schedulable work:
 - :mod:`repro.runtime.shards` — the packed shard backend: per-process
   append-only shard files, index recovery from self-describing entries,
   and array reconstruction from raw array segments.
-- :mod:`repro.runtime.aggregate` — reduction helpers (mean / percentile
-  across runs, grouping by sweep parameter) consumed by the campaign
-  analyses.
 - :mod:`repro.runtime.tasks` — importable reference task functions used
   by the benchmarks and tests, and templates for new campaign workloads.
 
@@ -47,12 +44,10 @@ Typical use::
 from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".aggregate": ("AggregationError", "collect", "group_by_param",
-                   "reduce_runs", "summarize"),
     ".chaos": ("ChaosError", "ChaosSpec"),
     ".executor": ("QUARANTINE_AFTER", "CampaignResult", "TaskBatcher",
                   "TaskError", "TaskResult", "resolve_jobs", "run_campaign"),
-    ".seeding": ("derive_rng", "derive_seed", "seed_sequence"),
+    ".seeding": ("derive_seed", "seed_sequence"),
     ".spec": ("RunSpec", "SweepSpec", "canonical", "spec_key"),
     ".store": ("GcStats", "ResultStore", "StoreEntry", "StoreError"),
 })

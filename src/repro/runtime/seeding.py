@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_rng", "derive_seed", "seed_sequence"]
+__all__ = ["derive_seed", "seed_sequence"]
 
 
 def seed_sequence(base_seed: int, task_index: int) -> np.random.SeedSequence:
@@ -34,8 +34,3 @@ def derive_seed(base_seed: int, task_index: int) -> int:
     task indices (collisions are as unlikely as 64-bit hash collisions).
     """
     return int(seed_sequence(base_seed, task_index).generate_state(1, np.uint64)[0])
-
-
-def derive_rng(base_seed: int, task_index: int) -> np.random.Generator:
-    """A ready-made generator on the task's independent stream."""
-    return np.random.default_rng(seed_sequence(base_seed, task_index))

@@ -22,7 +22,7 @@ import json
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
-    observe_campaign, resume_record
+    observe_campaign, resume_record, seed_arg
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -56,7 +56,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
                            ("sweep", "run the scenario grid via the campaign runtime")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("scenario", metavar="NAME_OR_FILE")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=seed_arg, default=None,
                        help="override the scenario's seed")
         p.add_argument("--engine", choices=["auto", "lockstep", "dag"],
                        default="auto", help="engine selection (default: auto)")

@@ -621,6 +621,9 @@ class ScenarioSpec:
         if n_steps < 1:
             raise ScenarioError(f"must be >= 1, got {n_steps}",
                                 path="n_steps", scenario=scenario)
+        if seed < 0:
+            raise ScenarioError(f"must be >= 0, got {seed}",
+                                path="seed", scenario=scenario)
 
         delays = tuple(
             DelayEntry.parse(entry, f"delays[{i}]", scenario)

@@ -49,5 +49,4 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".saturation": ("SaturationConfig", "simulate_saturation"),
     ".topology": ("CommDomain", "MachineTopology", "ProcessMapping"),
     ".trace": ("OpRecord", "Trace"),
-    ".traceio": ("read_jsonl", "write_csv", "write_jsonl"),
 })

@@ -3,9 +3,7 @@
 from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".divide": ("DivideWorkload", "measure_host_noise"),
-    ".lbm": ("D3Q19", "LbmKernel", "LbmWorkload", "lbm_saturation_config"),
+    ".divide": ("DivideWorkload",),
+    ".lbm": ("LbmWorkload", "lbm_saturation_config"),
     ".stream": ("TriadWorkload", "triad_kernel", "triad_saturation_config"),
-    ".synthetic": ("SyntheticWorkload", "constant_times", "imbalanced_times",
-                   "ramp_times"),
 })

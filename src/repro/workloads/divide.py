@@ -6,21 +6,17 @@ throughput of which is exactly one instruction per 28 clock cycles on Ivy
 Bridge and one instruction per 16 clock cycles on Broadwell".  Because the
 ideal duration is exactly known, any measured excess is noise.
 
-We provide both the analytic duration model (used everywhere in the
-simulator) and an actual Python/NumPy divide loop that can be timed for a
-real-machine noise histogram on whatever host runs this package.
+The simulator uses the analytic duration model: a chain of ``n``
+divides takes exactly ``n * vdivpd_cycles / clock_hz`` seconds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cluster.machine import CpuSpec
 
-__all__ = ["DivideWorkload", "measure_host_noise"]
+__all__ = ["DivideWorkload"]
 
 
 @dataclass(frozen=True)
@@ -54,47 +50,3 @@ class DivideWorkload:
     def ideal_duration(self) -> float:
         """Exact execution time in seconds on a noise-free machine."""
         return self.n_instructions * self.cpu.vdivpd_cycles / self.cpu.clock_hz
-
-    def run_kernel(self, value: float = 1.0000001) -> float:
-        """Execute an actual dependent divide chain; returns the result.
-
-        This is the Python stand-in for the assembly loop: a serial
-        dependency chain of divisions.  NumPy is used in blocks to keep
-        interpreter overhead bounded while preserving the serial semantics
-        between blocks.
-        """
-        x = np.float64(value)
-        divisor = np.float64(1.0000000001)
-        block = np.full(1024, divisor)
-        remaining = self.n_instructions
-        while remaining > 0:
-            n = min(remaining, block.size)
-            # cumulative division: x / d1 / d2 / ... (serial chain)
-            x = x / np.prod(block[:n])
-            remaining -= n
-        return float(x)
-
-
-def measure_host_noise(
-    workload: DivideWorkload,
-    n_phases: int,
-    warmup: int = 3,
-) -> np.ndarray:
-    """Time ``n_phases`` executions of the divide chain on *this* host.
-
-    Returns the per-phase deviation from the minimum observed duration in
-    seconds — an empirical noise histogram in the spirit of Fig. 3 (the
-    minimum stands in for the unknowable ideal duration; on a quiet machine
-    it is a tight lower bound).  The samples can be fed back into the
-    simulator via :class:`repro.sim.noise.TraceNoise`.
-    """
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be >= 1, got {n_phases}")
-    for _ in range(warmup):
-        workload.run_kernel()
-    durations = np.empty(n_phases)
-    for i in range(n_phases):
-        t0 = time.perf_counter()
-        workload.run_kernel()
-        durations[i] = time.perf_counter() - t0
-    return durations - durations.min()

@@ -1,155 +1,27 @@
 """Lattice-Boltzmann (D3Q19, SRT) workload — the Fig. 2 application.
 
-Two layers:
-
-1. :class:`LbmKernel` — an actual, runnable D3Q19 single-relaxation-time
-   (BGK) lattice-Boltzmann solver on a small lattice, used for fidelity
-   checks (mass conservation, equilibrium stability) and as a genuine
-   example application.
-2. :class:`LbmWorkload` + :func:`lbm_saturation_config` — the traffic/flop
-   accounting of the paper's production run (302³ cells, 100 ranks on five
-   nodes, 1-D domain decomposition along the outer axis with periodic
-   boundaries, ≥30 % communication share) bridged to the saturation
-   simulator for the Fig. 2 timeline study.
+:class:`LbmWorkload` is the traffic accounting of the paper's production
+run (302³ cells, 100 ranks on five nodes, 1-D domain decomposition along
+the outer axis with periodic boundaries, ≥30 % communication share), and
+:func:`lbm_saturation_config` bridges it to the saturation simulator for
+the Fig. 2 timeline study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.machine import MachineSpec
 from repro.sim.program import CommPattern, Direction
 from repro.sim.saturation import SaturationConfig
 from repro.sim.topology import CommDomain
 
-__all__ = ["D3Q19", "LbmKernel", "LbmWorkload", "lbm_saturation_config"]
-
-
-class D3Q19:
-    """The D3Q19 velocity set: 1 rest + 6 face + 12 edge directions."""
-
-    #: Discrete velocities, shape (19, 3).
-    C = np.array(
-        [
-            (0, 0, 0),
-            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-            (1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
-            (1, 0, 1), (-1, 0, -1), (1, 0, -1), (-1, 0, 1),
-            (0, 1, 1), (0, -1, -1), (0, 1, -1), (0, -1, 1),
-        ],
-        dtype=np.int64,
-    )
-
-    #: Quadrature weights: 1/3 rest, 1/18 face, 1/36 edge.
-    W = np.array([1 / 3] + [1 / 18] * 6 + [1 / 36] * 12)
-
-    Q = 19
-
-    @classmethod
-    def opposite(cls) -> np.ndarray:
-        """Index of the opposite direction for each velocity (bounce-back)."""
-        opp = np.empty(cls.Q, dtype=np.int64)
-        for i, c in enumerate(cls.C):
-            matches = np.nonzero((cls.C == -c).all(axis=1))[0]
-            opp[i] = matches[0]
-        return opp
-
-
-class LbmKernel:
-    """A runnable D3Q19-SRT (BGK) solver on a periodic box.
-
-    Collision: ``f_i <- f_i - (f_i - f_i^eq)/tau``; streaming via
-    ``np.roll``.  Intended for small lattices (validation and examples),
-    not production CFD.
-
-    Parameters
-    ----------
-    shape:
-        Lattice dimensions (nx, ny, nz).
-    tau:
-        BGK relaxation time (> 0.5 for stability).
-    """
-
-    def __init__(self, shape: tuple[int, int, int], tau: float = 0.8) -> None:
-        if len(shape) != 3 or min(shape) < 2:
-            raise ValueError(f"shape must be 3-D with each dim >= 2, got {shape}")
-        if tau <= 0.5:
-            raise ValueError(f"tau must be > 0.5 for stability, got {tau}")
-        self.shape = tuple(int(s) for s in shape)
-        self.tau = float(tau)
-        self.f = np.empty((D3Q19.Q, *self.shape))
-        self.reset()
-
-    def reset(self, density: float = 1.0) -> None:
-        """Initialize to uniform equilibrium at rest."""
-        if density <= 0:
-            raise ValueError(f"density must be > 0, got {density}")
-        for i in range(D3Q19.Q):
-            self.f[i] = D3Q19.W[i] * density
-
-    # ------------------------------------------------------------------
-    # moments
-    # ------------------------------------------------------------------
-    def density(self) -> np.ndarray:
-        """Macroscopic density field ρ."""
-        return self.f.sum(axis=0)
-
-    def velocity(self) -> np.ndarray:
-        """Macroscopic velocity field u, shape (3, nx, ny, nz)."""
-        rho = self.density()
-        mom = np.einsum("qd,qxyz->dxyz", D3Q19.C.astype(float), self.f)
-        return mom / rho
-
-    def total_mass(self) -> float:
-        """Total mass — conserved exactly by collide+stream."""
-        return float(self.f.sum())
-
-    # ------------------------------------------------------------------
-    # dynamics
-    # ------------------------------------------------------------------
-    def equilibrium(self, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Second-order BGK equilibrium distributions."""
-        cu = np.einsum("qd,dxyz->qxyz", D3Q19.C.astype(float), u)
-        usq = (u**2).sum(axis=0)
-        feq = np.empty_like(self.f)
-        for i in range(D3Q19.Q):
-            feq[i] = D3Q19.W[i] * rho * (1 + 3 * cu[i] + 4.5 * cu[i] ** 2 - 1.5 * usq)
-        return feq
-
-    def collide(self) -> None:
-        """SRT/BGK collision step (in place)."""
-        rho = self.density()
-        u = self.velocity()
-        feq = self.equilibrium(rho, u)
-        self.f += (feq - self.f) / self.tau
-
-    def stream(self) -> None:
-        """Periodic streaming step (in place)."""
-        for i in range(1, D3Q19.Q):
-            cx, cy, cz = D3Q19.C[i]
-            self.f[i] = np.roll(self.f[i], shift=(cx, cy, cz), axis=(0, 1, 2))
-
-    def step(self, n: int = 1) -> None:
-        """Advance ``n`` collide+stream time steps."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        for _ in range(n):
-            self.collide()
-            self.stream()
-
-    def perturb(self, amplitude: float = 0.01, seed: int = 0) -> None:
-        """Add a random density perturbation (to make dynamics nontrivial)."""
-        rng = np.random.default_rng(seed)
-        rho = 1.0 + amplitude * rng.standard_normal(self.shape)
-        u = np.zeros((3, *self.shape))
-        self.f = self.equilibrium(rho, u)
+__all__ = ["LbmWorkload", "lbm_saturation_config"]
 
 
 @dataclass(frozen=True)
 class LbmWorkload:
-    """Traffic/flop accounting of the paper's LBM production run.
+    """Traffic accounting of the paper's LBM production run.
 
     Parameters (defaults = Fig. 2 setup)
     ----------
@@ -203,11 +75,6 @@ class LbmWorkload:
         """Total distribution storage (the paper quotes > 8 GB)."""
         nx, ny, nz = self.domain
         return nx * ny * nz * 19 * 8.0 * 2  # two grids
-
-    def flops_per_step(self, flops_per_cell: float = 200.0) -> float:
-        """Approximate total flops per time step (collide dominates)."""
-        nx, ny, nz = self.domain
-        return nx * ny * nz * flops_per_cell
 
 
 def lbm_saturation_config(

@@ -23,10 +23,6 @@ def make_spec(**kw):
 
 
 class TestCpuSpec:
-    def test_peak_flops(self):
-        cpu = CpuSpec(name="x", clock_hz=2e9, flops_per_cycle=8)
-        assert cpu.peak_flops == pytest.approx(16e9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CpuSpec(name="x", clock_hz=0)
@@ -48,21 +44,6 @@ class TestMachineSpec:
         spec = make_spec().with_nodes(100)
         assert spec.topology.n_nodes == 100
         assert spec.name == "test"
-
-    def test_saturation_cores(self):
-        spec = make_spec()
-        # ceil(40 / 6.5) = 7 cores to saturate.
-        assert spec.saturation_cores() == 7
-
-    def test_divide_phase_elements(self):
-        spec = make_spec()
-        n = spec.divide_phase_elements(3e-3)
-        # n * 28 / 2.2e9 == 3 ms up to rounding to a whole instruction.
-        assert n * 28 / 2.2e9 == pytest.approx(3e-3, rel=1e-5)
-
-    def test_divide_phase_rejects_bad_duration(self):
-        with pytest.raises(ValueError):
-            make_spec().divide_phase_elements(0)
 
     def test_b_core_above_socket_rejected(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,15 @@ class TestParser:
             build_parser().parse_args(["ext_campaign", "--jobs", "-1"])
         assert "--jobs must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["fig4", "all"])
+    def test_negative_seed_is_a_usage_error(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_jobs_zero_means_auto(self):
         assert build_parser().parse_args(["ext_campaign", "--jobs", "0"]).jobs == 0
 

@@ -1,34 +1,8 @@
-"""Unit tests for the Hockney model and the paper's Eq. 1."""
+"""Unit tests for the paper's Eq. 1."""
 
 import pytest
 
-from repro.models.hockney import (
-    HockneyCommModel,
-    nonoverlap_runtime,
-    triad_strong_scaling_model,
-)
-
-
-class TestHockneyCommModel:
-    def test_time_formula(self):
-        m = HockneyCommModel(latency=1e-6, bandwidth=3e9)
-        assert m.time(3e6) == pytest.approx(1e-6 + 1e-3)
-
-    def test_effective_bandwidth_approaches_asymptote(self):
-        m = HockneyCommModel(latency=1e-6, bandwidth=3e9)
-        assert m.effective_bandwidth(1e9) == pytest.approx(3e9, rel=0.01)
-        assert m.effective_bandwidth(100) < 0.1 * 3e9
-
-    def test_half_performance_length(self):
-        m = HockneyCommModel(latency=1e-6, bandwidth=3e9)
-        n_half = m.half_performance_length()
-        assert m.effective_bandwidth(n_half) == pytest.approx(1.5e9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HockneyCommModel(latency=-1, bandwidth=1)
-        with pytest.raises(ValueError):
-            HockneyCommModel(latency=0, bandwidth=0)
+from repro.models.hockney import triad_strong_scaling_model
 
 
 class TestEq1:
@@ -56,11 +30,3 @@ class TestEq1:
         with pytest.raises(ValueError):
             triad_strong_scaling_model(1, b_mem=0)
 
-
-class TestNonoverlapRuntime:
-    def test_sum(self):
-        assert nonoverlap_runtime(3e-3, 1e-3) == pytest.approx(4e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nonoverlap_runtime(-1, 0)

@@ -25,6 +25,33 @@ class TestList:
         assert "beta" in kernels["decay_rate"]["fields"]
 
 
+BAD_REPORTS = {
+    "negative_seed": ("seeds = [-1, 2]\n", "",
+                      "field 'seeds[0]': must be >= 0, got -1"),
+    "negative_base_seed": ("base_seed = -3\n", "",
+                           "field 'base_seed': must be >= 0, got -3"),
+    "absolute_artifact": ("", "{tmp}/abs/x.csv",
+                          "field 'artifacts[0].path': must be a relative"),
+    "escaping_artifact": ("", "../escaped.json",
+                          "field 'artifacts[0].path': must be a relative"),
+}
+
+
+def write_report(tmp_path, top="", artifact_path=None):
+    text = f'scenario = "fig4_single_delay"\n{top}[[metrics]]\nname = "runtime"\n'
+    if artifact_path is not None:
+        text += f'[[artifacts]]\nkind = "csv"\npath = "{artifact_path}"\n'
+    path = tmp_path / "mine.toml"
+    path.write_text(text)
+    return path
+
+
+def write_bad_report(tmp_path, case):
+    top, artifact_path, _ = BAD_REPORTS[case]
+    return write_report(tmp_path, top, artifact_path.format(tmp=tmp_path)
+                        if artifact_path else None)
+
+
 class TestValidate:
     def test_all_bundled_reports_valid(self, capsys):
         assert report_main(["validate"]) == 0
@@ -46,6 +73,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.startswith(f"FAIL  {bad}: ")
         assert "metrics[0].params': direction must be +1 or -1, got True" in out
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+    def test_bad_seed_or_artifact_path_fails(self, tmp_path, capsys, case):
+        path = write_bad_report(tmp_path, case)
+        assert report_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL  {path}: ")
+        assert BAD_REPORTS[case][2] in out
 
 
 class TestRun:
@@ -69,6 +104,41 @@ class TestRun:
         assert report_main(argv[:-2]) == 0  # warm, no artifacts
         warm = capsys.readouterr().out
         assert "12 from store, 0 executed" in warm
+
+    @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+    def test_bad_seed_or_artifact_path_exits_2(self, tmp_path, capsys, case):
+        out_dir = tmp_path / "out"
+        assert report_main(["run", str(write_bad_report(tmp_path, case)),
+                            "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report error: ") and BAD_REPORTS[case][2] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "abs").exists()
+        assert not (tmp_path / "escaped.json").exists()
+
+    def test_nested_artifact_path_is_written_below_out(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = write_report(tmp_path, artifact_path="nested/dir/x.csv")
+        assert report_main(["run", str(path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "nested" / "dir" / "x.csv").exists()
+        assert f"[wrote {out_dir / 'nested' / 'dir' / 'x.csv'}]" in \
+            capsys.readouterr().out
+
+    def test_out_that_cannot_be_created_fails_before_the_run(self, tmp_path,
+                                                             capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache = tmp_path / "cache"
+        assert report_main(["run", "campaign_rate_response",
+                            "--cache-dir", str(cache),
+                            "--out", str(blocker / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"report error: cannot write artifacts to {blocker / 'out'}: ")
+        assert "Traceback" not in captured.err
+        # Nothing ran: no table, no store, no ledger record.
+        assert "=== report" not in captured.out
+        assert not cache.exists()
 
     def test_unknown_report_exits_2(self, capsys):
         assert report_main(["run", "nope"]) == 2

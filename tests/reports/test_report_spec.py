@@ -104,6 +104,21 @@ class TestRejections:
     def test_non_int_seed(self):
         self.case("expected int", seeds=[1.5])
 
+    @pytest.mark.parametrize("overrides, where, value", [
+        ({"seeds": [-1, 2]}, r"seeds\[0\]", -1),
+        ({"seeds": [2, -5]}, r"seeds\[1\]", -5),
+        ({"base_seed": -3}, "base_seed", -3),
+    ], ids=["first_seed", "second_seed", "base_seed"])
+    def test_negative_seed_rejected(self, overrides, where, value):
+        self.case(rf"field '{where}': must be >= 0, got {value}$", **overrides)
+
+    @pytest.mark.parametrize("path", [
+        "/abs/dir/x.csv", "../escaped.json", "nested/../../escaped.csv"])
+    def test_artifact_path_outside_out_rejected(self, path):
+        self.case(r"field 'artifacts\[0\]\.path': must be a relative path "
+                  r"without '\.\.' components",
+                  artifacts=[{"kind": "csv", "path": path}])
+
     def test_seeds_and_base_seed_conflict(self):
         self.case("no effect", seeds=[1], base_seed=2)
 

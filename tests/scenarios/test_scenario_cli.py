@@ -51,6 +51,18 @@ def write_non_finite(tmp_path, case):
     return path
 
 
+NEGATIVE_SEED = {
+    "seed": "seed = -1\n",
+    "sweep_axis": '[sweep]\naxes = [{path = "seed", values = [-1, 2]}]\n',
+}
+
+
+def write_negative_seed(tmp_path, case):
+    path = tmp_path / f"{case}.toml"
+    path.write_text("n_ranks = 6\nn_steps = 4\n" + NEGATIVE_SEED[case])
+    return path
+
+
 class TestValidate:
     def test_all_bundled_valid(self, capsys):
         assert main(["scenario", "validate"]) == 0
@@ -78,6 +90,14 @@ class TestValidate:
         assert main(["scenario", "validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert f"FAIL  {path}" in out and "must be finite, got" in out
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_SEED))
+    def test_negative_seed_fails(self, tmp_path, capsys, case):
+        path = write_negative_seed(tmp_path, case)
+        assert main(["scenario", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL  {path}: ")
+        assert "field 'seed': " in out and "must be >= 0, got -1" in out
 
 
 class TestRun:
@@ -109,6 +129,14 @@ class TestRun:
         assert err.startswith("scenario error:") and "must be finite, got" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_SEED))
+    def test_negative_seed_exits_2(self, tmp_path, capsys, case):
+        assert main(["scenario", "run",
+                     str(write_negative_seed(tmp_path, case))]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: " in err and "must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_engine_override(self, capsys):
         assert main(["scenario", "run", "fig4_single_delay",
                      "--engine", "dag"]) == 0
@@ -138,6 +166,15 @@ class TestParserHardening:
         with pytest.raises(SystemExit):
             build_scenario_parser().parse_args(
                 ["sweep", "campaign_rate_sweep", "--jobs", "-1"])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", command, "fig4_single_delay", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):

@@ -120,6 +120,13 @@ class TestPathPreciseErrors:
         with pytest.raises(ScenarioError, match=message + "$"):
             ScenarioSpec.from_dict(minimal(**{section: body}))
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_negative_seed_rejected(self, seed):
+        # NumPy seeds must be >= 0; the spec says so before a run starts.
+        with pytest.raises(ScenarioError,
+                           match=rf"field 'seed': must be >= 0, got {seed}$"):
+            ScenarioSpec.from_dict(minimal(seed=seed))
+
     def test_unknown_output(self):
         with pytest.raises(ScenarioError, match=r"outputs\[1\]"):
             ScenarioSpec.from_dict(minimal(outputs=["runtime", "speed"]))

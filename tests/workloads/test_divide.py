@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import EMMY, MEGGIE
-from repro.workloads.divide import DivideWorkload, measure_host_noise
+from repro.workloads.divide import DivideWorkload
 
 
 class TestDivideWorkload:
@@ -21,27 +21,9 @@ class TestDivideWorkload:
         bdw = DivideWorkload.for_duration(MEGGIE.cpu, 3e-3)
         assert bdw.n_instructions > ivb.n_instructions
 
-    def test_kernel_executes_divisions(self):
-        w = DivideWorkload(cpu=EMMY.cpu, n_instructions=2048)
-        result = w.run_kernel(value=1.0)
-        assert 0 < result < 1.0  # repeatedly divided by >1
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             DivideWorkload(cpu=EMMY.cpu, n_instructions=0)
         with pytest.raises(ValueError):
             DivideWorkload.for_duration(EMMY.cpu, 0.0)
 
-
-class TestMeasureHostNoise:
-    def test_returns_nonnegative_deviations(self):
-        w = DivideWorkload(cpu=EMMY.cpu, n_instructions=4096)
-        samples = measure_host_noise(w, n_phases=10, warmup=1)
-        assert samples.shape == (10,)
-        assert (samples >= 0).all()
-        assert samples.min() == 0.0  # relative to the minimum
-
-    def test_requires_phases(self):
-        w = DivideWorkload(cpu=EMMY.cpu, n_instructions=64)
-        with pytest.raises(ValueError):
-            measure_host_noise(w, n_phases=0)

@@ -1,72 +1,9 @@
-"""Unit tests for the D3Q19 LBM kernel and the Fig. 2 workload accounting."""
+"""Unit tests for the Fig. 2 LBM workload accounting."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import EMMY
-from repro.workloads.lbm import D3Q19, LbmKernel, LbmWorkload, lbm_saturation_config
-
-
-class TestD3Q19:
-    def test_nineteen_velocities(self):
-        assert D3Q19.C.shape == (19, 3)
-        assert D3Q19.Q == 19
-
-    def test_weights_sum_to_one(self):
-        assert D3Q19.W.sum() == pytest.approx(1.0)
-
-    def test_velocity_set_is_symmetric(self):
-        assert np.asarray(D3Q19.C).sum(axis=0).tolist() == [0, 0, 0]
-
-    def test_opposite_directions(self):
-        opp = D3Q19.opposite()
-        for i in range(19):
-            np.testing.assert_array_equal(D3Q19.C[opp[i]], -D3Q19.C[i])
-        assert opp[0] == 0  # rest stays rest
-
-    def test_face_and_edge_counts(self):
-        speeds = (D3Q19.C**2).sum(axis=1)
-        assert (speeds == 0).sum() == 1
-        assert (speeds == 1).sum() == 6
-        assert (speeds == 2).sum() == 12
-
-
-class TestLbmKernel:
-    def test_uniform_equilibrium_is_stationary(self):
-        k = LbmKernel((6, 6, 6))
-        f0 = k.f.copy()
-        k.step(3)
-        np.testing.assert_allclose(k.f, f0, atol=1e-14)
-
-    def test_mass_conserved_under_perturbation(self):
-        k = LbmKernel((8, 8, 8))
-        k.perturb(0.05, seed=2)
-        m0 = k.total_mass()
-        k.step(10)
-        assert k.total_mass() == pytest.approx(m0, rel=1e-13)
-
-    def test_momentum_decays_viscously(self):
-        k = LbmKernel((8, 8, 8), tau=0.6)
-        k.perturb(0.05, seed=2)
-        k.step(1)
-        u0 = np.abs(k.velocity()).max()
-        k.step(30)
-        u1 = np.abs(k.velocity()).max()
-        assert u1 < u0
-
-    def test_density_positive(self):
-        k = LbmKernel((8, 8, 8))
-        k.perturb(0.05, seed=4)
-        k.step(5)
-        assert (k.density() > 0).all()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LbmKernel((1, 8, 8))
-        with pytest.raises(ValueError):
-            LbmKernel((8, 8, 8), tau=0.5)
-        with pytest.raises(ValueError):
-            LbmKernel((8, 8, 8)).reset(density=0.0)
+from repro.workloads.lbm import LbmWorkload, lbm_saturation_config
 
 
 class TestLbmWorkload:
