@@ -109,8 +109,8 @@ def test_bench_health_watched_pool_overhead(once, bench_record):
     once(plain)
 
     overhead = t_on / t_off - 1.0
-    # Guarded as an off/on ratio so benchmarks/check_regression.py gates
-    # it alongside the engine speedups: >= ~0.98 while the contract holds.
+    # Guarded as an off/on ratio so `repro perf check` gates it alongside
+    # the engine speedups: >= ~0.98 while the contract holds.
     bench_record(n_draws=N_DRAWS, jobs=JOBS, t_unwatched_s=t_off,
                  t_watched_s=t_on, overhead_fraction=overhead,
                  speedup=t_off / t_on)

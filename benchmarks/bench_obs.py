@@ -86,9 +86,9 @@ def test_bench_obs_overhead_live_progress(once, bench_record):
     once(plain)
 
     overhead = t_on / t_off - 1.0
-    # Recorded as a guarded ratio so benchmarks/check_regression.py gates
-    # it with the same machinery as the engine speedups: the "speedup" is
-    # the off/on ratio, >= ~0.98 when the overhead contract holds.
+    # Recorded as a guarded ratio so `repro perf check` gates it with the
+    # same floor machinery as the engine speedups: the "speedup" is the
+    # off/on ratio, >= ~0.98 when the overhead contract holds.
     bench_record(n_draws=N_DRAWS, t_unobserved_s=t_off, t_observed_s=t_on,
                  overhead_fraction=overhead, speedup=t_off / t_on)
     print(f"\nobs overhead: unobserved {t_off * 1e3:.2f} ms, observed "

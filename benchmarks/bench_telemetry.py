@@ -76,9 +76,9 @@ def test_bench_telemetry_overhead_enabled(once, bench_record):
     once(workload)
 
     overhead = t_on / t_off - 1.0
-    # Recorded as a guarded ratio so benchmarks/check_regression.py gates
-    # it with the same machinery as the engine speedups: the "speedup" is
-    # the off/on ratio, >= ~0.98 when the overhead contract holds.
+    # Recorded as a guarded ratio so `repro perf check` gates it with the
+    # same floor machinery as the engine speedups: the "speedup" is the
+    # off/on ratio, >= ~0.98 when the overhead contract holds.
     bench_record(n_draws=N_DRAWS, t_disabled_s=t_off, t_enabled_s=t_on,
                  overhead_fraction=overhead, speedup=t_off / t_on)
     print(f"\ntelemetry overhead: disabled {t_off * 1e3:.2f} ms, enabled "

@@ -1,17 +1,16 @@
 """Shared benchmark configuration.
 
-Every benchmark regenerates one paper artifact (table/figure data) inside
-the timed region and asserts its key shape property afterwards, so a
-benchmark run doubles as a reproduction run.  Heavy experiments use
-``benchmark.pedantic`` with a single round to keep the suite's total
-runtime bounded.
+Benchmarks time a layer of the system and assert its contract (bit
+identity, speedup, overhead).  Heavy paths run once inside the timer
+(``once``, which wraps ``benchmark.pedantic`` with a single round).
 
-Benchmarks additionally record their headline numbers (timings, speedup
-ratios) through the ``bench_record`` fixture; at session end each
-benchmark module's records are written to ``BENCH_<name>.json`` (in
-``$BENCH_JSON_DIR``, default the current directory), so the performance
-trajectory is machine-readable and can be tracked across PRs — CI
-uploads these files as build artifacts.
+Benchmarks record their headline numbers (timings, speedup ratios)
+through the ``bench_record`` fixture; at session end each benchmark
+module's records are written to ``BENCH_<name>.json`` (in
+``$BENCH_JSON_DIR``, default the current directory).  CI uploads these
+files and gates their ``speedup`` fields with ``repro perf record
+--bench`` and ``repro perf check`` against the floors in
+``baselines/perf_history.jsonl``.
 """
 
 import json

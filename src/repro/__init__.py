@@ -87,12 +87,11 @@ _names, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".core.speed": ("SpeedMeasurement", "measure_speed", "sigma_factor",
                     "silent_speed", "silent_speed_for"),
     ".core.timing": ("RunTiming",),
-    ".sim.delay": ("DelaySpec", "delays_at_local_rank", "random_delays"),
+    ".sim.delay": ("DelaySpec", "delays_at_local_rank"),
     ".sim.engine": ("SimConfig", "simulate"),
     ".sim.lockstep": ("LockstepResult", "simulate_lockstep"),
     ".sim.mpi": ("Protocol", "select_protocol"),
-    ".sim.network": ("HockneyModel", "LogGPModel", "NetworkModel",
-                     "UniformNetwork"),
+    ".sim.network": ("HockneyModel", "NetworkModel", "UniformNetwork"),
     ".sim.noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise",
                    "NoNoise", "NoiseModel", "TraceNoise", "UniformNoise"),
     ".sim.program": ("CommPattern", "Direction", "LockstepConfig", "Program",

@@ -86,11 +86,6 @@ class NoiseHistogram:
         """True when at least two well-separated modes exist."""
         return len(self.modes(min_separation=min_separation, min_fraction=min_fraction)) >= 2
 
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples with delay above ``threshold`` seconds."""
-        mask = self.bin_centers > threshold
-        return float(self.counts[mask].sum()) / self.n_samples
-
 
 def collect_noise_samples(
     noise: NoiseModel,

@@ -41,19 +41,6 @@ class Wave:
     first_step: int
     last_step: int
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(sorted({r for r, _ in self.cells}))
-
-    @property
-    def extent(self) -> int:
-        """Number of distinct ranks the wave touched."""
-        return len(self.ranks)
-
 
 def find_waves(run, threshold: float | None = None, periodic: bool | None = None) -> list[Wave]:
     """Extract idle waves as connected components of above-threshold cells.

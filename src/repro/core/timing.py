@@ -15,7 +15,7 @@ per-draw Python loop; its single-run name calls it on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -157,10 +157,6 @@ class RunTiming:
         """Sum of all wait durations (rank-seconds of idleness)."""
         return float(np.nansum(self.idle))
 
-    def idle_by_step(self) -> np.ndarray:
-        """Per-step sum of idle time across ranks."""
-        return np.nansum(self.idle, axis=0)
-
     def idle_by_rank(self) -> np.ndarray:
         """Per-rank sum of idle time across steps."""
         return np.nansum(self.idle, axis=1)
@@ -244,19 +240,6 @@ class BatchedTiming:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_timings(cls, timings: "Sequence[RunTiming]",
-                     meta: "dict | None" = None) -> "BatchedTiming":
-        """Stack individual run timings (all the same shape) into a batch."""
-        if not timings:
-            raise ValueError("need at least one run timing to stack")
-        return cls(
-            exec_end=np.stack([t.exec_end for t in timings]),
-            completion=np.stack([t.completion for t in timings]),
-            idle=np.stack([t.idle for t in timings]),
-            meta=dict(timings[0].meta) if meta is None else dict(meta),
-        )
-
     @classmethod
     def from_lockstep_batch(cls, result: BatchedLockstepResult) -> "BatchedTiming":
         """Adopt a batched engine result (idle derived as in ``RunTiming``)."""

@@ -16,11 +16,11 @@ CLI surface (``repro-experiment perf ...``)::
     perf diff --cache-dir DIR [--label L] [OLD NEW]
     perf check --cache-dir DIR [--threshold 0.3]  # exit 1 on regression
 
-CI runs ``perf check`` against the committed seed history
-(``benchmarks/baselines/perf_history.jsonl``) next to the existing
-``check_regression.py`` ratio gate: the bench gate catches collapses of
-the architectural speedups within one run, the history gate catches
-slow drift across runs.
+CI's benchmark gate is ``perf check`` over a copy of the committed
+history (``benchmarks/baselines/perf_history.jsonl``) after ``perf
+record --bench`` added each fresh ``BENCH_*.json`` to it.  The committed
+history holds one speedup-only floor record per gated test, so a fresh
+``speedup`` fails when it falls more than the threshold below its floor.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ guessed.
 
 Append-only by construction: records are only ever added at the end of
 ``history.jsonl``, torn or foreign lines are skipped on read, and the
-file stays ``cat``-able and diff-able in review (CI commits a seed
-history under ``benchmarks/baselines/``).
+file stays ``cat``-able and diff-able in review.  The committed
+``benchmarks/baselines/perf_history.jsonl`` holds the benchmark gate's
+floors: one ``bench`` record per gated test whose only metric is
+``speedup`` (absolute timings vary by machine and are never floored).
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class PerfHistory:
     """Append-only ``history.jsonl`` under a perf directory.
 
     Constructed from the directory (``<cache-dir>/perf``) or pointed at
-    an explicit history file (CI uses the committed seed history under
-    ``benchmarks/baselines/``).
+    an explicit history file (CI gates a copy of the committed history
+    under ``benchmarks/baselines/``).
     """
 
     def __init__(self, root: "str | Path", filename: str = "history.jsonl"):

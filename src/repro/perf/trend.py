@@ -13,8 +13,11 @@ Direction rules are purely name-based (the history is schema-free):
   lower is better (time, memory, trouble);
 - ``speedup``, ``*_speedup``, ``tasks_per_s`` — higher is better;
 - anything else (hit rates, counts, sizes) is informational — workload
-  shape, not performance health, so it is never failed on.  The same
-  split ``benchmarks/check_regression.py`` draws for bench emissions.
+  shape, not performance health, so it is never failed on.
+
+With a single prior record the EWMA is that record, so a label with one
+committed floor (the benchmark gate's ``speedup`` floors) fails exactly
+when its latest value is more than the threshold below the floor.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Four artifact kinds are supported (see ``ARTIFACT_KINDS`` in
   plotless counterpart of a figure).
 
 Paths default to ``<out_dir>/<report name>.<ext>`` (``viz/<name>.txt``
-for ascii) and can be overridden per artifact in the spec.
+for ascii) and can be overridden per artifact in the spec
+(:meth:`repro.reports.spec.ArtifactRequest.file_name`); the spec
+rejects two artifacts whose files collide.
 """
 
 from __future__ import annotations
@@ -26,12 +28,6 @@ import numpy as np
 from repro.reports.runner import ReportResult
 
 __all__ = ["write_artifacts"]
-
-
-def _default_name(result: ReportResult, kind: str) -> str:
-    if kind == "ascii":
-        return f"viz/{result.name}.txt"
-    return f"{result.name}.{kind}"
 
 
 def _write_csv(result: ReportResult, path: Path) -> None:
@@ -110,8 +106,7 @@ def write_artifacts(result: ReportResult, out_dir: "str | Path") -> "list[Path]"
     out_dir = Path(out_dir)
     written = []
     for artifact in result.report.spec.artifacts:
-        rel = artifact.path or _default_name(result, artifact.kind)
-        path = out_dir / rel
+        path = out_dir / artifact.file_name(result.name)
         path.parent.mkdir(parents=True, exist_ok=True)
         _WRITERS[artifact.kind](result, path)
         written.append(path)

@@ -105,7 +105,7 @@ class ArtifactRequest:
 
     The path is taken relative to ``report run --out``; an absolute path
     or a ``..`` component, which would write outside that directory, is
-    rejected.
+    rejected, and so is a path that names ``--out`` itself.
     """
 
     kind: str
@@ -132,13 +132,56 @@ class ArtifactRequest:
                 f"written below --out), got {path!r}",
                 path=f"{where}.path", report=report,
             )
+        if path is not None and not below_out.parts:
+            raise ReportError(f"must name a file below --out, got {path!r}",
+                              path=f"{where}.path", report=report)
         return cls(kind=kind, path=path)
+
+    def file_name(self, report: str) -> str:
+        """The file this artifact writes below ``--out``.
+
+        Defaults to ``<report>.<kind>`` (``viz/<report>.txt`` for ascii);
+        an ``npz`` path gets the ``.npz`` suffix NumPy appends to it.
+        """
+        if self.path is None:
+            if self.kind == "ascii":
+                return f"viz/{report}.txt"
+            return f"{report}.{self.kind}"
+        path = PurePath(self.path).as_posix()
+        if self.kind == "npz" and not path.endswith(".npz"):
+            return f"{path}.npz"
+        return path
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.path is not None:
             out["path"] = self.path
         return out
+
+
+def _check_artifact_files(artifacts: "tuple[ArtifactRequest, ...]",
+                          name: str, report: str) -> None:
+    """Reject an artifact whose file is another's, or lies below or
+    above another's: one would overwrite the other, or the write would
+    fail after the campaign ran."""
+    files = [PurePath(a.file_name(name)) for a in artifacts]
+    for j, later in enumerate(files):
+        for i, earlier in enumerate(files[:j]):
+            if later == earlier:
+                clash = "the same file as"
+            elif earlier in later.parents:
+                clash = "a file below the file of"
+            elif later in earlier.parents:
+                clash = "a directory that holds the file of"
+            else:
+                continue
+            where = f"artifacts[{j}]"
+            raise ReportError(
+                f"writes {later.as_posix()}, {clash} artifacts[{i}] "
+                f"({earlier.as_posix()})",
+                path=where if artifacts[j].path is None else f"{where}.path",
+                report=report,
+            )
 
 
 @dataclass(frozen=True)
@@ -279,6 +322,7 @@ class ReportSpec:
             ArtifactRequest.parse(a, f"artifacts[{i}]", report)
             for i, a in enumerate(raw_artifacts)
         )
+        _check_artifact_files(artifacts, doc_name, report)
         return cls(
             name=doc_name, description=description, scenarios=targets,
             engine=engine, seeds=seeds, base_seed=base_seed,

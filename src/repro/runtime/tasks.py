@@ -28,7 +28,6 @@ from repro.sim import CommPattern, Direction, LockstepConfig, simulate_lockstep
 from repro.sim.campaign import DelayCampaign
 
 __all__ = [
-    "campaign_draw_task",
     "failing_task",
     "hard_exit_task",
     "lockstep_delay_task",
@@ -94,29 +93,6 @@ def lockstep_delay_task(
         "injected": float(np.mean(injected_totals)),
         "n_delays": n_delays,
         "replicate": int(replicate),
-    }
-
-
-def campaign_draw_task(
-    rate: float,
-    duration_low: float,
-    duration_high: float,
-    n_ranks: int,
-    n_steps: int,
-    seed: int = 0,
-) -> dict:
-    """Draw one :class:`~repro.sim.campaign.DelayCampaign` schedule.
-
-    Used to validate that integer-seeded draws are bit-identical across
-    process boundaries (`tests/sim/test_campaign.py`).
-    """
-    campaign = DelayCampaign(rate=rate, duration_low=duration_low,
-                             duration_high=duration_high)
-    specs = campaign.draw(n_ranks, n_steps, seed)
-    return {
-        "ranks": [s.rank for s in specs],
-        "steps": [s.step for s in specs],
-        "durations": [s.duration for s in specs],
     }
 
 

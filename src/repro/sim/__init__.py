@@ -6,7 +6,7 @@ the paper's experiments run on:
 
 - :mod:`repro.sim.topology` — hierarchical machine topology (cores, sockets,
   nodes) and the mapping of MPI ranks onto it.
-- :mod:`repro.sim.network` — transfer-time models (Hockney, LogGP) with
+- :mod:`repro.sim.network` — transfer-time models (Hockney, uniform) with
   per-domain (intra-socket / inter-socket / inter-node) parameters.
 - :mod:`repro.sim.noise` — fine-grained noise generators (exponential per
   Eq. 3 of the paper, bimodal, gamma, ...).
@@ -32,7 +32,7 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".collectives": ("Collective", "CollectiveConfig",
                      "build_collective_program"),
-    ".delay": ("DelaySpec", "delays_at_local_rank", "random_delays"),
+    ".delay": ("DelaySpec", "delays_at_local_rank"),
     ".engine": ("BatchedDagResult", "DagResult", "EngineError", "SimConfig",
                 "StaticDag", "build_dag", "clear_dag_cache", "dag_cache_info",
                 "simulate", "simulate_dag", "simulate_dag_batch"),
@@ -40,8 +40,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".lockstep": ("BatchedLockstepResult", "LockstepResult",
                   "simulate_lockstep", "simulate_lockstep_batch"),
     ".mpi": ("Protocol", "select_protocol"),
-    ".network": ("HockneyModel", "LogGPModel", "NetworkModel",
-                 "UniformNetwork"),
+    ".network": ("HockneyModel", "NetworkModel", "UniformNetwork"),
     ".noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise", "NoNoise",
                "NoiseModel", "TraceNoise", "UniformNoise"),
     ".program": ("CommPattern", "Direction", "LockstepConfig", "Op", "OpKind",

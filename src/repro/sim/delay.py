@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.sim.topology import ProcessMapping
 
-__all__ = ["DelaySpec", "delays_at_local_rank", "random_delays"]
+__all__ = ["DelaySpec", "delays_at_local_rank"]
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,6 @@ class DelaySpec:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
         if not math.isfinite(self.duration):
             raise ValueError(f"duration must be finite, got {self.duration}")
-
-    def in_phases(self, t_exec: float) -> float:
-        """Delay duration expressed in units of execution phases."""
-        if t_exec <= 0:
-            raise ValueError(f"t_exec must be > 0, got {t_exec}")
-        return self.duration / t_exec
 
 
 def delays_at_local_rank(
@@ -104,19 +98,3 @@ def delays_at_local_rank(
             )
         specs.append(DelaySpec(rank=ranks[local_rank], step=step, duration=float(duration)))
     return specs
-
-
-def random_delays(
-    mapping: ProcessMapping,
-    local_rank: int,
-    rng: np.random.Generator,
-    low: float,
-    high: float,
-    step: int = 0,
-) -> list[DelaySpec]:
-    """Random per-socket delays in ``[low, high]`` seconds (Fig. 6(c))."""
-    if low < 0 or high < low:
-        raise ValueError(f"need 0 <= low <= high, got low={low}, high={high}")
-    n_sockets = mapping.n_sockets_used()
-    durations = rng.uniform(low, high, size=n_sockets)
-    return delays_at_local_rank(mapping, local_rank, durations, step=step)

@@ -4,12 +4,10 @@ The paper's propagation-speed model (Eq. 2) treats the communication time
 ``T_comm`` of one message as an opaque quantity: "it does not matter here
 what T_comm is composed of, be it latency, overhead, transfer time, etc.".
 The simulator therefore only needs a function ``transfer_time(size, domain)``
-and we provide the two classic first-principles choices:
-
-- :class:`HockneyModel` — ``T = L + size / B`` (latency + bandwidth), the
-  model the paper's modified LogGOPSim uses,
-- :class:`LogGPModel` — ``T = L + o_s + o_r + (size - 1) * G``, the LogGP
-  refinement with per-byte gap ``G`` and overheads.
+and we provide the classic first-principles choice,
+:class:`HockneyModel` — ``T = L + size / B`` (latency + bandwidth), the
+model the paper's modified LogGOPSim uses — plus :class:`UniformNetwork`,
+its one-domain special case.
 
 Each model holds per-:class:`~repro.sim.topology.CommDomain` parameters so
 that intra-socket, inter-socket, and inter-node messages can have different
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.topology import CommDomain
 
-__all__ = ["NetworkModel", "HockneyModel", "LogGPModel", "UniformNetwork"]
+__all__ = ["NetworkModel", "HockneyModel", "UniformNetwork"]
 
 
 class NetworkModel(ABC):
@@ -103,55 +101,6 @@ class HockneyModel(NetworkModel):
 
     def recv_overhead(self, domain: CommDomain) -> float:
         return 0.0 if domain == CommDomain.SELF else self.overhead
-
-
-@dataclass(frozen=True)
-class LogGPModel(NetworkModel):
-    """LogGP model: ``T = L + (size - 1) * G`` flight, with overhead ``o``.
-
-    Parameters per domain follow Culler et al. (LogP) extended with the
-    per-byte gap ``G`` (LogGP).  The per-message gap ``g`` limits injection
-    rate; our bulk-synchronous programs send a handful of messages per
-    phase, so ``g`` enters only as a lower bound on consecutive sends.
-    """
-
-    L: dict[CommDomain, float] = field(
-        default_factory=lambda: {
-            CommDomain.INTRA_SOCKET: 3e-7,
-            CommDomain.INTER_SOCKET: 6e-7,
-            CommDomain.INTER_NODE: 1.5e-6,
-        }
-    )
-    o: dict[CommDomain, float] = field(
-        default_factory=lambda: {
-            CommDomain.INTRA_SOCKET: 2e-7,
-            CommDomain.INTER_SOCKET: 3e-7,
-            CommDomain.INTER_NODE: 5e-7,
-        }
-    )
-    G: dict[CommDomain, float] = field(
-        default_factory=lambda: {
-            CommDomain.INTRA_SOCKET: 1.25e-10,  # 8 GB/s
-            CommDomain.INTER_SOCKET: 2e-10,  # 5 GB/s
-            CommDomain.INTER_NODE: 3.33e-10,  # 3 GB/s
-        }
-    )
-    g: float = 1e-6
-
-    def transfer_time(self, size_bytes: int, domain: CommDomain) -> float:
-        if size_bytes < 0:
-            raise ValueError(f"message size must be >= 0, got {size_bytes}")
-        if domain == CommDomain.SELF:
-            return 0.0
-        lat = _domain_value(self.L, domain, "L")
-        gap = _domain_value(self.G, domain, "G")
-        return lat + max(size_bytes - 1, 0) * gap
-
-    def send_overhead(self, domain: CommDomain) -> float:
-        return 0.0 if domain == CommDomain.SELF else _domain_value(self.o, domain, "o")
-
-    def recv_overhead(self, domain: CommDomain) -> float:
-        return 0.0 if domain == CommDomain.SELF else _domain_value(self.o, domain, "o")
 
 
 @dataclass(frozen=True)

@@ -160,10 +160,6 @@ class Program:
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
 
-    def op_count(self) -> int:
-        """Total number of operations across all ranks."""
-        return sum(len(rank_ops) for rank_ops in self.ops)
-
 
 @dataclass(frozen=True)
 class LockstepConfig:

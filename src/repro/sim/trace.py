@@ -20,7 +20,6 @@ Analyzer and Collector with ``MPI_Wait`` timing) would deliver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -119,21 +118,6 @@ class Trace:
         )
 
     # ------------------------------------------------------------------
-    # iteration helpers
-    # ------------------------------------------------------------------
-    def by_rank(self, rank: int) -> list[OpRecord]:
-        """All records of one rank, in program order (sorted by start)."""
-        if not 0 <= rank < self.n_ranks:
-            raise IndexError(f"rank {rank} out of range [0, {self.n_ranks})")
-        recs = [r for r in self.records if r.rank == rank]
-        recs.sort(key=lambda r: (r.start, r.end))
-        return recs
-
-    def of_kind(self, kind: OpKind) -> Iterator[OpRecord]:
-        """All records of a given operation kind."""
-        return (r for r in self.records if r.kind == kind)
-
-    # ------------------------------------------------------------------
     # dense matrices
     # ------------------------------------------------------------------
     def _matrix(self, kind: OpKind, attr: str, reduce: str = "last") -> np.ndarray:
@@ -191,15 +175,6 @@ class Trace:
             return 0.0
         return max(r.end for r in self.records)
 
-    def rank_runtime(self, rank: int) -> float:
-        """Wall-clock completion time of one rank."""
-        recs = self.by_rank(rank)
-        return recs[-1].end if recs else 0.0
-
-    def total_idle_time(self) -> float:
-        """Sum of all Waitall durations over all ranks and steps."""
-        return float(sum(r.duration for r in self.of_kind(OpKind.WAITALL)))
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
@@ -224,7 +199,8 @@ class Trace:
                     f"{r.start} .. {r.end}"
                 )
         for rank in range(self.n_ranks):
-            recs = self.by_rank(rank)
+            recs = sorted((r for r in self.records if r.rank == rank),
+                          key=lambda r: (r.start, r.end))
             for a, b in zip(recs, recs[1:]):
                 if b.start < a.end - 1e-12:
                     raise ValueError(

@@ -1,4 +1,4 @@
-"""Plain-text tables and series for the experiment drivers.
+"""Plain-text tables for the experiment drivers.
 
 Every experiment prints its figure's data as aligned text tables so the
 reproduction can be compared against the paper without a plotting stack.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -44,16 +44,3 @@ def format_table(
     for cells in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
-
-
-def format_series(
-    x: Sequence[float],
-    y: Sequence[float],
-    x_label: str = "x",
-    y_label: str = "y",
-    float_fmt: str = "{:.4g}",
-) -> str:
-    """Two-column series table (one figure line = one series)."""
-    if len(x) != len(y):
-        raise ValueError(f"series length mismatch: {len(x)} vs {len(y)}")
-    return format_table([x_label, y_label], zip(x, y), float_fmt=float_fmt)

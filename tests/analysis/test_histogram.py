@@ -50,11 +50,6 @@ class TestModes:
         assert len(modes) >= 2
         assert any(abs(m - 660e-6) < 50e-6 for m in modes)
 
-    def test_fraction_above(self):
-        samples = np.array([1e-6] * 9 + [1e-3])
-        h = NoiseHistogram.from_samples(samples, 1e-6)
-        assert h.fraction_above(1e-4) == pytest.approx(0.1)
-
 
 class TestCollectNoiseSamples:
     def test_deterministic(self):

@@ -85,6 +85,12 @@ class TestFig7Shape:
         r = run_experiment("fig7", fast=True)
         assert r.data["ratio"] == pytest.approx(2.0, rel=0.01)
 
+    def test_speeds_match_eq2(self):
+        r = run_experiment("fig7", fast=True)
+        for panel in ("(a) unidirectional", "(b) bidirectional"):
+            d = r.data[panel]
+            assert d["speed"] == pytest.approx(d["model"], rel=0.01), panel
+
 
 class TestEq2Shape:
     def test_max_error_below_one_percent(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import RuntimeOptions, run_experiment
 
 
 class TestExtCollectives:
@@ -60,6 +60,15 @@ class TestExtCampaign:
     def test_dense_campaign_heavily_absorbed(self, result):
         dense = result.data[max(result.data)]
         assert dense["cost_ratio"] < 0.5
+
+    def test_warm_store_rerun_is_bit_identical(self, result, tmp_path):
+        """A second run on one store simulates nothing and changes no bit."""
+        opts = RuntimeOptions(jobs=1, cache_dir=tmp_path / "store")
+        cold = run_experiment("ext_campaign", fast=True, runtime=opts)
+        warm = run_experiment("ext_campaign", fast=True, runtime=opts)
+        assert warm.data == cold.data == result.data
+        assert any("0 simulated" in note and "0 from cache" not in note
+                   for note in warm.notes)
 
 
 class TestExtMembound:

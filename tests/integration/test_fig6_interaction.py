@@ -88,5 +88,5 @@ class TestNonlinearity:
         assert len(waves) == 10
         covered = set()
         for w in waves:
-            covered.update(w.ranks)
+            covered.update(rank for rank, _ in w.cells)
         assert len(covered) > N_RANKS // 2

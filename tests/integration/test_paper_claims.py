@@ -207,3 +207,74 @@ class TestClaimDecayNeedsNoise:
 
         b2, b10 = beta(0.02), beta(0.10)
         assert 0 < b2 < b10
+
+    @pytest.mark.parametrize("shape", ["exponential", "gamma k=4", "uniform",
+                                       "bimodal"])
+    def test_decay_driven_by_level_not_shape(self, shape):
+        """The paper injects exponential noise "to mimic the natural noise
+        distribution"; at an equal 8% mean every shape damps the wave."""
+        from repro.sim import BimodalNoise, GammaNoise, UniformNoise
+
+        mean = 0.08 * T
+        noise = {
+            "exponential": ExponentialNoise(mean),
+            "gamma k=4": GammaNoise(mean, shape_k=4.0),
+            "uniform": UniformNoise(0.0, 2 * mean),
+            "bimodal": BimodalNoise(base=ExponentialNoise(mean / 2),
+                                    spike_delay=40 * mean / 2,
+                                    spike_probability=0.025,
+                                    spike_jitter=0.1),
+        }[shape]
+        assert noise.mean() == pytest.approx(mean, rel=1e-12)
+        betas = []
+        for seed in range(8):
+            cfg = LockstepConfig(
+                n_ranks=50, n_steps=60, t_exec=T, msg_size=8192,
+                pattern=CommPattern(direction=Direction.BIDIRECTIONAL,
+                                    periodic=True),
+                delays=(DelaySpec(rank=0, step=0, duration=60e-3),),
+                noise=noise,
+                seed=seed,
+            )
+            betas.append(measure_decay(simulate_lockstep(cfg), source=0,
+                                       periodic=True).beta)
+        assert np.median(betas) > 0
+
+
+class TestClaimDomainBoundariesModulateSpeed:
+    """Sec. VII: "the propagation speed changes whenever a domain boundary
+    is crossed", because T_comm differs between intra-socket, inter-socket
+    and inter-node links."""
+
+    def test_hierarchy_makes_per_hop_gaps_non_uniform(self):
+        from repro.sim import HockneyModel
+        from repro.sim.topology import single_switch_mapping
+
+        def gaps(network, mapping):
+            cfg = LockstepConfig(
+                n_ranks=16, n_steps=20, t_exec=T, msg_size=200_000,
+                pattern=CommPattern(direction=Direction.UNIDIRECTIONAL),
+                delays=(DelaySpec(rank=0, step=0, duration=6 * T),),
+            )
+            trace = simulate(build_lockstep_program(cfg),
+                             SimConfig(network=network, mapping=mapping))
+            return np.diff(wave_front(trace, 0, +1).arrival_times)
+
+        mapping = single_switch_mapping(16, ppn=4, cores_per_socket=2)
+        slow_internode = HockneyModel(
+            latency={CommDomain.INTRA_SOCKET: 3e-7,
+                     CommDomain.INTER_SOCKET: 6e-7,
+                     CommDomain.INTER_NODE: 5e-5},
+            bandwidth={CommDomain.INTRA_SOCKET: 8e9,
+                       CommDomain.INTER_SOCKET: 5e9,
+                       CommDomain.INTER_NODE: 2e8},
+        )
+        hier, flat = gaps(slow_internode, mapping), gaps(NET, None)
+        # A flat network keeps a constant speed; the hierarchy makes the
+        # per-hop gaps strongly non-uniform and the wave slower on average.
+        assert np.ptp(flat) < 0.05 * flat.mean()
+        assert np.ptp(hier) > 0.3 * hier.mean()
+        assert hier.mean() > 1.1 * flat.mean()
+        # gaps[i] is the front's travel time over the link (i + 1, i + 2).
+        domains = {mapping.domain(i + 1, i + 2) for i in range(len(hier))}
+        assert {CommDomain.INTER_NODE, CommDomain.INTRA_SOCKET} <= domains

@@ -37,6 +37,33 @@ BAD_REPORTS = {
 }
 
 
+#: Two artifacts whose files collide below --out: (artifacts, message).
+COLLIDING_ARTIFACTS = {
+    "same_path": (
+        [("csv", "x.out"), ("json", "x.out")],
+        "field 'artifacts[1].path': writes x.out, the same file as "
+        "artifacts[0] (x.out)"),
+    "below_a_file": (
+        [("csv", "x.out"), ("json", "x.out/y.json")],
+        "field 'artifacts[1].path': writes x.out/y.json, a file below the "
+        "file of artifacts[0] (x.out)"),
+    "default_names": (
+        [("csv", None), ("csv", None)],
+        "field 'artifacts[1]': writes mine.csv, the same file as "
+        "artifacts[0] (mine.csv)"),
+}
+
+
+def write_colliding_report(tmp_path, case):
+    path = write_report(tmp_path)
+    for kind, artifact_path in COLLIDING_ARTIFACTS[case][0]:
+        text = f'[[artifacts]]\nkind = "{kind}"\n'
+        if artifact_path is not None:
+            text += f'path = "{artifact_path}"\n'
+        path.write_text(path.read_text() + text)
+    return path
+
+
 def write_report(tmp_path, top="", artifact_path=None):
     text = f'scenario = "fig4_single_delay"\n{top}[[metrics]]\nname = "runtime"\n'
     if artifact_path is not None:
@@ -82,6 +109,14 @@ class TestValidate:
         assert out.startswith(f"FAIL  {path}: ")
         assert BAD_REPORTS[case][2] in out
 
+    @pytest.mark.parametrize("case", sorted(COLLIDING_ARTIFACTS))
+    def test_colliding_artifacts_fail(self, tmp_path, capsys, case):
+        path = write_colliding_report(tmp_path, case)
+        assert report_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL  {path}: ")
+        assert COLLIDING_ARTIFACTS[case][1] in out
+
 
 class TestRun:
     def test_run_prints_table(self, capsys):
@@ -115,6 +150,21 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "abs").exists()
         assert not (tmp_path / "escaped.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(COLLIDING_ARTIFACTS))
+    def test_colliding_artifacts_exit_2_before_the_run(self, tmp_path, capsys,
+                                                       case):
+        cache, out_dir = tmp_path / "cache", tmp_path / "out"
+        assert report_main(["run", str(write_colliding_report(tmp_path, case)),
+                            "--cache-dir", str(cache),
+                            "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("report error: ")
+        assert COLLIDING_ARTIFACTS[case][1] in captured.err
+        assert "Traceback" not in captured.err
+        # Nothing ran: no table, no store, no artifacts.
+        assert "=== report" not in captured.out
+        assert not cache.exists() and not out_dir.exists()
 
     def test_nested_artifact_path_is_written_below_out(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -43,8 +43,13 @@ KERNELS = ("runtime", "wave_speed", "decay_rate", "desync", "idle_histogram",
 def build_batch(name="fig8_decay_rate", seeds=range(N_DRAWS)):
     spec = load_bundled_scenario(name).without_sweep()
     compiled = compile_scenario(spec)
-    runs = [run_scenario(compiled, seed=s) for s in seeds]
-    batch = BatchedTiming.from_timings([r.timing for r in runs])
+    timings = [run_scenario(compiled, seed=s).timing for s in seeds]
+    batch = BatchedTiming(
+        exec_end=np.stack([t.exec_end for t in timings]),
+        completion=np.stack([t.completion for t in timings]),
+        idle=np.stack([t.idle for t in timings]),
+        meta=dict(timings[0].meta),
+    )
     return compiled, batch
 
 

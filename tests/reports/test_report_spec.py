@@ -119,6 +119,51 @@ class TestRejections:
                   r"without '\.\.' components",
                   artifacts=[{"kind": "csv", "path": path}])
 
+    def test_artifact_path_naming_out_itself_rejected(self):
+        self.case(r"field 'artifacts\[0\]\.path': must name a file below "
+                  r"--out, got '\./'$",
+                  artifacts=[{"kind": "csv", "path": "./"}])
+
+    @pytest.mark.parametrize("artifacts, where, message", [
+        ([{"kind": "csv", "path": "a/x.csv"},
+          {"kind": "json", "path": "./a//x.csv"}],
+         r"artifacts\[1\]\.path", r"writes a/x\.csv, the same file as "
+         r"artifacts\[0\] \(a/x\.csv\)"),
+        ([{"kind": "csv", "path": "x.out"},
+          {"kind": "json", "path": "x.out/y.json"}],
+         r"artifacts\[1\]\.path", r"writes x\.out/y\.json, a file below "
+         r"the file of artifacts\[0\] \(x\.out\)"),
+        ([{"kind": "csv", "path": "x.out/y.json"},
+          {"kind": "json", "path": "x.out"}],
+         r"artifacts\[1\]\.path", r"writes x\.out, a directory that holds "
+         r"the file of artifacts\[0\] \(x\.out/y\.json\)"),
+        ([{"kind": "ascii"}, {"kind": "csv", "path": "viz/r.txt"}],
+         r"artifacts\[1\]\.path", r"writes viz/r\.txt, the same file as "
+         r"artifacts\[0\] \(viz/r\.txt\)"),
+        ([{"kind": "json", "path": "r.csv"}, {"kind": "json"},
+          {"kind": "csv"}],
+         r"artifacts\[2\]", r"writes r\.csv, the same file as "
+         r"artifacts\[0\] \(r\.csv\)"),
+        ([{"kind": "npz", "path": "x"}, {"kind": "csv", "path": "x.npz"}],
+         r"artifacts\[1\]\.path", r"writes x\.npz, the same file as "
+         r"artifacts\[0\] \(x\.npz\)"),
+        ([{"kind": "npz", "path": "d/x/"}, {"kind": "csv", "path": "d/x.npz"}],
+         r"artifacts\[1\]\.path", r"writes d/x\.npz, the same file as "
+         r"artifacts\[0\] \(d/x\.npz\)"),
+    ], ids=["same_path", "below_a_file", "above_a_file", "default_ascii",
+            "default_csv", "npz_suffix", "npz_suffix_after_slash"])
+    def test_colliding_artifact_files_rejected(self, artifacts, where,
+                                               message):
+        self.case(rf"field '{where}': {message}$", artifacts=artifacts)
+
+    def test_distinct_artifact_files_accepted(self):
+        spec = ReportSpec.from_dict(doc(artifacts=[
+            {"kind": "csv", "path": "x"}, {"kind": "npz", "path": "x"},
+            {"kind": "csv", "path": "x.d/y.csv"}, {"kind": "csv"},
+            {"kind": "ascii"}]))
+        assert [a.file_name(spec.name) for a in spec.artifacts] == [
+            "x", "x.npz", "x.d/y.csv", "r.csv", "viz/r.txt"]
+
     def test_seeds_and_base_seed_conflict(self):
         self.case("no effect", seeds=[1], base_seed=2)
 

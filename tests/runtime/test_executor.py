@@ -172,12 +172,9 @@ class TestFailureIsolation:
         assert campaign.results[1].ok
 
     def test_non_mapping_result_is_a_task_error(self):
-        spec = RunSpec(fn="repro.runtime.tasks:campaign_draw_task",
-                       params={"rate": 0.05, "duration_low": 1e-3,
-                               "duration_high": 2e-3, "n_ranks": 4,
-                               "n_steps": 4}, seed=1)
+        spec = RunSpec(fn=PROBE, params={"n": 2}, seed=1)
         campaign = run_campaign([spec], jobs=1)
-        assert campaign.results[0].ok  # draw task does return a mapping
+        assert campaign.results[0].ok  # the probe does return a mapping
 
 
 class TestStreamingAndJobs:

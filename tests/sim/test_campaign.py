@@ -8,6 +8,17 @@ from repro.sim.campaign import DelayCampaign
 T = 3e-3
 
 
+def draw_task(rate, duration_low, duration_high, n_ranks, n_steps, seed=0):
+    """Campaign task: one schedule as plain lists.  Pool workers are
+    forked from this process, so they resolve it by this module's name."""
+    specs = DelayCampaign(rate=rate, duration_low=duration_low,
+                          duration_high=duration_high).draw(
+                              n_ranks, n_steps, seed)
+    return {"ranks": [s.rank for s in specs],
+            "steps": [s.step for s in specs],
+            "durations": [s.duration for s in specs]}
+
+
 class TestDelayCampaign:
     def campaign(self, rate=0.05):
         return DelayCampaign(rate=rate, duration_low=2 * T, duration_high=8 * T)
@@ -110,9 +121,9 @@ class TestIntegerSeedDraws:
         # Two tasks so the pool backend actually engages (a single
         # pending task is executed in-process as an optimization).
         specs = [
-            RunSpec(fn="repro.runtime.tasks:campaign_draw_task",
+            RunSpec(fn=f"{__name__}:draw_task",
                     params=params, seed=seed, index=0),
-            RunSpec(fn="repro.runtime.tasks:campaign_draw_task",
+            RunSpec(fn=f"{__name__}:draw_task",
                     params=params, seed=seed + 1, index=1),
         ]
         campaign = run_campaign(specs, jobs=2).raise_failures()

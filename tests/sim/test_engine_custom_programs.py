@@ -81,7 +81,8 @@ class TestAsymmetricPrograms:
         ]
         trace = simulate(Program(ops=ops, n_steps=1), SimConfig(network=UniformNetwork()))
         # Stage 2 finishes after ~3 serial phases.
-        assert trace.rank_runtime(2) == pytest.approx(3 * T, rel=0.05)
+        stage2_end = max(r.end for r in trace.records if r.rank == 2)
+        assert stage2_end == pytest.approx(3 * T, rel=0.05)
 
     def test_multiple_comm_phases_per_step(self):
         ops = [

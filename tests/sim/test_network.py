@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.network import HockneyModel, LogGPModel, UniformNetwork
+from repro.sim.network import HockneyModel, UniformNetwork
 from repro.sim.topology import CommDomain
 
 
@@ -58,23 +58,3 @@ class TestHockneyModel:
         net = HockneyModel(latency={CommDomain.INTER_NODE: 1e-6})
         with pytest.raises(KeyError, match="latency"):
             net.transfer_time(8, CommDomain.INTRA_SOCKET)
-
-
-class TestLogGPModel:
-    def test_flight_time_formula(self):
-        net = LogGPModel()
-        L = net.L[CommDomain.INTER_NODE]
-        G = net.G[CommDomain.INTER_NODE]
-        assert net.transfer_time(1, CommDomain.INTER_NODE) == pytest.approx(L)
-        assert net.transfer_time(1001, CommDomain.INTER_NODE) == pytest.approx(L + 1000 * G)
-
-    def test_overheads_come_from_o(self):
-        net = LogGPModel()
-        assert net.send_overhead(CommDomain.INTER_NODE) == net.o[CommDomain.INTER_NODE]
-        assert net.recv_overhead(CommDomain.SELF) == 0.0
-
-    def test_zero_size_message(self):
-        net = LogGPModel()
-        assert net.transfer_time(0, CommDomain.INTER_NODE) == pytest.approx(
-            net.L[CommDomain.INTER_NODE]
-        )

@@ -150,11 +150,6 @@ class TestBuildLockstepProgram:
         with pytest.raises(ValueError, match="non-negative"):
             build_lockstep_program(cfg, np.full((3, 2), -1.0))
 
-    def test_op_count(self):
-        cfg = LockstepConfig(n_ranks=4, n_steps=2)
-        prog = build_lockstep_program(cfg)
-        assert prog.op_count() == sum(len(r) for r in prog.ops)
-
     def test_delay_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             LockstepConfig(

@@ -50,31 +50,11 @@ class TestAggregates:
     def test_total_runtime(self):
         assert small_trace().total_runtime() == 3.2
 
-    def test_rank_runtime(self):
-        assert small_trace().rank_runtime(0) == 2.5
-
-    def test_total_idle_time(self):
-        assert small_trace().total_idle_time() == pytest.approx(0.7)
-
     def test_empty_trace_runtime_zero(self):
         assert Trace(n_ranks=1, n_steps=0).total_runtime() == 0.0
 
 
 class TestAccessors:
-    def test_by_rank_sorted(self):
-        recs = small_trace().by_rank(0)
-        starts = [r.start for r in recs]
-        assert starts == sorted(starts)
-
-    def test_by_rank_out_of_range(self):
-        with pytest.raises(IndexError):
-            small_trace().by_rank(2)
-
-    def test_of_kind_filters(self):
-        waits = list(small_trace().of_kind(OpKind.WAITALL))
-        assert len(waits) == 4
-        assert all(r.kind == OpKind.WAITALL for r in waits)
-
     def test_duration_property(self):
         r = rec(0, 0, OpKind.COMP, 1.0, 2.5)
         assert r.duration == pytest.approx(1.5)

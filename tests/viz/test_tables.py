@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.viz.tables import format_series, format_table
+from repro.viz.tables import format_table
 
 
 class TestFormatTable:
@@ -28,15 +28,3 @@ class TestFormatTable:
     def test_empty_headers_rejected(self):
         with pytest.raises(ValueError):
             format_table([], [])
-
-
-class TestFormatSeries:
-    def test_two_columns(self):
-        out = format_series([1.0, 2.0], [10.0, 20.0], "E", "beta")
-        lines = out.splitlines()
-        assert lines[0].split("|")[0].strip() == "E"
-        assert len(lines) == 4
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_series([1.0], [1.0, 2.0])
