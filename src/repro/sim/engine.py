@@ -853,10 +853,6 @@ class BatchedDagResult:
         """Iterate over the B runs as :class:`DagResult` views."""
         return (self[b] for b in range(self.n_batch))
 
-    def total_runtimes(self) -> np.ndarray:
-        """Per-run wall-clock completion, shape ``[n_batch]``."""
-        return np.nanmax(self.completion, axis=(1, 2))
-
 
 # ----------------------------------------------------------------------
 # entry points

@@ -161,28 +161,24 @@ class BatchedLockstepResult:
         """Per-run seconds spent inside each step's Waitall."""
         return self.completion - self.post_end
 
-    def total_runtimes(self) -> np.ndarray:
-        """Per-run wall-clock completion, shape ``[n_batch]``."""
-        return self.completion[:, :, -1].max(axis=1)
 
+def _partners(n_ranks: int, offset: int, periodic: bool) -> "tuple[np.ndarray, np.ndarray | bool]":
+    """Each rank's partner at ``offset`` as a gather index, and where it exists.
 
-def _shift(arr: np.ndarray, offset: int, periodic: bool) -> np.ndarray:
-    """``out[..., i] = arr[..., i + offset]``; out-of-range entries are -inf.
-
-    Operates along the last (rank) axis so batched ``(B, n_ranks)`` state
-    shifts exactly like unbatched ``(n_ranks,)`` state.
+    A rank whose partner falls off an open chain gathers itself; the
+    returned mask is False there, and every use of the gather masks it
+    out, as the ``-inf`` it stands for would.  A ring has every partner.
     """
+    target = np.arange(n_ranks) + offset
     if periodic:
-        return np.roll(arr, -offset, axis=-1)
-    out = np.full_like(arr, -np.inf)
-    n = arr.shape[-1]
-    if offset >= 0:
-        if offset < n:
-            out[..., : n - offset] = arr[..., offset:]
-    else:
-        if -offset < n:
-            out[..., -offset:] = arr[..., : n + offset]
-    return out
+        return target % n_ranks, True
+    exists = (target >= 0) & (target < n_ranks)
+    return np.where(exists, target, np.arange(n_ranks)), exists
+
+
+def _where(mask: "np.ndarray | bool") -> "np.ndarray | bool":
+    """``mask`` as a ufunc ``where=`` argument: True when it selects all."""
+    return True if np.all(mask) else mask
 
 
 def _send_positions(pattern: CommPattern, n_ranks: int) -> dict[int, np.ndarray]:
@@ -310,10 +306,11 @@ def _simulate_core_inner(
 
     spos = _send_positions(pattern, n)
     recv_offsets = [-o for o in spos]
+    offsets = sorted(set(spos) | set(recv_offsets))
     link = _link_params(
-        network, cfg.msg_size, domain, mapping,
-        sorted(set(spos) | set(recv_offsets)), pattern.periodic,
+        network, cfg.msg_size, domain, mapping, offsets, pattern.periodic,
     )
+    partners = {o: _partners(n, o, pattern.periodic) for o in offsets}
 
     # Cumulative send-overhead through each rank's p-th send, per offset,
     # plus the total posting overhead (exec end -> Waitall entry).
@@ -333,6 +330,24 @@ def _simulate_core_inner(
             send_cum[off] = np.where(has, running, np.nan)
         total_send_ov = running
 
+    # Per offset, once per run: where a message exists (the partner is on
+    # the chain and the sender posts that send), and the sender's
+    # cumulative send overhead.  With finite timings neither changes from
+    # step to step.  The overhead is zero where no message exists, which
+    # keeps the masked-out arithmetic finite.
+    def messages(offset: int, cum: np.ndarray) -> tuple:
+        has = partners[offset][1] & np.isfinite(cum)
+        return offset, np.where(has, cum, 0.0), _where(has)
+
+    # Messages (i+o -> i) for each receive offset o, and (i -> i+o) for
+    # each send offset o; the cumulative overhead is the sender's.
+    incoming = [messages(o, send_cum[-o][partners[o][0]]) for o in recv_offsets]
+    outgoing = [messages(o, send_cum[o]) for o in spos]
+    exists = {o: _where(partners[o][1]) for o in spos}
+    eager = proto == Protocol.EAGER
+    coupled = not eager and pattern.direction == Direction.BIDIRECTIONAL
+    gathered = recv_offsets if eager else offsets
+
     lead = exec_times.shape[:-2]
     exec_start = np.zeros_like(exec_times)
     exec_end = np.zeros_like(exec_times)
@@ -344,54 +359,43 @@ def _simulate_core_inner(
         e_end = c_prev + exec_times[..., k]
         p_end = e_end + total_send_ov
         cand = p_end.copy()
+        # Each partner's exec end, one gather per offset.
+        partner_end = {o: e_end[..., partners[o][0]] for o in gathered}
 
-        for o in recv_offsets:
-            sender_off = -o  # the sender's send offset towards us
-            sender_cum = _shift(send_cum[sender_off], o, pattern.periodic)
-            sender_e_end = _shift(e_end, o, pattern.periodic)
+        for o, sender_cum, has in incoming:
             flight, _, o_recv = link[o]  # message (i+o -> i), indexed at i
-            with np.errstate(invalid="ignore"):
-                send_end = sender_e_end + sender_cum
-                if proto == Protocol.EAGER:
-                    c_in = np.maximum(send_end + flight, e_end) + o_recv
-                else:
-                    c_in = np.maximum(send_end, e_end) + flight + o_recv
-            # NaN positions (no such partner) must not contribute.
-            c_in = np.where(np.isnan(c_in) | np.isinf(sender_e_end), -np.inf, c_in)
-            cand = np.maximum(cand, c_in)
+            send_end = partner_end[o] + sender_cum
+            if eager:
+                c_in = np.maximum(send_end + flight, e_end) + o_recv
+            else:
+                c_in = np.maximum(send_end, e_end) + flight + o_recv
+            np.maximum(cand, c_in, out=cand, where=has)
 
-        if proto == Protocol.RENDEZVOUS:
+        if not eager:
             # Outgoing transfers also block the sender's Waitall.
-            for o in spos:
+            for o, own_cum, has in outgoing:
                 flight, _, o_recv = link[o]  # message (i -> i+o), indexed at i
-                recv_e_end = _shift(e_end, o, pattern.periodic)
-                with np.errstate(invalid="ignore"):
-                    c_out = (
-                        np.maximum(e_end + send_cum[o], recv_e_end)
-                        + flight + o_recv
-                    )
-                c_out = np.where(np.isnan(c_out) | np.isinf(recv_e_end), -np.inf, c_out)
-                cand = np.maximum(cand, c_out)
+                c_out = (
+                    np.maximum(e_end + own_cum, partner_end[o]) + flight + o_recv
+                )
+                np.maximum(cand, c_out, out=cand, where=has)
 
-            if pattern.direction == Direction.BIDIRECTIONAL:
-                # Progress coupling (σ = 2 of Eq. 2): each pair's transfers
-                # also wait for the posting-complete times of both endpoints'
-                # rendezvous partners — mirrors the DAG engine's coupling
-                # edges.  relief[i] = max over i's partners p of post_end[p].
-                relief = np.full((*lead, n), -np.inf)
-                for o in spos:
-                    partner_post = _shift(p_end, o, pattern.periodic)
-                    relief = np.maximum(relief, partner_post)
-                for o in spos:
-                    flight, _, o_recv = link[o]
-                    partner_exists = np.isfinite(_shift(e_end, o, pattern.periodic))
-                    partner_relief = _shift(relief, o, pattern.periodic)
-                    pair_relief = (
-                        np.maximum(relief, partner_relief) + flight + o_recv
-                    )
-                    cand = np.maximum(
-                        cand, np.where(partner_exists, pair_relief, -np.inf)
-                    )
+        if coupled:
+            # Progress coupling (σ = 2 of Eq. 2): each pair's transfers
+            # also wait for the posting-complete times of both endpoints'
+            # rendezvous partners — mirrors the DAG engine's coupling
+            # edges.  relief[i] = max over i's partners p of post_end[p].
+            relief = np.full((*lead, n), -np.inf)
+            for o in spos:
+                np.maximum(relief, p_end[..., partners[o][0]], out=relief,
+                           where=exists[o])
+            for o in spos:
+                flight, _, o_recv = link[o]
+                pair_relief = (
+                    np.maximum(relief, relief[..., partners[o][0]])
+                    + flight + o_recv
+                )
+                np.maximum(cand, pair_relief, out=cand, where=exists[o])
 
         exec_start[..., k] = c_prev
         exec_end[..., k] = e_end
@@ -399,6 +403,11 @@ def _simulate_core_inner(
         completion[..., k] = cand
         c_prev = cand
 
+    # Every completion feeds the next step, so an overflow anywhere leaves
+    # inf (or NaN) in the last one.  The masks above hold only for finite
+    # timings, so such a run raises instead of returning them.
+    if not np.isfinite(c_prev).all():
+        raise ValueError("lockstep timings overflow float64")
     return exec_start, exec_end, post_end, completion
 
 
@@ -426,6 +435,17 @@ def _result_meta(
         meta["hierarchical"] = True
         meta["ppn"] = mapping.ppn
     return meta
+
+
+def _check_finite(exec_times: np.ndarray) -> None:
+    """Reject NaN or infinite execution times, naming the first such cell."""
+    bad = ~np.isfinite(exec_times)
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"exec_times must be finite, got {exec_times[cell]} at "
+            f"[{', '.join(map(str, cell))}]"
+        )
 
 
 def _resolve(
@@ -465,7 +485,9 @@ def simulate_lockstep(
         The experiment parameters (ranks, steps, pattern, noise, delays).
     exec_times:
         Optional pre-built ``[n_ranks, n_steps]`` execution durations; built
-        from ``cfg`` (with its seed) when omitted.
+        from ``cfg`` (with its seed) when omitted.  They must be finite; a
+        NaN or infinite cell raises ``ValueError``, as does a run whose
+        timings overflow float64.
     network:
         Transfer-time model.  Defaults to
         :class:`~repro.sim.network.UniformNetwork`.
@@ -489,6 +511,7 @@ def simulate_lockstep(
         raise ValueError(
             f"exec_times shape {exec_times.shape} != ({cfg.n_ranks}, {cfg.n_steps})"
         )
+    _check_finite(exec_times)
 
     exec_start, exec_end, post_end, completion = _simulate_core(
         cfg, exec_times, network, domain, proto, mapping
@@ -522,7 +545,7 @@ def simulate_lockstep_batch(
     exec_times:
         ``[n_batch, n_ranks, n_steps]`` execution durations, one matrix per
         run (e.g. one per delay-campaign draw, each built from its own
-        derived seed).
+        derived seed).  Finite, as in :func:`simulate_lockstep`.
     network, domain, protocol, eager_limit, mapping:
         As in :func:`simulate_lockstep`; shared by all runs in the batch.
 
@@ -541,6 +564,7 @@ def simulate_lockstep_batch(
         )
     if exec_times.shape[0] < 1:
         raise ValueError("batch must contain at least one run")
+    _check_finite(exec_times)
 
     exec_start, exec_end, post_end, completion = _simulate_core(
         cfg, exec_times, network, domain, proto, mapping

@@ -223,10 +223,6 @@ class TraceNoise(NoiseModel):
         if any(s < 0 for s in self.samples):
             raise ValueError("TraceNoise samples must be >= 0")
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "TraceNoise":
-        return cls(samples=tuple(float(x) for x in np.asarray(arr).ravel()))
-
     def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         arr = np.asarray(self.samples)
         idx = rng.integers(0, arr.size, size=shape)

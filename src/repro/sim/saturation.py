@@ -30,7 +30,8 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
+from operator import itemgetter
 
 import numpy as np
 
@@ -128,6 +129,7 @@ class SaturationConfig:
 
 
 _START, _TAIL, _STREAM = range(3)  # event kinds
+_OVERFLOW = "saturation timings overflow float64"
 
 
 def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None = None) -> LockstepResult:
@@ -138,7 +140,8 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     by one amount and schedules only the socket's earliest stream end; a
     tie goes to the first such rank in the socket's set iteration order
     (the golden fixtures pin this order).  A scheduled stream end is stale
-    once its sequence number is no longer the socket's latest.
+    once its sequence number is no longer the socket's latest.  A run
+    whose earliest stream end overflows float64 raises ``ValueError``.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -182,6 +185,12 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     # max is bitwise equal to the max of each end plus t_flight.
     end_ranks = [deps + [rank] if deps and cfg.rendezvous else deps
                  for rank, deps in enumerate(dep_sources)]
+    # Each Waitall gathers those ends from a step's exec-end view.  An
+    # itemgetter of one index returns the item, not a 1-tuple, so a lone
+    # rank is gathered twice.
+    gather = [itemgetter(*ranks) if len(ranks) > 1
+              else itemgetter(ranks[0], ranks[0]) if ranks else None
+              for ranks in end_ranks]
 
     # Rank-major 8-byte cells: phase (r, k) is cell r * steps + k, and
     # ends_at[k] views step k's exec ends by rank.
@@ -210,15 +219,56 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     heap = [(0.0, r, _START, r) for r in range(n)]
     seq = itertools.count(n)
 
-    def run() -> None:
+    # Three handlers: stream end, serial tail and phase start.  Each ends
+    # with heappushpop of its last new event instead of a push and the
+    # next pop; every event takes a fresh seq, so (time, seq) keys are
+    # unique and events come out in the same order.  The loop state is
+    # bound as default arguments: the loop reads it a few dozen times per
+    # event, and a fast local is cheaper to read than a closure cell.
+    def run(heap=heap, seq=seq, cell=cell, step_of=step_of, pending=pending,
+            notifies=notifies, gather=gather, ends_at=ends_at,
+            exec_start=exec_start, exec_end=exec_end, post_end=post_end,
+            completion=completion, work=work, serial=serial,
+            remaining=remaining, socket_of=socket_of, active=active,
+            last=last, rate=rate, latest=latest, share=share,
+            steps=steps, t_flight=t_flight, o_post=o_post, inf=math.inf,
+            heappop=heappop, heappush=heappush, heappushpop=heappushpop):
         # Its own code object puts the loop at offset 0; tracemalloc, which the
         # memory guard test runs, scans a code object from 0 to find a line.
-        while heap:
-            now, sq, kind, r = heappop(heap)
-            if kind == _TAIL:
+        now, sq, kind, r = heappop(heap)
+        while True:
+            if kind == _STREAM:
+                s = socket_of[r]
+                if sq != latest[s]:  # the socket changed since this estimate
+                    if not heap:
+                        return
+                    now, sq, kind, r = heappop(heap)
+                    continue
+                streaming = active[s]
+                streaming.discard(r)
+                # Drain socket s up to now and schedule its next stream end.
+                drain = rate[s] * (now - last[s])
+                last[s] = now
+                latest[s] = sq = next(seq)
+                rate[s] = new_rate = share[len(streaming)]
+                if new_rate:
+                    t_first = inf
+                    for q in streaming:
+                        rem = remaining[q] - drain
+                        remaining[q] = rem = rem if rem > 0.0 else 0.0
+                        t = now + rem / new_rate
+                        if t < t_first:
+                            first, t_first = q, t
+                    if t_first == inf:
+                        raise ValueError(_OVERFLOW)
+                    heappush(heap, (t_first, sq, _STREAM, first))
+                now, sq, kind, r = heappushpop(
+                    heap, (now + serial[cell[r]], next(seq), _TAIL, r))
+            elif kind == _TAIL:
                 i, k = cell[r], step_of[r]
                 exec_end[i] = now
                 post_end[i] = now + o_post
+                held = None  # the latest phase start, pushed by the fused pop
                 for q in notifies[r]:
                     left = pending[q]
                     left[k] -= 1
@@ -227,43 +277,45 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
                     # All of q's step-k phase ends are known: its Waitall ends.
                     j = cell[q]
                     t = post_end[j]
-                    if end_ranks[q]:
-                        ends = ends_at[k]
-                        t = max(t, max([ends[src] for src in end_ranks[q]]) + t_flight)
+                    ends = gather[q]
+                    if ends is not None:
+                        t = max(t, max(ends(ends_at[k])) + t_flight)
                     completion[j] = t
                     cell[q], step_of[q] = j + 1, k + 1
                     if k + 1 < steps:
-                        heappush(heap, (t, next(seq), _START, q))
-                continue
-            s = socket_of[r]
-            started = r if kind == _START else -1
-            if kind == _STREAM:
-                if sq != latest[s]:
-                    continue  # the socket changed since this estimate
-                active[s].discard(r)
-            else:
+                        if held is not None:
+                            heappush(heap, held)
+                        held = (t, next(seq), _START, q)
+                if held is not None:
+                    now, sq, kind, r = heappushpop(heap, held)
+                elif heap:
+                    now, sq, kind, r = heappop(heap)
+                else:
+                    return
+            else:  # _START
+                s = socket_of[r]
                 i = cell[r]
                 exec_start[i] = now
                 remaining[r] = work[i]
-                active[s].add(r)
-            # Drain socket s up to now and schedule its next stream end.
-            drain = rate[s] * (now - last[s])
-            last[s] = now
-            latest[s] = sq = next(seq)
-            rate[s] = new_rate = share[len(active[s])]
-            if new_rate:
-                first = -1
-                for q in active[s]:
+                streaming = active[s]
+                streaming.add(r)
+                # Drain the others up to now and schedule the next stream end.
+                drain = rate[s] * (now - last[s])
+                last[s] = now
+                latest[s] = sq = next(seq)
+                rate[s] = new_rate = share[len(streaming)]
+                t_first = inf
+                for q in streaming:
                     rem = remaining[q]
-                    if q != started:
+                    if q != r:
                         rem -= drain
                         remaining[q] = rem = rem if rem > 0.0 else 0.0
                     t = now + rem / new_rate
-                    if first < 0 or t < t_first:
+                    if t < t_first:
                         first, t_first = q, t
-                heappush(heap, (t_first, sq, _STREAM, first))
-            if started < 0:
-                heappush(heap, (now + serial[cell[r]], next(seq), _TAIL, r))
+                if t_first == inf:
+                    raise ValueError(_OVERFLOW)
+                now, sq, kind, r = heappushpop(heap, (t_first, sq, _STREAM, first))
 
     run()
     if min(step_of) < steps:

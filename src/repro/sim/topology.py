@@ -77,11 +77,6 @@ class MachineTopology:
         """Physical cores in the whole machine."""
         return self.cores_per_node * self.n_nodes
 
-    @property
-    def total_hw_threads(self) -> int:
-        """Hardware threads in the whole machine (incl. SMT)."""
-        return self.total_cores * self.smt
-
 
 @dataclass(frozen=True)
 class ProcessMapping:
@@ -153,12 +148,6 @@ class ProcessMapping:
         per_socket = -(-self.ppn // spn)  # ceil
         local_socket = min(self.local_rank(rank) // per_socket, spn - 1)
         return self.node_of(rank) * spn + local_socket
-
-    def socket_local_rank(self, rank: int) -> int:
-        """Rank index within its socket (0-based)."""
-        spn = self.topology.sockets_per_node
-        per_socket = -(-self.ppn // spn)
-        return self.local_rank(rank) % per_socket
 
     def ranks_per_socket(self) -> int:
         """Number of ranks placed on each (fully occupied) socket."""

@@ -158,7 +158,6 @@ def test_batch_of_one_is_bitwise_the_unbatched_run(scenario):
     )
     assert np.array_equal(batch[0].completion, serial.completion)
     assert np.array_equal(batch[0].post_end, serial.post_end)
-    assert batch.total_runtimes()[0] == serial.total_runtime()
 
 
 class TestBatchApi:

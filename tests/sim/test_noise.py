@@ -126,10 +126,6 @@ class TestTraceNoise:
         s = noise.sample(rng, (1000,))
         assert set(np.unique(s)) <= {1e-6, 5e-6}
 
-    def test_from_array(self, rng):
-        noise = TraceNoise.from_array(np.array([[1e-6], [2e-6]]))
-        assert noise.mean() == pytest.approx(1.5e-6)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TraceNoise(samples=())

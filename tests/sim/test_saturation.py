@@ -172,6 +172,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"serial time \(t_serial \+ noise \+ delays\) must be finite"):
             simulate_saturation(make_cfg(**kw))
 
+    def test_overflowing_stream_end_rejected(self):
+        # 1e300 bytes at 1e-10 B/s is a stream end past float64's range.
+        with pytest.raises(ValueError, match="saturation timings overflow float64"):
+            simulate_saturation(make_cfg(work=1e300, b_core=1e-10))
+
     def test_result_monotone_and_valid(self):
         res = simulate_saturation(make_cfg(noise=ExponentialNoise(1e-4), n_steps=6))
         assert (np.diff(res.completion, axis=1) > 0).all()
@@ -223,6 +228,13 @@ def golden_configs() -> dict:
             n_ranks=20, n_steps=12, work=12345678.9, b_core=7.9e9, b_socket=3.7e10,
             t_flight=3e-6, rendezvous=True,
             delays=(DelaySpec(rank=7, step=2, duration=2e-3),)),
+        # With no flight time and no posting overhead, a tail starts the
+        # next phases at its own time, so the order of same-time events
+        # (tail, phase starts, stream ends) decides the timings.
+        "zero_latency_noise_free_ties": make_cfg(
+            n_ranks=20, n_steps=12, work=12345678.9, b_core=7.9e9, b_socket=3.7e10,
+            t_flight=0.0, o_post=0.0, rendezvous=True,
+            delays=(DelaySpec(rank=13, step=1, duration=1e-3),)),
         "unidirectional_rendezvous_two_delays": make_cfg(
             n_ranks=12, n_steps=15, noise=ExponentialNoise(1e-4), rendezvous=True,
             seed=11,

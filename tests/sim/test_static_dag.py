@@ -174,15 +174,6 @@ class TestBatchedPropagate:
         with pytest.raises(ValueError, match="at least one run"):
             simulate_dag_batch(cfg, np.zeros((0, cfg.n_ranks, cfg.n_steps)))
 
-    def test_total_runtimes_match_slices(self):
-        cfg = make_cfg()
-        stacked = np.stack([
-            build_exec_times(cfg, np.random.default_rng(s)) for s in range(4)
-        ])
-        batch = simulate_dag_batch(cfg, stacked)
-        per_run = [batch[b].total_runtime() for b in range(4)]
-        assert np.allclose(batch.total_runtimes(), per_run)
-
 
 class TestColumnarTrace:
     def test_dag_result_matches_full_trace_matrices(self):

@@ -20,10 +20,6 @@ class TestMachineTopology:
         topo = MachineTopology(cores_per_socket=10, sockets_per_node=2, n_nodes=5)
         assert topo.total_cores == 100
 
-    def test_smt_multiplies_hw_threads(self):
-        topo = MachineTopology(smt=2)
-        assert topo.total_hw_threads == 2 * topo.total_cores
-
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -59,12 +55,6 @@ class TestProcessMapping:
         assert m.socket_of(9) == 0
         assert m.socket_of(10) == 1
         assert m.socket_of(20) == 2  # node 1, socket 0 -> global socket 2
-
-    def test_socket_local_rank(self):
-        m = ProcessMapping(self.topo(), n_ranks=40, ppn=20)
-        assert m.socket_local_rank(0) == 0
-        assert m.socket_local_rank(9) == 9
-        assert m.socket_local_rank(10) == 0
 
     def test_ranks_on_socket_inverse_of_socket_of(self):
         m = ProcessMapping(self.topo(), n_ranks=40, ppn=20)
