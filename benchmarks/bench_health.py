@@ -145,7 +145,7 @@ def test_bench_health_watchdog_scan_cost(bench_record):
     wd = StallWatchdog(multiple=4.0, min_stall_s=3600.0, poll_s=0.25)
     now = time.perf_counter()
     in_flight = {
-        object(): (((i, RunSpec(fn="repro.runtime.tasks:rng_probe_task",
+        object(): (((i, RunSpec(fn="repro.runtime.tasks:lockstep_delay_task",
                                 index=i, params={}, seed=i)),), now)
         for i in range(64)
     }

@@ -22,7 +22,6 @@ import numpy as np
 from repro.analysis.desync import desync_onset, overlap_efficiency, skew_spread
 from repro.core.decay import measure_decay
 from repro.core.speed import measure_speed
-from repro.core.timing import BatchedTiming
 from repro.reports import (
     MetricContext,
     compile_report,
@@ -44,13 +43,12 @@ def _build_batch():
     compiled = compile_scenario(spec)
     assert compiled.engine == "lockstep"
     prepared = [prepare_scenario_run(compiled, seed) for seed in range(N_DRAWS)]
-    result = simulate_lockstep_batch(
+    return compiled, simulate_lockstep_batch(
         compiled.cfg, np.stack([p.exec_times for p in prepared]),
         network=compiled.network, domain=compiled.domain,
         protocol=compiled.protocol, eager_limit=compiled.eager_limit,
         mapping=compiled.mapping,
     )
-    return compiled, BatchedTiming.from_lockstep_batch(result)
 
 
 def _kernel_metrics(batch, ctx):

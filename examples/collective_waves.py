@@ -17,7 +17,7 @@ from repro.sim import (
     LockstepConfig,
     SimConfig,
     UniformNetwork,
-    simulate,
+    simulate_dag,
     build_lockstep_program,
 )
 from repro.sim.collectives import Collective, CollectiveConfig, build_collective_program
@@ -34,7 +34,7 @@ ring_cfg = LockstepConfig(
     pattern=CommPattern(direction=Direction.BIDIRECTIONAL, distance=1, periodic=True),
     delays=(DELAY,),
 )
-ring = simulate(build_lockstep_program(ring_cfg), SimConfig(network=NET))
+ring = simulate_dag(build_lockstep_program(ring_cfg), SimConfig(network=NET))
 
 print("Point-to-point ring: the idle wave ripples outward (1 rank/phase/side)\n")
 print(render_idle_heatmap(ring))
@@ -44,13 +44,13 @@ barrier_cfg = CollectiveConfig(
     n_ranks=N_RANKS, n_steps=N_STEPS, collective=Collective.BARRIER,
     t_exec=T_EXEC, msg_size=8192, delays=(DELAY,),
 )
-barrier = simulate(build_collective_program(barrier_cfg), SimConfig(network=NET))
+barrier = simulate_dag(build_collective_program(barrier_cfg), SimConfig(network=NET))
 
 print("\nDissemination barrier: everyone is idled within the injection step\n")
 print(render_idle_heatmap(barrier))
 
-idle_ring = ring.idle_matrix()
-idle_barrier = barrier.idle_matrix()
+idle_ring = ring.idle
+idle_barrier = barrier.idle
 print(f"\nranks idled > half the delay at the injection step:")
 print(f"  ring    : {(idle_ring[:, 1] > 0.5 * DELAY.duration).sum()} of {N_RANKS}")
 print(f"  barrier : {(idle_barrier[:, 1] > 0.5 * DELAY.duration).sum()} of {N_RANKS}")

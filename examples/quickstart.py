@@ -25,17 +25,19 @@ cfg = repro.LockstepConfig(
     delays=(repro.DelaySpec(rank=5, step=0, duration=4.5 * T_EXEC),),
 )
 
-# Simulate with the exact DAG engine (simulate_lockstep is the fast path).
+# Simulate with the exact DAG engine (simulate_lockstep is the fast path)
+# and read the trace's per-(rank, step) timing matrices.
 trace = repro.simulate(repro.build_lockstep_program(cfg), repro.SimConfig())
+run = repro.RunTiming.from_trace(trace)
 
 # --- visualize ---------------------------------------------------------
 from repro.viz import render_timeline
 
 print("Rank/time diagram ('.'=exec, 'D'=injected delay, '#'=idle):\n")
-print(render_timeline(trace, width=90))
+print(render_timeline(run, width=90))
 
 # --- measure the wave --------------------------------------------------
-measurement = repro.measure_speed(trace, source=5)
+measurement = repro.measure_speed(run, source=5)
 t_comm = repro.UniformNetwork().total_pingpong_time(cfg.msg_size, repro.CommDomain.INTER_NODE)
 v_model = repro.silent_speed(T_EXEC, t_comm, d=1)
 
@@ -43,7 +45,7 @@ print(f"\nmeasured wave speed : {measurement.speed:8.1f} ranks/s")
 print(f"Eq. 2 prediction    : {v_model:8.1f} ranks/s")
 print(f"relative error      : {abs(measurement.speed - v_model) / v_model:8.2%}")
 
-front = repro.wave_front(trace, source=5)
+front = repro.wave_front(run, source=5)
 print(f"\nwave reached {front.reach} ranks; "
       f"amplitude stayed at {front.amplitudes.mean() * 1e3:.1f} ms "
       "(no decay on a noise-free system)")

@@ -47,7 +47,7 @@ for spec in delays:
     singles.append(repro.simulate_lockstep(single_cfg))
 
 defect = repro.superposition_defect(combined, singles)
-linear_sum = sum(float(np.sum(s.idle_matrix())) for s in singles)
+linear_sum = sum(float(np.sum(s.idle)) for s in singles)
 
 resync = repro.resync_step(combined)
 print(f"\nresynchronized after step : {resync}")

@@ -89,7 +89,7 @@ _names, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".core.timing": ("RunTiming",),
     ".sim.delay": ("DelaySpec", "delays_at_local_rank"),
     ".sim.engine": ("SimConfig", "simulate"),
-    ".sim.lockstep": ("LockstepResult", "simulate_lockstep"),
+    ".sim.lockstep": ("simulate_lockstep",),
     ".sim.mpi": ("Protocol", "select_protocol"),
     ".sim.network": ("HockneyModel", "NetworkModel", "UniformNetwork"),
     ".sim.noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise",

@@ -85,22 +85,22 @@ def batched_overlap_efficiency(batch: BatchedTiming) -> np.ndarray:
                         1.0 - batch.total_runtimes() / serial_budget, np.nan)
 
 
-def skew_spread(run) -> np.ndarray:
+def skew_spread(run: RunTiming) -> np.ndarray:
     """One run's :func:`batched_skew_spread`, ``[S]``."""
-    return batched_skew_spread(RunTiming.of(run).batch())[0]
+    return batched_skew_spread(run.batch())[0]
 
 
-def desync_onset(run, fraction: float = 0.5) -> int | None:
+def desync_onset(run: RunTiming, fraction: float = 0.5) -> int | None:
     """One run's :func:`batched_desync_onset`; ``None`` if it never
     desynchronizes that far."""
-    onset = batched_desync_onset(RunTiming.of(run).batch(), fraction)[0]
+    onset = batched_desync_onset(run.batch(), fraction)[0]
     return None if np.isnan(onset) else int(onset)
 
 
-def overlap_efficiency(run) -> float:
+def overlap_efficiency(run: RunTiming) -> float:
     """One run's :func:`batched_overlap_efficiency`; raises ``ValueError``
     for a run with no time budget to compare against."""
-    overlap = batched_overlap_efficiency(RunTiming.of(run).batch())[0]
+    overlap = batched_overlap_efficiency(run.batch())[0]
     if np.isnan(overlap):
         raise ValueError("run has no time budget to compare against")
     return float(overlap)

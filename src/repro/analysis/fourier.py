@@ -43,9 +43,9 @@ def batched_skew_power(batch: BatchedTiming, step: int) -> np.ndarray:
     return np.abs(np.fft.rfft(batched_skew_profile(batch, step), axis=1)) ** 2
 
 
-def skew_profile(run, step: int) -> np.ndarray:
+def skew_profile(run: RunTiming, step: int) -> np.ndarray:
     """One run's :func:`batched_skew_profile`, ``[P]``."""
-    return batched_skew_profile(RunTiming.of(run).batch(), step)[0]
+    return batched_skew_profile(run.batch(), step)[0]
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,17 @@ class SkewSpectrum:
         return float(self.power[k] / total)
 
 
-def skew_spectrum(run, step: int) -> SkewSpectrum:
+def skew_spectrum(run: RunTiming, step: int) -> SkewSpectrum:
     """Spatial FFT of one run's skew profile at one step."""
-    timing = RunTiming.of(run)
-    power = batched_skew_power(timing.batch(), step)[0]
+    power = batched_skew_power(run.batch(), step)[0]
     return SkewSpectrum(
         wavenumbers=np.arange(power.size),
         power=power,
-        n_ranks=timing.n_ranks,
+        n_ranks=run.n_ranks,
     )
 
 
-def dominant_wavelength(run, step: int) -> float:
+def dominant_wavelength(run: RunTiming, step: int) -> float:
     """Wavelength (in ranks) of the strongest spatial mode at ``step``.
 
     For the Fig. 2 LBM pattern this approaches the system size (one full

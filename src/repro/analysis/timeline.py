@@ -41,7 +41,8 @@ class TimelineInterval:
         return self.end - self.start
 
 
-def rank_timeline(run, rank: int, base_exec: float | None = None) -> list[TimelineInterval]:
+def rank_timeline(timing: RunTiming, rank: int,
+                  base_exec: float | None = None) -> list[TimelineInterval]:
     """Intervals of one rank, in time order.
 
     The execution phase of a step is split into EXEC (the nominal duration)
@@ -55,7 +56,6 @@ def rank_timeline(run, rank: int, base_exec: float | None = None) -> list[Timeli
         Nominal phase duration; defaults to the run's recorded ``t_exec``,
         else the minimum observed phase duration.
     """
-    timing = RunTiming.of(run)
     if not 0 <= rank < timing.n_ranks:
         raise IndexError(f"rank {rank} out of range [0, {timing.n_ranks})")
     wait_start = timing.wait_start()
@@ -81,8 +81,8 @@ def rank_timeline(run, rank: int, base_exec: float | None = None) -> list[Timeli
     return out
 
 
-def full_timeline(run, base_exec: float | None = None) -> list[list[TimelineInterval]]:
+def full_timeline(timing: RunTiming,
+                  base_exec: float | None = None) -> list[list[TimelineInterval]]:
     """Timelines of all ranks (outer index = rank)."""
-    timing = RunTiming.of(run)
     return [rank_timeline(timing, r, base_exec=base_exec) for r in range(timing.n_ranks)]
 

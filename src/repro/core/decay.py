@@ -96,7 +96,7 @@ def front_decay(front: BatchedWaveFront) -> "dict[str, np.ndarray]":
 
 
 def measure_decay(
-    run,
+    run: RunTiming,
     source: int,
     direction: int = +1,
     threshold: float | None = None,
@@ -111,10 +111,9 @@ def measure_decay(
     ValueError
         If the wave is not detected on at least one rank.
     """
-    timing = RunTiming.of(run)
     if threshold is None:
-        threshold = default_threshold(timing)
-    front = batched_wave_front(timing.batch(), source, direction, threshold,
+        threshold = default_threshold(run)
+    front = batched_wave_front(run.batch(), source, direction, threshold,
                                periodic)
     reached = int(front.n_hops[0])
     if reached == 0:

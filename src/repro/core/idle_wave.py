@@ -297,7 +297,7 @@ def batched_wave_front(
 
 
 def wave_front(
-    run,
+    run: RunTiming,
     source: int,
     direction: int = +1,
     threshold: float | None = None,
@@ -311,7 +311,7 @@ def wave_front(
     Parameters
     ----------
     run:
-        A ``Trace``, ``LockstepResult`` or ``RunTiming``.
+        The run's timing.
     source:
         Injection rank (hop 0; not itself part of the front).
     direction:
@@ -324,7 +324,7 @@ def wave_front(
     max_hops:
         Stop after this many hops even if the wave continues.
     """
-    return batched_wave_front(RunTiming.of(run).batch(), source, direction,
+    return batched_wave_front(run.batch(), source, direction,
                               threshold, periodic, max_hops)[0]
 
 

@@ -42,7 +42,8 @@ class Wave:
     last_step: int
 
 
-def find_waves(run, threshold: float | None = None, periodic: bool | None = None) -> list[Wave]:
+def find_waves(timing: RunTiming, threshold: float | None = None,
+               periodic: bool | None = None) -> list[Wave]:
     """Extract idle waves as connected components of above-threshold cells.
 
     Two cells are connected when they are within one rank *and* one step of
@@ -50,7 +51,6 @@ def find_waves(run, threshold: float | None = None, periodic: bool | None = None
     a travelling wave moves at most a few ranks per step, so its footprint
     is connected under this notion.  Returns waves sorted by first step.
     """
-    timing = RunTiming.of(run)
     if threshold is None:
         threshold = default_threshold(timing)
     if periodic is None:
@@ -100,14 +100,13 @@ def find_waves(run, threshold: float | None = None, periodic: bool | None = None
     return waves
 
 
-def resync_step(run, threshold: float | None = None) -> int | None:
+def resync_step(timing: RunTiming, threshold: float | None = None) -> int | None:
     """First step index after which no rank idles above threshold.
 
     After interacting waves have annihilated ("everything is in sync
     again"), the idle matrix goes quiet; this returns that step, or ``None``
     if idleness persists to the end of the run.
     """
-    timing = RunTiming.of(run)
     if threshold is None:
         threshold = default_threshold(timing)
     active_steps = np.nonzero((timing.idle > threshold).any(axis=0))[0]
@@ -117,13 +116,12 @@ def resync_step(run, threshold: float | None = None) -> int | None:
     return last + 1 if last + 1 < timing.n_steps else None
 
 
-def meeting_ranks(run, threshold: float | None = None) -> list[int]:
+def meeting_ranks(timing: RunTiming, threshold: float | None = None) -> list[int]:
     """Ranks where idle activity is seen at the latest active step.
 
     For two symmetric counter-propagating waves on a periodic ring these
     are the ranks where they met and cancelled (rank 14 in Fig. 5(d)).
     """
-    timing = RunTiming.of(run)
     if threshold is None:
         threshold = default_threshold(timing)
     mask = timing.idle > threshold
@@ -134,7 +132,8 @@ def meeting_ranks(run, threshold: float | None = None) -> list[int]:
     return [int(r) for r in np.nonzero(mask[:, last])[0]]
 
 
-def superposition_defect(combined, singles, baseline=None) -> float:
+def superposition_defect(combined: RunTiming, singles: "list[RunTiming]",
+                         baseline: "RunTiming | None" = None) -> float:
     """Quantify nonlinearity of wave interaction.
 
     Parameters
@@ -159,7 +158,7 @@ def superposition_defect(combined, singles, baseline=None) -> float:
         gives a negative defect whose magnitude measures how much idleness
         the collisions destroyed.
     """
-    base = RunTiming.of(baseline).total_idle() if baseline is not None else 0.0
-    total_c = RunTiming.of(combined).total_idle() - base
-    total_s = sum(RunTiming.of(s).total_idle() - base for s in singles)
+    base = baseline.total_idle() if baseline is not None else 0.0
+    total_c = combined.total_idle() - base
+    total_s = sum(s.total_idle() - base for s in singles)
     return float(total_c - total_s)

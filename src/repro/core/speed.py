@@ -161,7 +161,7 @@ def fit_front_speed(front: BatchedWaveFront,
 
 
 def measure_speed(
-    run,
+    run: RunTiming,
     source: int,
     direction: int = +1,
     threshold: float | None = None,
@@ -180,10 +180,9 @@ def measure_speed(
         If the wave is detected on fewer than ``min_hops`` ranks (no
         propagation to measure), or the fitted speed is not positive.
     """
-    timing = RunTiming.of(run)
     if threshold is None:
-        threshold = default_threshold(timing)
-    front = batched_wave_front(timing.batch(), source, direction, threshold,
+        threshold = default_threshold(run)
+    front = batched_wave_front(run.batch(), source, direction, threshold,
                                periodic, max_hops)
     reached, need = int(front.n_hops[0]), max(min_hops, 2)  # a line needs two points
     if reached < need:

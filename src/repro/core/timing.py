@@ -1,11 +1,12 @@
-"""Unified timing view over traces and fast-engine results.
+"""Dense per-(rank, step) timing of simulated runs.
 
-Every analysis in :mod:`repro.core` and :mod:`repro.analysis` consumes
-three dense matrices (``exec_end``, ``completion``, ``idle``).
-:class:`RunTiming` adapts one run -- the DAG engine's
-:class:`~repro.sim.trace.Trace` or the fast engines'
-:class:`~repro.sim.lockstep.LockstepResult` -- to that shape;
-:class:`BatchedTiming` stacks B runs as ``(B, P, S)`` matrices.
+Every engine returns a run as the matrices an MPI trace gives per rank
+and step: execution start and end, Waitall entry and completion, and the
+idle time inside the Waitall.  :class:`RunTiming` holds one run and
+:class:`BatchedTiming` stacks B runs as ``(B, P, S)`` matrices.  The
+lockstep, saturation and DAG engines return them directly; a full
+:class:`~repro.sim.trace.Trace` from :func:`repro.sim.engine.simulate`
+converts once through :meth:`RunTiming.from_trace`.
 
 Each analysis is written once, over a :class:`BatchedTiming`, with no
 per-draw Python loop; its single-run name calls it on
@@ -20,14 +21,30 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.sim.engine import DagResult
-    from repro.sim.lockstep import BatchedLockstepResult, LockstepResult
     from repro.sim.trace import Trace
 
 __all__ = ["BatchedTiming", "RunTiming"]
 
 #: The array fields a timing record must provide, in stacking order.
 TIMING_FIELDS = ("exec_end", "completion", "idle")
+#: Every matrix field; the last two may be ``None`` (see :class:`RunTiming`).
+_MATRICES = TIMING_FIELDS + ("exec_start", "post_end")
+
+
+def _check_matrices(timing: "RunTiming | BatchedTiming", ndim: int) -> None:
+    shapes = {name: getattr(timing, name).shape for name in _MATRICES
+              if getattr(timing, name) is not None}
+    if len(set(shapes.values())) != 1:
+        raise ValueError(f"matrix shapes differ: {shapes}")
+    if timing.exec_end.ndim != ndim:
+        raise ValueError(
+            f"expected {ndim}-D matrices, got {timing.exec_end.ndim}-D")
+
+
+def _index(timing: "RunTiming | BatchedTiming", index) -> dict:
+    """``timing``'s matrices indexed by ``index`` (``None`` stays ``None``)."""
+    return {name: None if getattr(timing, name) is None
+            else getattr(timing, name)[index] for name in _MATRICES}
 
 
 @dataclass
@@ -41,25 +58,28 @@ class RunTiming:
     completion:
         Wall-clock end of each step's Waitall.
     idle:
-        Seconds spent inside each step's Waitall (the red bars of the
+        Seconds spent inside each step's Waitall(s) (the red bars of the
         paper's timeline figures).
     meta:
         Propagated run metadata (t_exec, pattern, protocol, ...).
+    exec_start:
+        Wall-clock start of each execution phase; ``None`` for a store
+        record or a trace.
+    post_end:
+        Wall-clock entry into each step's Waitall (all sends posted);
+        ``None`` for a store record, a trace, or a DAG run with several
+        Waitalls in one cell.
     """
 
     exec_end: np.ndarray
     completion: np.ndarray
     idle: np.ndarray
     meta: dict = field(default_factory=dict)
+    exec_start: "np.ndarray | None" = None
+    post_end: "np.ndarray | None" = None
 
     def __post_init__(self) -> None:
-        if self.exec_end.shape != self.completion.shape or self.exec_end.shape != self.idle.shape:
-            raise ValueError(
-                f"matrix shapes differ: exec_end {self.exec_end.shape}, "
-                f"completion {self.completion.shape}, idle {self.idle.shape}"
-            )
-        if self.exec_end.ndim != 2:
-            raise ValueError(f"expected 2-D matrices, got {self.exec_end.ndim}-D")
+        _check_matrices(self, 2)
 
     @property
     def n_ranks(self) -> int:
@@ -74,60 +94,49 @@ class RunTiming:
         """Nominal execution-phase length, if the run recorded it."""
         return self.meta.get("t_exec")
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace) -> "RunTiming":
-        completion = trace.completion_matrix()
-        idle = trace.idle_matrix()
+        """The dense matrices of a full record stream."""
         return cls(
             exec_end=trace.exec_end_matrix(),
-            completion=completion,
-            idle=idle,
+            completion=trace.completion_matrix(),
+            idle=trace.idle_matrix(),
             meta=dict(trace.meta),
         )
 
-    @classmethod
-    def from_lockstep(cls, result: LockstepResult) -> "RunTiming":
-        return cls(
-            exec_end=result.exec_end.copy(),
-            completion=result.completion.copy(),
-            idle=result.idle_matrix(),
-            meta=dict(result.meta),
-        )
+    def to_trace(self) -> Trace:
+        """COMP + WAITALL records rebuilt from the matrices.
 
-    @classmethod
-    def from_dag(cls, result: DagResult) -> "RunTiming":
-        """Adopt a columnar DAG-engine result — no trace records involved.
+        The per-message ISEND/IRECV records are not represented; use
+        :func:`repro.sim.engine.simulate` when a complete record stream
+        is needed.
 
-        Bitwise identical to ``from_trace(simulate(...))`` for the same
-        program: the dense matrices are extracted straight from the
-        propagated node times.
+        Raises
+        ------
+        ValueError
+            If the run has no ``post_end`` (or ``exec_start``): it is not
+            lockstep-shaped, or its source did not record them.
         """
-        return cls(
-            exec_end=result.exec_end.copy(),
-            completion=result.completion.copy(),
-            idle=result.idle.copy(),
-            meta=dict(result.meta),
-        )
+        if self.post_end is None or self.exec_start is None:
+            raise ValueError(
+                "run is not lockstep-shaped (one COMP + one WAITALL per rank "
+                "and step, with recorded starts); use simulate() for a full "
+                "record stream"
+            )
+        from repro.sim.program import OpKind
+        from repro.sim.trace import OpRecord, Trace
 
-    @classmethod
-    def of(cls, run: "Trace | LockstepResult | DagResult | RunTiming") -> "RunTiming":
-        """Coerce any supported run representation to a :class:`RunTiming`."""
-        if isinstance(run, RunTiming):
-            return run
-        from repro.sim.engine import DagResult
-        from repro.sim.lockstep import LockstepResult
-        from repro.sim.trace import Trace
-
-        if isinstance(run, Trace):
-            return cls.from_trace(run)
-        if isinstance(run, LockstepResult):
-            return cls.from_lockstep(run)
-        if isinstance(run, DagResult):
-            return cls.from_dag(run)
-        raise TypeError(f"cannot derive timing from {type(run).__name__}")
+        records = []
+        for rank in range(self.n_ranks):
+            for step in range(self.n_steps):
+                records.append(OpRecord(
+                    rank, step, OpKind.COMP, float(self.exec_start[rank, step]),
+                    float(self.exec_end[rank, step])))
+                records.append(OpRecord(
+                    rank, step, OpKind.WAITALL, float(self.post_end[rank, step]),
+                    float(self.completion[rank, step])))
+        return Trace(n_ranks=self.n_ranks, n_steps=self.n_steps,
+                     records=records, meta=dict(self.meta))
 
     def batch(self) -> "BatchedTiming":
         """This run as a one-draw :class:`BatchedTiming` sharing its arrays.
@@ -135,19 +144,14 @@ class RunTiming:
         The matrices are ``[None]`` views, so the batched analyses run on
         a single run without copying it.
         """
-        return BatchedTiming(
-            exec_end=self.exec_end[None],
-            completion=self.completion[None],
-            idle=self.idle[None],
-            meta=self.meta,
-        )
+        return BatchedTiming(**_index(self, None), meta=self.meta)
 
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
     def total_runtime(self) -> float:
-        """Wall-clock completion time of the whole run."""
-        return float(np.nanmax(self.completion))
+        """Wall-clock completion time of the whole run (0 for no steps)."""
+        return float(np.nanmax(self.completion)) if self.completion.size else 0.0
 
     def wait_start(self) -> np.ndarray:
         """``[rank, step]`` time each rank entered its Waitall."""
@@ -166,30 +170,25 @@ class RunTiming:
 class BatchedTiming:
     """Dense timing of B independent runs, ``[n_batch, n_ranks, n_steps]``.
 
-    The batched analyses (and the report kernels built on them) take one
-    of these and work on all draws at once.  Slicing (``batch[b]``)
-    yields run ``b`` as an ordinary :class:`RunTiming` (views into the
-    stack).
+    The fields are :class:`RunTiming`'s with a leading batch axis.  The
+    batched analyses (and the report kernels built on them) take one of
+    these and work on all draws at once.  Slicing (``batch[b]``) yields
+    run ``b`` as an ordinary :class:`RunTiming` (views into the stack).
     """
 
     exec_end: np.ndarray
     completion: np.ndarray
     idle: np.ndarray
     meta: dict = field(default_factory=dict)
+    exec_start: "np.ndarray | None" = None
+    post_end: "np.ndarray | None" = None
     #: Scratch space for analyses that share intermediate results (e.g. the
     #: wave front the speed and decay kernels both need).  Treat the
     #: timing arrays as immutable once analyses have run.
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        shapes = {self.exec_end.shape, self.completion.shape, self.idle.shape}
-        if len(shapes) != 1:
-            raise ValueError(f"matrix shapes differ: {sorted(shapes)}")
-        if self.exec_end.ndim != 3:
-            raise ValueError(
-                f"expected (n_batch, n_ranks, n_steps) matrices, "
-                f"got {self.exec_end.ndim}-D"
-            )
+        _check_matrices(self, 3)
 
     @property
     def n_batch(self) -> int:
@@ -211,15 +210,12 @@ class BatchedTiming:
     def __getitem__(self, b: int) -> RunTiming:
         if not -self.n_batch <= b < self.n_batch:
             raise IndexError(f"batch index {b} out of range [0, {self.n_batch})")
-        return RunTiming(
-            exec_end=self.exec_end[b],
-            completion=self.completion[b],
-            idle=self.idle[b],
-            meta=dict(self.meta),
-        )
+        return RunTiming(**_index(self, b), meta=dict(self.meta))
 
     def total_runtimes(self) -> np.ndarray:
-        """Per-run wall-clock completion, shape ``[n_batch]``."""
+        """Per-run wall-clock completion, shape ``[n_batch]`` (0 for no steps)."""
+        if not self.completion.size:
+            return np.zeros(self.n_batch)
         return np.nanmax(self.completion, axis=(1, 2))
 
     def sorted_idle(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -241,16 +237,6 @@ class BatchedTiming:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_lockstep_batch(cls, result: BatchedLockstepResult) -> "BatchedTiming":
-        """Adopt a batched engine result (idle derived as in ``RunTiming``)."""
-        return cls(
-            exec_end=result.exec_end.copy(),
-            completion=result.completion.copy(),
-            idle=result.idle_matrix(),
-            meta=dict(result.meta),
-        )
-
-    @classmethod
     def from_records(cls, records: "Iterable[Mapping]", n: int,
                      meta: "dict | None" = None) -> "BatchedTiming":
         """Fold the next ``n`` store records into one batch, one at a time.
@@ -261,7 +247,8 @@ class BatchedTiming:
         S)`` matrices are allocated when the first record arrives and
         each record is copied in as it comes, so a streamed point's
         records are never all alive at once and no stacking copy is
-        made.  Exactly ``n`` records are taken from ``records``.
+        made.  Exactly ``n`` records are taken from ``records``; the
+        batch has no ``exec_start`` or ``post_end``.
         """
         if n < 1:
             raise ValueError("need at least one timing record to stack")

@@ -19,7 +19,6 @@ Measured quantities per algorithm:
 
 from __future__ import annotations
 
-from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import DelaySpec, SimConfig, UniformNetwork, simulate_dag
 from repro.sim.collectives import Collective, CollectiveConfig, build_collective_program
@@ -36,7 +35,7 @@ DELAY = 4 * T_EXEC
 
 def run_collective(collective: Collective, delays=(), seed: int = 0,
                    n_ranks: int = N_RANKS, n_steps: int = N_STEPS):
-    """Simulate one collective configuration; returns its ``DagResult``
+    """Simulate one collective configuration; returns its timing
     (collectives are not lockstep-shaped, and no per-op record is built)."""
     cfg = CollectiveConfig(
         n_ranks=n_ranks, n_steps=n_steps, collective=collective,
@@ -52,8 +51,8 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     rows = []
     data = {}
     for coll in Collective:
-        base = RunTiming.of(run_collective(coll, seed=seed))
-        delayed = RunTiming.of(run_collective(coll, delays=delay, seed=seed))
+        base = run_collective(coll, seed=seed)
+        delayed = run_collective(coll, delays=delay, seed=seed)
 
         idle_delta = delayed.idle - base.idle
         # Ranks whose injection-step idle grew by a significant fraction of

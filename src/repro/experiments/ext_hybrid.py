@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import measure_decay
-from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import CommPattern, DelaySpec, Direction, ExponentialNoise, simulate_lockstep
 from repro.sim.hybrid import HybridConfig, hybrid_exec_times, hybrid_lockstep_config
@@ -47,11 +46,10 @@ def _run_group_size(threads: int, seed: int):
         seed=seed,
     )
     times = hybrid_exec_times(cfg)
-    res = simulate_lockstep(hybrid_lockstep_config(cfg), exec_times=times)
-    timing = RunTiming.of(res)
+    timing = simulate_lockstep(hybrid_lockstep_config(cfg), exec_times=times)
     effective_noise = float(times.mean() - T_EXEC)
     skew = float(np.ptp(timing.completion[:, -1]))
-    decay = measure_decay(res, source=0, periodic=True)
+    decay = measure_decay(timing, source=0, periodic=True)
     return effective_noise, skew, decay
 
 

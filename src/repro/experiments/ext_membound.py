@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import CommPattern, DelaySpec, Direction
 from repro.sim.saturation import SaturationConfig, simulate_saturation
@@ -61,13 +60,12 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     data = {}
     for label, params in (("core-bound (scalable)", scalable),
                           ("memory-bound (saturated)", saturated)):
-        base = RunTiming.of(simulate_saturation(_config(**params)))
-        delayed_res = simulate_saturation(_config(**params, delays=delay))
-        delayed = RunTiming.of(delayed_res)
+        base = simulate_saturation(_config(**params))
+        delayed = simulate_saturation(_config(**params, delays=delay))
         excess = delayed.total_runtime() - base.total_runtime()
 
         # Execution-phase durations behind the wave: do ranks speed up?
-        durations = delayed_res.exec_end - delayed_res.exec_start
+        durations = delayed.exec_end - delayed.exec_start
         base_phase = float(np.median(durations[:, 0]))
         fastest_phase = float(durations[:, 1:].min())
         rows.append(

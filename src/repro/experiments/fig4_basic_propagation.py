@@ -10,7 +10,6 @@ unaffected (the eager protocol lets them "get rid of their messages").
 from __future__ import annotations
 
 from repro.core import default_threshold, measure_speed, silent_speed, wave_front
-from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import (
     CommPattern,
@@ -46,7 +45,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         delays=(DelaySpec(rank=SOURCE_RANK, step=0, duration=DELAY_PHASES * t_exec),),
         seed=seed,
     )
-    timing = RunTiming.of(simulate_lockstep(cfg, network=net))
+    timing = simulate_lockstep(cfg, network=net)
 
     threshold = default_threshold(timing)
     front = wave_front(timing, source=SOURCE_RANK, direction=+1, threshold=threshold)

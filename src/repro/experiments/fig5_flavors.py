@@ -97,7 +97,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
 
     for label, size, direction, periodic in FLAVORS:
         trace = run_flavor(size, direction, periodic, seed=seed)
-        timing = RunTiming.of(trace)
+        timing = RunTiming.from_trace(trace)
         up = wave_front(timing, SOURCE_RANK, +1, periodic=periodic)
         down = wave_front(timing, SOURCE_RANK, -1, periodic=periodic)
         try:
@@ -121,7 +121,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             "meeting_ranks": meet, "resync_step": resync,
         }
         if not fast:
-            tables[f"{label} idle map"] = render_idle_heatmap(trace)
+            tables[f"{label} idle map"] = render_idle_heatmap(timing)
 
     summary = format_table(
         ["panel", "up reach", "down reach", "speed up [ranks/s]",

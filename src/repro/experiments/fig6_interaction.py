@@ -17,6 +17,8 @@ of single-wave runs — linear superposition does not hold.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.core import find_waves, resync_step, superposition_defect
@@ -93,9 +95,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             )
             singles.append(simulate_lockstep(single_cfg))
         defect = superposition_defect(combined, singles)
-        total_single = sum(
-            float(np.sum(s.idle_matrix())) for s in singles
-        )
+        total_single = sum(float(np.sum(s.idle)) for s in singles)
 
         waves = find_waves(combined)
         resync = resync_step(combined)
@@ -111,7 +111,11 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         )
         data[scenario] = {
             "config": cfg,
-            "result": combined,
+            # Exactly the leaves perfbench/reference/ pins for this run.
+            "result": SimpleNamespace(
+                exec_start=combined.exec_start, exec_end=combined.exec_end,
+                post_end=combined.post_end, completion=combined.completion,
+                meta=combined.meta),
             "waves": len(waves),
             "resync_step": resync,
             "superposition_defect": defect,

@@ -12,6 +12,7 @@ digests pin the full trace each keeps in ``data``.
 from __future__ import annotations
 
 from repro.core import measure_speed, silent_speed
+from repro.core.timing import RunTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import (
     CommPattern,
@@ -55,11 +56,14 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
 
     rows = []
     data = {}
+    timings = {}
     for label, direction in (("(a) unidirectional", Direction.UNIDIRECTIONAL),
                              ("(b) bidirectional", Direction.BIDIRECTIONAL)):
         trace = run_d2(direction, seed=seed)
+        timings[label] = RunTiming.from_trace(trace)
         # The same front fit the fig7_speed report spec runs, on one draw.
-        speed = measure_speed(trace, SOURCE, direction=+1, periodic=False).speed
+        speed = measure_speed(timings[label], SOURCE, direction=+1,
+                              periodic=False).speed
         bidi = direction == Direction.BIDIRECTIONAL
         model = silent_speed(T_EXEC, t_comm, d=2, bidirectional=bidi, rendezvous=True)
         rows.append((label, speed, model, abs(speed - model) / model * 100))
@@ -71,8 +75,8 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     )
     tables = {"speeds": table}
     if not fast:
-        for label in data:
-            tables[f"{label} idle map"] = render_idle_heatmap(data[label]["trace"])
+        for label, timing in timings.items():
+            tables[f"{label} idle map"] = render_idle_heatmap(timing)
 
     notes = [
         f"Speed ratio bidirectional/unidirectional = {ratio:.2f} (paper: 2).",

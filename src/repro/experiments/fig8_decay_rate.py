@@ -23,7 +23,6 @@ from repro.analysis.statistics import RunStatistics
 from repro.cluster import EMMY, MEGGIE, SIMULATED, MachineSpec
 from repro.core.decay import front_decay
 from repro.core.idle_wave import batched_wave_front
-from repro.core.timing import BatchedTiming
 from repro.experiments.base import ExperimentResult
 from repro.sim import (
     CommPattern,
@@ -89,8 +88,7 @@ def decay_batch(machine: MachineSpec, E: float,
         for seed in seeds
     ]
     exec_times = np.stack([build_exec_times(cfg) for cfg in cfgs])
-    res = simulate_lockstep_batch(cfgs[0], exec_times)
-    batch = BatchedTiming.from_lockstep_batch(res)
+    batch = simulate_lockstep_batch(cfgs[0], exec_times)
     front = batched_wave_front(batch, SOURCE, direction=+1, periodic=True)
     betas = front_decay(front)["beta"]
     if not np.all(np.isfinite(betas)):

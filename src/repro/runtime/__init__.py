@@ -21,8 +21,9 @@ into first-class, schedulable work:
 - :mod:`repro.runtime.shards` — the packed shard backend: per-process
   append-only shard files, index recovery from self-describing entries,
   and array reconstruction from raw array segments.
-- :mod:`repro.runtime.tasks` — importable reference task functions used
-  by the benchmarks and tests, and templates for new campaign workloads.
+- :mod:`repro.runtime.tasks` — importable reference simulation tasks
+  shared by the experiment drivers and benchmarks, and templates for new
+  campaign workloads.
 
 Typical use::
 

@@ -3,9 +3,9 @@
 Campaign tasks must be *importable top-level functions* (referenced by
 ``"module:function"`` path in a :class:`~repro.runtime.spec.RunSpec`) so
 that worker processes can resolve them under any multiprocessing start
-method.  This module collects the stock tasks used by the benchmarks
-and the test-suite; they double as templates for new campaign
-workloads.
+method.  This module holds the stock simulation tasks the experiment
+drivers and the runtime benchmarks share; they double as templates for
+new campaign workloads.
 
 Contract for any campaign task:
 
@@ -18,23 +18,12 @@ Contract for any campaign task:
 
 from __future__ import annotations
 
-import os
-import time
-
 import numpy as np
 
-from repro.core.timing import RunTiming
 from repro.sim import CommPattern, Direction, LockstepConfig, simulate_lockstep
 from repro.sim.campaign import DelayCampaign
 
-__all__ = [
-    "failing_task",
-    "hard_exit_task",
-    "lockstep_delay_task",
-    "ring_runtime",
-    "rng_probe_task",
-    "sleeping_task",
-]
+__all__ = ["lockstep_delay_task", "ring_runtime"]
 
 
 def ring_runtime(n_ranks, n_steps, t_exec, msg_size, delays, sim_seed) -> float:
@@ -52,7 +41,7 @@ def ring_runtime(n_ranks, n_steps, t_exec, msg_size, delays, sim_seed) -> float:
         delays=tuple(delays),
         seed=sim_seed,
     )
-    return RunTiming.of(simulate_lockstep(cfg)).total_runtime()
+    return simulate_lockstep(cfg).total_runtime()
 
 
 def lockstep_delay_task(
@@ -94,43 +83,3 @@ def lockstep_delay_task(
         "n_delays": n_delays,
         "replicate": int(replicate),
     }
-
-
-def rng_probe_task(n: int = 4, replicate: int = 0, seed: int = 0) -> dict:
-    """Return the first ``n`` uniform draws of the task's seed stream.
-
-    A pure diagnostic: campaigns over this task expose exactly which
-    random stream each task received, which the tests use to prove that
-    per-task streams are deterministic and pairwise distinct.
-    """
-    rng = np.random.default_rng(seed)
-    return {"seed": int(seed), "draws": [float(x) for x in rng.random(int(n))]}
-
-
-def failing_task(message: str = "synthetic task failure", replicate: int = 0,
-                 seed: int = 0) -> dict:
-    """Raise — the stock task for exercising campaign failure isolation."""
-    raise RuntimeError(f"{message} (seed={seed})")
-
-
-def sleeping_task(duration_s: float = 0.1, replicate: int = 0,
-                  seed: int = 0) -> dict:
-    """Sleep for ``duration_s`` wall-clock seconds, then return it.
-
-    The stock slow-but-healthy task: the watchdog tests mix one long
-    sleeper into a pool of fast tasks to provoke a ``task.stall``
-    warning without faking clocks or killing workers.
-    """
-    time.sleep(float(duration_s))
-    return {"slept_s": float(duration_s), "replicate": int(replicate),
-            "seed": int(seed)}
-
-
-def hard_exit_task(code: int = 1, replicate: int = 0, seed: int = 0) -> dict:
-    """Kill the hosting process outright (``os._exit`` — no cleanup).
-
-    Simulates a worker dying mid-task (segfault, OOM kill) to exercise
-    the executor's broken-pool handling.  Never run this serially: in
-    the serial backend the hosting process is *your* process.
-    """
-    os._exit(int(code))

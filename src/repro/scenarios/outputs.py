@@ -19,7 +19,7 @@ from repro.viz import render_histogram, render_timeline
 __all__ = ["compute_outputs"]
 
 
-def _runtime_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+def _runtime_output(compiled, timing: RunTiming) -> "tuple[dict, str | None]":
     data = {
         "total_runtime": timing.total_runtime(),
         "total_idle": timing.total_idle(),
@@ -33,12 +33,12 @@ def _runtime_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None
     return data, text
 
 
-def _timeline_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+def _timeline_output(compiled, timing: RunTiming) -> "tuple[dict, str | None]":
     text = render_timeline(timing, width=90, base_exec=compiled.t_exec)
     return {"n_ranks": timing.n_ranks, "n_steps": timing.n_steps}, text
 
 
-def _histogram_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+def _histogram_output(compiled, timing: RunTiming) -> "tuple[dict, str | None]":
     idle = timing.idle[timing.idle > 0]
     if idle.size == 0:
         return {"n_idle_periods": 0, "mean_idle": 0.0, "max_idle": 0.0}, \
@@ -53,7 +53,7 @@ def _histogram_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | No
     return data, render_histogram(hist, unit=1e-3, unit_label="ms")
 
 
-def _desync_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+def _desync_output(compiled, timing: RunTiming) -> "tuple[dict, str | None]":
     spread = skew_spread(timing)
     onset = desync_onset(timing)
     data = {
@@ -73,7 +73,7 @@ def _desync_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]
     return data, text
 
 
-def _wave_speed_output(compiled, timing: RunTiming, run) -> "tuple[dict, str | None]":
+def _wave_speed_output(compiled, timing: RunTiming) -> "tuple[dict, str | None]":
     from repro.core.speed import measure_speed
 
     source = compiled.cfg.delays[0].rank  # compile guarantees >= 1 delay
@@ -115,18 +115,17 @@ _COMPUTERS = {
 }
 
 
-def compute_outputs(compiled, run) -> "tuple[dict, dict]":
+def compute_outputs(compiled, timing: RunTiming) -> "tuple[dict, dict]":
     """Evaluate the scenario's requested outputs against a finished run.
 
     Returns ``(data, tables)``: ``data`` maps output kind to a JSON-able
     dict (store/persistence form); ``tables`` maps output kind to
     rendered text for the CLI report.
     """
-    timing = RunTiming.of(run)
     data: dict = {}
     tables: dict = {}
     for kind in compiled.spec.outputs:
-        values, text = _COMPUTERS[kind](compiled, timing, run)
+        values, text = _COMPUTERS[kind](compiled, timing)
         data[kind] = values
         if text is not None:
             tables[kind] = text

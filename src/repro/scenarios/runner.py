@@ -154,21 +154,19 @@ def _execute_prepared_inner(
     compiled: CompiledScenario, prepared: PreparedRun
 ) -> RunTiming:
     if compiled.engine == "lockstep":
-        result = simulate_lockstep(
+        return simulate_lockstep(
             prepared.cfg, exec_times=prepared.exec_times,
             network=compiled.network, domain=compiled.domain,
             protocol=compiled.protocol, eager_limit=compiled.eager_limit,
             mapping=compiled.mapping,
         )
-        return RunTiming.from_lockstep(result)
     # DAG reference: columnar fast path — the structure comes from the
     # build cache (shared across a campaign's draws) and no OpRecord
     # objects are materialized; matrices are bitwise identical to the
     # full-trace path.
     program = build_lockstep_program(prepared.cfg, prepared.exec_times)
-    result = simulate_dag(program, compiled.sim_config(),
-                          exec_times=prepared.exec_times)
-    return RunTiming.from_dag(result)
+    return simulate_dag(program, compiled.sim_config(),
+                        exec_times=prepared.exec_times)
 
 
 def _execute_prepared_batch(
@@ -192,17 +190,13 @@ def _execute_prepared_batch(
                 protocol=compiled.protocol, eager_limit=compiled.eager_limit,
                 mapping=compiled.mapping,
             )
-            from_result = RunTiming.from_lockstep
         else:
             batch = simulate_dag_batch(compiled.cfg, stacked,
                                        compiled.sim_config())
-            from_result = RunTiming.from_dag
-    timings = []
-    for b, p in enumerate(prepared):
-        result = batch[b]
-        result.meta.pop("n_batch", None)
-        result.meta.update({"delays": p.cfg.delays, "seed": p.seed})
-        timings.append(from_result(result))
+    timings = [batch[b] for b in range(batch.n_batch)]
+    for timing, p in zip(timings, prepared):
+        timing.meta.pop("n_batch", None)
+        timing.meta.update({"delays": p.cfg.delays, "seed": p.seed})
     return timings
 
 

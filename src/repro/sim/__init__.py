@@ -23,8 +23,8 @@ the paper's experiments run on:
   engine (golden traces + property tests).
 - :mod:`repro.sim.saturation` — processor-sharing simulation of shared
   memory-bandwidth contention for data-bound workloads.
-- :mod:`repro.sim.trace` — trace records and timing matrices consumed by the
-  analysis layer in :mod:`repro.core`.
+- :mod:`repro.sim.trace` — the per-operation records of a full
+  :func:`~repro.sim.engine.simulate` run.
 """
 
 from repro import _lazy_exports
@@ -33,12 +33,11 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".collectives": ("Collective", "CollectiveConfig",
                      "build_collective_program"),
     ".delay": ("DelaySpec", "delays_at_local_rank"),
-    ".engine": ("BatchedDagResult", "DagResult", "EngineError", "SimConfig",
-                "StaticDag", "build_dag", "clear_dag_cache", "dag_cache_info",
-                "simulate", "simulate_dag", "simulate_dag_batch"),
+    ".engine": ("EngineError", "SimConfig", "StaticDag", "build_dag",
+                "clear_dag_cache", "dag_cache_info", "simulate",
+                "simulate_dag", "simulate_dag_batch"),
     ".hybrid": ("HybridConfig", "hybrid_exec_times", "hybrid_lockstep_config"),
-    ".lockstep": ("BatchedLockstepResult", "LockstepResult",
-                  "simulate_lockstep", "simulate_lockstep_batch"),
+    ".lockstep": ("simulate_lockstep", "simulate_lockstep_batch"),
     ".mpi": ("Protocol", "select_protocol"),
     ".network": ("HockneyModel", "NetworkModel", "UniformNetwork"),
     ".noise": ("BimodalNoise", "ExponentialNoise", "GammaNoise", "NoNoise",

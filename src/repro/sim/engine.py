@@ -54,11 +54,12 @@ exact event-driven simulation of the program under the given network model
 — the same modeling approach as LogGOPSim, which the paper uses as its
 simulated comparator.
 
-Trace materialization is columnar: :func:`simulate_dag` /
+Timing extraction is columnar: :func:`simulate_dag` /
 :func:`simulate_dag_batch` return dense per-(rank, step) timing matrices
-(:class:`DagResult` / :class:`BatchedDagResult`) and only build
-:class:`~repro.sim.trace.OpRecord` objects lazily when a caller asks for a
-full :class:`~repro.sim.trace.Trace`.
+(:class:`~repro.core.timing.RunTiming` /
+:class:`~repro.core.timing.BatchedTiming`) without building a single
+:class:`~repro.sim.trace.OpRecord`; only :func:`simulate` returns a full
+:class:`~repro.sim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -69,15 +70,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.core.timing import BatchedTiming, RunTiming
 from repro.sim.mpi import DEFAULT_EAGER_LIMIT, MessageMatcher, Protocol, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
-from repro.sim.program import LockstepConfig, OpKind, Program, build_lockstep_program
+from repro.sim.program import (
+    LockstepConfig,
+    OpKind,
+    Program,
+    build_lockstep_program,
+    check_cells,
+)
 from repro.sim.topology import CommDomain, ProcessMapping
 from repro.sim.trace import OpRecord, Trace
 
 __all__ = [
-    "BatchedDagResult",
-    "DagResult",
     "EngineError",
     "SimConfig",
     "StaticDag",
@@ -176,7 +182,7 @@ class StaticDag:
 
     The remaining arrays map DAG nodes back to program coordinates for
     columnar timing extraction (which (rank, step) cell a ``COMP`` or
-    ``WAITALL`` node belongs to) and for lazy trace materialization.
+    ``WAITALL`` node belongs to) and for trace records.
     """
 
     n_ranks: int
@@ -206,7 +212,7 @@ class StaticDag:
 
     # -- derived (computed in __post_init__) ----------------------------
     #: exactly one COMP + one WAITALL per (rank, step) cell — the shape
-    #: for which lazy trace materialization is exact
+    #: whose Waitall entry is one number per cell (``post_end``)
     lockstep_shaped: bool = field(init=False, repr=False)
     _edge_delay_lv: np.ndarray = field(init=False, repr=False)
     _comp_in: np.ndarray = field(init=False, repr=False)  # step-in-range mask
@@ -227,9 +233,8 @@ class StaticDag:
         self._no_wait = np.ones((self.n_ranks, self.n_steps), dtype=bool)
         self._no_wait[self.wait_rank[self._wait_in],
                       self.wait_step[self._wait_in]] = False
-        # Exactly one COMP and one WAITALL per (rank, step) cell?  Lazy
-        # trace materialization is only exact for that shape (the wait
-        # start is then recoverable as completion - idle).
+        # Exactly one COMP and one WAITALL per (rank, step) cell?  Only
+        # then does each cell have one Waitall entry time.
         n_cells = self.n_ranks * self.n_steps
         comp_counts = np.bincount(
             self.comp_rank[self._comp_in] * self.n_steps
@@ -380,14 +385,15 @@ class StaticDag:
     # ------------------------------------------------------------------
     # columnar timing extraction
     # ------------------------------------------------------------------
-    def _timing_cols(self, ready: np.ndarray, end: np.ndarray
-                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    def _timing_cols(self, ready: np.ndarray, end: np.ndarray) -> dict:
         """Dense ``(B, P, S)`` matrices from per-node ``(n_nodes, B)`` times.
 
-        Returns ``(exec_start, exec_end, completion, idle)`` with exactly
-        the semantics of :class:`~repro.sim.trace.Trace`'s matrix methods
-        (max/min reduction over same-cell records, NaN where a cell has no
-        record, idle summed over a cell's Waitalls in program order).
+        Returns the :class:`~repro.core.timing.BatchedTiming` matrices
+        with exactly the semantics of :class:`~repro.sim.trace.Trace`'s
+        matrix methods (max/min reduction over same-cell records, NaN
+        where a cell has no record, idle summed over a cell's Waitalls in
+        program order).  ``post_end`` holds each cell's WAITALL record
+        start, and is ``None`` unless the program is lockstep-shaped.
         """
         p, s, b = self.n_ranks, self.n_steps, end.shape[1]
         cn = self.comp_node[self._comp_in]
@@ -417,10 +423,16 @@ class StaticDag:
                               end[np.maximum(pred, 0)], 0.0)
         idle = np.zeros((p, s, b))
         np.add.at(idle, (wr, ws), end[wn] - wait_start)
+        post_end = None
+        if self.lockstep_shaped:
+            post_end = np.empty((p, s, b))
+            post_end[wr, ws] = wait_start
 
         to_batch = lambda m: np.ascontiguousarray(np.moveaxis(m, -1, 0))
-        return (to_batch(exec_start), to_batch(exec_end),
-                to_batch(completion), to_batch(idle))
+        return {"exec_start": to_batch(exec_start),
+                "exec_end": to_batch(exec_end),
+                "completion": to_batch(completion), "idle": to_batch(idle),
+                "post_end": None if post_end is None else to_batch(post_end)}
 
 
 class _DagAccumulator:
@@ -744,116 +756,6 @@ def _dag_meta(program_meta: dict, config: SimConfig) -> dict:
             "eager_limit": config.eager_limit}
 
 
-@dataclass
-class DagResult:
-    """Dense timing matrices from one DAG-engine run (columnar form).
-
-    All arrays are ``[n_ranks, n_steps]`` wall-clock seconds with exactly
-    the semantics of the corresponding :class:`~repro.sim.trace.Trace`
-    matrix methods.  No :class:`~repro.sim.trace.OpRecord` objects exist
-    until :meth:`to_trace` is called — analysis-layer consumers read the
-    dense arrays directly.
-    """
-
-    exec_start: np.ndarray
-    exec_end: np.ndarray
-    completion: np.ndarray
-    idle: np.ndarray
-    meta: dict = field(default_factory=dict)
-    #: whether the source program had exactly one COMP + one WAITALL per
-    #: (rank, step) — the only shape :meth:`to_trace` can reconstruct
-    exact_trace: bool = True
-
-    @property
-    def n_ranks(self) -> int:
-        return self.exec_end.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.exec_end.shape[1]
-
-    def total_runtime(self) -> float:
-        """Wall-clock completion of the last rank."""
-        return float(np.nanmax(self.completion)) if self.completion.size else 0.0
-
-    def to_trace(self) -> Trace:
-        """Materialize COMP + WAITALL records (lazy trace construction).
-
-        Mirrors :meth:`repro.sim.lockstep.LockstepResult.to_trace`: the
-        per-message ISEND/IRECV records are not rebuilt — use
-        :func:`simulate` when a complete record stream is needed.
-
-        Raises
-        ------
-        ValueError
-            If the source program was not lockstep-shaped (a cell with
-            several Waitalls, or none): the dense matrices stay exact,
-            but per-record start times cannot be reconstructed from them.
-        """
-        if not self.exact_trace:
-            raise ValueError(
-                "program is not lockstep-shaped (one COMP + one WAITALL per "
-                "rank and step); use simulate() for a full record stream"
-            )
-        return Trace.from_matrices(
-            exec_start=self.exec_start,
-            exec_end=self.exec_end,
-            wait_start=self.completion - self.idle,
-            completion=self.completion,
-            meta=dict(self.meta),
-        )
-
-
-@dataclass
-class BatchedDagResult:
-    """Timing matrices of B independent DAG runs propagated together.
-
-    All arrays are ``[n_batch, n_ranks, n_steps]`` wall-clock seconds.
-    Indexing (``result[b]``) yields the b-th run as a :class:`DagResult`
-    (the slices share memory with the batch); every slice is bitwise
-    identical to the corresponding per-draw :func:`simulate_dag` run —
-    propagation is elementwise along the batch axis.
-    """
-
-    exec_start: np.ndarray
-    exec_end: np.ndarray
-    completion: np.ndarray
-    idle: np.ndarray
-    meta: dict = field(default_factory=dict)
-    exact_trace: bool = True
-
-    @property
-    def n_batch(self) -> int:
-        return self.exec_end.shape[0]
-
-    @property
-    def n_ranks(self) -> int:
-        return self.exec_end.shape[1]
-
-    @property
-    def n_steps(self) -> int:
-        return self.exec_end.shape[2]
-
-    def __len__(self) -> int:
-        return self.n_batch
-
-    def __getitem__(self, b: int) -> DagResult:
-        if not -self.n_batch <= b < self.n_batch:
-            raise IndexError(f"batch index {b} out of range [0, {self.n_batch})")
-        return DagResult(
-            exec_start=self.exec_start[b],
-            exec_end=self.exec_end[b],
-            completion=self.completion[b],
-            idle=self.idle[b],
-            meta=dict(self.meta),
-            exact_trace=self.exact_trace,
-        )
-
-    def results(self):
-        """Iterate over the B runs as :class:`DagResult` views."""
-        return (self[b] for b in range(self.n_batch))
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -911,13 +813,14 @@ def simulate(program: Program, config: SimConfig | None = None) -> Trace:
 
 
 def simulate_dag(program: Program, config: SimConfig | None = None,
-                 exec_times: "np.ndarray | None" = None) -> DagResult:
+                 exec_times: "np.ndarray | None" = None) -> RunTiming:
     """Run one program and return dense timing matrices (no records).
 
     The columnar fast path of the DAG engine: identical numbers to
-    :func:`simulate` (``DagResult.exec_end`` is bitwise equal to
-    ``trace.exec_end_matrix()``, and so on) without materializing a
-    single :class:`~repro.sim.trace.OpRecord`.
+    :func:`simulate` (``exec_end`` is bitwise equal to
+    ``trace.exec_end_matrix()``, ``post_end`` to the WAITALL record
+    starts, and so on) without materializing a single
+    :class:`~repro.sim.trace.OpRecord`.
 
     Parameters
     ----------
@@ -927,7 +830,7 @@ def simulate_dag(program: Program, config: SimConfig | None = None,
         Optional dense ``[n_ranks, n_steps]`` execution durations that
         override the program's COMP durations (lockstep-shaped programs
         only) — saves the per-op duration gather when the caller already
-        holds the matrix.
+        holds the matrix.  They must be finite and non-negative.
     """
     if config is None:
         config = SimConfig()
@@ -935,21 +838,16 @@ def simulate_dag(program: Program, config: SimConfig | None = None,
     if exec_times is None:
         durations = dag.durations_for(program)
     else:
+        exec_times = np.asarray(exec_times, dtype=float)
+        check_cells("exec_times", exec_times)
         durations = dag.durations_from_exec(exec_times)
     ready, end = dag._propagate_cols(durations[:, None])
-    exec_start, exec_end, completion, idle = dag._timing_cols(ready, end)
-    return DagResult(
-        exec_start=exec_start[0],
-        exec_end=exec_end[0],
-        completion=completion[0],
-        idle=idle[0],
-        meta=_dag_meta(program.meta, config),
-        exact_trace=dag.lockstep_shaped,
-    )
+    return BatchedTiming(**dag._timing_cols(ready, end),
+                         meta=_dag_meta(program.meta, config))[0]
 
 
 def simulate_dag_batch(cfg: LockstepConfig, exec_times: np.ndarray,
-                       config: SimConfig | None = None) -> BatchedDagResult:
+                       config: SimConfig | None = None) -> BatchedTiming:
     """Simulate B lockstep-program draws as one batched DAG propagation.
 
     The DAG-engine analogue of
@@ -967,13 +865,13 @@ def simulate_dag_batch(cfg: LockstepConfig, exec_times: np.ndarray,
         ``exec_times``.
     exec_times:
         ``[n_batch, n_ranks, n_steps]`` execution durations, one matrix
-        per run.
+        per run, each finite and non-negative.
     config:
         Network/placement/protocol configuration shared by all runs.
 
     Returns
     -------
-    BatchedDagResult
+    BatchedTiming
         ``[n_batch, n_ranks, n_steps]`` timing matrices whose slices are
         bitwise identical to the corresponding per-draw runs.
     """
@@ -987,20 +885,13 @@ def simulate_dag_batch(cfg: LockstepConfig, exec_times: np.ndarray,
         )
     if exec_times.shape[0] < 1:
         raise ValueError("batch must contain at least one run")
+    check_cells("exec_times", exec_times)
 
     program = build_lockstep_program(cfg, exec_times[0])
     dag = build_dag(program, config)
     durations = dag.durations_from_exec(exec_times)
     ready, end = dag._propagate_cols(
         np.ascontiguousarray(durations.reshape(-1, dag.n_nodes).T))
-    exec_start, exec_end, completion, idle = dag._timing_cols(ready, end)
     meta = _dag_meta(program.meta, config)
     meta["n_batch"] = int(exec_times.shape[0])
-    return BatchedDagResult(
-        exec_start=exec_start,
-        exec_end=exec_end,
-        completion=completion,
-        idle=idle,
-        meta=meta,
-        exact_trace=dag.lockstep_shaped,
-    )
+    return BatchedTiming(**dag._timing_cols(ready, end), meta=meta)

@@ -37,15 +37,18 @@ contract):
 - rendezvous transfer completion: ``max(sender's send end, exec_end[i])
   + flight + o_recv`` — and it blocks *both* sides' Waitall
 - ``c[i] = max(post_end[i], all request completions)``
+
+A run comes back as a :class:`~repro.core.timing.RunTiming` (B runs as a
+:class:`~repro.core.timing.BatchedTiming`) whose ``idle`` is
+``completion - post_end``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro import telemetry
+from repro.core.timing import BatchedTiming, RunTiming
 from repro.sim.mpi import Protocol, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
 from repro.sim.program import (
@@ -53,113 +56,11 @@ from repro.sim.program import (
     Direction,
     LockstepConfig,
     build_exec_times,
+    check_cells,
 )
 from repro.sim.topology import CommDomain, ProcessMapping
-from repro.sim.trace import Trace
 
-__all__ = [
-    "BatchedLockstepResult",
-    "LockstepResult",
-    "simulate_lockstep",
-    "simulate_lockstep_batch",
-]
-
-
-@dataclass
-class LockstepResult:
-    """Dense timing matrices from a lockstep-engine run.
-
-    All arrays are ``[n_ranks, n_steps]`` wall-clock seconds.
-    """
-
-    exec_start: np.ndarray
-    exec_end: np.ndarray
-    post_end: np.ndarray  # all sends posted; rank enters Waitall
-    completion: np.ndarray  # Waitall returned
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_ranks(self) -> int:
-        return self.exec_end.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.exec_end.shape[1]
-
-    def idle_matrix(self) -> np.ndarray:
-        """Seconds spent inside each step's Waitall."""
-        return self.completion - self.post_end
-
-    def total_runtime(self) -> float:
-        """Wall-clock completion of the last rank."""
-        return float(self.completion[:, -1].max())
-
-    def to_trace(self) -> Trace:
-        """Convert to a :class:`~repro.sim.trace.Trace` (COMP + WAITALL records).
-
-        The per-message ISEND/IRECV records are not materialized — the
-        analysis layer only consumes execution and wait timings.
-        """
-        return Trace.from_matrices(
-            exec_start=self.exec_start,
-            exec_end=self.exec_end,
-            wait_start=self.post_end,
-            completion=self.completion,
-            meta={**self.meta, "engine": "lockstep"},
-        )
-
-
-@dataclass
-class BatchedLockstepResult:
-    """Timing matrices of B independent lockstep runs simulated together.
-
-    All arrays are ``[n_batch, n_ranks, n_steps]`` wall-clock seconds.
-    Indexing (``result[b]``) yields the b-th run as an ordinary
-    :class:`LockstepResult` (the slices share memory with the batch).
-    Each slice is bit-identical to what :func:`simulate_lockstep` would
-    produce for the same execution-time matrix: the recurrence is
-    elementwise along the batch axis.
-    """
-
-    exec_start: np.ndarray
-    exec_end: np.ndarray
-    post_end: np.ndarray
-    completion: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_batch(self) -> int:
-        return self.exec_end.shape[0]
-
-    @property
-    def n_ranks(self) -> int:
-        return self.exec_end.shape[1]
-
-    @property
-    def n_steps(self) -> int:
-        return self.exec_end.shape[2]
-
-    def __len__(self) -> int:
-        return self.n_batch
-
-    def __getitem__(self, b: int) -> LockstepResult:
-        if not -self.n_batch <= b < self.n_batch:
-            raise IndexError(f"batch index {b} out of range [0, {self.n_batch})")
-        return LockstepResult(
-            exec_start=self.exec_start[b],
-            exec_end=self.exec_end[b],
-            post_end=self.post_end[b],
-            completion=self.completion[b],
-            meta=dict(self.meta),
-        )
-
-    def results(self):
-        """Iterate over the B runs as :class:`LockstepResult` views."""
-        return (self[b] for b in range(self.n_batch))
-
-    def idle_matrix(self) -> np.ndarray:
-        """Per-run seconds spent inside each step's Waitall."""
-        return self.completion - self.post_end
+__all__ = ["simulate_lockstep", "simulate_lockstep_batch"]
 
 
 def _partners(n_ranks: int, offset: int, periodic: bool) -> "tuple[np.ndarray, np.ndarray | bool]":
@@ -437,17 +338,6 @@ def _result_meta(
     return meta
 
 
-def _check_finite(exec_times: np.ndarray) -> None:
-    """Reject NaN or infinite execution times, naming the first such cell."""
-    bad = ~np.isfinite(exec_times)
-    if bad.any():
-        cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"exec_times must be finite, got {exec_times[cell]} at "
-            f"[{', '.join(map(str, cell))}]"
-        )
-
-
 def _resolve(
     cfg: LockstepConfig,
     network: "NetworkModel | None",
@@ -476,7 +366,7 @@ def simulate_lockstep(
     eager_limit: int | None = None,
     rng: np.random.Generator | None = None,
     mapping: ProcessMapping | None = None,
-) -> LockstepResult:
+) -> RunTiming:
     """Simulate a lockstep program, vectorized over ranks.
 
     Parameters
@@ -485,9 +375,9 @@ def simulate_lockstep(
         The experiment parameters (ranks, steps, pattern, noise, delays).
     exec_times:
         Optional pre-built ``[n_ranks, n_steps]`` execution durations; built
-        from ``cfg`` (with its seed) when omitted.  They must be finite; a
-        NaN or infinite cell raises ``ValueError``, as does a run whose
-        timings overflow float64.
+        from ``cfg`` (with its seed) when omitted.  They must be finite and
+        non-negative; another cell raises ``ValueError``, as does a run
+        whose timings overflow float64.
     network:
         Transfer-time model.  Defaults to
         :class:`~repro.sim.network.UniformNetwork`.
@@ -511,17 +401,18 @@ def simulate_lockstep(
         raise ValueError(
             f"exec_times shape {exec_times.shape} != ({cfg.n_ranks}, {cfg.n_steps})"
         )
-    _check_finite(exec_times)
+    check_cells("exec_times", exec_times)
 
     exec_start, exec_end, post_end, completion = _simulate_core(
         cfg, exec_times, network, domain, proto, mapping
     )
-    return LockstepResult(
-        exec_start=exec_start,
+    return RunTiming(
         exec_end=exec_end,
-        post_end=post_end,
         completion=completion,
+        idle=completion - post_end,
         meta=_result_meta(cfg, proto, network, domain, mapping),
+        exec_start=exec_start,
+        post_end=post_end,
     )
 
 
@@ -533,7 +424,7 @@ def simulate_lockstep_batch(
     protocol: Protocol = Protocol.AUTO,
     eager_limit: int | None = None,
     mapping: ProcessMapping | None = None,
-) -> BatchedLockstepResult:
+) -> BatchedTiming:
     """Simulate B independent lockstep runs as one batched recurrence.
 
     Parameters
@@ -545,13 +436,14 @@ def simulate_lockstep_batch(
     exec_times:
         ``[n_batch, n_ranks, n_steps]`` execution durations, one matrix per
         run (e.g. one per delay-campaign draw, each built from its own
-        derived seed).  Finite, as in :func:`simulate_lockstep`.
+        derived seed).  Finite and non-negative in every draw, as in
+        :func:`simulate_lockstep`.
     network, domain, protocol, eager_limit, mapping:
         As in :func:`simulate_lockstep`; shared by all runs in the batch.
 
     Returns
     -------
-    BatchedLockstepResult
+    BatchedTiming
         ``[n_batch, n_ranks, n_steps]`` timing matrices whose slices are
         bit-identical to the corresponding unbatched runs.
     """
@@ -564,17 +456,18 @@ def simulate_lockstep_batch(
         )
     if exec_times.shape[0] < 1:
         raise ValueError("batch must contain at least one run")
-    _check_finite(exec_times)
+    check_cells("exec_times", exec_times)
 
     exec_start, exec_end, post_end, completion = _simulate_core(
         cfg, exec_times, network, domain, proto, mapping
     )
     meta = _result_meta(cfg, proto, network, domain, mapping)
     meta["n_batch"] = int(exec_times.shape[0])
-    return BatchedLockstepResult(
-        exec_start=exec_start,
+    return BatchedTiming(
         exec_end=exec_end,
-        post_end=post_end,
         completion=completion,
+        idle=completion - post_end,
         meta=meta,
+        exec_start=exec_start,
+        post_end=post_end,
     )

@@ -37,6 +37,7 @@ __all__ = [
     "LockstepConfig",
     "build_exec_times",
     "build_lockstep_program",
+    "check_cells",
 ]
 
 
@@ -194,6 +195,18 @@ class LockstepConfig:
                 raise ValueError(f"delay step {spec.step} >= n_steps {self.n_steps}")
 
 
+def check_cells(name: str, values: np.ndarray, non_negative: bool = True) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite cell of
+    ``values``, then (with ``non_negative``) the first negative one."""
+    bad, rule = ~np.isfinite(values), "finite"
+    if non_negative and not bad.any():
+        bad, rule = values < 0, "non-negative"
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{name} must be {rule}, got {values[cell]} at "
+                         f"[{', '.join(map(str, cell))}]")
+
+
 def build_exec_times(cfg: LockstepConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Per-rank, per-step execution-phase durations including noise + delays.
 
@@ -241,8 +254,7 @@ def build_lockstep_program(
             f"exec_times shape {exec_times.shape} != "
             f"({cfg.n_ranks}, {cfg.n_steps})"
         )
-    if np.any(exec_times < 0):
-        raise ValueError("exec_times must be non-negative")
+    check_cells("exec_times", exec_times)
 
     ops: list[list[Op]] = []
     for rank in range(cfg.n_ranks):

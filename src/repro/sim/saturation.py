@@ -20,8 +20,8 @@ simulation:
   (receive waits for the sender's phase end + flight time) or rendezvous
   (both sides synchronize before the transfer).
 
-The result reuses :class:`repro.sim.lockstep.LockstepResult`, so the whole
-analysis layer applies unchanged.
+A run comes back as a :class:`~repro.core.timing.RunTiming`, like the
+lockstep engine's, so the whole analysis layer applies unchanged.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from repro.core.timing import RunTiming
 from repro.sim.delay import DelaySpec
-from repro.sim.lockstep import LockstepResult
 from repro.sim.noise import NoiseModel, NoNoise
-from repro.sim.program import CommPattern, Direction
+from repro.sim.program import CommPattern, Direction, check_cells
 from repro.sim.topology import ProcessMapping
 
 __all__ = ["SaturationConfig", "simulate_saturation"]
@@ -121,8 +121,7 @@ class SaturationConfig:
             raise ValueError(
                 f"work matrix shape {w.shape} != ({self.n_ranks}, {self.n_steps})"
             )
-        if not np.isfinite(w).all():
-            raise ValueError("work_bytes must be finite")
+        check_cells("work_bytes", w, non_negative=False)
         if np.any(w < 0):
             raise ValueError("work_bytes must be >= 0")
         return w
@@ -132,7 +131,7 @@ _START, _TAIL, _STREAM = range(3)  # event kinds
 _OVERFLOW = "saturation timings overflow float64"
 
 
-def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None = None) -> LockstepResult:
+def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None = None) -> RunTiming:
     """Run the processor-sharing simulation; returns dense timing matrices.
 
     Every rank streaming on a socket has been drained up to the socket's
@@ -154,8 +153,8 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
         if spec.rank >= n or spec.step >= steps:
             raise ValueError(f"delay {spec} outside the configured run")
         serial[spec.rank, spec.step] += spec.duration
-    if not np.isfinite(serial).all():
-        raise ValueError("serial time (t_serial + noise + delays) must be finite")
+    check_cells("serial time (t_serial + noise + delays)", serial,
+                non_negative=False)
 
     # Communication dependencies per rank (who must finish phase k before my
     # Waitall of step k can complete).  Under bidirectional rendezvous the
@@ -321,9 +320,15 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     if min(step_of) < steps:
         raise RuntimeError("saturation simulation did not complete all ranks")
 
-    return LockstepResult(
-        *(np.frombuffer(buf).reshape(n, steps)
-          for buf in (exec_start, exec_end, post_end, completion)),
+    exec_start, exec_end, post_end, completion = (
+        np.frombuffer(buf).reshape(n, steps)
+        for buf in (exec_start, exec_end, post_end, completion))
+    return RunTiming(
+        exec_end=exec_end,
+        completion=completion,
+        idle=completion - post_end,
+        exec_start=exec_start,
+        post_end=post_end,
         meta={
             "engine": "saturation",
             "b_core": cfg.b_core,

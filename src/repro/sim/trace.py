@@ -14,7 +14,10 @@ from the trace:
   delays").
 
 This mirrors what a real MPI trace collector (the paper uses Intel Trace
-Analyzer and Collector with ``MPI_Wait`` timing) would deliver.
+Analyzer and Collector with ``MPI_Wait`` timing) would deliver.  The
+analyses read these matrices as a :class:`~repro.core.timing.RunTiming`
+(:meth:`~repro.core.timing.RunTiming.from_trace`); the columnar engines
+return one without building any records.
 """
 
 from __future__ import annotations
@@ -65,57 +68,6 @@ class Trace:
             raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-
-    # ------------------------------------------------------------------
-    # columnar construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_matrices(
-        cls,
-        exec_start: np.ndarray,
-        exec_end: np.ndarray,
-        wait_start: np.ndarray,
-        completion: np.ndarray,
-        meta: "dict | None" = None,
-    ) -> "Trace":
-        """Materialize COMP + WAITALL records from dense timing matrices.
-
-        The inverse of the matrix accessors for the common one-phase-per-
-        step shape: each ``[rank, step]`` cell becomes one ``COMP`` record
-        (``exec_start .. exec_end``) and one ``WAITALL`` record
-        (``wait_start .. completion``).  This is how the columnar engine
-        results (:class:`repro.sim.lockstep.LockstepResult`,
-        :class:`repro.sim.engine.DagResult`) build traces lazily — the
-        per-message ISEND/IRECV records are not represented.
-        """
-        n_ranks, n_steps = np.asarray(exec_end).shape
-        records: list[OpRecord] = []
-        for rank in range(n_ranks):
-            for step in range(n_steps):
-                records.append(
-                    OpRecord(
-                        rank=rank,
-                        step=step,
-                        kind=OpKind.COMP,
-                        start=float(exec_start[rank, step]),
-                        end=float(exec_end[rank, step]),
-                    )
-                )
-                records.append(
-                    OpRecord(
-                        rank=rank,
-                        step=step,
-                        kind=OpKind.WAITALL,
-                        start=float(wait_start[rank, step]),
-                        end=float(completion[rank, step]),
-                    )
-                )
-        return cls(
-            n_ranks=n_ranks,
-            n_steps=n_steps,
-            records=records,
-            meta=dict(meta or {}),
-        )
 
     # ------------------------------------------------------------------
     # dense matrices

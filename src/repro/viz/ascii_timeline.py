@@ -8,7 +8,7 @@ rank, wall-clock time quantized into character columns, with
 - ``#`` idle / communication delay (red),
 - `` `` (space) time before the rank's first/after its last activity.
 
-The renderer works on any run the analysis layer understands.
+The renderers take a run's :class:`~repro.core.timing.RunTiming`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _PRECEDENCE = {IntervalKind.EXEC: 0, IntervalKind.DELAY: 1, IntervalKind.IDLE: 2
 
 
 def render_timeline(
-    run,
+    timing: RunTiming,
     width: int = 100,
     base_exec: float | None = None,
     rank_labels: bool = True,
@@ -40,8 +40,8 @@ def render_timeline(
 
     Parameters
     ----------
-    run:
-        ``Trace``, ``LockstepResult`` or ``RunTiming``.
+    timing:
+        The run to draw.
     width:
         Character columns spanning the total runtime.
     base_exec:
@@ -52,7 +52,6 @@ def render_timeline(
     """
     if width < 10:
         raise ValueError(f"width must be >= 10, got {width}")
-    timing = RunTiming.of(run)
     total = timing.total_runtime()
     if total <= 0:
         raise ValueError("run has zero duration; nothing to render")
@@ -81,7 +80,7 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def render_idle_heatmap(run, threshold: float | None = None) -> str:
+def render_idle_heatmap(timing: RunTiming, threshold: float | None = None) -> str:
     """Step-quantized idle map: one character per (rank, step).
 
     ``#`` marks steps whose Waitall exceeded ``threshold`` (default: the
@@ -89,7 +88,6 @@ def render_idle_heatmap(run, threshold: float | None = None) -> str:
     ``.`` quiet.  Rows are ranks (top = highest), columns are steps —
     a compact view of wave propagation in step space.
     """
-    timing = RunTiming.of(run)
     if threshold is None:
         from repro.core.idle_wave import default_threshold
 

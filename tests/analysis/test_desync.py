@@ -48,7 +48,7 @@ class TestDesyncOnset:
             desync_onset(quiet_run(), fraction=0.0)
 
     def test_fallback_without_t_exec(self):
-        timing = RunTiming.of(quiet_run())
+        timing = quiet_run()
         timing.meta.pop("t_exec")
         assert desync_onset(timing) is None
 

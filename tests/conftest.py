@@ -35,11 +35,6 @@ T_EXEC = 3e-3
 
 
 @pytest.fixture
-def uniform_network():
-    return UniformNetwork()
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 
@@ -83,17 +78,6 @@ def delayed_cfg(**kw):
         delays=(DelaySpec(rank=source, step=0, duration=phases * t_exec),),
         **kw,
     )
-
-
-@pytest.fixture
-def fig4_trace(uniform_network):
-    """The canonical Fig. 4 run (eager, unidirectional, delay at rank 5)."""
-    cfg = make_cfg(
-        n_ranks=12,
-        n_steps=15,
-        delays=(DelaySpec(rank=5, step=0, duration=4.5 * T_EXEC),),
-    )
-    return simulate(build_lockstep_program(cfg), SimConfig(network=uniform_network))
 
 
 def _store_record_bytes(root) -> "dict[str, bytes]":

@@ -30,7 +30,7 @@ def delayed_run(direction=Direction.UNIDIRECTIONAL, periodic=False, source=4,
 class TestDefaultThreshold:
     def test_uses_t_exec_fraction_when_known(self):
         run = delayed_run()
-        assert default_threshold(RunTiming.of(run)) == pytest.approx(0.5 * T)
+        assert default_threshold(run) == pytest.approx(0.5 * T)
 
     def test_fallback_without_t_exec(self):
         timing = RunTiming(

@@ -1,4 +1,4 @@
-"""Unit tests for the RunTiming adapter."""
+"""Unit tests for the RunTiming and BatchedTiming run types."""
 
 import numpy as np
 import pytest
@@ -24,26 +24,13 @@ def cfg():
 
 
 class TestConstructors:
-    def test_from_trace_and_from_lockstep_agree(self):
+    def test_from_trace_agrees_with_lockstep(self):
         c = cfg()
         trace = simulate(build_lockstep_program(c), SimConfig())
-        res = simulate_lockstep(c)
         a = RunTiming.from_trace(trace)
-        b = RunTiming.from_lockstep(res)
+        b = simulate_lockstep(c)
         np.testing.assert_allclose(a.completion, b.completion, atol=1e-12)
         np.testing.assert_allclose(a.idle, b.idle, atol=1e-12)
-
-    def test_of_dispatches_all_types(self):
-        c = cfg()
-        res = simulate_lockstep(c)
-        timing = RunTiming.of(res)
-        assert RunTiming.of(timing) is timing
-        trace = simulate(build_lockstep_program(c), SimConfig())
-        assert isinstance(RunTiming.of(trace), RunTiming)
-
-    def test_of_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            RunTiming.of(42)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
@@ -56,7 +43,7 @@ class TestConstructors:
 
 class TestAggregates:
     def timing(self):
-        return RunTiming.of(simulate_lockstep(cfg()))
+        return simulate_lockstep(cfg())
 
     def test_dimensions(self):
         t = self.timing()
@@ -65,6 +52,12 @@ class TestAggregates:
     def test_total_runtime_positive_and_max(self):
         t = self.timing()
         assert t.total_runtime() == pytest.approx(float(t.completion.max()))
+
+    def test_total_runtime_of_no_steps_is_zero(self):
+        empty = np.zeros((3, 0))
+        run = RunTiming(exec_end=empty, completion=empty, idle=empty)
+        assert run.total_runtime() == 0.0
+        assert run.batch().total_runtimes().tolist() == [0.0]
 
     def test_wait_start_below_completion(self):
         t = self.timing()

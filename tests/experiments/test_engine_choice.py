@@ -3,14 +3,13 @@
 eq2 and fig4 are lockstep-shaped and run on the vectorized lockstep
 engine, so they never reach the DAG build cache.  ext_collectives needs
 the DAG engine for its irregular programs but reads only dense matrices,
-so it builds no per-op record.  The analysis functions convert a trace
-to a ``RunTiming`` once per call, and fig5 once per panel.
+so it builds no per-op record.  The analysis functions take a
+``RunTiming``; fig5 converts each panel's trace to one exactly once.
 """
 
 import pytest
 
 import repro.sim.engine as engine
-from repro.core import measure_speed
 from repro.core.timing import RunTiming
 from repro.experiments import run_experiment
 from repro.sim.engine import clear_dag_cache, dag_cache_info
@@ -50,11 +49,6 @@ def from_trace_calls(monkeypatch):
 
     monkeypatch.setattr(RunTiming, "from_trace", classmethod(counted))
     return calls
-
-
-def test_measure_speed_converts_a_trace_once(fig4_trace, from_trace_calls):
-    measure_speed(fig4_trace, source=5)
-    assert len(from_trace_calls) == 1
 
 
 def test_fig5_converts_each_panel_once(from_trace_calls):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import meeting_ranks, resync_step, wave_front
+from repro.core import RunTiming, meeting_ranks, resync_step, wave_front
 from repro.experiments.fig5_flavors import (
     EAGER_SIZE,
     RENDEZVOUS_SIZE,
@@ -13,27 +13,32 @@ from repro.experiments.fig5_flavors import (
 from repro.sim import Direction
 
 
+def flavor_timing(*args, **kwargs) -> RunTiming:
+    """One Fig. 5 panel's trace as the analyses read it."""
+    return RunTiming.from_trace(run_flavor(*args, **kwargs))
+
+
 class TestEagerRow:
     def test_a_uni_open_runs_out_at_boundary(self):
-        trace = run_flavor(EAGER_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
+        trace = flavor_timing(EAGER_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
         up = wave_front(trace, SOURCE_RANK, +1, periodic=False)
         down = wave_front(trace, SOURCE_RANK, -1, periodic=False)
         assert up.reach == 12  # all the way to rank 17
         assert down.reach == 0  # eager: no backward propagation
 
     def test_b_uni_periodic_wraps_and_dies_at_source(self):
-        trace = run_flavor(EAGER_SIZE, Direction.UNIDIRECTIONAL, periodic=True)
+        trace = flavor_timing(EAGER_SIZE, Direction.UNIDIRECTIONAL, periodic=True)
         up = wave_front(trace, SOURCE_RANK, +1, periodic=True)
         assert up.reach == 17  # one full traversal (n_ranks - 1 hops)
         assert resync_step(trace) is not None  # in sync again afterwards
 
     def test_c_bi_open_propagates_both_ways(self):
-        trace = run_flavor(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=False)
+        trace = flavor_timing(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=False)
         assert wave_front(trace, SOURCE_RANK, +1).reach == 12
         assert wave_front(trace, SOURCE_RANK, -1).reach == 5
 
     def test_d_bi_periodic_cancels_at_antipode(self):
-        trace = run_flavor(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=True)
+        trace = flavor_timing(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=True)
         meet = meeting_ranks(trace)
         # Source 5 on an 18-ring: antipode is rank 14 (paper: 'rank 14').
         assert meet == [14]
@@ -42,25 +47,25 @@ class TestEagerRow:
 
 class TestRendezvousRow:
     def test_e_uni_open_backward_propagation(self):
-        trace = run_flavor(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
+        trace = flavor_timing(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
         assert wave_front(trace, SOURCE_RANK, -1).reach == 5  # down to rank 0
 
     def test_f_uni_periodic_cancels(self):
-        trace = run_flavor(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=True)
+        trace = flavor_timing(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=True)
         assert resync_step(trace) is not None
 
     def test_g_bi_open_twice_the_speed(self):
         from repro.core import measure_speed
 
-        t_uni = run_flavor(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
-        t_bi = run_flavor(RENDEZVOUS_SIZE, Direction.BIDIRECTIONAL, periodic=False)
+        t_uni = flavor_timing(RENDEZVOUS_SIZE, Direction.UNIDIRECTIONAL, periodic=False)
+        t_bi = flavor_timing(RENDEZVOUS_SIZE, Direction.BIDIRECTIONAL, periodic=False)
         v_uni = measure_speed(t_uni, SOURCE_RANK, +1).speed
         v_bi = measure_speed(t_bi, SOURCE_RANK, +1).speed
         assert v_bi / v_uni == pytest.approx(2.0, rel=0.01)
 
     def test_h_bi_periodic_resyncs_fastest(self):
-        t_d = run_flavor(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=True)
-        t_h = run_flavor(RENDEZVOUS_SIZE, Direction.BIDIRECTIONAL, periodic=True)
+        t_d = flavor_timing(EAGER_SIZE, Direction.BIDIRECTIONAL, periodic=True)
+        t_h = flavor_timing(RENDEZVOUS_SIZE, Direction.BIDIRECTIONAL, periodic=True)
         # Twice the speed -> the ring is traversed and cancelled sooner.
         assert resync_step(t_h) < resync_step(t_d)
 

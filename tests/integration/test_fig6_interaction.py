@@ -40,7 +40,7 @@ class TestHalfDelays:
 
     def test_surviving_waves_are_the_long_ones(self):
         run = run_scenario("half")
-        idle = run.idle_matrix()
+        idle = run.idle
         # Between steps 6 and `resync`, only remnants of the full-length
         # delays survive; their amplitude is ~half the base delay.
         mid = idle[:, 6:10]

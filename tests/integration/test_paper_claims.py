@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    RunTiming,
     measure_decay,
     measure_speed,
     silent_speed,
@@ -34,7 +35,8 @@ NET = UniformNetwork()
 
 
 def run_dag(cfg, protocol=Protocol.AUTO):
-    return simulate(build_lockstep_program(cfg), SimConfig(network=NET, protocol=protocol))
+    return RunTiming.from_trace(simulate(
+        build_lockstep_program(cfg), SimConfig(network=NET, protocol=protocol)))
 
 
 class TestClaimConstantSpeed:
@@ -118,7 +120,7 @@ class TestClaimNonlinearInteraction:
                     DelaySpec(rank=18, step=0, duration=4 * T)),
         )
         run = simulate_lockstep(cfg)
-        idle = run.idle_matrix()
+        idle = run.idle
         # The waves collide at ranks 9 and 27 after ~9 steps; soon after,
         # the system is back in lockstep.
         assert idle[:, 15:].max() < 0.1 * T
@@ -258,7 +260,8 @@ class TestClaimDomainBoundariesModulateSpeed:
             )
             trace = simulate(build_lockstep_program(cfg),
                              SimConfig(network=network, mapping=mapping))
-            return np.diff(wave_front(trace, 0, +1).arrival_times)
+            return np.diff(wave_front(RunTiming.from_trace(trace), 0,
+                                      +1).arrival_times)
 
         mapping = single_switch_mapping(16, ppn=4, cores_per_socket=2)
         slow_internode = HockneyModel(

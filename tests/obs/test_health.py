@@ -22,7 +22,7 @@ from repro.runtime.spec import RunSpec
 
 def sleep_specs(durations):
     return [
-        RunSpec(fn="repro.runtime.tasks:sleeping_task", index=i,
+        RunSpec(fn="executor_tasks:sleeping_task", index=i,
                 params={"duration_s": d}, seed=i)
         for i, d in enumerate(durations)
     ]

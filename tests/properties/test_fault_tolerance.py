@@ -21,7 +21,7 @@ from repro.runtime import (
     run_campaign,
 )
 
-PROBE = "repro.runtime.tasks:rng_probe_task"
+PROBE = "executor_tasks:rng_probe_task"
 
 
 def _sweep(n_tasks, base_seed):

@@ -128,7 +128,7 @@ def test_batched_slices_bitwise_equal_serial_runs(scenario, n_batch):
     batch = simulate_lockstep_batch(
         cfg, stack, network=net, protocol=protocol, mapping=mapping
     )
-    assert len(batch) == n_batch
+    assert batch.n_batch == n_batch
     for b in range(n_batch):
         serial = simulate_lockstep(
             cfg, exec_times=stack[b], network=net, protocol=protocol,

@@ -96,7 +96,7 @@ def test_delay_injection_is_monotone(cfg, data):
 def test_noise_free_run_has_negligible_idle(cfg):
     """Perfect balance -> only microsecond-scale communication waits."""
     res = simulate_lockstep(cfg)
-    assert res.idle_matrix().max() < 0.05 * T
+    assert res.idle.max() < 0.05 * T
 
 
 @given(configs())

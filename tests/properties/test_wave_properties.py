@@ -53,7 +53,7 @@ def test_eager_unidirectional_never_propagates_backwards(scenario):
     if cfg.pattern.direction != Direction.UNIDIRECTIONAL:
         return
     run = simulate_lockstep(cfg, protocol=Protocol.EAGER)
-    idle = run.idle_matrix()
+    idle = run.idle
     below = np.arange(cfg.n_ranks) < source
     if cfg.pattern.periodic:
         return  # the wave wraps around and legitimately reaches lower ranks
@@ -89,4 +89,4 @@ def test_total_idle_at_least_one_delay_worth(scenario):
     """At least the direct neighbor of the delayed rank idles for ~the delay."""
     cfg, source, phases = scenario
     run = simulate_lockstep(cfg)
-    assert run.idle_matrix().sum() >= phases * T * 0.9
+    assert run.idle.sum() >= phases * T * 0.9

@@ -6,7 +6,7 @@ import pytest
 from repro.reports.query import CampaignStream, stream_campaign
 from repro.runtime import ResultStore, RunSpec, run_campaign
 
-FN = "repro.runtime.tasks:rng_probe_task"
+FN = "executor_tasks:rng_probe_task"
 
 
 def make_specs(n: int) -> "tuple[RunSpec, ...]":

@@ -2,7 +2,7 @@
 
 import pytest
 
-import repro.runtime.tasks as tasks_mod
+import executor_tasks as tasks_mod
 from repro.runtime import (
     ResultStore,
     RunSpec,
@@ -12,8 +12,8 @@ from repro.runtime import (
     run_campaign,
 )
 
-PROBE = "repro.runtime.tasks:rng_probe_task"
-FAIL = "repro.runtime.tasks:failing_task"
+PROBE = "executor_tasks:rng_probe_task"
+FAIL = "executor_tasks:failing_task"
 
 
 def probe_sweep(n_tasks=6, base_seed=3):
@@ -140,7 +140,7 @@ class TestFailureIsolation:
         """A worker hard-exiting (OOM-kill analogue) breaks the pool, but
         run_campaign must still return a complete CampaignResult."""
         specs = [
-            RunSpec(fn="repro.runtime.tasks:hard_exit_task",
+            RunSpec(fn="executor_tasks:hard_exit_task",
                     params={"code": 1}, seed=1, index=0),
             *[RunSpec(fn=PROBE, params={"n": 2}, seed=10 + i, index=i)
               for i in range(1, 6)],
@@ -153,7 +153,7 @@ class TestFailureIsolation:
 
     def test_keyboard_interrupt_aborts_serial_campaign(self, monkeypatch):
         """Ctrl-C must abort, not be recorded as a task failure."""
-        import repro.runtime.tasks as tasks_mod
+        import executor_tasks as tasks_mod
 
         def interrupted(**kwargs):
             raise KeyboardInterrupt

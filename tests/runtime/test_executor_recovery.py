@@ -14,8 +14,8 @@ from repro.runtime import (
 )
 from repro.runtime import chaos
 
-PROBE = "repro.runtime.tasks:rng_probe_task"
-HARD_EXIT = "repro.runtime.tasks:hard_exit_task"
+PROBE = "executor_tasks:rng_probe_task"
+HARD_EXIT = "executor_tasks:hard_exit_task"
 
 
 def probe_sweep(n_tasks=6, base_seed=3):

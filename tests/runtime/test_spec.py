@@ -58,7 +58,7 @@ class TestCanonicalErrorPaths:
 
 class TestRunSpec:
     def spec(self, **kw):
-        defaults = dict(fn="repro.runtime.tasks:rng_probe_task",
+        defaults = dict(fn="executor_tasks:rng_probe_task",
                         params={"n": 3}, seed=7)
         defaults.update(kw)
         return RunSpec(**defaults)
@@ -78,7 +78,7 @@ class TestRunSpec:
         assert spec_key(self.spec(index=5)) == spec_key(base)
         assert spec_key(self.spec(seed=8)) != spec_key(base)
         assert spec_key(self.spec(params={"n": 4})) != spec_key(base)
-        assert spec_key(self.spec(fn="repro.runtime.tasks:failing_task")) != \
+        assert spec_key(self.spec(fn="executor_tasks:failing_task")) != \
             spec_key(base)
 
     def test_key_stable_across_processes(self):
@@ -163,7 +163,7 @@ class TestLiteralKeys:
 class TestSweepSpec:
     def sweep(self, **kw):
         defaults = dict(
-            fn="repro.runtime.tasks:rng_probe_task",
+            fn="executor_tasks:rng_probe_task",
             base={"n": 2},
             axes=(("replicate", (0, 1, 2)),),
             base_seed=5,

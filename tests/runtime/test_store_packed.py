@@ -163,7 +163,7 @@ class TestLegacyClear:
 class TestLegacyLayout:
     def test_legacy_pair_reads_cold_recomputes_and_is_gc_removed(
             self, store, legacy_record):
-        spec = RunSpec(fn="repro.runtime.tasks:rng_probe_task",
+        spec = RunSpec(fn="executor_tasks:rng_probe_task",
                        params={"n": 3}, seed=5)
         legacy = legacy_record(store.root, spec.key, {"seed": 5},
                                {"draws": np.ones(3)})

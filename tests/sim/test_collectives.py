@@ -117,10 +117,10 @@ class TestBuildCollectiveProgram:
             Collective.BARRIER,
             delays=[DelaySpec(rank=3, step=1, duration=5 * T)],
         )
-        timing = RunTiming.of(trace)
+        timing = RunTiming.from_trace(trace)
         # Step 1 completion of every rank is pushed past the delay.
         base = self.run(Collective.BARRIER)
-        delta = timing.completion[:, 1] - RunTiming.of(base).completion[:, 1]
+        delta = timing.completion[:, 1] - RunTiming.from_trace(base).completion[:, 1]
         assert (delta > 4 * T).all()
 
     def test_tree_bcast_leaf_delay_hits_fewer_ranks(self):
@@ -130,8 +130,8 @@ class TestBuildCollectiveProgram:
         )
         base = self.run(Collective.BCAST_TREE)
         delta = (
-            RunTiming.of(trace).completion[:, 1]
-            - RunTiming.of(base).completion[:, 1]
+            RunTiming.from_trace(trace).completion[:, 1]
+            - RunTiming.from_trace(base).completion[:, 1]
         )
         # A leaf's delay does not synchronize the whole communicator within
         # the same step (no reduction direction in a bcast).

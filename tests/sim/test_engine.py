@@ -109,12 +109,12 @@ class TestRendezvousMechanism:
     def test_backward_reach_switches_at_the_eager_limit(self, size):
         """Sec. II-C1: messages up to the eager limit send the wave forward
         only; one byte more (rendezvous) sends it backward as well."""
-        from repro.core import wave_front
+        from repro.core import RunTiming, wave_front
         from repro.experiments.fig5_flavors import EAGER_LIMIT
 
         cfg = cfg_with_delay(Direction.UNIDIRECTIONAL, n_ranks=16, n_steps=16,
                              source=8, phases=5, msg=size)
-        trace = run(cfg, eager_limit=EAGER_LIMIT)
+        trace = RunTiming.from_trace(run(cfg, eager_limit=EAGER_LIMIT))
         assert wave_front(trace, 8, +1).reach > 0
         if size <= EAGER_LIMIT:
             assert wave_front(trace, 8, -1).reach == 0

@@ -58,7 +58,7 @@ class TestLockstepResult:
 
     def test_idle_matrix_nonnegative(self):
         res = simulate_lockstep(cfg(noise=ExponentialNoise(2e-4), seed=3))
-        assert (res.idle_matrix() >= 0).all()
+        assert (res.idle >= 0).all()
 
     def test_total_runtime_is_last_completion(self):
         res = simulate_lockstep(cfg())
@@ -70,21 +70,21 @@ class TestLockstepResult:
         trace.validate()
         np.testing.assert_allclose(trace.completion_matrix(), res.completion)
         np.testing.assert_allclose(trace.exec_end_matrix(), res.exec_end)
-        np.testing.assert_allclose(trace.idle_matrix(), res.idle_matrix(), atol=1e-15)
+        np.testing.assert_allclose(trace.idle_matrix(), res.idle, atol=1e-15)
 
 
 class TestLockstepSemantics:
     def test_delay_propagates_forward_eager(self):
         c = cfg(delays=(DelaySpec(rank=3, step=0, duration=5 * T),))
         res = simulate_lockstep(c)
-        idle = res.idle_matrix()
+        idle = res.idle
         assert idle[4, 0] > T
         assert idle[2].max() < 0.1 * T
 
     def test_rendezvous_blocks_sender(self):
         c = cfg(delays=(DelaySpec(rank=3, step=0, duration=5 * T),))
         res = simulate_lockstep(c, protocol=Protocol.RENDEZVOUS)
-        assert res.idle_matrix()[2, 0] > T
+        assert res.idle[2, 0] > T
 
     def test_sigma_two_coupling_for_bidirectional_rendezvous(self):
         c = cfg(
@@ -92,7 +92,7 @@ class TestLockstepSemantics:
             delays=(DelaySpec(rank=5, step=0, duration=5 * T),),
         )
         res = simulate_lockstep(c, protocol=Protocol.RENDEZVOUS)
-        idle = res.idle_matrix()
+        idle = res.idle
         assert idle[7, 0] > T  # two hops in step 0
         assert idle[8, 0] < 0.1 * T
 
@@ -135,6 +135,15 @@ class TestLockstepSemantics:
         times[1, 2, 1] = value
         times[2, 0, 0] = value
         with pytest.raises(ValueError, match=rf"exec_times must be finite, got {value} at \[1, 2, 1\]"):
+            simulate_lockstep_batch(c, times)
+
+    def test_negative_exec_time_rejected(self):
+        c = cfg(n_ranks=6, n_steps=4)
+        times = np.full((3, 6, 4), T)
+        times[1, 2, 1] = -1.0
+        with pytest.raises(ValueError, match=r"exec_times must be non-negative, got -1.0 at \[2, 1\]"):
+            simulate_lockstep(c, exec_times=times[1])
+        with pytest.raises(ValueError, match=r"exec_times must be non-negative, got -1.0 at \[1, 2, 1\]"):
             simulate_lockstep_batch(c, times)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

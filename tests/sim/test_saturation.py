@@ -112,8 +112,8 @@ class TestCommunication:
             pattern=CommPattern(direction=Direction.UNIDIRECTIONAL, periodic=True),
             delays=(DelaySpec(rank=5, step=0, duration=30e-3),),
         )
-        idle_e = simulate_saturation(cfg_e).idle_matrix()
-        idle_r = simulate_saturation(cfg_r).idle_matrix()
+        idle_e = simulate_saturation(cfg_e).idle
+        idle_r = simulate_saturation(cfg_r).idle
         # Rank 4 (sender to 5) only waits under rendezvous.
         assert idle_r[4, 0] > 10e-3
         assert idle_e[4, 0] < 1e-3

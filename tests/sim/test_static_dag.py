@@ -2,8 +2,8 @@
 
 Covers the structure cache (hits across draws, invalidation on any
 structural or config change), the batched propagate contract, the typed
-:class:`~repro.sim.engine.EngineError`, and columnar trace
-materialization.
+:class:`~repro.sim.engine.EngineError`, columnar timing extraction, and
+the execution-time checks of the three DAG entry points.
 """
 
 import numpy as np
@@ -156,7 +156,7 @@ class TestBatchedPropagate:
         ])
         batch = simulate_dag_batch(cfg, stacked,
                                    SimConfig(protocol=Protocol.RENDEZVOUS))
-        assert len(batch) == 6
+        assert batch.n_batch == 6
         for b in range(6):
             single = simulate_dag(
                 build_lockstep_program(cfg, stacked[b]),
@@ -166,6 +166,7 @@ class TestBatchedPropagate:
             assert np.array_equal(batch[b].exec_end, single.exec_end)
             assert np.array_equal(batch[b].idle, single.idle)
             assert np.array_equal(batch[b].exec_start, single.exec_start)
+            assert np.array_equal(batch[b].post_end, single.post_end)
 
     def test_batch_shape_validation(self):
         cfg = make_cfg()
@@ -192,7 +193,12 @@ class TestColumnarTrace:
         cfg = make_cfg()
         program = build_lockstep_program(cfg, build_exec_times(cfg))
         result = simulate_dag(program)
-        assert result.exact_trace
+        wait_start = np.full((cfg.n_ranks, cfg.n_steps), np.nan)
+        for rec in simulate(program).records:
+            if rec.kind == OpKind.WAITALL:
+                wait_start[rec.rank, rec.step] = rec.start
+        assert np.array_equal(result.post_end, wait_start)
+        assert np.array_equal(result.completion - result.post_end, result.idle)
         lazy = result.to_trace()
         lazy.validate()
         assert np.array_equal(lazy.completion_matrix(), result.completion)
@@ -218,9 +224,38 @@ class TestColumnarTrace:
         trace = simulate(program)
         assert np.array_equal(result.idle, trace.idle_matrix())
         assert np.array_equal(result.completion, trace.completion_matrix())
-        assert not result.exact_trace
+        assert result.post_end is None
         with pytest.raises(ValueError, match="not lockstep-shaped"):
             result.to_trace()
+
+
+class TestExecTimeChecks:
+    """Every DAG entry point rejects a NaN, infinite or negative execution
+    time, naming the first such cell, in every draw of a batch."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        cfg = make_cfg(n_ranks=6, n_steps=4,
+                       pattern=CommPattern(direction=Direction.BIDIRECTIONAL,
+                                           periodic=True))
+        times = np.full((2, 6, 4), T)
+        times[1, 2, 1] = value
+        message = rf"exec_times must be finite, got {value} at "
+        with pytest.raises(ValueError, match=message + r"\[2, 1\]"):
+            simulate(build_lockstep_program(cfg, times[1]))
+        clean = build_lockstep_program(cfg, times[0])
+        with pytest.raises(ValueError, match=message + r"\[2, 1\]"):
+            simulate_dag(clean, exec_times=times[1])
+        with pytest.raises(ValueError, match=message + r"\[1, 2, 1\]"):
+            simulate_dag_batch(cfg, times)
+
+    def test_negative_in_a_later_draw_rejected(self):
+        cfg = make_cfg(n_ranks=6, n_steps=4)
+        times = np.full((3, 6, 4), T)
+        times[2, 4, 3] = -1.0
+        with pytest.raises(ValueError, match=r"exec_times must be non-negative, "
+                           r"got -1.0 at \[2, 4, 3\]"):
+            simulate_dag_batch(cfg, times)
 
 
 class TestStructureCache:

@@ -64,7 +64,8 @@ def test_warm_report_run_loads_no_execution_path(tmp_path):
     # The report runs only the runtime and idle_histogram kernels; the
     # desync and Fourier kernels import repro.analysis in their bodies.
     for name in ("repro.experiments", "repro.sim.engine",
-                 "repro.sim.saturation", "repro.runtime.executor",
+                 "repro.sim.saturation", "repro.sim.lockstep",
+                 "repro.sim.trace", "repro.runtime.executor",
                  "repro.reports.tasks", "repro.analysis", "multiprocessing"):
         assert not loaded(modules, name), name
 

@@ -1,5 +1,6 @@
-"""Rendering works on traces with multiple Waitalls per step (collectives)."""
+"""Rendering works on runs with multiple Waitalls per step (collectives)."""
 
+from repro.core import RunTiming
 from repro.sim import DelaySpec, SimConfig, UniformNetwork, simulate
 from repro.sim.collectives import Collective, CollectiveConfig, build_collective_program
 from repro.viz import render_idle_heatmap, render_timeline
@@ -12,7 +13,8 @@ def collective_trace():
         n_ranks=8, n_steps=5, collective=Collective.BARRIER, t_exec=T,
         delays=(DelaySpec(rank=3, step=1, duration=4 * T),),
     )
-    return simulate(build_collective_program(cfg), SimConfig(network=UniformNetwork()))
+    return RunTiming.from_trace(simulate(build_collective_program(cfg),
+                                         SimConfig(network=UniformNetwork())))
 
 
 class TestCollectiveRendering:
