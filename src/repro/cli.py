@@ -23,15 +23,14 @@ Usage::
 
     repro-experiment stats show run.jsonl        # telemetry span tree
     repro-experiment stats summarize run.jsonl   # hit rates, phase times
-    repro-experiment stats diff a.jsonl b.jsonl  # compare two runs
 
     repro-experiment runs ls --cache-dir ~/.cache/repro    # run ledger
     repro-experiment runs show RUN_ID --cache-dir ~/.cache/repro
     repro-experiment runs tail -n 5 --cache-dir ~/.cache/repro
+    repro-experiment runs diff OLD NEW --cache-dir ~/.cache/repro
 
-    repro-experiment perf record --cache-dir ~/.cache/repro --run latest
-    repro-experiment perf history --cache-dir ~/.cache/repro
-    repro-experiment perf check --cache-dir ~/.cache/repro  # trend gate
+    repro-experiment perf history --cache-dir ~/.cache/repro  # run series
+    repro-experiment perf check --cache-dir ~/.cache/repro    # trend gate
 
     repro-experiment golden --check       # verify the golden-trace corpus
     repro-experiment golden --regen       # regenerate tests/golden/
@@ -54,28 +53,34 @@ import traceback
 from typing import Callable
 
 __all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
-           "jobs_arg", "observe_campaign", "resume_record", "seed_arg"]
+           "count_arg", "jobs_arg", "observe_campaign", "resume_record",
+           "seed_arg"]
 
 
-def _non_negative_int(text: str, flag: str, note: str = "") -> int:
+def _int_at_least(text: str, flag: str, low: int, note: str = "") -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
+    if value < low:
         raise argparse.ArgumentTypeError(
-            f"{flag} must be >= 0{note}, got {value}")
+            f"{flag} must be >= {low}{note}, got {value}")
     return value
 
 
 def jobs_arg(text: str) -> int:
     """``--jobs`` parser: non-negative int (0 = auto-detect CPU count)."""
-    return _non_negative_int(text, "--jobs", " (0 = auto-detect CPU count)")
+    return _int_at_least(text, "--jobs", 0, " (0 = auto-detect CPU count)")
 
 
 def seed_arg(text: str) -> int:
     """``--seed`` parser: non-negative int, as NumPy seeds must be."""
-    return _non_negative_int(text, "--seed")
+    return _int_at_least(text, "--seed", 0)
+
+
+def count_arg(text: str) -> int:
+    """``-n`` parser: how many records to show, at least one."""
+    return _int_at_least(text, "-n", 1)
 
 
 def add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -185,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
             "repro-experiment scenario {list,validate,run,sweep}, "
             "repro-experiment report {list,validate,run}, "
             "repro-experiment store {ls,gc}, "
-            "repro-experiment stats {show,summarize,diff,trace}, "
-            "repro-experiment runs {ls,show,tail}, "
-            "repro-experiment perf {record,history,diff,check} ..."
+            "repro-experiment stats {show,summarize,trace}, "
+            "repro-experiment runs {ls,show,tail,diff}, "
+            "repro-experiment perf {record,history,check} ..."
         ),
     )
     parser.add_argument(

@@ -13,7 +13,8 @@ the vocabulary is :mod:`repro.obs.events`):
 - :mod:`repro.obs.ledger` / :mod:`repro.obs.session` — per-run
   provenance records under ``<cache-dir>/runs/`` and the
   :func:`observe_run` context manager that wires a whole CLI run
-  together.  ``repro-experiment runs ls|show|tail`` queries the ledger.
+  together.  ``repro-experiment runs ls|show|tail|diff`` queries the
+  ledger.
 
 Observability is pure: enabling it never changes engine outputs or the
 bytes the store persists (enforced by ``tests/scenarios/test_batch.py``

@@ -5,14 +5,15 @@
     repro-experiment runs ls --cache-dir DIR [--json] [--name N] [--status S]
     repro-experiment runs show RUN_ID --cache-dir DIR [--json] [--telemetry]
     repro-experiment runs tail --cache-dir DIR [-n N] [--json]
+    repro-experiment runs diff OLD NEW [--cache-dir DIR]
 
 ``ls`` lists every recorded run (filterable by scenario/report name and
 status); ``show`` reconstructs one run's full provenance — spec key,
 seed root, engine, cache economics, worker health (stalls, heartbeats,
-peak RSS), failure summaries, telemetry file, artifact paths — from its
-ledger record (unambiguous id prefixes work), and with ``--telemetry``
-renders the linked telemetry summary inline; ``tail`` shows the most
-recent records.
+peak RSS), failure summaries, telemetry file, artifact paths, phases —
+from its ledger record (unambiguous id prefixes work), and with
+``--telemetry`` renders the linked telemetry summary inline; ``tail``
+shows the most recent records; ``diff`` compares two runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
+from repro.cli import count_arg
 from repro.obs.ledger import RunLedger
 
 __all__ = ["runs_main", "build_runs_parser"]
@@ -60,10 +63,18 @@ def build_runs_parser() -> argparse.ArgumentParser:
     p_tail = sub.add_parser("tail", help="most recent runs")
     p_tail.add_argument("--cache-dir", required=True, metavar="DIR",
                         help="cache directory holding the runs/ ledger")
-    p_tail.add_argument("-n", type=int, default=10, metavar="N",
+    p_tail.add_argument("-n", type=count_arg, default=10, metavar="N",
                         help="how many records (default 10)")
     p_tail.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
+
+    p_diff = sub.add_parser("diff", help="compare two runs' metrics and "
+                            "counters")
+    for arg in ("old", "new"):
+        p_diff.add_argument(arg, metavar=arg.upper(), help="run id or "
+                            "prefix in --cache-dir, or a record file (*.json)")
+    p_diff.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="cache directory holding the runs/ ledger")
     return parser
 
 
@@ -168,8 +179,51 @@ def _cmd_show(args) -> int:
         print(f"    {path}")
     for failure in r.get("failures") or []:
         print(f"  failure: {failure.splitlines()[0]}")
+    if r.get("version", 1) >= 5:
+        phases, wall = r["phases"], r["wall_s"]
+        print(f"  {'phases':<16} {len(phases)}")
+        for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
+            share = f"  {seconds / wall:6.1%}" if wall else ""
+            print(f"    {name:<30} {seconds:9.4f}s{share}")
     if args.with_telemetry:
         return _show_telemetry(r)
+    return 0
+
+
+def _load_run(ref: str, cache_dir: "str | None") -> dict:
+    """A ``.json`` record file, or a run id (prefix) in ``cache_dir``."""
+    if not ref.endswith(".json"):
+        if cache_dir is None:
+            raise KeyError(f"run id {ref!r} needs --cache-dir DIR")
+        return RunLedger(cache_dir).find(ref)
+    try:
+        record = json.loads(Path(ref).read_text())
+    except (OSError, ValueError) as exc:
+        raise KeyError(f"cannot read run record {ref}: {exc}") from None
+    if not isinstance(record, dict) or "id" not in record:
+        raise KeyError(f"{ref} is not a run record")
+    return record
+
+
+def _cmd_diff(args) -> int:
+    from repro.perf.history import format_metric, metrics_from_run_record
+
+    try:
+        old, new = [_load_run(ref, args.cache_dir)
+                    for ref in (args.old, args.new)]
+    except KeyError as exc:
+        print(f"runs error: {exc.args[0]}", file=sys.stderr)
+        return 1
+    rows = [{**metrics_from_run_record(r)[1], **(r.get("counters") or {})}
+            for r in (old, new)]
+    print(f"{old['id']} -> {new['id']}")
+    print(f"{'metric':<36} {'old':>12} {'new':>12}")
+    for key in sorted(set(rows[0]) | set(rows[1])):
+        a, b = (row.get(key) for row in rows)
+        # A zero or missing side has no ratio: n/a, never inf or 0x.
+        ratio = f"{b / a:.2f}x" if a and b else "n/a"
+        was, now = ("--" if v is None else format_metric(v) for v in (a, b))
+        print(f"{key:<36} {was:>12} {now:>12}  ({ratio})")
     return 0
 
 
@@ -186,32 +240,24 @@ def _fmt_bytes(n: "int | None") -> str:
 def _show_telemetry(record: dict) -> int:
     """Render the run's linked telemetry inline (``runs show --telemetry``).
 
-    Reuses the stats CLI's loader so a missing/unreadable/empty file
-    produces the same one-line ``stats error`` diagnostics users already
-    know from ``stats show`` — not a traceback, not a silent skip.
+    This is ``stats summarize`` of the linked file, so a missing,
+    unreadable or empty file gives the same one-line ``stats error``.
     """
-    from repro.telemetry.cli import StatsError, _load
-    from repro.telemetry.sinks import render_summary
+    from repro.telemetry.cli import stats_main
 
     path = record.get("telemetry")
     if not path:
         print("stats error: run has no linked telemetry (was it run with "
               "--profile?)", file=sys.stderr)
         return 1
-    try:
-        snap = _load(path)
-    except StatsError as exc:
-        print(f"stats error: {exc}", file=sys.stderr)
-        return 1
     print()
-    print(render_summary(snap))
-    return 0
+    return stats_main(["summarize", path])
 
 
 def runs_main(argv: "list[str] | None" = None) -> int:
     args = build_runs_parser().parse_args(argv)
-    return {"ls": _cmd_ls, "show": _cmd_show,
-            "tail": _cmd_tail}[args.command](args)
+    return {"ls": _cmd_ls, "show": _cmd_show, "tail": _cmd_tail,
+            "diff": _cmd_diff}[args.command](args)
 
 
 if __name__ == "__main__":

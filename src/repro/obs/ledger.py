@@ -1,16 +1,17 @@
 """The run ledger: one provenance record per run, under ``<cache>/runs/``.
 
 A ledger record is the durable answer to *"what ran here?"* — spec key,
-seed root, engine, worker count, task/cache economics, wall time,
-failure summaries, and where the telemetry JSONL and report artifacts
-landed.  One atomically written single-line JSON file per run keeps the
-ledger append-only under concurrent campaigns (two runs never contend
-on one file) while ``cat runs/*.json`` still yields valid JSONL.
+seed root, engine, worker count, task/cache economics, wall time and
+its phases, the recorder's counters, failure summaries, and where the
+telemetry JSONL and report artifacts landed.  One atomically written
+single-line JSON file per run keeps the ledger append-only under
+concurrent campaigns (two runs never contend on one file) while ``cat
+runs/*.json`` still yields valid JSONL.
 
 :class:`RunTracker` is the recorder subscriber that accumulates a
 record's fields from lifecycle events; :class:`RunLedger` reads and
 writes the directory.  The CLI surface is :mod:`repro.obs.cli`
-(``runs ls|show|tail``).
+(``runs ls|show|tail|diff``), and :mod:`repro.perf` trends the records.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ __all__ = ["RUN_RECORD_VERSION", "RunLedger", "RunTracker", "new_run_id",
 #: ``n_retried``, ``n_quarantined``, ``n_pool_respawns``,
 #: ``retry_wasted_s`` — and the resume link ``resumed_from``.  v4
 #: dropped ``retry_wasted_s`` with the in-worker retries that filled it;
-#: ``n_retried`` now counts only re-dispatches after a worker death.
-RUN_RECORD_VERSION = 4
+#: ``n_retried`` now counts only re-dispatches after a worker death.  v5
+#: added ``phases`` (seconds per direct child of the root span) and
+#: ``counters`` (the recorder's counters).
+RUN_RECORD_VERSION = 5
 
 #: Failure summaries kept per record — enough to diagnose, bounded so a
 #: 10k-task wreck cannot bloat the ledger.
@@ -144,12 +147,16 @@ class RunTracker:
 
     def record(self, run_id: str, status: str, kind: str, name: str,
                wall_s: float, started_unix: float, finished_unix: float,
-               hists: "Mapping | None" = None) -> dict:
+               hists: "Mapping | None" = None,
+               phases: "Mapping | None" = None,
+               counters: "Mapping | None" = None) -> dict:
         """Build the ledger record dict (see :data:`RUN_RECORD_VERSION`).
 
         ``hists`` are the run recorder's histograms: the
         ``worker.rss_bytes`` samples (one per pool unit) give
-        ``n_heartbeats`` and ``worker_rss_peak_bytes``.
+        ``n_heartbeats`` and ``worker_rss_peak_bytes``.  ``phases`` maps
+        each direct child of the root span to its summed seconds, and
+        ``counters`` are the recorder's counters.
         """
         rss = (hists or {}).get("worker.rss_bytes") or (0, 0, 0, 0)
         n_tasks = self.n_tasks if self.n_tasks is not None else self.n_done
@@ -186,6 +193,8 @@ class RunTracker:
             "telemetry": self.telemetry,
             "artifacts": list(self.artifacts),
             "n_events": self.n_events,
+            "phases": dict(phases or {}),
+            "counters": dict(counters or {}),
         }
 
 

@@ -7,7 +7,8 @@ opens the root span, attaches the :class:`~repro.obs.ledger.RunTracker`
 (always) and the :class:`~repro.obs.progress.ProgressRenderer` (when
 requested, or automatically on a TTY), and on exit — success *or*
 failure — writes the telemetry JSONL when asked, builds the ledger
-record, persists it under ``<cache-dir>/runs/``, and prints the exit
+record (with the root span's phase breakdown and the counters, profiled
+or not), persists it under ``<cache-dir>/runs/``, and prints the exit
 summary line.  The summary is rendered from the persisted record dict,
 so terminal output and ledger provenance cannot diverge.
 
@@ -26,6 +27,7 @@ from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
 from repro.obs.progress import ProgressRenderer
+from repro.telemetry.sinks import phase_breakdown
 
 __all__ = ["observe_run"]
 
@@ -126,10 +128,13 @@ def observe_run(kind: str, name: str, cache_dir=None,
                           file=sys.stderr)
             if written:
                 tracker.set_telemetry(written[-1])
+        breakdown = phase_breakdown(snap)["phases"]
         record = tracker.record(
             run_id=run_id, status=status, kind=kind, name=name,
             wall_s=root.duration, started_unix=started_unix,
             finished_unix=time.time(), hists=rec.hists,
+            phases={n: p["total_s"] for n, p in breakdown.items()},
+            counters=snap["counters"],
         )
         path = None
         if cache_dir is not None:

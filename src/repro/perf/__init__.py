@@ -1,19 +1,17 @@
-"""Cross-run performance history: record, trend, and gate over time.
+"""Cross-run performance history: trend and gate over time.
 
-The run ledger answers *"what did this run do?"* and telemetry answers
-*"where did its time go?"* — both are single-run views.  This package
-adds the time axis: an append-only JSONL **performance history** under
-``<cache-dir>/perf/`` that ingests ledger records, telemetry phase
-breakdowns, and benchmark emissions (``BENCH_*.json``) into one flat
-metric stream per label, plus EWMA trend analysis that flags when the
-latest entry regresses against the smoothed history.
+The run ledger answers *"what did this run do, and where did its time
+go?"* for one run.  This package adds the time axis: it reads the
+ledger's records as one flat metric series per ``<kind>/<name>``
+(``<kind>/<name>/cached`` for runs served wholly from the store), keeps
+benchmark emissions (``BENCH_*.json``) in an append-only JSONL, and
+flags with an EWMA trend analysis when the latest entry of a series
+regresses against its smoothed history.
 
 CLI surface (``repro-experiment perf ...``)::
 
-    perf record --cache-dir DIR --run latest      # ingest a ledger run
-    perf record --cache-dir DIR --telemetry F.jsonl --bench BENCH_x.json
+    perf record --history H.jsonl --bench BENCH_x.json
     perf history --cache-dir DIR [--label L] [-n N]
-    perf diff --cache-dir DIR [--label L] [OLD NEW]
     perf check --cache-dir DIR [--threshold 0.3]  # exit 1 on regression
 
 CI's benchmark gate is ``perf check`` over a copy of the committed
@@ -28,9 +26,9 @@ from __future__ import annotations
 from .history import (
     PERF_RECORD_VERSION,
     PerfHistory,
+    ledger_history,
     metrics_from_bench,
     metrics_from_run_record,
-    metrics_from_telemetry,
     new_record,
 )
 from .trend import analyze_history, metric_direction
@@ -39,9 +37,9 @@ __all__ = [
     "PERF_RECORD_VERSION",
     "PerfHistory",
     "analyze_history",
+    "ledger_history",
     "metric_direction",
     "metrics_from_bench",
     "metrics_from_run_record",
-    "metrics_from_telemetry",
     "new_record",
 ]

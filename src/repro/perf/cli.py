@@ -2,18 +2,17 @@
 
 ::
 
-    repro-experiment perf record --cache-dir DIR --run latest
-    repro-experiment perf record --cache-dir DIR --telemetry run.jsonl
     repro-experiment perf record --history H.jsonl --bench BENCH_x.json
     repro-experiment perf history --cache-dir DIR [--label L] [-n N]
-    repro-experiment perf diff --cache-dir DIR --label L [OLD NEW]
     repro-experiment perf check --cache-dir DIR [--threshold 0.30]
+    repro-experiment perf check --history H.jsonl
 
-``record`` ingests one or more observation products (run-ledger runs,
-telemetry JSONL, ``BENCH_*.json``) into the append-only history;
-``history`` lists it; ``diff`` compares two entries of one label;
-``check`` runs the EWMA trend analysis and exits 1 when any directional
-metric regressed past the threshold — the CI gate against slow drift.
+``record`` appends ``BENCH_*.json`` results to a history file;
+``history`` lists the records; ``check`` runs the EWMA trend analysis
+and exits 1 when any directional metric regressed past the threshold —
+the CI gate against slow drift.  ``--cache-dir DIR`` reads the run
+ledger's series and ``DIR/perf/history.jsonl``; ``--history FILE``
+reads that file alone.
 """
 
 from __future__ import annotations
@@ -24,11 +23,13 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import count_arg
+
 from .history import (
     PerfHistory,
+    format_metric,
+    ledger_history,
     metrics_from_bench,
-    metrics_from_run_record,
-    metrics_from_telemetry,
     new_record,
 )
 from .trend import analyze_history
@@ -49,42 +50,23 @@ def build_perf_parser() -> argparse.ArgumentParser:
 
     def add_history_args(p) -> None:
         p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache dir; history lives in DIR/perf/")
+                       help="cache dir: its run ledger plus the bench "
+                            "records in DIR/perf/")
         p.add_argument("--history", default=None, metavar="FILE",
                        help="explicit history JSONL (overrides --cache-dir)")
 
-    p_rec = sub.add_parser("record", help="ingest observations into history")
+    p_rec = sub.add_parser("record", help="append bench results to history")
     add_history_args(p_rec)
-    p_rec.add_argument("--run", default=None, metavar="ID",
-                       help="run-ledger id/prefix, or 'latest' "
-                            "(needs --cache-dir)")
-    p_rec.add_argument("--telemetry", action="append", default=[],
-                       metavar="FILE", help="telemetry JSONL to ingest "
-                       "(repeatable)")
     p_rec.add_argument("--bench", action="append", default=[],
                        metavar="FILE", help="BENCH_*.json to ingest "
                        "(repeatable)")
-    p_rec.add_argument("--label", default=None,
-                       help="override the derived record label")
 
     p_hist = sub.add_parser("history", help="list recorded history")
     add_history_args(p_hist)
     p_hist.add_argument("--label", default=None, help="only this label")
-    p_hist.add_argument("-n", type=int, default=20, dest="tail",
+    p_hist.add_argument("-n", type=count_arg, default=20, dest="tail",
                         metavar="N", help="show the last N records "
                         "(default 20)")
-
-    p_diff = sub.add_parser("diff", help="compare two entries of one label")
-    add_history_args(p_diff)
-    p_diff.add_argument("--label", default=None,
-                        help="label to diff (required when the history "
-                             "holds several)")
-    p_diff.add_argument("old", nargs="?", type=int, default=-2,
-                        help="old entry index within the label "
-                             "(default -2)")
-    p_diff.add_argument("new", nargs="?", type=int, default=-1,
-                        help="new entry index within the label "
-                             "(default -1)")
 
     p_check = sub.add_parser(
         "check", help="EWMA trend gate: exit 1 on regression")
@@ -103,59 +85,32 @@ def _open_history(args) -> PerfHistory:
     raise PerfError("need --cache-dir DIR or --history FILE")
 
 
+def _read_history(args) -> "tuple[list[dict], str]":
+    """The records ``history`` and ``check`` read, and where from."""
+    history = _open_history(args)
+    if args.history:
+        if not history.path.is_file():
+            raise PerfError(f"no history file {history.path}")
+        return history.records(), str(history.path)
+    return (history.records() + ledger_history(args.cache_dir),
+            args.cache_dir)
+
+
 def _fmt_when(ts: float) -> str:
     return time.strftime("%Y-%m-%d %H:%M", time.localtime(ts))
 
 
-def _fmt_metric(value: float) -> str:
-    if value == int(value) and abs(value) < 1e12:
-        return str(int(value))
-    return f"{value:.4g}"
-
-
 def _headline(metrics: dict) -> str:
-    for key in ("wall_s", "total_s", "speedup", "t_observed_s"):
+    for key in ("wall_s", "speedup", "t_observed_s"):
         if key in metrics:
-            return f"{key}={_fmt_metric(metrics[key])}"
+            return f"{key}={format_metric(metrics[key])}"
     first = next(iter(sorted(metrics)), None)
-    return f"{first}={_fmt_metric(metrics[first])}" if first else ""
+    return f"{first}={format_metric(metrics[first])}" if first else ""
 
 
 def _cmd_record(args) -> int:
     history = _open_history(args)
     records = []
-    if args.run:
-        if not args.cache_dir:
-            raise PerfError("--run needs --cache-dir (the run ledger)")
-        from repro.obs.ledger import RunLedger
-
-        ledger = RunLedger(args.cache_dir)
-        if args.run == "latest":
-            tail = ledger.tail(1)
-            if not tail:
-                raise PerfError(f"no runs recorded under {ledger.root}")
-            run = tail[-1]
-        else:
-            try:
-                run = ledger.find(args.run)
-            except KeyError as exc:
-                raise PerfError(str(exc.args[0])) from exc
-        label, metrics, context = metrics_from_run_record(run)
-        records.append(new_record(args.label or label, "run-ledger",
-                                  metrics, context,
-                                  ts=run.get("finished_unix")))
-    for path in args.telemetry:
-        from repro.telemetry.sinks import read_jsonl
-
-        try:
-            snap = read_jsonl(path)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise PerfError(f"cannot read telemetry {path}: {exc}") from exc
-        label, metrics, context = metrics_from_telemetry(snap)
-        if not metrics:
-            raise PerfError(f"{path} holds no phase timings to record")
-        records.append(new_record(args.label or label, "telemetry",
-                                  metrics, context, ts=snap.get("wall0")))
     for path in args.bench:
         try:
             payload = json.loads(Path(path).read_text())
@@ -165,11 +120,9 @@ def _cmd_record(args) -> int:
         if not entries:
             raise PerfError(f"{path} holds no numeric bench results")
         for label, metrics, context in entries:
-            records.append(new_record(args.label or label, "bench",
-                                      metrics, context))
+            records.append(new_record(label, "bench", metrics, context))
     if not records:
-        raise PerfError("nothing to record: pass --run, --telemetry, "
-                        "and/or --bench")
+        raise PerfError("nothing to record: pass --bench FILE")
     for record in records:
         path = history.append(record)
     print(f"[{len(records)} perf record(s) appended to {path}]")
@@ -177,62 +130,20 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_history(args) -> int:
-    history = _open_history(args)
-    records = history.records(label=args.label)
+    records, where = _read_history(args)
+    n_labels = len({r["label"] for r in records})
+    if args.label is not None:
+        records = [r for r in records if r["label"] == args.label]
     if not records:
-        where = f" for label {args.label!r}" if args.label else ""
-        print(f"[no perf history{where} in {history.path}]")
+        label = f" for label {args.label!r}" if args.label else ""
+        print(f"[no perf history{label} in {where}]")
         return 0
-    shown = records[-max(args.tail, 0):] if args.tail else records
-    offset = len(records) - len(shown)
-    for i, record in enumerate(shown):
-        metrics = record.get("metrics", {})
-        print(f"{offset + i:>4}  {_fmt_when(record.get('ts', 0))}  "
+    offset = max(len(records) - args.tail, 0)
+    for i, record in enumerate(records[offset:], offset):
+        print(f"{i:>4}  {_fmt_when(record.get('ts', 0))}  "
               f"{record.get('source', '?'):<10}  "
-              f"{record.get('label', '?'):<40}  {_headline(metrics)}")
-    print(f"[{len(records)} record(s), {len(history.labels())} label(s) "
-          f"in {history.path}]")
-    return 0
-
-
-def _pick_label(history: PerfHistory, label: "str | None") -> str:
-    labels = history.labels()
-    if not labels:
-        raise PerfError(f"no perf history in {history.path}")
-    if label is not None:
-        if label not in labels:
-            raise PerfError(f"label {label!r} not in history "
-                            f"(have: {', '.join(labels)})")
-        return label
-    if len(labels) == 1:
-        return labels[0]
-    raise PerfError(
-        f"history holds {len(labels)} labels; pick one with --label "
-        f"({', '.join(labels)})")
-
-
-def _cmd_diff(args) -> int:
-    history = _open_history(args)
-    label = _pick_label(history, args.label)
-    records = history.records(label=label)
-    try:
-        old, new = records[args.old], records[args.new]
-    except IndexError:
-        raise PerfError(
-            f"label {label!r} has {len(records)} record(s); indices "
-            f"{args.old}/{args.new} are out of range") from None
-    old_m, new_m = old.get("metrics", {}), new.get("metrics", {})
-    print(f"{label}: {_fmt_when(old.get('ts', 0))} -> "
-          f"{_fmt_when(new.get('ts', 0))}")
-    print(f"{'metric':<32} {'old':>12} {'new':>12}")
-    for metric in sorted(set(old_m) | set(new_m)):
-        b, a = old_m.get(metric), new_m.get(metric)
-        # Ratio guarded exactly like stats diff: zero or missing -> n/a.
-        ratio = f"{a / b:.2f}x" if b and a is not None else "n/a"
-        print(f"{metric:<32} "
-              f"{_fmt_metric(b) if b is not None else '--':>12} "
-              f"{_fmt_metric(a) if a is not None else '--':>12}"
-              f"  ({ratio})")
+              f"{record['label']:<40}  {_headline(record['metrics'])}")
+    print(f"[{len(records)} record(s), {n_labels} label(s) in {where}]")
     return 0
 
 
@@ -240,13 +151,18 @@ def _cmd_check(args) -> int:
     if not 0.0 < args.threshold < 10.0:
         raise PerfError(
             f"--threshold must be in (0, 10), got {args.threshold}")
-    history = _open_history(args)
-    by_label = history.by_label()
+    records, where = _read_history(args)
+    by_label: "dict[str, list[dict]]" = {}
+    for record in records:
+        by_label.setdefault(record["label"], []).append(record)
     if args.label is not None:
-        by_label = {args.label: by_label.get(args.label, [])}
+        if args.label not in by_label:
+            raise PerfError(f"no series {args.label!r} in {where} (have: "
+                            f"{', '.join(by_label) or 'none'})")
+        by_label = {args.label: by_label[args.label]}
     findings = analyze_history(by_label, threshold=args.threshold)
     if not findings:
-        print(f"[no comparable perf series in {history.path} — need two "
+        print(f"[no comparable perf series in {where} — need two "
               "records of a label with directional metrics]")
         return 0
     regressions = [f for f in findings if f["status"] == "regression"]
@@ -257,8 +173,8 @@ def _cmd_check(args) -> int:
         mark = {"regression": "REGRESSION", "improvement": "improved",
                 "ok": "ok"}[status]
         print(f"{mark:>10}  {finding['label']}::{finding['metric']} "
-              f"latest {_fmt_metric(finding['latest'])} vs ewma "
-              f"{_fmt_metric(finding['ewma'])} "
+              f"latest {format_metric(finding['latest'])} vs ewma "
+              f"{format_metric(finding['ewma'])} "
               f"({finding['ratio']:.2f}x, {finding['direction']} is "
               "better)")
     if regressions:
@@ -273,7 +189,7 @@ def _cmd_check(args) -> int:
 def perf_main(argv: "list[str] | None" = None) -> int:
     args = build_perf_parser().parse_args(argv)
     handler = {"record": _cmd_record, "history": _cmd_history,
-               "diff": _cmd_diff, "check": _cmd_check}[args.command]
+               "check": _cmd_check}[args.command]
     try:
         return handler(args)
     except PerfError as exc:

@@ -2,17 +2,17 @@
 
 One history line is one *observation* of a labelled workload::
 
-    {"version": 1, "ts": 1754650000.0, "label": "scenario.sweep/rate",
-     "source": "run-ledger", "metrics": {"wall_s": 1.93, ...},
-     "context": {"run_id": "sweep-...", "jobs": 4}}
+    {"version": 1, "ts": 1754650000.0, "label": "bench/bench_dag/test_x",
+     "source": "bench", "metrics": {"speedup": 15.9, ...},
+     "context": {"schema": 1}}
 
-``metrics`` is deliberately flat (``str -> number``): trend analysis,
-diffing, and rendering all iterate one dict without schema knowledge.
-The ``metrics_from_*`` adapters flatten the three existing observation
-products — run-ledger records, telemetry snapshots (phase breakdown as
-``phase.<name>_s``), and ``BENCH_*.json`` emissions — into that shape;
+``metrics`` is deliberately flat (``str -> number``): trend analysis
+and rendering iterate one dict without schema knowledge.
+:func:`metrics_from_bench` flattens a ``BENCH_*.json`` emission into
+that shape and :func:`metrics_from_run_record` a run-ledger record;
 anything they cannot coerce to a finite number is dropped, never
-guessed.
+guessed.  Runs are never copied into the file: :func:`ledger_history`
+reads their series straight from the ledger.
 
 Append-only by construction: records are only ever added at the end of
 ``history.jsonl``, torn or foreign lines are skipped on read, and the
@@ -28,14 +28,17 @@ import json
 import math
 import time
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
+
+from repro.obs.ledger import RunLedger
 
 __all__ = [
     "PERF_RECORD_VERSION",
     "PerfHistory",
+    "format_metric",
+    "ledger_history",
     "metrics_from_bench",
     "metrics_from_run_record",
-    "metrics_from_telemetry",
     "new_record",
 ]
 
@@ -45,7 +48,7 @@ __all__ = [
 PERF_RECORD_VERSION = 1
 
 #: Sources a record can declare — where its metrics were measured.
-_SOURCES = frozenset({"run-ledger", "telemetry", "bench", "manual"})
+_SOURCES = frozenset({"run-ledger", "bench", "manual"})
 
 
 def _clean_metrics(metrics: Mapping) -> "dict[str, float]":
@@ -86,14 +89,22 @@ def new_record(label: str, source: str, metrics: Mapping,
     return record
 
 
+def format_metric(value: float) -> str:
+    """A metric value for a table: integral values print whole."""
+    if value == int(value) and abs(value) < 1e12:
+        return str(int(value))
+    return f"{value:.4g}"
+
+
 # -- adapters ----------------------------------------------------------
 
 def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
     """Flatten a run-ledger record: ``(label, metrics, context)``.
 
     The label is ``<kind>/<name>`` so sweeps of different scenarios
-    trend independently; wall time, task counts, cache economics, and
-    the v2 worker-health fields all become metrics.
+    trend independently; wall time, task counts, cache economics, the
+    worker-health fields and each v5 phase (as ``phase.<name>_s``) all
+    become metrics.
     """
     label = f"{record.get('kind', 'run')}/{record.get('name', '?')}"
     metrics = _clean_metrics({
@@ -114,6 +125,8 @@ def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
         # run), not "zero memory" — recording it would make the next
         # real measurement an infinite regression against a zero EWMA.
         "worker_rss_peak_bytes": record.get("worker_rss_peak_bytes") or None,
+        **{f"phase.{name}_s": seconds
+           for name, seconds in (record.get("phases") or {}).items()},
     })
     wall = metrics.get("wall_s")
     n_tasks = metrics.get("n_tasks")
@@ -125,30 +138,6 @@ def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
                "status": record.get("status"),
                "spec_key": record.get("spec_key")}
     return label, metrics, context
-
-
-def metrics_from_telemetry(snapshot: Mapping) -> "tuple[str, dict, dict]":
-    """Flatten a telemetry snapshot: total and per-phase wall seconds.
-
-    Phases become ``phase.<name>_s`` — the metric family the trend
-    analysis watches for the "one phase quietly doubled" regressions a
-    total-only gate averages away.
-    """
-    from repro.telemetry.sinks import summarize
-
-    summary = summarize(snapshot)
-    breakdown = summary["phase_breakdown"]
-    metrics = {"total_s": breakdown["total_s"]}
-    for name, phase in breakdown["phases"].items():
-        metrics[f"phase.{name}_s"] = phase["total_s"]
-    for key in ("dag_cache_hit_rate", "store_hit_rate",
-                "campaign_cache_hit_rate"):
-        if summary.get(key) is not None:
-            metrics[key] = summary[key]
-    label = f"telemetry/{summary.get('label') or 'run'}"
-    context = {"n_spans": summary.get("n_spans"),
-               "coverage": breakdown.get("coverage")}
-    return label, _clean_metrics(metrics), context
 
 
 def metrics_from_bench(payload: Mapping) -> "list[tuple[str, dict, dict]]":
@@ -165,6 +154,28 @@ def metrics_from_bench(payload: Mapping) -> "list[tuple[str, dict, dict]]":
             continue
         out.append((f"bench/{bench}/{test_name}", metrics,
                     {"schema": payload.get("schema")}))
+    return out
+
+
+def ledger_history(cache_dir: "str | Path") -> "list[dict]":
+    """The run series of ``<cache_dir>/runs/``, ordered by ``started_unix``.
+
+    An ok run joins ``<kind>/<name>`` when no task was a cache hit and
+    ``<kind>/<name>/cached`` when the store served every task (a warm run
+    is several times faster, so mixing them would flag every cold run
+    after a warm one); partial and failed runs join neither.
+    """
+    out = []
+    for run in RunLedger(cache_dir).records():
+        n_cached = run.get("n_cached") or 0
+        if run.get("status") != "ok" or (
+                n_cached and n_cached != run.get("n_tasks")):
+            continue
+        label, metrics, context = metrics_from_run_record(run)
+        if metrics:
+            out.append(new_record(label + ("/cached" if n_cached else ""),
+                                  "run-ledger", metrics, context,
+                                  ts=run.get("started_unix")))
     return out
 
 
@@ -205,23 +216,10 @@ class PerfHistory:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if not isinstance(record, dict) or "metrics" not in record:
+            if not isinstance(record, dict) or not {
+                    "label", "metrics"} <= record.keys():
                 continue
-            if label is not None and record.get("label") != label:
+            if label is not None and record["label"] != label:
                 continue
             out.append(record)
         return out
-
-    def labels(self) -> "list[str]":
-        """Distinct labels in first-seen order."""
-        seen: "dict[str, None]" = {}
-        for record in self.records():
-            seen.setdefault(record.get("label", "?"))
-        return list(seen)
-
-    def by_label(self) -> "dict[str, list[dict]]":
-        """Records grouped per label, file order preserved within each."""
-        grouped: "dict[str, list[dict]]" = {}
-        for record in self.records():
-            grouped.setdefault(record.get("label", "?"), []).append(record)
-        return grouped

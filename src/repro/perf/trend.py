@@ -62,9 +62,9 @@ def analyze_history(by_label: "Mapping[str, Sequence[Mapping]]",
                     threshold: float = 0.30) -> "list[dict]":
     """Compare each series' latest entry against the EWMA of its priors.
 
-    ``by_label`` is :meth:`PerfHistory.by_label` output (records in file
-    order).  Returns one finding dict per directional metric that has at
-    least two observations::
+    ``by_label`` maps each label to its records, oldest first.  Returns
+    one finding dict per directional metric that has at least two
+    observations::
 
         {"label": ..., "metric": ..., "direction": "lower",
          "latest": 2.1, "ewma": 1.0, "ratio": 2.1,

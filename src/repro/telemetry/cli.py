@@ -3,16 +3,14 @@
 ::
 
     repro-experiment stats show run.jsonl [--max-depth N]
-    repro-experiment stats summarize run.jsonl [--json] [--store DIR]
-    repro-experiment stats diff before.jsonl after.jsonl
+    repro-experiment stats summarize run.jsonl [--json]
     repro-experiment stats trace run.jsonl [out.json]
 
 ``show`` renders the span tree; ``summarize`` reports cache hit rates,
-the per-phase time breakdown, hot spans, and (with ``--store``) store
-growth; ``diff`` compares two runs' summaries side by side — the tool
-for checking that a change moved a hit rate or a phase the right way;
-``trace`` exports the run as Chrome trace-event JSON (validated against
-the schema check before writing) for ``chrome://tracing`` / Perfetto.
+the per-phase time breakdown and hot spans; ``trace`` exports the run
+as Chrome trace-event JSON (validated against the schema check before
+writing) for ``chrome://tracing`` / Perfetto.  Two runs are compared
+from their ledger records with ``runs diff``.
 """
 
 from __future__ import annotations
@@ -71,12 +69,6 @@ def build_stats_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("file", help="telemetry JSONL file")
     p_sum.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable output")
-    p_sum.add_argument("--store", default=None, metavar="DIR",
-                       help="result store to report size/growth for")
-
-    p_diff = sub.add_parser("diff", help="compare two telemetry files")
-    p_diff.add_argument("before", help="baseline telemetry JSONL file")
-    p_diff.add_argument("after", help="comparison telemetry JSONL file")
 
     p_trace = sub.add_parser(
         "trace", help="export Chrome trace-event JSON (Perfetto)")
@@ -121,78 +113,12 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def _store_growth(store_dir: str) -> dict:
-    from repro.runtime.store import ResultStore
-
-    entries = list(ResultStore(store_dir).entries())
-    return {
-        "n_records": len(entries),
-        "json_bytes": sum(e.json_bytes for e in entries),
-        "npz_bytes": sum(e.npz_bytes for e in entries),
-        "total_bytes": sum(e.total_bytes for e in entries),
-    }
-
-
 def _cmd_summarize(args) -> int:
     snap = _load(args.file)
-    store = _store_growth(args.store) if args.store else None
     if args.as_json:
-        payload = summarize(snap)
-        if store is not None:
-            payload["store"] = store
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(render_summary(snap))
-    if store is not None:
-        print(f"  store: {store['n_records']} record(s), "
-              f"{store['total_bytes']} bytes "
-              f"({store['json_bytes']} json + {store['npz_bytes']} npz)")
-    return 0
-
-
-def _fmt_rate(rate: "float | None") -> str:
-    return "--" if rate is None else f"{rate * 100:.1f}%"
-
-
-def _fmt_speed(before_s: "float | None", after_s: "float | None") -> str:
-    """``before/after`` speed ratio, guarded: zero or missing → ``n/a``.
-
-    A run with no spans (counter-only telemetry) or a zero-duration root
-    must never turn the diff into a ZeroDivisionError or an ``inf%``.
-    """
-    if not before_s or not after_s:
-        return "n/a"
-    return f"{before_s / after_s:.2f}x"
-
-
-def _cmd_diff(args) -> int:
-    before = summarize(_load(args.before))
-    after = summarize(_load(args.after))
-    b_total = before["phase_breakdown"]["total_s"]
-    a_total = after["phase_breakdown"]["total_s"]
-    print(f"{'':<28} {'before':>12} {'after':>12}")
-    print(f"{'total':<28} {_fmt_s(b_total):>12} {_fmt_s(a_total):>12}"
-          f"  ({_fmt_speed(b_total, a_total)})")
-    for key in ("dag_cache_hit_rate", "store_hit_rate",
-                "campaign_cache_hit_rate"):
-        label = key.replace("_", " ")
-        print(f"{label:<28} {_fmt_rate(before[key]):>12} "
-              f"{_fmt_rate(after[key]):>12}")
-    names = list(before["phase_breakdown"]["phases"])
-    names += [n for n in after["phase_breakdown"]["phases"] if n not in names]
-    for name in names:
-        b = before["phase_breakdown"]["phases"].get(name, {}).get("total_s")
-        a = after["phase_breakdown"]["phases"].get(name, {}).get("total_s")
-        print(f"{name:<28} "
-              f"{_fmt_s(b) if b is not None else '--':>12} "
-              f"{_fmt_s(a) if a is not None else '--':>12}"
-              f"  ({_fmt_speed(b, a)})")
-    counters = sorted(set(before["counters"]) | set(after["counters"]))
-    for name in counters:
-        b = before["counters"].get(name, 0)
-        a = after["counters"].get(name, 0)
-        if b != a:
-            print(f"{name:<28} {b:>12g} {a:>12g}")
+        print(json.dumps(summarize(snap), indent=2, sort_keys=True))
+    else:
+        print(render_summary(snap))
     return 0
 
 
@@ -218,7 +144,7 @@ def _cmd_trace(args) -> int:
 def stats_main(argv: "list[str] | None" = None) -> int:
     args = build_stats_parser().parse_args(argv)
     handler = {"show": _cmd_show, "summarize": _cmd_summarize,
-               "diff": _cmd_diff, "trace": _cmd_trace}[args.command]
+               "trace": _cmd_trace}[args.command]
     try:
         return handler(args)
     except StatsError as exc:

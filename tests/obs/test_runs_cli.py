@@ -154,6 +154,22 @@ class TestRunsCli:
         assert len(records) == 1
         assert records[0]["n_cached"] == 4  # the warm (latest) run
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_tail_count_must_be_positive(self, tmp_path, n):
+        with pytest.raises(SystemExit) as exc:
+            runs_main(["tail", "--cache-dir", str(tmp_path), "-n", n])
+        assert exc.value.code == 2
+
+    def test_show_prints_the_phases(self, swept, capsys):
+        store, _ = swept
+        cold = next(iter(RunLedger(store).records()))
+        assert runs_main(["show", cold["id"],
+                          "--cache-dir", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert f"phases           {len(cold['phases'])}" in out
+        assert re.search(r"^    campaign\.run +\d+\.\d{4}s +\d+\.\d%$", out,
+                         re.M)
+
     def test_empty_ledger_dir(self, tmp_path, capsys):
         assert runs_main(["ls", "--cache-dir", str(tmp_path)]) == 0
         assert "[no runs recorded" in capsys.readouterr().out
@@ -162,6 +178,85 @@ class TestRunsCli:
         store, _ = swept
         assert main(["runs", "tail", "--cache-dir", str(store)]) == 0
         assert "sweep-" in capsys.readouterr().out
+
+
+class TestRunsDiff:
+    def test_cold_to_warm_shows_the_cache_warming(self, swept, capsys):
+        store, _ = swept
+        cold, warm = RunLedger(store).records()
+        assert runs_main(["diff", cold["id"], warm["id"][:-2],
+                          "--cache-dir", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"{cold['id']} -> {warm['id']}"
+        assert re.search(r"^cache_hit_rate +0 +1 ", out, re.M)
+        assert re.search(r"^store\.get\.hits +-- +4 +\(n/a\)$", out, re.M)
+        assert re.search(r"^phase\.campaign\.run_s ", out, re.M)
+
+    def test_record_files_of_two_cache_dirs_compare(
+            self, swept, tmp_path, capsys):
+        store, _ = swept
+        ledger = RunLedger(store)
+        cold, warm = (ledger.path_for(r["id"]) for r in ledger.records())
+        other = tmp_path / "elsewhere" / "runs"
+        other.mkdir(parents=True)
+        moved = other / warm.name
+        moved.write_text(warm.read_text())
+        assert runs_main(["diff", str(cold), str(moved)]) == 0
+        assert "cache_hit_rate" in capsys.readouterr().out
+
+    def test_unknown_id_fails_cleanly(self, swept, capsys):
+        store, _ = swept
+        cold = next(iter(RunLedger(store).records()))
+        assert runs_main(["diff", cold["id"], "nope",
+                          "--cache-dir", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runs error: no run 'nope'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [None, "{torn", "[1, 2]"],
+                             ids=["missing", "torn", "not-a-record"])
+    def test_unreadable_record_file_fails_cleanly(
+            self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        assert runs_main(["diff", str(bad), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runs error: ") and str(bad) in err
+        assert err.count("\n") == 1
+
+    @pytest.fixture
+    def zero_and_one_sided(self, tmp_path):
+        """Two records: ``old`` has a zero wall time, and each has a
+        counter the other lacks."""
+        base = {"kind": "scenario.sweep", "name": "s", "n_tasks": 4}
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps({**base, "id": "old", "wall_s": 0.0,
+                                   "counters": {"store.puts": 4}}))
+        new.write_text(json.dumps({**base, "id": "new", "wall_s": 2.0,
+                                   "counters": {"store.get.hits": 4}}))
+        return old, new
+
+    def test_zero_and_one_sided_metrics_show_na_and_dashes(
+            self, zero_and_one_sided, capsys):
+        old, new = zero_and_one_sided
+        assert runs_main(["diff", str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^wall_s +0 +2 +\(n/a\)$", out, re.M)
+        assert re.search(r"^store\.puts +4 +-- +\(n/a\)$", out, re.M)
+        assert re.search(r"^store\.get\.hits +-- +4 +\(n/a\)$", out, re.M)
+
+    def test_zero_or_missing_side_prints_na_not_inf(
+            self, zero_and_one_sided, capsys):
+        old, new = zero_and_one_sided
+        for pair in ([old, new], [new, old], [old, old]):
+            assert runs_main(["diff", *map(str, pair)]) == 0
+            out = capsys.readouterr().out
+            assert re.search(r"^wall_s .*\(n/a\)$", out, re.M)
+            assert re.search(r"^n_tasks .*\(1\.00x\)$", out, re.M)
+            assert "inf" not in out
+        assert re.search(r"^store\.puts +4 +4 +\(1\.00x\)$", out, re.M)
 
 
 class TestTelemetryLinks:

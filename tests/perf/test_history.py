@@ -1,9 +1,11 @@
 """Performance history: records, adapters, trend analysis, and the
 ``repro-experiment perf`` CLI.
 
-The ISSUE 9 acceptance: a synthetic 2x wall-time regression makes
-``perf check`` exit nonzero and name the metric; the committed seed
-history under ``benchmarks/baselines/`` passes clean.
+A synthetic 2x wall-time regression makes ``perf check`` exit nonzero
+and name the metric; the committed seed history under
+``benchmarks/baselines/`` passes clean.  Run series come straight from
+the run ledger: cold and fully cached runs of one workload trend apart,
+ordered by when they started.
 """
 
 import json
@@ -11,14 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.ledger import RunLedger
 from repro.perf import (
     PERF_RECORD_VERSION,
     PerfHistory,
     analyze_history,
+    ledger_history,
     metric_direction,
     metrics_from_bench,
     metrics_from_run_record,
-    metrics_from_telemetry,
     new_record,
 )
 from repro.perf.cli import perf_main
@@ -53,11 +56,10 @@ class TestRecords:
         history.append(wall_record(1.0))
         history.append(wall_record(1.1))
         history.append(wall_record(0.9, label="other/run"))
-        assert history.labels() == ["campaign/sweep", "other/run"]
+        assert [r["label"] for r in history.records()] == [
+            "campaign/sweep", "campaign/sweep", "other/run"]
         assert [r["metrics"]["wall_s"]
                 for r in history.records(label="campaign/sweep")] == [1.0, 1.1]
-        grouped = history.by_label()
-        assert len(grouped["campaign/sweep"]) == 2
 
     def test_history_accepts_explicit_jsonl_path(self, tmp_path):
         path = tmp_path / "seed.jsonl"
@@ -91,22 +93,12 @@ class TestAdapters:
         assert metrics["n_stalls"] == 1.0
         assert context["run_id"] == "run-1"
 
-    def test_telemetry_adapter_emits_phase_metrics(self, tmp_path):
-        from repro.scenarios.cli import scenario_main
-        from repro.telemetry.sinks import read_jsonl
-
-        out = tmp_path / "run.jsonl"
-        toml = tmp_path / "s.toml"
-        toml.write_text(SWEEP_MINI)
-        assert scenario_main([
-            "sweep", str(toml), "--engine", "dag",
-            "--cache-dir", str(tmp_path / "store"),
-            "--profile", "--telemetry-out", str(out),
-        ]) == 0
-        label, metrics, _ = metrics_from_telemetry(read_jsonl(str(out)))
-        assert label.startswith("telemetry/")
-        assert metrics["total_s"] > 0
-        assert any(k.startswith("phase.") for k in metrics)
+    def test_run_record_adapter_emits_phase_metrics(self):
+        _, metrics, _ = metrics_from_run_record({
+            "kind": "report.run", "name": "fig7_speed", "wall_s": 1.0,
+            "phases": {"report.compile": 0.25, "campaign.run": 0.5}})
+        assert metrics["phase.report.compile_s"] == 0.25
+        assert metrics["phase.campaign.run_s"] == 0.5
 
     def test_bench_adapter(self):
         entries = metrics_from_bench({
@@ -202,25 +194,6 @@ class TestPerfCli:
         assert "wall_s=1.1" in out
         assert "2 record(s), 1 label(s)" in out
 
-    def test_diff_guards_zero_and_missing_metrics(self, tmp_path, capsys):
-        history = PerfHistory(tmp_path / "perf")
-        history.append(new_record("a", "manual",
-                                  {"wall_s": 0.0, "old_only": 1.0}, ts=1.0))
-        history.append(new_record("a", "manual",
-                                  {"wall_s": 2.0, "new_only": 3.0}, ts=2.0))
-        assert perf_main(["diff", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "n/a" in out  # zero old value and one-sided metrics
-        assert "--" in out
-
-    def test_diff_requires_label_when_ambiguous(self, tmp_path, capsys):
-        history = PerfHistory(tmp_path / "perf")
-        for label in ("a", "b"):
-            history.append(new_record(label, "manual", {"wall_s": 1.0},
-                                      ts=1.0))
-        assert perf_main(["diff", "--cache-dir", str(tmp_path)]) == 1
-        assert "--label" in capsys.readouterr().err
-
     def test_record_ingests_bench_json(self, tmp_path, capsys):
         bench = tmp_path / "BENCH_x.json"
         bench.write_text(json.dumps({
@@ -241,8 +214,39 @@ class TestPerfCli:
         assert perf_main(["history"]) == 1
         assert "--cache-dir" in capsys.readouterr().err
 
-    def test_record_run_latest_through_main_cli(self, tmp_path, capsys):
-        """End to end: observed sweep -> ledger -> perf record -> check."""
+    def test_check_without_the_history_file_fails(self, tmp_path, capsys):
+        missing = tmp_path / "typo.jsonl"
+        assert perf_main(["check", "--history", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "perf error" in err and str(missing) in err
+
+    def test_check_of_an_unknown_label_fails(self, tmp_path, capsys):
+        self.seed(tmp_path, [1.0, 1.05])
+        assert perf_main(["check", "--cache-dir", str(tmp_path),
+                          "--label", "campaign/swep"]) == 1
+        err = capsys.readouterr().err
+        assert "'campaign/swep'" in err and "campaign/sweep" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_history_count_must_be_positive(self, tmp_path, n):
+        with pytest.raises(SystemExit) as exc:
+            perf_main(["history", "--cache-dir", str(tmp_path), "-n", n])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["diff"],
+        ["record", "--run", "latest"],
+        ["record", "--telemetry", "run.jsonl"],
+        ["record", "--label", "x", "--bench", "BENCH_x.json"],
+    ])
+    def test_removed_commands_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            perf_main([*argv, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_cold_and_warm_sweeps_trend_apart_through_main_cli(
+            self, tmp_path, capsys):
+        """End to end: observed sweeps -> ledger -> perf history/check."""
         from repro.cli import main
 
         toml = tmp_path / "s.toml"
@@ -251,12 +255,74 @@ class TestPerfCli:
         for _ in range(2):
             assert main(["scenario", "sweep", str(toml), "--engine", "dag",
                          "--cache-dir", store, "--no-progress"]) == 0
-            assert main(["perf", "record", "--cache-dir", store,
-                         "--run", "latest"]) == 0
         capsys.readouterr()
-        assert main(["perf", "check", "--cache-dir", store]) == 0
+        assert main(["perf", "history", "--cache-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "scenario.sweep/" in out
+        assert "run-ledger  scenario.sweep/s " in out
+        assert "run-ledger  scenario.sweep/s/cached " in out
+        assert "[2 record(s), 2 label(s)" in out
+        # One record per series: the warm run is never compared with
+        # the cold one.
+        assert main(["perf", "check", "--cache-dir", store]) == 0
+        assert "no comparable" in capsys.readouterr().out
+
+
+def run_record(run_id, started, wall_s, n_cached=0, n_tasks=4,
+               name="fig7_speed", status="ok", phases=None):
+    """A ledger record of a ``report.run`` as ``observe_run`` writes it."""
+    return {"id": run_id, "kind": "report.run", "name": name,
+            "status": status, "started_unix": started, "wall_s": wall_s,
+            "n_tasks": n_tasks, "n_cached": n_cached,
+            "n_executed": n_tasks - n_cached, "n_failed": 0,
+            "cache_hit_rate": n_cached / n_tasks, "phases": phases or {}}
+
+
+class TestLedgerHistory:
+    def test_cold_and_warm_runs_form_two_series(self, tmp_path, capsys):
+        ledger = RunLedger(tmp_path)
+        ledger.append(run_record("report-a", 100.0, 1.318))
+        ledger.append(run_record("report-b", 200.0, 0.250, n_cached=4))
+        ledger.append(run_record("report-c", 300.0, 1.300))
+        assert perf_main(["history", "--cache-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = [line.split()[4] for line in lines[:-1]]
+        assert labels == ["report.run/fig7_speed",
+                          "report.run/fig7_speed/cached",
+                          "report.run/fig7_speed"]
+        assert "[3 record(s), 2 label(s)" in lines[-1]
+        assert perf_main(["check", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out
+        assert "report.run/fig7_speed::wall_s" in out
+
+    def test_partial_and_failed_runs_join_no_series(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        ledger.append(run_record("report-a", 100.0, 1.0, n_cached=2))
+        ledger.append(run_record("report-b", 200.0, 1.0, status="failed"))
+        ledger.append(run_record("report-c", 300.0, 1.0,
+                                 status="interrupted"))
+        assert ledger_history(tmp_path) == []
+
+    def test_series_is_ordered_by_start_not_by_write(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for run_id, started in (("report-1", 300.0), ("report-2", 100.0),
+                                ("report-3", 200.0)):
+            ledger.append(run_record(run_id, started, started / 100))
+        records = ledger_history(tmp_path)
+        assert [r["ts"] for r in records] == [100.0, 200.0, 300.0]
+        assert [r["context"]["run_id"] for r in records] == [
+            "report-2", "report-3", "report-1"]
+
+    def test_two_reports_never_share_a_phase_series(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for i, name in enumerate(("fig7_speed", "fig8_decay")):
+            ledger.append(run_record(f"report-{i}", float(i), 1.0,
+                                     name=name,
+                                     phases={"report.compile": 0.1 * (i + 1)}))
+        phases = {r["label"]: r["metrics"]["phase.report.compile_s"]
+                  for r in ledger_history(tmp_path)}
+        assert phases == {"report.run/fig7_speed": 0.1,
+                          "report.run/fig8_decay": 0.2}
 
 
 SWEEP_MINI = """\

@@ -75,8 +75,7 @@ class TestAcceptance:
         assert "telemetry summary" in printed
         assert out.exists()
 
-        assert stats_main(["summarize", str(out), "--json",
-                           "--store", str(tmp_path / "store")]) == 0
+        assert stats_main(["summarize", str(out), "--json"]) == 0
         s = json.loads(capsys.readouterr().out)
 
         # structure-cache hit rate: every batched block after the first
@@ -99,9 +98,6 @@ class TestAcceptance:
         span_names = {r["name"] for r in s["spans_by_name"]}
         assert "engine.dag.propagate" in span_names
         assert "campaign.run" in span_names
-        # --store reports the persisted record footprint
-        assert s["store"]["n_records"] == 64
-        assert s["store"]["total_bytes"] > 0
 
     def test_warm_rerun_reports_full_store_hit_rate(
             self, sweep_toml, tmp_path, capsys):
@@ -174,6 +170,46 @@ class TestWorkerMerge:
         # engine spans recorded inside the workers made it back too
         assert by_name["engine.dag.propagate"]
 
+    def test_jobs_2_ledger_record_matches_its_telemetry_file(
+            self, sweep_toml, tmp_path, capsys):
+        """The record's phases and counters are the ones the profiled
+        JSONL gives, worker snapshots included."""
+        from repro.obs.ledger import RunLedger
+        from repro.telemetry.sinks import phase_breakdown
+
+        store = tmp_path / "store"
+        assert scenario_main([
+            "sweep", str(sweep_toml), "--engine", "dag", "--jobs", "2",
+            "--cache-dir", str(store), "--profile", "--no-progress",
+        ]) == 0
+        (record,) = RunLedger(store).records()
+        snap = read_jsonl(record["telemetry"])
+        phases = phase_breakdown(snap)["phases"]
+        assert record["phases"].keys() == phases.keys()
+        assert "campaign.run" in phases
+        for name, phase in phases.items():
+            assert record["phases"][name] == pytest.approx(
+                phase["total_s"], abs=1e-6)
+        assert record["counters"] == snap["counters"]
+        assert record["counters"]["store.puts"] == 64
+
+    def test_unprofiled_run_records_phases_and_counters(
+            self, sweep_toml, tmp_path, capsys):
+        from repro.obs.ledger import RunLedger
+
+        store = tmp_path / "store"
+        for _ in range(2):
+            assert scenario_main([
+                "sweep", str(sweep_toml), "--engine", "dag",
+                "--cache-dir", str(store), "--no-progress",
+            ]) == 0
+        cold, warm = RunLedger(store).records()
+        assert cold["telemetry"] is None
+        assert "campaign.run" in cold["phases"]
+        assert cold["counters"]["store.get.misses"] == 64
+        assert warm["counters"]["store.get.hits"] == 64
+        assert not (store / "telemetry").exists()
+
     def test_jobs_2_profiled_values_identical_to_unprofiled_serial(
             self, sweep_toml):
         """Profiling a parallel sweep changes nothing about the results."""
@@ -222,22 +258,6 @@ class TestStatsCli:
         assert "telemetry summary" in out
         assert "cache hit rates" in out
 
-    def test_diff_two_runs(self, sweep_toml, tmp_path, capsys):
-        store = tmp_path / "store"
-        cold = tmp_path / "cold.jsonl"
-        warm = tmp_path / "warm.jsonl"
-        for out in (cold, warm):
-            assert scenario_main([
-                "sweep", str(sweep_toml), "--engine", "dag",
-                "--cache-dir", str(store), "--telemetry-out", str(out),
-            ]) == 0
-        capsys.readouterr()
-        assert stats_main(["diff", str(cold), str(warm)]) == 0
-        out = capsys.readouterr().out
-        assert "store hit rate" in out
-        assert "0.0%" in out and "100.0%" in out
-        assert "store.get.hits" in out  # changed counter
-
     def test_routed_through_main_cli(self, run_file, capsys):
         """`repro-experiment stats ...` reaches stats_main via argv[0]."""
         assert main(["stats", "summarize", str(run_file)]) == 0
@@ -275,27 +295,13 @@ class TestStatsCli:
         assert "stats error" in err
         assert "not telemetry JSONL" in err
 
-    def test_diff_with_meta_only_side_fails_cleanly(
-            self, run_file, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text(json.dumps(
-            {"type": "meta", "version": 1, "label": ""}) + "\n")
-        assert stats_main(["diff", str(run_file), str(empty)]) == 1
-        assert "stats error" in capsys.readouterr().err
-
-    def test_diff_counter_only_side_shows_na_not_zerodivision(
-            self, run_file, tmp_path, capsys):
-        """A counter-only file has zero total span time — every speed
-        ratio against it must render as n/a, never divide by zero."""
-        counters = tmp_path / "counters.jsonl"
-        counters.write_text(
-            json.dumps({"type": "meta", "version": 1, "label": ""}) + "\n"
-            + json.dumps({"type": "counter", "name": "store.get.hits",
-                          "value": 7}) + "\n")
-        for pair in ([str(run_file), str(counters)],
-                     [str(counters), str(run_file)],
-                     [str(counters), str(counters)]):
-            assert stats_main(["diff", *pair]) == 0
-            out = capsys.readouterr().out
-            assert "n/a" in out
-            assert "inf" not in out
+    @pytest.mark.parametrize("argv", [
+        ["diff", "a.jsonl", "b.jsonl"],
+        ["summarize", "a.jsonl", "--store", "store"],
+    ])
+    def test_removed_commands_are_rejected(self, argv):
+        """Runs are compared with `runs diff`, and the store's size is
+        `store ls`'s job."""
+        with pytest.raises(SystemExit) as exc:
+            stats_main(argv)
+        assert exc.value.code == 2
