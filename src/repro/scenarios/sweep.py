@@ -239,13 +239,15 @@ def run_scenario_sweep(
     point execute as single batched-engine invocations — results are
     bit-identical to unbatched runs, only faster.
     """
-    from repro.scenarios.batch import ScenarioTaskBatcher
-    from repro.scenarios.sweep import run_campaign  # the lazy binding above
-
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.
     owns_run = telemetry.enabled() and not telemetry.in_run()
     with telemetry.span("sweep.expand", scenario=spec.name):
+        # The first sweep in a process loads the executor here, which takes
+        # longer than the expansion; inside the span that time is a phase.
+        from repro.scenarios.batch import ScenarioTaskBatcher
+        from repro.scenarios.sweep import run_campaign  # the lazy binding above
+
         sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
         tasks = sweep.tasks()
         if owns_run:

@@ -136,11 +136,16 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
 
     Every rank streaming on a socket has been drained up to the socket's
     last change at the socket's current rate, so a change drains them all
-    by one amount and schedules only the socket's earliest stream end; a
+    by one amount and estimates only the socket's earliest stream end; a
     tie goes to the first such rank in the socket's set iteration order
-    (the golden fixtures pin this order).  A scheduled stream end is stale
-    once its sequence number is no longer the socket's latest.  A run
-    whose earliest stream end overflows float64 raises ``ValueError``.
+    (the golden fixtures pin this order).  Each socket has at most one
+    live stream end queued.  A phase start whose estimate is not earlier
+    than it holds the estimate back, and the queued entry, once popped,
+    queues the held estimate under the ``(time, seq)`` key it drew, so
+    events pop in the order they would if every estimate were queued at
+    once.  An earlier estimate is queued at once, and the entry it
+    supersedes is dropped when it pops.  A run whose earliest stream end
+    overflows float64 raises ``ValueError``.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -202,10 +207,14 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
     n_sockets = max(socket_of) + 1
     # share[k]: each rank's rate while k ranks stream on one socket.
     share = [0.0] + [min(cfg.b_core, cfg.b_socket / k) for k in range(1, n + 1)]
-    # Per socket: the ranks streaming, when they were last drained, their
-    # common rate since then, and the sequence number of its last change.
+    # Per socket: the ranks streaming, when they were last drained, and
+    # their common rate since then; the (time, seq) key of its queued stream
+    # end (inf when none is queued), and the (time, seq) key of the estimate
+    # held back behind it (None when none is held).
     active: list[set[int]] = [set() for _ in range(n_sockets)]
-    last, rate, latest = [0.0] * n_sockets, [0.0] * n_sockets, [-1] * n_sockets
+    last, rate = [0.0] * n_sockets, [0.0] * n_sockets
+    due, queued = [math.inf] * n_sockets, [-1] * n_sockets
+    held: list[tuple | None] = [None] * n_sockets
 
     remaining = [0.0] * n  # bytes left to stream in the current phase
     step_of = [0] * n  # each rank's current step; steps once it has finished
@@ -220,35 +229,48 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
 
     # Three handlers: stream end, serial tail and phase start.  Each ends
     # with heappushpop of its last new event instead of a push and the
-    # next pop; every event takes a fresh seq, so (time, seq) keys are
-    # unique and events come out in the same order.  The loop state is
-    # bound as default arguments: the loop reads it a few dozen times per
-    # event, and a fast local is cheaper to read than a closure cell.
+    # next pop, or with a pop if it queues none; every event takes a fresh
+    # seq when it is made, held or not, so (time, seq) keys are unique and
+    # events come out in the same order.  The loop state is bound as
+    # default arguments: the loop reads it a few dozen times per event,
+    # and a fast local is cheaper to read than a closure cell.
     def run(heap=heap, seq=seq, cell=cell, step_of=step_of, pending=pending,
             notifies=notifies, gather=gather, ends_at=ends_at,
             exec_start=exec_start, exec_end=exec_end, post_end=post_end,
             completion=completion, work=work, serial=serial,
             remaining=remaining, socket_of=socket_of, active=active,
-            last=last, rate=rate, latest=latest, share=share,
-            steps=steps, t_flight=t_flight, o_post=o_post, inf=math.inf,
-            heappop=heappop, heappush=heappush, heappushpop=heappushpop):
+            last=last, rate=rate, due=due, queued=queued, held=held,
+            share=share, steps=steps, t_flight=t_flight, o_post=o_post,
+            inf=math.inf, heappop=heappop, heappush=heappush,
+            heappushpop=heappushpop):
         # Its own code object puts the loop at offset 0; tracemalloc, which the
         # memory guard test runs, scans a code object from 0 to find a line.
         now, sq, kind, r = heappop(heap)
         while True:
             if kind == _STREAM:
                 s = socket_of[r]
-                if sq != latest[s]:  # the socket changed since this estimate
+                if sq != queued[s]:  # superseded by an earlier estimate
                     if not heap:
                         return
                     now, sq, kind, r = heappop(heap)
                     continue
+                hold = held[s]
+                if hold is not None:
+                    # Queue the estimate held back behind this entry; the
+                    # socket has not changed since it was made.
+                    held[s] = None
+                    t_first, sq = due[s], queued[s] = hold
+                    then, then_rate = last[s], rate[s]
+                    for q in active[s]:
+                        if then + remaining[q] / then_rate == t_first:
+                            break
+                    now, sq, kind, r = heappushpop(heap, (t_first, sq, _STREAM, q))
+                    continue
                 streaming = active[s]
                 streaming.discard(r)
-                # Drain socket s up to now and schedule its next stream end.
+                # Drain socket s up to now and queue its next stream end.
                 drain = rate[s] * (now - last[s])
                 last[s] = now
-                latest[s] = sq = next(seq)
                 rate[s] = new_rate = share[len(streaming)]
                 if new_rate:
                     t_first = inf
@@ -260,33 +282,39 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
                             first, t_first = q, t
                     if t_first == inf:
                         raise ValueError(_OVERFLOW)
+                    due[s] = t_first
+                    queued[s] = sq = next(seq)
                     heappush(heap, (t_first, sq, _STREAM, first))
+                else:
+                    due[s] = inf
                 now, sq, kind, r = heappushpop(
                     heap, (now + serial[cell[r]], next(seq), _TAIL, r))
             elif kind == _TAIL:
                 i, k = cell[r], step_of[r]
                 exec_end[i] = now
                 post_end[i] = now + o_post
-                held = None  # the latest phase start, pushed by the fused pop
+                start = None  # the latest phase start, pushed by the fused pop
                 for q in notifies[r]:
                     left = pending[q]
-                    left[k] -= 1
-                    if left[k]:
+                    left[k] = unknown = left[k] - 1
+                    if unknown:
                         continue
                     # All of q's step-k phase ends are known: its Waitall ends.
                     j = cell[q]
                     t = post_end[j]
                     ends = gather[q]
                     if ends is not None:
-                        t = max(t, max(ends(ends_at[k])) + t_flight)
+                        arrival = max(ends(ends_at[k])) + t_flight
+                        if arrival > t:
+                            t = arrival
                     completion[j] = t
                     cell[q], step_of[q] = j + 1, k + 1
                     if k + 1 < steps:
-                        if held is not None:
-                            heappush(heap, held)
-                        held = (t, next(seq), _START, q)
-                if held is not None:
-                    now, sq, kind, r = heappushpop(heap, held)
+                        if start is not None:
+                            heappush(heap, start)
+                        start = (t, next(seq), _START, q)
+                if start is not None:
+                    now, sq, kind, r = heappushpop(heap, start)
                 elif heap:
                     now, sq, kind, r = heappop(heap)
                 else:
@@ -295,26 +323,37 @@ def simulate_saturation(cfg: SaturationConfig, rng: np.random.Generator | None =
                 s = socket_of[r]
                 i = cell[r]
                 exec_start[i] = now
-                remaining[r] = work[i]
+                remaining[r] = low = work[i]
                 streaming = active[s]
-                streaming.add(r)
-                # Drain the others up to now and schedule the next stream end.
-                drain = rate[s] * (now - last[s])
-                last[s] = now
-                latest[s] = sq = next(seq)
-                rate[s] = new_rate = share[len(streaming)]
-                t_first = inf
-                for q in streaming:
-                    rem = remaining[q]
-                    if q != r:
-                        rem -= drain
+                if streaming:
+                    # Drain the others up to now; only the least remainder
+                    # decides the estimate.
+                    drain = rate[s] * (now - last[s])
+                    for q in streaming:
+                        rem = remaining[q] - drain
                         remaining[q] = rem = rem if rem > 0.0 else 0.0
-                    t = now + rem / new_rate
-                    if t < t_first:
-                        first, t_first = q, t
-                if t_first == inf:
+                        if rem < low:
+                            low = rem
+                streaming.add(r)
+                last[s] = now
+                rate[s] = new_rate = share[len(streaming)]
+                # Rounding is monotone, so this is the least stream end.
+                t_first = now + low / new_rate
+                if t_first < due[s]:
+                    # Earlier than the queued stream end: queue it now, for
+                    # the first rank in set order that ends then.
+                    for q in streaming:
+                        if now + remaining[q] / new_rate == t_first:
+                            break
+                    held[s] = None
+                    due[s] = t_first
+                    queued[s] = sq = next(seq)
+                    now, sq, kind, r = heappushpop(heap, (t_first, sq, _STREAM, q))
+                elif t_first == inf:
                     raise ValueError(_OVERFLOW)
-                now, sq, kind, r = heappushpop(heap, (t_first, sq, _STREAM, first))
+                else:
+                    held[s] = (t_first, next(seq))
+                    now, sq, kind, r = heappop(heap)
 
     run()
     if min(step_of) < steps:

@@ -198,6 +198,10 @@ def golden_configs() -> dict:
     # Every fifth (rank, step) phase streams nothing.
     r, k = np.indices((12, 15))
     work = np.where((r + k) % 5 == 0, 0.0, 1e6 * (1 + (3 * r + 7 * k) % 11))
+    # Rank 3, and rank 8 every third step, stream far less than the rest.
+    short = np.full((14, 12), 65e6)
+    short[3] = 4e6
+    short[8, 1::3] = 1e6
     return {
         # A Fig. 1(a) point shrunk to two full sockets.
         "fig1_triad_2sockets": triad_saturation_config(
@@ -215,6 +219,12 @@ def golden_configs() -> dict:
             pattern=CommPattern(direction=Direction.UNIDIRECTIONAL, distance=2,
                                 periodic=False),
             delays=(DelaySpec(rank=3, step=2, duration=4e-3),)),
+        # A short-work rank joins its saturated socket, so its stream end
+        # comes before the one already queued; ranks 10-13 share a socket
+        # below saturation, where a start leaves the rate unchanged.
+        "short_work_joins_saturated_socket": make_cfg(
+            n_ranks=14, n_steps=12, work=short, noise=ExponentialNoise(3e-4),
+            seed=5, delays=(DelaySpec(rank=6, step=2, duration=3e-3),)),
         # Two ranks on one socket whose stream ends often tie; the rank
         # handled first sets the other's remainder, so this pins the order.
         "two_rank_stream_ties": make_cfg(
@@ -285,6 +295,38 @@ FULL_SIZE_DIGESTS = {
 def test_full_size_run_digest(name):
     res = simulate_saturation(full_size_configs()[name])
     assert matrices_digest(res) == FULL_SIZE_DIGESTS[name], f"{name} drifted"
+
+
+# Events dispatched (pops) and heap operations of the full-size runs.  A
+# socket queues one stream end at a time and holds a later estimate behind
+# it, so a superseded estimate is pushed only when an earlier one jumps the
+# queue; stale stream ends that come back change these counts, not a timing.
+HEAP_TRAFFIC = {
+    "fig2_fast": (191944, 271359),
+    "fig1_9sockets_ppn20": (114287, 160532),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_TRAFFIC))
+def test_full_size_run_heap_traffic(name, monkeypatch):
+    import repro.sim.saturation as saturation
+
+    calls = {"heappop": 0, "heappush": 0, "heappushpop": 0}
+
+    def counting(op):
+        heap_op = getattr(saturation, op)
+
+        def counted(*args):
+            calls[op] += 1
+            return heap_op(*args)
+        return counted
+
+    # run() binds the module's heap functions as defaults on every call.
+    for op in calls:
+        monkeypatch.setattr(saturation, op, counting(op))
+    simulate_saturation(full_size_configs()[name])
+    events = calls["heappop"] + calls["heappushpop"]
+    assert (events, sum(calls.values())) == HEAP_TRAFFIC[name], calls
 
 
 def test_peak_memory_stays_near_the_output_matrices():
