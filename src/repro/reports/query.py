@@ -11,12 +11,17 @@ serves its hits from the store (one read each, ``task.cache_hit`` in
 spec order) and executes the rest, inheriting ``--jobs`` sharding, block
 batching, and deterministic seeding.
 
-**Streaming** keeps a fully-cached report's memory flat: the consumer
+**Streaming** keeps a report's memory flat: the consumer
 (:func:`repro.reports.runner.run_report`) copies each value into its
 grid point's ``(B, P, S)`` stack as it arrives and drops it, so a report
 over a huge sweep holds one grid point's stack and one record at a time.
-Store reads copy each record's arrays into a fresh buffer, so nothing
-else keeps a record alive.
+That holds for a fully-cached sweep and for a cold pooled one alike:
+pool workers write the records they compute, and each
+:class:`~repro.runtime.executor.TaskResult` reads its record back only
+when the stream reaches it.  A serial (``jobs=1``) run computes its
+values in this process and holds them until they are yielded.  Store
+reads copy each record's arrays into a fresh buffer, so nothing else
+keeps a record alive.
 """
 
 from __future__ import annotations
@@ -38,11 +43,12 @@ class CampaignStream:
     Iterating yields each task's value.  On the fully-cached path the
     stream is *lazy*: a record is read when the consumer reaches it, and
     nothing here retains it afterwards.  Any cache miss first runs the
-    whole campaign through :func:`~repro.runtime.executor.run_campaign`
-    (execution has to materialize those values anyway), which reads each
-    hit once and executes only the misses — batched into
-    :class:`~repro.reports.tasks.ReportTaskBatcher` blocks with ``batch``.
-    Any task failure raises :class:`~repro.runtime.executor.TaskError`.
+    whole campaign through :func:`~repro.runtime.executor.run_campaign`,
+    which reads each hit once and executes only the misses — batched into
+    :class:`~repro.reports.tasks.ReportTaskBatcher` blocks with ``batch``
+    — and then yields its values in spec order; a value a pool worker
+    stored is read when the consumer reaches it.  Any task failure
+    raises :class:`~repro.runtime.executor.TaskError`.
 
     ``n_loaded`` / ``n_executed`` are running counts; they are complete
     once the iteration is exhausted.

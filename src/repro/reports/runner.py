@@ -6,7 +6,8 @@
    (:mod:`repro.reports.query`) — fully cached sweeps never touch the
    engine and **stream**: draws are read lazily one record at a time,
    so a huge sweep is never materialized whole; misses dispatch
-   through the campaign runtime with batching;
+   through the campaign runtime with batching, and a pooled run
+   streams too, reading back the records its workers wrote;
 2. each grid point's draws are folded into one ``(B, P, S)``
    :class:`~repro.core.timing.BatchedTiming` as they arrive and
    every metric kernel runs once per point (vectorized over draws — no
@@ -174,10 +175,10 @@ def run_report(
                                      jobs=jobs, batch=batch)
             values = iter(stream)
             # Build the first point's stack inside the fetch span: a
-            # cache miss runs the whole campaign here, while a
-            # fully-cached sweep reads only the first point's draws —
-            # later points are read lazily, so the sweep is never
-            # materialized whole.
+            # cache miss runs the whole campaign here, and the first
+            # point's draws are read — later points are read lazily
+            # (from the store when cached or written by pool workers),
+            # so such a sweep is never materialized whole.
             timing = BatchedTiming.from_records(
                 values, draws, meta=_point_meta(points[0][1]))
         if owns_run:

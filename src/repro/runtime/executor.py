@@ -41,11 +41,25 @@ times is **quarantined** — recorded as a typed failure
 (:attr:`TaskResult.quarantined`), never dispatched again — so one
 poison task cannot wedge a campaign.
 
+**Who writes a record.**  The process that computes a value writes it
+to the store.  The serial backend computes, writes and keeps its values
+in the calling process.  A pool worker gets the campaign's store once,
+when the pool starts, appends each value it computes to its own shard,
+and sends home only the task's status and duration; the parent's
+:class:`TaskResult` reads that value back from the store when a consumer
+asks for it.  So values cross the pool pipe only when there is no store,
+and a cold pooled campaign is never held whole in the parent.  A worker
+whose write fails sends the :class:`~repro.runtime.store.StoreError`
+home, and :func:`run_campaign` raises it once the pool is shut down.
+
 ``KeyboardInterrupt`` / ``SystemExit`` in the calling process are *not*
 treated as task failures: the pool is shut down deliberately (queued
 futures cancelled, no waiting on running workers) and the exception
-re-raised, so an interrupted campaign leaves no torn state behind —
-results are only ever persisted from the parent's completion loop.
+re-raised.  An interrupted campaign leaves no torn state behind: a
+terminal ^C reaches the pool workers too, and an append it interrupts
+is cut back to the previous entry
+(:meth:`~repro.runtime.shards.PackedShards.append`), so a worker's
+later appends stay readable.
 """
 
 from __future__ import annotations
@@ -58,13 +72,13 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import telemetry
 from repro.runtime import chaos
 from repro.runtime.spec import RunSpec
-from repro.runtime.store import ResultStore
+from repro.runtime.store import ResultStore, StoreError
 
 __all__ = [
     "CampaignResult",
@@ -95,25 +109,46 @@ class TaskError(RuntimeError):
 class TaskResult:
     """Outcome of one campaign task.
 
-    Exactly one of ``value`` (success) and ``error`` (failure) is set;
-    ``cached`` marks results served from the store without execution.
-    ``duration`` is the task's own wall-clock seconds (0 for cache hits);
-    tasks executed inside a batched block report the block's wall clock
+    A success has a :attr:`value`, a failure an ``error``; ``cached``
+    marks results served from the store without execution.  ``duration``
+    is the task's own wall-clock seconds (0 for cache hits); tasks
+    executed inside a batched block report the block's wall clock
     divided evenly across its tasks, since the engine computes them as
     one inseparable call.  ``quarantined`` marks a task the executor
     refused to run again after it repeatedly killed workers.
+
+    ``payload`` is the value when this process holds it.  A task a pool
+    worker wrote to ``store`` holds none: :attr:`value` reads its record
+    on each access instead.
     """
 
     spec: RunSpec
-    value: "Mapping | None" = None
+    payload: "Mapping | None" = None
     error: "str | None" = None
     cached: bool = False
     duration: float = 0.0
     quarantined: bool = False
+    store: "ResultStore | None" = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def value(self) -> "Mapping | None":
+        """The task's value; a worker-stored one is read from the store.
+
+        A record that can no longer be read (a gc or a torn shard since
+        the worker wrote it) is recomputed alone and written again.
+        """
+        if self.store is None or not self.ok:
+            return self.payload
+        value = self.store.get(self.spec.key)
+        if value is None:
+            value = run_campaign([self.spec], store=self.store) \
+                .raise_failures().results[0].payload
+        return value
 
     @property
     def index(self) -> int:
@@ -142,7 +177,8 @@ class CampaignResult:
         return iter(self.results)
 
     def values(self) -> "list[Mapping]":
-        """Values of the successful tasks, in task order."""
+        """Values of the successful tasks, in task order (worker-stored
+        ones are read from the store here)."""
         return [r.value for r in self.results if r.ok]
 
     @property
@@ -307,12 +343,47 @@ def _execute_block(
     return [("ok", value, per_task) for value in values]
 
 
+#: The store a pool worker writes its records to: set in every worker by
+#: the pool initializer (``None`` for a storeless campaign), never read
+#: by the serial backend.
+_worker_store: "ResultStore | None" = None
+
+
+def _init_worker(store: "ResultStore | None") -> None:
+    """Pool initializer: hand the worker its campaign's store, once.
+
+    The store object lives as long as the worker, so each worker
+    appends to one shard of its own across all the units it runs.
+    """
+    global _worker_store
+    _worker_store = store
+
+
+def _store_outcomes(
+    unit: "tuple[RunSpec, ...]", outcomes: "list[tuple]", store: ResultStore,
+) -> "list[tuple]":
+    """Write a unit's values to ``store`` where they were computed.
+
+    A written task comes home as ``("stored", None, duration)``.  A
+    write that fails raises :class:`StoreError` (full disk, unwritable
+    ``shards/``) out of the unit, and the parent re-raises it.
+    """
+    stored = []
+    for spec, (status, payload, duration) in zip(unit, outcomes):
+        if status == "ok" and isinstance(payload, Mapping):
+            store.put(spec.key, payload, spec=spec.describe())
+            status, payload = "stored", None
+        stored.append((status, payload, duration))
+    return stored
+
+
 def _execute_unit(
     unit: "tuple[RunSpec, ...]",
     batcher: "TaskBatcher | None",
     own: bool = False,
     submit_t: "float | None" = None,
     attempt: int = 0,
+    store: "ResultStore | None" = None,
 ) -> "tuple[list[tuple], dict | None]":
     """Run one unit (a single task or a batched block) plus its telemetry.
 
@@ -330,7 +401,10 @@ def _execute_unit(
     ``perf_counter()`` at submission: ``perf_counter`` is system-wide
     monotonic on Linux, so the difference is the unit's pool queue wait.
     ``attempt`` is handed to :func:`_execute` for a single-task unit; a
-    multi-task block only ever runs on its first dispatch.
+    multi-task block only ever runs on its first dispatch.  With a
+    ``store`` (pool workers only) the values are written there before
+    the snapshot closes (see :func:`_store_outcomes`), so the writes'
+    telemetry travels home with the unit.
     """
     if own:
         telemetry.enable().mark_in_run()
@@ -342,6 +416,8 @@ def _execute_unit(
             outcomes = [_execute(spec, attempt) for spec in unit]
         else:
             outcomes = _execute_block(unit, batcher)
+        if store is not None:
+            outcomes = _store_outcomes(unit, outcomes, store)
         if own:
             from repro.obs.health import sample_resources
 
@@ -354,6 +430,18 @@ def _execute_unit(
         # growing) for every later unit this process executes.
         snap = telemetry.disable().snapshot() if own else None
     return outcomes, snap
+
+
+def _execute_in_worker(
+    unit: "tuple[RunSpec, ...]",
+    batcher: "TaskBatcher | None",
+    own: bool,
+    submit_t: float,
+    attempt: int,
+) -> "tuple[list[tuple], dict | None]":
+    """Pool entry point: :func:`_execute_unit` into the worker's store."""
+    return _execute_unit(unit, batcher, own, submit_t, attempt,
+                         store=_worker_store)
 
 
 def _plan_units(
@@ -373,7 +461,10 @@ def _plan_units(
 
 
 def _as_task_result(spec: RunSpec, status: str, payload: Any,
-                    duration: float) -> TaskResult:
+                    duration: float,
+                    store: "ResultStore | None" = None) -> TaskResult:
+    if status == "stored":
+        return TaskResult(spec=spec, duration=duration, store=store)
     if status == "ok":
         if not isinstance(payload, Mapping):
             return TaskResult(
@@ -384,7 +475,7 @@ def _as_task_result(spec: RunSpec, status: str, payload: Any,
                 ),
                 duration=duration,
             )
-        return TaskResult(spec=spec, value=payload, duration=duration)
+        return TaskResult(spec=spec, payload=payload, duration=duration)
     return TaskResult(spec=spec, error=str(payload), duration=duration)
 
 
@@ -422,7 +513,9 @@ def run_campaign(
         over N worker processes, 0 auto-detects the CPU count.
     store:
         Optional :class:`~repro.runtime.store.ResultStore`.  Hits skip
-        execution entirely; fresh results are persisted on completion.
+        execution entirely; fresh results are persisted by the process
+        that computed them (see the module docstring).  A write that
+        fails raises :class:`~repro.runtime.store.StoreError`.
     on_result:
         Streaming callback, invoked in completion order (cache hits
         first) from the calling process.
@@ -457,8 +550,10 @@ def run_campaign(
 
     def finish(pos: int, result: TaskResult) -> None:
         slots[pos] = result
-        if store is not None and result.ok and not result.cached:
-            store.put(result.spec.key, result.value, spec=result.spec.describe())
+        if store is not None and result.payload is not None \
+                and not result.cached:
+            store.put(result.spec.key, result.payload,
+                      spec=result.spec.describe())
         # Terminal lifecycle events carry only the task index: payloads
         # with durations or tracebacks would break the event-identity
         # determinism contract (repro.telemetry.recorder).
@@ -490,7 +585,7 @@ def run_campaign(
                 cached = store.get(spec.key) if store is not None else None
                 if cached is not None:
                     telemetry.count("campaign.cache.hits")
-                    finish(pos, TaskResult(spec=spec, value=cached,
+                    finish(pos, TaskResult(spec=spec, payload=cached,
                                            cached=True))
                 else:
                     if store is not None:
@@ -507,7 +602,8 @@ def run_campaign(
                         finish(pos, _as_task_result(spec, *outcome))
             else:
                 n_retried, n_respawns = _run_pool(
-                    units, jobs, batcher, finish, watchdog, quarantine_after)
+                    units, jobs, batcher, finish, watchdog, quarantine_after,
+                    store)
     finally:
         if rec is not None:
             rec.unmark_in_run()
@@ -558,6 +654,7 @@ def _run_pool(
     finish: "Callable[[int, TaskResult], None]",
     watchdog: "Any | None" = None,
     quarantine_after: int = QUARANTINE_AFTER,
+    store: "ResultStore | None" = None,
 ) -> "tuple[int, int]":
     """Shard execution units over a process pool, streaming completions.
 
@@ -566,6 +663,11 @@ def _run_pool(
     (result unpicklable) is re-enqueued as singleton units so only the
     task that actually fails is lost — the same per-task isolation as
     unbatched execution.
+
+    Every pool (the first and each respawn) hands its workers ``store``
+    to write their values to; a unit whose writes failed ends the
+    campaign with its :class:`~repro.runtime.store.StoreError`, raised
+    once the running units have finished and the pool has shut down.
 
     A **broken pool** (a worker killed by the OS or ``os._exit``
     mid-task) is survived by respawning: the generation's in-flight
@@ -624,7 +726,7 @@ def _run_pool(
             for outcome in outcomes:
                 watchdog.note_duration(outcome[2])
         for (pos, spec), outcome in zip(unit, outcomes):
-            finish(pos, _as_task_result(spec, *outcome))
+            finish(pos, _as_task_result(spec, *outcome, store=store))
 
     def fail_unit(unit, note: str) -> None:
         telemetry.count("executor.not_attempted", len(unit))
@@ -660,7 +762,9 @@ def _run_pool(
 
     while pending or probe:
         try:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            pool = ProcessPoolExecutor(max_workers=max_workers,
+                                       initializer=_init_worker,
+                                       initargs=(store,))
         except OSError as exc:  # resources exhausted: give up cleanly
             fail_remaining(f"task not attempted: cannot start a worker "
                            f"pool: {exc}")
@@ -676,8 +780,8 @@ def _run_pool(
             # a position that killed a worker, so its attempt is 0.
             attempt = crashes.get(unit[0][0], 0)
             try:
-                future = pool.submit(_execute_unit, spec_block, batcher,
-                                     own, submit_t, attempt)
+                future = pool.submit(_execute_in_worker, spec_block,
+                                     batcher, own, submit_t, attempt)
             except BrokenProcessPool:
                 raise _PoolBroke([unit] + [u for u, _ in in_flight.values()])
             except Exception:  # shutdown races, unpicklable spec
@@ -720,6 +824,8 @@ def _run_pool(
                     except BrokenProcessPool:
                         raise _PoolBroke(
                             [unit] + [u for u, _ in in_flight.values()])
+                    except StoreError:  # a worker's write failed
+                        raise
                     except Exception:  # result unpicklable, pool intact
                         if len(unit) > 1:
                             # Don't fail the whole block for one bad task:
@@ -756,11 +862,17 @@ def _run_pool(
                     "one at a time", RuntimeWarning, stacklevel=2)
                 telemetry.emit("pool.respawn")
             continue
+        except StoreError:
+            # A worker could not write: queue nothing more, and return
+            # only once no worker is left appending to the store.
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
         except BaseException:
             # ^C / SystemExit / unexpected error: deliberate shutdown —
             # cancel everything queued, do not wait on running workers,
-            # and let the exception propagate.  Results are only written
-            # by finish() in this process, so nothing is torn.
+            # and let the exception propagate.  A worker still running
+            # cuts an append that a ^C interrupts back to the previous
+            # entry, so nothing is torn.
             for future in in_flight:
                 future.cancel()
             pool.shutdown(wait=False, cancel_futures=True)

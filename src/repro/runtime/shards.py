@@ -244,7 +244,10 @@ class PackedShards:
         written; a write that fails midway is truncated back to the
         entry start and re-raised as :class:`StoreError` too: the shard
         keeps no torn tail and the sidecar index — which never saw the
-        entry — stays consistent.
+        entry — stays consistent.  An interrupt between two of the
+        entry's writes (``KeyboardInterrupt``: a terminal ^C reaches
+        pool workers too) is truncated back the same way and re-raised
+        as it is, so the process's later appends stay readable.
         """
         descrs, sources, pos = {}, [], 0
         for name in sorted(arrays):
@@ -278,17 +281,21 @@ class PackedShards:
                 shard_fh.write(data)
                 shard_fh.write(b"\0" * _pad(len(data)))
             shard_fh.flush()
-        except OSError as exc:
-            # Disk full (or permissions yanked) mid-entry: cut the
-            # partial entry away so the shard carries no torn tail.  If
-            # even the truncate fails, the recovery scan stops at the
-            # torn entry anyway — either way the index stays consistent,
-            # because the sidecar line below was never written.
+        except BaseException as exc:
+            # Disk full, permissions yanked or an interrupt mid-entry:
+            # cut the partial entry away so the shard carries no torn
+            # tail.  If even the truncate fails, retire the writer, so a
+            # later append opens a fresh shard instead of landing behind
+            # torn bytes the recovery scan stops at.  Either way the
+            # index stays consistent: the sidecar line below was never
+            # written.
             try:
                 shard_fh.truncate(offset)
                 shard_fh.seek(offset)
             except OSError:
-                pass
+                self._close_writer()
+            if not isinstance(exc, OSError):
+                raise
             raise StoreError(
                 f"packed-shard append of {key!r} failed mid-write: {exc} "
                 f"(shard truncated back to the previous entry; the index "

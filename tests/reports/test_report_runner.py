@@ -272,6 +272,34 @@ class TestStreamingMemory:
         assert [r.values for r in warm.rows] == [r.values for r in cold.rows]
         assert peak < 2.5 * point_bytes, peak / point_bytes
 
+    def test_cold_pooled_report_holds_about_one_points_stack(self, tmp_path):
+        """A cold --jobs 2 report streams like a warm one: the workers
+        write the records they compute, and the parent reads each back
+        as its point's stack fills, so it never holds the whole sweep."""
+        scenario = tmp_path / "ring.toml"
+        scenario.write_text(RING)
+        compiled = compile_report(ReportSpec.from_dict({
+            "name": "ring", "scenario": str(scenario),
+            "group_by": ["noise.level"],
+            "aggregate": ["mean", "median", "p95"],
+            "metrics": [{"name": name} for name in (
+                "runtime", "wave_speed", "decay_rate", "idle_histogram")],
+        }))
+        serial = run_report(compiled, store=ResultStore(tmp_path / "serial"))
+        point_bytes = 3 * 32 * 60 * 70 * 8
+
+        tracemalloc.start()
+        try:
+            pooled = run_report(compiled, store=ResultStore(tmp_path / "pool"),
+                                jobs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pooled.n_executed == 96 and pooled.n_loaded == 0
+        assert [r.values for r in pooled.rows] == \
+            [r.values for r in serial.rows]
+        assert peak < 2.5 * point_bytes, peak / point_bytes
+
 
 class TestArtifacts:
     @pytest.fixture(scope="class")

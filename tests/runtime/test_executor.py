@@ -1,8 +1,12 @@
 """Executor tests: backend equivalence, caching, failure isolation."""
 
+import json
+import os
+
 import pytest
 
 import executor_tasks as tasks_mod
+from repro import telemetry
 from repro.runtime import (
     ResultStore,
     RunSpec,
@@ -11,6 +15,7 @@ from repro.runtime import (
     resolve_jobs,
     run_campaign,
 )
+from repro.runtime.shards import SHARD_DIR, PackedShards
 
 PROBE = "executor_tasks:rng_probe_task"
 FAIL = "executor_tasks:failing_task"
@@ -95,6 +100,17 @@ class TestCache:
         warm = run_campaign(tasks, jobs=1, store=store)
         assert warm.n_cached == len(tasks)
         assert warm.values() == cold.values()
+
+    def test_unreadable_worker_record_is_recomputed_alone(self, tmp_path):
+        """A pooled result reads its value from the store; a record gone
+        since the worker wrote it is recomputed (and written) alone."""
+        store = ResultStore(tmp_path)
+        tasks = probe_sweep().tasks()
+        pooled = run_campaign(tasks, jobs=2, store=store)
+        serial = run_campaign(tasks, jobs=1)
+        store.clear()
+        assert pooled.results[2].value == serial.results[2].value
+        assert list(store.keys()) == [tasks[2].key]
 
     def test_different_base_seed_misses(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -195,3 +211,64 @@ class TestStreamingAndJobs:
         campaign = run_campaign(probe_sweep(n_tasks=2).tasks(), jobs=1)
         assert campaign.elapsed > 0
         assert all(r.duration >= 0 for r in campaign.results)
+
+
+class TestWorkerWrites:
+    def test_the_process_that_computes_a_record_writes_it(
+            self, tmp_path, monkeypatch, store_record_bytes):
+        """A --jobs 2 campaign's records are appended by the pool workers,
+        one shard each, with complete sidecar indexes, and hold the bytes
+        (and ledger counters) of a --jobs 1 run."""
+        log = tmp_path / "appends.log"
+        real = PackedShards.append
+
+        def logged(self, key, *args, **kwargs):
+            entry = real(self, key, *args, **kwargs)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {key}\n")
+            return entry
+
+        # Patched before the pool forks, so the workers log too.
+        monkeypatch.setattr(PackedShards, "append", logged)
+        tasks = probe_sweep(n_tasks=12).tasks()
+        appends, counters = {}, {}
+        for jobs in (2, 1):
+            rec = telemetry.enable()
+            try:
+                campaign = run_campaign(
+                    tasks, jobs=jobs, store=ResultStore(tmp_path / f"j{jobs}"))
+            finally:
+                telemetry.disable()
+            assert not campaign.failures
+            counters[jobs] = {name: rec.counters[name]
+                              for name in ("store.puts", "store.write_bytes")}
+            appends[jobs] = [line.split()
+                             for line in log.read_text().splitlines()]
+            log.unlink()
+
+        workers = {int(pid) for pid, _ in appends[2]}
+        assert os.getpid() not in workers  # the parent appended nothing
+        assert sorted(key for _, key in appends[2]) \
+            == sorted(t.key for t in tasks)
+        assert {int(pid) for pid, _ in appends[1]} == {os.getpid()}
+
+        shards = PackedShards(tmp_path / "j2" / SHARD_DIR)
+        paths = shards.shard_paths()
+        owner = {p.name: int(p.name[1:].split("-")[0], 16) for p in paths}
+        assert sorted(owner.values()) == sorted(workers)  # one shard each
+        assert {owner[e.shard] for e in shards.entries()} == workers
+        for path in paths:
+            lines = path.with_name(path.name + ".idx").read_text()
+            assert [json.loads(line)["key"] for line in lines.splitlines()] \
+                == [e.key for e in shards.scan_shard(path)]
+        rec = telemetry.enable()
+        try:
+            assert len(ResultStore(tmp_path / "j2")) == len(tasks)
+        finally:
+            telemetry.disable()
+        assert "store.shard.recovered" not in rec.counters  # nothing rebuilt
+
+        assert counters[2] == counters[1]
+        assert counters[1]["store.puts"] == len(tasks)
+        assert store_record_bytes(tmp_path / "j2") \
+            == store_record_bytes(tmp_path / "j1")

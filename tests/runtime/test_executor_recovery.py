@@ -1,5 +1,7 @@
 """Fault-tolerant execution: pool recovery, quarantine, ^C."""
 
+import json
+import os
 import warnings
 
 import pytest
@@ -13,6 +15,8 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.runtime import chaos
+from repro.runtime.cli import store_main
+from repro.runtime.shards import SHARD_DIR, PackedShards
 
 PROBE = "executor_tasks:rng_probe_task"
 HARD_EXIT = "executor_tasks:hard_exit_task"
@@ -124,3 +128,57 @@ class TestInterrupt:
                                 store=reread)
         assert not campaign.failures
         assert campaign.n_cached >= 1
+
+
+class TestDuplicateRecords:
+    def test_a_redispatched_record_counts_once(
+            self, tmp_path, monkeypatch, capsys, store_record_bytes):
+        """A worker that dies right after appending a record leaves it
+        behind, and the task's re-dispatch appends the same key again in
+        another worker's shard.  The store counts the key once, and every
+        copy holds the bytes a --jobs 1 run writes."""
+        tasks = probe_sweep(n_tasks=8).tasks()
+        victim, died = tasks[3].key, tmp_path / "died"
+        parent, real = os.getpid(), PackedShards.append
+
+        def append_then_die_once(self, key, *args, **kwargs):
+            entry = real(self, key, *args, **kwargs)
+            if key == victim and os.getpid() != parent:
+                try:
+                    os.close(os.open(died, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return entry
+                os._exit(1)
+            return entry
+
+        monkeypatch.setattr(PackedShards, "append", append_then_die_once)
+        root = tmp_path / "cache"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            campaign = run_campaign(tasks, jobs=2, store=ResultStore(root))
+        monkeypatch.undo()
+        assert not campaign.failures and campaign.n_pool_respawns == 1
+
+        serial = run_campaign(tasks, jobs=1,
+                              store=ResultStore(tmp_path / "serial"))
+        want = store_record_bytes(tmp_path / "serial")
+        shards = PackedShards(root / SHARD_DIR)
+        copies: "dict[str, list[bytes]]" = {}
+        for path in shards.shard_paths():
+            data = path.read_bytes()
+            for entry in shards.scan_shard(path):
+                copies.setdefault(entry.key, []).append(
+                    data[entry.offset:entry.end])
+        assert len(copies[victim]) == 2
+        assert {key: set(found) for key, found in copies.items()} \
+            == {key: {payload} for key, payload in want.items()}
+        assert store_record_bytes(root) == want
+        assert campaign.values() == serial.values()
+
+        assert len(ResultStore(root)) == len(tasks)
+        assert store_main(["ls", "--cache-dir", str(root), "--json"]) == 0
+        listed = [e["key"] for e in json.loads(capsys.readouterr().out)]
+        assert sorted(listed) == sorted(want)
+        assert store_main(["gc", "--cache-dir", str(root), "--dry-run",
+                           "--min-age", "0"]) == 0
+        assert "would remove 0 item(s)" in capsys.readouterr().out
