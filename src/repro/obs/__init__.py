@@ -21,23 +21,12 @@ bytes the store persists (enforced by ``tests/scenarios/test_batch.py``
 and ``benchmarks/bench_obs.py``).
 """
 
-from repro.obs.events import EVENT_VERSION, KNOWN_EVENTS
-from repro.obs.ledger import (
-    RUN_RECORD_VERSION,
-    RunLedger,
-    RunTracker,
-    render_run_summary,
-)
-from repro.obs.progress import ProgressRenderer
-from repro.obs.session import observe_run
+from repro import _lazy_exports
 
-__all__ = [
-    "EVENT_VERSION",
-    "KNOWN_EVENTS",
-    "ProgressRenderer",
-    "RUN_RECORD_VERSION",
-    "RunLedger",
-    "RunTracker",
-    "observe_run",
-    "render_run_summary",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".events": ("EVENT_VERSION", "KNOWN_EVENTS"),
+    ".ledger": ("RUN_RECORD_VERSION", "RunLedger", "RunTracker",
+                "render_run_summary"),
+    ".progress": ("ProgressRenderer",),
+    ".session": ("observe_run",),
+})

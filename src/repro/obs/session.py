@@ -26,8 +26,7 @@ from pathlib import Path
 from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
-from repro.obs.progress import ProgressRenderer
-from repro.telemetry.sinks import phase_breakdown
+from repro.telemetry.recorder import phase_breakdown
 
 __all__ = ["observe_run"]
 
@@ -75,6 +74,8 @@ def observe_run(kind: str, name: str, cache_dir=None,
     rec.subscribe(tracker.handle)
     renderer = None
     if progress:
+        from repro.obs.progress import ProgressRenderer
+
         renderer = ProgressRenderer(stream=stream)
         rec.subscribe(renderer.handle)
 

@@ -19,10 +19,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro import telemetry
+from repro.core.idle_wave import row_percentile
 from repro.core.timing import BatchedTiming
 from repro.reports.compiler import SCENARIO_COLUMN, CompiledReport
 from repro.reports.errors import ReportError
@@ -30,33 +32,58 @@ from repro.reports.kernels import MetricContext
 from repro.reports.query import stream_campaign
 from repro.viz.tables import format_table
 
-__all__ = ["ReportResult", "ReportRow", "aggregate_stat", "run_report"]
+__all__ = ["ReportResult", "ReportRow", "aggregate_stat", "aggregate_stats",
+           "run_report"]
 
 
-def aggregate_stat(samples: np.ndarray, stat: str) -> float:
-    """Reduce one group's per-draw samples with a named statistic.
+def aggregate_stats(samples: np.ndarray,
+                    stats: "Sequence[str]") -> "list[float]":
+    """Reduce one group's per-draw samples with each named statistic.
 
     Draws where a kernel could not produce a value (``NaN``) are
     excluded; a group with no finite draws reduces to ``NaN``.
     ``std`` uses ``ddof=1`` (0.0 for a single sample), matching
-    :class:`repro.analysis.statistics.RunStatistics`.
+    :class:`repro.analysis.statistics.RunStatistics`.  The finite draws
+    are sorted once, and ``median``, ``min``, ``max`` and every ``pNN``
+    read that sorted column: the median as the middle entry (or the
+    mean of the middle two) and a percentile through
+    :func:`~repro.core.idle_wave.row_percentile`, NumPy's linear
+    method.  Neither ``np.median`` nor ``np.percentile`` runs, since
+    both import ``numpy.ma``.
     """
     arr = np.asarray(samples, dtype=float)
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
-        return float("nan")
+        return [float("nan")] * len(stats)
+    ordered = np.sort(arr)
+    return [_reduce(arr, ordered, stat) for stat in stats]
+
+
+def aggregate_stat(samples: np.ndarray, stat: str) -> float:
+    """One statistic of :func:`aggregate_stats`."""
+    return aggregate_stats(samples, (stat,))[0]
+
+
+def _reduce(arr: np.ndarray, ordered: np.ndarray, stat: str) -> float:
+    """``stat`` over the finite draws ``arr`` and their sorted copy."""
     if stat == "mean":
         return float(arr.mean())
     if stat == "std":
         return float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     if stat == "median":
-        return float(np.median(arr))
+        # NumPy takes the mean of the middle entry or two, a sum that
+        # starts from +0.0 (so a -0.0 median reads +0.0).
+        mid = ordered.size // 2
+        if ordered.size % 2:
+            return float(ordered[mid] + 0.0)
+        return float((ordered[mid - 1] + ordered[mid] + 0.0) / 2.0)
     if stat == "min":
-        return float(arr.min())
+        return float(ordered[0])
     if stat == "max":
-        return float(arr.max())
+        return float(ordered[-1])
     if stat.startswith("p"):
-        return float(np.percentile(arr, float(stat[1:])))
+        return float(row_percentile(ordered[None, :], np.array([ordered.size]),
+                                    float(stat[1:]))[0])
     raise ValueError(f"unknown statistic {stat!r}")  # pragma: no cover
 
 
@@ -237,11 +264,10 @@ def run_report(
             pooled = {column: np.concatenate(arrays)
                       for column, arrays in samples.items()}
             n_draws = max((arr.size for arr in pooled.values()), default=0)
-            values = {
-                f"{column}.{stat}": aggregate_stat(arr, stat)
-                for column, arr in pooled.items()
-                for stat in stats
-            }
+            values = {}
+            for column, arr in pooled.items():
+                for stat, value in zip(stats, aggregate_stats(arr, stats)):
+                    values[f"{column}.{stat}"] = value
             rows.append(ReportRow(group=group, n_draws=n_draws,
                                   values=values, draws=pooled))
 

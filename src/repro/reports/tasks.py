@@ -86,11 +86,12 @@ class ReportTaskBatcher(TaskBatcher):
     """
 
     @staticmethod
-    def _signature(spec: RunSpec) -> "tuple | None":
+    def _signature(spec: RunSpec,
+                   memo: "dict | None" = None) -> "tuple | None":
         """Batch-compatibility key: everything but the seed and replicate."""
         if spec.fn != TIMING_TASK_FN:
             return None
-        return tuple((k, hashable(v)) for k, v in spec.params
+        return tuple((k, hashable(v, memo)) for k, v in spec.params
                      if k not in ("replicate", "seed"))
 
     def execute(self, specs: "Sequence[RunSpec]") -> "list[Mapping]":

@@ -246,13 +246,15 @@ class TaskBatcher:
 
         Returns a list of index blocks covering ``range(len(specs))``
         exactly once, in order.  Singleton blocks run through the normal
-        per-task path.
+        per-task path.  One ``hashable`` memo serves the whole plan, so
+        a parameter value the tasks share is hashed once.
         """
         blocks: "list[list[int]]" = []
         current: "list[int]" = []
         current_sig: "tuple | None" = None
+        memo: dict = {}
         for i, spec in enumerate(specs):
-            sig = self._signature(spec)
+            sig = self._signature(spec, memo)
             if (sig is not None and sig == current_sig
                     and len(current) < self.max_block):
                 current.append(i)
@@ -265,8 +267,13 @@ class TaskBatcher:
         return blocks
 
     @staticmethod
-    def _signature(spec: RunSpec) -> "tuple | None":
-        """Batch-compatibility key of one task; ``None`` never batches."""
+    def _signature(spec: RunSpec,
+                   memo: "dict | None" = None) -> "tuple | None":
+        """Batch-compatibility key of one task; ``None`` never batches.
+
+        ``memo`` is :meth:`plan`'s memo for
+        :func:`~repro.runtime.spec.hashable`.
+        """
         return None
 
     def execute(self, specs: "Sequence[RunSpec]") -> "list[Mapping]":

@@ -38,7 +38,9 @@ store object gets a fresh shard file the first time it writes.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -137,13 +139,20 @@ def _describe_array(arr: np.ndarray, offset: int) -> "tuple[dict, np.ndarray]":
     return descr, contig
 
 
+@functools.lru_cache(maxsize=None)
+def _parse_dtype(descr: str) -> np.dtype:
+    """A dtype string of an array descriptor (``"<f8"``), parsed once."""
+    return np.lib.format.descr_to_dtype(descr)
+
+
 def _reconstruct(segment: np.ndarray, descr: Mapping) -> np.ndarray:
     """Rebuild one array from its descriptor as a view into ``segment``,
     a record's freshly read (writable, caller-owned) array segment."""
-    dtype = np.lib.format.descr_to_dtype(descr["dtype"])
+    dtype = descr["dtype"]
+    dtype = (_parse_dtype(dtype) if isinstance(dtype, str)
+             else np.lib.format.descr_to_dtype(dtype))
     shape = tuple(descr["shape"])
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    flat = np.frombuffer(segment, dtype=dtype, count=count,
+    flat = np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
                          offset=int(descr["offset"]))
     return flat.reshape(shape, order=descr.get("order", "C"))
 
@@ -505,9 +514,10 @@ class PackedShards:
             value = dict(record.get("value", {}))
             for name, descr in record.get("arrays", {}).items():
                 value[name] = _reconstruct(segment, descr)
-        except (OSError, ValueError, KeyError):
-            # Torn shard tail, raced compaction, or corrupt descriptor:
-            # the store contract is "unreadable counts as a miss".
+        except (OSError, ValueError, KeyError, TypeError):
+            # Torn shard tail, raced compaction, or corrupt descriptor
+            # (a missing field, or one of the wrong type): the store
+            # contract is "unreadable counts as a miss".
             self._index.pop(key, None)
             return None
         return entry, value

@@ -78,7 +78,7 @@ def canonical(value: Any, path: str = "") -> Any:
     )
 
 
-def hashable(value: Any) -> Any:
+def hashable(value: Any, memo: "dict | None" = None) -> Any:
     """Canonical plain-data value → an equality-preserving hashable form.
 
     Task batchers key blocks by (subsets of) ``RunSpec.params``, whose
@@ -86,12 +86,30 @@ def hashable(value: Any) -> Any:
     tuples usable as dict keys.  The tag distinguishes mappings from
     sequences so ``{}`` and ``[]`` (equal-looking after conversion) can
     never be conflated.
+
+    ``memo`` (``id -> (value, hashed)``, owned by the caller) converts
+    each distinct object once: the tasks of one sweep share their
+    canonical base values (:meth:`SweepSpec.tasks`), so a batch plan
+    hashes a shared scenario document once, not once per task.
     """
+    if memo is not None:
+        hit = memo.get(id(value))
+        if hit is None:
+            # The entry keeps ``value`` alive, so its id is not reused.
+            hit = memo[id(value)] = (value, hashable(value))
+        return hit[1]
     if isinstance(value, Mapping):
         return ("map", tuple((k, hashable(v)) for k, v in sorted(value.items())))
     if isinstance(value, (list, tuple)):
         return ("seq", tuple(hashable(v) for v in value))
     return value
+
+
+def _check_fn(fn: str) -> None:
+    if ":" not in fn:
+        raise ValueError(
+            f"fn must be an import path 'module:function', got {fn!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,10 +141,7 @@ class RunSpec:
     index: int = 0
 
     def __post_init__(self) -> None:
-        if ":" not in self.fn:
-            raise ValueError(
-                f"fn must be an import path 'module:function', got {self.fn!r}"
-            )
+        _check_fn(self.fn)
         if isinstance(self.params, Mapping):
             items = self.params.items()
         else:
@@ -139,6 +154,20 @@ class RunSpec:
             )
         object.__setattr__(self, "params", norm)
         object.__setattr__(self, "seed", canonical(self.seed, path="seed"))
+
+    @classmethod
+    def _canonical(cls, fn: str, params: tuple, seed: "int | None",
+                   index: int) -> "RunSpec":
+        """A spec from ``params`` that are already canonical ``(name,
+        value)`` pairs sorted by name, and a plain ``int`` (or ``None``)
+        seed: what ``__post_init__`` would store, without walking the
+        values again.  :meth:`SweepSpec.tasks` builds its tasks here.
+        """
+        spec = object.__new__(cls)
+        for name, value in (("fn", fn), ("params", params), ("seed", seed),
+                            ("index", index)):
+            object.__setattr__(spec, name, value)
+        return spec
 
     @property
     def kwargs(self) -> dict:
@@ -259,12 +288,20 @@ class SweepSpec:
         return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
     def tasks(self) -> "tuple[RunSpec, ...]":
-        """Expand into concrete, deterministically seeded tasks."""
+        """Expand into concrete, deterministically seeded tasks.
+
+        Equal, task for task, to ``RunSpec(fn, params, seed, index)``
+        called with each point's parameters.  Each base value is
+        canonicalized once per expansion, not once per task, so the
+        tasks share those canonical objects: task code must not mutate
+        its parameters.  Each task canonicalizes its own point values.
+        """
+        _check_fn(self.fn)
+        base = [(str(k), canonical(v, path=str(k))) for k, v in self.base]
         specs = []
         for i, point in enumerate(self.points()):
-            params = dict(self.base)
-            params.update(point)
+            params = tuple(sorted([*base, *((k, canonical(v, path=k))
+                                            for k, v in point.items())]))
             seed = derive_seed(self.base_seed, i) if self.seeded else None
-            specs.append(RunSpec(fn=self.fn, params=tuple(params.items()),
-                                 seed=seed, index=i))
+            specs.append(RunSpec._canonical(self.fn, params, seed, i))
         return tuple(specs)

@@ -39,7 +39,8 @@ class ScenarioTaskBatcher(TaskBatcher):
     """
 
     @staticmethod
-    def _signature(spec: RunSpec) -> "tuple | None":
+    def _signature(spec: RunSpec,
+                   memo: "dict | None" = None) -> "tuple | None":
         """Batch-compatibility key: everything but the replicate and seed.
 
         ``None`` marks a task that must never join a block (not a
@@ -51,7 +52,7 @@ class ScenarioTaskBatcher(TaskBatcher):
         """
         if spec.fn != SCENARIO_TASK_FN or spec.seed is None:
             return None
-        return tuple((k, hashable(v)) for k, v in spec.params
+        return tuple((k, hashable(v, memo)) for k, v in spec.params
                      if k != "replicate")
 
     def execute(self, specs: "Sequence[RunSpec]") -> "list[Mapping]":

@@ -18,48 +18,13 @@ one recorder carries spans, instruments and lifecycle events alike;
 printed and its JSONL written when the run ends.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from .recorder import (
-    Recorder,
-    Span,
-    count,
-    current_recorder,
-    disable,
-    emit,
-    enable,
-    enabled,
-    gauge,
-    in_run,
-    merge_snapshot,
-    observe,
-    span,
-    timed_span,
-)
-from .sinks import read_jsonl, render_summary, summarize, write_jsonl
-from .trace_export import export_chrome_trace, validate_trace, \
-    write_chrome_trace
-
-__all__ = [
-    "Recorder",
-    "Span",
-    "count",
-    "current_recorder",
-    "disable",
-    "emit",
-    "enable",
-    "enabled",
-    "export_chrome_trace",
-    "gauge",
-    "in_run",
-    "merge_snapshot",
-    "observe",
-    "read_jsonl",
-    "render_summary",
-    "span",
-    "summarize",
-    "timed_span",
-    "validate_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".recorder": ("Recorder", "Span", "count", "current_recorder", "disable",
+                  "emit", "enable", "enabled", "gauge", "in_run",
+                  "merge_snapshot", "observe", "span", "timed_span"),
+    ".sinks": ("read_jsonl", "render_summary", "summarize", "write_jsonl"),
+    ".trace_export": ("export_chrome_trace", "validate_trace",
+                      "write_chrome_trace"),
+})

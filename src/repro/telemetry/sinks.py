@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from typing import Mapping
 
-from .recorder import SNAPSHOT_VERSION
+from .recorder import SNAPSHOT_VERSION, phase_breakdown, root_span
 
 __all__ = ["read_jsonl", "render_summary", "write_jsonl"]
 
@@ -120,45 +120,6 @@ def _hit_rate(counters: Mapping, hits: str, misses: str) -> "float | None":
     if h + m == 0:
         return None
     return h / (h + m)
-
-
-def root_span(snapshot: Mapping) -> "tuple | None":
-    """The run's root: the longest parentless span."""
-    roots = [s for s in snapshot.get("spans", ()) if s[1] < 0]
-    if not roots:
-        return None
-    return max(roots, key=lambda s: s[4])
-
-
-def phase_breakdown(snapshot: Mapping) -> dict:
-    """Per-phase wall-time breakdown under the root span.
-
-    Phases are the direct children of the root, aggregated by name.
-    ``coverage`` is the summed phase duration over the root duration —
-    the acceptance bar for the instrumentation is that phases account
-    for ≥ 90% of the run.
-    """
-    root = root_span(snapshot)
-    if root is None:
-        return {"total_s": 0.0, "phases": {}, "coverage": None, "root": None}
-    phases: "dict[str, dict]" = {}
-    for sid, parent, name, start, dur, attrs in snapshot.get("spans", ()):
-        if parent != root[0]:
-            continue
-        ph = phases.setdefault(name, {"count": 0, "total_s": 0.0})
-        ph["count"] += 1
-        ph["total_s"] += dur
-    total = root[4]
-    covered = sum(p["total_s"] for p in phases.values())
-    for p in phases.values():
-        p["share"] = p["total_s"] / total if total else 0.0
-    return {
-        "total_s": total,
-        "root": root[2],
-        "phases": dict(sorted(phases.items(),
-                              key=lambda kv: -kv[1]["total_s"])),
-        "coverage": covered / total if total else None,
-    }
 
 
 def span_name_table(snapshot: Mapping) -> "list[dict]":

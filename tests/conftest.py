@@ -159,6 +159,71 @@ def interrupt_store():
     return _interrupt_store
 
 
+#: A ring shaped like the benchmark's Fig. 7/8 campaign: 4 noise levels
+#: x 128 replicates of a 60-rank x 70-step periodic ring.
+BENCH_RING = """\
+n_ranks = 60
+n_steps = 70
+seed = 11
+outputs = ["runtime"]
+
+[machine]
+preset = "simulated"
+
+[workload]
+kind = "synthetic"
+t_exec = 3e-3
+
+[comm]
+direction = "bidirectional"
+distance = 1
+periodic = true
+msg_size = 8192
+protocol = "eager"
+
+[noise]
+model = "exponential"
+level = 0.01
+
+[[delays]]
+rank = 0
+step = 0
+duration = 90e-3
+
+[sweep]
+replicates = 128
+
+[[sweep.axes]]
+path = "noise.level"
+values = [0.01, 0.04, 0.08, 0.12]
+"""
+
+
+@pytest.fixture
+def shipped_sweeps(tmp_path) -> "list[tuple[str, object]]":
+    """``(label, SweepSpec)`` of every bundled scenario's sweep, every
+    bundled report's target sweeps, and a report over
+    :data:`BENCH_RING`."""
+    from repro.reports.compiler import compile_report
+    from repro.reports.registry import iter_bundled_reports, \
+        parse_report_text
+    from repro.scenarios.registry import iter_bundled_scenarios
+    from repro.scenarios.sweep import scenario_sweep_spec
+
+    ring = tmp_path / "bench_ring.toml"
+    ring.write_text(BENCH_RING)
+    bench = parse_report_text(
+        f'scenario = "{ring}"\n[[metrics]]\nname = "runtime"\n',
+        name="bench_ring")
+    sweeps = [(f"scenario {spec.name}", scenario_sweep_spec(spec))
+              for spec in iter_bundled_scenarios()]
+    for report in [*iter_bundled_reports(), bench]:
+        for target in compile_report(report).targets:
+            sweeps.append((f"report {report.name} / {target.scenario.name}",
+                           target.sweep))
+    return sweeps
+
+
 def run_both_engines(cfg, network=None, protocol=repro.Protocol.AUTO, eager_limit=None):
     """Run the DAG and lockstep engines on identical inputs."""
     from repro.sim.mpi import DEFAULT_EAGER_LIMIT

@@ -9,8 +9,10 @@ store holds the same bytes with and without it, on either engine.
 import pytest
 
 from repro.reports import ReportSpec, compile_report, run_report
+from repro.reports.compiler import TIMING_TASK_FN
 from repro.reports.tasks import ReportTaskBatcher
-from repro.runtime import ResultStore, RunSpec
+from repro.runtime import ResultStore, RunSpec, SweepSpec
+from repro.scenarios.batch import ScenarioTaskBatcher
 
 SEEDS = [0, 1, 2, 3]
 
@@ -47,6 +49,41 @@ class TestPlan:
             for i in range(3)
         )
         assert ReportTaskBatcher().plan(foreign) == [[0], [1], [2]]
+
+    def test_shared_values_plan_the_blocks_of_unshared_ones(
+            self, shipped_sweeps):
+        """The tasks of one sweep share their scenario document, so a
+        plan hashes it once; specs rebuilt one by one share nothing, and
+        must still plan into the same blocks."""
+        for label, sweep in shipped_sweeps:
+            batcher = (ReportTaskBatcher() if sweep.fn == TIMING_TASK_FN
+                       else ScenarioTaskBatcher())
+            tasks = sweep.tasks()
+            rebuilt = tuple(RunSpec(t.fn, t.params, t.seed, t.index)
+                            for t in tasks)
+            if len(tasks) > 1:
+                assert rebuilt[0].kwargs["scenario"] is not \
+                    rebuilt[1].kwargs["scenario"]
+            assert batcher.plan(tasks) == batcher.plan(rebuilt), label
+
+    @staticmethod
+    def ring_tasks(n_steps: int) -> "tuple[RunSpec, ...]":
+        return SweepSpec(
+            fn=TIMING_TASK_FN,
+            base={"scenario": {"n_ranks": 8, "n_steps": n_steps},
+                  "engine": "lockstep"},
+            axes=(("overrides", ({"noise.level": 0.1},)),
+                  ("replicate", (0, 1, 2))),
+        ).tasks()
+
+    def test_specs_of_two_sweeps_split_into_separate_blocks(self):
+        tasks = self.ring_tasks(10) + self.ring_tasks(11)
+        assert ReportTaskBatcher().plan(tasks) == [[0, 1, 2], [3, 4, 5]]
+
+    def test_equal_documents_of_two_sweeps_still_batch(self):
+        tasks = self.ring_tasks(10) + self.ring_tasks(10)
+        assert tasks[0].kwargs["scenario"] is not tasks[3].kwargs["scenario"]
+        assert ReportTaskBatcher().plan(tasks) == [[0, 1, 2, 3, 4, 5]]
 
 
 @pytest.mark.parametrize("engine", ["auto", "dag"])

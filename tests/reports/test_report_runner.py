@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.reports import (
     ReportError,
@@ -15,6 +17,7 @@ from repro.reports import (
     run_report,
     write_artifacts,
 )
+from repro.reports.runner import aggregate_stat
 from repro.runtime import ResultStore
 
 
@@ -241,6 +244,66 @@ replicates = 32
 path = "noise.level"
 values = [0.02, 0.05, 0.1]
 """
+
+
+#: Finite draws, bounded so that no difference, sum or square overflows,
+#: and with -0.0 folded into +0.0: NumPy's partition and the aggregate's
+#: sort order tied zeros of either sign arbitrarily, so the sign of a
+#: zero statistic is not a property of the data.
+FINITE = st.floats(min_value=-1e150, max_value=1e150).map(lambda x: x + 0.0)
+
+
+@st.composite
+def pooled_columns(draw) -> np.ndarray:
+    """One group's pooled draws: 1-600 entries, some tied to a small
+    pool of values, and a share of NaN / +-inf mixed in.  NumPy fills
+    the entries from a drawn seed, so large columns stay cheap."""
+    n = draw(st.integers(1, 600))
+    pool = np.array(draw(st.lists(FINITE, min_size=1, max_size=6)))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]))
+    share = draw(st.sampled_from([0.0, 0.5, 0.9]))  # tied to the pool
+    bad = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))  # NaN or +-inf
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = rng.normal(size=n) * scale + 0.0
+    tied = rng.random(n) < share
+    column[tied] = rng.choice(pool, size=int(tied.sum()))
+    special = rng.random(n) < bad
+    column[special] = rng.choice([np.nan, np.inf, -np.inf],
+                                 size=int(special.sum()))
+    return column
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestAggregateStat:
+    @settings(max_examples=300)
+    @given(pooled_columns())
+    def test_equals_numpy_over_the_finite_draws_bit_for_bit(self, column):
+        finite = column[np.isfinite(column)]
+        stats = ("mean", "std", "median", "min", "max", "p0", "p5", "p50",
+                 "p95", "p100", "p33.3")
+        if finite.size == 0:
+            assert all(np.isnan(aggregate_stat(column, s)) for s in stats)
+            return
+        expected = {
+            "mean": np.mean(finite),
+            "std": np.std(finite, ddof=1) if finite.size > 1 else 0.0,
+            "median": np.median(finite),
+            "min": np.min(finite),
+            "max": np.max(finite),
+            **{s: np.percentile(finite, float(s[1:]))
+               for s in stats if s.startswith("p")},
+        }
+        for stat in stats:
+            assert bits(aggregate_stat(column, stat)) == \
+                bits(expected[stat]), stat
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_odd_and_even_medians(self, n):
+        column = np.arange(n, dtype=float)[::-1]
+        assert aggregate_stat(column, "median") == (n - 1) / 2
 
 
 class TestStreamingMemory:

@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.runtime import RunSpec, SweepSpec, canonical, derive_seed, spec_key
+from repro.runtime import RunSpec, SweepSpec, canonical, derive_seed, \
+    run_campaign, spec_key
 
 
 class TestCanonical:
@@ -215,6 +216,72 @@ class TestSweepSpec:
         tasks = self.sweep(seeded=False, base={},
                            axes=(("seed", (1, 2)),)).tasks()
         assert [t.kwargs["seed"] for t in tasks] == [1, 2]
+
+
+class TestSweepExpansion:
+    """``SweepSpec.tasks`` canonicalizes each base value once per
+    expansion; its tasks must be exactly the specs built one by one."""
+
+    def test_tasks_equal_runspecs_built_one_by_one(self, shipped_sweeps):
+        assert any(sweep.size == 512 for _, sweep in shipped_sweeps)
+        for label, sweep in shipped_sweeps:
+            tasks = sweep.tasks()
+            assert len(tasks) == sweep.size, label
+            for i, (task, point) in enumerate(zip(tasks, sweep.points())):
+                seed = derive_seed(sweep.base_seed, i) if sweep.seeded \
+                    else None
+                one = RunSpec(sweep.fn, {**dict(sweep.base), **point},
+                              seed, i)
+                assert task == one, label
+                assert task.params == one.params, label
+                assert task.key == one.key, label
+                assert task.describe() == one.describe(), label
+
+    @pytest.mark.parametrize("batch", [True, False],
+                             ids=["batched", "unbatched"])
+    def test_serial_campaign_leaves_shared_params_untouched(self, batch):
+        """The tasks of one sweep share their canonical base objects, so
+        a task that mutated its parameters would leak into the next
+        task."""
+        from repro.reports.compiler import compile_report
+        from repro.reports.registry import load_bundled_report
+        from repro.reports.tasks import ReportTaskBatcher
+        from repro.scenarios.batch import ScenarioTaskBatcher
+        from repro.scenarios.registry import load_bundled_scenario
+        from repro.scenarios.sweep import scenario_sweep_spec
+
+        report = compile_report(load_bundled_report("campaign_rate_response"))
+        sweeps = [
+            (scenario_sweep_spec(load_bundled_scenario("campaign_rate_sweep")),
+             ScenarioTaskBatcher()),
+            (report.targets[0].sweep, ReportTaskBatcher()),
+        ]
+        for sweep, batcher in sweeps:
+            tasks = sweep.tasks()
+            assert tasks[0].kwargs["scenario"] is tasks[-1].kwargs["scenario"]
+            run_campaign(tasks, jobs=1,
+                         batcher=batcher if batch else None).raise_failures()
+            assert [t.params for t in tasks] == \
+                [t.params for t in sweep.tasks()]
+
+    @pytest.mark.parametrize("where", ["base", "axis"])
+    def test_uncanonicalizable_value_raises_the_same_error(self, where):
+        bad = {"table": {"rows": [object()]}}
+        if where == "base":
+            sweep = SweepSpec(fn="m:f", base=bad, axes=(("r", (0, 1)),))
+        else:
+            sweep = SweepSpec(fn="m:f", axes=(("table", (bad["table"],)),))
+        with pytest.raises(TypeError) as expanded:
+            sweep.tasks()
+        with pytest.raises(TypeError) as single:
+            RunSpec("m:f", {**dict(sweep.base), **sweep.points()[0]},
+                    derive_seed(0, 0), 0)
+        assert str(expanded.value) == str(single.value)
+        assert "table['rows'][0]" in str(expanded.value)
+
+    def test_invalid_fn_still_rejected(self):
+        with pytest.raises(ValueError, match="import path"):
+            SweepSpec(fn="no_colon", axes=(("r", (0,)),)).tasks()
 
 
 class TestSeeding:

@@ -307,3 +307,29 @@ class TestChaosTornWrites:
             chaos.uninstall()
         assert 1 < len(first) < 20  # some puts tore, some did not
         assert first == second
+
+
+class TestCorruptDescriptors:
+    """A record whose CRC holds but whose array descriptor is wrongly
+    typed is unreadable: ``get`` counts it as a miss, never raises."""
+
+    @pytest.mark.parametrize("field, bad", [("shape", 4), ("dtype", 7)])
+    def test_wrong_typed_descriptor_is_a_miss(self, tmp_path, monkeypatch,
+                                              field, bad):
+        describe = shards._describe_array
+
+        def corrupt(arr, offset):
+            descr, contig = describe(arr, offset)
+            return {**descr, field: bad}, contig
+
+        monkeypatch.setattr(shards, "_describe_array", corrupt)
+        ResultStore(tmp_path / "cache").put("aa11", {"arr": np.arange(4.0)})
+        monkeypatch.undo()
+
+        store = ResultStore(tmp_path / "cache")
+        assert "aa11" in store  # the entry scans as whole
+        assert store.get("aa11") is None
+        # The miss is recomputed and written again, as for a torn record.
+        store.put("aa11", {"arr": np.arange(4.0)})
+        np.testing.assert_array_equal(store.get("aa11")["arr"],
+                                      np.arange(4.0))

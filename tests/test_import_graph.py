@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LAZY_PACKAGES = ("repro", "repro.sim", "repro.core", "repro.runtime",
                  "repro.scenarios", "repro.reports", "repro.analysis",
                  "repro.cluster", "repro.models", "repro.workloads",
-                 "repro.viz")
+                 "repro.viz", "repro.telemetry", "repro.obs")
 
 REPORT = "campaign_rate_response"
 
@@ -52,21 +52,45 @@ def test_cli_import_loads_no_subcommand_code():
         assert not loaded(modules, name), name
 
 
-def test_warm_report_run_loads_no_execution_path(tmp_path):
+def warm_report_modules(tmp_path, report: str, n_tasks: int) -> "set[str]":
+    """``sys.modules`` after a warm ``report run`` (a cold one filled the
+    store in another process)."""
     cache = tmp_path / "cache"
     cli = "from repro.cli import main\n"
-    run_python(cli + f"assert main(['report', 'run', {REPORT!r}, "
+    run_python(cli + f"assert main(['report', 'run', {report!r}, "
                f"'--cache-dir', {str(cache)!r}]) == 0")
     output, modules = modules_after(
-        cli + f"assert main(['report', 'run', {REPORT!r}, "
+        cli + f"assert main(['report', 'run', {report!r}, "
         f"'--cache-dir', {str(cache)!r}, '--out', {str(tmp_path)!r}]) == 0")
-    assert "12 from store, 0 executed" in output
-    # The report runs only the runtime and idle_histogram kernels; the
-    # desync and Fourier kernels import repro.analysis in their bodies.
-    for name in ("repro.experiments", "repro.sim.engine",
-                 "repro.sim.saturation", "repro.sim.lockstep",
-                 "repro.sim.trace", "repro.runtime.executor",
-                 "repro.reports.tasks", "repro.analysis", "multiprocessing"):
+    assert f"{n_tasks} from store, 0 executed" in output
+    return modules
+
+
+#: What a warm report never loads.  The reports below run the runtime,
+#: idle_histogram and decay_rate kernels; the desync and Fourier kernels
+#: import repro.analysis in their bodies.  The median, min, max and
+#: percentiles come from one sorted column, not np.median/np.percentile
+#: (which import numpy.ma); the telemetry sinks and the progress line
+#: serve only --profile, `stats` and a TTY.
+NOT_ON_WARM_PATH = (
+    "repro.experiments", "repro.sim.engine", "repro.sim.saturation",
+    "repro.sim.lockstep", "repro.sim.trace", "repro.runtime.executor",
+    "repro.reports.tasks", "repro.analysis", "multiprocessing", "numpy.ma",
+    "repro.telemetry.sinks", "repro.telemetry.trace_export",
+    "repro.obs.progress",
+)
+
+
+def test_warm_report_run_loads_no_execution_path(tmp_path):
+    modules = warm_report_modules(tmp_path, REPORT, 12)
+    for name in NOT_ON_WARM_PATH:
+        assert not loaded(modules, name), name
+
+
+def test_warm_order_statistics_load_no_numpy_ma(tmp_path):
+    """fig8_decay aggregates its draws with median, min and max."""
+    modules = warm_report_modules(tmp_path, "fig8_decay", 15)
+    for name in NOT_ON_WARM_PATH:
         assert not loaded(modules, name), name
 
 
