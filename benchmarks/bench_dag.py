@@ -8,9 +8,10 @@ The tentpole claims of the StaticDag rewrite, measured:
   invocations (full trace materialization, as before the rewrite).
   Asserted >= 3x; the batch amortizes graph construction, the per-level
   Python loop, *and* skips OpRecord materialization entirely.
-- **structure-cache hit latency** — ``build_dag`` on a warm cache versus
-  a cold graph construction.  Campaign draws vary only delays/noise, so
-  every draw after the first should pay near-zero build cost.
+- **structure-cache hits** — a warm ``build_dag`` returns the cached
+  structure without running the builder (checked exactly, by counts);
+  campaign draws vary only delays/noise, so every draw after the first
+  skips graph construction.  The cold and warm times are recorded.
 
 Correctness is asserted alongside speed: every batch slice must be
 bitwise identical to the scalar trace path.
@@ -20,6 +21,7 @@ import time
 
 import numpy as np
 
+from repro import telemetry
 from repro.scenarios import compile_scenario, load_bundled_scenario
 from repro.scenarios.runner import prepare_scenario_run
 from repro.scenarios.spec import apply_overrides
@@ -98,7 +100,15 @@ def test_bench_dag_batched_speedup_64_draw_campaign(once, bench_record):
 
 
 def test_bench_dag_structure_cache_hit(once, bench_record):
-    """A warm build_dag is a dictionary lookup, not a graph construction."""
+    """A warm build_dag is a dictionary lookup, not a graph construction.
+
+    Asserted exactly: every warm call returns the cached structure, adds
+    one cache hit and no miss, and runs the builder zero times (it opens
+    no ``engine.build_dag`` span); a hit must also take less time than a
+    cold build.  The cold/warm time ratio is recorded as
+    ``cold_over_warm`` but not gated: it measures the cold build as much
+    as the hit, so a faster builder lowers it.
+    """
     compiled = _forced_dag_campaign()
     config = compiled.sim_config()
     prepared = prepare_scenario_run(compiled, 0)
@@ -112,20 +122,34 @@ def test_bench_dag_structure_cache_hit(once, bench_record):
     t_cold = (time.perf_counter() - t0) / reps
 
     clear_dag_cache()
-    build_dag(program, config)  # populate
+    cached = build_dag(program, config)  # populate
     t0 = time.perf_counter()
     for _ in range(reps):
         build_dag(program, config)
     t_warm = (time.perf_counter() - t0) / reps
-    assert dag_cache_info()["hits"] >= reps
+
+    recorder = telemetry.enable()
+    try:
+        for _ in range(reps):
+            before = dag_cache_info()
+            hit = build_dag(program, config) is cached
+            after = dag_cache_info()
+            assert hit, "a warm call returned a new structure"
+            assert (after["hits"] - before["hits"],
+                    after["misses"] - before["misses"]) == (1, 0)
+        builds = [s for s in recorder.iter_spans() if s[2] == "engine.build_dag"]
+    finally:
+        telemetry.disable()
+    assert builds == [], f"{len(builds)} warm calls ran the builder"
+    assert t_warm < t_cold, "cache hit slower than a cold build"
 
     once(build_dag, program, config)
 
-    speedup = t_cold / max(t_warm, 1e-12)
+    ratio = t_cold / max(t_warm, 1e-12)
     print(f"\nstructure cache: cold build {t_cold * 1e3:.2f} ms, warm hit "
-          f"{t_warm * 1e3:.3f} ms ({speedup:.0f}x)")
+          f"{t_warm * 1e3:.3f} ms ({ratio:.0f}x)")
     info = dag_cache_info()
     hit_rate = info["hits"] / max(info["hits"] + info["misses"], 1)
-    bench_record(t_cold_build_s=t_cold, t_warm_hit_s=t_warm, speedup=speedup,
+    bench_record(t_cold_build_s=t_cold, t_warm_hit_s=t_warm,
+                 cold_over_warm=ratio, warm_builds=len(builds),
                  cache_hit_rate=hit_rate)
-    assert t_warm < t_cold, "cache hit slower than a cold build"

@@ -64,14 +64,15 @@ Timing extraction is columnar: :func:`simulate_dag` /
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.timing import BatchedTiming, RunTiming
-from repro.sim.mpi import DEFAULT_EAGER_LIMIT, MessageMatcher, Protocol, select_protocol
+from repro.sim.mpi import DEFAULT_EAGER_LIMIT, Protocol, match_messages, select_protocol
 from repro.sim.network import NetworkModel, UniformNetwork
 from repro.sim.program import (
     LockstepConfig,
@@ -158,6 +159,13 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     shifts = starts - np.concatenate(([0], np.cumsum(counts)[:-1]))
     return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; a sort and a mask, several times faster
+    than the hash table ``np.unique`` uses for integers."""
+    v = np.sort(values)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if v.size else v
 
 
 @dataclass
@@ -284,7 +292,8 @@ class StaticDag:
         if self.comp_node.size:
             ops = program.ops
             dur[self.comp_node] = [
-                ops[r][j].duration for r, j in zip(self.comp_rank, self.comp_op_idx)
+                ops[r][j].duration for r, j in zip(self.comp_rank.tolist(),
+                                                   self.comp_op_idx.tolist())
             ]
         return dur
 
@@ -435,232 +444,206 @@ class StaticDag:
                 "post_end": None if post_end is None else to_batch(post_end)}
 
 
-class _DagAccumulator:
-    """Collects nodes and edges while the program is walked."""
-
-    __slots__ = ("duration", "succs", "prog_pred", "node_rank")
-
-    def __init__(self) -> None:
-        self.duration: list[float] = []
-        self.succs: list[list[tuple[int, float]]] = []
-        self.prog_pred: list[int] = []
-        self.node_rank: list[int] = []
-
-    def add_node(self, duration: float, prog_pred: int = -1, rank: int = -1) -> int:
-        node = len(self.duration)
-        self.duration.append(duration)
-        self.succs.append([])
-        self.prog_pred.append(prog_pred)
-        self.node_rank.append(rank)
-        if prog_pred >= 0:
-            self.add_edge(prog_pred, node, 0.0)
-        return node
-
-    def add_edge(self, src: int, dst: int, delay: float) -> None:
-        self.succs[src].append((dst, delay))
-
-
-def _levelize(n: int, indptr: np.ndarray, succ: np.ndarray,
-              node_rank: np.ndarray
-              ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Kahn level schedule over a CSR graph; raises :class:`EngineError`
-    on a cycle.  Returns ``(level_order, level_ptr, edge_perm,
-    edge_src_lv, edge_dst_lv)``."""
-    indeg = np.bincount(succ, minlength=n) if succ.size else np.zeros(n, dtype=np.int64)
-    indeg = indeg.astype(np.int64, copy=False).copy()
-    frontier = np.flatnonzero(indeg == 0)
-    order_parts: list[np.ndarray] = []
-    perm_parts: list[np.ndarray] = []
-    src_parts: list[np.ndarray] = []
+def _levels(indptr: np.ndarray, succ: np.ndarray, op_rank: np.ndarray
+            ) -> "tuple[np.ndarray, np.ndarray]":
+    """Kahn level schedule over CSR rows, each level sorted by node id;
+    raises :class:`EngineError` on a cycle.  Returns ``(level_order,
+    level_ptr)``."""
+    n = indptr.size - 1
+    indeg = np.bincount(succ, minlength=n)
+    ptr, succ = indptr.tolist(), succ.tolist()
+    frontier = np.flatnonzero(indeg == 0).tolist()
+    indeg = indeg.tolist()
+    order: list[int] = []
     level_ptr = [0]
-    processed = 0
-    while frontier.size:
-        order_parts.append(frontier)
-        processed += int(frontier.size)
-        level_ptr.append(processed)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        epos = _concat_ranges(starts, counts)
-        perm_parts.append(epos)
-        src_parts.append(np.repeat(frontier, counts))
-        dsts = succ[epos]
-        np.subtract.at(indeg, dsts, 1)
-        cand = np.unique(dsts)
-        frontier = cand[indeg[cand] == 0]
-    if processed != n:
-        unprocessed = np.setdiff1d(np.arange(n), np.concatenate(order_parts)
-                                   if order_parts else np.empty(0, np.int64))
-        blocked_ranks = node_rank[unprocessed]
-        blocked_ranks = blocked_ranks[blocked_ranks >= 0]
-        first_blocked = int(blocked_ranks[0]) if blocked_ranks.size else -1
+    while frontier:
+        order += frontier
+        level_ptr.append(len(order))
+        ready = []
+        for u in frontier:
+            for v in succ[ptr[u]:ptr[u + 1]]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
+        ready.sort()
+        frontier = ready
+    if len(order) != n:
+        first = next(u for u, k in enumerate(indeg) if k)
+        first_blocked = int(op_rank[first]) if first < op_rank.size else -1
         raise EngineError(
-            f"dependency cycle in program DAG: processed {processed} of {n} nodes "
-            f"({n - processed} unresolved, first blocked rank {first_blocked}) — "
+            f"dependency cycle in program DAG: processed {len(order)} of {n} nodes "
+            f"({n - len(order)} unresolved, first blocked rank {first_blocked}) — "
             "this indicates a deadlocking communication pattern",
-            n_unprocessed=n - processed,
+            n_unprocessed=n - len(order),
             first_blocked_rank=first_blocked,
         )
-    empty = np.empty(0, dtype=np.int64)
-    perm = np.concatenate(perm_parts) if perm_parts else empty
-    return (
-        np.concatenate(order_parts) if order_parts else empty,
-        np.asarray(level_ptr, dtype=np.int64),
-        perm,
-        np.concatenate(src_parts) if src_parts else empty,
-        succ[perm],  # == edge_dst in level order, the CSR permutation image
-    )
+    return np.array(order, dtype=np.int64), np.array(level_ptr, dtype=np.int64)
 
 
-def _build_structure(program: Program, config: SimConfig) -> StaticDag:
-    """Walk the program once and freeze its dependency DAG (uncached)."""
-    acc = _DagAccumulator()
-    matcher = MessageMatcher()
+def _coupling_edges(rank: np.ndarray, peer: np.ndarray, step: np.ndarray,
+                    local: np.ndarray, waits: np.ndarray, send: np.ndarray,
+                    transfer: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(src, dst)`` of the progress-coupling edges, in match order.
 
-    rank_node_ids: list[np.ndarray] = []
-    comp_node: list[int] = []
-    comp_rank: list[int] = []
-    comp_step: list[int] = []
-    comp_op_idx: list[int] = []
-    wait_node: list[int] = []
-    wait_rank: list[int] = []
-    wait_step: list[int] = []
-    # waitall_of[node] = the WAITALL node this ISEND/IRECV belongs to
-    waitall_of: dict[int, int] = {}
-    # step_of_send[node] = bulk-synchronous step of an ISEND node
-    step_of_send: dict[int, int] = {}
-    # prewait[(rank, step)] = node just before the step's WAITALL (the rank's
-    # posting-complete time; anchor of the progress-coupling rule)
-    prewait: dict[tuple[int, int], int] = {}
+    ``send`` holds the ISEND op of each rendezvous match and ``transfer``
+    its transfer node.  When a pair exchanges rendezvous messages both
+    ways in one step, each of its transfers also waits for the
+    posting-complete node (the op before the step's last WAITALL) of
+    every same-step rendezvous partner of either endpoint.
+    """
+    if not send.size:
+        return send, transfer
+    # The anchor of (rank, step) precedes its last WAITALL; a WAITALL at a
+    # chain head anchors nothing.
+    w = waits[local[waits] > 0]
+    anchor = dict(zip(zip(rank[w].tolist(), step[w].tolist()), (w - 1).tolist()))
+    msgs = list(zip(rank[send].tolist(), peer[send].tolist(),
+                    step[send].tolist()))
+    # partner_anchors[r, st]: the anchors of r's rendezvous partners in st.
+    partner_anchors: "defaultdict[tuple[int, int], set[int]]" = defaultdict(set)
+    for a, b, st in msgs:
+        if (b, st) in anchor:
+            partner_anchors[a, st].add(anchor[b, st])
+        if (a, st) in anchor:
+            partner_anchors[b, st].add(anchor[a, st])
+    both_ways = set(msgs)
+    src: list[int] = []
+    dst: list[int] = []
+    for (a, b, st), node in zip(msgs, transfer.tolist()):
+        if a != b and (b, a, st) in both_ways:
+            coupled = partner_anchors[a, st] | partner_anchors[b, st]
+            src += coupled
+            dst += [node] * len(coupled)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
 
-    for rank, rank_ops in enumerate(program.ops):
-        prev = -1
-        ids: list[int] = []
-        pending_reqs: list[int] = []
-        for op_idx, op in enumerate(rank_ops):
-            if op.kind == OpKind.COMP:
-                # Duration slot: filled per draw (the delay-dependent part).
-                node = acc.add_node(0.0, prev, rank)
-                comp_node.append(node)
-                comp_rank.append(rank)
-                comp_step.append(op.step)
-                comp_op_idx.append(op_idx)
-            elif op.kind == OpKind.ISEND:
-                domain = config.domain(rank, op.peer)
-                node = acc.add_node(config.network.send_overhead(domain), prev, rank)
-                matcher.add_send(rank, op.peer, op.tag, op.size, node)
-                step_of_send[node] = op.step
-                pending_reqs.append(node)
-            elif op.kind == OpKind.IRECV:
-                node = acc.add_node(0.0, prev, rank)
-                matcher.add_recv(op.peer, rank, op.tag, node)
-                pending_reqs.append(node)
-            elif op.kind == OpKind.WAITALL:
-                if prev >= 0:
-                    prewait[(rank, op.step)] = prev
-                node = acc.add_node(0.0, prev, rank)
-                for req in pending_reqs:
-                    waitall_of[req] = node
-                pending_reqs = []
-                wait_node.append(node)
-                wait_rank.append(rank)
-                wait_step.append(op.step)
-            else:  # pragma: no cover - OpKind is exhaustive
-                raise ValueError(f"unknown op kind {op.kind}")
-            ids.append(node)
-            prev = node
-        if pending_reqs:
-            raise ValueError(
-                f"rank {rank} ends with {len(pending_reqs)} requests not covered "
-                "by a WAITALL"
-            )
-        rank_node_ids.append(np.asarray(ids, dtype=np.int64))
 
-    # Wire the matched messages.  Rendezvous matches are collected first so
-    # the bidirectional progress-coupling rule can be applied afterwards.
-    from collections import defaultdict
+def _dag_from_shape(n_steps: int, shape: tuple, config: SimConfig) -> StaticDag:
+    """Freeze one program shape's dependency DAG (uncached).
 
-    rdv_partners: dict[tuple[int, int], set[int]] = defaultdict(set)
-    pair_directions: dict[tuple[int, int, int], set[tuple[int, int]]] = defaultdict(set)
-    rdv_transfers: list[tuple[object, int, int]] = []  # (match, transfer node, step)
+    ``shape`` holds one tuple per rank of ``(kind, peer, size, tag, step)``
+    per operation, the structure-cache key's program part.  Node ``g`` is
+    the ``g``-th operation in rank-major program order; one virtual node
+    per matched message follows, in the order the matches complete.  The
+    edges are listed as chain edges, then each match's four protocol
+    edges, then the progress-coupling edges; a stable sort by source
+    turns that list into CSR rows that keep it.
+    """
+    n_ranks = len(shape)
+    counts = np.fromiter(map(len, shape), dtype=np.int64, count=n_ranks)
+    n_ops = int(counts.sum())
+    kind, peer, size, tag, step = np.fromiter(
+        chain.from_iterable(chain.from_iterable(shape)), dtype=np.int64,
+        count=5 * n_ops).reshape(n_ops, 5).T
+    ops = np.arange(n_ops, dtype=np.int64)
+    rank = np.repeat(np.arange(n_ranks, dtype=np.int64), counts)
+    local = ops - np.repeat(np.cumsum(counts) - counts, counts)
+    is_send = kind == OpKind.ISEND
+    sends = np.flatnonzero(is_send)
+    reqs = np.flatnonzero(is_send | (kind == OpKind.IRECV))
+    waits = np.flatnonzero(kind == OpKind.WAITALL)
 
-    for m in matcher.finish():
-        domain = config.domain(m.src, m.dst)
-        proto = select_protocol(m.size, config.eager_limit, config.protocol)
-        flight = config.network.transfer_time(m.size, domain)
+    # Send overheads, one domain per distinct (rank, peer), looked up in
+    # first-use order so that a failing lookup names the op a walk would.
+    width = int(peer.max(initial=0)) + 1
+    pair_code = rank[sends] * width + peer[sends]
+    pairs = _distinct(pair_code)
+    pair_of_send = np.searchsorted(pairs, pair_code)
+    domains: dict[int, CommDomain] = {}
+    send_overhead = np.empty(pairs.size)
+    for i in dict.fromkeys(pair_of_send.tolist()):
+        domains[i] = config.domain(*divmod(int(pairs[i]), width))
+        send_overhead[i] = config.network.send_overhead(domains[i])
+
+    # Each request completes at its rank's next WAITALL.
+    wait_of = np.empty(n_ops, dtype=np.int64)
+    wait_of[reqs] = np.append(waits, n_ops)[np.searchsorted(waits, reqs)]
+    uncovered = reqs[np.append(rank, -1)[wait_of[reqs]] != rank[reqs]]
+    if uncovered.size:
+        r = int(rank[uncovered[0]])
+        raise ValueError(
+            f"rank {r} ends with {int(np.count_nonzero(rank[uncovered] == r))} "
+            "requests not covered by a WAITALL"
+        )
+
+    on_send = is_send[reqs]
+    send_pos, recv_pos = match_messages(
+        np.where(on_send, rank[reqs], peer[reqs]),
+        np.where(on_send, peer[reqs], rank[reqs]), tag[reqs], on_send)
+    send, recv = reqs[send_pos], reqs[recv_pos]
+    n_match = send.size
+    virtual = n_ops + np.arange(n_match, dtype=np.int64)
+
+    # Protocol, flight time and node duration per distinct (pair, size).
+    sizes = _distinct(size[send])
+    combo_code = (pair_of_send[np.searchsorted(sends, send)] * sizes.size
+                  + np.searchsorted(sizes, size[send]))
+    combos = _distinct(combo_code)
+    combo_of = np.searchsorted(combos, combo_code)
+    flight = np.empty(combos.size)
+    node_duration = np.empty(combos.size)
+    rendezvous = np.empty(combos.size, dtype=bool)
+    for i, combo in enumerate(combos.tolist()):
+        pair, size_idx = divmod(combo, sizes.size)
+        nbytes, domain = int(sizes[size_idx]), domains[pair]
+        proto = select_protocol(nbytes, config.eager_limit, config.protocol)
+        flight[i] = t_flight = config.network.transfer_time(nbytes, domain)
         o_recv = config.network.recv_overhead(domain)
-        send_wait = waitall_of[m.send_node]
-        recv_wait = waitall_of[m.recv_node]
-        if proto == Protocol.EAGER:
-            # Send request is locally complete; ISEND -> its WAITALL.
-            acc.add_edge(m.send_node, send_wait, 0.0)
-            # Receive request completes at max(arrival, posted) + o_recv.
-            completion = acc.add_node(o_recv)
-            acc.add_edge(m.send_node, completion, flight)
-            acc.add_edge(m.recv_node, completion, 0.0)
-            acc.add_edge(completion, recv_wait, 0.0)
-        else:  # rendezvous: handshake, then transfer; both requests finish at end
-            transfer = acc.add_node(flight + o_recv)
-            acc.add_edge(m.send_node, transfer, 0.0)
-            acc.add_edge(m.recv_node, transfer, 0.0)
-            acc.add_edge(transfer, send_wait, 0.0)
-            acc.add_edge(transfer, recv_wait, 0.0)
-            step = step_of_send[m.send_node]
-            rdv_partners[(m.src, step)].add(m.dst)
-            rdv_partners[(m.dst, step)].add(m.src)
-            lo, hi = (m.src, m.dst) if m.src < m.dst else (m.dst, m.src)
-            pair_directions[(lo, hi, step)].add((m.src, m.dst))
-            rdv_transfers.append((m, transfer, step))
+        rendezvous[i] = proto != Protocol.EAGER
+        node_duration[i] = t_flight + o_recv if rendezvous[i] else o_recv
+    flight, rendezvous = flight[combo_of], rendezvous[combo_of]
 
-    # Bidirectional rendezvous progress coupling (σ = 2 of Eq. 2): when a
-    # pair exchanges rendezvous messages both ways in one step, its transfers
-    # additionally wait for the posting-complete times of both endpoints'
-    # same-step rendezvous partners.  Posting times are primary quantities
-    # (execution end + send overheads), so the rule reaches exactly one hop.
-    for m, transfer, step in rdv_transfers:
-        lo, hi = (m.src, m.dst) if m.src < m.dst else (m.dst, m.src)
-        if len(pair_directions[(lo, hi, step)]) < 2:
-            continue
-        coupled = rdv_partners[(m.src, step)] | rdv_partners[(m.dst, step)]
-        for p in coupled:
-            anchor = prewait.get((p, step))
-            if anchor is not None:
-                acc.add_edge(anchor, transfer, 0.0)
+    # Protocol edges, four per match.  Eager: ISEND -> its WAITALL, ISEND
+    # -> completion node (flight), IRECV -> completion, completion -> the
+    # recv's WAITALL.  Rendezvous: both requests -> transfer node -> both
+    # WAITALLs.
+    ws, wr = wait_of[send], wait_of[recv]
+    rdv = rendezvous[:, None]
+    wire_src = np.where(rdv, np.stack((send, recv, virtual, virtual), axis=1),
+                        np.stack((send, send, recv, virtual), axis=1))
+    wire_dst = np.where(rdv, np.stack((virtual, virtual, ws, wr), axis=1),
+                        np.stack((ws, virtual, virtual, wr), axis=1))
+    wire_delay = np.zeros((n_match, 4))
+    wire_delay[:, 1] = np.where(rendezvous, 0.0, flight)
+    couple_src, couple_dst = _coupling_edges(
+        rank, peer, step, local, waits, send[rendezvous], virtual[rendezvous])
 
-    # Freeze into CSR + level schedule.
-    n = len(acc.duration)
-    counts = np.fromiter((len(s) for s in acc.succs), dtype=np.int64, count=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    n_edges = int(indptr[-1])
-    succ = np.fromiter((dst for s in acc.succs for dst, _ in s),
-                       dtype=np.int64, count=n_edges)
-    delay = np.fromiter((d for s in acc.succs for _, d in s),
-                        dtype=float, count=n_edges)
-    node_rank = np.asarray(acc.node_rank, dtype=np.int64)
+    chained = np.flatnonzero(local > 0)
+    src = np.concatenate((chained - 1, wire_src.ravel(), couple_src))
+    by_src = np.argsort(src, kind="stable")
+    n = n_ops + n_match
+    succ = np.concatenate((chained, wire_dst.ravel(), couple_dst))[by_src]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    level_order, level_ptr = _levels(indptr, succ, rank)
+    rows = np.diff(indptr)[level_order]
+    edge_perm = _concat_ranges(indptr[level_order], rows)
 
-    level_order, level_ptr, edge_perm, edge_src_lv, edge_dst_lv = _levelize(
-        n, indptr, succ, node_rank)
-
+    base_duration = np.zeros(n)
+    base_duration[sends] = send_overhead[pair_of_send]
+    base_duration[n_ops:] = node_duration[combo_of]
+    comps = np.flatnonzero(kind == OpKind.COMP)
     return StaticDag(
-        n_ranks=program.n_ranks,
-        n_steps=program.n_steps,
+        n_ranks=n_ranks,
+        n_steps=n_steps,
         succ_indptr=indptr,
         succ_index=succ,
-        edge_delay=delay,
-        base_duration=np.asarray(acc.duration, dtype=float),
-        prog_pred=np.asarray(acc.prog_pred, dtype=np.int64),
+        edge_delay=np.concatenate((np.zeros(chained.size), wire_delay.ravel(),
+                                   np.zeros(couple_src.size)))[by_src],
+        base_duration=base_duration,
+        prog_pred=np.concatenate((np.where(local > 0, ops - 1, -1),
+                                  np.full(n_match, -1, dtype=np.int64))),
         level_order=level_order,
         level_ptr=level_ptr,
         edge_perm=edge_perm,
-        edge_src_lv=edge_src_lv,
-        edge_dst_lv=edge_dst_lv,
-        comp_node=np.asarray(comp_node, dtype=np.int64),
-        comp_rank=np.asarray(comp_rank, dtype=np.int64),
-        comp_step=np.asarray(comp_step, dtype=np.int64),
-        comp_op_idx=np.asarray(comp_op_idx, dtype=np.int64),
-        wait_node=np.asarray(wait_node, dtype=np.int64),
-        wait_rank=np.asarray(wait_rank, dtype=np.int64),
-        wait_step=np.asarray(wait_step, dtype=np.int64),
-        rank_node_ids=tuple(rank_node_ids),
+        edge_src_lv=np.repeat(level_order, rows),
+        edge_dst_lv=succ[edge_perm],
+        comp_node=comps,
+        comp_rank=rank[comps],
+        comp_step=step[comps],
+        comp_op_idx=local[comps],
+        wait_node=waits,
+        wait_rank=rank[waits],
+        wait_step=step[waits],
+        rank_node_ids=tuple(np.split(ops, np.cumsum(counts)[:-1])),
     )
 
 
@@ -705,30 +688,27 @@ def build_dag(program: Program, config: "SimConfig | None" = None,
     """
     if config is None:
         config = SimConfig()
-    if not cache:
-        with telemetry.span("engine.build_dag", cached=False) as sp:
-            dag = _build_structure(program, config)
-            sp.set(n_nodes=dag.n_nodes, n_edges=dag.n_edges,
-                   n_levels=dag.n_levels)
-        return dag
-    key = (_program_shape_key(program), _config_key(config))
-    dag = _DAG_CACHE.get(key)
-    if dag is not None:
-        _DAG_CACHE.move_to_end(key)
-        _DAG_CACHE_STATS["hits"] += 1
-        telemetry.count("dag.cache.hits")
-        return dag
-    _DAG_CACHE_STATS["misses"] += 1
-    telemetry.count("dag.cache.misses")
-    with telemetry.span("engine.build_dag", cached=True) as sp:
-        dag = _build_structure(program, config)
+    shape = _program_shape_key(program)
+    if cache:
+        key = (shape, _config_key(config))
+        dag = _DAG_CACHE.get(key)
+        if dag is not None:
+            _DAG_CACHE.move_to_end(key)
+            _DAG_CACHE_STATS["hits"] += 1
+            telemetry.count("dag.cache.hits")
+            return dag
+        _DAG_CACHE_STATS["misses"] += 1
+        telemetry.count("dag.cache.misses")
+    with telemetry.span("engine.build_dag", cached=cache) as sp:
+        dag = _dag_from_shape(*shape, config)
         sp.set(n_nodes=dag.n_nodes, n_edges=dag.n_edges,
                n_levels=dag.n_levels)
-    _DAG_CACHE[key] = dag
-    while len(_DAG_CACHE) > _DAG_CACHE_MAX:
-        _DAG_CACHE.popitem(last=False)
-        _DAG_CACHE_STATS["evictions"] += 1
-        telemetry.count("dag.cache.evictions")
+    if cache:
+        _DAG_CACHE[key] = dag
+        while len(_DAG_CACHE) > _DAG_CACHE_MAX:
+            _DAG_CACHE.popitem(last=False)
+            _DAG_CACHE_STATS["evictions"] += 1
+            telemetry.count("dag.cache.evictions")
     return dag
 
 
@@ -781,28 +761,20 @@ def simulate(program: Program, config: SimConfig | None = None) -> Trace:
         config = SimConfig()
     dag = build_dag(program, config)
     ready, end = dag._propagate_cols(dag.durations_for(program)[:, None])
-    r_ready, r_end = ready[:, 0], end[:, 0]
-    prog_pred = dag.prog_pred
+    ready, end = ready[:, 0].tolist(), end[:, 0].tolist()
+    prog_pred = dag.prog_pred.tolist()
 
     records: list[OpRecord] = []
     for rank, (rank_ops, node_ids) in enumerate(zip(program.ops, dag.rank_node_ids)):
-        for op, node in zip(rank_ops, node_ids):
+        for op, node in zip(rank_ops, node_ids.tolist()):
             if op.kind == OpKind.WAITALL:
                 pred = prog_pred[node]
-                start = r_end[pred] if pred >= 0 else 0.0
+                start = end[pred] if pred >= 0 else 0.0
             else:
-                start = r_ready[node]
-            records.append(
-                OpRecord(
-                    rank=rank,
-                    step=op.step,
-                    kind=op.kind,
-                    start=float(start),
-                    end=float(r_end[node]),
-                    peer=op.peer,
-                    size=op.size,
-                )
-            )
+                start = ready[node]
+            # positional: keyword parsing costs a fifth of the record
+            records.append(OpRecord(rank, op.step, op.kind, start, end[node],
+                                    op.peer, op.size))
 
     return Trace(
         n_ranks=program.n_ranks,

@@ -7,20 +7,20 @@ messages use **rendezvous** (sender and receiver synchronize before the
 transfer — the sender *cannot* complete until the receiver arrives, which
 makes delays propagate *against* the message direction, Fig. 5(e,f)).
 
-This module provides the protocol selection rule (the *eager limit*) and a
-deterministic message matcher: the *n*-th send from rank ``i`` to rank ``j``
-with tag ``t`` matches the *n*-th receive posted at ``j`` for source ``i``
-and tag ``t`` — MPI's non-overtaking guarantee for our deterministic
+This module provides the protocol selection rule (the *eager limit*) and
+deterministic message matching: the *n*-th send from rank ``i`` to rank
+``j`` with tag ``t`` matches the *n*-th receive posted at ``j`` for source
+``i`` and tag ``t`` — MPI's non-overtaking guarantee for our deterministic
 programs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["Protocol", "select_protocol", "MessageMatcher", "MatchedMessage", "DEFAULT_EAGER_LIMIT"]
+import numpy as np
+
+__all__ = ["Protocol", "select_protocol", "match_messages", "DEFAULT_EAGER_LIMIT"]
 
 #: Default eager limit in bytes.  The paper's Fig. 5 states the limit as
 #: "16384 doubles, i.e. 131072 B" (Intel MPI inter-node default).
@@ -52,69 +52,50 @@ def select_protocol(size_bytes: int, eager_limit: int = DEFAULT_EAGER_LIMIT,
     return Protocol.EAGER if size_bytes <= eager_limit else Protocol.RENDEZVOUS
 
 
-@dataclass(slots=True, frozen=True)
-class MatchedMessage:
-    """A matched (send, recv) pair, identified by op indices in the DAG."""
+def match_messages(src, dst, tag, is_send) -> "tuple[np.ndarray, np.ndarray]":
+    """FIFO-match sends to receives per ``(src, dst, tag)`` channel.
 
-    src: int
-    dst: int
-    tag: int
-    size: int
-    send_node: int
-    recv_node: int
+    The four arrays describe every point-to-point operation in posting
+    order, one element each: its channel's source rank, destination rank
+    and tag, and whether it is a send.  The *n*-th send of a channel
+    matches the *n*-th receive of that channel.
 
+    Returns ``(send, recv)``: the input positions of each matched pair,
+    ordered by the later of the two — the order in which a walk over the
+    operations completes the matches.
 
-class MessageMatcher:
-    """FIFO matching of sends to receives per (src, dst, tag) channel.
-
-    The engine registers every ``ISEND`` and ``IRECV`` as it walks the
-    per-rank programs; whenever both sides of a channel have an outstanding
-    entry, a :class:`MatchedMessage` is produced.  At the end of program
-    construction, :meth:`finish` verifies that no operation was left
-    unmatched (an unmatched op means the program would deadlock or leak a
-    request — a bug in program construction).
+    Raises
+    ------
+    ValueError
+        If any send or receive is left unmatched (the program would
+        deadlock or leak a request).  The message names every such
+        channel with its count of unmatched operations, in the order the
+        operations first touched the channels.
     """
-
-    def __init__(self) -> None:
-        self._pending_sends: dict[tuple[int, int, int], deque[tuple[int, int]]] = defaultdict(deque)
-        self._pending_recvs: dict[tuple[int, int, int], deque[int]] = defaultdict(deque)
-        self.matches: list[MatchedMessage] = []
-
-    def add_send(self, src: int, dst: int, tag: int, size: int, node: int) -> MatchedMessage | None:
-        """Register a send; returns the match if a recv was already waiting."""
-        key = (src, dst, tag)
-        if self._pending_recvs[key]:
-            recv_node = self._pending_recvs[key].popleft()
-            m = MatchedMessage(src, dst, tag, size, node, recv_node)
-            self.matches.append(m)
-            return m
-        self._pending_sends[key].append((node, size))
-        return None
-
-    def add_recv(self, src: int, dst: int, tag: int, node: int) -> MatchedMessage | None:
-        """Register a receive; returns the match if a send was already waiting."""
-        key = (src, dst, tag)
-        if self._pending_sends[key]:
-            send_node, size = self._pending_sends[key].popleft()
-            m = MatchedMessage(src, dst, tag, size, send_node, node)
-            self.matches.append(m)
-            return m
-        self._pending_recvs[key].append(node)
-        return None
-
-    def finish(self) -> list[MatchedMessage]:
-        """Verify completeness and return all matches.
-
-        Raises
-        ------
-        ValueError
-            If any send or receive is left unmatched.
-        """
-        unmatched_sends = {k: len(v) for k, v in self._pending_sends.items() if v}
-        unmatched_recvs = {k: len(v) for k, v in self._pending_recvs.items() if v}
-        if unmatched_sends or unmatched_recvs:
-            raise ValueError(
-                "program has unmatched point-to-point operations: "
-                f"sends={unmatched_sends} recvs={unmatched_recvs}"
-            )
-        return self.matches
+    src, dst, tag = (np.asarray(a, dtype=np.int64) for a in (src, dst, tag))
+    is_send = np.asarray(is_send, dtype=bool)
+    # Channel-major order; lexsort is stable, so each channel keeps its
+    # posting order and its first element is its first operation.
+    order = np.lexsort((tag, dst, src))
+    s, d, t = src[order], dst[order], tag[order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1]) | (t[1:] != t[:-1])
+    channel = np.cumsum(head) - 1
+    side = is_send[order]
+    if not np.array_equal(channel[side], channel[~side]):
+        n = int(channel[-1]) + 1
+        excess = (np.bincount(channel[side], minlength=n)
+                  - np.bincount(channel[~side], minlength=n))
+        first = np.flatnonzero(head)  # each channel's first operation
+        bad = np.flatnonzero(excess)
+        bad = bad[np.argsort(order[first[bad]])]
+        name = lambda c: tuple(int(x[first[c]]) for x in (s, d, t))
+        sends = {name(c): int(excess[c]) for c in bad if excess[c] > 0}
+        recvs = {name(c): int(-excess[c]) for c in bad if excess[c] < 0}
+        raise ValueError(
+            "program has unmatched point-to-point operations: "
+            f"sends={sends} recvs={recvs}"
+        )
+    send, recv = order[side], order[~side]
+    done = np.argsort(np.maximum(send, recv))
+    return send[done], recv[done]

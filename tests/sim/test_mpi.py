@@ -4,8 +4,8 @@ import pytest
 
 from repro.sim.mpi import (
     DEFAULT_EAGER_LIMIT,
-    MessageMatcher,
     Protocol,
+    match_messages,
     select_protocol,
 )
 
@@ -30,57 +30,50 @@ class TestSelectProtocol:
             select_protocol(-1)
 
 
+def match(*ops):
+    """Match ``("send" | "recv", src, dst, tag)`` operations given in
+    posting order; returns ``[(send position, recv position), ...]``."""
+    sides, src, dst, tag = zip(*ops) if ops else ((), (), (), ())
+    send, recv = match_messages(src, dst, tag, [s == "send" for s in sides])
+    return list(zip(send.tolist(), recv.tolist()))
+
+
 class TestMessageMatcher:
     def test_send_then_recv_matches(self):
-        m = MessageMatcher()
-        assert m.add_send(0, 1, tag=0, size=8, node=10) is None
-        match = m.add_recv(0, 1, tag=0, node=20)
-        assert match is not None
-        assert (match.send_node, match.recv_node) == (10, 20)
-        assert match.size == 8
+        assert match(("send", 0, 1, 0), ("recv", 0, 1, 0)) == [(0, 1)]
 
     def test_recv_then_send_matches(self):
-        m = MessageMatcher()
-        assert m.add_recv(0, 1, tag=0, node=20) is None
-        match = m.add_send(0, 1, tag=0, size=8, node=10)
-        assert match is not None
+        assert match(("recv", 0, 1, 0), ("send", 0, 1, 0)) == [(1, 0)]
 
     def test_fifo_order_per_channel(self):
         """MPI non-overtaking: n-th send matches n-th recv."""
-        m = MessageMatcher()
-        m.add_send(0, 1, tag=0, size=8, node=1)
-        m.add_send(0, 1, tag=0, size=8, node=2)
-        first = m.add_recv(0, 1, tag=0, node=11)
-        second = m.add_recv(0, 1, tag=0, node=12)
-        assert first.send_node == 1
-        assert second.send_node == 2
+        assert match(("send", 0, 1, 0), ("send", 0, 1, 0),
+                     ("recv", 0, 1, 0), ("recv", 0, 1, 0)) == [(0, 2), (1, 3)]
 
     def test_tags_separate_channels(self):
-        m = MessageMatcher()
-        m.add_send(0, 1, tag=7, size=8, node=1)
-        assert m.add_recv(0, 1, tag=8, node=2) is None  # different tag
-        assert m.add_recv(0, 1, tag=7, node=3) is not None
+        assert match(("send", 0, 1, 7), ("recv", 0, 1, 8),
+                     ("recv", 0, 1, 7), ("send", 0, 1, 8)) == [(0, 2), (3, 1)]
 
     def test_directions_are_distinct_channels(self):
-        m = MessageMatcher()
-        m.add_send(0, 1, tag=0, size=8, node=1)
-        assert m.add_recv(1, 0, tag=0, node=2) is None  # 1->0, not 0->1
+        assert match(("send", 0, 1, 0), ("recv", 1, 0, 0),
+                     ("send", 1, 0, 0), ("recv", 0, 1, 0)) == [(2, 1), (0, 3)]
 
     def test_finish_returns_all_matches(self):
-        m = MessageMatcher()
+        """Every match comes back, ordered by the later of its two
+        operations, as a walk over the operations completes them."""
+        ops = []
         for i in range(3):
-            m.add_send(0, 1, tag=i, size=8, node=i)
-            m.add_recv(0, 1, tag=i, node=100 + i)
-        assert len(m.finish()) == 3
+            ops += [("send", 0, 1, i), ("recv", 0, 1, 2 - i)]
+        assert match(*ops) == [(2, 3), (4, 1), (0, 5)]
+        assert match() == []
 
     def test_finish_rejects_unmatched_send(self):
-        m = MessageMatcher()
-        m.add_send(0, 1, tag=0, size=8, node=1)
-        with pytest.raises(ValueError, match="unmatched"):
-            m.finish()
+        with pytest.raises(ValueError, match=r"unmatched point-to-point "
+                           r"operations: sends=\{\(0, 1, 0\): 1\} recvs=\{\}"):
+            match(("send", 0, 1, 0))
 
     def test_finish_rejects_unmatched_recv(self):
-        m = MessageMatcher()
-        m.add_recv(0, 1, tag=0, node=1)
-        with pytest.raises(ValueError, match="unmatched"):
-            m.finish()
+        with pytest.raises(ValueError, match=r"unmatched point-to-point "
+                           r"operations: sends=\{\} recvs=\{\(0, 1, 0\): 2\}"):
+            match(("recv", 0, 1, 0), ("send", 0, 1, 0), ("recv", 0, 1, 0),
+                  ("recv", 0, 1, 0))
