@@ -19,12 +19,14 @@ import time
 
 import numpy as np
 
+from repro.runtime import run_campaign
 from repro.scenarios import (
+    ScenarioTaskBatcher,
     compile_scenario,
     load_bundled_scenario,
     run_scenario,
     run_scenario_batch,
-    run_scenario_sweep,
+    scenario_sweep_spec,
 )
 from repro.scenarios.runner import prepare_scenario_run
 from repro.sim import simulate_lockstep, simulate_lockstep_batch
@@ -87,16 +89,17 @@ def test_bench_batched_engine_speedup_64_draw_campaign(once, bench_record):
 
 
 def test_bench_batched_sweep_bit_identity_and_speedup(once, bench_record):
-    """The sweep runtime with the batcher: same bytes, less wall clock."""
-    spec = load_bundled_scenario("campaign_rate_sweep")
+    """The sweep's campaign with the batcher: same bytes, less wall clock."""
+    tasks = scenario_sweep_spec(
+        load_bundled_scenario("campaign_rate_sweep")).tasks()
 
     def run(batch: bool):
-        return run_scenario_sweep(spec, jobs=1, batch=batch)
+        return run_campaign(tasks, jobs=1,
+                            batcher=ScenarioTaskBatcher() if batch else None)
 
     unbatched = run(batch=False)
     batched = run(batch=True)
-    assert batched.campaign.values() == unbatched.campaign.values()
-    assert batched.points == unbatched.points
+    assert batched.values() == unbatched.values()
 
     reps = 3
     t0 = time.perf_counter()
@@ -109,10 +112,10 @@ def test_bench_batched_sweep_bit_identity_and_speedup(once, bench_record):
     t_batched = (time.perf_counter() - t0) / reps
 
     once(run, True)
-    print(f"\nsweep ({len(batched.campaign)} tasks): unbatched "
+    print(f"\nsweep ({len(batched)} tasks): unbatched "
           f"{t_serial * 1e3:.1f} ms, batched {t_batched * 1e3:.1f} ms "
           f"({t_serial / t_batched:.1f}x)")
-    bench_record(n_tasks=len(batched.campaign), t_unbatched_s=t_serial,
+    bench_record(n_tasks=len(batched), t_unbatched_s=t_serial,
                  t_batched_s=t_batched, speedup=t_serial / t_batched)
     assert t_batched < t_serial
 

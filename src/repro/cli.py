@@ -90,9 +90,6 @@ def add_campaign_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed result store; cached runs "
                              "are loaded with zero engine invocations")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="run cache misses one engine call at a time "
-                             "instead of batched (results are identical)")
     parser.add_argument("--profile", action="store_true",
                         help="print the run's telemetry summary (spans, "
                              "cache hit rates) and keep its JSONL under "
@@ -229,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result store; repeated runs skip cached work",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything even if --cache-dir has results",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         dest="as_json",
@@ -306,9 +298,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     run_all = args.experiment == "all"
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]
-    runtime = RuntimeOptions(
-        jobs=args.jobs, cache_dir=args.cache_dir, use_cache=not args.no_cache
-    )
+    runtime = RuntimeOptions(jobs=args.jobs, cache_dir=args.cache_dir)
 
     failures: "list[tuple[str, BaseException]]" = []
     for name in names:

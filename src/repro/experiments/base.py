@@ -31,18 +31,14 @@ class RuntimeOptions:
     cache_dir:
         Directory of the content-addressed result store, or ``None``
         to recompute everything in memory.
-    use_cache:
-        Set ``False`` (CLI ``--no-cache``) to bypass the store even
-        when ``cache_dir`` is configured.
     """
 
     jobs: int = 1
     cache_dir: "str | Path | None" = None
-    use_cache: bool = True
 
     def store(self):
         """The configured :class:`~repro.runtime.store.ResultStore`, or None."""
-        if self.cache_dir is None or not self.use_cache:
+        if self.cache_dir is None:
             return None
         from repro.runtime.store import ResultStore
 

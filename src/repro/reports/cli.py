@@ -5,7 +5,7 @@
     repro-experiment report list [--json]
     repro-experiment report validate [NAME_OR_FILE ...] (default: all bundled)
     repro-experiment report run NAME_OR_FILE [--cache-dir DIR] [--jobs N]
-                                             [--out DIR] [--no-batch]
+                                             [--out DIR]
 
 ``NAME_OR_FILE`` is a bundled report name (see ``report list``) or a path
 to a ``.toml``/``.json`` file anywhere on disk.  ``run`` resolves the
@@ -140,7 +140,7 @@ def _cmd_run(args) -> int:
                 tracker.set_resumed_from(resumed["id"])
             result = run_report(
                 compiled, store=campaign_store(args.cache_dir),
-                jobs=args.jobs, batch=not args.no_batch,
+                jobs=args.jobs,
             )
             print(result.render())
             if args.out is not None:

@@ -45,8 +45,8 @@ class CampaignStream:
     nothing here retains it afterwards.  Any cache miss first runs the
     whole campaign through :func:`~repro.runtime.executor.run_campaign`,
     which reads each hit once and executes only the misses — batched into
-    :class:`~repro.reports.tasks.ReportTaskBatcher` blocks with ``batch``
-    — and then yields its values in spec order; a value a pool worker
+    :class:`~repro.reports.tasks.ReportTaskBatcher` blocks — and then
+    yields its values in spec order; a value a pool worker
     stored is read when the consumer reaches it.  Any task failure
     raises :class:`~repro.runtime.executor.TaskError`.
 
@@ -57,7 +57,6 @@ class CampaignStream:
     specs: "tuple[RunSpec, ...]"
     store: "ResultStore | None" = None
     jobs: int = 1
-    batch: bool = True
     n_loaded: int = field(default=0, init=False)
     n_executed: int = field(default=0, init=False)
 
@@ -93,15 +92,11 @@ class CampaignStream:
             yield value
 
     def _run_campaign(self) -> "Iterator[Mapping]":
+        from repro.reports.tasks import ReportTaskBatcher
         from repro.runtime.executor import run_campaign
 
-        batcher = None
-        if self.batch:
-            from repro.reports.tasks import ReportTaskBatcher
-
-            batcher = ReportTaskBatcher()
         campaign = run_campaign(self.specs, jobs=self.jobs, store=self.store,
-                                batcher=batcher)
+                                batcher=ReportTaskBatcher())
         campaign.raise_failures()
         self.n_loaded = campaign.n_cached
         self.n_executed = campaign.n_executed
@@ -113,8 +108,6 @@ def stream_campaign(
     specs: "Sequence[RunSpec]",
     store: "ResultStore | None" = None,
     jobs: int = 1,
-    batch: bool = True,
 ) -> CampaignStream:
     """A :class:`CampaignStream` over the campaign's tasks."""
-    return CampaignStream(specs=tuple(specs), store=store, jobs=jobs,
-                          batch=batch)
+    return CampaignStream(specs=tuple(specs), store=store, jobs=jobs)

@@ -153,7 +153,6 @@ def run_report(
     report: CompiledReport,
     store=None,
     jobs: int = 1,
-    batch: bool = True,
 ) -> ReportResult:
     """Execute a compiled report.
 
@@ -167,9 +166,8 @@ def run_report(
         are persisted for the next report.
     jobs:
         Worker processes for cache-missing runs (0 = auto-detect).
-    batch:
-        Execute contiguous same-point seed blocks as single batched
-        engine invocations (results are bit-identical, only faster).
+        Contiguous same-point seed blocks execute as single batched
+        engine invocations.
     """
     group_columns = report.group_by
     stats = report.aggregate
@@ -199,7 +197,7 @@ def run_report(
         points = list(zip(target.grid.points, target.grid.compiled))
         with telemetry.span("report.fetch", scenario=target.scenario.name):
             stream = stream_campaign(target.sweep.tasks(), store=store,
-                                     jobs=jobs, batch=batch)
+                                     jobs=jobs)
             values = iter(stream)
             # Build the first point's stack inside the fetch span: a
             # cache miss runs the whole campaign here, and the first

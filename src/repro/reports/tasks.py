@@ -8,10 +8,11 @@ matrices at report time.  Changing a report's metrics, grouping, or
 artifacts therefore never invalidates the cache — a new report over an
 already-run sweep touches the engine zero times.
 
-:class:`ReportTaskBatcher` mirrors
-:class:`repro.scenarios.batch.ScenarioTaskBatcher`: contiguous blocks of
-tasks that differ only in their seed execute as one batched engine
-call, with per-task values bit-identical to unbatched execution.
+:class:`ReportTaskBatcher` is the
+:class:`~repro.scenarios.batch.SeedBlockBatcher` of timing tasks:
+contiguous blocks of tasks that differ only in their seed execute as one
+batched engine call, with per-task values bit-identical to per-task
+execution.
 
 The module imports the whole execution path at module top, so the
 campaign pool, which imports it before forking, leaves its workers
@@ -20,20 +21,18 @@ nothing to import; a warm report never imports it at all.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.timing import RunTiming
 from repro.reports.compiler import TIMING_TASK_FN
-from repro.runtime.executor import TaskBatcher
-from repro.runtime.spec import RunSpec, hashable
-from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.runner import _execute_prepared, \
-    _execute_prepared_batch, prepare_scenario_run
-from repro.scenarios.tasks import resolve_task_scenario
+from repro.scenarios.batch import SeedBlockBatcher
+from repro.scenarios.compiler import CompiledScenario
+from repro.scenarios.runner import PreparedRun
+from repro.scenarios.tasks import run_seed_block
 
-__all__ = ["ReportTaskBatcher", "scenario_timing_task"]
+__all__ = ["ReportTaskBatcher", "scenario_timing_task", "timing_record"]
 
 
 def scenario_timing_task(
@@ -51,14 +50,14 @@ def scenario_timing_task(
     (``exec_end`` / ``completion`` / ``idle``) instead of the scenario's
     evaluated outputs, which is what the report kernels consume.
     """
-    spec = resolve_task_scenario(scenario, overrides)
-    compiled = compile_scenario(spec, engine=engine)
-    prepared = prepare_scenario_run(compiled, seed)
-    timing = _execute_prepared(compiled, prepared)
-    return _timing_value(timing)
+    [value] = run_seed_block(timing_record, scenario, overrides, engine,
+                             [(seed, replicate)])
+    return value
 
 
-def _timing_value(timing: RunTiming) -> dict:
+def timing_record(compiled: CompiledScenario, prepared: PreparedRun,
+                  timing: RunTiming, replicate: int) -> dict:
+    """A timing task's value: the run's dense timing matrices."""
     return {
         "exec_end": np.asarray(timing.exec_end, dtype=float),
         "completion": np.asarray(timing.completion, dtype=float),
@@ -66,45 +65,13 @@ def _timing_value(timing: RunTiming) -> dict:
     }
 
 
-def _task_seed(spec: RunSpec) -> int:
-    """A timing task's effective seed: derived, or the explicit parameter."""
-    if spec.seed is not None:
-        return spec.seed
-    return int(spec.kwargs.get("seed", 0))
-
-
-class ReportTaskBatcher(TaskBatcher):
-    """Group contiguous same-grid-point timing tasks into engine batches.
+class ReportTaskBatcher(SeedBlockBatcher):
+    """Batches :func:`scenario_timing_task` seed blocks.
 
     Tasks are batchable when they share everything but their seed — either
     the derived per-task seed of a replicate block, or an explicit
-    ``seed`` axis value (reports with a ``seeds = [...]`` list).  Each
-    block compiles the scenario once and runs all its draws through the
-    batched dispatch :func:`~repro.scenarios.runner.run_scenario_batch`
-    uses.  Planning and ``max_block`` come from
-    :class:`~repro.runtime.executor.TaskBatcher`.
+    ``seed`` axis value (reports with a ``seeds = [...]`` list).
     """
 
-    @staticmethod
-    def _signature(spec: RunSpec,
-                   memo: "dict | None" = None) -> "tuple | None":
-        """Batch-compatibility key: everything but the seed and replicate."""
-        if spec.fn != TIMING_TASK_FN:
-            return None
-        return tuple((k, hashable(v, memo)) for k, v in spec.params
-                     if k not in ("replicate", "seed"))
-
-    def execute(self, specs: "Sequence[RunSpec]") -> "list[Mapping]":
-        """Run one seed block through the batched engine path.
-
-        Mirrors :func:`scenario_timing_task` exactly — same resolution,
-        same compile, same per-seed randomness — so each returned value
-        is bit-identical to the corresponding unbatched task call (the
-        batched recurrence is elementwise along the batch axis).
-        """
-        first = specs[0].kwargs
-        spec = resolve_task_scenario(first["scenario"], first.get("overrides"))
-        compiled = compile_scenario(spec, engine=first.get("engine", "auto"))
-        prepared = [prepare_scenario_run(compiled, _task_seed(s)) for s in specs]
-        return [_timing_value(t)
-                for t in _execute_prepared_batch(compiled, prepared)]
+    task_fn = TIMING_TASK_FN
+    record = staticmethod(timing_record)

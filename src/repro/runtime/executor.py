@@ -235,8 +235,9 @@ class TaskBatcher:
     the values the tasks would produce when called one by one.  Their
     module should import what :meth:`execute` runs at module top: the
     pool imports it before forking, so workers inherit that code.
-    See :class:`repro.scenarios.batch.ScenarioTaskBatcher` and
-    :class:`repro.reports.tasks.ReportTaskBatcher`.
+    :class:`repro.scenarios.batch.SeedBlockBatcher` is the base of both
+    shipped batchers, :class:`repro.scenarios.batch.ScenarioTaskBatcher`
+    and :class:`repro.reports.tasks.ReportTaskBatcher`.
     """
 
     max_block: int = 64

@@ -17,8 +17,9 @@ and the pipeline does the rest:
 - :mod:`repro.scenarios.sweep` — ``sweep:`` block expansion into
   :class:`repro.runtime.SweepSpec` grids: sharded, cached, bit-identical
   across worker counts.
-- :mod:`repro.scenarios.batch` — the campaign-runtime batcher that runs
-  contiguous replicate blocks as single batched-engine invocations.
+- :mod:`repro.scenarios.batch` — the campaign-runtime seed-block
+  batchers' base and the scenario batcher, which run contiguous
+  replicate blocks as single batched-engine invocations.
 - :mod:`repro.scenarios.registry` — TOML/JSON file loading and the
   bundled scenario files under ``scenarios/data/`` (the file format is
   :class:`repro.fields.SpecFiles`, shared with the report language).
@@ -36,7 +37,7 @@ from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".batch": ("ScenarioTaskBatcher",),
-    ".compiler": ("CompiledScenario", "compile_scenario", "lockstep_eligible"),
+    ".compiler": ("CompiledScenario", "compile_scenario"),
     ".errors": ("ScenarioError",),
     ".registry": ("BUNDLED_SCENARIO_DIR", "bundled_scenario_names",
                   "iter_bundled_scenarios", "load_bundled_scenario",

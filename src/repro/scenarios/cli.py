@@ -128,7 +128,6 @@ def _observed_sweep(args, spec) -> int:
             result = run_scenario_sweep(
                 spec, base_seed=args.seed, engine=args.engine,
                 jobs=args.jobs, store=campaign_store(args.cache_dir),
-                batch=not args.no_batch,
             )
             print(result.render())
     except StoreError as exc:

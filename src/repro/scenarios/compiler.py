@@ -51,24 +51,11 @@ from repro.sim.topology import CommDomain, ProcessMapping
 if TYPE_CHECKING:
     from repro.sim.engine import SimConfig
 
-__all__ = ["CompiledScenario", "compile_scenario", "lockstep_eligible"]
+__all__ = ["CompiledScenario", "compile_scenario"]
 
 ENGINES = ("auto", "lockstep", "dag")
 
 _DEFAULT_MSG_SIZE = 8192
-
-
-def lockstep_eligible(spec: ScenarioSpec) -> bool:
-    """Whether the scenario fits the vectorized lockstep engine's contract.
-
-    Every declarative scenario does: the scenario layer only builds
-    standard bulk-synchronous lockstep programs, and the engine is
-    hierarchy-aware — ``machine.ppn`` placement resolves to per-message
-    network tiers instead of forcing the DAG fallback.  The function is
-    kept (always ``True``) as the dispatch predicate so irregular program
-    shapes added later have a single place to opt out.
-    """
-    return True
 
 
 @dataclass(frozen=True)
@@ -314,9 +301,6 @@ def compile_scenario(spec: ScenarioSpec, engine: str = "auto") -> CompiledScenar
             raise ScenarioError(str(exc), path="machine.ppn",
                                 scenario=spec.name) from exc
 
-    eligible = lockstep_eligible(spec)
-    chosen = engine if engine != "auto" else ("lockstep" if eligible else "dag")
-
     # Hierarchical placement resolves against the preset's per-domain
     # network on both engines; flat scenarios keep the collapsed uniform
     # model (a single well-defined T_comm).
@@ -339,7 +323,7 @@ def compile_scenario(spec: ScenarioSpec, engine: str = "auto") -> CompiledScenar
 
     return CompiledScenario(
         spec=spec,
-        engine=chosen,
+        engine="lockstep" if engine == "auto" else engine,
         cfg=cfg,
         network=network,
         domain=domain,

@@ -1,27 +1,27 @@
 """Scenario execution: compiled spec → engine run → outputs.
 
-Two entry points own the full deterministic pipeline:
+Every scenario run, single or batched, takes the same three steps:
 
-- :func:`run_scenario` executes one scenario:
+1. :func:`prepare_scenario_run` draws the delay campaign's schedule (if
+   any) and the noise matrix from a single
+   :class:`numpy.random.Generator` seeded by the run seed, so a scenario
+   + seed is bit-reproducible across processes;
+2. :func:`_execute_prepared_batch` runs B prepared draws of *one*
+   compiled scenario as a single ``[B, n_ranks, n_steps]`` invocation of
+   the engine the compiler chose (or an explicit override) — the
+   lockstep recurrence, or the DAG engine's build-once/propagate-many
+   :class:`~repro.sim.engine.StaticDag` sweep for forced-DAG scenarios.
+   Both engines consume the *same* execution-time matrices, which is
+   what makes cross-engine results agree to machine precision;
+3. :func:`finish_scenario_run` evaluates the requested outputs.
 
-  1. draw the delay campaign's schedule (if any) and the noise matrix from
-     a single :class:`numpy.random.Generator` seeded by the run seed, so a
-     scenario + seed is bit-reproducible across processes;
-  2. execute on the engine the compiler chose (or an explicit override) —
-     both engines consume the *same* execution-time matrix, which is what
-     makes cross-engine results agree to machine precision;
-  3. evaluate the requested outputs.
-
-- :func:`run_scenario_batch` executes B runs of *one* compiled scenario
-  (differing only in their seeds — e.g. the replicate draws of a delay
-  campaign) as a single ``[B, n_ranks, n_steps]`` invocation of the
-  batched engine — the lockstep recurrence, or the DAG engine's
-  build-once/propagate-many :class:`~repro.sim.engine.StaticDag` sweep
-  for forced-DAG scenarios.  Step 1 and 3 run per seed exactly as in the
-  serial path and both batched propagations are elementwise along the
-  batch axis, so every run's outputs are **bit-identical** to what
-  :func:`run_scenario` produces for the same seed — the contract the
-  campaign runtime's content-addressed cache relies on.
+:func:`run_scenario` executes one scenario as a one-draw block, and
+:func:`run_scenario_batch` many seeds of one scenario (e.g. the
+replicate draws of a delay campaign) as one block.  Both batched
+propagations are elementwise along the batch axis, so a run's outputs do
+not depend on the block it ran in: they are **bit-identical** for a
+given seed — the contract the campaign runtime's content-addressed cache
+relies on.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from repro.core.timing import RunTiming
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.outputs import compute_outputs
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import simulate_dag, simulate_dag_batch
+from repro.sim.engine import simulate_dag_batch
 from repro.sim.hybrid import HybridConfig, hybrid_exec_times
-from repro.sim.lockstep import simulate_lockstep, simulate_lockstep_batch
-from repro.sim.program import build_lockstep_program
+from repro.sim.lockstep import simulate_lockstep_batch
 
 __all__ = ["PreparedRun", "ScenarioRun", "run_scenario", "run_scenario_batch"]
 
@@ -144,41 +143,17 @@ def _prepare_scenario_run_inner(
     )
 
 
-def _execute_prepared(compiled: CompiledScenario, prepared: PreparedRun) -> RunTiming:
-    """Run one prepared scenario on the compiled engine choice."""
-    with telemetry.span("scenario.execute", engine=compiled.engine):
-        return _execute_prepared_inner(compiled, prepared)
-
-
-def _execute_prepared_inner(
-    compiled: CompiledScenario, prepared: PreparedRun
-) -> RunTiming:
-    if compiled.engine == "lockstep":
-        return simulate_lockstep(
-            prepared.cfg, exec_times=prepared.exec_times,
-            network=compiled.network, domain=compiled.domain,
-            protocol=compiled.protocol, eager_limit=compiled.eager_limit,
-            mapping=compiled.mapping,
-        )
-    # DAG reference: columnar fast path — the structure comes from the
-    # build cache (shared across a campaign's draws) and no OpRecord
-    # objects are materialized; matrices are bitwise identical to the
-    # full-trace path.
-    program = build_lockstep_program(prepared.cfg, prepared.exec_times)
-    return simulate_dag(program, compiled.sim_config(),
-                        exec_times=prepared.exec_times)
-
-
 def _execute_prepared_batch(
     compiled: CompiledScenario, prepared: "Sequence[PreparedRun]"
 ) -> "list[RunTiming]":
     """Run prepared draws of one compiled scenario as one batched call.
 
-    The B execution-time matrices are stacked into one
+    The one engine dispatch of the scenario layer: a single run is a
+    one-draw block.  The B execution-time matrices are stacked into one
     ``[B, n_ranks, n_steps]`` lockstep recurrence, or flow through one
     cached :class:`~repro.sim.engine.StaticDag` as a single batched
-    propagation.  Both are elementwise along the batch axis, so each
-    timing is bit-identical to :func:`_execute_prepared` on its draw.
+    propagation.  Both are elementwise along the batch axis, so a draw's
+    timing is bit-identical in any block.
     """
     stacked = np.stack([p.exec_times for p in prepared])
     with telemetry.span("scenario.execute", engine=compiled.engine,
@@ -237,19 +212,17 @@ def run_scenario(
     else:
         with telemetry.span("scenario.compile"):
             compiled = compile_scenario(scenario, engine=engine)
+    run_seed = compiled.spec.seed if seed is None else int(seed)
     # Own the run lifecycle only at top level: as one task of a sweep or
     # report campaign this stays silent (the campaign emits per-task
     # events; worker-local run.* events are dropped on merge).
     owns_run = telemetry.enabled() and not telemetry.in_run()
     if owns_run:
-        run_seed = compiled.spec.seed if seed is None else int(seed)
         telemetry.emit("run.start", kind="scenario.run",
                        name=compiled.spec.name, n_tasks=1,
                        engine=compiled.engine, seed_root=run_seed, jobs=1)
         telemetry.emit("task.start", index=0)
-    prepared = prepare_scenario_run(compiled, seed)
-    timing = _execute_prepared(compiled, prepared)
-    run = finish_scenario_run(compiled, prepared, timing)
+    [run] = run_scenario_batch(compiled, [run_seed])
     if owns_run:
         telemetry.emit("task.done", index=0)
         telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
@@ -267,7 +240,7 @@ def run_scenario_batch(
     draw), which is the shape of a delay-campaign replicate block.  The
     engine call is :func:`_execute_prepared_batch`, so each returned
     :class:`ScenarioRun` is bit-identical to
-    ``run_scenario(scenario, seed=s)`` for its seed.
+    ``run_scenario(scenario, seed=s)``, the one-draw block of its seed.
     """
     if isinstance(scenario, CompiledScenario):
         compiled = scenario

@@ -83,9 +83,7 @@ def expand_scenario_grid(spec: ScenarioSpec, engine: str = "auto") -> GridExpans
     chooses before it enters any task parameters, so the content hash
     that addresses the result store names the engine whose semantics
     produced the result — a dispatch-rule change can never silently serve
-    results computed under the old rule.  A grid whose points resolve to
-    *different* engines is rejected (force one explicitly): the literal
-    ``"auto"`` must never reach a cache key.
+    results computed under the old rule.
 
     Scenarios *without* a ``sweep`` block expand to a single-point grid,
     which keeps caching and sharding uniform for the CLI.
@@ -93,7 +91,6 @@ def expand_scenario_grid(spec: ScenarioSpec, engine: str = "auto") -> GridExpans
     document = spec.without_sweep().to_dict()
     points = _grid_points(spec)
     compiled_points = []
-    chosen: "set[str]" = set()
     for point in points:
         candidate = apply_overrides(document, point) if point else document
         try:
@@ -105,25 +102,11 @@ def expand_scenario_grid(spec: ScenarioSpec, engine: str = "auto") -> GridExpans
                 path=exc.path, scenario=spec.name,
             ) from exc
         compiled_points.append(compiled)
-        chosen.add(compiled.engine)
-    resolved_engine = engine
-    if engine == "auto":
-        if len(chosen) != 1:
-            # Never let the literal "auto" reach the cache key: a key that
-            # does not name the engine would survive dispatch-rule changes
-            # and serve results computed under the old rule.
-            raise ScenarioError(
-                f"sweep grid points resolve to multiple engines "
-                f"({sorted(chosen)}); force one with engine='lockstep' or "
-                "engine='dag' so cached results are unambiguous",
-                path="sweep", scenario=spec.name,
-            )
-        resolved_engine = chosen.pop()
     return GridExpansion(
         document=document,
         points=tuple(points),
         compiled=tuple(compiled_points),
-        engine=resolved_engine,
+        engine=compiled_points[0].engine,  # the same for every point
         replicates=spec.sweep.replicates if spec.sweep is not None else 1,
     )
 
@@ -229,15 +212,13 @@ def run_scenario_sweep(
     engine: str = "auto",
     jobs: int = 1,
     store=None,
-    batch: bool = True,
 ) -> ScenarioSweepResult:
     """Run a scenario's grid through the campaign runtime and aggregate.
 
     ``jobs``/``store`` are forwarded to
     :func:`repro.runtime.executor.run_campaign`; task failures raise.
-    With ``batch`` (the default) contiguous replicate blocks of one grid
-    point execute as single batched-engine invocations — results are
-    bit-identical to unbatched runs, only faster.
+    Contiguous replicate blocks of one grid point execute as single
+    batched-engine invocations, bit-identical to per-task runs.
     """
     # Run-lifecycle events are owned by the outermost runner: a sweep
     # executed inside another run (a report's campaign) stays silent.
@@ -259,10 +240,8 @@ def run_scenario_sweep(
                 seed_root=sweep.base_seed, jobs=jobs,
                 spec_key=_sweep_spec_key(tasks),
             )
-    campaign = run_campaign(
-        tasks, jobs=jobs, store=store,
-        batcher=ScenarioTaskBatcher() if batch else None,
-    )
+    campaign = run_campaign(tasks, jobs=jobs, store=store,
+                            batcher=ScenarioTaskBatcher())
     if owns_run:
         telemetry.emit("run.finish",
                        status="failed" if campaign.failures else "ok",

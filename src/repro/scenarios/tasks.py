@@ -7,33 +7,63 @@ bridge: the scenario travels as its ``to_dict`` document, per-point
 overrides as a ``{dotted.path: value}`` dict, and the derived per-task
 seed drives all randomness — so sweep results are bit-identical for any
 worker count and cacheable by content hash.
+
+A task runs as a one-draw :func:`run_seed_block`; a
+:class:`~repro.scenarios.batch.SeedBlockBatcher` runs a block of such
+tasks through the same function, with the same per-draw record builder.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.scenarios.runner import run_scenario
+from repro.core.timing import RunTiming
+from repro.scenarios.compiler import CompiledScenario, compile_scenario
+from repro.scenarios.runner import PreparedRun, _execute_prepared_batch, \
+    finish_scenario_run, prepare_scenario_run
 from repro.scenarios.spec import ScenarioSpec, apply_overrides
 
-__all__ = ["resolve_task_scenario", "scenario_task"]
+__all__ = ["run_seed_block", "scenario_record", "scenario_task"]
 
 
-def resolve_task_scenario(
-    scenario: Mapping, overrides: "Mapping[str, Any] | None" = None
-) -> ScenarioSpec:
-    """Resolve a task's scenario document + overrides into a spec.
+def run_seed_block(
+    record: "Callable[[CompiledScenario, PreparedRun, RunTiming, int], dict]",
+    scenario: Mapping,
+    overrides: "Mapping[str, Any] | None",
+    engine: str,
+    draws: "Sequence[tuple[int, int]]",
+) -> "list[dict]":
+    """Run ``(seed, replicate)`` draws of one task scenario as one block.
 
     The single definition of how campaign tasks interpret their scenario
-    parameters — shared by :func:`scenario_task` and the batched path
-    (:class:`repro.scenarios.batch.ScenarioTaskBatcher`), so the two can
-    never drift apart and break their bit-identity contract.
+    parameters: the document without its sweep block, with the grid
+    point's overrides applied, is compiled once.  Each draw is prepared
+    from its own seed, and all of them run as one batched engine call;
+    ``record`` builds each draw's task value from ``(compiled, prepared,
+    timing, replicate)``.  The batched call is elementwise along its
+    draws, so a value does not depend on the block it ran in.
     """
     data = dict(scenario)
     data.pop("sweep", None)
     if overrides:
         data = apply_overrides(data, overrides)
-    return ScenarioSpec.from_dict(data)
+    compiled = compile_scenario(ScenarioSpec.from_dict(data), engine=engine)
+    prepared = [prepare_scenario_run(compiled, seed) for seed, _ in draws]
+    timings = _execute_prepared_batch(compiled, prepared)
+    return [record(compiled, p, timing, replicate)
+            for (_, replicate), p, timing in zip(draws, prepared, timings)]
+
+
+def scenario_record(compiled: CompiledScenario, prepared: PreparedRun,
+                    timing: RunTiming, replicate: int) -> dict:
+    """A scenario task's value: the run's evaluated outputs."""
+    run = finish_scenario_run(compiled, prepared, timing)
+    return {
+        "outputs": run.data,
+        "engine": compiled.engine,
+        "n_campaign_delays": run.n_campaign_delays,
+        "replicate": int(replicate),
+    }
 
 
 def scenario_task(
@@ -60,11 +90,6 @@ def scenario_task(
     seed:
         Derived per-task seed (from the sweep's base seed).
     """
-    spec = resolve_task_scenario(scenario, overrides)
-    run = run_scenario(spec, seed=seed, engine=engine)
-    return {
-        "outputs": run.data,
-        "engine": run.compiled.engine,
-        "n_campaign_delays": run.n_campaign_delays,
-        "replicate": int(replicate),
-    }
+    [value] = run_seed_block(scenario_record, scenario, overrides, engine,
+                             [(seed, replicate)])
+    return value

@@ -28,17 +28,15 @@ class TestParser:
 
     def test_runtime_flags(self):
         args = build_parser().parse_args(
-            ["ext_campaign", "--jobs", "4", "--cache-dir", "/tmp/c", "--no-cache"]
+            ["ext_campaign", "--jobs", "4", "--cache-dir", "/tmp/c"]
         )
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/c"
-        assert args.no_cache
 
     def test_runtime_flag_defaults(self):
         args = build_parser().parse_args(["fig4"])
         assert args.jobs == 1
         assert args.cache_dir is None
-        assert not args.no_cache
 
     def test_negative_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -101,14 +99,6 @@ class TestMain:
         # Warm rerun: everything served from the store.
         assert main(["ext_campaign", "--cache-dir", str(cache)]) == 0
         assert "16 from cache, 0 simulated" in capsys.readouterr().out
-
-    def test_no_cache_bypasses_store(self, capsys, tmp_path):
-        cache = tmp_path / "store"
-        assert main(["ext_campaign", "--cache-dir", str(cache)]) == 0
-        capsys.readouterr()
-        assert main(["ext_campaign", "--cache-dir", str(cache),
-                     "--no-cache"]) == 0
-        assert "0 from cache" in capsys.readouterr().out
 
 
 class TestMainFailureHandling:

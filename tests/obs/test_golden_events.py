@@ -12,8 +12,6 @@ and are never rewritten to silence a drift.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro import telemetry
 from repro.reports import compile_report, load_bundled_report, run_report
 from repro.runtime import ResultStore
@@ -32,10 +30,9 @@ def identity_stream(fn) -> list:
     return [[seq, name, data] for seq, name, data in rec.identity()]
 
 
-def sweep(batch: bool):
+def sweep():
     spec = load_bundled_scenario("campaign_rate_sweep")
-    return identity_stream(
-        lambda: run_scenario_sweep(spec, jobs=1, batch=batch))
+    return identity_stream(lambda: run_scenario_sweep(spec, jobs=1))
 
 
 def reports(cache_dir) -> dict:
@@ -48,20 +45,15 @@ def reports(cache_dir) -> dict:
 
 
 def golden_streams(cache_dir) -> dict:
-    return {"sweep_batched": sweep(batch=True),
-            "sweep_unbatched": sweep(batch=False),
-            **reports(cache_dir)}
+    return {"sweep_batched": sweep(), **reports(cache_dir)}
 
 
 def load(name: str) -> list:
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
-@pytest.mark.parametrize("batch", [True, False],
-                         ids=["batched", "unbatched"])
-def test_sweep_stream_replays_exactly(batch):
-    name = "sweep_batched" if batch else "sweep_unbatched"
-    assert sweep(batch) == load(name)
+def test_sweep_stream_replays_exactly():
+    assert sweep() == load("sweep_batched")
 
 
 def test_report_streams_replay_exactly(tmp_path):
@@ -73,8 +65,8 @@ def test_report_streams_replay_exactly(tmp_path):
 def test_fixture_sizes():
     """The recorded streams' lengths, as a readable cross-check."""
     assert [len(load(name)) for name in (
-        "sweep_batched", "sweep_unbatched", "report_cold", "report_warm",
-    )] == [29, 38, 32, 17]
+        "sweep_batched", "report_cold", "report_warm",
+    )] == [29, 32, 17]
 
 
 if __name__ == "__main__":

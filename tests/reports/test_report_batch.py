@@ -3,7 +3,8 @@
 ``ReportTaskBatcher`` groups timing tasks that differ only in their seed
 (derived, or an explicit ``seeds = [...]`` axis value) and runs each
 block as one batched engine call.  Batching must stay invisible: the
-store holds the same bytes with and without it, on either engine.
+store holds the same bytes as a campaign without a batcher, on either
+engine.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.reports import ReportSpec, compile_report, run_report
 from repro.reports.compiler import TIMING_TASK_FN
 from repro.reports.tasks import ReportTaskBatcher
-from repro.runtime import ResultStore, RunSpec, SweepSpec
+from repro.runtime import ResultStore, RunSpec, SweepSpec, run_campaign
 from repro.scenarios.batch import ScenarioTaskBatcher
 
 SEEDS = [0, 1, 2, 3]
@@ -92,11 +93,12 @@ def test_batched_store_records_equal_unbatched_byte_for_byte(
     compiled = seeded_report(engine=engine)
     (target,) = compiled.targets
     assert target.grid.engine == ("lockstep" if engine == "auto" else "dag")
-    batched = run_report(compiled, store=ResultStore(tmp_path / "batched"),
-                         batch=True)
-    unbatched = run_report(compiled, store=ResultStore(tmp_path / "serial"),
-                           batch=False)
-    assert batched.n_executed == unbatched.n_executed == 12
+    batched = run_report(compiled, store=ResultStore(tmp_path / "batched"))
+    serial_store = ResultStore(tmp_path / "serial")
+    per_task = run_campaign(target.sweep.tasks(), store=serial_store)
+    assert batched.n_executed == per_task.n_executed == 12
+    unbatched = run_report(compiled, store=serial_store)
+    assert unbatched.n_executed == 0
     assert [r.values for r in batched.rows] == \
         [r.values for r in unbatched.rows]
     batched_records = store_record_bytes(tmp_path / "batched")

@@ -109,28 +109,6 @@ class TestMixedEngineSweepSafety:
             load_bundled_scenario("fig4_single_delay"), engine="lockstep")
         assert dict(sweep.base)["engine"] == "lockstep"
 
-    def test_mixed_engine_grid_is_rejected_not_keyed_as_auto(self, monkeypatch):
-        """If dispatch ever becomes point-dependent again, the literal
-        'auto' must never reach a cache key: a mixed grid is an error,
-        not a silent fall-through."""
-        import repro.scenarios.sweep as sweep_mod
-        from repro.scenarios import ScenarioError
-
-        real_compile = sweep_mod.compile_scenario
-        engines = iter(["lockstep", "dag", "lockstep"])
-
-        class Resolved:
-            def __init__(self, engine):
-                self.engine = engine
-
-        def fake_compile(spec, engine="auto"):
-            real_compile(spec, engine="auto")  # keep validation semantics
-            return Resolved(next(engines))
-
-        monkeypatch.setattr(sweep_mod, "compile_scenario", fake_compile)
-        with pytest.raises(ScenarioError, match="multiple engines"):
-            scenario_sweep_spec(load_bundled_scenario("campaign_rate_sweep"))
-
     def test_unknown_engine_still_rejected(self):
         from repro.scenarios import ScenarioError
 

@@ -2,7 +2,8 @@
 
 The batching contract: grouping replicate tasks into one batched engine
 call is *invisible* — per-task values, cache records, failure isolation,
-and sharding semantics are exactly those of unbatched execution.
+and sharding semantics are exactly those of per-task execution, which a
+campaign without a batcher takes and these tests use as the reference.
 """
 
 import numpy as np
@@ -79,12 +80,12 @@ class TestBatchedCampaignBitIdentity:
         spec = load_bundled_scenario("campaign_rate_sweep")
         serial_store = ResultStore(tmp_path / "serial")
         batched_store = ResultStore(tmp_path / "batched")
-        serial = run_scenario_sweep(spec, jobs=1, store=serial_store,
-                                    batch=False)
-        batched = run_scenario_sweep(spec, jobs=1, store=batched_store,
-                                     batch=True)
-        assert serial.campaign.values() == batched.campaign.values()
-        assert serial.points == batched.points
+        serial = run_campaign(sweep_tasks(), jobs=1, store=serial_store)
+        batched = run_scenario_sweep(spec, jobs=1, store=batched_store)
+        assert serial.values() == batched.campaign.values()
+        # A sweep over the per-task records aggregates the same points.
+        assert run_scenario_sweep(spec, store=serial_store).points == \
+            batched.points
         serial_files = store_record_bytes(tmp_path / "serial")
         batched_files = store_record_bytes(tmp_path / "batched")
         assert serial_files.keys() == batched_files.keys()
@@ -102,12 +103,12 @@ class TestBatchedCampaignBitIdentity:
         spec = load_bundled_scenario("campaign_rate_sweep")
         serial_store = ResultStore(tmp_path / "serial")
         batched_store = ResultStore(tmp_path / "batched")
-        serial = run_scenario_sweep(spec, engine="dag", jobs=1,
-                                    store=serial_store, batch=False)
+        serial = run_campaign(sweep_tasks(engine="dag"), jobs=1,
+                              store=serial_store)
         batched = run_scenario_sweep(spec, engine="dag", jobs=1,
-                                     store=batched_store, batch=True)
+                                     store=batched_store)
         assert all(v["engine"] == "dag" for v in batched.campaign.values())
-        assert serial.campaign.values() == batched.campaign.values()
+        assert serial.values() == batched.campaign.values()
         serial_files = store_record_bytes(tmp_path / "serial")
         batched_files = store_record_bytes(tmp_path / "batched")
         assert serial_files.keys() == batched_files.keys()
@@ -116,23 +117,23 @@ class TestBatchedCampaignBitIdentity:
     def test_batched_results_warm_an_unbatched_rerun(self, tmp_path):
         spec = load_bundled_scenario("campaign_rate_sweep")
         store = ResultStore(tmp_path / "store")
-        cold = run_scenario_sweep(spec, store=store, batch=True)
+        cold = run_scenario_sweep(spec, store=store)
         assert cold.campaign.n_executed == len(cold.campaign)
-        warm = run_scenario_sweep(spec, store=store, batch=False)
-        assert warm.campaign.n_cached == len(warm.campaign)
-        assert warm.campaign.values() == cold.campaign.values()
+        warm = run_campaign(sweep_tasks(), store=store)
+        assert warm.n_cached == len(warm)
+        assert warm.values() == cold.campaign.values()
 
     def test_sharded_batched_sweep_is_bit_identical(self):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        serial = run_scenario_sweep(spec, jobs=1, batch=False)
-        sharded = run_scenario_sweep(spec, jobs=2, batch=True)
-        assert serial.campaign.values() == sharded.campaign.values()
+        serial = run_campaign(sweep_tasks(), jobs=1)
+        sharded = run_scenario_sweep(spec, jobs=2)
+        assert serial.values() == sharded.campaign.values()
 
     def test_hierarchical_sweep_batches_on_lockstep(self, tmp_path):
         """A ppn scenario (previously DAG-only) batches and caches cleanly."""
         spec = load_bundled_scenario("emmy_mapped_dag")
         store = ResultStore(tmp_path / "store")
-        result = run_scenario_sweep(spec, store=store, batch=True)
+        result = run_scenario_sweep(spec, store=store)
         assert all(v["engine"] == "lockstep"
                    for v in result.campaign.values())
         direct = run_scenario(spec.without_sweep())
@@ -169,10 +170,10 @@ class TestTelemetryDeterminism:
 
     def test_profiled_parallel_sweep_matches_plain_serial(self, profiled):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        prof = run_scenario_sweep(spec, jobs=2, batch=True)
+        prof = run_scenario_sweep(spec, jobs=2)
         profiled.disable()
-        plain = run_scenario_sweep(spec, jobs=1, batch=False)
-        assert prof.campaign.values() == plain.campaign.values()
+        plain = run_campaign(sweep_tasks(), jobs=1)
+        assert prof.campaign.values() == plain.values()
 
     def test_profiled_engine_outputs_bitwise_equal(self, profiled):
         spec = load_bundled_scenario(
@@ -227,10 +228,10 @@ class TestObservabilityDeterminism:
 
     def test_observed_parallel_sweep_matches_plain_serial(self, observed):
         spec = load_bundled_scenario("campaign_rate_sweep")
-        obs = run_scenario_sweep(spec, jobs=2, batch=True)
+        obs = run_scenario_sweep(spec, jobs=2)
         observed.disable()
-        plain = run_scenario_sweep(spec, jobs=1, batch=False)
-        assert obs.campaign.values() == plain.campaign.values()
+        plain = run_campaign(sweep_tasks(), jobs=1)
+        assert obs.campaign.values() == plain.values()
 
     def test_observed_and_profiled_together_stay_pure(
             self, tmp_path, observed, store_record_bytes):

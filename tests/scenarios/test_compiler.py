@@ -7,7 +7,6 @@ from repro.scenarios import (
     ScenarioError,
     ScenarioSpec,
     compile_scenario,
-    lockstep_eligible,
 )
 from repro.sim.mpi import DEFAULT_EAGER_LIMIT, Protocol
 from repro.sim.noise import BimodalNoise, ExponentialNoise, NoNoise
@@ -112,16 +111,12 @@ class TestNoiseResolution:
 
 class TestEngineDispatch:
     def test_flat_scenario_goes_lockstep(self):
-        s = spec()
-        assert lockstep_eligible(s)
-        assert compile_scenario(s).engine == "lockstep"
+        assert compile_scenario(spec()).engine == "lockstep"
 
     def test_ppn_scenario_goes_lockstep_with_hierarchy(self):
         # Hierarchical placement no longer forces the DAG fallback: the
         # lockstep engine resolves per-message tiers through the mapping.
-        s = spec(machine={"preset": "emmy", "ppn": 2})
-        assert lockstep_eligible(s)
-        c = compile_scenario(s)
+        c = compile_scenario(spec(machine={"preset": "emmy", "ppn": 2}))
         assert c.engine == "lockstep"
         assert c.mapping is not None
         assert c.network is EMMY.network  # per-domain model, not collapsed

@@ -17,14 +17,15 @@ import pytest
 from repro.runtime import ResultStore
 from repro.scenarios import (
     bundled_scenario_names,
+    compile_scenario,
     load_bundled_scenario,
-    lockstep_eligible,
     run_scenario,
     run_scenario_sweep,
 )
 
 ELIGIBLE = [name for name in bundled_scenario_names()
-            if lockstep_eligible(load_bundled_scenario(name))]
+            if compile_scenario(load_bundled_scenario(name)).engine
+            == "lockstep"]
 
 
 @pytest.mark.parametrize("name", ELIGIBLE)

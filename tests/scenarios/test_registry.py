@@ -8,7 +8,6 @@ from repro.scenarios import (
     compile_scenario,
     iter_bundled_scenarios,
     load_bundled_scenario,
-    lockstep_eligible,
     resolve_scenario,
     scenario_sweep_spec,
 )
@@ -50,7 +49,8 @@ class TestBundled:
         # At least one bundled scenario exercises hierarchical placement
         # (the two-tier path of the lockstep engine, DAG-checkable).
         assert any(s.machine.ppn is not None for s in iter_bundled_scenarios())
-        assert all(lockstep_eligible(s) for s in iter_bundled_scenarios())
+        assert all(compile_scenario(s).engine == "lockstep"
+                   for s in iter_bundled_scenarios())
 
     def test_names_sorted_and_unique(self):
         names = bundled_scenario_names()

@@ -161,11 +161,25 @@ def test_import_error_inside_a_submodule_propagates(broken_submodule):
     assert "No module named 'no_such_dependency'" in proc.stderr
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-batch"]],
-                         ids=["batched", "unbatched"])
-def test_pool_workers_import_no_repro_module(tmp_path, flags):
-    """A cold ``--jobs 2`` report imports its task code before the pool
-    forks: no worker imports a ``repro`` module of its own."""
+#: A cold ``--jobs 2`` report, and its tasks on a pool without a batcher.
+POOLED_RUNS = {
+    "batched": """
+from repro.cli import main
+assert main(["report", "run", REPORT, "--jobs", "2", "--cache-dir", CACHE]) == 0
+""",
+    "unbatched": """
+from repro.reports import compile_report, load_bundled_report
+from repro.runtime import run_campaign
+(target,) = compile_report(load_bundled_report(REPORT)).targets
+assert not run_campaign(target.sweep.tasks(), jobs=2).failures
+""",
+}
+
+
+@pytest.mark.parametrize("run", list(POOLED_RUNS.values()), ids=list(POOLED_RUNS))
+def test_pool_workers_import_no_repro_module(tmp_path, run):
+    """A pool imports its task code, and its batcher's, before it forks:
+    no worker imports a ``repro`` module of its own."""
     log = tmp_path / "worker-imports.log"
     run_python(f"""
 import os, sys
@@ -184,10 +198,8 @@ def in_worker():
     sys.meta_path.insert(0, WorkerImports())
 
 os.register_at_fork(after_in_child=in_worker)
-from repro.cli import main
-assert main(["report", "run", {REPORT!r}, "--jobs", "2", *{flags!r},
-             "--cache-dir", {str(tmp_path / "cache")!r}]) == 0
-""")
+REPORT, CACHE = {REPORT!r}, {str(tmp_path / "cache")!r}
+""" + run)
     lines = log.read_text().splitlines()
     assert "<fork>" in lines  # the pool did start
     assert [line for line in lines if line != "<fork>"] == []
