@@ -3,7 +3,8 @@
 The obs layer consumes the one instrument stream, the telemetry
 recorder (:mod:`repro.telemetry`), whose lifecycle events the executor
 and runners emit (``run.start``, ``task.done``, ``block.fallback``, …;
-the vocabulary is :mod:`repro.obs.events`):
+consumers match them by name, and the schema version is
+:data:`repro.obs.ledger.EVENT_VERSION`):
 
 - :mod:`repro.obs.progress` — a TTY-aware single-line renderer
   (throughput, cache-hit rate, EWMA-based ETA) subscribed to the
@@ -11,10 +12,10 @@ the vocabulary is :mod:`repro.obs.events`):
 - :mod:`repro.obs.health` — worker resource samples (recorded as
   ``worker.*`` histograms) and the pool's stall watchdog.
 - :mod:`repro.obs.ledger` / :mod:`repro.obs.session` — per-run
-  provenance records under ``<cache-dir>/runs/`` and the
-  :func:`observe_run` context manager that wires a whole CLI run
-  together.  ``repro-experiment runs ls|show|tail|diff`` queries the
-  ledger.
+  provenance records under ``<cache-dir>/runs/``, each built from the
+  run recorder's snapshot, and the :func:`observe_run` context manager
+  that wires a whole CLI run together.  The ``runs ls|show|tail|diff``
+  subcommands query the ledger.
 
 Observability is pure: enabling it never changes engine outputs or the
 bytes the store persists (enforced by ``tests/scenarios/test_batch.py``
@@ -24,9 +25,8 @@ and ``benchmarks/bench_obs.py``).
 from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    ".events": ("EVENT_VERSION", "KNOWN_EVENTS"),
-    ".ledger": ("RUN_RECORD_VERSION", "RunLedger", "RunTracker",
-                "render_run_summary"),
+    ".ledger": ("EVENT_VERSION", "RUN_RECORD_VERSION", "RunLedger",
+                "RunTracker", "render_run_summary"),
     ".progress": ("ProgressRenderer",),
     ".session": ("observe_run",),
 })

@@ -8,8 +8,8 @@ single-line JSON file per run keeps the ledger append-only under
 concurrent campaigns (two runs never contend on one file) while ``cat
 runs/*.json`` still yields valid JSONL.
 
-:class:`RunTracker` is the recorder subscriber that accumulates a
-record's fields from lifecycle events; :class:`RunLedger` reads and
+:class:`RunTracker` builds a record from the run recorder's snapshot
+plus the provenance no event carries; :class:`RunLedger` reads and
 writes the directory.  The CLI surface is :mod:`repro.obs.cli`
 (``runs ls|show|tail|diff``), and :mod:`repro.perf` trends the records.
 """
@@ -21,13 +21,23 @@ import os
 import tempfile
 import time
 import uuid
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.obs.events import EVENT_VERSION
+from repro.telemetry.recorder import phase_breakdown
 
-__all__ = ["RUN_RECORD_VERSION", "RunLedger", "RunTracker", "new_run_id",
-           "render_run_summary"]
+__all__ = ["EVENT_VERSION", "RUN_RECORD_VERSION", "RunLedger", "RunTracker",
+           "new_run_id", "render_run_summary"]
+
+#: Version of the event schema (names + payload conventions).  Bump on
+#: renames, removals or payload-shape changes and note it in the PR
+#: description — ledger records carry it so old records stay
+#: interpretable.  v2 added the fault-tolerance events: ``task.retry``,
+#: ``task.quarantined``, ``pool.respawn``.  v3 removed
+#: ``worker.heartbeat``: worker health samples are now the
+#: ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.
+EVENT_VERSION = 3
 
 #: Schema version of ledger records; bump together with field changes.
 #: v2 added the worker-health fields: ``n_stalls``, ``n_heartbeats``,
@@ -52,82 +62,21 @@ def new_run_id(kind: str, started_unix: float) -> str:
 
 
 class RunTracker:
-    """Accumulates one ledger record from the event stream.
+    """A run's out-of-band provenance, and the builder of its record.
 
-    Subscribe :meth:`handle` to the recorder; the first ``run.start``
-    defines the run's identity (kind, name, totals, spec key) and later
-    ones are ignored — nested or worker-side lifecycles never overwrite
-    the outer run.  Callers attach out-of-band provenance directly:
+    Everything a record says about the run itself is read off the
+    recorder's snapshot by :meth:`record`.  The tracker holds only what
+    no event carries: :meth:`note_failure` for run-level exceptions,
     :meth:`add_artifact` for written artifact paths,
     :meth:`set_telemetry` for the profiled JSONL path, and
-    :meth:`note_failure` for run-level exceptions.  Worker health comes
-    from the recorder's histograms when :meth:`record` builds the record.
+    :meth:`set_resumed_from` for the run this one resumes.
     """
 
     def __init__(self) -> None:
-        self.kind: "str | None" = None
-        self.name: "str | None" = None
-        self.n_tasks: "int | None" = None
-        self.spec_key: "str | None" = None
-        self.seed_root: "int | None" = None
-        self.engine: "str | None" = None
-        self.jobs: "int | None" = None
-        self.n_done = 0
-        self.n_cached = 0
-        self.n_failed = 0
-        self.n_stalls = 0
-        self.n_retried = 0
-        self.n_quarantined = 0
-        self.n_pool_respawns = 0
-        self.resumed_from: "str | None" = None
-        self.n_events = 0
         self.failures: "list[str]" = []
-        self.failed_tasks: "list[int]" = []
-        self.run_started = False
-        self.run_finished = False
-        self.finish_status: "str | None" = None
-        self.telemetry: "str | None" = None
         self.artifacts: "list[str]" = []
-
-    # -- recorder subscriber ------------------------------------------
-
-    def handle(self, event: tuple) -> None:
-        _, name, _, _, data = event
-        data = data or {}
-        self.n_events += 1
-        if name == "run.start":
-            if self.run_started:
-                return
-            self.run_started = True
-            self.kind = data.get("kind", self.kind)
-            self.name = data.get("name", self.name)
-            if data.get("n_tasks") is not None:
-                self.n_tasks = int(data["n_tasks"])
-            self.spec_key = data.get("spec_key", self.spec_key)
-            self.seed_root = data.get("seed_root", self.seed_root)
-            self.engine = data.get("engine", self.engine)
-            self.jobs = data.get("jobs", self.jobs)
-        elif name in ("task.done", "task.failed", "task.cache_hit"):
-            self.n_done += 1
-            if name == "task.cache_hit":
-                self.n_cached += 1
-            elif name == "task.failed":
-                self.n_failed += 1
-                if data.get("index") is not None:
-                    self.failed_tasks.append(int(data["index"]))
-        elif name == "task.stall":
-            self.n_stalls += 1
-        elif name == "task.retry":
-            self.n_retried += 1
-        elif name == "task.quarantined":
-            self.n_quarantined += 1
-        elif name == "pool.respawn":
-            self.n_pool_respawns += 1
-        elif name == "run.finish":
-            self.run_finished = True
-            self.finish_status = data.get("status", self.finish_status)
-
-    # -- out-of-band provenance ---------------------------------------
+        self.telemetry: "str | None" = None
+        self.resumed_from: "str | None" = None
 
     def note_failure(self, summary: str) -> None:
         if len(self.failures) < _MAX_FAILURES:
@@ -143,58 +92,67 @@ class RunTracker:
         """Link this run to the ledger record it resumes."""
         self.resumed_from = str(run_id) if run_id is not None else None
 
-    # -- record -------------------------------------------------------
-
-    def record(self, run_id: str, status: str, kind: str, name: str,
-               wall_s: float, started_unix: float, finished_unix: float,
-               hists: "Mapping | None" = None,
-               phases: "Mapping | None" = None,
-               counters: "Mapping | None" = None) -> dict:
+    def record(self, snapshot: Mapping, *, run_id: str, status: str,
+               kind: str, name: str, wall_s: float, started_unix: float,
+               finished_unix: float) -> dict:
         """Build the ledger record dict (see :data:`RUN_RECORD_VERSION`).
 
-        ``hists`` are the run recorder's histograms: the
-        ``worker.rss_bytes`` samples (one per pool unit) give
-        ``n_heartbeats`` and ``worker_rss_peak_bytes``.  ``phases`` maps
-        each direct child of the root span to its summed seconds, and
-        ``counters`` are the recorder's counters.
+        The first ``run.start`` payload gives the run's identity (kind,
+        name, totals, spec key, seed root, engine, jobs); ``kind`` and
+        ``name`` stand in when it has none.  Event counts give the task
+        and recovery economics, the ``worker.rss_bytes`` samples (one
+        per pool unit) give ``n_heartbeats`` and
+        ``worker_rss_peak_bytes``, and ``phases`` maps each direct child
+        of the root span to its summed seconds.
         """
-        rss = (hists or {}).get("worker.rss_bytes") or (0, 0, 0, 0)
-        n_tasks = self.n_tasks if self.n_tasks is not None else self.n_done
-        n_executed = self.n_done - self.n_cached - self.n_failed
-        hit_rate = (self.n_cached / n_tasks) if n_tasks else None
+        events = snapshot["events"]
+        counts = Counter(event_name for event_name, _, _ in events)
+        start = next((data or {} for event_name, _, data in events
+                      if event_name == "run.start"), {})
+        failed_tasks = sorted(
+            int(data["index"]) for event_name, _, data in events
+            if event_name == "task.failed" and data and "index" in data)
+        n_cached = counts["task.cache_hit"]
+        n_failed = counts["task.failed"]
+        n_executed = counts["task.done"]
+        n_tasks = start.get("n_tasks")
+        n_tasks = (int(n_tasks) if n_tasks is not None
+                   else n_executed + n_cached + n_failed)
+        rss = snapshot["hists"].get("worker.rss_bytes") or (0, 0, 0, 0)
+        phases = phase_breakdown(snapshot)["phases"]
         return {
             "version": RUN_RECORD_VERSION,
             "event_version": EVENT_VERSION,
             "id": run_id,
-            "kind": self.kind or kind,
-            "name": self.name or name,
+            "kind": start.get("kind") or kind,
+            "name": start.get("name") or name,
             "status": status,
-            "spec_key": self.spec_key,
-            "seed_root": self.seed_root,
-            "engine": self.engine,
-            "jobs": self.jobs,
+            "spec_key": start.get("spec_key"),
+            "seed_root": start.get("seed_root"),
+            "engine": start.get("engine"),
+            "jobs": start.get("jobs"),
             "n_tasks": n_tasks,
-            "n_cached": self.n_cached,
+            "n_cached": n_cached,
             "n_executed": n_executed,
-            "n_failed": self.n_failed,
-            "cache_hit_rate": hit_rate,
+            "n_failed": n_failed,
+            "cache_hit_rate": (n_cached / n_tasks) if n_tasks else None,
             "wall_s": wall_s,
             "started_unix": started_unix,
             "finished_unix": finished_unix,
             "failures": list(self.failures),
-            "failed_tasks": sorted(self.failed_tasks)[:_MAX_FAILURES],
-            "n_stalls": self.n_stalls,
-            "n_retried": self.n_retried,
-            "n_quarantined": self.n_quarantined,
-            "n_pool_respawns": self.n_pool_respawns,
+            "failed_tasks": failed_tasks[:_MAX_FAILURES],
+            "n_stalls": counts["task.stall"],
+            "n_retried": counts["task.retry"],
+            "n_quarantined": counts["task.quarantined"],
+            "n_pool_respawns": counts["pool.respawn"],
             "resumed_from": self.resumed_from,
             "n_heartbeats": int(rss[0]),
             "worker_rss_peak_bytes": int(rss[3]),
             "telemetry": self.telemetry,
             "artifacts": list(self.artifacts),
-            "n_events": self.n_events,
-            "phases": dict(phases or {}),
-            "counters": dict(counters or {}),
+            "n_events": len(events),
+            "phases": {n: p["total_s"] for n, p in phases.items()},
+            "counters": dict(snapshot["counters"]),
         }
 
 

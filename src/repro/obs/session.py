@@ -3,14 +3,14 @@
 :func:`observe_run` is the CLI-facing composition root of the obs layer.
 It enables the telemetry recorder — the run's one instrument stream of
 spans, instruments and lifecycle events — for the duration of one run,
-opens the root span, attaches the :class:`~repro.obs.ledger.RunTracker`
-(always) and the :class:`~repro.obs.progress.ProgressRenderer` (when
-requested, or automatically on a TTY), and on exit — success *or*
-failure — writes the telemetry JSONL when asked, builds the ledger
-record (with the root span's phase breakdown and the counters, profiled
-or not), persists it under ``<cache-dir>/runs/``, and prints the exit
-summary line.  The summary is rendered from the persisted record dict,
-so terminal output and ledger provenance cannot diverge.
+opens the root span, subscribes the
+:class:`~repro.obs.progress.ProgressRenderer` (when requested, or
+automatically on a TTY), and on exit — success *or* failure — writes
+the telemetry JSONL when asked, builds the ledger record from the
+recorder's snapshot and the :class:`~repro.obs.ledger.RunTracker`'s
+provenance, persists it under ``<cache-dir>/runs/``, and prints the
+exit summary line.  The summary is rendered from the persisted record
+dict, so terminal output and ledger provenance cannot diverge.
 
 Library code never calls this: runners only *emit*; sessions are owned
 by whoever owns the terminal (the CLI handlers, or a future daemon).
@@ -26,7 +26,6 @@ from pathlib import Path
 from repro import telemetry
 from repro.obs.ledger import RunLedger, RunTracker, new_run_id, \
     render_run_summary
-from repro.telemetry.recorder import phase_breakdown
 
 __all__ = ["observe_run"]
 
@@ -41,8 +40,8 @@ def observe_run(kind: str, name: str, cache_dir=None,
     ----------
     kind:
         Run kind (``scenario.sweep``, ``scenario.run``, ``report.run``) —
-        the root span's name, and the default if no ``run.start`` event
-        supplies one.
+        the root span's name, the run id's prefix, and the default if no
+        ``run.start`` event supplies one.
     name:
         Scenario/report name fallback, same rule.
     cache_dir:
@@ -71,7 +70,6 @@ def observe_run(kind: str, name: str, cache_dir=None,
 
     rec = telemetry.enable()
     tracker = RunTracker()
-    rec.subscribe(tracker.handle)
     renderer = None
     if progress:
         from repro.obs.progress import ProgressRenderer
@@ -100,7 +98,7 @@ def observe_run(kind: str, name: str, cache_dir=None,
     finally:
         # A runner that crashed before its own run.finish still closes
         # the lifecycle, so subscribers always see a complete stream.
-        if not tracker.run_finished:
+        if "run.finish" not in rec.counts():
             rec.emit("run.finish", status=status)
         if renderer is not None:
             if status == "ok":
@@ -112,7 +110,7 @@ def observe_run(kind: str, name: str, cache_dir=None,
                 renderer.clear()
         telemetry.disable()
 
-        run_id = new_run_id(tracker.kind or kind, started_unix)
+        run_id = new_run_id(kind, started_unix)
         snap = rec.snapshot()
         written = []
         if profile:
@@ -129,13 +127,10 @@ def observe_run(kind: str, name: str, cache_dir=None,
                           file=sys.stderr)
             if written:
                 tracker.set_telemetry(written[-1])
-        breakdown = phase_breakdown(snap)["phases"]
         record = tracker.record(
-            run_id=run_id, status=status, kind=kind, name=name,
+            snap, run_id=run_id, status=status, kind=kind, name=name,
             wall_s=root.duration, started_unix=started_unix,
-            finished_unix=time.time(), hists=rec.hists,
-            phases={n: p["total_s"] for n, p in breakdown.items()},
-            counters=snap["counters"],
+            finished_unix=time.time(),
         )
         path = None
         if cache_dir is not None:

@@ -183,16 +183,12 @@ def run_report(
     # group key -> (group dict, {draw column -> list of sample arrays})
     groups: "dict[tuple, tuple[dict, dict]]" = {}
     n_tasks = n_loaded = n_executed = 0
-    owns_run = telemetry.enabled() and not telemetry.in_run()
-    if owns_run:
-        telemetry.emit("run.start", kind="report.run",
-                       name=report.spec.name,
-                       n_tasks=sum(t.sweep.size for t in report.targets),
-                       jobs=jobs)
+    telemetry.emit("run.start", kind="report.run", name=report.spec.name,
+                   n_tasks=sum(t.sweep.size for t in report.targets),
+                   jobs=jobs)
     for target in report.targets:
-        if owns_run:
-            telemetry.emit("report.phase", phase="fetch",
-                           scenario=target.scenario.name)
+        telemetry.emit("report.phase", phase="fetch",
+                       scenario=target.scenario.name)
         draws = target.draws_per_point
         points = list(zip(target.grid.points, target.grid.compiled))
         with telemetry.span("report.fetch", scenario=target.scenario.name):
@@ -206,10 +202,8 @@ def run_report(
             # so such a sweep is never materialized whole.
             timing = BatchedTiming.from_records(
                 values, draws, meta=_point_meta(points[0][1]))
-        if owns_run:
-            telemetry.emit("report.phase", phase="metrics",
-                           scenario=target.scenario.name,
-                           n_points=len(points))
+        telemetry.emit("report.phase", phase="metrics",
+                       scenario=target.scenario.name, n_points=len(points))
         with telemetry.span("report.metrics", scenario=target.scenario.name,
                             n_points=len(points)):
             for overrides, compiled_point in points:
@@ -254,9 +248,7 @@ def run_report(
         n_executed += stream.n_executed
 
     rows = []
-    if owns_run:
-        telemetry.emit("report.phase", phase="aggregate",
-                       n_groups=len(groups))
+    telemetry.emit("report.phase", phase="aggregate", n_groups=len(groups))
     with telemetry.span("report.aggregate", n_groups=len(groups)):
         for group, samples in groups.values():
             pooled = {column: np.concatenate(arrays)
@@ -269,10 +261,8 @@ def run_report(
             rows.append(ReportRow(group=group, n_draws=n_draws,
                                   values=values, draws=pooled))
 
-    if owns_run:
-        telemetry.emit("run.finish", status="ok", n_tasks=n_tasks,
-                       n_cached=n_loaded, n_executed=n_executed,
-                       n_failed=0)
+    telemetry.emit("run.finish", status="ok", n_tasks=n_tasks,
+                   n_cached=n_loaded, n_executed=n_executed, n_failed=0)
     return ReportResult(
         report=report,
         rows=tuple(rows),

@@ -397,10 +397,10 @@ def _execute_unit(
 
     Returns ``(outcomes, snapshot)``.  With ``own`` — the pool backend
     passes ``telemetry.enabled()`` of the parent — this process records
-    into a fresh recorder of its own, marked as inside the parent's run,
-    and ships its snapshot home through the result channel: the unit's
-    spans, counters, lifecycle events, and a closing resource sample of
-    the worker (:func:`repro.obs.health.sample_resources`) as the
+    into a fresh recorder of its own and ships its snapshot home through
+    the result channel: the unit's spans, counters, lifecycle events,
+    and a closing resource sample of the worker
+    (:func:`repro.obs.health.sample_resources`) as the
     ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.  ``enable()``
     here also discards the stale recorder a fork-started worker inherits
     from an observed parent.  The serial backend records straight into
@@ -415,7 +415,7 @@ def _execute_unit(
     telemetry travels home with the unit.
     """
     if own:
-        telemetry.enable().mark_in_run()
+        telemetry.enable()
     try:
         if submit_t is not None:
             telemetry.observe("executor.queue_wait_s",
@@ -548,6 +548,10 @@ def run_campaign(
     CampaignResult
         Per-task outcomes in task order.  Failed tasks carry their
         worker traceback instead of a value; they never abort siblings.
+
+    When telemetry is enabled the campaign emits each task's dispatch
+    and terminal events; the run lifecycle (``run.start`` /
+    ``run.finish``) belongs to the runner that calls it.
     """
     if quarantine_after < 1:
         raise ValueError(
@@ -574,47 +578,36 @@ def run_campaign(
         if on_result is not None:
             on_result(result)
 
-    # A campaign is always *inside* a run: mark the recorder so task
-    # code that would own a run lifecycle at top level (run_scenario
-    # inside scenario_task) stays silent — even when run_campaign is
-    # driven directly without an enclosing runner.
-    rec = telemetry.current_recorder()
-    if rec is not None:
-        rec.mark_in_run()
     n_retried = n_respawns = 0
-    try:
-        # ``elapsed`` is the span's wall clock — the same two perf_counter
-        # reads the pre-telemetry bookkeeping made, recorded only if a
-        # profiling run is live.
-        with telemetry.timed_span("campaign.run", n_tasks=len(specs),
-                                  jobs=jobs) as campaign_span:
-            pending: "list[tuple[int, RunSpec]]" = []
-            for pos, spec in enumerate(specs):
-                cached = store.get(spec.key) if store is not None else None
-                if cached is not None:
-                    telemetry.count("campaign.cache.hits")
-                    finish(pos, TaskResult(spec=spec, payload=cached,
-                                           cached=True))
-                else:
-                    if store is not None:
-                        telemetry.count("campaign.cache.misses")
-                    pending.append((pos, spec))
-
-            units = _plan_units(pending, batcher)
-            if jobs == 1 or len(units) <= 1:
-                for unit in units:
-                    _emit_dispatch(unit)
-                    outcomes, _ = _execute_unit(
-                        tuple(spec for _, spec in unit), batcher)
-                    for (pos, spec), outcome in zip(unit, outcomes):
-                        finish(pos, _as_task_result(spec, *outcome))
+    # ``elapsed`` is the span's wall clock — the same two perf_counter
+    # reads the pre-telemetry bookkeeping made, recorded only if a
+    # profiling run is live.
+    with telemetry.timed_span("campaign.run", n_tasks=len(specs),
+                              jobs=jobs) as campaign_span:
+        pending: "list[tuple[int, RunSpec]]" = []
+        for pos, spec in enumerate(specs):
+            cached = store.get(spec.key) if store is not None else None
+            if cached is not None:
+                telemetry.count("campaign.cache.hits")
+                finish(pos, TaskResult(spec=spec, payload=cached,
+                                       cached=True))
             else:
-                n_retried, n_respawns = _run_pool(
-                    units, jobs, batcher, finish, watchdog, quarantine_after,
-                    store)
-    finally:
-        if rec is not None:
-            rec.unmark_in_run()
+                if store is not None:
+                    telemetry.count("campaign.cache.misses")
+                pending.append((pos, spec))
+
+        units = _plan_units(pending, batcher)
+        if jobs == 1 or len(units) <= 1:
+            for unit in units:
+                _emit_dispatch(unit)
+                outcomes, _ = _execute_unit(
+                    tuple(spec for _, spec in unit), batcher)
+                for (pos, spec), outcome in zip(unit, outcomes):
+                    finish(pos, _as_task_result(spec, *outcome))
+        else:
+            n_retried, n_respawns = _run_pool(
+                units, jobs, batcher, finish, watchdog, quarantine_after,
+                store)
 
     return CampaignResult(
         results=tuple(slots),
@@ -706,7 +699,10 @@ def _run_pool(
     futures.
 
     Returns ``(n_retried, n_respawns)`` — the recovery economics
-    :func:`run_campaign` folds into the campaign result.
+    :func:`run_campaign` folds into the campaign result.  A respawn is
+    counted when a broken pool is replaced, not when it breaks: the last
+    broken pool of a campaign whose suspects were all quarantined is
+    never replaced.
     """
     _import_task_code(units, batcher)
     max_workers = min(jobs, len(units))
@@ -855,8 +851,6 @@ def _run_pool(
                     apply_unit(unit, outcomes, snap)
                 refill()
         except _PoolBroke as broke:
-            n_respawns += 1
-            telemetry.count("executor.pool_respawns")
             pool.shutdown(wait=False, cancel_futures=True)
             # Units queued for healthy-pool re-runs were never submitted
             # to the broken pool: they go back to pending, not to probe.
@@ -864,6 +858,8 @@ def _run_pool(
                 pending.appendleft(block_retries.pop())
             absorb_crash(broke.units)
             if pending or probe:
+                n_respawns += 1
+                telemetry.count("executor.pool_respawns")
                 warnings.warn(
                     f"worker pool broke ({len(broke.units)} unit(s) in "
                     "flight); respawning and re-dispatching the suspects "

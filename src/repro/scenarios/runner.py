@@ -213,19 +213,13 @@ def run_scenario(
         with telemetry.span("scenario.compile"):
             compiled = compile_scenario(scenario, engine=engine)
     run_seed = compiled.spec.seed if seed is None else int(seed)
-    # Own the run lifecycle only at top level: as one task of a sweep or
-    # report campaign this stays silent (the campaign emits per-task
-    # events; worker-local run.* events are dropped on merge).
-    owns_run = telemetry.enabled() and not telemetry.in_run()
-    if owns_run:
-        telemetry.emit("run.start", kind="scenario.run",
-                       name=compiled.spec.name, n_tasks=1,
-                       engine=compiled.engine, seed_root=run_seed, jobs=1)
-        telemetry.emit("task.start", index=0)
+    telemetry.emit("run.start", kind="scenario.run", name=compiled.spec.name,
+                   n_tasks=1, engine=compiled.engine, seed_root=run_seed,
+                   jobs=1)
+    telemetry.emit("task.start", index=0)
     [run] = run_scenario_batch(compiled, [run_seed])
-    if owns_run:
-        telemetry.emit("task.done", index=0)
-        telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
+    telemetry.emit("task.done", index=0)
+    telemetry.emit("run.finish", status="ok", n_tasks=1, n_failed=0)
     return run
 
 

@@ -220,9 +220,6 @@ def run_scenario_sweep(
     Contiguous replicate blocks of one grid point execute as single
     batched-engine invocations, bit-identical to per-task runs.
     """
-    # Run-lifecycle events are owned by the outermost runner: a sweep
-    # executed inside another run (a report's campaign) stays silent.
-    owns_run = telemetry.enabled() and not telemetry.in_run()
     with telemetry.span("sweep.expand", scenario=spec.name):
         # The first sweep in a process loads the executor here, which takes
         # longer than the expansion; inside the span that time is a phase.
@@ -231,7 +228,7 @@ def run_scenario_sweep(
 
         sweep = scenario_sweep_spec(spec, base_seed=base_seed, engine=engine)
         tasks = sweep.tasks()
-        if owns_run:
+        if telemetry.enabled():
             # Hashing every task key is part of expanding the grid: the
             # span keeps that time inside the run's phase breakdown.
             telemetry.emit(
@@ -242,7 +239,7 @@ def run_scenario_sweep(
             )
     campaign = run_campaign(tasks, jobs=jobs, store=store,
                             batcher=ScenarioTaskBatcher())
-    if owns_run:
+    if telemetry.enabled():
         telemetry.emit("run.finish",
                        status="failed" if campaign.failures else "ok",
                        n_tasks=len(campaign),

@@ -22,8 +22,8 @@ from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".recorder": ("Recorder", "Span", "count", "current_recorder", "disable",
-                  "emit", "enable", "enabled", "gauge", "in_run",
-                  "merge_snapshot", "observe", "span", "timed_span"),
+                  "emit", "enable", "enabled", "gauge", "merge_snapshot",
+                  "observe", "span", "timed_span"),
     ".sinks": ("read_jsonl", "render_summary", "summarize", "write_jsonl"),
     ".trace_export": ("export_chrome_trace", "validate_trace",
                       "write_chrome_trace"),

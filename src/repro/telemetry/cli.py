@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .sinks import read_jsonl, render_summary, summarize
+from .sinks import _fmt_s, read_jsonl, render_summary, summarize
 
 __all__ = ["stats_main", "build_stats_parser", "StatsError"]
 
@@ -78,14 +78,6 @@ def build_stats_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_s(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def _cmd_show(args) -> int:
     snap = _load(args.file)
     spans = snap["spans"]
@@ -105,8 +97,8 @@ def _cmd_show(args) -> int:
             extra = ""
             if attrs:
                 extra = "  " + " ".join(f"{k}={v}" for k, v in attrs.items())
-            print(f"{'  ' * depth}{name}  [{_fmt_s(dur)} @ "
-                  f"+{_fmt_s(start)}]{extra}")
+            print(f"{'  ' * depth}{name}  [{_fmt_s(dur).strip()} @ "
+                  f"+{_fmt_s(start).strip()}]{extra}")
             render(sid, depth + 1)
 
     render(-1, 0)

@@ -2,9 +2,10 @@
 
 One recorder is a run's single instrument stream: timed spans, counters,
 gauges and histograms answer *"where did the time go?"*, and lifecycle
-event instants (``run.start``, ``task.done``, ...; the vocabulary is
-:mod:`repro.obs.events`) answer *"what is happening right now?"* for the
-live consumers subscribed to it.  Design constraints, in order:
+event instants (``run.start``, ``task.done``, ...) answer *"what is
+happening right now?"* for the live consumers subscribed to it (the
+progress line) and, read off the snapshot at exit, for the run's ledger
+record (:mod:`repro.obs.ledger`).  Design constraints, in order:
 
 1. **Zero cost when disabled.**  Every instrumentation point in a hot
    path compiles down to one module-global check: :func:`span` returns a
@@ -56,7 +57,6 @@ __all__ = [
     "enable",
     "enabled",
     "gauge",
-    "in_run",
     "merge_snapshot",
     "observe",
     "phase_breakdown",
@@ -155,8 +155,7 @@ class Recorder:
     """
 
     __slots__ = ("spans", "counters", "gauges", "hists", "events",
-                 "subscribers", "t0", "wall0", "_stack", "_next_id",
-                 "_run_depth")
+                 "subscribers", "t0", "wall0", "_stack", "_next_id")
 
     def __init__(self) -> None:
         self.spans: "list[tuple]" = []
@@ -169,7 +168,6 @@ class Recorder:
         self.wall0 = time.time()
         self._stack: "list[int]" = []
         self._next_id = 0
-        self._run_depth = 0
 
     # -- spans ---------------------------------------------------------
 
@@ -218,30 +216,12 @@ class Recorder:
         event = (len(self.events), name, _perf_counter(), time.time(),
                  data or None)
         self.events.append(event)
-        if name == "run.start":
-            self._run_depth += 1
-        elif name == "run.finish":
-            self._run_depth = max(0, self._run_depth - 1)
         for callback in self.subscribers:
             callback(event)
 
     def subscribe(self, callback: "Callable[[tuple], None]") -> None:
-        """Attach a per-event callback (progress renderer, run tracker)."""
+        """Attach a per-event callback (the progress renderer)."""
         self.subscribers.append(callback)
-
-    def mark_in_run(self) -> None:
-        """Declare this recorder *inside* an enclosing run, without an event.
-
-        Campaigns and pool workers mark their recorder so task code that
-        would own a run lifecycle at top level (``run_scenario`` inside
-        ``scenario_task``) stays silent: it executes one unit of the
-        enclosing run.
-        """
-        self._run_depth += 1
-
-    def unmark_in_run(self) -> None:
-        """Undo one :meth:`mark_in_run` (clamped at zero)."""
-        self._run_depth = max(0, self._run_depth - 1)
 
     def identity(self) -> "list[tuple]":
         """The deterministic view: ``(seq, name, data)`` per event."""
@@ -472,17 +452,6 @@ def emit(name: str, /, **data: Any) -> None:
     rec = _RECORDER
     if rec is not None:
         rec.emit(name, **data)
-
-
-def in_run() -> bool:
-    """True while a ``run.start`` is open (or a run mark is set).
-
-    Runners emit run lifecycle events only when they *own* the run: a
-    scenario executed as one task of a sweep (or a report's campaign) is
-    inside the outer run and must stay silent.
-    """
-    rec = _RECORDER
-    return rec is not None and rec._run_depth > 0
 
 
 def merge_snapshot(snap: "Mapping | None", parent: "int | None" = None) -> None:

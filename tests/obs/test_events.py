@@ -1,7 +1,7 @@
 """Lifecycle events on the recorder: ordering, identity, merge, fast path."""
 
 from repro import telemetry
-from repro.obs.events import EVENT_VERSION, KNOWN_EVENTS
+from repro.obs.ledger import EVENT_VERSION
 from repro.telemetry import Recorder
 
 
@@ -73,20 +73,6 @@ class TestEventBus:
         # Merged events keep the time they were emitted at.
         assert [e[2] for e in parent.events[1:]] == \
             [e[2] for e in worker.events[1:3]]
-        assert parent._run_depth == 1
-
-    def test_run_depth_tracks_lifecycle_and_marks(self):
-        rec = Recorder()
-        assert rec._run_depth == 0
-        rec.emit("run.start")
-        assert rec._run_depth == 1
-        rec.emit("run.finish")
-        assert rec._run_depth == 0
-        rec.mark_in_run()
-        assert rec._run_depth == 1
-        rec.unmark_in_run()
-        rec.unmark_in_run()  # clamped
-        assert rec._run_depth == 0
 
     def test_payloadless_event_carries_none_not_empty_dict(self):
         rec = Recorder()
@@ -99,7 +85,6 @@ class TestModuleFastPath:
         assert not telemetry.enabled()
         assert telemetry.emit("task.done", index=0) is None
         assert telemetry.current_recorder() is None
-        assert not telemetry.in_run()
 
     def test_enable_emit_disable_roundtrip(self):
         rec = telemetry.enable()
@@ -115,18 +100,6 @@ class TestModuleFastPath:
         fresh = telemetry.enable(fresh=True)
         assert fresh is not stale
         assert fresh.events == []
-
-    def test_enable_in_run_marks_worker_bus(self):
-        telemetry.enable().mark_in_run()
-        assert telemetry.in_run()
-
-    def test_in_run_follows_emitted_lifecycle(self):
-        telemetry.enable()
-        assert not telemetry.in_run()
-        telemetry.emit("run.start")
-        assert telemetry.in_run()
-        telemetry.emit("run.finish")
-        assert not telemetry.in_run()
 
     def test_module_absorb_noop_when_disabled(self):
         worker = Recorder()
@@ -145,15 +118,5 @@ class TestModuleFastPath:
 
 
 class TestVocabulary:
-    def test_known_events_cover_the_lifecycle(self):
-        assert {"run.start", "run.finish", "task.submit", "task.start",
-                "task.done", "task.failed", "task.cache_hit",
-                "task.retry", "task.quarantined",
-                "block.dispatch", "block.fallback",
-                "report.phase",
-                # pool-only health events (outside the --jobs 1
-                # identity contract, see repro.obs.health)
-                "task.stall", "pool.respawn"} == KNOWN_EVENTS
-
     def test_event_version_is_an_int(self):
         assert EVENT_VERSION == 3

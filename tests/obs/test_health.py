@@ -109,8 +109,6 @@ class TestPoolIntegration:
         """The acceptance path: sleeper -> task.stall -> ledger/progress."""
         specs = sleep_specs([0.5] + [0.01] * 5)
         rec = telemetry.enable()
-        tracker = RunTracker()
-        rec.subscribe(tracker.handle)
         stream = io.StringIO()
         renderer = ProgressRenderer(stream=stream, interval=0)
         rec.subscribe(renderer.handle)
@@ -132,11 +130,10 @@ class TestPoolIntegration:
         # Health samples ride the unit snapshots; the ledger counts both.
         n_samples, _, _, rss_peak = rec.hists["worker.rss_bytes"]
         assert n_samples == len(specs)  # one per returned unit
-        assert tracker.n_stalls == len(stalled)
-        record = tracker.record(
-            run_id="stall-test", status="ok", kind="campaign",
-            name="stall-test", wall_s=1.0, started_unix=0.0,
-            finished_unix=1.0, hists=rec.hists)
+        record = RunTracker().record(
+            rec.snapshot(), run_id="stall-test", status="ok",
+            kind="campaign", name="stall-test", wall_s=1.0,
+            started_unix=0.0, finished_unix=1.0)
         assert record["version"] >= 2
         assert record["n_stalls"] == len(stalled)
         assert record["n_heartbeats"] == n_samples

@@ -16,14 +16,19 @@ from repro.obs.ledger import (
 from repro.obs.session import observe_run
 
 
-def tracked(*stream):
-    rec = telemetry.enable()
-    tracker = RunTracker()
-    rec.subscribe(tracker.handle)
+def recorded(*stream):
+    """The snapshot of a recorder that saw ``stream``."""
+    rec = telemetry.Recorder()
     for name, data in stream:
         rec.emit(name, **data)
-    telemetry.disable()
-    return tracker
+    return rec.snapshot()
+
+
+def record_of(snapshot, tracker=None, **fields):
+    """``tracker``'s record of ``snapshot``, with placeholder provenance."""
+    fields = {"run_id": "x", "status": "ok", "kind": "k", "name": "n",
+              "wall_s": 0, "started_unix": 0, "finished_unix": 0, **fields}
+    return (tracker or RunTracker()).record(snapshot, **fields)
 
 
 SWEEP_STREAM = [
@@ -41,28 +46,28 @@ SWEEP_STREAM = [
 
 class TestRunTracker:
     def test_accumulates_totals_from_the_stream(self):
-        t = tracked(*SWEEP_STREAM)
-        assert (t.kind, t.name, t.n_tasks) == (
+        r = record_of(recorded(*SWEEP_STREAM))
+        assert (r["kind"], r["name"], r["n_tasks"]) == (
             "scenario.sweep", "rate_sweep", 4)
-        assert (t.spec_key, t.seed_root, t.engine, t.jobs) == (
+        assert (r["spec_key"], r["seed_root"], r["engine"], r["jobs"]) == (
             "abc123", 7, "dag", 2)
-        assert (t.n_done, t.n_cached, t.n_failed) == (4, 1, 1)
-        assert t.failed_tasks == [3]
-        assert t.run_finished and t.finish_status == "failed"
-        assert t.n_events == len(SWEEP_STREAM)
+        n_done = r["n_executed"] + r["n_cached"] + r["n_failed"]
+        assert (n_done, r["n_cached"], r["n_failed"]) == (4, 1, 1)
+        assert r["failed_tasks"] == [3]
+        assert r["n_events"] == len(SWEEP_STREAM)
 
     def test_first_run_start_wins(self):
-        t = tracked(
+        r = record_of(recorded(
             ("run.start", {"kind": "scenario.sweep", "n_tasks": 12}),
             ("run.start", {"kind": "scenario.run", "n_tasks": 1}),
-        )
-        assert t.kind == "scenario.sweep"
-        assert t.n_tasks == 12
+        ))
+        assert r["kind"] == "scenario.sweep"
+        assert r["n_tasks"] == 12
 
     def test_record_economics(self):
-        t = tracked(*SWEEP_STREAM)
-        r = t.record(run_id="sweep-x", status="failed", kind="k", name="n",
-                     wall_s=1.5, started_unix=100.0, finished_unix=101.5)
+        r = record_of(recorded(*SWEEP_STREAM), run_id="sweep-x",
+                      status="failed", wall_s=1.5, started_unix=100.0,
+                      finished_unix=101.5)
         assert r["version"] == RUN_RECORD_VERSION
         assert r["id"] == "sweep-x"
         assert r["n_tasks"] == 4
@@ -74,25 +79,35 @@ class TestRunTracker:
         json.dumps(r)  # must be JSON-serializable as-is
 
     def test_record_falls_back_to_cli_kind_and_name(self):
-        t = tracked(("task.done", {"index": 0}))
-        r = t.record(run_id="x", status="ok", kind="report.run",
-                     name="fig7", wall_s=0.1, started_unix=0, finished_unix=0)
+        r = record_of(recorded(("task.done", {"index": 0})),
+                      kind="report.run", name="fig7")
         assert r["kind"] == "report.run"
         assert r["name"] == "fig7"
         assert r["n_tasks"] == 1  # falls back to observed completions
+
+    def test_recovery_counts_come_from_the_events(self):
+        r = record_of(recorded(
+            ("task.stall", {"index": 0}),
+            ("pool.respawn", {}),
+            ("task.retry", {"index": 1, "attempt": 1}),
+            ("pool.respawn", {}),
+            ("task.retry", {"index": 1, "attempt": 2}),
+            ("task.quarantined", {"index": 1}),
+        ))
+        assert (r["n_stalls"], r["n_retried"], r["n_quarantined"],
+                r["n_pool_respawns"]) == (1, 2, 1, 2)
 
     def test_failure_summaries_are_bounded(self):
         t = RunTracker()
         for i in range(50):
             t.note_failure(f"boom {i}")
-        assert len(t.failures) == 8
+        assert len(record_of(recorded(), t)["failures"]) == 8
 
     def test_out_of_band_provenance(self):
         t = RunTracker()
         t.add_artifact("/out/table.csv")
         t.set_telemetry("/cache/telemetry/run.jsonl")
-        r = t.record(run_id="x", status="ok", kind="k", name="n",
-                     wall_s=0, started_unix=0, finished_unix=0)
+        r = record_of(recorded(), t)
         assert r["artifacts"] == ["/out/table.csv"]
         assert r["telemetry"] == "/cache/telemetry/run.jsonl"
 
@@ -102,23 +117,20 @@ class TestRunTracker:
         t = RunTracker()
         t.add_artifact("out/table.csv")
         t.set_telemetry("cache/telemetry/run.jsonl")
-        r = t.record(run_id="x", status="ok", kind="k", name="n",
-                     wall_s=0, started_unix=0, finished_unix=0)
+        r = record_of(recorded(), t)
         assert r["artifacts"] == [str(tmp_path / "out" / "table.csv")]
         assert r["telemetry"] == str(tmp_path / "cache" / "telemetry"
                                      / "run.jsonl")
 
     def test_worker_health_comes_from_the_rss_histogram(self):
-        t = RunTracker()
-        r = t.record(run_id="x", status="ok", kind="k", name="n",
-                     wall_s=0, started_unix=0, finished_unix=0,
-                     hists={"worker.rss_bytes": [3, 6e8, 1e8, 3e8],
-                            "worker.cpu_s": [3, 1.5, 0.25, 0.75]})
+        rec = telemetry.Recorder()
+        for rss, cpu in ((1e8, 0.25), (3e8, 0.75), (2e8, 0.5)):
+            rec.observe("worker.rss_bytes", rss)
+            rec.observe("worker.cpu_s", cpu)
+        r = record_of(rec.snapshot())
         assert (r["n_heartbeats"], r["worker_rss_peak_bytes"]) == \
             (3, 300_000_000)
-        serial = t.record(run_id="y", status="ok", kind="k", name="n",
-                          wall_s=0, started_unix=0, finished_unix=0,
-                          hists={})
+        serial = record_of(recorded())
         assert (serial["n_heartbeats"],
                 serial["worker_rss_peak_bytes"]) == (0, 0)
 

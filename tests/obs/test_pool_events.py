@@ -227,8 +227,8 @@ class TestDeterminism:
         assert len(data["spec_key"]) == 32
 
     def test_nested_scenario_runs_stay_silent_inside_a_sweep(self):
-        """scenario_task -> run_scenario inside a sweep must not emit a
-        nested run lifecycle (serial or pooled)."""
+        """A sweep emits exactly one run lifecycle, at ``--jobs 1`` and
+        ``--jobs 2``."""
         spec = load_bundled_scenario("campaign_rate_sweep")
         for jobs in (1, 2):
             rec = telemetry.enable()

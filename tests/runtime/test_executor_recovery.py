@@ -64,20 +64,44 @@ class TestPoolRecovery:
         assert all(data["attempt"] == 1 for data in retries)
         assert campaign.values() == clean.values()
 
-    def test_poison_task_is_quarantined_not_retried_forever(self):
+    @staticmethod
+    def poisoned_campaign(quarantine_after):
+        """Five probe tasks and one that kills its worker, on two
+        workers; returns the campaign and the recorder it ran under."""
         specs = list(probe_sweep(n_tasks=5).tasks())
         specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 11),),
                              seed=1, index=len(specs)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            campaign = run_campaign(specs, jobs=2, quarantine_after=2)
+        rec = telemetry.enable(fresh=True)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                campaign = run_campaign(specs, jobs=2,
+                                        quarantine_after=quarantine_after)
+        finally:
+            telemetry.disable()
+        return campaign, rec
+
+    def test_poison_task_is_quarantined_not_retried_forever(self):
+        campaign, rec = self.poisoned_campaign(quarantine_after=2)
         assert campaign.n_quarantined == 1
-        assert campaign.n_pool_respawns == 2
+        assert campaign.n_pool_respawns == rec.counts().get("pool.respawn", 0)
         bad = campaign.results[-1]
         assert bad.quarantined
-        assert "quarantined" in bad.error
+        assert "killing its worker 2 time(s)" in bad.error
         # The innocent majority all completed.
         assert sum(1 for r in campaign.results if r.error is None) == 5
+
+    def test_a_pool_that_is_not_replaced_is_no_respawn(self):
+        """All six units are submitted at once, so none is pending when
+        the poison kills its worker, and with ``quarantine_after=1``
+        every unit then in flight is quarantined: nothing is left to
+        run, so the broken pool is never replaced and no respawn is
+        counted."""
+        campaign, rec = self.poisoned_campaign(quarantine_after=1)
+        assert campaign.results[-1].quarantined
+        assert campaign.n_pool_respawns == 0
+        assert "pool.respawn" not in rec.counts()
+        assert rec.counters.get("executor.pool_respawns", 0) == 0
 
     def test_quarantine_events_and_result_flags_agree(self):
         # The poison needs company: a one-unit campaign runs serially,

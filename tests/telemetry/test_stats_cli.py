@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.scenarios.cli import scenario_main
+from repro.sim import clear_dag_cache
 from repro.telemetry.cli import stats_main
 from repro.telemetry.sinks import read_jsonl
 
@@ -65,6 +66,7 @@ class TestAcceptance:
     def test_64_draw_forced_dag_sweep_profile_summarize(
             self, sweep_toml, tmp_path, capsys):
         """The ISSUE acceptance criterion, end to end through the CLI."""
+        clear_dag_cache()  # the hit rate below needs one cold build
         out = tmp_path / "run.jsonl"
         assert scenario_main([
             "sweep", str(sweep_toml), "--engine", "dag",
