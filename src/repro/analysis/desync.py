@@ -90,10 +90,10 @@ def skew_spread(run: RunTiming) -> np.ndarray:
     return batched_skew_spread(run.batch())[0]
 
 
-def desync_onset(run: RunTiming, fraction: float = 0.5) -> int | None:
-    """One run's :func:`batched_desync_onset`; ``None`` if it never
-    desynchronizes that far."""
-    onset = batched_desync_onset(run.batch(), fraction)[0]
+def desync_onset(run: RunTiming) -> int | None:
+    """One run's :func:`batched_desync_onset` at half a phase; ``None`` if
+    it never desynchronizes that far."""
+    onset = batched_desync_onset(run.batch())[0]
     return None if np.isnan(onset) else int(onset)
 
 

@@ -59,11 +59,11 @@ class NoiseHistogram:
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    def modes(self, min_separation: float = 0.0, min_fraction: float = 1e-4) -> list[float]:
+    def modes(self, min_separation: float = 0.0) -> list[float]:
         """Locations (seconds) of local maxima of the histogram.
 
         A bin is a mode when it is a strict local maximum, carries at least
-        ``min_fraction`` of all samples, and is at least ``min_separation``
+        10⁻⁴ of all samples, and is at least ``min_separation``
         away from a previously found (larger) mode.  Detects the bimodality
         of the Omni-Path SMT-off configuration (second peak ≈ 660 µs).
         """
@@ -73,7 +73,7 @@ class NoiseHistogram:
         for i in range(len(c)):
             left = c[i - 1] if i > 0 else -1.0
             right = c[i + 1] if i + 1 < len(c) else -1.0
-            if c[i] > left and c[i] >= right and c[i] >= min_fraction * self.n_samples:
+            if c[i] > left and c[i] >= right and c[i] >= 1e-4 * self.n_samples:
                 candidates.append((c[i], centers[i]))
         candidates.sort(reverse=True)
         modes: list[float] = []
@@ -82,9 +82,9 @@ class NoiseHistogram:
                 modes.append(float(center))
         return modes
 
-    def is_bimodal(self, min_separation: float, min_fraction: float = 1e-4) -> bool:
+    def is_bimodal(self, min_separation: float) -> bool:
         """True when at least two well-separated modes exist."""
-        return len(self.modes(min_separation=min_separation, min_fraction=min_fraction)) >= 2
+        return len(self.modes(min_separation=min_separation)) >= 2
 
 
 def collect_noise_samples(

@@ -296,9 +296,20 @@ def main(argv: "list[str] | None" = None) -> int:
 
     from repro.experiments import EXPERIMENTS, RuntimeOptions, run_experiment
 
+    store = None
+    if args.cache_dir is not None:
+        from repro.runtime.store import StoreError
+
+        # Opened once, before any experiment runs: a store that cannot
+        # take writes stops the command instead of failing mid-campaign.
+        try:
+            store = campaign_store(args.cache_dir)
+        except StoreError as exc:
+            print(f"store error: {exc}", file=sys.stderr)
+            return 2
     run_all = args.experiment == "all"
     names = sorted(EXPERIMENTS) if run_all else [args.experiment]
-    runtime = RuntimeOptions(jobs=args.jobs, cache_dir=args.cache_dir)
+    runtime = RuntimeOptions(jobs=args.jobs, store=store)
 
     failures: "list[tuple[str, BaseException]]" = []
     for name in names:
@@ -325,7 +336,3 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"[FAILED {name}: {type(exc).__name__}: {exc}]")
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

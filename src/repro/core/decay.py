@@ -99,20 +99,18 @@ def measure_decay(
     run: RunTiming,
     source: int,
     direction: int = +1,
-    threshold: float | None = None,
     periodic: bool | None = None,
 ) -> DecayMeasurement:
     """Measure the decay rate of the idle wave emanating from ``source``.
 
-    One run's :func:`front_decay`.
+    One run's :func:`front_decay`, cut at :func:`default_threshold`.
 
     Raises
     ------
     ValueError
         If the wave is not detected on at least one rank.
     """
-    if threshold is None:
-        threshold = default_threshold(run)
+    threshold = default_threshold(run)
     front = batched_wave_front(run.batch(), source, direction, threshold,
                                periodic)
     reached = int(front.n_hops[0])

@@ -53,15 +53,14 @@ def excess_runtime(run_with: RunTiming, run_without: RunTiming) -> float:
 def elimination_scan(
     base_cfg: LockstepConfig,
     noise_levels: "list[float] | np.ndarray",
-    noise_factory=None,
     simulate=simulate_lockstep,
 ) -> list[EliminationPoint]:
     """Scan noise levels and measure the delay's runtime visibility.
 
     For every ``E`` in ``noise_levels`` two runs are performed with the
-    *same* seed: one with ``base_cfg``'s delays, one with the delays
-    stripped.  The returned points expose the excess runtime — Fig. 9's
-    orange bar.
+    *same* seed and the paper's exponential noise (Eq. 3): one with
+    ``base_cfg``'s delays, one with the delays stripped.  The returned
+    points expose the excess runtime — Fig. 9's orange bar.
 
     Parameters
     ----------
@@ -69,9 +68,6 @@ def elimination_scan(
         Configuration including the injected delay(s).
     noise_levels:
         Values of ``E`` (mean relative delay per execution phase).
-    noise_factory:
-        ``(E, t_exec) -> NoiseModel``; defaults to the paper's exponential
-        noise (Eq. 3).
     simulate:
         ``LockstepConfig -> RunTiming`` entry point.  No caller passes
         it; it stays a default argument because perfbench's tracer test
@@ -79,14 +75,11 @@ def elimination_scan(
     """
     if not base_cfg.delays:
         raise ValueError("base_cfg must include at least one injected delay")
-    if noise_factory is None:
-        from repro.sim.noise import exponential_for_level
-
-        noise_factory = exponential_for_level
+    from repro.sim.noise import exponential_for_level
 
     points: list[EliminationPoint] = []
     for E in noise_levels:
-        noise = noise_factory(float(E), base_cfg.t_exec)
+        noise = exponential_for_level(float(E), base_cfg.t_exec)
         cfg_delay = replace(base_cfg, noise=noise)
         cfg_clean = replace(base_cfg, noise=noise, delays=())
         points.append(
@@ -103,23 +96,20 @@ def runtime_spread(
     base_cfg: LockstepConfig,
     E: float,
     n_runs: int = 8,
-    noise_factory=None,
     seed0: int = 100,
 ) -> float:
     """Run-to-run standard deviation of the *undelayed* total runtime.
 
     The paper judges elimination from single runs, so an excess below the
     run-to-run spread is unobservable ("we observe no excess runtime").
-    This measures that spread at noise level ``E`` over ``n_runs``
-    independent seeds.
+    This measures that spread at noise level ``E`` of the paper's
+    exponential noise over ``n_runs`` independent seeds.
     """
     if n_runs < 2:
         raise ValueError(f"n_runs must be >= 2, got {n_runs}")
-    if noise_factory is None:
-        from repro.sim.noise import exponential_for_level
+    from repro.sim.noise import exponential_for_level
 
-        noise_factory = exponential_for_level
-    noise = noise_factory(float(E), base_cfg.t_exec)
+    noise = exponential_for_level(float(E), base_cfg.t_exec)
     runtimes = []
     for r in range(n_runs):
         cfg = replace(base_cfg, noise=noise, delays=(), seed=seed0 + r)

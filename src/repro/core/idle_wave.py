@@ -64,9 +64,6 @@ class WaveFront:
     arrival_steps: np.ndarray
     amplitudes: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.hops)
-
     @property
     def reach(self) -> int:
         """Number of hops the wave survived."""
@@ -150,13 +147,12 @@ def row_percentile(sorted_rows: np.ndarray, counts: np.ndarray,
     return out
 
 
-def batched_default_threshold(batch: BatchedTiming,
-                              factor: float = 0.5) -> np.ndarray:
+def batched_default_threshold(batch: BatchedTiming) -> np.ndarray:
     """Per-draw idle-duration cut separating wave idleness from jitter, ``[B]``.
 
     Two regimes are combined:
 
-    - ``factor * t_exec`` when the runs record their nominal phase length
+    - half of ``t_exec`` when the runs record their nominal phase length
       (a wave by construction idles for a sizable fraction of a phase),
       with a fallback of ``10 x`` the draw's median positive idle time;
     - for runs dominated by a *large* idle wave (max idle >> phase
@@ -169,7 +165,7 @@ def batched_default_threshold(batch: BatchedTiming,
     n_batch = batch.n_batch
     t_exec = batch.t_exec
     if t_exec:
-        base = np.full(n_batch, factor * float(t_exec))
+        base = np.full(n_batch, 0.5 * float(t_exec))
     elif idle[0].size == 0:
         return np.zeros(n_batch)
     else:
@@ -201,9 +197,9 @@ def batched_default_threshold(batch: BatchedTiming,
     return np.maximum(np.maximum(base, 0.05 * max_idle), background)
 
 
-def default_threshold(timing: RunTiming, factor: float = 0.5) -> float:
+def default_threshold(timing: RunTiming) -> float:
     """One run's :func:`batched_default_threshold`."""
-    return float(batched_default_threshold(timing.batch(), factor)[0])
+    return float(batched_default_threshold(timing.batch())[0])
 
 
 def batched_wave_front(
@@ -302,7 +298,6 @@ def wave_front(
     direction: int = +1,
     threshold: float | None = None,
     periodic: bool | None = None,
-    max_hops: int | None = None,
 ) -> WaveFront:
     """Trace the leading edge of the idle wave emanating from ``source``.
 
@@ -321,11 +316,9 @@ def wave_front(
     periodic:
         Whether the chain wraps around.  Read from the run's communication
         pattern metadata when available, else False.
-    max_hops:
-        Stop after this many hops even if the wave continues.
     """
     return batched_wave_front(run.batch(), source, direction,
-                              threshold, periodic, max_hops)[0]
+                              threshold, periodic)[0]
 
 
 def masked_linear_fit(x: np.ndarray, y: np.ndarray,

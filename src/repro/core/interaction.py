@@ -42,22 +42,20 @@ class Wave:
     last_step: int
 
 
-def find_waves(timing: RunTiming, threshold: float | None = None,
-               periodic: bool | None = None) -> list[Wave]:
+def find_waves(timing: RunTiming) -> list[Wave]:
     """Extract idle waves as connected components of above-threshold cells.
 
-    Two cells are connected when they are within one rank *and* one step of
-    each other (8-neighborhood, with rank wraparound on periodic chains) —
-    a travelling wave moves at most a few ranks per step, so its footprint
-    is connected under this notion.  Returns waves sorted by first step.
+    Cells idle longer than :func:`default_threshold` count.  Two cells are
+    connected when they are within one rank *and* one step of each other
+    (8-neighborhood, with rank wraparound when the run's communication
+    pattern is periodic) — a travelling wave moves at most a few ranks per
+    step, so its footprint is connected under this notion.  Returns waves
+    sorted by first step.
     """
-    if threshold is None:
-        threshold = default_threshold(timing)
-    if periodic is None:
-        pattern = timing.meta.get("pattern")
-        periodic = bool(getattr(pattern, "periodic", False))
+    pattern = timing.meta.get("pattern")
+    periodic = bool(getattr(pattern, "periodic", False))
 
-    mask = timing.idle > threshold
+    mask = timing.idle > default_threshold(timing)
     n_ranks, n_steps = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     waves: list[Wave] = []
@@ -100,15 +98,15 @@ def find_waves(timing: RunTiming, threshold: float | None = None,
     return waves
 
 
-def resync_step(timing: RunTiming, threshold: float | None = None) -> int | None:
-    """First step index after which no rank idles above threshold.
+def resync_step(timing: RunTiming) -> int | None:
+    """First step index after which no rank idles above
+    :func:`default_threshold`.
 
     After interacting waves have annihilated ("everything is in sync
     again"), the idle matrix goes quiet; this returns that step, or ``None``
     if idleness persists to the end of the run.
     """
-    if threshold is None:
-        threshold = default_threshold(timing)
+    threshold = default_threshold(timing)
     active_steps = np.nonzero((timing.idle > threshold).any(axis=0))[0]
     if active_steps.size == 0:
         return 0
@@ -116,15 +114,13 @@ def resync_step(timing: RunTiming, threshold: float | None = None) -> int | None
     return last + 1 if last + 1 < timing.n_steps else None
 
 
-def meeting_ranks(timing: RunTiming, threshold: float | None = None) -> list[int]:
-    """Ranks where idle activity is seen at the latest active step.
+def meeting_ranks(timing: RunTiming) -> list[int]:
+    """Ranks idling above :func:`default_threshold` at the latest active step.
 
     For two symmetric counter-propagating waves on a periodic ring these
     are the ranks where they met and cancelled (rank 14 in Fig. 5(d)).
     """
-    if threshold is None:
-        threshold = default_threshold(timing)
-    mask = timing.idle > threshold
+    mask = timing.idle > default_threshold(timing)
     active_steps = np.nonzero(mask.any(axis=0))[0]
     if active_steps.size == 0:
         return []
@@ -132,8 +128,8 @@ def meeting_ranks(timing: RunTiming, threshold: float | None = None) -> list[int
     return [int(r) for r in np.nonzero(mask[:, last])[0]]
 
 
-def superposition_defect(combined: RunTiming, singles: "list[RunTiming]",
-                         baseline: "RunTiming | None" = None) -> float:
+def superposition_defect(combined: RunTiming,
+                         singles: "list[RunTiming]") -> float:
     """Quantify nonlinearity of wave interaction.
 
     Parameters
@@ -142,23 +138,17 @@ def superposition_defect(combined: RunTiming, singles: "list[RunTiming]",
         Run with all delays injected together.
     singles:
         Runs with each delay injected alone (same seeds/noise).
-    baseline:
-        Optional run with *no* delays.  When given, the quiet run's idle
-        time (regular communication waits) is subtracted from every term,
-        so the comparison involves only delay-induced idleness.  Without
-        it, the defect carries an offset of roughly ``(len(singles) - 1) ×
-        total_idle(baseline)`` — negligible for long waves, visible for
-        short ones.
 
     Returns
     -------
     float
-        ``excess_idle(combined) - sum(excess_idle(single_i))`` in
-        rank-seconds.  Linear (non-interacting) waves give ~0; cancellation
-        gives a negative defect whose magnitude measures how much idleness
-        the collisions destroyed.
+        ``total_idle(combined) - sum(total_idle(single_i))`` in
+        rank-seconds.  Cancellation gives a negative defect whose
+        magnitude measures how much idleness the collisions destroyed.
+        The regular communication waits of a quiet run are counted once
+        per single, so the defect carries an offset of about
+        ``-(len(singles) - 1) × total_idle(quiet run)`` — negligible for
+        long waves, visible for short ones.
     """
-    base = baseline.total_idle() if baseline is not None else 0.0
-    total_c = combined.total_idle() - base
-    total_s = sum(s.total_idle() - base for s in singles)
-    return float(total_c - total_s)
+    total_s = sum(s.total_idle() for s in singles)
+    return float(combined.total_idle() - total_s)

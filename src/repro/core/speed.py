@@ -166,8 +166,6 @@ def measure_speed(
     direction: int = +1,
     threshold: float | None = None,
     periodic: bool | None = None,
-    min_hops: int = 2,
-    max_hops: int | None = None,
 ) -> SpeedMeasurement:
     """Fit the leading-edge speed of the idle wave emanating from ``source``.
 
@@ -177,20 +175,20 @@ def measure_speed(
     Raises
     ------
     ValueError
-        If the wave is detected on fewer than ``min_hops`` ranks (no
-        propagation to measure), or the fitted speed is not positive.
+        If the wave is detected on fewer than two ranks (no propagation
+        to measure), or the fitted speed is not positive.
     """
     if threshold is None:
         threshold = default_threshold(run)
     front = batched_wave_front(run.batch(), source, direction, threshold,
-                               periodic, max_hops)
-    reached, need = int(front.n_hops[0]), max(min_hops, 2)  # a line needs two points
-    if reached < need:
+                               periodic)
+    reached = int(front.n_hops[0])
+    if reached < 2:  # a line needs two points
         raise ValueError(
             f"idle wave from rank {source} (direction {direction:+d}) reached only "
-            f"{reached} ranks above threshold {threshold:.3g}s; need {need}"
+            f"{reached} ranks above threshold {threshold:.3g}s; need 2"
         )
-    speed, residual = fit_front_speed(front, min_hops=min_hops)
+    speed, residual = fit_front_speed(front)
     if not speed[0] > 0:
         raise ValueError(
             f"non-positive fitted speed {speed[0]:.3g} ranks/s — arrivals are not "

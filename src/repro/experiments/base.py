@@ -14,7 +14,10 @@ processes and cached in a content-addressed on-disk result store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.runtime.store import ResultStore
 
 __all__ = ["ExperimentResult", "RuntimeOptions"]
 
@@ -28,21 +31,13 @@ class RuntimeOptions:
     jobs:
         Worker processes: 1 (default) runs serially in-process, N>1
         shards over a process pool, 0 auto-detects the CPU count.
-    cache_dir:
-        Directory of the content-addressed result store, or ``None``
-        to recompute everything in memory.
+    store:
+        The content-addressed :class:`~repro.runtime.store.ResultStore`,
+        or ``None`` to recompute everything in memory.
     """
 
     jobs: int = 1
-    cache_dir: "str | Path | None" = None
-
-    def store(self):
-        """The configured :class:`~repro.runtime.store.ResultStore`, or None."""
-        if self.cache_dir is None:
-            return None
-        from repro.runtime.store import ResultStore
-
-        return ResultStore(self.cache_dir)
+    store: "ResultStore | None" = None
 
 
 @dataclass

@@ -97,7 +97,7 @@ def run(fast: bool = True, seed: int = 0,
         base_seed=seed,
     )
     campaign = run_campaign(
-        sweep.tasks(), jobs=opts.jobs, store=opts.store()
+        sweep.tasks(), jobs=opts.jobs, store=opts.store
     ).raise_failures()
     by_rate: dict = {}
     for result in campaign.results:

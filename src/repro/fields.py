@@ -193,10 +193,6 @@ class SpecFiles:
             f"available: {self.names()}"
         )
 
-    def load_all(self) -> list:
-        """Load every bundled document (validated on load)."""
-        return [self.load_bundled(name) for name in self.names()]
-
     def resolve(self, name_or_path: str) -> Any:
         """Resolve a CLI argument: bundled name, or path to a file."""
         candidate = Path(name_or_path)

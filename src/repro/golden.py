@@ -242,7 +242,3 @@ def golden_main(argv: "list[str] | None" = None) -> int:
         print(f"[{len(paths)} golden fixture(s) regenerated]")
         return 0
     return _check(directory)
-
-
-if __name__ == "__main__":
-    sys.exit(golden_main())

@@ -258,7 +258,3 @@ def runs_main(argv: "list[str] | None" = None) -> int:
     args = build_runs_parser().parse_args(argv)
     return {"ls": _cmd_ls, "show": _cmd_show, "tail": _cmd_tail,
             "diff": _cmd_diff}[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(runs_main())

@@ -2,8 +2,9 @@
 
 The run ledger answers *"what did this run do, and where did its time
 go?"* for one run.  This package adds the time axis: it reads the
-ledger's records as one flat metric series per ``<kind>/<name>``
-(``<kind>/<name>/cached`` for runs served wholly from the store), keeps
+ledger's records as one flat metric series per
+``<kind>/<name>/<engine>/j<jobs>`` (plus ``/cached`` for runs served
+wholly from the store), keeps
 benchmark emissions (``BENCH_*.json``) in an append-only JSONL, and
 flags with an EWMA trend analysis when the latest entry of a series
 regresses against its smoothed history.

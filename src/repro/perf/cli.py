@@ -195,7 +195,3 @@ def perf_main(argv: "list[str] | None" = None) -> int:
     except PerfError as exc:
         print(f"perf error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(perf_main())

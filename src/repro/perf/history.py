@@ -101,12 +101,19 @@ def format_metric(value: float) -> str:
 def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
     """Flatten a run-ledger record: ``(label, metrics, context)``.
 
-    The label is ``<kind>/<name>`` so sweeps of different scenarios
-    trend independently; wall time, task counts, cache economics, the
-    worker-health fields and each v5 phase (as ``phase.<name>_s``) all
-    become metrics.
+    The label is ``<kind>/<name>/<engine>/j<jobs>`` (a report record
+    carries no engine), so sweeps of different scenarios trend
+    independently, and a run on another engine or worker count, which
+    takes several times as long, never joins the series of the first.
+    Wall time, task counts, cache economics, the worker-health fields and
+    each v5 phase (as ``phase.<name>_s``) all become metrics.
     """
-    label = f"{record.get('kind', 'run')}/{record.get('name', '?')}"
+    parts = [record.get("kind", "run"), record.get("name", "?")]
+    if record.get("engine"):
+        parts.append(record["engine"])
+    if record.get("jobs") is not None:
+        parts.append(f"j{record['jobs']}")
+    label = "/".join(str(part) for part in parts)
     metrics = _clean_metrics({
         "wall_s": record.get("wall_s"),
         "n_tasks": record.get("n_tasks"),
@@ -160,10 +167,11 @@ def metrics_from_bench(payload: Mapping) -> "list[tuple[str, dict, dict]]":
 def ledger_history(cache_dir: "str | Path") -> "list[dict]":
     """The run series of ``<cache_dir>/runs/``, ordered by ``started_unix``.
 
-    An ok run joins ``<kind>/<name>`` when no task was a cache hit and
-    ``<kind>/<name>/cached`` when the store served every task (a warm run
-    is several times faster, so mixing them would flag every cold run
-    after a warm one); partial and failed runs join neither.
+    An ok run joins its :func:`metrics_from_run_record` label when no
+    task was a cache hit and that label plus ``/cached`` when the store
+    served every task (a warm run is several times faster, so mixing them
+    would flag every cold run after a warm one); partial and failed runs
+    join neither.
     """
     out = []
     for run in RunLedger(cache_dir).records():
@@ -189,12 +197,12 @@ class PerfHistory:
     under ``benchmarks/baselines/``).
     """
 
-    def __init__(self, root: "str | Path", filename: str = "history.jsonl"):
+    def __init__(self, root: "str | Path"):
         root = Path(root).expanduser()
         if root.suffix == ".jsonl":
             self.path = root
         else:
-            self.path = root / filename
+            self.path = root / "history.jsonl"
 
     def append(self, record: Mapping) -> Path:
         """Persist one record as one line; returns the history path."""
@@ -203,7 +211,7 @@ class PerfHistory:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
         return self.path
 
-    def records(self, label: "str | None" = None) -> "list[dict]":
+    def records(self) -> "list[dict]":
         """All readable records in file order (torn lines are skipped)."""
         if not self.path.exists():
             return []
@@ -218,8 +226,6 @@ class PerfHistory:
                 continue
             if not isinstance(record, dict) or not {
                     "label", "metrics"} <= record.keys():
-                continue
-            if label is not None and record["label"] != label:
                 continue
             out.append(record)
         return out

@@ -40,9 +40,9 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".errors": ("ReportError",),
     ".kernels": ("MetricContext", "MetricKernel", "get_kernel",
                  "kernel_names", "register_kernel"),
-    ".registry": ("bundled_report_names", "iter_bundled_reports",
-                  "load_bundled_report", "load_report_file",
-                  "parse_report_text", "resolve_report"),
+    ".registry": ("bundled_report_names", "load_bundled_report",
+                  "load_report_file", "parse_report_text",
+                  "resolve_report"),
     ".runner": ("ReportResult", "ReportRow", "run_report"),
     ".spec": ("ArtifactRequest", "MetricRequest", "ReportSpec"),
 })

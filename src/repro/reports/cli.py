@@ -135,13 +135,13 @@ def _cmd_run(args) -> int:
             raise ReportError(
                 f"cannot write artifacts to {args.out}: {exc}") from exc
     try:
+        # A store that cannot take writes refuses the run before it is
+        # observed, so the refusal leaves no ledger record.
+        store = campaign_store(args.cache_dir)
         with observe_campaign(args, "report.run", spec.name) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
-            result = run_report(
-                compiled, store=campaign_store(args.cache_dir),
-                jobs=args.jobs,
-            )
+            result = run_report(compiled, store=store, jobs=args.jobs)
             print(result.render())
             if args.out is not None:
                 from repro.reports.artifacts import write_artifacts
@@ -164,7 +164,3 @@ def report_main(argv: "list[str] | None" = None) -> int:
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(report_main())

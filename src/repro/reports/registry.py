@@ -20,7 +20,6 @@ __all__ = [
     "BUNDLED_REPORT_DIR",
     "REPORT_FILES",
     "bundled_report_names",
-    "iter_bundled_reports",
     "load_bundled_report",
     "load_report_file",
     "parse_report_text",
@@ -36,5 +35,4 @@ parse_report_text = REPORT_FILES.parse_text
 load_report_file = REPORT_FILES.load_file
 bundled_report_names = REPORT_FILES.names
 load_bundled_report = REPORT_FILES.load_bundled
-iter_bundled_reports = REPORT_FILES.load_all
 resolve_report = REPORT_FILES.resolve

@@ -32,8 +32,7 @@ from repro.reports.kernels import MetricContext
 from repro.reports.query import stream_campaign
 from repro.viz.tables import format_table
 
-__all__ = ["ReportResult", "ReportRow", "aggregate_stat", "aggregate_stats",
-           "run_report"]
+__all__ = ["ReportResult", "ReportRow", "aggregate_stats", "run_report"]
 
 
 def aggregate_stats(samples: np.ndarray,
@@ -57,11 +56,6 @@ def aggregate_stats(samples: np.ndarray,
         return [float("nan")] * len(stats)
     ordered = np.sort(arr)
     return [_reduce(arr, ordered, stat) for stat in stats]
-
-
-def aggregate_stat(samples: np.ndarray, stat: str) -> float:
-    """One statistic of :func:`aggregate_stats`."""
-    return aggregate_stats(samples, (stat,))[0]
 
 
 def _reduce(arr: np.ndarray, ordered: np.ndarray, stat: str) -> float:

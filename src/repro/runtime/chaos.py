@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["ChaosError", "ChaosSpec", "ENV_VAR", "active", "install",
            "maybe_inject", "maybe_inject_block", "torn_shard_write",
@@ -72,9 +72,6 @@ class ChaosSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.max_faults_per_task < 0:
             raise ValueError("max_faults_per_task must be >= 0")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosSpec":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
+import math
 
 from repro.runtime.store import ResultStore
 
@@ -30,6 +30,23 @@ def _human_bytes(n: int) -> str:
             return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
         n /= 1024
     return f"{n} B"  # pragma: no cover - unreachable
+
+
+def _min_age_arg(text: str) -> float:
+    """``--min-age`` parser: a finite number of seconds, at least 0.
+
+    A negative or infinite age would make ``gc`` remove temp files a
+    concurrent writer may still own, or spare everything forever.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"--min-age must be a finite number >= 0, got {text}")
+    return value
 
 
 def build_store_parser() -> argparse.ArgumentParser:
@@ -52,7 +69,7 @@ def build_store_parser() -> argparse.ArgumentParser:
                       help="result store directory")
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed without deleting")
-    p_gc.add_argument("--min-age", type=float, default=3600.0,
+    p_gc.add_argument("--min-age", type=_min_age_arg, default=3600.0,
                       metavar="SECONDS",
                       help="spare anything younger than this (a "
                            "concurrent campaign may be mid-write; "
@@ -103,7 +120,3 @@ def _cmd_gc(args) -> int:
 def store_main(argv: "list[str] | None" = None) -> int:
     args = build_store_parser().parse_args(argv)
     return {"ls": _cmd_ls, "gc": _cmd_gc}[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(store_main())

@@ -8,16 +8,16 @@ on one of two backends:
   current process — zero overhead, trivially debuggable.
 - **process pool** (``jobs>1`` or ``jobs=0`` for CPU-count auto-detect):
   shards tasks across a ``concurrent.futures.ProcessPoolExecutor`` and
-  streams results back *as they complete* (an ``on_result`` callback
-  fires in completion order), while the returned campaign keeps task
-  order.  The task and batcher modules are imported before the pool
-  starts, so forked workers inherit them instead of importing them again.
+  takes results back *as they complete*, while the returned campaign
+  keeps task order.  The task and batcher modules are imported before
+  the pool starts, so forked workers inherit them instead of importing
+  them again.
 
 An optional **batcher** lets a task family execute contiguous blocks of
 compatible cache-missing tasks in one call (e.g. B delay-campaign draws
 as a single batched engine invocation) instead of one call per task.
 Batching is an execution detail: per-task results, cache keys, stored
-values, and streaming callbacks are exactly those of unbatched execution
+values, and lifecycle events are exactly those of unbatched execution
 — a batcher that cannot honor that contract must not group the tasks.
 The block becomes the unit of sharding; a failing block transparently
 falls back to per-task execution, preserving failure isolation.
@@ -192,10 +192,6 @@ class CampaignResult:
     @property
     def n_executed(self) -> int:
         return sum(1 for r in self.results if r.ok and not r.cached)
-
-    @property
-    def n_quarantined(self) -> int:
-        return sum(1 for r in self.results if r.quarantined)
 
     def raise_failures(self) -> "CampaignResult":
         """Raise :class:`TaskError` if any task failed; else return self."""
@@ -504,7 +500,6 @@ def run_campaign(
     *,
     jobs: "int | None" = 1,
     store: "ResultStore | None" = None,
-    on_result: "Callable[[TaskResult], None] | None" = None,
     batcher: "TaskBatcher | None" = None,
     watchdog: "Any | None" = None,
     quarantine_after: int = QUARANTINE_AFTER,
@@ -524,9 +519,6 @@ def run_campaign(
         execution entirely; fresh results are persisted by the process
         that computed them (see the module docstring).  A write that
         fails raises :class:`~repro.runtime.store.StoreError`.
-    on_result:
-        Streaming callback, invoked in completion order (cache hits
-        first) from the calling process.
     batcher:
         Optional :class:`TaskBatcher` that groups contiguous compatible
         cache misses into blocks executed by one call each.  Results,
@@ -575,8 +567,6 @@ def run_campaign(
             telemetry.emit("task.done", index=result.index)
         else:
             telemetry.emit("task.failed", index=result.index)
-        if on_result is not None:
-            on_result(result)
 
     n_retried = n_respawns = 0
     # ``elapsed`` is the span's wall clock — the same two perf_counter

@@ -24,10 +24,8 @@ needs) appended by the shard's single writer.  The index is a derived
 cache, never the source of truth: a reader validates it against the
 shard's byte coverage and recovers any uncovered tail — a torn index, a
 missing index, or an index that diverges from the shard is repaired by
-scanning the self-describing shard entries (:meth:`PackedShards.refresh`
-does this transparently; :meth:`PackedShards.rebuild_index` rewrites the
-sidecars atomically, the same temp-file + ``os.replace`` pattern
-``RunLedger.append`` uses).
+scanning the self-describing shard entries, which
+:meth:`PackedShards.refresh` does transparently.
 
 Concurrent writers are safe by construction: every writing process
 appends to its **own** shard file (named by pid + random suffix), so two
@@ -43,7 +41,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import uuid
 import zlib
 from dataclasses import dataclass
@@ -444,39 +441,6 @@ class PackedShards:
                 pos = entry.end
                 fh.seek(pos)
                 yield entry
-
-    def rebuild_index(self) -> int:
-        """Rewrite every sidecar index from its shard; returns entry count.
-
-        Each sidecar is written to a temp file and atomically swapped in
-        (``os.replace``), so concurrent readers always see either the
-        old or the new index — and either one is only a cache over the
-        self-describing shard bytes.
-        """
-        n = 0
-        with telemetry.span("store.shard.rebuild"):
-            for path in self.shard_paths():
-                entries = list(self.scan_shard(path))
-                idx_path = path.with_name(path.name + ".idx")
-                fd, tmp = tempfile.mkstemp(dir=self.root,
-                                           prefix=f".{idx_path.name}.")
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        for entry in entries:
-                            fh.write(entry.to_line())
-                    os.replace(tmp, idx_path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-                for entry in entries:
-                    self._index[entry.key] = entry
-                self._covered[path.name] = \
-                    entries[-1].end if entries else 0
-                n += len(entries)
-        return n
 
     # -- read -----------------------------------------------------------
 

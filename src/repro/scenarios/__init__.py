@@ -40,9 +40,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".compiler": ("CompiledScenario", "compile_scenario"),
     ".errors": ("ScenarioError",),
     ".registry": ("BUNDLED_SCENARIO_DIR", "bundled_scenario_names",
-                  "iter_bundled_scenarios", "load_bundled_scenario",
-                  "load_scenario_file", "parse_scenario_text",
-                  "resolve_scenario"),
+                  "load_bundled_scenario", "load_scenario_file",
+                  "parse_scenario_text", "resolve_scenario"),
     ".runner": ("ScenarioRun", "run_scenario", "run_scenario_batch"),
     ".spec": ("CampaignSection", "CommSection", "DelayEntry", "MachineSection",
               "NoiseSection", "ScenarioSpec", "SweepAxis", "SweepSection",

@@ -122,12 +122,15 @@ def _observed_sweep(args, spec) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:
+        # A store that cannot take writes refuses the run before it is
+        # observed, so the refusal leaves no ledger record.
+        store = campaign_store(args.cache_dir)
         with observe_campaign(args, "scenario.sweep", spec.name) as tracker:
             if resumed is not None:
                 tracker.set_resumed_from(resumed["id"])
             result = run_scenario_sweep(
                 spec, base_seed=args.seed, engine=args.engine,
-                jobs=args.jobs, store=campaign_store(args.cache_dir),
+                jobs=args.jobs, store=store,
             )
             print(result.render())
     except StoreError as exc:
@@ -163,7 +166,3 @@ def scenario_main(argv: "list[str] | None" = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(scenario_main())

@@ -21,7 +21,6 @@ __all__ = [
     "BUNDLED_SCENARIO_DIR",
     "SCENARIO_FILES",
     "bundled_scenario_names",
-    "iter_bundled_scenarios",
     "load_bundled_scenario",
     "load_scenario_file",
     "parse_scenario_text",
@@ -37,5 +36,4 @@ parse_scenario_text = SCENARIO_FILES.parse_text
 load_scenario_file = SCENARIO_FILES.load_file
 bundled_scenario_names = SCENARIO_FILES.names
 load_bundled_scenario = SCENARIO_FILES.load_bundled
-iter_bundled_scenarios = SCENARIO_FILES.load_all
 resolve_scenario = SCENARIO_FILES.resolve

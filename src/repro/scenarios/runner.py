@@ -224,23 +224,18 @@ def run_scenario(
 
 
 def run_scenario_batch(
-    scenario: "ScenarioSpec | CompiledScenario",
+    compiled: CompiledScenario,
     seeds: Sequence[int],
-    engine: str = "auto",
 ) -> "list[ScenarioRun]":
-    """Execute one scenario for many seeds as a single batched engine call.
+    """Execute one compiled scenario for many seeds as a single batched
+    engine call.
 
     The runs share everything but their seed (campaign schedule, noise
     draw), which is the shape of a delay-campaign replicate block.  The
     engine call is :func:`_execute_prepared_batch`, so each returned
     :class:`ScenarioRun` is bit-identical to
-    ``run_scenario(scenario, seed=s)``, the one-draw block of its seed.
+    ``run_scenario(compiled, seed=s)``, the one-draw block of its seed.
     """
-    if isinstance(scenario, CompiledScenario):
-        compiled = scenario
-    else:
-        with telemetry.span("scenario.compile"):
-            compiled = compile_scenario(scenario, engine=engine)
     if not seeds:
         return []
     prepared = [prepare_scenario_run(compiled, s) for s in seeds]

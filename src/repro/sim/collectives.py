@@ -89,22 +89,14 @@ def ring_allreduce_rounds(n_ranks: int) -> list[list[tuple[int, int]]]:
     return [list(one_round) for _ in range(2 * (n_ranks - 1))]
 
 
-def tree_bcast_rounds(n_ranks: int, root: int = 0) -> list[list[tuple[int, int]]]:
-    """Binomial-tree broadcast from ``root``: round k doubles the holders."""
+def tree_bcast_rounds(n_ranks: int) -> list[list[tuple[int, int]]]:
+    """Binomial-tree broadcast from rank 0: round k doubles the holders."""
     if n_ranks < 2:
         raise ValueError(f"n_ranks must be >= 2, got {n_ranks}")
-    if not 0 <= root < n_ranks:
-        raise IndexError(f"root {root} out of range [0, {n_ranks})")
     rounds = []
     k = 1
     while k < n_ranks:
-        pairs = []
-        for i in range(k):
-            j = i + k
-            if j < n_ranks:
-                # Positions are relative to the root.
-                pairs.append(((root + i) % n_ranks, (root + j) % n_ranks))
-        rounds.append(pairs)
+        rounds.append([(i, i + k) for i in range(k) if i + k < n_ranks])
         k *= 2
     return rounds
 

@@ -34,10 +34,9 @@ therefore builds the graph **once**:
 - :func:`build_dag` compiles a program + config into a :class:`StaticDag`
   holding CSR-style NumPy arrays (``succ_indptr``/``succ_index`` successor
   lists, ``edge_delay`` slots) plus a precomputed topological level order;
-- :meth:`StaticDag.propagate` runs the Kahn sweep as a vectorized
-  per-level ``np.maximum.at`` recurrence.  Durations may carry a leading
-  batch axis, so B draws flow through one structure as a ``(B, n_nodes)``
-  computation — the DAG-engine analogue of
+- the Kahn sweep runs as a vectorized per-level ``np.maximum.at``
+  recurrence over ``(n_nodes, B)`` duration columns, so B draws flow
+  through one structure as one computation — the DAG-engine analogue of
   :func:`repro.sim.lockstep.simulate_lockstep_batch`;
 - a keyed structure cache (program-shape hash → :class:`StaticDag`) lets
   sweeps that vary only delays/noise skip graph construction entirely
@@ -173,7 +172,7 @@ class StaticDag:
     """The delay-independent structure of one program's dependency DAG.
 
     Built once per (program shape, config) by :func:`build_dag`; per-draw
-    execution durations are injected at :meth:`propagate` time.  All
+    execution durations are injected at propagation time.  All
     structural state is held in flat NumPy arrays:
 
     - ``succ_indptr``/``succ_index`` — CSR successor lists: node ``u``'s
@@ -329,52 +328,18 @@ class StaticDag:
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def propagate(self, durations: "np.ndarray | None" = None,
-                  edge_delays: "np.ndarray | None" = None) -> np.ndarray:
-        """Topological sweep; returns per-node completion times.
-
-        Parameters
-        ----------
-        durations:
-            Per-node durations, shape ``(..., n_nodes)``; leading axes are
-            batch axes and every batch slice is bitwise identical to a
-            scalar sweep of that slice.  Defaults to ``base_duration``
-            (all COMP phases zero-length).
-        edge_delays:
-            Optional per-edge delay override in CSR order (aligned with
-            ``succ_index``); defaults to the structure's ``edge_delay``.
-        """
-        if durations is None:
-            durations = self.base_duration
-        d = np.asarray(durations, dtype=float)
-        if d.shape[-1] != self.n_nodes:
-            raise ValueError(
-                f"durations last axis {d.shape[-1]} != n_nodes {self.n_nodes}"
-            )
-        lead = d.shape[:-1]
-        cols = np.ascontiguousarray(d.reshape(-1, self.n_nodes).T)
-        _, end = self._propagate_cols(cols, edge_delays)
-        return end.T.reshape(*lead, self.n_nodes)
-
-    def _propagate_cols(self, dur_cols: np.ndarray,
-                        edge_delays: "np.ndarray | None" = None
+    def _propagate_cols(self, dur_cols: np.ndarray
                         ) -> "tuple[np.ndarray, np.ndarray]":
-        """Core sweep in ``(n_nodes, B)`` layout; returns ``(ready, end)``.
+        """Topological sweep in ``(n_nodes, B)`` layout; returns
+        ``(ready, end)``.
 
-        ``ready[u]`` is the time node ``u``'s dependencies resolved (the
-        record *start* time of non-WAITALL operations); ``end[u]`` is
-        ``ready[u] + duration[u]``.
+        Every column is bitwise identical to a scalar sweep of that
+        column.  ``ready[u]`` is the time node ``u``'s dependencies
+        resolved (the record *start* time of non-WAITALL operations);
+        ``end[u]`` is ``ready[u] + duration[u]``.
         """
         n, b = dur_cols.shape
-        if edge_delays is None:
-            delay_lv = self._edge_delay_lv
-        else:
-            edge_delays = np.asarray(edge_delays, dtype=float)
-            if edge_delays.shape != (self.n_edges,):
-                raise ValueError(
-                    f"edge_delays shape {edge_delays.shape} != ({self.n_edges},)"
-                )
-            delay_lv = edge_delays[self.edge_perm][:, None]
+        delay_lv = self._edge_delay_lv
         ready = np.zeros((n, b))
         end = np.empty((n, b))
         level_ptr, edge_ptr = self.level_ptr, self._level_edge_ptr
@@ -784,36 +749,20 @@ def simulate(program: Program, config: SimConfig | None = None) -> Trace:
     )
 
 
-def simulate_dag(program: Program, config: SimConfig | None = None,
-                 exec_times: "np.ndarray | None" = None) -> RunTiming:
+def simulate_dag(program: Program, config: SimConfig | None = None) -> RunTiming:
     """Run one program and return dense timing matrices (no records).
 
     The columnar fast path of the DAG engine: identical numbers to
     :func:`simulate` (``exec_end`` is bitwise equal to
     ``trace.exec_end_matrix()``, ``post_end`` to the WAITALL record
     starts, and so on) without materializing a single
-    :class:`~repro.sim.trace.OpRecord`.
-
-    Parameters
-    ----------
-    program, config:
-        As in :func:`simulate`.
-    exec_times:
-        Optional dense ``[n_ranks, n_steps]`` execution durations that
-        override the program's COMP durations (lockstep-shaped programs
-        only) — saves the per-op duration gather when the caller already
-        holds the matrix.  They must be finite and non-negative.
+    :class:`~repro.sim.trace.OpRecord`.  ``program`` and ``config`` are
+    as in :func:`simulate`.
     """
     if config is None:
         config = SimConfig()
     dag = build_dag(program, config)
-    if exec_times is None:
-        durations = dag.durations_for(program)
-    else:
-        exec_times = np.asarray(exec_times, dtype=float)
-        check_cells("exec_times", exec_times)
-        durations = dag.durations_from_exec(exec_times)
-    ready, end = dag._propagate_cols(durations[:, None])
+    ready, end = dag._propagate_cols(dag.durations_for(program)[:, None])
     return BatchedTiming(**dag._timing_cols(ready, end),
                          meta=_dag_meta(program.meta, config))[0]
 

@@ -70,10 +70,6 @@ class HybridConfig:
             if spec.rank >= self.n_processes or spec.step >= self.n_steps:
                 raise ValueError(f"delay {spec} outside the configured run")
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_processes * self.threads
-
 
 def hybrid_exec_times(cfg: HybridConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Per-process execution times with the thread-barrier max reduction.

@@ -72,11 +72,6 @@ class MachineTopology:
         """Physical cores on one node."""
         return self.cores_per_socket * self.sockets_per_node
 
-    @property
-    def total_cores(self) -> int:
-        """Physical cores in the whole machine."""
-        return self.cores_per_node * self.n_nodes
-
 
 @dataclass(frozen=True)
 class ProcessMapping:
@@ -157,10 +152,6 @@ class ProcessMapping:
     def n_sockets_used(self) -> int:
         """Number of distinct sockets that host at least one rank."""
         return self.socket_of(self.n_ranks - 1) + 1
-
-    def n_nodes_used(self) -> int:
-        """Number of distinct nodes that host at least one rank."""
-        return self.node_of(self.n_ranks - 1) + 1
 
     def ranks_on_socket(self, socket: int) -> list[int]:
         """All ranks hosted on global socket index ``socket``."""

@@ -142,7 +142,3 @@ def stats_main(argv: "list[str] | None" = None) -> int:
     except StatsError as exc:
         print(f"stats error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(stats_main())

@@ -259,15 +259,15 @@ class Recorder:
                        for _, name, t, _, data in self.events],
         }
 
-    def merge(self, snap: Mapping, parent: "int | None" = None) -> None:
+    def merge(self, snap: Mapping) -> None:
         """Fold another recorder's snapshot into this one.
 
         Span ids are remapped past this recorder's counter, and the
-        snapshot's *root* spans are re-parented under ``parent`` (default:
-        the innermost span currently open here — e.g. the campaign span a
-        worker's results stream back into).  Counters and histograms sum;
-        gauges take the snapshot's value (last writer wins, matching
-        single-process semantics).
+        snapshot's *root* spans are re-parented under the innermost span
+        currently open here (e.g. the campaign span a worker's results
+        stream back into), or stay roots when none is open.  Counters
+        and histograms sum; gauges take the snapshot's value (last
+        writer wins, matching single-process semantics).
 
         When the snapshot came from another process (its ``pid`` differs
         from ours), each re-rooted root span gains a ``worker_pid``
@@ -282,8 +282,7 @@ class Recorder:
         unit of a campaign is *inside* this recorder's run, and a nested
         lifecycle would double-start the consumers.
         """
-        if parent is None:
-            parent = self._stack[-1] if self._stack else -1
+        parent = self._stack[-1] if self._stack else -1
         base = self._next_id
         max_id = -1
         worker_pid = snap.get("pid")
@@ -381,16 +380,14 @@ def enabled() -> bool:
     return _RECORDER is not None
 
 
-def enable(fresh: bool = True) -> Recorder:
-    """Switch recording on; returns the active recorder.
+def enable() -> Recorder:
+    """Switch recording on with a new recorder and return it.
 
-    With ``fresh`` (the default) any previous recorder is discarded —
-    a run's telemetry always starts from zero.  ``fresh=False`` keeps an
-    existing recorder (idempotent re-enable).
+    Any previous recorder is discarded — a run's telemetry always starts
+    from zero.
     """
     global _RECORDER
-    if _RECORDER is None or fresh:
-        _RECORDER = Recorder()
+    _RECORDER = Recorder()
     return _RECORDER
 
 
@@ -454,8 +451,8 @@ def emit(name: str, /, **data: Any) -> None:
         rec.emit(name, **data)
 
 
-def merge_snapshot(snap: "Mapping | None", parent: "int | None" = None) -> None:
+def merge_snapshot(snap: "Mapping | None") -> None:
     """Merge a worker snapshot into the live recorder (no-op if disabled)."""
     rec = _RECORDER
     if rec is not None and snap:
-        rec.merge(snap, parent=parent)
+        rec.merge(snap)

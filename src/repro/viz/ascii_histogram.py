@@ -11,31 +11,25 @@ __all__ = ["render_histogram"]
 
 def render_histogram(
     hist: NoiseHistogram,
-    width: int = 60,
     max_rows: int = 20,
-    log_counts: bool = True,
     unit: float = 1e-6,
     unit_label: str = "µs",
 ) -> str:
-    """Render a histogram as horizontal bars.
+    """Render a histogram as horizontal bars, at most 60 characters wide.
+
+    Bars are scaled by log10(count+1) — noise histograms span orders of
+    magnitude (the paper plots them on log axes).
 
     Parameters
     ----------
     hist:
         The binned noise distribution.
-    width:
-        Maximum bar width in characters.
     max_rows:
         At most this many rows; bins are re-grouped if there are more, and
         trailing all-empty bins are dropped.
-    log_counts:
-        Scale bars by log10(count+1) — noise histograms span orders of
-        magnitude (the paper plots them on log axes).
     unit / unit_label:
         Scale for the bin labels (default µs).
     """
-    if width < 10:
-        raise ValueError(f"width must be >= 10, got {width}")
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
 
@@ -54,7 +48,7 @@ def render_histogram(
         counts = np.asarray(grouped)
         edges = np.asarray(new_edges)
 
-    values = np.log10(counts + 1.0) if log_counts else counts.astype(float)
+    values = np.log10(counts + 1.0)
     peak = values.max() if values.size else 1.0
     if peak == 0:
         peak = 1.0
@@ -63,13 +57,10 @@ def render_histogram(
         len(f"{edges[i] / unit:.1f}-{edges[i + 1] / unit:.1f}")
         for i in range(len(counts))
     )
-    lines = [
-        f"{'bin [' + unit_label + ']':>{label_w}} | count"
-        + (" (log-scaled bars)" if log_counts else "")
-    ]
+    lines = [f"{'bin [' + unit_label + ']':>{label_w}} | count (log-scaled bars)"]
     for i, count in enumerate(counts):
         label = f"{edges[i] / unit:.1f}-{edges[i + 1] / unit:.1f}"
-        bar = "#" * int(round(values[i] / peak * width))
+        bar = "#" * int(round(values[i] / peak * 60))
         lines.append(f"{label:>{label_w}} |{bar} {int(count)}")
     lines.append(
         f"{'':>{label_w}}  n={hist.n_samples}, mean={hist.mean / unit:.2f} "

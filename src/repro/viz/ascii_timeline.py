@@ -34,9 +34,10 @@ def render_timeline(
     timing: RunTiming,
     width: int = 100,
     base_exec: float | None = None,
-    rank_labels: bool = True,
 ) -> str:
     """Render the full rank/time diagram as a multi-line string.
+
+    Each row is prefixed with its rank number.
 
     Parameters
     ----------
@@ -47,8 +48,6 @@ def render_timeline(
     base_exec:
         Nominal phase length used to split EXEC vs DELAY (see
         :func:`repro.analysis.timeline.rank_timeline`).
-    rank_labels:
-        Prefix each row with the rank number.
     """
     if width < 10:
         raise ValueError(f"width must be >= 10, got {width}")
@@ -58,7 +57,7 @@ def render_timeline(
     scale = width / total
 
     lines: list[str] = []
-    label_w = len(str(timing.n_ranks - 1)) if rank_labels else 0
+    label_w = len(str(timing.n_ranks - 1))
     timelines = full_timeline(timing, base_exec=base_exec)
     for rank in range(timing.n_ranks - 1, -1, -1):  # rank 0 at the bottom, like the figures
         row = [" "] * width
@@ -71,27 +70,26 @@ def render_timeline(
                 if p > precedence[c]:
                     precedence[c] = p
                     row[c] = _GLYPHS[iv.kind]
-        prefix = f"{rank:>{label_w}} |" if rank_labels else "|"
-        lines.append(prefix + "".join(row))
-    footer = (" " * (label_w + 1) if rank_labels else "") + "+" + "-" * (width - 1)
-    time_lbl = (" " * (label_w + 1) if rank_labels else "") + f"0{'':>{width - 12}}{total * 1e3:8.2f} ms"
+        lines.append(f"{rank:>{label_w}} |" + "".join(row))
+    pad = " " * (label_w + 1)
+    footer = pad + "+" + "-" * (width - 1)
+    time_lbl = pad + f"0{'':>{width - 12}}{total * 1e3:8.2f} ms"
     lines.append(footer)
     lines.append(time_lbl)
     return "\n".join(lines)
 
 
-def render_idle_heatmap(timing: RunTiming, threshold: float | None = None) -> str:
+def render_idle_heatmap(timing: RunTiming) -> str:
     """Step-quantized idle map: one character per (rank, step).
 
-    ``#`` marks steps whose Waitall exceeded ``threshold`` (default: the
-    analysis layer's wave threshold), ``+`` above half the threshold,
-    ``.`` quiet.  Rows are ranks (top = highest), columns are steps —
-    a compact view of wave propagation in step space.
+    ``#`` marks steps whose Waitall exceeded the analysis layer's wave
+    threshold (:func:`~repro.core.idle_wave.default_threshold`), ``+``
+    above half of it, ``.`` quiet.  Rows are ranks (top = highest),
+    columns are steps — a compact view of wave propagation in step space.
     """
-    if threshold is None:
-        from repro.core.idle_wave import default_threshold
+    from repro.core.idle_wave import default_threshold
 
-        threshold = default_threshold(timing)
+    threshold = default_threshold(timing)
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     lines = []

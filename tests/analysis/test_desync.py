@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.desync import desync_onset, overlap_efficiency, skew_spread
+from repro.analysis.desync import (
+    batched_desync_onset,
+    desync_onset,
+    overlap_efficiency,
+    skew_spread,
+)
 from repro.core.timing import RunTiming
 from repro.sim import DelaySpec, ExponentialNoise, LockstepConfig, simulate_lockstep
 
@@ -45,7 +50,7 @@ class TestDesyncOnset:
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
-            desync_onset(quiet_run(), fraction=0.0)
+            batched_desync_onset(quiet_run().batch(), fraction=0.0)
 
     def test_fallback_without_t_exec(self):
         timing = quiet_run()
@@ -134,4 +139,4 @@ class TestEdgeCases:
 
     def test_onset_fraction_must_be_positive(self):
         with pytest.raises(ValueError, match="fraction"):
-            desync_onset(quiet_run(), fraction=0.0)
+            batched_desync_onset(quiet_run().batch(), fraction=0.0)

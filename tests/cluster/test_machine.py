@@ -34,11 +34,11 @@ class TestMachineSpec:
     def test_mapping_default_fills_cores(self):
         m = make_spec().mapping(40)
         assert m.ppn == 20
-        assert m.n_nodes_used() == 2
+        assert m.node_of(m.n_ranks - 1) == 1  # 2 node(s) used
 
     def test_mapping_ppn_one(self):
         m = make_spec().mapping(4, ppn=1)
-        assert m.n_nodes_used() == 4
+        assert m.node_of(m.n_ranks - 1) == 3  # 4 node(s) used
 
     def test_with_nodes(self):
         spec = make_spec().with_nodes(100)

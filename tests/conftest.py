@@ -205,9 +205,10 @@ def shipped_sweeps(tmp_path) -> "list[tuple[str, object]]":
     bundled report's target sweeps, and a report over
     :data:`BENCH_RING`."""
     from repro.reports.compiler import compile_report
-    from repro.reports.registry import iter_bundled_reports, \
-        parse_report_text
-    from repro.scenarios.registry import iter_bundled_scenarios
+    from repro.reports.registry import bundled_report_names, \
+        load_bundled_report, parse_report_text
+    from repro.scenarios.registry import bundled_scenario_names, \
+        load_bundled_scenario
     from repro.scenarios.sweep import scenario_sweep_spec
 
     ring = tmp_path / "bench_ring.toml"
@@ -215,9 +216,11 @@ def shipped_sweeps(tmp_path) -> "list[tuple[str, object]]":
     bench = parse_report_text(
         f'scenario = "{ring}"\n[[metrics]]\nname = "runtime"\n',
         name="bench_ring")
+    scenarios = [load_bundled_scenario(n) for n in bundled_scenario_names()]
     sweeps = [(f"scenario {spec.name}", scenario_sweep_spec(spec))
-              for spec in iter_bundled_scenarios()]
-    for report in [*iter_bundled_reports(), bench]:
+              for spec in scenarios]
+    reports = [load_bundled_report(n) for n in bundled_report_names()]
+    for report in [*reports, bench]:
         for target in compile_report(report).targets:
             sweeps.append((f"report {report.name} / {target.scenario.name}",
                            target.sweep))

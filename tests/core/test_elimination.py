@@ -68,15 +68,6 @@ class TestEliminationScan:
         with pytest.raises(ValueError, match="delay"):
             elimination_scan(base_cfg(delays=()), [0.0])
 
-    def test_custom_noise_factory(self):
-        from repro.sim.noise import UniformNoise
-
-        points = elimination_scan(
-            base_cfg(), [0.1],
-            noise_factory=lambda E, t: UniformNoise(0.0, 2 * E * t),
-        )
-        assert points[0].runtime_without_delay > 25 * T
-
 
 class TestRuntimeSpread:
     def test_positive_under_noise(self):

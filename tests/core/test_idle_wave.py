@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.idle_wave import default_threshold, wave_front
+from repro.core.idle_wave import (
+    batched_wave_front,
+    default_threshold,
+    wave_front,
+)
 from repro.core.timing import RunTiming
 from repro.sim import (
     CommPattern,
@@ -78,7 +82,8 @@ class TestWaveFront:
         assert front.reach == 11
 
     def test_max_hops_limits_walk(self):
-        front = wave_front(delayed_run(), source=4, max_hops=3)
+        front = batched_wave_front(delayed_run().batch(), source=4,
+                                   max_hops=3)[0]
         assert front.reach == 3
 
     def test_amplitudes_match_idle(self):

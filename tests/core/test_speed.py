@@ -112,6 +112,7 @@ class TestMeasureSpeed:
             measure_speed(run, source=4)
 
     def test_min_hops_enforced(self):
-        run = self.run()
-        with pytest.raises(ValueError):
-            measure_speed(run, source=8, max_hops=1, min_hops=2)
+        # Three ranks: the wave from rank 1 reaches one rank, and a line
+        # needs two points.
+        with pytest.raises(ValueError, match="reached only 1 ranks"):
+            measure_speed(self.run(n_ranks=3), source=1)

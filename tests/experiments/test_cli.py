@@ -100,6 +100,15 @@ class TestMain:
         assert main(["ext_campaign", "--cache-dir", str(cache)]) == 0
         assert "16 from cache, 0 simulated" in capsys.readouterr().out
 
+    def test_unwritable_cache_dir_stops_before_any_experiment(
+            self, capsys, tmp_path):
+        blocked = tmp_path / "a-file"
+        blocked.write_text("not a directory")
+        assert main(["ext_campaign", "--cache-dir", str(blocked)]) == 2
+        out, err = capsys.readouterr()
+        assert "store error:" in err and "Traceback" not in err
+        assert "ext_campaign" not in out
+
 
 class TestMainFailureHandling:
     @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import RuntimeOptions, run_experiment
+from repro.runtime.store import ResultStore
 
 
 class TestExtCollectives:
@@ -63,7 +64,7 @@ class TestExtCampaign:
 
     def test_warm_store_rerun_is_bit_identical(self, result, tmp_path):
         """A second run on one store simulates nothing and changes no bit."""
-        opts = RuntimeOptions(jobs=1, cache_dir=tmp_path / "store")
+        opts = RuntimeOptions(jobs=1, store=ResultStore(tmp_path / "store"))
         cold = run_experiment("ext_campaign", fast=True, runtime=opts)
         warm = run_experiment("ext_campaign", fast=True, runtime=opts)
         assert warm.data == cold.data == result.data

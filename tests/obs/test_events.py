@@ -97,7 +97,7 @@ class TestModuleFastPath:
     def test_enable_fresh_replaces_live_bus(self):
         stale = telemetry.enable()
         stale.emit("task.done", index=0)
-        fresh = telemetry.enable(fresh=True)
+        fresh = telemetry.enable()
         assert fresh is not stale
         assert fresh.events == []
 

@@ -58,8 +58,8 @@ class TestRecords:
         history.append(wall_record(0.9, label="other/run"))
         assert [r["label"] for r in history.records()] == [
             "campaign/sweep", "campaign/sweep", "other/run"]
-        assert [r["metrics"]["wall_s"]
-                for r in history.records(label="campaign/sweep")] == [1.0, 1.1]
+        assert [r["metrics"]["wall_s"] for r in history.records()
+                if r["label"] == "campaign/sweep"] == [1.0, 1.1]
 
     def test_history_accepts_explicit_jsonl_path(self, tmp_path):
         path = tmp_path / "seed.jsonl"
@@ -88,7 +88,7 @@ class TestAdapters:
             "cache_hit_rate": 0.25, "n_stalls": 1,
             "worker_rss_peak_bytes": 1 << 20,
         })
-        assert label == "scenario.sweep/rate"
+        assert label == "scenario.sweep/rate/j2"
         assert metrics["tasks_per_s"] == pytest.approx(8.0)
         assert metrics["n_stalls"] == 1.0
         assert context["run_id"] == "run-1"
@@ -258,13 +258,31 @@ class TestPerfCli:
         capsys.readouterr()
         assert main(["perf", "history", "--cache-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "run-ledger  scenario.sweep/s " in out
-        assert "run-ledger  scenario.sweep/s/cached " in out
+        assert "run-ledger  scenario.sweep/s/dag/j1 " in out
+        assert "run-ledger  scenario.sweep/s/dag/j1/cached " in out
         assert "[2 record(s), 2 label(s)" in out
         # One record per series: the warm run is never compared with
         # the cold one.
         assert main(["perf", "check", "--cache-dir", store]) == 0
         assert "no comparable" in capsys.readouterr().out
+
+    def test_sweeps_on_two_engines_trend_apart(self, tmp_path, capsys):
+        """A DAG sweep takes several times as long as a lockstep sweep
+        of the same grid; comparing the two flagged false regressions."""
+        from repro.cli import main
+
+        store = str(tmp_path / "store")
+        for engine in ("lockstep", "dag"):
+            assert main(["scenario", "sweep", "campaign_rate_sweep",
+                         "--engine", engine, "--jobs", "1",
+                         "--cache-dir", store, "--no-progress"]) == 0
+        capsys.readouterr()
+        assert main(["perf", "history", "--cache-dir", store]) == 0
+        out = capsys.readouterr().out
+        assert "scenario.sweep/campaign_rate_sweep/lockstep/j1 " in out
+        assert "scenario.sweep/campaign_rate_sweep/dag/j1 " in out
+        assert main(["perf", "check", "--cache-dir", store]) == 0
+        assert "no comparable perf series" in capsys.readouterr().out
 
 
 def run_record(run_id, started, wall_s, n_cached=0, n_tasks=4,

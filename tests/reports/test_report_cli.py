@@ -190,6 +190,17 @@ class TestRun:
         assert "=== report" not in captured.out
         assert not cache.exists()
 
+    def test_a_refused_store_leaves_no_ledger_record(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "shards").write_text("a file, not a directory")
+        assert report_main(["run", "fig7_speed",
+                            "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("store error: ")
+        assert "=== report" not in captured.out
+        assert not list(cache.glob("runs/*.json"))
+
     def test_unknown_report_exits_2(self, capsys):
         assert report_main(["run", "nope"]) == 2
         assert "report error" in capsys.readouterr().err

@@ -227,7 +227,7 @@ class TestThresholdAndFront:
         for b in range(batch.n_batch):
             single = wave_front(batch[b], source, periodic=True)
             n = front.n_hops[b]
-            assert n == len(single)
+            assert n == len(single.hops)
             assert_same(front.arrival_steps[b, :n], single.arrival_steps,
                         "arrival_steps")
             assert_same(front.arrival_times[b, :n], single.arrival_times,

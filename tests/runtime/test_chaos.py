@@ -1,6 +1,8 @@
 """The chaos-injection harness: deterministic, bounded, transportable."""
 
+import json
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -33,7 +35,7 @@ class TestSpecValidation:
     def test_json_roundtrip(self):
         spec = ChaosSpec(seed=7, abort_rate=0.25, torn_write_rate=0.1,
                          max_faults_per_task=2)
-        assert ChaosSpec.from_json(spec.to_json()) == spec
+        assert ChaosSpec.from_json(json.dumps(asdict(spec))) == spec
 
     def test_unknown_json_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos spec fields"):
@@ -87,13 +89,13 @@ class TestInstallation:
 
     def test_env_var_loads_lazily(self, monkeypatch):
         spec = ChaosSpec(seed=9, abort_rate=0.25)
-        monkeypatch.setenv(chaos.ENV_VAR, spec.to_json())
+        monkeypatch.setenv(chaos.ENV_VAR, json.dumps(asdict(spec)))
         chaos.uninstall()  # forget any prior env lookup
         assert chaos.active() == spec
 
     def test_install_overrides_env(self, monkeypatch):
         monkeypatch.setenv(chaos.ENV_VAR,
-                           ChaosSpec(seed=9, abort_rate=1.0).to_json())
+                           json.dumps(asdict(ChaosSpec(seed=9, abort_rate=1.0))))
         override = ChaosSpec(seed=1)
         chaos.install(override)
         assert chaos.active() is override

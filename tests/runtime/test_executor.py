@@ -194,13 +194,6 @@ class TestFailureIsolation:
 
 
 class TestStreamingAndJobs:
-    def test_on_result_streams_all_tasks(self):
-        seen = []
-        campaign = run_campaign(probe_sweep().tasks(), jobs=2,
-                                on_result=seen.append)
-        assert len(seen) == len(campaign.results)
-        assert {r.index for r in seen} == set(range(6))
-
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(1) == 1

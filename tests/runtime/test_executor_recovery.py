@@ -14,7 +14,7 @@ from repro.runtime import (
     SweepSpec,
     run_campaign,
 )
-from repro.runtime import chaos
+from repro.runtime import chaos, executor
 from repro.runtime.cli import store_main
 from repro.runtime.shards import SHARD_DIR, PackedShards
 
@@ -48,7 +48,7 @@ class TestPoolRecovery:
         clean = run_campaign(tasks, jobs=1)
         chaos.install(ChaosSpec(seed=0, abort_rate=1.0,
                                 max_faults_per_task=1))
-        rec = telemetry.enable(fresh=True)
+        rec = telemetry.enable()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -71,7 +71,7 @@ class TestPoolRecovery:
         specs = list(probe_sweep(n_tasks=5).tasks())
         specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 11),),
                              seed=1, index=len(specs)))
-        rec = telemetry.enable(fresh=True)
+        rec = telemetry.enable()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -83,7 +83,7 @@ class TestPoolRecovery:
 
     def test_poison_task_is_quarantined_not_retried_forever(self):
         campaign, rec = self.poisoned_campaign(quarantine_after=2)
-        assert campaign.n_quarantined == 1
+        assert sum(r.quarantined for r in campaign.results) == 1
         assert campaign.n_pool_respawns == rec.counts().get("pool.respawn", 0)
         bad = campaign.results[-1]
         assert bad.quarantined
@@ -109,7 +109,7 @@ class TestPoolRecovery:
         specs = list(probe_sweep(n_tasks=3).tasks())
         specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 9),),
                              seed=0, index=len(specs)))
-        rec = telemetry.enable(fresh=True)
+        rec = telemetry.enable()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -117,7 +117,7 @@ class TestPoolRecovery:
             names = [e[1] for e in rec.identity()]
         finally:
             telemetry.disable()
-        assert campaign.n_quarantined == 1
+        assert sum(r.quarantined for r in campaign.results) == 1
         assert "task.quarantined" in names
         assert "pool.respawn" in names
         # The quarantined task still terminates its lifecycle.
@@ -130,19 +130,26 @@ class TestPoolRecovery:
 
 
 class TestInterrupt:
-    def test_keyboard_interrupt_shuts_the_pool_down(self, tmp_path):
+    def test_keyboard_interrupt_shuts_the_pool_down(self, tmp_path,
+                                                    monkeypatch):
         """^C mid-campaign cancels cleanly and leaves no torn records."""
         store = ResultStore(tmp_path / "cache")
         calls = {"n": 0}
+        real = executor._as_task_result
 
-        def boom(result):
+        def boom(*args, **kwargs):
+            # The parent turns each finished unit's outcome into a
+            # TaskResult; the second one meets a ^C.
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
+            return real(*args, **kwargs)
 
+        monkeypatch.setattr(executor, "_as_task_result", boom)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(probe_sweep(n_tasks=12).tasks(), jobs=2,
-                         store=store, on_result=boom)
+                         store=store)
+        monkeypatch.undo()
         # Whatever was persisted before the interrupt is fully readable:
         # no torn shard entries, and a fresh campaign completes from it.
         reread = ResultStore(tmp_path / "cache")

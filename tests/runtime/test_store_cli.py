@@ -262,3 +262,16 @@ class TestCli:
         assert repro_main(["store", "ls", "--cache-dir",
                            str(store.root)]) == 0
         assert "2 result(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("age", ["-1", "nan", "inf", "soon"])
+    def test_gc_rejects_a_negative_or_non_finite_min_age(self, store, age,
+                                                         capsys):
+        # A negative age would unlink a temp file a writer still owns.
+        tmp = store.root / "shards" / ".inflight.x1"
+        tmp.write_text("partial")
+        with pytest.raises(SystemExit) as exc:
+            store_main(["gc", "--cache-dir", str(store.root),
+                        "--min-age", age])
+        assert exc.value.code == 2
+        assert "--min-age" in capsys.readouterr().err
+        assert tmp.exists()

@@ -12,6 +12,7 @@ import pytest
 from repro.runtime import ResultStore, RunSpec, run_campaign
 from repro.scenarios import (
     ScenarioTaskBatcher,
+    compile_scenario,
     load_bundled_scenario,
     run_scenario,
     run_scenario_batch,
@@ -287,13 +288,14 @@ class TestBatchExecution:
 
     def test_run_scenario_batch_empty_seed_list(self):
         assert run_scenario_batch(
-            load_bundled_scenario("fig4_single_delay"), []) == []
+            compile_scenario(load_bundled_scenario("fig4_single_delay")),
+            []) == []
 
     def test_run_scenario_batch_matches_run_scenario(self):
         spec = load_bundled_scenario("meggie_bimodal_rendezvous_campaign") \
             .without_sweep()
         seeds = [11, 22, 33]
-        batched = run_scenario_batch(spec, seeds)
+        batched = run_scenario_batch(compile_scenario(spec), seeds)
         for seed, run in zip(seeds, batched):
             serial = run_scenario(spec, seed=seed)
             assert np.array_equal(run.timing.completion,

@@ -6,11 +6,14 @@ from repro.scenarios import (
     ScenarioError,
     bundled_scenario_names,
     compile_scenario,
-    iter_bundled_scenarios,
     load_bundled_scenario,
     resolve_scenario,
     scenario_sweep_spec,
 )
+
+
+def bundled_scenarios():
+    return [load_bundled_scenario(name) for name in bundled_scenario_names()]
 
 
 class TestBundled:
@@ -18,7 +21,7 @@ class TestBundled:
         assert len(bundled_scenario_names()) >= 8
 
     def test_every_bundled_scenario_compiles(self):
-        for spec in iter_bundled_scenarios():
+        for spec in bundled_scenarios():
             compiled = compile_scenario(spec)
             assert compiled.engine in ("lockstep", "dag")
             if spec.sweep is not None:
@@ -26,7 +29,7 @@ class TestBundled:
                 assert sweep.size == spec.sweep.size
 
     def test_descriptions_present(self):
-        for spec in iter_bundled_scenarios():
+        for spec in bundled_scenarios():
             assert spec.description, f"{spec.name} has no description"
 
     def test_novel_configurations_present(self):
@@ -48,9 +51,9 @@ class TestBundled:
     def test_hierarchical_scenario_present(self):
         # At least one bundled scenario exercises hierarchical placement
         # (the two-tier path of the lockstep engine, DAG-checkable).
-        assert any(s.machine.ppn is not None for s in iter_bundled_scenarios())
+        assert any(s.machine.ppn is not None for s in bundled_scenarios())
         assert all(compile_scenario(s).engine == "lockstep"
-                   for s in iter_bundled_scenarios())
+                   for s in bundled_scenarios())
 
     def test_names_sorted_and_unique(self):
         names = bundled_scenario_names()

@@ -117,3 +117,12 @@ class TestStoreFailFast:
         (cache / "shards").write_text("a file, not a directory")
         assert _sweep(cache) == 2
         assert "store error" in capsys.readouterr().err
+
+    def test_a_refused_sweep_leaves_no_ledger_record(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "shards").write_text("a file, not a directory")
+        assert _sweep(cache) == 2
+        out, err = capsys.readouterr()
+        assert "store error" in err and "recorded" not in out
+        assert not list(cache.glob("runs/*.json"))

@@ -66,27 +66,23 @@ class TestRingAllreduce:
 
 class TestTreeBcast:
     def test_holders_double_each_round(self):
-        rounds = tree_bcast_rounds(8, root=0)
+        rounds = tree_bcast_rounds(8)
         assert [len(p) for p in rounds] == [1, 2, 4]
 
     def test_every_rank_reached_exactly_once(self):
         received = set()
-        for pairs in tree_bcast_rounds(11, root=3):
+        for pairs in tree_bcast_rounds(11):
             for _, dst in pairs:
                 assert dst not in received
                 received.add(dst)
-        assert received == set(range(11)) - {3}
+        assert received == set(range(1, 11))
 
     def test_senders_already_hold_the_data(self):
         holders = {0}
-        for pairs in tree_bcast_rounds(8, root=0):
+        for pairs in tree_bcast_rounds(8):
             for src, dst in pairs:
                 assert src in holders
             holders.update(dst for _, dst in pairs)
-
-    def test_root_bounds(self):
-        with pytest.raises(IndexError):
-            tree_bcast_rounds(8, root=8)
 
 
 class TestBuildCollectiveProgram:

@@ -110,14 +110,16 @@ class TestBatchedPathsReproduceGolden:
 
     @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
     def test_batched_run_matches_fixture(self, path):
+        from repro.scenarios.compiler import compile_scenario
         from repro.scenarios.runner import run_scenario_batch
         from repro.scenarios.spec import ScenarioSpec
 
         record = load(path)
         seeds = [record["seed"], record["seed"] + 1, record["seed"] + 2]
         runs = run_scenario_batch(
-            ScenarioSpec.from_dict(record["scenario"]), seeds,
-            engine=record["requested_engine"],
+            compile_scenario(ScenarioSpec.from_dict(record["scenario"]),
+                             engine=record["requested_engine"]),
+            seeds,
         )
         assert runs[0].compiled.engine == record["engine"]
         np.testing.assert_allclose(
@@ -137,13 +139,15 @@ class TestBatchedPathsReproduceGolden:
         ids=lambda p: p.stem,
     )
     def test_dag_fixture_batches_bitwise_with_serial(self, path):
+        from repro.scenarios.compiler import compile_scenario
         from repro.scenarios.runner import run_scenario, run_scenario_batch
         from repro.scenarios.spec import ScenarioSpec
 
         record = load(path)
         spec = ScenarioSpec.from_dict(record["scenario"])
         seeds = [record["seed"], record["seed"] + 7]
-        batched = run_scenario_batch(spec, seeds, engine="dag")
+        batched = run_scenario_batch(compile_scenario(spec, engine="dag"),
+                                     seeds)
         for seed, run in zip(seeds, batched):
             serial = run_scenario(spec, seed=seed, engine="dag")
             assert np.array_equal(run.timing.completion,

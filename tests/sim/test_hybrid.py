@@ -76,6 +76,3 @@ class TestHybridLockstepBridge:
         c = cfg()
         res = simulate_lockstep(hybrid_lockstep_config(c), exec_times=hybrid_exec_times(c))
         assert res.total_runtime() > 10 * T
-
-    def test_total_cores_property(self):
-        assert cfg(threads=4, n_processes=8).total_cores == 32

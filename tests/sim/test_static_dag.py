@@ -3,7 +3,7 @@
 Covers the structure cache (hits across draws, invalidation on any
 structural or config change), the batched propagate contract, the typed
 :class:`~repro.sim.engine.EngineError`, columnar timing extraction, and
-the execution-time checks of the three DAG entry points.
+the execution-time checks of the DAG entry points.
 
 ``DAG_STRUCTURE_DIGESTS`` pins every init field of built structures as a
 sha256 digest per program, and ``TestBuildErrors`` the exact text of the
@@ -94,17 +94,13 @@ class TestStructure:
     def test_propagate_default_durations_zero_comp(self):
         cfg = make_cfg(noise=ExponentialNoise(0.0))
         dag = build_dag(build_lockstep_program(cfg, build_exec_times(cfg)))
-        end = dag.propagate()
-        assert end.shape == (dag.n_nodes,)
+        _, end = dag._propagate_cols(dag.base_duration[:, None])
+        assert end.shape == (dag.n_nodes, 1)
         assert np.all(np.isfinite(end))
 
     def test_propagate_rejects_bad_shapes(self):
         cfg = make_cfg()
         dag = build_dag(build_lockstep_program(cfg, build_exec_times(cfg)))
-        with pytest.raises(ValueError, match="n_nodes"):
-            dag.propagate(np.zeros(3))
-        with pytest.raises(ValueError, match="edge_delays"):
-            dag.propagate(edge_delays=np.zeros(3))
         with pytest.raises(ValueError, match="exec_times"):
             dag.durations_from_exec(np.zeros((2, 3)))
 
@@ -120,8 +116,9 @@ class TestStructure:
         from repro.sim import StaticDag
 
         clone = StaticDag(**init_fields)
-        assert np.array_equal(clone.propagate(built.durations_for(program)),
-                              built.propagate(built.durations_for(program)))
+        durations = built.durations_for(program)[:, None]
+        assert np.array_equal(clone._propagate_cols(durations)[1],
+                              built._propagate_cols(durations)[1])
         assert clone.lockstep_shaped == built.lockstep_shaped
 
     def test_multi_comp_cell_rejects_dense_exec_times(self):
@@ -141,17 +138,7 @@ class TestStructure:
         with pytest.raises(ValueError, match="several COMP phases"):
             dag.durations_from_exec(np.full((2, 1), T))
         # the per-op gather remains exact
-        end = dag.propagate(dag.durations_for(program))
-        assert np.isfinite(end).all()
-
-    def test_edge_delay_override_shifts_eager_arrivals(self):
-        cfg = make_cfg(noise=ExponentialNoise(0.0))
-        program = build_lockstep_program(cfg, build_exec_times(cfg))
-        dag = build_dag(program, SimConfig(protocol=Protocol.EAGER))
-        base_end = dag.propagate(dag.durations_for(program))
-        slower = dag.propagate(dag.durations_for(program),
-                               edge_delays=dag.edge_delay * 10)
-        assert slower.max() > base_end.max()
+        assert np.isfinite(simulate_dag(program).completion).all()
 
 
 class TestBatchedPropagate:
@@ -250,9 +237,6 @@ class TestExecTimeChecks:
         message = rf"exec_times must be finite, got {value} at "
         with pytest.raises(ValueError, match=message + r"\[2, 1\]"):
             simulate(build_lockstep_program(cfg, times[1]))
-        clean = build_lockstep_program(cfg, times[0])
-        with pytest.raises(ValueError, match=message + r"\[2, 1\]"):
-            simulate_dag(clean, exec_times=times[1])
         with pytest.raises(ValueError, match=message + r"\[1, 2, 1\]"):
             simulate_dag_batch(cfg, times)
 

@@ -14,11 +14,6 @@ class TestMachineTopology:
     def test_defaults_are_dual_socket_ten_core(self):
         topo = MachineTopology()
         assert topo.cores_per_node == 20
-        assert topo.total_cores == 20
-
-    def test_total_cores_scales_with_nodes(self):
-        topo = MachineTopology(cores_per_socket=10, sockets_per_node=2, n_nodes=5)
-        assert topo.total_cores == 100
 
     @pytest.mark.parametrize(
         "field,value",
@@ -104,7 +99,7 @@ class TestProcessMapping:
 
     def test_n_sockets_and_nodes_used(self):
         m = ProcessMapping(self.topo(), n_ranks=25, ppn=20)
-        assert m.n_nodes_used() == 2
+        assert m.node_of(m.n_ranks - 1) == 1  # 2 node(s) used
         assert m.n_sockets_used() == 3  # 20 ranks fill node 0; 5 on node 1 socket 0
 
 

@@ -63,12 +63,6 @@ class TestEnableDisable:
         rec = telemetry.enable()
         assert rec.counters == {}
 
-    def test_enable_not_fresh_is_idempotent(self):
-        rec = telemetry.enable()
-        rec.count("kept")
-        assert telemetry.enable(fresh=False) is rec
-        assert rec.counters == {"kept": 1}
-
 
 class TestSpans:
     def test_nesting_records_parent_ids(self):

@@ -27,12 +27,12 @@ class TestRenderHistogram:
 
     def test_peak_bar_has_full_width(self):
         h = hist([0.5e-6] * 1000 + [2.5e-6])
-        out = render_histogram(h, width=30, log_counts=False)
-        assert "#" * 30 in out
+        out = render_histogram(h)
+        assert "#" * 60 in out and "#" * 61 not in out
 
     def test_log_scaling_compresses(self):
         h = hist([0.5e-6] * 10000 + [2.5e-6] * 10)
-        lines_log = render_histogram(h, width=40, log_counts=True).splitlines()
+        lines_log = render_histogram(h).splitlines()
         small_bar = next(ln for ln in lines_log if ln.rstrip().endswith(" 10"))
         assert small_bar.count("#") > 5  # visible despite 1000x ratio
 
@@ -44,7 +44,5 @@ class TestRenderHistogram:
 
     def test_validation(self):
         h = hist([1e-6])
-        with pytest.raises(ValueError):
-            render_histogram(h, width=2)
         with pytest.raises(ValueError):
             render_histogram(h, max_rows=0)

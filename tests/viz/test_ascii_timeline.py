@@ -1,7 +1,9 @@
 """Unit tests for the ASCII timeline renderers."""
 
+import numpy as np
 import pytest
 
+from repro.core.timing import RunTiming
 from repro.sim import DelaySpec, LockstepConfig, simulate_lockstep
 from repro.viz.ascii_timeline import render_idle_heatmap, render_timeline
 
@@ -45,10 +47,6 @@ class TestRenderTimeline:
         with pytest.raises(ValueError):
             render_timeline(delayed_run(), width=5)
 
-    def test_no_rank_labels_option(self):
-        out = render_timeline(delayed_run(), width=40, rank_labels=False)
-        assert out.splitlines()[0].startswith("|")
-
 
 class TestRenderIdleHeatmap:
     def test_marks_wave_cells(self):
@@ -65,5 +63,10 @@ class TestRenderIdleHeatmap:
         assert all(set(row) <= {"."} for row in body)
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            render_idle_heatmap(delayed_run(), threshold=0.0)
+        # Without a phase length or any idle time the wave threshold is
+        # 0, which separates nothing.
+        completion = np.tile(np.arange(1.0, 4.0), (3, 1))
+        quiet = RunTiming(exec_end=completion, completion=completion,
+                          idle=np.zeros_like(completion))
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            render_idle_heatmap(quiet)

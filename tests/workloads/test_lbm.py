@@ -27,6 +27,6 @@ class TestSaturationBridge:
     def test_configuration_matches_paper(self):
         cfg = lbm_saturation_config(EMMY.with_nodes(8), n_steps=10)
         assert cfg.n_ranks == 100
-        assert cfg.mapping.n_nodes_used() == 5  # five nodes
+        assert cfg.mapping.node_of(cfg.mapping.n_ranks - 1) == 4  # 5 node(s) used
         assert cfg.rendezvous
         assert cfg.pattern.periodic

@@ -53,7 +53,7 @@ class TestSaturationConfigBridge:
     def test_ppn_one_configuration(self):
         cfg = triad_saturation_config(EMMY.with_nodes(8), n_sockets=4, ppn=1, n_steps=5)
         assert cfg.n_ranks == 4
-        assert cfg.mapping.n_nodes_used() == 4
+        assert cfg.mapping.node_of(cfg.mapping.n_ranks - 1) == 3  # 4 node(s) used
 
     def test_explicit_n_ranks(self):
         cfg = triad_saturation_config(
