@@ -25,8 +25,8 @@ Usage::
     repro-experiment stats summarize run.jsonl   # hit rates, phase times
 
     repro-experiment runs ls --cache-dir ~/.cache/repro    # run ledger
+    repro-experiment runs ls -n 5 --cache-dir ~/.cache/repro
     repro-experiment runs show RUN_ID --cache-dir ~/.cache/repro
-    repro-experiment runs tail -n 5 --cache-dir ~/.cache/repro
     repro-experiment runs diff OLD NEW --cache-dir ~/.cache/repro
 
     repro-experiment perf history --cache-dir ~/.cache/repro  # run series
@@ -46,6 +46,7 @@ Results are bit-identical for a given ``--seed`` regardless of ``--jobs``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -53,8 +54,22 @@ import traceback
 from typing import Callable
 
 __all__ = ["main", "add_campaign_args", "build_parser", "campaign_store",
-           "count_arg", "jobs_arg", "observe_campaign", "resume_record",
-           "seed_arg"]
+           "count_arg", "human_bytes", "jobs_arg", "observe_campaign",
+           "resume_record", "seed_arg", "validate_specs"]
+
+
+#: The commands with parsers of their own: name -> (module, entry point,
+#: its subcommands as the epilog names them).
+_SUBCOMMANDS = {
+    "scenario": ("repro.scenarios.cli", "scenario_main",
+                 "{list,validate,run,sweep}"),
+    "report": ("repro.reports.cli", "report_main", "{list,validate,run}"),
+    "store": ("repro.runtime.cli", "store_main", "{ls,gc}"),
+    "stats": ("repro.telemetry.cli", "stats_main", "{show,summarize,trace}"),
+    "runs": ("repro.obs.cli", "runs_main", "{ls,show,diff}"),
+    "perf": ("repro.perf.cli", "perf_main", "{record,history,check}"),
+    "golden": ("repro.golden", "golden_main", "--check | --regen"),
+}
 
 
 def _int_at_least(text: str, flag: str, low: int, note: str = "") -> int:
@@ -81,6 +96,15 @@ def seed_arg(text: str) -> int:
 def count_arg(text: str) -> int:
     """``-n`` parser: how many records to show, at least one."""
     return _int_at_least(text, "-n", 1)
+
+
+def human_bytes(n: float) -> str:
+    """A byte count in binary units: ``126 B``, ``2.5 KiB``, ``70.0 MiB``."""
+    for unit in ("B", "KiB", "MiB"):
+        if n < 1024:
+            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
+        n /= 1024
+    return f"{n:.1f} GiB"
 
 
 def add_campaign_args(parser: argparse.ArgumentParser) -> None:
@@ -120,6 +144,31 @@ def campaign_store(cache_dir: "str | None"):
     # cannot persist.
     store.ensure_writable()
     return store
+
+
+def validate_specs(targets: "list[str]", check: "Callable[[str], str]",
+                   error: type, noun: str) -> int:
+    """The ``validate`` loop of ``scenario`` and ``report``.
+
+    ``check(target)`` resolves and compiles one spec file or bundled
+    name and returns the spec's name, raising ``error`` if it is
+    invalid.  Each target prints an ``ok`` or ``FAIL`` line, then one
+    summary line follows; the exit code is 1 if any target failed.
+    """
+    failures = 0
+    for target in targets:
+        try:
+            name = check(target)
+        except error as exc:
+            failures += 1
+            print(f"FAIL  {target}: {exc}")
+        else:
+            print(f"ok    {target} ({name})")
+    if failures:
+        print(f"[{failures}/{len(targets)} {noun}(s) failed validation]")
+        return 1
+    print(f"[{len(targets)} {noun}(s) valid]")
+    return 0
 
 
 def resume_record(args, kind: str, name: str,
@@ -182,25 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
             "('repro-experiment scenario --help')."
         ),
         epilog=(
-            "The 'scenario', 'report', 'store', 'stats', 'runs', and "
-            "'perf' commands delegate to their own subcommands: "
-            "repro-experiment scenario {list,validate,run,sweep}, "
-            "repro-experiment report {list,validate,run}, "
-            "repro-experiment store {ls,gc}, "
-            "repro-experiment stats {show,summarize,trace}, "
-            "repro-experiment runs {ls,show,tail,diff}, "
-            "repro-experiment perf {record,history,check} ..."
+            "These commands take arguments of their own and must come "
+            "first: " + ", ".join(
+                f"repro-experiment {name} {usage}"
+                for name, (_, _, usage) in _SUBCOMMANDS.items()) + "."
         ),
     )
     parser.add_argument(
         "experiment",
-        choices=[*sorted(EXPERIMENTS), "all", "list", "scenario", "report",
-                 "store", "stats", "runs", "perf", "golden"],
-        help=(
-            "experiment id (paper figure), 'all', 'list', 'scenario' / "
-            "'report' / 'store' / 'stats' / 'runs' / 'perf' (see epilog), "
-            "or 'golden' (golden-trace corpus)"
-        ),
+        choices=[*sorted(EXPERIMENTS), "all", "list", *_SUBCOMMANDS],
+        help="experiment id (paper figure), 'all', 'list', or a command "
+             "with arguments of its own (see epilog)",
     )
     parser.add_argument(
         "--full",
@@ -253,38 +294,12 @@ def _list_experiments(as_json: bool) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "scenario":
-        from repro.scenarios.cli import scenario_main
-
-        return scenario_main(argv[1:])
-    if argv and argv[0] == "report":
-        from repro.reports.cli import report_main
-
-        return report_main(argv[1:])
-    if argv and argv[0] == "store":
-        from repro.runtime.cli import store_main
-
-        return store_main(argv[1:])
-    if argv and argv[0] == "stats":
-        from repro.telemetry.cli import stats_main
-
-        return stats_main(argv[1:])
-    if argv and argv[0] == "runs":
-        from repro.obs.cli import runs_main
-
-        return runs_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.perf.cli import perf_main
-
-        return perf_main(argv[1:])
-    if argv and argv[0] == "golden":
-        from repro.golden import golden_main
-
-        return golden_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        module, entry, _ = _SUBCOMMANDS[argv[0]]
+        return getattr(importlib.import_module(module), entry)(argv[1:])
 
     args = build_parser().parse_args(argv)
-    if args.experiment in ("scenario", "report", "store", "stats", "runs",
-                           "perf", "golden"):
+    if args.experiment in _SUBCOMMANDS:
         # Reachable only when the subcommand is not the first token (e.g.
         # 'repro-experiment --seed 3 scenario'); its own arguments cannot
         # be recovered once argparse consumed the flags.

@@ -14,7 +14,7 @@ consumers match them by name, and the schema version is
 - :mod:`repro.obs.ledger` / :mod:`repro.obs.session` — per-run
   provenance records under ``<cache-dir>/runs/``, each built from the
   run recorder's snapshot, and the :func:`observe_run` context manager
-  that wires a whole CLI run together.  The ``runs ls|show|tail|diff``
+  that wires a whole CLI run together.  The ``runs ls|show|diff``
   subcommands query the ledger.
 
 Observability is pure: enabling it never changes engine outputs or the

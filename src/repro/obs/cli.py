@@ -2,18 +2,19 @@
 
 ::
 
-    repro-experiment runs ls --cache-dir DIR [--json] [--name N] [--status S]
+    repro-experiment runs ls --cache-dir DIR [-n N] [--json] [--name NAME]
+                                             [--status S]
     repro-experiment runs show RUN_ID --cache-dir DIR [--json] [--telemetry]
-    repro-experiment runs tail --cache-dir DIR [-n N] [--json]
     repro-experiment runs diff OLD NEW [--cache-dir DIR]
 
-``ls`` lists every recorded run (filterable by scenario/report name and
-status); ``show`` reconstructs one run's full provenance — spec key,
-seed root, engine, cache economics, worker health (stalls, heartbeats,
-peak RSS), failure summaries, telemetry file, artifact paths, phases —
-from its ledger record (unambiguous id prefixes work), and with
-``--telemetry`` renders the linked telemetry summary inline; ``tail``
-shows the most recent records; ``diff`` compares two runs.
+``ls`` lists the recorded runs, oldest first (filterable by
+scenario/report name and status; ``-n N`` keeps the N most recent);
+``show`` reconstructs one run's full provenance — spec key, seed root,
+engine, cache economics, worker health (stalls, heartbeats, peak RSS),
+recovery economics, failure summaries, telemetry file, artifact paths,
+phases — from its ledger record (unambiguous id prefixes work), and with
+``--telemetry`` renders the linked telemetry summary inline; ``diff``
+compares two runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cli import count_arg
+from repro.cli import count_arg, human_bytes
 from repro.obs.ledger import RunLedger
 
 __all__ = ["runs_main", "build_runs_parser"]
@@ -40,6 +41,8 @@ def build_runs_parser() -> argparse.ArgumentParser:
     p_ls = sub.add_parser("ls", help="list recorded runs")
     p_ls.add_argument("--cache-dir", required=True, metavar="DIR",
                       help="cache directory holding the runs/ ledger")
+    p_ls.add_argument("-n", type=count_arg, default=None, metavar="N",
+                      help="only the N most recent runs")
     p_ls.add_argument("--json", action="store_true", dest="as_json",
                       help="machine-readable output")
     p_ls.add_argument("--name", default=None, metavar="NAME",
@@ -59,14 +62,6 @@ def build_runs_parser() -> argparse.ArgumentParser:
                         dest="with_telemetry",
                         help="also render the run's linked telemetry "
                              "summary (phase breakdown, hit rates)")
-
-    p_tail = sub.add_parser("tail", help="most recent runs")
-    p_tail.add_argument("--cache-dir", required=True, metavar="DIR",
-                        help="cache directory holding the runs/ ledger")
-    p_tail.add_argument("-n", type=count_arg, default=10, metavar="N",
-                        help="how many records (default 10)")
-    p_tail.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output")
 
     p_diff = sub.add_parser("diff", help="compare two runs' metrics and "
                             "counters")
@@ -97,19 +92,6 @@ def _ls_line(r: dict) -> str:
             f"{_fmt_when(r.get('started_unix'))}")
 
 
-def _print_records(records: "list[dict]", as_json: bool, root) -> int:
-    if as_json:
-        print(json.dumps(records, indent=2, sort_keys=True))
-        return 0
-    if not records:
-        print(f"[no runs recorded in {root}]")
-        return 0
-    for r in records:
-        print(_ls_line(r))
-    print(f"[{len(records)} run(s) in {root}]")
-    return 0
-
-
 def _cmd_ls(args) -> int:
     ledger = RunLedger(args.cache_dir)
     records = list(ledger.records())
@@ -117,12 +99,18 @@ def _cmd_ls(args) -> int:
         records = [r for r in records if r.get("name") == args.name]
     if args.status is not None:
         records = [r for r in records if r.get("status") == args.status]
-    return _print_records(records, args.as_json, ledger.root)
-
-
-def _cmd_tail(args) -> int:
-    ledger = RunLedger(args.cache_dir)
-    return _print_records(ledger.tail(args.n), args.as_json, ledger.root)
+    if args.n is not None:
+        records = records[-args.n:]
+    if args.as_json:
+        print(json.dumps(records, indent=2, sort_keys=True))
+        return 0
+    if not records:
+        print(f"[no runs recorded in {ledger.root}]")
+        return 0
+    for r in records:
+        print(_ls_line(r))
+    print(f"[{len(records)} run(s) in {ledger.root}]")
+    return 0
 
 
 def _cmd_show(args) -> int:
@@ -154,23 +142,15 @@ def _cmd_show(args) -> int:
         ("finished", _fmt_when(r.get("finished_unix"))),
         ("events", r.get("n_events")),
         ("telemetry", r.get("telemetry") or "-"),
+        ("stalls", r.get("n_stalls")),
+        ("heartbeats", r.get("n_heartbeats")),
+        ("worker rss peak", human_bytes(r["worker_rss_peak_bytes"])
+         if r.get("worker_rss_peak_bytes") else "-"),
+        ("retried", r.get("n_retried")),
+        ("quarantined", r.get("n_quarantined")),
+        ("pool respawns", r.get("n_pool_respawns")),
+        ("resumed from", r.get("resumed_from") or "-"),
     ]
-    # v2 worker-health fields: only shown when the record carries them,
-    # so v1 records render exactly as before.
-    if r.get("version", 1) >= 2:
-        rows.extend([
-            ("stalls", r.get("n_stalls")),
-            ("heartbeats", r.get("n_heartbeats")),
-            ("worker rss peak", _fmt_bytes(r.get("worker_rss_peak_bytes"))),
-        ])
-    # v3 fault-tolerance economics, gated the same way.
-    if r.get("version", 1) >= 3:
-        rows.extend([
-            ("retried", r.get("n_retried")),
-            ("quarantined", r.get("n_quarantined")),
-            ("pool respawns", r.get("n_pool_respawns")),
-            ("resumed from", r.get("resumed_from") or "-"),
-        ])
     for label, value in rows:
         print(f"  {label:<16} {value if value is not None else '-'}")
     artifacts = r.get("artifacts") or []
@@ -179,12 +159,11 @@ def _cmd_show(args) -> int:
         print(f"    {path}")
     for failure in r.get("failures") or []:
         print(f"  failure: {failure.splitlines()[0]}")
-    if r.get("version", 1) >= 5:
-        phases, wall = r["phases"], r["wall_s"]
-        print(f"  {'phases':<16} {len(phases)}")
-        for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
-            share = f"  {seconds / wall:6.1%}" if wall else ""
-            print(f"    {name:<30} {seconds:9.4f}s{share}")
+    phases, wall = r.get("phases") or {}, r.get("wall_s")
+    print(f"  {'phases':<16} {len(phases)}")
+    for name, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
+        share = f"  {seconds / wall:6.1%}" if wall else ""
+        print(f"    {name:<30} {seconds:9.4f}s{share}")
     if args.with_telemetry:
         return _show_telemetry(r)
     return 0
@@ -227,16 +206,6 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _fmt_bytes(n: "int | None") -> str:
-    if not n:
-        return "-"
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
-    return f"{n:.1f} GiB"
-
-
 def _show_telemetry(record: dict) -> int:
     """Render the run's linked telemetry inline (``runs show --telemetry``).
 
@@ -256,5 +225,5 @@ def _show_telemetry(record: dict) -> int:
 
 def runs_main(argv: "list[str] | None" = None) -> int:
     args = build_runs_parser().parse_args(argv)
-    return {"ls": _cmd_ls, "show": _cmd_show, "tail": _cmd_tail,
-            "diff": _cmd_diff}[args.command](args)
+    return {"ls": _cmd_ls, "show": _cmd_show, "diff": _cmd_diff}[
+        args.command](args)

@@ -11,7 +11,7 @@ runs/*.json`` still yields valid JSONL.
 :class:`RunTracker` builds a record from the run recorder's snapshot
 plus the provenance no event carries; :class:`RunLedger` reads and
 writes the directory.  The CLI surface is :mod:`repro.obs.cli`
-(``runs ls|show|tail|diff``), and :mod:`repro.perf` trends the records.
+(``runs ls|show|diff``), and :mod:`repro.perf` trends the records.
 """
 
 from __future__ import annotations
@@ -243,7 +243,3 @@ class RunLedger:
             raise KeyError(
                 f"run id prefix {id_or_prefix!r} is ambiguous ({ids})")
         return matches[0]
-
-    def tail(self, n: int = 10) -> "list[dict]":
-        """The most recent ``n`` records, oldest of them first."""
-        return list(self.records())[-n:]

@@ -136,11 +136,10 @@ def observe_run(kind: str, name: str, cache_dir=None,
         if cache_dir is not None:
             try:
                 path = RunLedger(cache_dir).append(record)
-            except OSError:
+            except OSError as exc:
                 # An unwritable cache dir must not mask the run's own
-                # outcome (the store already failed fast with a typed
-                # error on this path); the summary line still prints.
-                path = None
+                # outcome; the summary line still prints.
+                print(f"[run not recorded: {exc}]", file=sys.stderr)
         if echo is not None:
             if profile:
                 echo(telemetry.render_summary(snap))

@@ -3,16 +3,17 @@
 ::
 
     repro-experiment perf record --history H.jsonl --bench BENCH_x.json
-    repro-experiment perf history --cache-dir DIR [--label L] [-n N]
-    repro-experiment perf check --cache-dir DIR [--threshold 0.30]
-    repro-experiment perf check --history H.jsonl
+    repro-experiment perf history (--cache-dir DIR | --history H.jsonl)
+                                  [--label L] [-n N]
+    repro-experiment perf check (--cache-dir DIR | --history H.jsonl)
+                                [--label L] [--threshold 0.30]
 
 ``record`` appends ``BENCH_*.json`` results to a history file;
 ``history`` lists the records; ``check`` runs the EWMA trend analysis
 and exits 1 when any directional metric regressed past the threshold —
 the CI gate against slow drift.  ``--cache-dir DIR`` reads the run
-ledger's series and ``DIR/perf/history.jsonl``; ``--history FILE``
-reads that file alone.
+series of the ledger in ``DIR/runs/``; ``--history FILE`` reads that
+history file.
 """
 
 from __future__ import annotations
@@ -49,14 +50,16 @@ def build_perf_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_history_args(p) -> None:
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache dir: its run ledger plus the bench "
-                            "records in DIR/perf/")
-        p.add_argument("--history", default=None, metavar="FILE",
-                       help="explicit history JSONL (overrides --cache-dir)")
+        where = p.add_mutually_exclusive_group(required=True)
+        where.add_argument("--cache-dir", default=None, metavar="DIR",
+                           help="read the run series of the ledger in "
+                                "DIR/runs/")
+        where.add_argument("--history", default=None, metavar="FILE",
+                           help="read this history JSONL")
 
     p_rec = sub.add_parser("record", help="append bench results to history")
-    add_history_args(p_rec)
+    p_rec.add_argument("--history", required=True, metavar="FILE",
+                       help="history JSONL to append to")
     p_rec.add_argument("--bench", action="append", default=[],
                        metavar="FILE", help="BENCH_*.json to ingest "
                        "(repeatable)")
@@ -77,23 +80,14 @@ def build_perf_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_history(args) -> PerfHistory:
-    if args.history:
-        return PerfHistory(args.history)
-    if args.cache_dir:
-        return PerfHistory(Path(args.cache_dir).expanduser() / "perf")
-    raise PerfError("need --cache-dir DIR or --history FILE")
-
-
 def _read_history(args) -> "tuple[list[dict], str]":
     """The records ``history`` and ``check`` read, and where from."""
-    history = _open_history(args)
-    if args.history:
-        if not history.path.is_file():
-            raise PerfError(f"no history file {history.path}")
-        return history.records(), str(history.path)
-    return (history.records() + ledger_history(args.cache_dir),
-            args.cache_dir)
+    if args.cache_dir is not None:
+        return ledger_history(args.cache_dir), args.cache_dir
+    history = PerfHistory(args.history)
+    if not history.path.is_file():
+        raise PerfError(f"no history file {history.path}")
+    return history.records(), str(history.path)
 
 
 def _fmt_when(ts: float) -> str:
@@ -109,7 +103,7 @@ def _headline(metrics: dict) -> str:
 
 
 def _cmd_record(args) -> int:
-    history = _open_history(args)
+    history = PerfHistory(args.history)
     records = []
     for path in args.bench:
         try:

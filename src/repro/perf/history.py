@@ -15,7 +15,7 @@ guessed.  Runs are never copied into the file: :func:`ledger_history`
 reads their series straight from the ledger.
 
 Append-only by construction: records are only ever added at the end of
-``history.jsonl``, torn or foreign lines are skipped on read, and the
+the history file, torn or foreign lines are skipped on read, and the
 file stays ``cat``-able and diff-able in review.  The committed
 ``benchmarks/baselines/perf_history.jsonl`` holds the benchmark gate's
 floors: one ``bench`` record per gated test whose only metric is
@@ -190,19 +190,11 @@ def ledger_history(cache_dir: "str | Path") -> "list[dict]":
 # -- storage -----------------------------------------------------------
 
 class PerfHistory:
-    """Append-only ``history.jsonl`` under a perf directory.
+    """An append-only history JSONL file (CI gates a copy of the
+    committed ``benchmarks/baselines/perf_history.jsonl``)."""
 
-    Constructed from the directory (``<cache-dir>/perf``) or pointed at
-    an explicit history file (CI gates a copy of the committed history
-    under ``benchmarks/baselines/``).
-    """
-
-    def __init__(self, root: "str | Path"):
-        root = Path(root).expanduser()
-        if root.suffix == ".jsonl":
-            self.path = root
-        else:
-            self.path = root / "history.jsonl"
+    def __init__(self, path: "str | Path"):
+        self.path = Path(path).expanduser()
 
     def append(self, record: Mapping) -> Path:
         """Persist one record as one line; returns the history path."""

@@ -25,7 +25,7 @@ import os
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
-    observe_campaign, resume_record
+    observe_campaign, resume_record, validate_specs
 from repro.reports.compiler import compile_report
 from repro.reports.errors import ReportError
 from repro.reports.kernels import get_kernel, kernel_names
@@ -94,23 +94,15 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _check_report(target: str) -> str:
+    spec = resolve_report(target)
+    compile_report(spec)
+    return spec.name
+
+
 def _cmd_validate(args) -> int:
-    targets = args.reports or bundled_report_names()
-    failures = 0
-    for target in targets:
-        try:
-            spec = resolve_report(target)
-            compile_report(spec)
-        except ReportError as exc:
-            failures += 1
-            print(f"FAIL  {target}: {exc}")
-        else:
-            print(f"ok    {target} ({spec.name})")
-    if failures:
-        print(f"[{failures}/{len(targets)} report(s) failed validation]")
-        return 1
-    print(f"[{len(targets)} report(s) valid]")
-    return 0
+    return validate_specs(args.reports or bundled_report_names(),
+                          _check_report, ReportError, "report")
 
 
 def _cmd_run(args) -> int:

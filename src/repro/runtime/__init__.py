@@ -50,5 +50,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
                   "TaskError", "TaskResult", "resolve_jobs", "run_campaign"),
     ".seeding": ("derive_seed", "seed_sequence"),
     ".spec": ("RunSpec", "SweepSpec", "canonical", "spec_key"),
-    ".store": ("GcStats", "ResultStore", "StoreEntry", "StoreError"),
+    ".store": ("GcStats", "ResultStore", "StoreError"),
 })

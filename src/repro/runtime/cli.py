@@ -5,12 +5,13 @@
     repro-experiment store ls --cache-dir DIR [--json]
     repro-experiment store gc --cache-dir DIR [--dry-run] [--min-age S]
 
-``ls`` lists every cached task result with its spec key, owning task
-function, derived seed, and on-disk size, straight from the shard
-indexes.  ``gc`` prunes what no read ever reaches — fan-out directories
-left by the retired per-file layout, temp files abandoned by interrupted
-writes, telemetry JSONL no ledger record references, and torn run-ledger
-records — without ever touching a live record.
+``ls`` lists the shard index entry of every cached task result: its
+spec key, owning task function, derived seed, and on-disk size (the
+JSON record plus its array segment).  ``gc`` prunes what no read ever
+reaches — temp files abandoned by interrupted writes, telemetry JSONL no
+ledger record references, and torn run-ledger records — without ever
+touching a live record.  Neither command reads or removes anything else
+under the cache directory.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ import argparse
 import json
 import math
 
+from repro.cli import human_bytes
+from repro.runtime.shards import SHARD_DIR
 from repro.runtime.store import ResultStore
 
 __all__ = ["store_main", "build_store_parser"]
-
-
-def _human_bytes(n: int) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if n < 1024 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024
-    return f"{n} B"  # pragma: no cover - unreachable
 
 
 def _min_age_arg(text: str) -> float:
@@ -62,9 +57,9 @@ def build_store_parser() -> argparse.ArgumentParser:
     p_ls.add_argument("--json", action="store_true", dest="as_json",
                       help="machine-readable output")
 
-    p_gc = sub.add_parser("gc", help="prune unreferenced blobs (legacy "
-                                     "per-file dirs, temp files, orphan "
-                                     "telemetry)")
+    p_gc = sub.add_parser("gc", help="prune unreferenced files (temp "
+                                     "files, orphan telemetry, torn run "
+                                     "records)")
     p_gc.add_argument("--cache-dir", required=True, metavar="DIR",
                       help="result store directory")
     p_gc.add_argument("--dry-run", action="store_true",
@@ -77,18 +72,25 @@ def build_store_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mtime(path) -> float:
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return 0.0
+
+
 def _cmd_ls(args) -> int:
     store = ResultStore(args.cache_dir)
     entries = list(store.entries())
     if args.as_json:
+        shards = store.root / SHARD_DIR
+        mtimes = {e.shard: _mtime(shards / e.shard) for e in entries}
         print(json.dumps(
-            [
-                {"key": e.key, "fn": e.fn, "seed": e.seed,
-                 "n_arrays": e.n_arrays, "json_bytes": e.json_bytes,
-                 "npz_bytes": e.npz_bytes, "total_bytes": e.total_bytes,
-                 "mtime": e.mtime}
-                for e in entries
-            ],
+            [{"key": e.key, "fn": e.fn, "seed": e.seed,
+              "n_arrays": e.n_arrays, "json_bytes": e.json_len,
+              "npz_bytes": e.arr_len, "total_bytes": e.json_len + e.arr_len,
+              "mtime": mtimes[e.shard]}
+             for e in entries],
             indent=2,
         ))
         return 0
@@ -97,10 +99,10 @@ def _cmd_ls(args) -> int:
         return 0
     for e in entries:
         arrays = f" +{e.n_arrays} array(s)" if e.n_arrays else ""
-        print(f"{e.key}  {_human_bytes(e.total_bytes):>10}  "
+        print(f"{e.key}  {human_bytes(e.json_len + e.arr_len):>10}  "
               f"{e.fn or '(no spec)'}{arrays}")
-    total = sum(e.total_bytes for e in entries)
-    print(f"[{len(entries)} result(s), {_human_bytes(total)} in "
+    total = sum(e.json_len + e.arr_len for e in entries)
+    print(f"[{len(entries)} result(s), {human_bytes(total)} in "
           f"{store.root}]")
     return 0
 
@@ -109,11 +111,10 @@ def _cmd_gc(args) -> int:
     store = ResultStore(args.cache_dir)
     stats = store.gc(dry_run=args.dry_run, min_age_s=args.min_age)
     verb = "would remove" if args.dry_run else "removed"
-    print(f"[{verb} {stats.n_removed} item(s): {stats.n_legacy_dirs} "
-          f"legacy per-file dir(s), {stats.n_tmp} temp file(s), "
-          f"{stats.n_orphan_telemetry} orphan telemetry, "
+    print(f"[{verb} {stats.n_removed} item(s): {stats.n_tmp} temp "
+          f"file(s), {stats.n_orphan_telemetry} orphan telemetry, "
           f"{stats.n_torn_runs} torn run record(s); "
-          f"{_human_bytes(stats.bytes_freed)} freed]")
+          f"{human_bytes(stats.bytes_freed)} freed]")
     return 0
 
 

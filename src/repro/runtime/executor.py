@@ -569,9 +569,8 @@ def run_campaign(
             telemetry.emit("task.failed", index=result.index)
 
     n_retried = n_respawns = 0
-    # ``elapsed`` is the span's wall clock — the same two perf_counter
-    # reads the pre-telemetry bookkeeping made, recorded only if a
-    # profiling run is live.
+    # ``elapsed`` is the span's wall clock, measured whether or not
+    # telemetry is on and recorded only if a profiling run is live.
     with telemetry.timed_span("campaign.run", n_tasks=len(specs),
                               jobs=jobs) as campaign_span:
         pending: "list[tuple[int, RunSpec]]" = []

@@ -201,12 +201,6 @@ class PackedShards:
         for key in sorted(self._index):
             yield self._index[key]
 
-    def shard_mtime(self, shard: str) -> float:
-        try:
-            return (self.root / shard).stat().st_mtime
-        except OSError:
-            return 0.0
-
     # -- write ----------------------------------------------------------
 
     def _writer_handles(self):

@@ -14,17 +14,16 @@ multi-writer safe because every process appends to its own shard file —
 concurrent campaign processes sharing one cache directory never observe
 torn records.
 
-A directory written by the retired per-file layout (``??/<key>.json``
-records with ``.npz`` side-cars) is never read: the store is a cache, so
-those tasks simply miss and recompute into shards, and
-:meth:`ResultStore.gc` deletes the leftover fan-out directories.
+The store reads records from ``shards/`` only.  Two-hex-character
+``??/`` directories that the earlier per-file layout wrote are neither
+read nor removed (:meth:`ResultStore.gc` leaves them alone); their tasks
+simply miss and recompute into shards.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import time
 from dataclasses import dataclass
@@ -34,9 +33,10 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro import telemetry
-from repro.runtime.shards import PackedShards, SHARD_DIR, StoreError
+from repro.runtime.shards import PackedShards, SHARD_DIR, ShardEntry, \
+    StoreError
 
-__all__ = ["GcStats", "ResultStore", "StoreEntry", "StoreError"]
+__all__ = ["GcStats", "ResultStore", "StoreError"]
 
 _HEX = frozenset("0123456789abcdef")
 
@@ -45,11 +45,6 @@ def _check_key(key: str) -> None:
     """Reject anything but a lowercase hex content hash of >= 2 chars."""
     if len(key) < 2 or not _HEX.issuperset(key):
         raise ValueError(f"malformed store key: {key!r}")
-
-
-def _is_legacy_dir(path: Path) -> bool:
-    """A two-hex-character fan-out directory of the retired per-file layout."""
-    return len(path.name) == 2 and _HEX.issuperset(path.name) and path.is_dir()
 
 
 def _split_arrays(value: Mapping) -> "tuple[dict, dict]":
@@ -68,31 +63,6 @@ def _split_arrays(value: Mapping) -> "tuple[dict, dict]":
 
 
 @dataclass(frozen=True)
-class StoreEntry:
-    """Metadata of one stored result (no array payloads loaded).
-
-    ``fn`` and ``seed`` come from the provenance ``spec`` the executor
-    records next to each value; they are ``None`` for records written
-    without one.  ``json_bytes`` is the record's JSON payload and
-    ``npz_bytes`` its raw array segment, both from the shard index;
-    ``mtime`` is the owning shard file's.  Listing a store never reads
-    result payloads.
-    """
-
-    key: str
-    json_bytes: int
-    npz_bytes: int
-    fn: "str | None"
-    seed: "int | None"
-    n_arrays: int
-    mtime: float = 0.0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.json_bytes + self.npz_bytes
-
-
-@dataclass(frozen=True)
 class GcStats:
     """What one :meth:`ResultStore.gc` pass removed."""
 
@@ -100,12 +70,10 @@ class GcStats:
     bytes_freed: int
     n_orphan_telemetry: int = 0  # telemetry/ files no ledger record names
     n_torn_runs: int = 0  # unreadable runs/ ledger records
-    n_legacy_dirs: int = 0  # ??/ fan-out dirs of the retired per-file layout
 
     @property
     def n_removed(self) -> int:
-        return (self.n_tmp + self.n_orphan_telemetry + self.n_torn_runs
-                + self.n_legacy_dirs)
+        return self.n_tmp + self.n_orphan_telemetry + self.n_torn_runs
 
 
 class ResultStore:
@@ -198,45 +166,10 @@ class ResultStore:
         """All content hashes currently stored, sorted."""
         return self._shards.keys()
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def _legacy_dirs(self) -> "list[Path]":
-        if not self.root.is_dir():
-            return []
-        return sorted(p for p in self.root.iterdir() if _is_legacy_dir(p))
-
-    def clear(self) -> int:
-        """Delete every stored record; returns how many keys were removed.
-
-        Unlike :meth:`gc` this is unconditional, and it also drops any
-        fan-out directories the retired per-file layout left behind.
-        """
-        n = len(self)
-        self._shards._close_writer()
-        shutil.rmtree(self._shards.root, ignore_errors=True)
-        self._shards = PackedShards(self.root / SHARD_DIR)
-        for sub in self._legacy_dirs():
-            shutil.rmtree(sub, ignore_errors=True)
-        return n
-
-    def entries(self) -> "Iterator[StoreEntry]":
-        """Metadata of every readable record, from the shard indexes
-        alone — no record bytes are touched."""
-        shard_mtimes: "dict[str, float]" = {}
-        for entry in self._shards.entries():
-            if entry.shard not in shard_mtimes:
-                shard_mtimes[entry.shard] = \
-                    self._shards.shard_mtime(entry.shard)
-            yield StoreEntry(
-                key=entry.key,
-                json_bytes=entry.json_len,
-                npz_bytes=entry.arr_len,
-                fn=entry.fn,
-                seed=entry.seed,
-                n_arrays=entry.n_arrays,
-                mtime=shard_mtimes[entry.shard],
-            )
+    def entries(self) -> "Iterator[ShardEntry]":
+        """The shard index entry of every readable record, sorted by key
+        — no record bytes are touched."""
+        return self._shards.entries()
 
     def gc(self, dry_run: bool = False,
            min_age_s: float = 3600.0) -> GcStats:
@@ -245,8 +178,6 @@ class ResultStore:
         Garbage accumulates in a long-lived cache directory and is never
         read back by :meth:`get` or the run ledger:
 
-        - ``??/`` fan-out directories of the retired per-file layout —
-          their records always miss, so dropping them only frees space;
         - temp files abandoned by interrupted writes (in ``shards/`` and
           in ``runs/``);
         - ``telemetry/`` JSONL files no valid ledger record references —
@@ -263,20 +194,17 @@ class ResultStore:
         With ``dry_run`` nothing is deleted and the stats report what a
         real pass would remove.
         """
-        n_tmp = n_tele = n_torn_runs = n_legacy = freed = 0
+        n_tmp = n_tele = n_torn_runs = freed = 0
         if not self.root.exists():
             return GcStats(n_tmp=0, bytes_freed=0)
 
         now = time.time()
 
-        def size(path: Path) -> int:
-            try:
-                return path.stat().st_size
-            except OSError:
-                return 0
-
         def remove(path: Path) -> int:
-            nbytes = size(path)
+            try:
+                nbytes = path.stat().st_size
+            except OSError:
+                nbytes = 0
             if not dry_run:
                 path.unlink(missing_ok=True)
             return nbytes
@@ -292,14 +220,6 @@ class ResultStore:
                 if old_enough(path):
                     n_tmp += 1
                     freed += remove(path)
-
-        for sub in self._legacy_dirs():
-            if not old_enough(sub):
-                continue
-            n_legacy += 1
-            freed += sum(size(path) for path in sub.iterdir())
-            if not dry_run:
-                shutil.rmtree(sub, ignore_errors=True)
 
         # Run-ledger maintenance: collect the telemetry files valid
         # records reference, drop torn records and abandoned temp files.
@@ -339,8 +259,7 @@ class ResultStore:
                     freed += remove(path)
 
         stats = GcStats(n_tmp=n_tmp, bytes_freed=freed,
-                        n_orphan_telemetry=n_tele, n_torn_runs=n_torn_runs,
-                        n_legacy_dirs=n_legacy)
+                        n_orphan_telemetry=n_tele, n_torn_runs=n_torn_runs)
         telemetry.count("store.gc.removed", stats.n_removed)
         telemetry.count("store.gc.bytes_freed", freed)
         return stats

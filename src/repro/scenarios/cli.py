@@ -22,7 +22,7 @@ import json
 import sys
 
 from repro.cli import add_campaign_args, campaign_store, \
-    observe_campaign, resume_record, seed_arg
+    observe_campaign, resume_record, seed_arg, validate_specs
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.errors import ScenarioError
 from repro.scenarios.registry import (
@@ -86,25 +86,17 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _check_scenario(target: str) -> str:
+    spec = resolve_scenario(target)
+    compile_scenario(spec)
+    if spec.sweep is not None:
+        scenario_sweep_spec(spec)
+    return spec.name
+
+
 def _cmd_validate(args) -> int:
-    targets = args.scenarios or bundled_scenario_names()
-    failures = 0
-    for target in targets:
-        try:
-            spec = resolve_scenario(target)
-            compile_scenario(spec)
-            if spec.sweep is not None:
-                scenario_sweep_spec(spec)
-        except ScenarioError as exc:
-            failures += 1
-            print(f"FAIL  {target}: {exc}")
-        else:
-            print(f"ok    {target} ({spec.name})")
-    if failures:
-        print(f"[{failures}/{len(targets)} scenario(s) failed validation]")
-        return 1
-    print(f"[{len(targets)} scenario(s) valid]")
-    return 0
+    return validate_specs(args.scenarios or bundled_scenario_names(),
+                          _check_scenario, ScenarioError, "scenario")
 
 
 def _observed_sweep(args, spec) -> int:

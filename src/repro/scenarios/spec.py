@@ -81,8 +81,8 @@ class MachineSection:
     inline pair ``latency``/``bandwidth`` must be given.  ``smt`` selects
     the preset's SMT-on/off noise calibration (default: the machine's
     operational configuration).  ``ppn`` places ranks hierarchically
-    (processes per node) — that makes the network non-uniform and forces
-    the DAG engine.
+    (processes per node) — that makes the network non-uniform, and the
+    hierarchy-aware lockstep engine resolves each message's tier.
     """
 
     preset: "str | None" = "simulated"

@@ -3,8 +3,8 @@
 A scenario with a ``sweep`` section declares axes of dotted spec paths.
 :func:`scenario_sweep_spec` expands those into a
 :class:`~repro.runtime.spec.SweepSpec` over :func:`repro.scenarios.tasks.
-scenario_task`, so scenario grids inherit everything the PR-1 runtime
-provides: deterministic per-task seeds, process-pool sharding, the
+scenario_task`, so scenario grids inherit everything the campaign
+runtime provides: deterministic per-task seeds, process-pool sharding, the
 content-addressed result store, and bit-identical serial/parallel
 results.  :func:`run_scenario_sweep` executes the grid and aggregates
 per-point summaries.

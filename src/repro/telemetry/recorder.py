@@ -420,8 +420,7 @@ def timed_span(name: str, **attrs: Any) -> Span:
 
     Recorded only when telemetry is enabled, but the timing fields are
     valid either way — the executor derives its ``duration``/``elapsed``
-    result fields from them, so those stay bit-compatible with the old
-    ad-hoc ``perf_counter`` bookkeeping whether or not telemetry is on.
+    result fields from them whether or not telemetry is on.
     """
     return Span(name, attrs or None, _RECORDER)
 

@@ -128,8 +128,9 @@ def test_cli_threshold_validation(tmp_path, capsys):
 def test_committed_history_holds_the_twelve_speedup_floors():
     """One speedup-only record per test, at its committed floor (the
     structure-cache test's is not gated: that test records no speedup)."""
-    bench = [r for r in PerfHistory(HISTORY).records()
-             if r["label"].startswith("bench/")]
-    assert {r["label"]: r["metrics"] for r in bench} == {
+    records = PerfHistory(HISTORY).records()
+    assert all(r["source"] == "bench" and r["label"].startswith("bench/")
+               for r in records), [r["label"] for r in records]
+    assert {r["label"]: r["metrics"] for r in records} == {
         label: {"speedup": floor} for label, floor in FLOORS.items()}
-    assert len(bench) == len(FLOORS)
+    assert len(records) == len(FLOORS)

@@ -201,12 +201,6 @@ class TestRunLedger:
         with pytest.raises(KeyError, match="no run"):
             ledger.find("nope")
 
-    def test_tail_returns_most_recent(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        for i in range(5):
-            ledger.append(self.rec(f"r-{i}", started=float(i)))
-        assert [r["id"] for r in ledger.tail(2)] == ["r-3", "r-4"]
-
     def test_missing_dir_yields_nothing(self, tmp_path):
         assert list(RunLedger(tmp_path / "nowhere").records()) == []
 

@@ -147,17 +147,24 @@ class TestRunsCli:
         assert "runs error" in capsys.readouterr().err
 
     def test_tail_limits_to_n(self, swept, capsys):
+        """``ls -n N`` keeps the ledger's tail: the N most recent runs."""
         store, _ = swept
-        assert runs_main(["tail", "--cache-dir", str(store), "-n", "1",
+        assert runs_main(["ls", "--cache-dir", str(store), "-n", "1",
                           "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
         assert records[0]["n_cached"] == 4  # the warm (latest) run
 
     @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_tail_count_must_be_positive(self, tmp_path, n):
+    def test_tail_count_must_be_positive(self, tmp_path, n, capsys):
         with pytest.raises(SystemExit) as exc:
-            runs_main(["tail", "--cache-dir", str(tmp_path), "-n", n])
+            runs_main(["ls", "--cache-dir", str(tmp_path), "-n", n])
+        assert exc.value.code == 2
+        assert "-n must be >= 1" in capsys.readouterr().err
+
+    def test_tail_subcommand_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            runs_main(["tail", "--cache-dir", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_show_prints_the_phases(self, swept, capsys):
@@ -176,7 +183,7 @@ class TestRunsCli:
 
     def test_routed_through_main_cli(self, swept, capsys):
         store, _ = swept
-        assert main(["runs", "tail", "--cache-dir", str(store)]) == 0
+        assert main(["runs", "ls", "--cache-dir", str(store)]) == 0
         assert "sweep-" in capsys.readouterr().out
 
 
@@ -322,3 +329,116 @@ class TestReportLedger:
         assert record["artifacts"]
         for path in record["artifacts"]:
             assert path.startswith(str(out_dir))
+
+
+#: A version-5 ledger record with every field ``runs show`` prints.
+V5_RECORD = {
+    "version": 5, "event_version": 3, "id": "sweep-20260808T120000-3fa9c1",
+    "kind": "scenario.sweep", "name": "campaign_rate_sweep", "status": "ok",
+    "spec_key": "8f324fc99d69bec2bf7808d3b71f1057", "seed_root": 12345,
+    "engine": "dag", "jobs": 2, "n_tasks": 12, "n_cached": 4,
+    "n_executed": 8, "n_failed": 0, "cache_hit_rate": 1 / 3,
+    "wall_s": 0.5, "started_unix": 1786190882.25,
+    "finished_unix": 1786190882.75, "failures": ["ValueError: boom\nline 2"],
+    "failed_tasks": [], "n_stalls": 1, "n_retried": 2, "n_quarantined": 0,
+    "n_pool_respawns": 1, "resumed_from": None, "n_heartbeats": 6,
+    "worker_rss_peak_bytes": 73400320, "telemetry": None,
+    "artifacts": ["/out/a.csv", "/out/b.json"], "n_events": 40,
+    "phases": {"sweep.expand": 0.0125, "campaign.run": 0.4,
+               "sweep.aggregate": 0.05},
+    "counters": {"store.puts": 8},
+}
+
+
+class TestPinnedOutput:
+    """What the ``runs`` commands print, byte for byte."""
+
+    @pytest.fixture
+    def ledger(self, tmp_path):
+        """The v5 record and three report runs after it."""
+        ledger = RunLedger(tmp_path)
+        ledger.append(V5_RECORD)
+        for i in range(3):
+            ledger.append({
+                "id": f"report-{i}", "kind": "report.run",
+                "name": "fig7_speed", "status": "ok", "n_tasks": 4,
+                "cache_hit_rate": 0.5 * i if i else None,
+                "wall_s": 1.5 + i, "started_unix": 1786190900.0 + i})
+        return ledger
+
+    def test_ls_n_prints_the_most_recent_runs(self, ledger, capsys):
+        assert runs_main(["ls", "-n", "2",
+                          "--cache-dir", str(ledger.root.parent)]) == 0
+        assert capsys.readouterr().out == (
+            "report-1                           ok     report.run     "
+            "fig7_speed                       4 task(s) cache  50%     "
+            "2.50s  2026-08-08 12:08:21Z\n"
+            "report-2                           ok     report.run     "
+            "fig7_speed                       4 task(s) cache 100%     "
+            "3.50s  2026-08-08 12:08:22Z\n"
+            f"[2 run(s) in {ledger.root}]\n")
+
+    def test_ls_n_json_is_the_last_records(self, ledger, capsys):
+        assert runs_main(["ls", "-n", "2", "--json",
+                          "--cache-dir", str(ledger.root.parent)]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            list(ledger.records())[-2:], indent=2, sort_keys=True) + "\n"
+
+    def test_ls_n_counts_after_the_filters(self, ledger, capsys):
+        assert runs_main(["ls", "-n", "1", "--name", "campaign_rate_sweep",
+                          "--cache-dir", str(ledger.root.parent)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("sweep-20260808T120000-3fa9c1 ")
+        assert "[1 run(s) in" in out
+
+    def test_show_prints_one_row_set_for_any_record(self, tmp_path,
+                                                    capsys):
+        """Fields an older record lacks print as ``-``, not as gaps."""
+        RunLedger(tmp_path).append({"version": 1, "id": "sweep-old",
+                                    "status": "ok"})
+        assert runs_main(["show", "sweep-old",
+                          "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "\n  worker rss peak  -\n" in out
+        assert "\n  resumed from     -\n" in out
+        assert out.endswith("\n  phases           0\n")
+
+    def test_show_of_a_v5_record(self, tmp_path, capsys):
+        RunLedger(tmp_path).append(V5_RECORD)
+        assert runs_main(["show", "sweep-2026",
+                          "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == """\
+=== run sweep-20260808T120000-3fa9c1 ===
+  status           ok
+  kind             scenario.sweep
+  name             campaign_rate_sweep
+  engine           dag
+  jobs             2
+  spec key         8f324fc99d69bec2bf7808d3b71f1057
+  seed root        12345
+  tasks            12
+  cached           4
+  executed         8
+  failed           0
+  cache hit rate   33%
+  wall time        0.500s
+  started          2026-08-08 12:08:02Z
+  finished         2026-08-08 12:08:02Z
+  events           40
+  telemetry        -
+  stalls           1
+  heartbeats       6
+  worker rss peak  70.0 MiB
+  retried          2
+  quarantined      0
+  pool respawns    1
+  resumed from     -
+  artifacts        2
+    /out/a.csv
+    /out/b.json
+  failure: ValueError: boom
+  phases           3
+    campaign.run                      0.4000s   80.0%
+    sweep.aggregate                   0.0500s   10.0%
+    sweep.expand                      0.0125s    2.5%
+"""

@@ -45,6 +45,24 @@ class TestExitStatus:
         assert any("boom" in f for f in record["failures"])
 
 
+class TestLedgerWriteFailure:
+    def test_unwritable_cache_dir_is_reported_not_fatal(self, tmp_path,
+                                                        capsys):
+        """A ledger write that fails says so on stderr; the run's own
+        exit code and summary line stand."""
+        from repro.cli import main
+
+        blocked = tmp_path / "a-file"
+        blocked.write_text("not a directory")
+        assert main(["scenario", "run", "fig4_single_delay",
+                     "--cache-dir", str(blocked), "--no-progress"]) == 0
+        captured = capsys.readouterr()
+        assert "[run run-" in captured.out
+        assert "[run recorded in" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("[run not recorded: ") and line.endswith("]")
+
+
 class TestTelemetryOutput:
     def test_unprofiled_run_writes_no_telemetry(self, tmp_path):
         with observe_run("scenario.sweep", "demo", cache_dir=tmp_path,

@@ -52,7 +52,7 @@ class TestRecords:
                                        "nan": float("nan")})
 
     def test_history_round_trip(self, tmp_path):
-        history = PerfHistory(tmp_path / "perf")
+        history = PerfHistory(tmp_path / "history.jsonl")
         history.append(wall_record(1.0))
         history.append(wall_record(1.1))
         history.append(wall_record(0.9, label="other/run"))
@@ -156,24 +156,25 @@ class TestTrend:
 
 
 class TestPerfCli:
-    def seed(self, tmp_path, walls):
-        history = PerfHistory(tmp_path / "perf")
+    def seed(self, tmp_path, walls) -> str:
+        """A history file of ``campaign/sweep`` records; returns its path."""
+        history = PerfHistory(tmp_path / "history.jsonl")
         for i, wall in enumerate(walls):
             history.append(new_record("campaign/sweep", "manual",
                                       {"wall_s": wall}, ts=float(i)))
-        return history
+        return str(history.path)
 
     def test_check_exits_nonzero_on_regression(self, tmp_path, capsys):
-        self.seed(tmp_path, [1.0, 1.05, 2.1])
-        assert perf_main(["check", "--cache-dir", str(tmp_path)]) == 1
+        history = self.seed(tmp_path, [1.0, 1.05, 2.1])
+        assert perf_main(["check", "--history", history]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.out
         assert "wall_s" in captured.out
         assert "drifted" in captured.err
 
     def test_check_passes_clean_history(self, tmp_path, capsys):
-        self.seed(tmp_path, [1.0, 1.05, 0.98])
-        assert perf_main(["check", "--cache-dir", str(tmp_path)]) == 0
+        history = self.seed(tmp_path, [1.0, 1.05, 0.98])
+        assert perf_main(["check", "--history", history]) == 0
         assert "within" in capsys.readouterr().out
 
     def test_check_empty_history_is_not_a_failure(self, tmp_path, capsys):
@@ -187,8 +188,8 @@ class TestPerfCli:
         assert perf_main(["check", "--history", str(seed)]) == 0
 
     def test_history_lists_records(self, tmp_path, capsys):
-        self.seed(tmp_path, [1.0, 1.1])
-        assert perf_main(["history", "--cache-dir", str(tmp_path)]) == 0
+        history = self.seed(tmp_path, [1.0, 1.1])
+        assert perf_main(["history", "--history", history]) == 0
         out = capsys.readouterr().out
         assert "campaign/sweep" in out
         assert "wall_s=1.1" in out
@@ -199,20 +200,48 @@ class TestPerfCli:
         bench.write_text(json.dumps({
             "benchmark": "bench_x", "schema": 1,
             "tests": {"test_a": {"speedup": 1.2}}}))
-        assert perf_main(["record", "--cache-dir", str(tmp_path),
+        history = tmp_path / "history.jsonl"
+        assert perf_main(["record", "--history", str(history),
                           "--bench", str(bench)]) == 0
         assert "1 perf record(s)" in capsys.readouterr().out
-        records = PerfHistory(tmp_path / "perf").records()
+        records = PerfHistory(history).records()
         assert records[0]["label"] == "bench/bench_x/test_a"
         assert records[0]["source"] == "bench"
 
     def test_record_with_nothing_to_ingest_fails(self, tmp_path, capsys):
-        assert perf_main(["record", "--cache-dir", str(tmp_path)]) == 1
+        assert perf_main(["record", "--history",
+                          str(tmp_path / "history.jsonl")]) == 1
         assert "perf error" in capsys.readouterr().err
 
     def test_needs_a_history_location(self, capsys):
-        assert perf_main(["history"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            perf_main(["history"])
+        assert exc.value.code == 2
         assert "--cache-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["record", "--bench", "BENCH_x.json"],
+        ["record", "--cache-dir", "DIR", "--bench", "BENCH_x.json"],
+        ["check", "--cache-dir", "DIR", "--history", "h.jsonl"],
+    ])
+    def test_one_history_location_per_command(self, argv, capsys):
+        """``record`` writes only ``--history FILE``; ``history`` and
+        ``check`` read one place, never both."""
+        with pytest.raises(SystemExit) as exc:
+            perf_main(argv)
+        assert exc.value.code == 2
+        assert "--history" in capsys.readouterr().err
+
+    def test_cache_dir_reads_only_the_ledger(self, tmp_path, capsys):
+        """A ``DIR/perf/history.jsonl`` beside the ledger is never read."""
+        self.seed(tmp_path / "perf", [1.0, 1.05, 2.1])
+        RunLedger(tmp_path).append(run_record("report-a", 100.0, 1.0))
+        assert perf_main(["history", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign/sweep" not in out
+        assert f"[1 record(s), 1 label(s) in {tmp_path}]" in out
+        assert perf_main(["check", "--cache-dir", str(tmp_path)]) == 0
+        assert "no comparable" in capsys.readouterr().out
 
     def test_check_without_the_history_file_fails(self, tmp_path, capsys):
         missing = tmp_path / "typo.jsonl"
@@ -221,8 +250,8 @@ class TestPerfCli:
         assert "perf error" in err and str(missing) in err
 
     def test_check_of_an_unknown_label_fails(self, tmp_path, capsys):
-        self.seed(tmp_path, [1.0, 1.05])
-        assert perf_main(["check", "--cache-dir", str(tmp_path),
+        history = self.seed(tmp_path, [1.0, 1.05])
+        assert perf_main(["check", "--history", history,
                           "--label", "campaign/swep"]) == 1
         err = capsys.readouterr().err
         assert "'campaign/swep'" in err and "campaign/sweep" in err
@@ -241,7 +270,7 @@ class TestPerfCli:
     ])
     def test_removed_commands_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            perf_main([*argv, "--cache-dir", str(tmp_path)])
+            perf_main([*argv, "--history", str(tmp_path / "h.jsonl")])
         assert exc.value.code == 2
 
     def test_cold_and_warm_sweeps_trend_apart_through_main_cli(

@@ -191,7 +191,7 @@ class TestStoreBacked:
         compiled = compile_report(make_spec())
         cold = run_report(compiled, store=store)
         # Lose the last record: the rerun must re-execute exactly that task.
-        interrupt_store(store.root, len(store) - 1)
+        interrupt_store(store.root, len(list(store.keys())) - 1)
         again = run_report(compiled, store=ResultStore(store.root))
         assert again.n_executed == 1
         assert again.n_loaded == again.n_tasks - 1

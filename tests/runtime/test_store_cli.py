@@ -1,6 +1,7 @@
 """Tests for store maintenance: ``ResultStore.entries``/``gc`` + the CLI."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -32,20 +33,20 @@ class TestEntries:
         assert set(entries) == {"aa" * 16, "bb" * 16}
         plain = entries["aa" * 16]
         assert plain.fn == "m:f" and plain.seed == 7
-        assert plain.npz_bytes == 0 and plain.json_bytes > 0
+        assert plain.arr_len == 0 and plain.json_len > 0
         arrays = entries["bb" * 16]
-        assert arrays.n_arrays == 1 and arrays.npz_bytes > 0
-        assert arrays.total_bytes == arrays.json_bytes + arrays.npz_bytes
+        assert arrays.n_arrays == 1 and arrays.arr_len > 0
 
     def test_empty_store(self, tmp_path):
         assert list(ResultStore(tmp_path / "nope").entries()) == []
 
-    def test_mtime_comes_from_stat(self, store):
-        import os
-
+    def test_mtime_comes_from_stat(self, store, capsys):
         (shard,) = (store.root / "shards").glob("*.shard")
         os.utime(shard, (1_000_000_000, 1_000_000_000))
-        assert {e.mtime for e in store.entries()} == {1_000_000_000}
+        assert store_main(["ls", "--cache-dir", str(store.root),
+                           "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert {e["mtime"] for e in listed} == {1_000_000_000}
 
     def test_torn_and_partial_records_are_skipped(self, store):
         """A store holding torn records lists only the readable ones.
@@ -88,29 +89,23 @@ class TestEntries:
         )
         entry = {e.key: e for e in ResultStore(store.root).entries()}[key]
         assert entry.fn == "m:big" and entry.seed == 9 and entry.n_arrays == 1
-        assert entry.json_bytes > 20_000 * len(decoy)
+        assert entry.json_len > 20_000 * len(decoy)
 
 
 class TestGc:
     def test_nothing_to_do(self, store):
         stats = store.gc()
         assert stats.n_removed == 0 and stats.bytes_freed == 0
-        assert len(store) == 2
+        assert len(list(store.keys())) == 2
 
-    def test_orphan_npz_removed(self, store, legacy):
-        legacy.unlink()  # leaves the NPZ orphaned in its fan-out dir
-        stats = store.gc(min_age_s=0)
-        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
-        assert not legacy.parent.exists()
-        assert store.get("aa" * 16) == {"x": 1.0}  # shard records untouched
-        assert len(store) == 2
-
-    def test_torn_record_removed_with_sidecar(self, store, legacy):
-        legacy.write_text("{not json")
-        stats = store.gc(min_age_s=0)
-        assert stats.n_legacy_dirs == 1
-        assert not legacy.exists()
-        assert not legacy.with_suffix(".npz").exists()
+    def test_legacy_fanout_dir_is_left_alone(self, store, legacy, capsys):
+        """A ``??/`` directory of the earlier per-file layout is not the
+        store's: ``store gc`` neither reads, counts nor removes it."""
+        assert store_main(["gc", "--cache-dir", str(store.root),
+                           "--min-age", "0"]) == 0
+        assert capsys.readouterr().out.startswith("[removed 0 item(s): ")
+        assert legacy.exists() and legacy.with_suffix(".npz").exists()
+        assert store.get("aa" * 16) == {"x": 1.0}
 
     def test_stale_tmp_files_removed(self, store):
         tmp = store.root / "shards" / ".leftover.idx.x1y2"
@@ -128,16 +123,17 @@ class TestGc:
         assert tmp.exists()
 
     def test_fresh_orphan_npz_survives(self, store, legacy):
-        # --min-age spares a fan-out dir touched within the window.
         legacy.unlink()
         stats = store.gc()
-        assert stats.n_legacy_dirs == 0
+        assert stats.n_removed == 0
         assert legacy.with_suffix(".npz").exists()
 
-    def test_dry_run_deletes_nothing(self, store, legacy):
+    def test_dry_run_deletes_nothing(self, store):
+        tmp = store.root / "shards" / ".leftover.x1"
+        tmp.write_text("partial")
         stats = store.gc(dry_run=True, min_age_s=0)
-        assert stats.n_legacy_dirs == 1
-        assert legacy.exists() and legacy.with_suffix(".npz").exists()
+        assert stats.n_tmp == 1 and stats.bytes_freed == len("partial")
+        assert tmp.exists()
 
     def test_missing_root(self, tmp_path):
         stats = ResultStore(tmp_path / "nope").gc()
@@ -245,18 +241,23 @@ class TestCli:
         assert store_main(["ls", "--cache-dir", str(tmp_path / "e")]) == 0
         assert "empty store" in capsys.readouterr().out
 
-    def test_gc_reports_counts(self, store, legacy, capsys):
+    def test_gc_reports_counts(self, store, capsys):
+        tmp = store.root / "shards" / ".leftover.x1"
+        tmp.write_text("partial")
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--min-age", "0"]) == 0
-        assert "removed 1 item(s): 1 legacy per-file dir(s)" \
-            in capsys.readouterr().out
-        assert not legacy.exists()
+        assert capsys.readouterr().out == (
+            "[removed 1 item(s): 1 temp file(s), 0 orphan telemetry, "
+            "0 torn run record(s); 7 B freed]\n")
+        assert not tmp.exists()
 
-    def test_gc_dry_run(self, store, legacy, capsys):
+    def test_gc_dry_run(self, store, capsys):
+        tmp = store.root / "shards" / ".leftover.x1"
+        tmp.write_text("partial")
         assert store_main(["gc", "--cache-dir", str(store.root),
                            "--dry-run", "--min-age", "0"]) == 0
         assert "would remove 1" in capsys.readouterr().out
-        assert legacy.exists()
+        assert tmp.exists()
 
     def test_main_wiring(self, store, capsys):
         assert repro_main(["store", "ls", "--cache-dir",
@@ -275,3 +276,54 @@ class TestCli:
         assert exc.value.code == 2
         assert "--min-age" in capsys.readouterr().err
         assert tmp.exists()
+
+
+class TestLsBytes:
+    """``store ls`` on a store of two shards, pinned byte for byte."""
+
+    @pytest.fixture
+    def two_shards(self, tmp_path):
+        root = tmp_path / "cache"
+        for i, (key, value, spec) in enumerate([
+            ("aa" * 16, {"x": 1.0}, {"fn": "m:f", "seed": 7}),
+            ("bb" * 16, {"arr": np.arange(300.0), "n": 3},
+             {"fn": "m:g", "seed": 8}),
+        ]):
+            shard = ResultStore(root).put(key, value, spec=spec)
+            os.utime(shard, (1_000_000_000 + i, 1_000_000_000 + i))
+        assert len(list((root / "shards").glob("*.shard"))) == 2
+        return root
+
+    def test_text(self, two_shards, capsys):
+        assert store_main(["ls", "--cache-dir", str(two_shards)]) == 0
+        assert capsys.readouterr().out == (
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa       126 B  m:f\n"
+            "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb     2.5 KiB  m:g +1 array(s)\n"
+            f"[2 result(s), 2.7 KiB in {two_shards}]\n")
+
+    def test_json(self, two_shards, capsys):
+        assert store_main(["ls", "--cache-dir", str(two_shards),
+                           "--json"]) == 0
+        assert capsys.readouterr().out == """[
+  {
+    "key": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+    "fn": "m:f",
+    "seed": 7,
+    "n_arrays": 0,
+    "json_bytes": 126,
+    "npz_bytes": 0,
+    "total_bytes": 126,
+    "mtime": 1000000000.0
+  },
+  {
+    "key": "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb",
+    "fn": "m:g",
+    "seed": 8,
+    "n_arrays": 1,
+    "json_bytes": 206,
+    "npz_bytes": 2400,
+    "total_bytes": 2606,
+    "mtime": 1000000001.0
+  }
+]
+"""

@@ -82,7 +82,7 @@ class TestPackedRoundTrip:
         store.put(KEY, {"x": 1})
         store.put(KEY, {"x": 2})
         assert store.get(KEY) == {"x": 2}
-        assert len(store) == 1
+        assert list(store.keys()) == [KEY]
 
     def test_keys_and_contains(self, store):
         keys = [keyn(i) for i in range(3)]
@@ -90,13 +90,6 @@ class TestPackedRoundTrip:
             store.put(key, {"i": i})
         assert sorted(store.keys()) == sorted(keys)
         assert keys[0] in store and "ff" * 16 not in store
-
-    def test_clear_removes_shards(self, store):
-        store.put(KEY, {"x": 1, "a": np.ones(3)})
-        assert store.clear() == 1
-        assert len(store) == 0
-        assert not (store.root / "shards").exists()
-        assert store.get(KEY) is None
 
 
 class TestShortKeys:
@@ -110,9 +103,9 @@ class TestShortKeys:
 
 
 class TestCorruptNpzSidecar:
-    """A per-file record left by the retired layout is never read — not
-    even a corrupt or truncated NPZ side-car, which used to crash
-    ``np.load`` — and ``gc`` removes its fan-out directory."""
+    """A per-file record of the earlier layout is never read — not even
+    a corrupt or truncated NPZ side-car, which used to crash
+    ``np.load`` — and ``gc`` leaves its fan-out directory alone."""
 
     @pytest.fixture
     def legacy(self, store, legacy_record):
@@ -131,37 +124,15 @@ class TestCorruptNpzSidecar:
         path.write_bytes(path.read_bytes()[:20])
         assert legacy.get(KEY) is None
 
-    def test_gc_collects_corrupt_npz_pair(self, legacy):
-        self.npz(legacy).write_bytes(b"not a zip at all")
-        stats = legacy.gc(min_age_s=0)
-        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
-        assert not (legacy.root / KEY[:2]).exists()
-
-    def test_gc_collects_missing_npz_pair(self, legacy):
-        self.npz(legacy).unlink()
-        stats = legacy.gc(min_age_s=0)
-        assert stats.n_legacy_dirs == 1
-        assert not (legacy.root / KEY[:2]).exists()
-
     def test_gc_dry_run_keeps_the_pair(self, legacy):
         self.npz(legacy).write_bytes(b"junk")
         stats = legacy.gc(dry_run=True, min_age_s=0)
-        assert stats.n_legacy_dirs == 1
+        assert stats.n_removed == 0
         assert self.npz(legacy).exists()
 
 
-class TestLegacyClear:
-    def test_clear_removes_orphan_npz_and_empty_dirs(self, store,
-                                                     legacy_record):
-        store.put(KEY, {"a": np.ones(2)})
-        legacy_record(store.root, "cd" * 16, {"x": 1}, {"a": np.ones(2)})
-        (store.root / "cd" / f"{'cd' * 16}.json").unlink()  # orphan npz
-        assert store.clear() == 1  # only the shard record was a record
-        assert not any(store.root.glob("??"))  # fan-out dirs removed
-
-
 class TestLegacyLayout:
-    def test_legacy_pair_reads_cold_recomputes_and_is_gc_removed(
+    def test_legacy_pair_reads_cold_and_gc_leaves_it(
             self, store, legacy_record):
         spec = RunSpec(fn="executor_tasks:rng_probe_task",
                        params={"n": 3}, seed=5)
@@ -173,11 +144,8 @@ class TestLegacyLayout:
         assert cold.n_executed == 1 and cold.n_cached == 0
         assert sorted(store.keys()) == [spec.key]  # now in a shard
 
-        stats = store.gc(dry_run=True, min_age_s=0)
-        assert stats.n_legacy_dirs == 1 and stats.bytes_freed > 0
-        assert legacy.exists()
-        assert store.gc(min_age_s=0).n_legacy_dirs == 1
-        assert not legacy.parent.exists()
+        assert store.gc(min_age_s=0).n_removed == 0
+        assert legacy.exists() and legacy.with_suffix(".npz").exists()
 
         warm = run_campaign([spec], store=ResultStore(store.root))
         assert warm.n_cached == 1
@@ -265,7 +233,7 @@ class TestConcurrentWriters:
             p.join()
             assert p.exitcode == 0
         store = ResultStore(root)
-        assert len(store) == 50
+        assert len(list(store.keys())) == 50
         for i in range(50):
             value = store.get(keyn(i))
             assert value["i"] == i

@@ -29,7 +29,7 @@ class TestResume:
         capsys.readouterr()
 
         # Simulate an interrupted campaign: keep its first 3 records.
-        assert len(ResultStore(cache)) == 12
+        assert len(list(ResultStore(cache).keys())) == 12
         interrupt_store(cache, 3)
 
         assert _sweep(cache, "--resume", first_id) == 0
