@@ -230,7 +230,7 @@ def batched_wave_front(
     """
     if direction not in (+1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    n_batch, n_ranks, n_steps = batch.exec_end.shape
+    n_batch, n_ranks, n_steps = batch.idle.shape
     if not 0 <= source < n_ranks:
         raise IndexError(f"source rank {source} out of range [0, {n_ranks})")
     if periodic is None:

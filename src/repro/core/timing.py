@@ -10,13 +10,15 @@ converts once through :meth:`RunTiming.from_trace`.
 
 Each analysis is written once, over a :class:`BatchedTiming`, with no
 per-draw Python loop; its single-run name calls it on
-:meth:`RunTiming.batch`, a one-draw view that copies nothing.
+:meth:`RunTiming.batch`, a one-draw view that copies nothing.  A report
+stacks only the matrices its kernels read, so a batch may leave any of
+them out and takes its shape from those it holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,20 +27,29 @@ if TYPE_CHECKING:
 
 __all__ = ["BatchedTiming", "RunTiming"]
 
-#: The array fields a timing record must provide, in stacking order.
+#: The matrices a timing record stores, in stacking order.
 TIMING_FIELDS = ("exec_end", "completion", "idle")
 #: Every matrix field; the last two may be ``None`` (see :class:`RunTiming`).
 _MATRICES = TIMING_FIELDS + ("exec_start", "post_end")
 
 
+def _shape(timing: "RunTiming | BatchedTiming") -> "tuple[int, ...]":
+    """The shape of the first matrix ``timing`` holds."""
+    for name in _MATRICES:
+        matrix = getattr(timing, name)
+        if matrix is not None:
+            return matrix.shape
+    raise ValueError("a timing must hold at least one matrix")
+
+
 def _check_matrices(timing: "RunTiming | BatchedTiming", ndim: int) -> None:
     shapes = {name: getattr(timing, name).shape for name in _MATRICES
               if getattr(timing, name) is not None}
-    if len(set(shapes.values())) != 1:
+    if len(set(shapes.values())) > 1:
         raise ValueError(f"matrix shapes differ: {shapes}")
-    if timing.exec_end.ndim != ndim:
-        raise ValueError(
-            f"expected {ndim}-D matrices, got {timing.exec_end.ndim}-D")
+    got = len(_shape(timing))
+    if got != ndim:
+        raise ValueError(f"expected {ndim}-D matrices, got {got}-D")
 
 
 def _index(timing: "RunTiming | BatchedTiming", index) -> dict:
@@ -83,11 +94,11 @@ class RunTiming:
 
     @property
     def n_ranks(self) -> int:
-        return self.exec_end.shape[0]
+        return _shape(self)[0]
 
     @property
     def n_steps(self) -> int:
-        return self.exec_end.shape[1]
+        return _shape(self)[1]
 
     @property
     def t_exec(self) -> float | None:
@@ -174,11 +185,15 @@ class BatchedTiming:
     batched analyses (and the report kernels built on them) take one of
     these and work on all draws at once.  Slicing (``batch[b]``) yields
     run ``b`` as an ordinary :class:`RunTiming` (views into the stack).
+
+    Any matrix may be ``None``: a report's stack holds only the matrices
+    its kernels declare they read, and the shape is that of whichever
+    matrices are present.
     """
 
-    exec_end: np.ndarray
-    completion: np.ndarray
-    idle: np.ndarray
+    exec_end: "np.ndarray | None" = None
+    completion: "np.ndarray | None" = None
+    idle: "np.ndarray | None" = None
     meta: dict = field(default_factory=dict)
     exec_start: "np.ndarray | None" = None
     post_end: "np.ndarray | None" = None
@@ -192,15 +207,15 @@ class BatchedTiming:
 
     @property
     def n_batch(self) -> int:
-        return self.exec_end.shape[0]
+        return _shape(self)[0]
 
     @property
     def n_ranks(self) -> int:
-        return self.exec_end.shape[1]
+        return _shape(self)[1]
 
     @property
     def n_steps(self) -> int:
-        return self.exec_end.shape[2]
+        return _shape(self)[2]
 
     @property
     def t_exec(self) -> "float | None":
@@ -232,47 +247,3 @@ class BatchedTiming:
                       np.count_nonzero(np.isfinite(flat), axis=1))
             self._cache["sorted_idle"] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_records(cls, records: "Iterable[Mapping]", n: int,
-                     meta: "dict | None" = None) -> "BatchedTiming":
-        """Fold the next ``n`` store records into one batch, one at a time.
-
-        Records are ``{"exec_end", "completion", "idle"}`` dicts, the
-        shape :func:`repro.reports.tasks.scenario_timing_task` persists
-        and cached campaign results come back in.  The three ``(n, P,
-        S)`` matrices are allocated when the first record arrives and
-        each record is copied in as it comes, so a streamed point's
-        records are never all alive at once and no stacking copy is
-        made.  Exactly ``n`` records are taken from ``records``; the
-        batch has no ``exec_start`` or ``post_end``.
-        """
-        if n < 1:
-            raise ValueError("need at least one timing record to stack")
-        arrays: "dict[str, np.ndarray]" = {}
-        count = 0
-        for b, rec in zip(range(n), records):
-            try:
-                rows = [np.asarray(rec[name]) for name in TIMING_FIELDS]
-            except KeyError as exc:
-                raise KeyError(
-                    f"timing record is missing the {exc.args[0]!r} matrix; "
-                    f"got fields {sorted(rec)}"
-                ) from exc
-            if not arrays:
-                shape = rows[0].shape
-                arrays = {name: np.empty((n, *shape), dtype=float)
-                          for name in TIMING_FIELDS}
-            for name, row in zip(TIMING_FIELDS, rows):
-                if row.shape != shape:
-                    raise ValueError(
-                        f"timing record {b} has a {name} matrix of shape "
-                        f"{row.shape}, expected {shape}")
-                arrays[name][b] = row
-            count = b + 1
-        if count < n:
-            raise ValueError(f"need {n} timing records to stack, got {count}")
-        return cls(**arrays, meta=dict(meta or {}))

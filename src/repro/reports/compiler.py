@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.timing import TIMING_FIELDS
 from repro.reports.errors import ReportError
 from repro.reports.kernels import MetricKernel, get_kernel
 from repro.reports.spec import MetricRequest, ReportSpec
@@ -72,6 +73,13 @@ class CompiledReport:
     @property
     def n_tasks(self) -> int:
         return sum(t.sweep.size for t in self.targets)
+
+    @property
+    def reads(self) -> "tuple[str, ...]":
+        """The timing matrices its kernels read, in stacking order: the
+        only ones a run of the report reads from the store and stacks."""
+        wanted = {name for m in self.metrics for name in m.kernel.reads}
+        return tuple(name for name in TIMING_FIELDS if name in wanted)
 
 
 def _resolve_metrics(spec: ReportSpec) -> "tuple[ResolvedMetric, ...]":

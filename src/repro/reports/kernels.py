@@ -21,6 +21,9 @@ no :mod:`repro.analysis` module.
 
 Kernels register themselves in a module-level registry; report specs
 resolve metric names against it (see CONTRIBUTING.md for how to add one).
+Each kernel declares the timing matrices it reads (``reads``): a report
+stacks only the union of its kernels' reads, so a kernel sees ``None``
+for any matrix it did not declare.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from repro.core.decay import front_decay
 from repro.core.idle_wave import batched_wave_front, row_percentile
 from repro.core.speed import fit_front_speed, silent_speed_for
-from repro.core.timing import BatchedTiming
+from repro.core.timing import TIMING_FIELDS, BatchedTiming
 from repro.reports.errors import ReportError
 from repro.scenarios.compiler import CompiledScenario
 
@@ -85,6 +88,10 @@ class MetricKernel:
         Registry key report specs refer to.
     fields:
         Names of the per-draw quantities the kernel returns, in order.
+    reads:
+        The timing matrices (of ``exec_end``, ``completion`` and
+        ``idle``) the kernel reads.  A report stacks only the matrices
+        its kernels read, so ``fn`` sees ``None`` for any other.
     fn:
         ``fn(batch, ctx, **params) -> {field: ndarray[B]}``.
     params:
@@ -104,6 +111,7 @@ class MetricKernel:
 
     name: str
     fields: "tuple[str, ...]"
+    reads: "tuple[str, ...]"
     fn: Callable
     params: "tuple[str, ...]" = ()
     needs_delay: bool = False
@@ -124,16 +132,23 @@ _REGISTRY: "dict[str, MetricKernel]" = {}
 
 
 def register_kernel(name: str, fields: "tuple[str, ...]",
+                    reads: "tuple[str, ...]",
                     params: "tuple[str, ...]" = (),
                     needs_delay: bool = False,
                     check: "Callable | None" = None, doc: str = ""):
     """Decorator: add a vectorized metric kernel to the registry."""
+    unknown = sorted(set(reads) - set(TIMING_FIELDS))
+    if unknown or not reads:
+        raise ValueError(
+            f"metric kernel {name!r} must read some of {TIMING_FIELDS}, "
+            f"got reads={tuple(reads)!r}")
 
     def wrap(fn: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"metric kernel {name!r} is already registered")
         _REGISTRY[name] = MetricKernel(
-            name=name, fields=tuple(fields), fn=fn, params=tuple(params),
+            name=name, fields=tuple(fields), reads=tuple(reads), fn=fn,
+            params=tuple(params),
             needs_delay=needs_delay, check=check,
             doc=doc or (fn.__doc__ or "").split("\n")[0],
         )
@@ -211,6 +226,7 @@ def get_kernel(name: str) -> MetricKernel:
 @register_kernel(
     "runtime",
     fields=("total_runtime", "total_idle", "mean_idle_per_rank"),
+    reads=("idle", "completion"),
     doc="Wall-clock runtime and aggregate idle time per draw.",
 )
 def _runtime_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
@@ -234,6 +250,7 @@ def _runtime_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
     "wave_speed",
     fields=("measured_speed", "predicted_speed", "relative_error",
             "front_hops"),
+    reads=("idle", "completion"),
     params=("direction", "min_hops", "max_hops"),
     needs_delay=True,
     check=_check_wave_speed,
@@ -270,6 +287,7 @@ def _wave_speed_kernel(batch: BatchedTiming, ctx: MetricContext,
 @register_kernel(
     "decay_rate",
     fields=("beta", "slope_beta", "initial_amplitude", "survival_hops"),
+    reads=("idle", "completion"),
     params=("direction",),
     needs_delay=True,
     check=_check_decay,
@@ -287,6 +305,7 @@ def _decay_rate_kernel(batch: BatchedTiming, ctx: MetricContext,
     "desync",
     fields=("final_skew", "max_skew", "mean_skew", "desync_onset_step",
             "overlap_efficiency"),
+    reads=("exec_end", "completion", "idle"),
     params=("fraction",),
     check=_check_desync,
     doc="Desynchronization indices: skew spread, onset, overlap efficiency.",
@@ -312,6 +331,7 @@ def _desync_kernel(batch: BatchedTiming, ctx: MetricContext,
 @register_kernel(
     "idle_histogram",
     fields=("n_idle_periods", "mean_idle", "max_idle", "p95_idle"),
+    reads=("idle",),
     doc="Idle-period distribution summary per draw.",
 )
 def _idle_histogram_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
@@ -343,6 +363,7 @@ def _idle_histogram_kernel(batch: BatchedTiming, ctx: MetricContext) -> dict:
 @register_kernel(
     "fourier",
     fields=("dominant_mode", "dominant_wavelength", "mode_fraction"),
+    reads=("completion",),
     params=("step",),
     check=_check_fourier,
     doc="Spatial Fourier summary of the per-rank skew profile at one step.",

@@ -8,9 +8,10 @@
    so a huge sweep is never materialized whole; misses dispatch
    through the campaign runtime with batching, and a pooled run
    streams too, reading back the records its workers wrote;
-2. each grid point's draws are folded into one ``(B, P, S)``
-   :class:`~repro.core.timing.BatchedTiming` as they arrive and
-   every metric kernel runs once per point (vectorized over draws — no
+2. each grid point's draws are read into one ``(B, P, S)``
+   :class:`~repro.core.timing.BatchedTiming` holding only the matrices
+   the report's kernels read (:attr:`CompiledReport.reads`), and every
+   metric kernel runs once per point (vectorized over draws — no
    per-draw loop); the stack is dropped before the next point loads;
 3. per-draw metric arrays are pooled by the report's ``group_by`` paths
    and reduced with the requested statistics into the final table.
@@ -188,22 +189,23 @@ def run_report(
         with telemetry.span("report.fetch", scenario=target.scenario.name):
             stream = stream_campaign(target.sweep.tasks(), store=store,
                                      jobs=jobs)
-            values = iter(stream)
+            stacks = stream.stacks(report.reads, [
+                (draws, c.cfg.n_ranks, c.cfg.n_steps) for _, c in points])
             # Build the first point's stack inside the fetch span: a
             # cache miss runs the whole campaign here, and the first
             # point's draws are read — later points are read lazily
             # (from the store when cached or written by pool workers),
             # so such a sweep is never materialized whole.
-            timing = BatchedTiming.from_records(
-                values, draws, meta=_point_meta(points[0][1]))
+            timing = BatchedTiming(**next(stacks),
+                                   meta=_point_meta(points[0][1]))
         telemetry.emit("report.phase", phase="metrics",
                        scenario=target.scenario.name, n_points=len(points))
         with telemetry.span("report.metrics", scenario=target.scenario.name,
                             n_points=len(points)):
             for overrides, compiled_point in points:
                 if timing is None:
-                    timing = BatchedTiming.from_records(
-                        values, draws, meta=_point_meta(compiled_point))
+                    timing = BatchedTiming(**next(stacks),
+                                           meta=_point_meta(compiled_point))
                 ctx = MetricContext(compiled=compiled_point)
 
                 group = {}

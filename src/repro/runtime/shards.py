@@ -15,8 +15,10 @@ array segment holding every ndarray field's bytes::
 Arrays are stored as raw bytes with their dtype/shape/order recorded in
 the JSON descriptor, so a read rebuilds them without a decode step: it
 reads the record's array segment into one fresh buffer and views each
-array out of it.  Reads copy on purpose — nothing of a shard stays
-mapped or resident after the read returns.
+array out of it.  A read may instead name the arrays it wants and a
+destination for each: only those are read, each straight into its
+destination when it can land there as-is.  Reads copy on purpose —
+nothing of a shard stays mapped or resident after the read returns.
 
 Next to each shard lives a sidecar index ``<shard>.idx``: one JSON line
 per entry (key, offset, lengths, and the listing metadata ``entries()``
@@ -142,16 +144,40 @@ def _parse_dtype(descr: str) -> np.dtype:
     return np.lib.format.descr_to_dtype(descr)
 
 
-def _reconstruct(segment: np.ndarray, descr: Mapping) -> np.ndarray:
-    """Rebuild one array from its descriptor as a view into ``segment``,
-    a record's freshly read (writable, caller-owned) array segment."""
+def _dtype(descr: Mapping) -> np.dtype:
     dtype = descr["dtype"]
-    dtype = (_parse_dtype(dtype) if isinstance(dtype, str)
-             else np.lib.format.descr_to_dtype(dtype))
+    return (_parse_dtype(dtype) if isinstance(dtype, str)
+            else np.lib.format.descr_to_dtype(dtype))
+
+
+def _reconstruct(buffer: np.ndarray, descr: Mapping,
+                 offset: int) -> np.ndarray:
+    """Rebuild one array from its descriptor as a view into ``buffer``, a
+    freshly read (writable, caller-owned) buffer holding its bytes at
+    ``offset``."""
     shape = tuple(descr["shape"])
-    flat = np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
-                         offset=int(descr["offset"]))
+    flat = np.frombuffer(buffer, dtype=_dtype(descr),
+                         count=math.prod(shape), offset=offset)
     return flat.reshape(shape, order=descr.get("order", "C"))
+
+
+def _read_array(fh, descr: Mapping, dest: np.ndarray) -> np.ndarray:
+    """The array ``descr`` describes, read at ``fh``'s position.
+
+    It is read straight into ``dest`` (and ``dest`` returned) when it can
+    land there as-is: same dtype and shape, stored in C order, and a
+    writable C-contiguous ``dest``.  Any other array is read into a
+    fresh buffer of its own, for the caller to copy.
+    """
+    nbytes = int(descr["nbytes"])
+    lands = (descr.get("order", "C") == "C"
+             and tuple(descr["shape"]) == dest.shape
+             and _dtype(descr) == dest.dtype
+             and dest.flags.c_contiguous and dest.flags.writeable)
+    buffer = dest if lands else np.empty(nbytes, dtype=np.uint8)
+    if fh.readinto(buffer) < nbytes:
+        raise OSError("shard truncated under a live index")
+    return dest if lands else _reconstruct(buffer, descr, 0)
 
 
 class PackedShards:
@@ -449,33 +475,55 @@ class PackedShards:
             entry = self._index.get(key)
         return entry
 
-    def read(self, key: str) -> "tuple[ShardEntry, dict] | None":
-        """Load ``(entry, value)`` for a key, or ``None`` on a miss.
+    def read(self, key: str,
+             into: "Mapping[str, np.ndarray] | None" = None,
+             ) -> "tuple[ShardEntry, dict, int, int] | None":
+        """Load ``(entry, value, bytes read, arrays read)`` for a key, or
+        ``None`` on a miss.
 
         ``value`` is the caller-facing result dict: plain fields plus
         arrays viewed out of one freshly allocated, writable buffer that
         holds the record's array segment (8-aligned, owned by the caller
-        alone).
+        alone).  With ``into`` (array name -> destination) only the
+        arrays it names are read, each as :func:`_read_array` reads it;
+        one the record lacks is absent from ``value``.
         """
         entry = self.lookup(key)
         if entry is None:
             return None
         try:
             with open(self.root / entry.shard, "rb") as fh:
+                # A torn entry is a miss even where the read skips the
+                # torn bytes.
+                if os.fstat(fh.fileno()).st_size < entry.end:
+                    raise OSError("shard truncated under a live index")
                 fh.seek(entry.offset + _HEADER.size)
                 payload = fh.read(entry.json_len)
-                segment = np.empty(entry.arr_len, dtype=np.uint8)
-                n_read = fh.readinto(segment)
-            if len(payload) < entry.json_len or n_read < entry.arr_len:
-                raise OSError("shard truncated under a live index")
-            record = json.loads(payload)
-            value = dict(record.get("value", {}))
-            for name, descr in record.get("arrays", {}).items():
-                value[name] = _reconstruct(segment, descr)
+                if len(payload) < entry.json_len:
+                    raise OSError("shard truncated under a live index")
+                record = json.loads(payload)
+                value = dict(record.get("value", {}))
+                descrs = record.get("arrays", {})
+                if into is None:
+                    segment = np.empty(entry.arr_len, dtype=np.uint8)
+                    if fh.readinto(segment) < entry.arr_len:
+                        raise OSError("shard truncated under a live index")
+                    for name, descr in descrs.items():
+                        value[name] = _reconstruct(segment, descr,
+                                                   int(descr["offset"]))
+                    return (entry, value, entry.json_len + entry.arr_len,
+                            len(descrs))
+                segment_at = fh.tell()
+                wanted = [name for name in into if name in descrs]
+                nbytes = entry.json_len
+                for name in wanted:
+                    fh.seek(segment_at + int(descrs[name]["offset"]))
+                    value[name] = _read_array(fh, descrs[name], into[name])
+                    nbytes += int(descrs[name]["nbytes"])
+                return entry, value, nbytes, len(wanted)
         except (OSError, ValueError, KeyError, TypeError):
             # Torn shard tail, raced compaction, or corrupt descriptor
             # (a missing field, or one of the wrong type): the store
             # contract is "unreadable counts as a miss".
             self._index.pop(key, None)
             return None
-        return entry, value

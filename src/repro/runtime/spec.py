@@ -157,15 +157,18 @@ class RunSpec:
 
     @classmethod
     def _canonical(cls, fn: str, params: tuple, seed: "int | None",
-                   index: int) -> "RunSpec":
+                   index: int, key: str) -> "RunSpec":
         """A spec from ``params`` that are already canonical ``(name,
         value)`` pairs sorted by name, and a plain ``int`` (or ``None``)
         seed: what ``__post_init__`` would store, without walking the
-        values again.  :meth:`SweepSpec.tasks` builds its tasks here.
+        values again, with its :attr:`key` already computed.
+        :meth:`SweepSpec.tasks` builds its tasks here.
         """
         spec = object.__new__(cls)
+        # ``key`` lands in the instance dict, where the cached property
+        # would have put it.
         for name, value in (("fn", fn), ("params", params), ("seed", seed),
-                            ("index", index)):
+                            ("index", index), ("key", key)):
             object.__setattr__(spec, name, value)
         return spec
 
@@ -206,6 +209,34 @@ class RunSpec:
         return {"fn": self.fn, "params": dict(self.params), "seed": self.seed}
 
 
+def _json(value: Any) -> str:
+    """Deterministic JSON text (sorted keys, no spaces, repr-exact floats)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _param_json(name: str, value: Any) -> str:
+    """One parameter's ``"name":value`` entry of the hashed payload."""
+    return f"{_json(name)}:{_json(value)}"
+
+
+def _key_payload(fn_json: str, params: "list[str]",
+                 seed: "int | None") -> str:
+    """The text :func:`spec_key` hashes, spliced from the function
+    path's JSON text and each parameter's :func:`_param_json` text in
+    name order.
+
+    It is the text ``_json({"fn": fn, "params": {...}, "seed": seed})``
+    gives: JSON text composes, so a value serialized on its own reads
+    the same inside the document.
+    """
+    return (f'{{"fn":{fn_json},"params":{{{",".join(params)}}},'
+            f'"seed":{_json(seed)}}}')
+
+
+def _hash(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
 def spec_key(spec: RunSpec) -> str:
     """SHA-256 content hash of a task spec (hex, truncated to 32 chars).
 
@@ -215,11 +246,9 @@ def spec_key(spec: RunSpec) -> str:
     (sorted keys, repr-exact floats) of the fields ``__post_init__``
     already normalized, so nothing is canonicalized twice.
     """
-    payload = json.dumps(
-        {"fn": spec.fn, "params": dict(spec.params), "seed": spec.seed},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+    return _hash(_key_payload(
+        _json(spec.fn), [_param_json(k, v) for k, v in spec.params],
+        spec.seed))
 
 
 @dataclass(frozen=True)
@@ -281,27 +310,29 @@ class SweepSpec:
             n *= len(values)
         return n
 
-    def points(self) -> "list[dict]":
-        """The grid points (axis-value dicts) in expansion order."""
-        names = [n for n, _ in self.axes]
-        grids = [v for _, v in self.axes]
-        return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
-
     def tasks(self) -> "tuple[RunSpec, ...]":
         """Expand into concrete, deterministically seeded tasks.
 
         Equal, task for task, to ``RunSpec(fn, params, seed, index)``
-        called with each point's parameters.  Each base value is
-        canonicalized once per expansion, not once per task, so the
-        tasks share those canonical objects: task code must not mutate
-        its parameters.  Each task canonicalizes its own point values.
+        called with each point's parameters.  Each base and axis value
+        is canonicalized, and serialized for the key, once per
+        expansion, not once per task: the tasks share those canonical
+        objects (task code must not mutate its parameters), and each
+        task's key payload is spliced from their JSON texts.
         """
         _check_fn(self.fn)
-        base = [(str(k), canonical(v, path=str(k))) for k, v in self.base]
+        fn_json = _json(self.fn)
+        # Each entry: a canonical (name, value) pair and its JSON text.
+        base = [((name, value), _param_json(name, value)) for name, value
+                in ((str(k), canonical(v, path=str(k))) for k, v in self.base)]
+        axes = [[((name, value), _param_json(name, value)) for value
+                 in (canonical(v, path=name) for v in values)]
+                for name, values in self.axes]
         specs = []
-        for i, point in enumerate(self.points()):
-            params = tuple(sorted([*base, *((k, canonical(v, path=k))
-                                            for k, v in point.items())]))
+        for i, point in enumerate(itertools.product(*axes)):
+            entries = sorted([*base, *point], key=lambda e: e[0][0])
             seed = derive_seed(self.base_seed, i) if self.seeded else None
-            specs.append(RunSpec._canonical(self.fn, params, seed, i))
+            key = _hash(_key_payload(fn_json, [t for _, t in entries], seed))
+            specs.append(RunSpec._canonical(
+                self.fn, tuple(p for p, _ in entries), seed, i, key))
         return tuple(specs)

@@ -92,24 +92,33 @@ class ResultStore:
 
     # -- read ---------------------------------------------------------
 
-    def get(self, key: str) -> "dict | None":
+    def get(self, key: str,
+            into: "Mapping[str, np.ndarray] | None" = None) -> "dict | None":
         """Load the stored result for ``key``, or ``None`` on a miss.
 
         A record whose bytes are unreadable — a torn shard tail, a
         corrupt descriptor — counts as a miss: the task is simply
         recomputed and the record rewritten.  Array fields are fresh
         writable arrays owned by the caller.
+
+        ``into`` (array field name -> destination array) reads only the
+        arrays it names, each straight into its destination when it can
+        land there as-is (same dtype and shape, C order): the value then
+        holds the destination itself.  Any other named array is read
+        into a fresh buffer for the caller to copy, a named array the
+        record lacks is absent from the value, and an unnamed one is not
+        read at all.  ``store.read_bytes`` counts the bytes read: the
+        JSON payload plus each array read.
         """
         with telemetry.span("store.get") as sp:
-            hit = self._shards.read(key)
+            hit = self._shards.read(key, into)
             if hit is None:
                 telemetry.count("store.get.misses")
                 return None
-            entry, value = hit
-            nbytes = entry.json_len + entry.arr_len
+            _, value, nbytes, n_arrays = hit
             telemetry.count("store.get.hits")
             telemetry.count("store.read_bytes", nbytes)
-            sp.set(bytes=nbytes, n_arrays=entry.n_arrays)
+            sp.set(bytes=nbytes, n_arrays=n_arrays)
         return value
 
     # -- write --------------------------------------------------------

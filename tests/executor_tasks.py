@@ -51,3 +51,16 @@ def hard_exit_task(code: int = 1, replicate: int = 0, seed: int = 0) -> dict:
     the serial backend the hosting process is *your* process.
     """
     os._exit(int(code))
+
+
+def timing_probe_task(n_ranks: int = 3, n_steps: int = 4, replicate: int = 0,
+                      seed: int = 0) -> dict:
+    """A timing record of seeded ``[n_ranks, n_steps]`` matrices.
+
+    Shaped like a report timing task's value, so the report stream's
+    stacking can be exercised without the simulator.
+    """
+    rng = np.random.default_rng(seed)
+    return {"seed": int(seed),
+            **{name: rng.random((int(n_ranks), int(n_steps)))
+               for name in ("exec_end", "completion", "idle")}}

@@ -398,4 +398,5 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_kernel("runtime", fields=("x",))(lambda b, c: {"x": []})
+            register_kernel("runtime", fields=("x",), reads=("idle",))(
+                lambda b, c: {"x": []})

@@ -1,12 +1,18 @@
 """Unit tests for RunSpec / SweepSpec and content hashing."""
 
+import hashlib
+import itertools
+import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import RunSpec, SweepSpec, canonical, derive_seed, \
     run_campaign, spec_key
+from repro.runtime.spec import _json, _key_payload, _param_json
 
 
 class TestCanonical:
@@ -161,6 +167,53 @@ class TestLiteralKeys:
         assert spec.key == key
 
 
+#: Plain JSON data: what a canonical parameter value can be.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _dumped(fn, params, seed) -> str:
+    """The hashed document, serialized whole."""
+    return json.dumps({"fn": fn, "params": dict(params), "seed": seed},
+                      sort_keys=True, separators=(",", ":"))
+
+
+class TestSplicedKeys:
+    """Key payloads are spliced from values serialized one at a time; the
+    splice must be the whole document's ``json.dumps``, byte for byte."""
+
+    @settings(max_examples=200)
+    @given(fn=st.text(min_size=1, max_size=12),
+           params=st.dictionaries(st.text(max_size=6), _JSON_VALUES,
+                                  max_size=5),
+           seed=st.none() | st.integers())
+    def test_spliced_payload_is_the_dumped_document(self, fn, params, seed):
+        pairs = sorted((k, canonical(v)) for k, v in params.items())
+        spliced = _key_payload(
+            _json(fn), [_param_json(k, v) for k, v in pairs], seed)
+        assert spliced == _dumped(fn, pairs, seed)
+
+    @settings(max_examples=60)
+    @given(base=st.dictionaries(st.text(min_size=1, max_size=6),
+                                _JSON_VALUES, max_size=4),
+           axis=st.lists(_JSON_VALUES, min_size=1, max_size=3),
+           base_seed=st.integers(0, 2**32), seeded=st.booleans())
+    def test_sweep_task_keys_hash_the_dumped_document(self, base, axis,
+                                                      base_seed, seeded):
+        assume("ax" not in base and not (seeded and "seed" in base))
+        sweep = SweepSpec(fn="m:f", base=base, axes=(("ax", tuple(axis)),),
+                          base_seed=base_seed, seeded=seeded)
+        for task in sweep.tasks():
+            payload = _dumped(task.fn, task.params, task.seed)
+            assert task.key == \
+                hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+            assert task.key == spec_key(task)
+
+
 class TestSweepSpec:
     def sweep(self, **kw):
         defaults = dict(
@@ -175,7 +228,7 @@ class TestSweepSpec:
     def test_size_and_grid_order(self):
         sweep = self.sweep(axes=(("a", (1, 2)), ("b", ("x", "y", "z"))))
         assert sweep.size == 6
-        points = sweep.points()
+        points = [{k: t.kwargs[k] for k in "ab"} for t in sweep.tasks()]
         assert points[0] == {"a": 1, "b": "x"}
         assert points[1] == {"a": 1, "b": "y"}  # last axis fastest
         assert points[-1] == {"a": 2, "b": "z"}
@@ -218,6 +271,13 @@ class TestSweepSpec:
         assert [t.kwargs["seed"] for t in tasks] == [1, 2]
 
 
+def grid_points(sweep: SweepSpec) -> "list[dict]":
+    """The sweep's grid points (axis-value dicts), last axis fastest."""
+    names = [name for name, _ in sweep.axes]
+    return [dict(zip(names, combo))
+            for combo in itertools.product(*(v for _, v in sweep.axes))]
+
+
 class TestSweepExpansion:
     """``SweepSpec.tasks`` canonicalizes each base value once per
     expansion; its tasks must be exactly the specs built one by one."""
@@ -227,7 +287,7 @@ class TestSweepExpansion:
         for label, sweep in shipped_sweeps:
             tasks = sweep.tasks()
             assert len(tasks) == sweep.size, label
-            for i, (task, point) in enumerate(zip(tasks, sweep.points())):
+            for i, (task, point) in enumerate(zip(tasks, grid_points(sweep))):
                 seed = derive_seed(sweep.base_seed, i) if sweep.seeded \
                     else None
                 one = RunSpec(sweep.fn, {**dict(sweep.base), **point},
@@ -274,7 +334,7 @@ class TestSweepExpansion:
         with pytest.raises(TypeError) as expanded:
             sweep.tasks()
         with pytest.raises(TypeError) as single:
-            RunSpec("m:f", {**dict(sweep.base), **sweep.points()[0]},
+            RunSpec("m:f", {**dict(sweep.base), **grid_points(sweep)[0]},
                     derive_seed(0, 0), 0)
         assert str(expanded.value) == str(single.value)
         assert "table['rows'][0]" in str(expanded.value)
