@@ -1,29 +1,27 @@
 """Benchmark: worker-health plumbing overhead on the pool backend.
 
 The health layer (per-unit ``/proc`` resource samples recorded into
-each worker's telemetry snapshot, and the stall watchdog's timed-wait
-scan loop) runs on every observed pool campaign, so it inherits the
-obs-layer contract: cheap enough to leave on.  Measured on a 128-draw
-batched DAG campaign over two pool workers, a fully watched run
-(recorder + renderer + default watchdog + health samples + the ledger
-record) must cost **< 2%** over an unwatched one — both sides timed as a min over
-*interleaved* repetitions, pool startup excluded from neither (the
-comparison is like-for-like).  Pool scheduling carries an irreducible
+each worker's telemetry snapshot) runs on every observed pool campaign,
+so it inherits the obs-layer contract: cheap enough to leave on.
+Measured on a 128-draw batched DAG campaign over two pool workers, a
+fully watched run (recorder + renderer + health samples + the ledger
+record) must cost **< 2%** over an unwatched one — both sides timed as
+a min over *interleaved* repetitions, pool startup excluded from
+neither (the comparison is like-for-like).  Pool scheduling carries an irreducible
 few-millisecond jitter even under min-of-reps, so the in-test assert
 allows a small absolute noise floor on top of the 2% — the committed
 ``speedup`` ratio in ``baselines/BENCH_health.json`` is the durable
 cross-run gate.
 
-The component costs are gated separately so a regression names its
-culprit: one :func:`sample_resources` call must stay under 200 µs, and
-a watchdog scan of a 64-unit in-flight table under 1 ms.
+The component cost is gated separately so a regression names its
+culprit: one :func:`sample_resources` call must stay under 200 µs.
 """
 
 import io
 import time
 
 from repro import telemetry
-from repro.obs.health import StallWatchdog, sample_resources
+from repro.obs.health import sample_resources
 from repro.obs.ledger import RunTracker
 from repro.obs.progress import ProgressRenderer
 from repro.runtime import run_campaign
@@ -74,7 +72,7 @@ def _interleaved_mins(fn_a, fn_b, reps: int) -> "tuple[float, float]":
 
 
 def test_bench_health_watched_pool_overhead(once, bench_record):
-    """A watched 128-draw pool campaign (health + watchdog) costs < 2%."""
+    """A watched 128-draw pool campaign (health samples) costs < 2%."""
     tasks = _forced_dag_tasks()
 
     def plain():
@@ -138,26 +136,3 @@ def test_bench_health_sample_cost(bench_record):
     assert per_sample < 200e-6, (
         f"sample_resources costs {per_sample * 1e6:.0f} us"
     )
-
-
-def test_bench_health_watchdog_scan_cost(bench_record):
-    """Scanning a 64-unit in-flight table stays under 1 ms."""
-    from repro.runtime.spec import RunSpec
-
-    wd = StallWatchdog(multiple=4.0, min_stall_s=3600.0, poll_s=0.25)
-    now = time.perf_counter()
-    in_flight = {
-        object(): (((i, RunSpec(fn="repro.runtime.tasks:lockstep_delay_task",
-                                index=i, params={}, seed=i)),), now)
-        for i in range(64)
-    }
-    wd.scan(in_flight, now=now)  # warm
-    n = 200
-    t0 = time.perf_counter()
-    for _ in range(n):
-        wd.scan(in_flight, now=now)
-    per_scan = (time.perf_counter() - t0) / n
-    assert wd.n_stalled == 0  # nothing past a one-hour floor
-    bench_record(n_units=64, t_per_scan_s=per_scan)
-    print(f"\nwatchdog scan (64 units): {per_scan * 1e6:.1f} us")
-    assert per_scan < 1e-3, f"watchdog scan costs {per_scan * 1e6:.0f} us"

@@ -96,48 +96,3 @@ def test_bench_runtime_cache_hit(once, tmp_path, monkeypatch, bench_record):
     assert warm.n_cached == len(tasks) and warm.n_executed == 0
     assert warm.values() == cold.values()
     assert t_warm < t_cold / 2
-
-
-def test_bench_runtime_chaos_recovery(chaos_mode, once, bench_record):
-    """Campaign under deterministic worker deaths (``--chaos`` only).
-
-    Installs a 25% abort-rate chaos spec bounded to one worker death per
-    task and reruns the standard sweep.  The campaign must heal under
-    pool respawn to bit-identical values; the recovery economics
-    (respawns, re-dispatches, overhead ratio vs. the fault-free run)
-    land in the benchmark ledger so the respawn tax is trend-tracked.
-    """
-    import warnings
-
-    from repro.runtime import chaos
-    from repro.runtime.chaos import ChaosSpec
-
-    tasks = SWEEP.tasks()
-    t0 = time.perf_counter()
-    clean = run_campaign(tasks, jobs=4)
-    t_clean = time.perf_counter() - t0
-    assert not clean.failures
-
-    chaos.install(ChaosSpec(seed=7, abort_rate=0.25, max_faults_per_task=1))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            chaotic = once(run_campaign, tasks, jobs=4)
-    finally:
-        chaos.uninstall()
-    t_chaotic = chaotic.elapsed
-
-    print(f"\nfault-free {t_clean:.2f}s vs chaotic {t_chaotic:.2f}s "
-          f"({chaotic.n_pool_respawns} respawns, "
-          f"{chaotic.n_retried} re-dispatches)")
-    bench_record(n_runs=N_RUNS, jobs=4, abort_rate=0.25,
-                 t_clean_s=t_clean, t_chaotic_s=t_chaotic,
-                 n_retried=chaotic.n_retried,
-                 n_pool_respawns=chaotic.n_pool_respawns,
-                 retries_per_task=chaotic.n_retried / len(tasks),
-                 overhead=t_chaotic / max(t_clean, 1e-9))
-
-    # Injected faults must be invisible in the data.
-    assert not chaotic.failures
-    assert chaotic.n_pool_respawns > 0
-    assert chaotic.values() == clean.values()

@@ -22,21 +22,6 @@ import pytest
 _RECORDS: "dict[str, dict[str, dict]]" = {}
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--chaos", action="store_true", default=False,
-        help="run the chaos-injection benchmarks: campaigns under "
-             "deterministic fault injection, asserting recovery and "
-             "recording respawn overhead (skipped by default)")
-
-
-@pytest.fixture
-def chaos_mode(request):
-    """Skip unless the session opted into chaos benchmarks."""
-    if not request.config.getoption("--chaos"):
-        pytest.skip("chaos benchmarks run only with --chaos")
-
-
 @pytest.fixture
 def once(benchmark):
     """Run the callable exactly once inside the benchmark timer."""

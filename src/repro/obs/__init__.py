@@ -10,7 +10,7 @@ consumers match them by name, and the schema version is
   (throughput, cache-hit rate, EWMA-based ETA) subscribed to the
   recorder.
 - :mod:`repro.obs.health` — worker resource samples (recorded as
-  ``worker.*`` histograms) and the pool's stall watchdog.
+  ``worker.*`` histograms).
 - :mod:`repro.obs.ledger` / :mod:`repro.obs.session` — per-run
   provenance records under ``<cache-dir>/runs/``, each built from the
   run recorder's snapshot, and the :func:`observe_run` context manager

@@ -10,8 +10,8 @@
 ``ls`` lists the recorded runs, oldest first (filterable by
 scenario/report name and status; ``-n N`` keeps the N most recent);
 ``show`` reconstructs one run's full provenance — spec key, seed root,
-engine, cache economics, worker health (stalls, heartbeats, peak RSS),
-recovery economics, failure summaries, telemetry file, artifact paths,
+engine, cache economics, worker health (heartbeats, peak RSS), the
+resumed run, failure summaries, telemetry file, artifact paths,
 phases — from its ledger record (unambiguous id prefixes work), and with
 ``--telemetry`` renders the linked telemetry summary inline; ``diff``
 compares two runs.
@@ -142,13 +142,9 @@ def _cmd_show(args) -> int:
         ("finished", _fmt_when(r.get("finished_unix"))),
         ("events", r.get("n_events")),
         ("telemetry", r.get("telemetry") or "-"),
-        ("stalls", r.get("n_stalls")),
         ("heartbeats", r.get("n_heartbeats")),
         ("worker rss peak", human_bytes(r["worker_rss_peak_bytes"])
          if r.get("worker_rss_peak_bytes") else "-"),
-        ("retried", r.get("n_retried")),
-        ("quarantined", r.get("n_quarantined")),
-        ("pool respawns", r.get("n_pool_respawns")),
         ("resumed from", r.get("resumed_from") or "-"),
     ]
     for label, value in rows:

@@ -36,8 +36,11 @@ __all__ = ["EVENT_VERSION", "RUN_RECORD_VERSION", "RunLedger", "RunTracker",
 #: interpretable.  v2 added the fault-tolerance events: ``task.retry``,
 #: ``task.quarantined``, ``pool.respawn``.  v3 removed
 #: ``worker.heartbeat``: worker health samples are now the
-#: ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.
-EVENT_VERSION = 3
+#: ``worker.rss_bytes`` / ``worker.cpu_s`` histograms.  v4 removed the
+#: pool-only ``task.stall``, ``task.retry``, ``task.quarantined`` and
+#: ``pool.respawn``: a dead worker ends the campaign, and nothing is
+#: watched, re-dispatched or quarantined.
+EVENT_VERSION = 4
 
 #: Schema version of ledger records; bump together with field changes.
 #: v2 added the worker-health fields: ``n_stalls``, ``n_heartbeats``,
@@ -47,8 +50,10 @@ EVENT_VERSION = 3
 #: dropped ``retry_wasted_s`` with the in-worker retries that filled it;
 #: ``n_retried`` now counts only re-dispatches after a worker death.  v5
 #: added ``phases`` (seconds per direct child of the root span) and
-#: ``counters`` (the recorder's counters).
-RUN_RECORD_VERSION = 5
+#: ``counters`` (the recorder's counters).  v6 dropped ``n_stalls``,
+#: ``n_retried``, ``n_quarantined`` and ``n_pool_respawns`` with the
+#: events that filled them.
+RUN_RECORD_VERSION = 6
 
 #: Failure summaries kept per record — enough to diagnose, bounded so a
 #: 10k-task wreck cannot bloat the ledger.
@@ -100,7 +105,7 @@ class RunTracker:
         The first ``run.start`` payload gives the run's identity (kind,
         name, totals, spec key, seed root, engine, jobs); ``kind`` and
         ``name`` stand in when it has none.  Event counts give the task
-        and recovery economics, the ``worker.rss_bytes`` samples (one
+        and cache economics, the ``worker.rss_bytes`` samples (one
         per pool unit) give ``n_heartbeats`` and
         ``worker_rss_peak_bytes``, and ``phases`` maps each direct child
         of the root span to its summed seconds.
@@ -141,10 +146,6 @@ class RunTracker:
             "finished_unix": finished_unix,
             "failures": list(self.failures),
             "failed_tasks": failed_tasks[:_MAX_FAILURES],
-            "n_stalls": counts["task.stall"],
-            "n_retried": counts["task.retry"],
-            "n_quarantined": counts["task.quarantined"],
-            "n_pool_respawns": counts["pool.respawn"],
             "resumed_from": self.resumed_from,
             "n_heartbeats": int(rss[0]),
             "worker_rss_peak_bytes": int(rss[3]),
@@ -164,17 +165,8 @@ def render_run_summary(record: dict) -> str:
     """
     status = record["status"]
     mark = "" if status == "ok" else f" {status.upper()}"
-    extras = ""
-    if record.get("n_stalls"):
-        extras += f", {record['n_stalls']} stall(s)"
-    if record.get("n_retried"):
-        extras += f", {record['n_retried']} retried"
-    if record.get("n_quarantined"):
-        extras += f", {record['n_quarantined']} quarantined"
-    if record.get("n_pool_respawns"):
-        extras += f", {record['n_pool_respawns']} pool respawn(s)"
-    if record.get("resumed_from"):
-        extras += f", resumed from {record['resumed_from']}"
+    extras = (f", resumed from {record['resumed_from']}"
+              if record.get("resumed_from") else "")
     return (f"[run {record['id']}{mark}: {record['n_tasks']} task(s), "
             f"{record['n_failed']} failed, {record['n_cached']} cache "
             f"hit(s){extras}, {record['wall_s']:.2f}s]")

@@ -58,9 +58,6 @@ class ProgressRenderer:
         self.done = 0
         self.cached = 0
         self.failed = 0
-        self.stalled = 0
-        self.retried = 0
-        self.quarantined = 0
         self.phase: "str | None" = None
         self._t0 = time.perf_counter()
         self._last_paint = 0.0
@@ -89,12 +86,6 @@ class ProgressRenderer:
                 self.failed += 1
             else:
                 self._note_completion()
-        elif name == "task.stall":
-            self.stalled += 1
-        elif name == "task.retry":
-            self.retried += 1
-        elif name == "task.quarantined":
-            self.quarantined += 1
         elif name == "report.phase":
             self.phase = data.get("phase")
         elif name == "run.finish":
@@ -127,12 +118,6 @@ class ProgressRenderer:
             parts.append(f"cache {100.0 * self.cached / self.done:.0f}%")
         if self.failed:
             parts.append(f"{self.failed} failed")
-        if self.stalled:
-            parts.append(f"{self.stalled} stalled!")
-        if self.retried:
-            parts.append(f"{self.retried} retried")
-        if self.quarantined:
-            parts.append(f"{self.quarantined} quarantined!")
         if self.phase:
             parts.append(f"phase={self.phase}")
         eta = self._eta()
@@ -187,7 +172,7 @@ class ProgressRenderer:
         starts on a fresh line.  A renderer that saw no events writes
         nothing.
         """
-        if not self._last_len and not self.done and not self.stalled:
+        if not self._last_len and not self.done:
             return
         self._paint(self._line())
         self.stream.write("\n")

@@ -121,13 +121,6 @@ def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
         "n_executed": record.get("n_executed"),
         "n_failed": record.get("n_failed"),
         "cache_hit_rate": record.get("cache_hit_rate"),
-        "n_stalls": record.get("n_stalls"),
-        # v3 fault-tolerance economics: the re-dispatch family lets the
-        # trend gate flag a crash storm (a workload that still passes but
-        # now kills workers) as a regression, not silence.
-        "n_retried": record.get("n_retried"),
-        "n_quarantined": record.get("n_quarantined"),
-        "n_pool_respawns": record.get("n_pool_respawns"),
         # 0 here means "no heartbeat sampled" (serial or fully cached
         # run), not "zero memory" — recording it would make the next
         # real measurement an infinite regression against a zero EWMA.
@@ -139,8 +132,6 @@ def metrics_from_run_record(record: Mapping) -> "tuple[str, dict, dict]":
     n_tasks = metrics.get("n_tasks")
     if wall and n_tasks:
         metrics["tasks_per_s"] = n_tasks / wall
-    if n_tasks and metrics.get("n_retried") is not None:
-        metrics["retries_per_task"] = metrics["n_retried"] / n_tasks
     context = {"run_id": record.get("id"), "jobs": record.get("jobs"),
                "status": record.get("status"),
                "spec_key": record.get("spec_key")}

@@ -9,7 +9,7 @@ slow CI machine shifts the average by ``alpha``, not to itself.
 
 Direction rules are purely name-based (the history is schema-free):
 
-- ``*_s``, ``*_bytes``, ``phase.*``, ``n_stalls``, ``n_failed`` —
+- ``*_s``, ``*_bytes``, ``phase.*``, ``n_failed`` —
   lower is better (time, memory, trouble);
 - ``speedup``, ``*_speedup``, ``tasks_per_s`` — higher is better;
 - anything else (hit rates, counts, sizes) is informational — workload
@@ -44,9 +44,7 @@ def metric_direction(name: str) -> "str | None":
         return "higher"
     if (name.endswith("_s") or name.endswith("_bytes")
             or name.startswith("phase.")
-            or name in ("n_stalls", "n_failed", "n_retried",
-                        "n_quarantined", "n_pool_respawns",
-                        "retries_per_task")):
+            or name == "n_failed"):
         return "lower"
     return None
 
@@ -96,7 +94,7 @@ def analyze_history(by_label: "Mapping[str, Sequence[Mapping]]",
             if max(abs(ewma), abs(value)) < _MIN_SCALE:
                 continue
             if ewma <= 0:
-                # A zero baseline (e.g. n_stalls) has no meaningful
+                # A zero baseline (e.g. n_failed) has no meaningful
                 # ratio; any positive latest value is the regression.
                 ratio = float("inf") if value > 0 else 1.0
             else:

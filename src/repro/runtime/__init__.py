@@ -14,7 +14,8 @@ into first-class, schedulable work:
 - :mod:`repro.runtime.executor` — a serial backend and a
   ``concurrent.futures.ProcessPoolExecutor`` backend that shard tasks
   across cores, stream results back as they complete, and isolate
-  per-task failures instead of killing the campaign.
+  per-task failures instead of killing the campaign (a dead worker ends
+  it, and a rerun on the same store computes only what is missing).
 - :mod:`repro.runtime.store` — a content-addressed on-disk result store
   (packed append-only shards with a sidecar index, keyed by the task
   hash) so repeated invocations skip already-computed runs.
@@ -46,8 +47,8 @@ from repro import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".chaos": ("ChaosError", "ChaosSpec"),
-    ".executor": ("QUARANTINE_AFTER", "CampaignResult", "TaskBatcher",
-                  "TaskError", "TaskResult", "resolve_jobs", "run_campaign"),
+    ".executor": ("CampaignResult", "TaskBatcher", "TaskError",
+                  "TaskResult", "resolve_jobs", "run_campaign"),
     ".seeding": ("derive_seed", "seed_sequence"),
     ".spec": ("RunSpec", "SweepSpec", "canonical", "spec_key"),
     ".store": ("GcStats", "ResultStore", "StoreError"),

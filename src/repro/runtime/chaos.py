@@ -1,16 +1,14 @@
-"""Deterministic chaos injection for the campaign runtime.
+"""Deterministic worker deaths for the campaign runtime.
 
-The fault-tolerance machinery (pool respawn, quarantine, torn shard
-recovery) is only trustworthy if it is *tested against real faults* —
-workers that die mid-task, shard files with garbage tails.  This module
-is the testing substrate: a :class:`ChaosSpec` describes fault rates,
-and every injection decision is a pure function of the chaos seed and
-what it is about (a task key and attempt, or a stored key), so a chaos
-run is exactly reproducible — the same tasks fault on the same attempts
-regardless of job count or pool scheduling.  That is what lets the
-property tests assert that a ``--jobs 2`` sweep under injected worker
-deaths produces store records byte-identical to a fault-free serial
-run.
+A dead worker ends a pooled campaign, and a rerun on the same store
+computes only the tasks it lacks (:mod:`repro.runtime.executor`).  That
+path runs only when a worker really dies, so this module kills workers
+on purpose: a :class:`ChaosSpec` gives an abort rate, and whether a task
+aborts is a pure function of the chaos seed and the task key.  A chaos
+run is therefore exactly reproducible — the same tasks abort regardless
+of job count or pool scheduling — which lets the tests assert that a
+``--jobs 2`` sweep killed by injected deaths, then rerun without chaos
+on its store, holds records byte-identical to a fault-free serial run.
 
 Installation is process-global and travels two ways:
 
@@ -19,21 +17,9 @@ Installation is process-global and travels two ways:
   into pool worker processes under any start method — workers load it
   lazily on their first injection check (:func:`active`).
 
-Fault kinds (both off by default):
-
-- ``abort_rate`` — kill the hosting process via ``os._exit`` (a hard
-  worker death: exercises broken-pool recovery).  Degrades to a raised
-  :class:`ChaosError` outside a multiprocessing child, so a serial run
-  cannot take down the calling process;
-- ``torn_write_rate`` — after a successful packed-shard append, write a
-  garbage partial record at the shard tail and retire the writer handle
-  (simulating a writer killed mid-append; the committed record stays
-  readable and recovery must scan around the torn tail).
-
-An abort's ``attempt`` is the number of workers the task has already
-killed, which the executor passes in.  ``max_faults_per_task`` bounds
-injection per task: attempts at or above it always run clean, so a
-bound below the executor's ``quarantine_after`` heals under respawn.
+An abort kills the hosting process via ``os._exit``.  Outside a
+multiprocessing child it degrades to a raised :class:`ChaosError`, so a
+serial run cannot take down the calling process.
 """
 
 from __future__ import annotations
@@ -42,10 +28,10 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = ["ChaosError", "ChaosSpec", "ENV_VAR", "active", "install",
-           "maybe_inject", "maybe_inject_block", "torn_shard_write",
-           "uninstall"]
+           "maybe_inject", "uninstall"]
 
 #: Environment variable carrying a JSON-encoded :class:`ChaosSpec` into
 #: worker processes (and CLI runs: ``REPRO_CHAOS='{"seed":7,...}'``).
@@ -58,20 +44,15 @@ class ChaosError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Fault rates and the seed that makes their injection deterministic."""
+    """The abort rate and the seed that makes its injection deterministic."""
 
     seed: int = 0
     abort_rate: float = 0.0
-    torn_write_rate: float = 0.0
-    max_faults_per_task: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("abort_rate", "torn_write_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.max_faults_per_task < 0:
-            raise ValueError("max_faults_per_task must be >= 0")
+        if not 0.0 <= self.abort_rate <= 1.0:
+            raise ValueError(
+                f"abort_rate must be in [0, 1], got {self.abort_rate}")
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosSpec":
@@ -86,22 +67,19 @@ class ChaosSpec:
                 f"expected a subset of {sorted(known)}")
         return cls(**data)
 
-    def roll(self, kind: str, key: str, attempt: int) -> float:
-        """The uniform draw deciding fault ``kind`` for one attempt.
+    def roll(self, task_key: str) -> float:
+        """The uniform draw deciding whether the task aborts.
 
-        A pure hash of ``(seed, kind, key, attempt)`` mapped to ``[0, 1)``
-        — no RNG state, no process affinity: every process asking about
-        the same attempt gets the same answer.  ``key`` is a task key for
-        an abort and a stored key for a torn write.
+        A pure hash of ``(seed, task_key)`` mapped to ``[0, 1)`` — no RNG
+        state, no process affinity: every process asking about the same
+        task gets the same answer.
         """
-        digest = hashlib.sha256(
-            f"{self.seed}:{kind}:{key}:{attempt}".encode()).digest()
+        digest = hashlib.sha256(f"{self.seed}:{task_key}".encode()).digest()
         return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
-    def aborts(self, task_key: str, attempt: int) -> bool:
-        """Whether this attempt of the task kills its worker."""
-        return (attempt < self.max_faults_per_task and self.abort_rate > 0
-                and self.roll("abort", task_key, attempt) < self.abort_rate)
+    def aborts(self, task_key: str) -> bool:
+        """Whether the task kills its worker."""
+        return self.abort_rate > 0 and self.roll(task_key) < self.abort_rate
 
 
 # Process-global installation.  ``_env_checked`` makes the common no-op
@@ -141,44 +119,22 @@ def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def maybe_inject(task_key: str, attempt: int) -> None:
-    """Abort this task attempt if the spec says so (no-op without one).
+def maybe_inject(task_keys: "Iterable[str]") -> None:
+    """Abort a task or batched block if any of its tasks aborts.
 
-    Called by the executor immediately before running a task.  An abort
-    hard-kills a worker process; in the parent process (serial backend)
-    it degrades to a raised :class:`ChaosError` so chaos can never kill
-    the campaign driver itself.
+    Called by the executor immediately before running a task or a
+    block (no-op without a spec).  An abort hard-kills a worker
+    process; in the parent process (serial backend) it degrades to a
+    raised :class:`ChaosError` so chaos can never kill the campaign
+    driver itself.
     """
     spec = active()
-    if spec is None or not spec.aborts(task_key, attempt):
+    if spec is None:
         return
-    if _in_worker():
-        os._exit(37)
-    raise ChaosError(
-        f"injected abort (degraded to exception outside a worker) "
-        f"for task {task_key} attempt {attempt}")
-
-
-def maybe_inject_block(task_keys: "list[str]") -> None:
-    """Abort a batched block if any member task aborts on attempt 0.
-
-    Batched blocks run through the engine in one call, so per-task
-    injection cannot reach inside them; instead the whole block dies,
-    which exercises exactly the production path: the pool respawns and
-    probes the block's tasks as singletons, where per-task injection
-    takes over.  A block only ever runs on its members' first dispatch.
-    """
     for key in task_keys:
-        maybe_inject(key, 0)
-
-
-def torn_shard_write(key: str) -> bool:
-    """Whether to tear the shard tail after ``key``'s entry committed.
-
-    Decided per ``(seed, key)`` alone, so the same puts tear the same
-    entries in every process and every run; the caller performs the
-    actual tear.
-    """
-    spec = active()
-    return (spec is not None and spec.torn_write_rate > 0
-            and spec.roll("torn", key, 0) < spec.torn_write_rate)
+        if spec.aborts(key):
+            if _in_worker():
+                os._exit(37)
+            raise ChaosError(
+                f"injected abort (degraded to exception outside a worker) "
+                f"for task {key}")

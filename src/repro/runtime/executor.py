@@ -31,15 +31,12 @@ values.
 exception (with its traceback, captured inside the worker) is recorded
 on that task's :class:`TaskResult` and every other shard proceeds.  A
 raised exception is final: every task is a pure function of its spec
-and baked-in seed, so running it again would raise again.  The one
-fault that re-execution heals is a dead worker, which takes innocent
-in-flight tasks down with it: a **broken pool is respawned** (segfault,
-OOM kill, ``os._exit``), the in-flight tasks are re-enqueued and probed
-*one at a time* on a fresh pool so a repeat death attributes the kill
-to exactly one task, and a task that kills workers ``quarantine_after``
-times is **quarantined** — recorded as a typed failure
-(:attr:`TaskResult.quarantined`), never dispatched again — so one
-poison task cannot wedge a campaign.
+and baked-in seed, so running it again would raise again.  A dead
+worker (segfault, OOM kill, ``os._exit``) breaks the pool and ends the
+campaign: every task not yet finished fails with an error that says so.
+The store is the recovery: each worker has already written the records
+it finished, so a rerun on the same store (or ``--resume RUN_ID``)
+computes only the tasks the store lacks.
 
 **Who writes a record.**  The process that computes a value writes it
 to the store.  The serial backend computes, writes and keeps its values
@@ -76,13 +73,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import telemetry
+# Imported here, before any pool forks, so observed workers inherit it.
+from repro.obs.health import sample_resources
 from repro.runtime import chaos
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ResultStore, StoreError
 
 __all__ = [
     "CampaignResult",
-    "QUARANTINE_AFTER",
     "TaskBatcher",
     "TaskError",
     "TaskResult",
@@ -94,11 +92,11 @@ __all__ = [
 # without materializing one future per task for huge sweeps.
 _INFLIGHT_PER_JOB = 4
 
-#: Default number of worker kills after which a task is quarantined.
-#: The first kill is ambiguous (every in-flight task is a suspect);
-#: subsequent kills happen in one-at-a-time probe isolation, so two
-#: probe deaths on top of one group death is decisive.
-QUARANTINE_AFTER = 3
+#: The error of every task a dead worker left unfinished.
+_WORKER_DIED = (
+    "task not finished: a pool worker died (killed by the OS, a crash or "
+    "os._exit) and ended the campaign; rerun on the same --cache-dir (or "
+    "with --resume RUN_ID) to compute only the tasks the store lacks")
 
 
 class TaskError(RuntimeError):
@@ -114,8 +112,7 @@ class TaskResult:
     is the task's own wall-clock seconds (0 for cache hits); tasks
     executed inside a batched block report the block's wall clock
     divided evenly across its tasks, since the engine computes them as
-    one inseparable call.  ``quarantined`` marks a task the executor
-    refused to run again after it repeatedly killed workers.
+    one inseparable call.
 
     ``payload`` is the value when this process holds it.  A task a pool
     worker wrote to ``store`` holds none: :attr:`value` reads its record
@@ -127,7 +124,6 @@ class TaskResult:
     error: "str | None" = None
     cached: bool = False
     duration: float = 0.0
-    quarantined: bool = False
     store: "ResultStore | None" = field(default=None, repr=False,
                                         compare=False)
 
@@ -157,18 +153,14 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """All task outcomes of one campaign, in task (spec) order.
-
-    ``n_retried`` counts re-dispatches of tasks a worker death took
-    down; ``n_pool_respawns`` the times a broken pool was replaced.
-    Both are 0 for serial runs.
-    """
+    """All task outcomes of one campaign, in task (spec) order."""
 
     results: "tuple[TaskResult, ...]"
     jobs: int = 1
     elapsed: float = 0.0
-    n_retried: int = 0
-    n_pool_respawns: int = 0
+
+    #: No task is ever re-dispatched; ``perfbench/trace.py`` reads it.
+    n_retried = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -278,7 +270,7 @@ class TaskBatcher:
         raise NotImplementedError
 
 
-def _execute(spec: RunSpec, attempt: int = 0) -> "tuple[str, Any, float]":
+def _execute(spec: RunSpec) -> "tuple[str, Any, float]":
     """Worker entry point: run one task, capturing any exception.
 
     Returns ``("ok", value, duration)`` or ``("error", traceback_text,
@@ -286,18 +278,16 @@ def _execute(spec: RunSpec, attempt: int = 0) -> "tuple[str, Any, float]":
     would not survive pickling — travel back to the parent as plain
     data.  The duration comes from an always-timed ``executor.task``
     telemetry span around the task code itself, so pool queue wait
-    never inflates it.  ``attempt`` is the number of workers this task
-    has already killed; it only keys chaos injection, so a bounded
-    injected abort heals under pool respawn.  ``KeyboardInterrupt`` and
-    ``SystemExit`` propagate: in the serial backend they must abort the
-    campaign, and in a worker the pool machinery reports them anyway.
+    never inflates it.  ``KeyboardInterrupt`` and ``SystemExit``
+    propagate: in the serial backend they must abort the campaign, and
+    in a worker the pool machinery reports them anyway.
     """
     status, payload = "ok", None
     telemetry.emit("task.start", index=spec.index)
     with telemetry.timed_span("executor.task", fn=spec.fn) as sp:
         try:
             if chaos.active() is not None:
-                chaos.maybe_inject(spec.key, attempt)
+                chaos.maybe_inject((spec.key,))
             payload = spec.call()
         except Exception:  # noqa: BLE001 — isolation is the whole point
             status, payload = "error", traceback.format_exc()
@@ -322,7 +312,7 @@ def _execute_block(
     with telemetry.timed_span("executor.block", n_tasks=len(unit)) as sp:
         try:
             if chaos.active() is not None:
-                chaos.maybe_inject_block([spec.key for spec in unit])
+                chaos.maybe_inject([spec.key for spec in unit])
             values = batcher.execute(unit)
         except Exception:  # noqa: BLE001 — degrade to per-task isolation
             failure = (
@@ -386,7 +376,6 @@ def _execute_unit(
     batcher: "TaskBatcher | None",
     own: bool = False,
     submit_t: "float | None" = None,
-    attempt: int = 0,
     store: "ResultStore | None" = None,
 ) -> "tuple[list[tuple], dict | None]":
     """Run one unit (a single task or a batched block) plus its telemetry.
@@ -404,9 +393,7 @@ def _execute_unit(
     sample no worker health).  ``submit_t`` is the parent's
     ``perf_counter()`` at submission: ``perf_counter`` is system-wide
     monotonic on Linux, so the difference is the unit's pool queue wait.
-    ``attempt`` is handed to :func:`_execute` for a single-task unit; a
-    multi-task block only ever runs on its first dispatch.  With a
-    ``store`` (pool workers only) the values are written there before
+    With a ``store`` (pool workers only) the values are written there before
     the snapshot closes (see :func:`_store_outcomes`), so the writes'
     telemetry travels home with the unit.
     """
@@ -417,14 +404,12 @@ def _execute_unit(
             telemetry.observe("executor.queue_wait_s",
                               max(0.0, time.perf_counter() - submit_t))
         if len(unit) == 1 or batcher is None:
-            outcomes = [_execute(spec, attempt) for spec in unit]
+            outcomes = [_execute(spec) for spec in unit]
         else:
             outcomes = _execute_block(unit, batcher)
         if store is not None:
             outcomes = _store_outcomes(unit, outcomes, store)
         if own:
-            from repro.obs.health import sample_resources
-
             health = sample_resources()
             telemetry.observe("worker.rss_bytes", health["rss_bytes"])
             telemetry.observe("worker.cpu_s", health["cpu_s"])
@@ -441,11 +426,9 @@ def _execute_in_worker(
     batcher: "TaskBatcher | None",
     own: bool,
     submit_t: float,
-    attempt: int,
 ) -> "tuple[list[tuple], dict | None]":
     """Pool entry point: :func:`_execute_unit` into the worker's store."""
-    return _execute_unit(unit, batcher, own, submit_t, attempt,
-                         store=_worker_store)
+    return _execute_unit(unit, batcher, own, submit_t, store=_worker_store)
 
 
 def _plan_units(
@@ -501,8 +484,6 @@ def run_campaign(
     jobs: "int | None" = 1,
     store: "ResultStore | None" = None,
     batcher: "TaskBatcher | None" = None,
-    watchdog: "Any | None" = None,
-    quarantine_after: int = QUARANTINE_AFTER,
 ) -> CampaignResult:
     """Execute a campaign of tasks, sharded, cached, and optionally batched.
 
@@ -524,16 +505,6 @@ def run_campaign(
         cache misses into blocks executed by one call each.  Results,
         cache addressing, and failure semantics are unchanged — batching
         only reduces per-task invocation overhead.
-    watchdog:
-        Optional :class:`repro.obs.health.StallWatchdog` for the pool
-        backend.  When the run is observed (telemetry enabled) and none
-        is given, a default watchdog is installed; pass one to tune its
-        thresholds (tests inject aggressive ones).  Serial runs never
-        use it — stall detection is pool-only by the determinism
-        contract.  A stall is a warning: the unit is left to finish.
-    quarantine_after:
-        Worker kills after which a task is quarantined instead of
-        re-probed (see the module docstring).
 
     Returns
     -------
@@ -545,9 +516,6 @@ def run_campaign(
     and terminal events; the run lifecycle (``run.start`` /
     ``run.finish``) belongs to the runner that calls it.
     """
-    if quarantine_after < 1:
-        raise ValueError(
-            f"quarantine_after must be >= 1, got {quarantine_after}")
     specs = tuple(specs)
     jobs = resolve_jobs(jobs)
     slots: "list[TaskResult | None]" = [None] * len(specs)
@@ -568,7 +536,6 @@ def run_campaign(
         else:
             telemetry.emit("task.failed", index=result.index)
 
-    n_retried = n_respawns = 0
     # ``elapsed`` is the span's wall clock, measured whether or not
     # telemetry is on and recorded only if a profiling run is live.
     with telemetry.timed_span("campaign.run", n_tasks=len(specs),
@@ -594,17 +561,10 @@ def run_campaign(
                 for (pos, spec), outcome in zip(unit, outcomes):
                     finish(pos, _as_task_result(spec, *outcome))
         else:
-            n_retried, n_respawns = _run_pool(
-                units, jobs, batcher, finish, watchdog, quarantine_after,
-                store)
+            _run_pool(units, jobs, batcher, finish, store)
 
-    return CampaignResult(
-        results=tuple(slots),
-        jobs=jobs,
-        elapsed=campaign_span.duration,
-        n_retried=n_retried,
-        n_pool_respawns=n_respawns,
-    )
+    return CampaignResult(results=tuple(slots), jobs=jobs,
+                          elapsed=campaign_span.duration)
 
 
 def _import_task_code(
@@ -629,12 +589,6 @@ def _import_task_code(
             pass
 
 
-class _PoolBroke(Exception):
-    """Internal: a worker died hard; ``units`` are the crash suspects."""
-
-    def __init__(self, units: "list[tuple]") -> None:
-        super().__init__("worker pool broke")
-        self.units = units
 
 
 def _run_pool(
@@ -642,10 +596,8 @@ def _run_pool(
     jobs: int,
     batcher: "TaskBatcher | None",
     finish: "Callable[[int, TaskResult], None]",
-    watchdog: "Any | None" = None,
-    quarantine_after: int = QUARANTINE_AFTER,
     store: "ResultStore | None" = None,
-) -> "tuple[int, int]":
+) -> None:
     """Shard execution units over a process pool, streaming completions.
 
     A unit is one task or one batched block; blocks travel to a worker
@@ -654,222 +606,126 @@ def _run_pool(
     task that actually fails is lost — the same per-task isolation as
     unbatched execution.
 
-    Every pool (the first and each respawn) hands its workers ``store``
-    to write their values to; a unit whose writes failed ends the
-    campaign with its :class:`~repro.runtime.store.StoreError`, raised
-    once the running units have finished and the pool has shut down.
+    The pool hands its workers ``store`` to write their values to; a
+    unit whose writes failed ends the campaign with its
+    :class:`~repro.runtime.store.StoreError`, raised once the running
+    units have finished and the pool has shut down.
 
     A **broken pool** (a worker killed by the OS or ``os._exit``
-    mid-task) is survived by respawning: the generation's in-flight
-    units become crash suspects, a fresh pool is started
-    (``pool.respawn`` event), and the suspects are re-dispatched as
-    singletons *one at a time* — probe isolation — so a repeat death is
-    attributed to exactly one task.  Each re-dispatch emits
-    ``task.retry`` and runs with its worker-death count as the attempt
-    (see :func:`_execute`).  A task whose crash count reaches
-    ``quarantine_after`` is quarantined: finished as a typed failure
-    (``task.quarantined`` event, :attr:`TaskResult.quarantined`) and
-    never submitted again.  Submit errors never propagate out of here:
-    if the pool cannot even be (re)started, the remaining tasks are
-    recorded as failures and the campaign result stays complete.  Every
-    position sits in exactly one place until it finishes — pending,
-    probe, block re-runs, or in flight — so each finishes once.
+    mid-task) ends the campaign: nothing more is submitted, units that
+    returned before the break keep their results, and every other task
+    fails with :data:`_WORKER_DIED`.  A pool that cannot start and a
+    unit that cannot be submitted fail their tasks too, each with a note
+    of its own, so the campaign result stays complete and each task
+    finishes exactly once.
 
     When the run is observed, each returned unit's snapshot (spans,
     events, and the worker's health histograms) is merged into the live
-    recorder, and between completions a
-    :class:`~repro.obs.health.StallWatchdog` scans the in-flight table,
-    emitting ``task.stall`` for units out far longer than the EWMA task
-    duration.  A stall is a warning: the unit keeps running.
+    recorder.
 
     ``KeyboardInterrupt``/``SystemExit`` shut the pool down deliberately
     — queued futures cancelled, running workers not waited for — and
     re-raise, so an interrupt never leaves the campaign wedged on dead
     futures.
-
-    Returns ``(n_retried, n_respawns)`` — the recovery economics
-    :func:`run_campaign` folds into the campaign result.  A respawn is
-    counted when a broken pool is replaced, not when it breaks: the last
-    broken pool of a campaign whose suspects were all quarantined is
-    never replaced.
     """
     _import_task_code(units, batcher)
     max_workers = min(jobs, len(units))
     window = max_workers * _INFLIGHT_PER_JOB
     pending: "deque" = deque(units)
-    probe: "deque" = deque()  # crash suspects, probed one at a time
-    crashes: "dict[int, int]" = {}  # position -> worker kills survived
-    n_retried = n_respawns = 0
+    in_flight: dict = {}
     own = telemetry.enabled()
-    if watchdog is None and own:
-        from repro.obs.health import StallWatchdog
-
-        watchdog = StallWatchdog()
+    broken = False
     telemetry.gauge("executor.jobs", max_workers)
 
-    def apply_unit(unit, outcomes, snap) -> None:
-        """Fold one returned unit in: its snapshot, then its results."""
-        # Worker spans land under the live campaign.run span with their
-        # counters/histograms summed in, and worker lifecycle events are
-        # re-sequenced onto the recorder.  A died block's events never
-        # came back, so its re-run singletons are the only events its
-        # tasks produce.
-        telemetry.merge_snapshot(snap)
-        if watchdog is not None:
-            for outcome in outcomes:
-                watchdog.note_duration(outcome[2])
-        for (pos, spec), outcome in zip(unit, outcomes):
-            finish(pos, _as_task_result(spec, *outcome, store=store))
-
     def fail_unit(unit, note: str) -> None:
-        telemetry.count("executor.not_attempted", len(unit))
         for pos, spec in unit:
             finish(pos, _as_task_result(spec, "error", note, 0.0))
 
-    def fail_remaining(note: str) -> None:
-        while probe:
-            fail_unit(probe.popleft(), note)
-        while pending:
-            fail_unit(pending.popleft(), note)
+    try:
+        pool = ProcessPoolExecutor(max_workers=max_workers,
+                                   initializer=_init_worker,
+                                   initargs=(store,))
+    except OSError as exc:  # resources exhausted: give up cleanly
+        for unit in pending:
+            fail_unit(unit, f"task not attempted: cannot start a worker "
+                            f"pool: {exc}")
+        return
 
-    def absorb_crash(suspect_units) -> None:
-        """Sort a broken generation's casualties into probe vs quarantine."""
-        nonlocal n_retried
-        for unit in suspect_units:
-            for entry in unit:
-                pos, spec = entry
-                n = crashes[pos] = crashes.get(pos, 0) + 1
-                if n >= quarantine_after:
-                    telemetry.count("executor.quarantined")
-                    telemetry.emit("task.quarantined", index=spec.index)
-                    finish(pos, TaskResult(
-                        spec=spec, quarantined=True,
-                        error=(f"quarantined after killing its worker "
-                               f"{n} time(s); not retried again"),
-                    ))
-                else:
-                    n_retried += 1
-                    telemetry.count("executor.task_redispatches")
-                    telemetry.emit("task.retry", index=spec.index, attempt=n)
-                    probe.append((entry,))
-
-    while pending or probe:
+    def submit_unit(unit) -> None:
+        nonlocal broken
+        _emit_dispatch(unit)
+        submit_t = time.perf_counter()
         try:
-            pool = ProcessPoolExecutor(max_workers=max_workers,
-                                       initializer=_init_worker,
-                                       initargs=(store,))
-        except OSError as exc:  # resources exhausted: give up cleanly
-            fail_remaining(f"task not attempted: cannot start a worker "
-                           f"pool: {exc}")
-            break
-        in_flight: dict = {}
-        block_retries: "deque" = deque()  # healthy-pool singleton re-runs
+            future = pool.submit(_execute_in_worker,
+                                 tuple(spec for _, spec in unit), batcher,
+                                 own, submit_t)
+        except BrokenProcessPool:
+            broken = True
+            fail_unit(unit, _WORKER_DIED)
+            return
+        except Exception:  # shutdown races, unpicklable spec
+            fail_unit(unit, "task not attempted: submit failed\n"
+                      + traceback.format_exc())
+            return
+        in_flight[future] = unit
 
-        def submit_unit(unit) -> None:
-            spec_block = tuple(spec for _, spec in unit)
-            _emit_dispatch(unit)
-            submit_t = time.perf_counter()
-            # Probe units are singletons; a multi-task block never holds
-            # a position that killed a worker, so its attempt is 0.
-            attempt = crashes.get(unit[0][0], 0)
-            try:
-                future = pool.submit(_execute_in_worker, spec_block,
-                                     batcher, own, submit_t, attempt)
-            except BrokenProcessPool:
-                raise _PoolBroke([unit] + [u for u, _ in in_flight.values()])
-            except Exception:  # shutdown races, unpicklable spec
-                fail_unit(unit, "task not attempted: submit failed\n"
-                          + traceback.format_exc())
-                return
-            in_flight[future] = (unit, submit_t)
-
-        def refill() -> None:
-            # Probe isolation: while crash suspects are queued, run them
-            # strictly one at a time with nothing else in flight.  (Loop:
-            # a suspect whose submit failed leaves nothing in flight.)
-            if probe:
-                while probe and not in_flight and not block_retries:
-                    submit_unit(probe.popleft())
-                return
-            while len(in_flight) < window:
-                if block_retries:
-                    unit = block_retries.popleft()
-                elif pending:
-                    unit = pending.popleft()
-                else:
-                    break
-                submit_unit(unit)
-
-        try:
-            refill()
-            while in_flight:
-                timeout = watchdog.poll_s if watchdog is not None else None
-                done, _ = wait(in_flight, timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                if watchdog is not None:
-                    watchdog.scan(in_flight)
-                for future in done:
-                    unit, _submit_t = in_flight.pop(future)
-                    if watchdog is not None:
-                        watchdog.forget(future)
-                    try:
-                        outcomes, snap = future.result()
-                    except BrokenProcessPool:
-                        raise _PoolBroke(
-                            [unit] + [u for u, _ in in_flight.values()])
-                    except StoreError:  # a worker's write failed
-                        raise
-                    except Exception:  # result unpicklable, pool intact
-                        if len(unit) > 1:
-                            # Don't fail the whole block for one bad task:
-                            # retry its tasks individually (at most once
-                            # each) — loudly, or a systematic batcher defect
-                            # would hide behind green per-task retries at
-                            # ~2x the work.
-                            warnings.warn(
-                                f"batched block of {len(unit)} tasks failed "
-                                "to return from its worker; retrying per "
-                                "task:\n" + traceback.format_exc(),
-                                RuntimeWarning, stacklevel=2,
-                            )
-                            telemetry.count("executor.block_retries")
-                            block_retries.extend((entry,) for entry in unit)
-                            continue
-                        outcomes, snap = [("error", traceback.format_exc(),
-                                           0.0)], None
-                    apply_unit(unit, outcomes, snap)
-                refill()
-        except _PoolBroke as broke:
-            pool.shutdown(wait=False, cancel_futures=True)
-            # Units queued for healthy-pool re-runs were never submitted
-            # to the broken pool: they go back to pending, not to probe.
-            while block_retries:
-                pending.appendleft(block_retries.pop())
-            absorb_crash(broke.units)
-            if pending or probe:
-                n_respawns += 1
-                telemetry.count("executor.pool_respawns")
-                warnings.warn(
-                    f"worker pool broke ({len(broke.units)} unit(s) in "
-                    "flight); respawning and re-dispatching the suspects "
-                    "one at a time", RuntimeWarning, stacklevel=2)
-                telemetry.emit("pool.respawn")
-            continue
-        except StoreError:
-            # A worker could not write: queue nothing more, and return
-            # only once no worker is left appending to the store.
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        except BaseException:
-            # ^C / SystemExit / unexpected error: deliberate shutdown —
-            # cancel everything queued, do not wait on running workers,
-            # and let the exception propagate.  A worker still running
-            # cuts an append that a ^C interrupts back to the previous
-            # entry, so nothing is torn.
-            for future in in_flight:
-                future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return n_retried, n_respawns
+    try:
+        while True:
+            while pending and not broken and len(in_flight) < window:
+                submit_unit(pending.popleft())
+            if not in_flight:
+                break
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                unit = in_flight.pop(future)
+                try:
+                    outcomes, snap = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    fail_unit(unit, _WORKER_DIED)
+                    continue
+                except StoreError:  # a worker's write failed
+                    raise
+                except Exception:  # result unpicklable, pool intact
+                    if len(unit) > 1:
+                        # Don't fail the whole block for one bad task:
+                        # re-run its tasks individually (once each, ahead
+                        # of the pending units) — loudly, or a systematic
+                        # batcher defect would hide behind green per-task
+                        # re-runs at ~2x the work.
+                        warnings.warn(
+                            f"batched block of {len(unit)} tasks failed "
+                            "to return from its worker; retrying per "
+                            "task:\n" + traceback.format_exc(),
+                            RuntimeWarning, stacklevel=2,
+                        )
+                        telemetry.count("executor.block_retries")
+                        pending.extendleft(
+                            (entry,) for entry in reversed(unit))
+                        continue
+                    outcomes, snap = [("error", traceback.format_exc(),
+                                       0.0)], None
+                # Worker spans land under the live campaign.run span with
+                # their counters/histograms summed in, and worker
+                # lifecycle events are re-sequenced onto the recorder.
+                telemetry.merge_snapshot(snap)
+                for (pos, spec), outcome in zip(unit, outcomes):
+                    finish(pos, _as_task_result(spec, *outcome, store=store))
+    except StoreError:
+        # A worker could not write: queue nothing more, and return only
+        # once no worker is left appending to the store.
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    except BaseException:
+        # ^C / SystemExit / unexpected error: deliberate shutdown —
+        # cancel everything queued, do not wait on running workers, and
+        # let the exception propagate.  A worker still running cuts an
+        # append that a ^C interrupts back to the previous entry, so
+        # nothing is torn.
+        for future in in_flight:
+            future.cancel()
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown(wait=True, cancel_futures=True)
+    for unit in pending:  # left only when a worker died
+        fail_unit(unit, _WORKER_DIED)

@@ -52,7 +52,6 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro import telemetry
-from repro.runtime import chaos
 
 __all__ = ["PackedShards", "SHARD_DIR", "SHARD_FORMAT_VERSION",
            "ShardEntry", "StoreError"]
@@ -343,26 +342,7 @@ class PackedShards:
         self._index[key] = entry
         self._covered[name] = entry.end
         telemetry.count("store.shard.appends")
-        if chaos.active() is not None and chaos.torn_shard_write(key):
-            self._tear_tail(shard_fh, name)
         return entry
-
-    def _tear_tail(self, shard_fh, name: str) -> None:
-        """Chaos hook: simulate this writer crashing mid-append.
-
-        Writes a garbage partial header at the shard tail — after the
-        committed entry, whose index line is already durable — then
-        retires the writer handles so the next append opens a fresh
-        shard, exactly like a replacement process would.  Readers must
-        scan around the torn tail (:meth:`scan_shard` stops at it).
-        """
-        try:
-            shard_fh.write(_MAGIC + b"\x7f\x7f\x7f")
-            shard_fh.flush()
-        except OSError:  # pragma: no cover - chaos on a full disk
-            pass
-        self._close_writer()
-        telemetry.count("store.shard.chaos_tears")
 
     # -- index maintenance ----------------------------------------------
 

@@ -8,7 +8,6 @@ names these as ``"executor_tasks:<function>"``.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -28,19 +27,6 @@ def failing_task(message: str = "synthetic task failure", replicate: int = 0,
                  seed: int = 0) -> dict:
     """Raise — the stock task for exercising campaign failure isolation."""
     raise RuntimeError(f"{message} (seed={seed})")
-
-
-def sleeping_task(duration_s: float = 0.1, replicate: int = 0,
-                  seed: int = 0) -> dict:
-    """Sleep for ``duration_s`` wall-clock seconds, then return it.
-
-    The stock slow-but-healthy task: the watchdog tests mix one long
-    sleeper into a pool of fast tasks to provoke a ``task.stall``
-    warning without faking clocks or killing workers.
-    """
-    time.sleep(float(duration_s))
-    return {"slept_s": float(duration_s), "replicate": int(replicate),
-            "seed": int(seed)}
 
 
 def hard_exit_task(code: int = 1, replicate: int = 0, seed: int = 0) -> dict:

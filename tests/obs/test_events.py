@@ -119,4 +119,4 @@ class TestModuleFastPath:
 
 class TestVocabulary:
     def test_event_version_is_an_int(self):
-        assert EVENT_VERSION == 3
+        assert EVENT_VERSION == 4

@@ -85,18 +85,6 @@ class TestRunTracker:
         assert r["name"] == "fig7"
         assert r["n_tasks"] == 1  # falls back to observed completions
 
-    def test_recovery_counts_come_from_the_events(self):
-        r = record_of(recorded(
-            ("task.stall", {"index": 0}),
-            ("pool.respawn", {}),
-            ("task.retry", {"index": 1, "attempt": 1}),
-            ("pool.respawn", {}),
-            ("task.retry", {"index": 1, "attempt": 2}),
-            ("task.quarantined", {"index": 1}),
-        ))
-        assert (r["n_stalls"], r["n_retried"], r["n_quarantined"],
-                r["n_pool_respawns"]) == (1, 2, 1, 2)
-
     def test_failure_summaries_are_bounded(self):
         t = RunTracker()
         for i in range(50):

@@ -101,11 +101,7 @@ class TestPoolEventMerge:
         pool, pool_rec = observed_campaign(
             tasks, jobs=2, batcher=ScenarioTaskBatcher())
         assert pool.values() == serial.values()
-        # task.stall is pool-only by design; the lifecycle stream
-        # itself must match serial exactly.
-        pool_counts = {name: n for name, n in pool_rec.counts().items()
-                       if name != "task.stall"}
-        assert pool_counts == serial_rec.counts()
+        assert pool_rec.counts() == serial_rec.counts()
         assert sorted(terminal_indexes(pool_rec)) == list(range(12))
 
     def test_unbatched_pool_merges_worker_task_starts(self):

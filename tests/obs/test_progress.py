@@ -110,14 +110,6 @@ class TestRenderer:
         r.clear()  # idempotent: nothing left to erase
         assert out.getvalue() == before
 
-    def test_stalls_warn_in_the_line(self):
-        r = ProgressRenderer(stream=io.StringIO(), interval=0)
-        feed(r,
-             ("run.start", {"n_tasks": 4}),
-             ("task.stall", {"index": 2}),
-             ("task.stall", {"index": 3}))
-        assert "2 stalled!" in r._line()
-
     def test_shrinking_line_is_padded_clean(self):
         out = io.StringIO()
         r = ProgressRenderer(stream=out, interval=0)

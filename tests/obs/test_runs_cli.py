@@ -426,12 +426,8 @@ class TestPinnedOutput:
   finished         2026-08-08 12:08:02Z
   events           40
   telemetry        -
-  stalls           1
   heartbeats       6
   worker rss peak  70.0 MiB
-  retried          2
-  quarantined      0
-  pool respawns    1
   resumed from     -
   artifacts        2
     /out/a.csv

@@ -85,12 +85,12 @@ class TestAdapters:
             "id": "run-1", "kind": "scenario.sweep", "name": "rate",
             "status": "ok", "jobs": 2, "wall_s": 2.0, "n_tasks": 16,
             "n_cached": 4, "n_executed": 12, "n_failed": 0,
-            "cache_hit_rate": 0.25, "n_stalls": 1,
+            "cache_hit_rate": 0.25,
             "worker_rss_peak_bytes": 1 << 20,
         })
         assert label == "scenario.sweep/rate/j2"
         assert metrics["tasks_per_s"] == pytest.approx(8.0)
-        assert metrics["n_stalls"] == 1.0
+        assert metrics["n_failed"] == 0.0
         assert context["run_id"] == "run-1"
 
     def test_run_record_adapter_emits_phase_metrics(self):
@@ -118,7 +118,7 @@ class TestTrend:
         assert metric_direction("wall_s") == "lower"
         assert metric_direction("phase.campaign.run_s") == "lower"
         assert metric_direction("worker_rss_peak_bytes") == "lower"
-        assert metric_direction("n_stalls") == "lower"
+        assert metric_direction("n_failed") == "lower"
         assert metric_direction("speedup") == "higher"
         assert metric_direction("tasks_per_s") == "higher"
         assert metric_direction("cache_hit_rate") is None  # informational
@@ -146,13 +146,13 @@ class TestTrend:
         assert analyze_history(by_label) == []
 
     def test_zero_baseline_flags_any_positive_latest(self):
-        records = [new_record("a", "manual", {"n_stalls": 0, "wall_s": 1.0},
+        records = [new_record("a", "manual", {"n_failed": 0, "wall_s": 1.0},
                               ts=1.0),
-                   new_record("a", "manual", {"n_stalls": 2, "wall_s": 1.0},
+                   new_record("a", "manual", {"n_failed": 2, "wall_s": 1.0},
                               ts=2.0)]
         findings = {f["metric"]: f for f in analyze_history({"a": records})}
-        assert findings["n_stalls"]["status"] == "regression"
-        assert findings["n_stalls"]["ratio"] == float("inf")
+        assert findings["n_failed"]["status"] == "regression"
+        assert findings["n_failed"]["ratio"] == float("inf")
 
 
 class TestPerfCli:

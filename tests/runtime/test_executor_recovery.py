@@ -1,25 +1,20 @@
-"""Fault-tolerant execution: pool recovery, quarantine, ^C."""
+"""Fault-tolerant execution: a dead worker ends the campaign and the
+store recovers it; ^C."""
 
 import json
 import os
-import warnings
 
 import pytest
 
 from repro import telemetry
-from repro.runtime import (
-    ChaosSpec,
-    ResultStore,
-    RunSpec,
-    SweepSpec,
-    run_campaign,
-)
-from repro.runtime import chaos, executor
+from repro.runtime import ResultStore, RunSpec, SweepSpec, run_campaign
+from repro.runtime import executor
 from repro.runtime.cli import store_main
 from repro.runtime.shards import SHARD_DIR, PackedShards
 
 PROBE = "executor_tasks:rng_probe_task"
 HARD_EXIT = "executor_tasks:hard_exit_task"
+TERMINAL = ("task.done", "task.failed", "task.cache_hit")
 
 
 def probe_sweep(n_tasks=6, base_seed=3):
@@ -31,102 +26,44 @@ def probe_sweep(n_tasks=6, base_seed=3):
     )
 
 
-@pytest.fixture(autouse=True)
-def clean_chaos(monkeypatch):
-    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    chaos.uninstall()
-    yield
-    chaos.uninstall()
-
-
 class TestPoolRecovery:
-    def test_transient_worker_death_recovers(self):
-        """A worker killed on a task's first dispatch must not cost the
-        task: the pool respawns, and the re-dispatch runs as attempt 1,
-        which the one-fault bound leaves clean."""
-        tasks = probe_sweep(n_tasks=6).tasks()
-        clean = run_campaign(tasks, jobs=1)
-        chaos.install(ChaosSpec(seed=0, abort_rate=1.0,
-                                max_faults_per_task=1))
+    def test_dead_worker_ends_campaign_rerun_heals(self, tmp_path,
+                                                   store_record_bytes):
+        """A task that kills its worker breaks the pool.  The campaign
+        returns, every task it left unfinished fails with the advice to
+        rerun, and each task ends once.  A rerun on the same store
+        computes only the tasks the store lacks and leaves the records
+        a fault-free serial run writes."""
+        probes = list(probe_sweep(n_tasks=11).tasks())
+        poison = RunSpec(fn=HARD_EXIT, params=(("code", 11),), seed=1,
+                         index=len(probes))
+        root = tmp_path / "cache"
         rec = telemetry.enable()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                campaign = run_campaign(tasks, jobs=2)
-            retries = [e[2] for e in rec.identity() if e[1] == "task.retry"]
+            campaign = run_campaign([poison, *probes], jobs=2,
+                                    store=ResultStore(root))
         finally:
             telemetry.disable()
-        assert not campaign.failures
-        assert campaign.n_pool_respawns >= 1
-        # One task.retry per re-dispatch, each carrying the task's
-        # worker-death count as its attempt.
-        assert campaign.n_retried == len(retries) >= 1
-        assert all(data["attempt"] == 1 for data in retries)
-        assert campaign.values() == clean.values()
 
-    @staticmethod
-    def poisoned_campaign(quarantine_after):
-        """Five probe tasks and one that kills its worker, on two
-        workers; returns the campaign and the recorder it ran under."""
-        specs = list(probe_sweep(n_tasks=5).tasks())
-        specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 11),),
-                             seed=1, index=len(specs)))
-        rec = telemetry.enable()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                campaign = run_campaign(specs, jobs=2,
-                                        quarantine_after=quarantine_after)
-        finally:
-            telemetry.disable()
-        return campaign, rec
+        assert len(campaign.results) == len(probes) + 1
+        assert not campaign.results[0].ok  # the poison itself
+        for result in campaign.failures:
+            assert "a pool worker died" in result.error
+            assert "rerun on the same --cache-dir" in result.error
+        terminal = [data["index"] for _, name, data in rec.identity()
+                    if name in TERMINAL]
+        assert sorted(terminal) == list(range(len(probes) + 1))
 
-    def test_poison_task_is_quarantined_not_retried_forever(self):
-        campaign, rec = self.poisoned_campaign(quarantine_after=2)
-        assert sum(r.quarantined for r in campaign.results) == 1
-        assert campaign.n_pool_respawns == rec.counts().get("pool.respawn", 0)
-        bad = campaign.results[-1]
-        assert bad.quarantined
-        assert "killing its worker 2 time(s)" in bad.error
-        # The innocent majority all completed.
-        assert sum(1 for r in campaign.results if r.error is None) == 5
+        stored = set(ResultStore(root).keys())
+        assert {r.spec.key for r in campaign.results if r.ok} <= stored
+        rerun = run_campaign(probes, jobs=2, store=ResultStore(root))
+        assert not rerun.failures
+        assert {r.spec.key for r in rerun.results if not r.cached} \
+            == {spec.key for spec in probes} - stored
 
-    def test_a_pool_that_is_not_replaced_is_no_respawn(self):
-        """All six units are submitted at once, so none is pending when
-        the poison kills its worker, and with ``quarantine_after=1``
-        every unit then in flight is quarantined: nothing is left to
-        run, so the broken pool is never replaced and no respawn is
-        counted."""
-        campaign, rec = self.poisoned_campaign(quarantine_after=1)
-        assert campaign.results[-1].quarantined
-        assert campaign.n_pool_respawns == 0
-        assert "pool.respawn" not in rec.counts()
-        assert rec.counters.get("executor.pool_respawns", 0) == 0
-
-    def test_quarantine_events_and_result_flags_agree(self):
-        # The poison needs company: a one-unit campaign runs serially,
-        # where hard_exit_task would kill the test process itself.
-        specs = list(probe_sweep(n_tasks=3).tasks())
-        specs.append(RunSpec(fn=HARD_EXIT, params=(("code", 9),),
-                             seed=0, index=len(specs)))
-        rec = telemetry.enable()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                campaign = run_campaign(specs, jobs=2, quarantine_after=2)
-            names = [e[1] for e in rec.identity()]
-        finally:
-            telemetry.disable()
-        assert sum(r.quarantined for r in campaign.results) == 1
-        assert "task.quarantined" in names
-        assert "pool.respawn" in names
-        # The quarantined task still terminates its lifecycle.
-        assert names.count("task.failed") == 1
-
-    def test_quarantine_after_validated(self):
-        with pytest.raises(ValueError, match="quarantine_after"):
-            run_campaign(probe_sweep(n_tasks=1).tasks(), jobs=2,
-                         quarantine_after=0)
+        run_campaign(probes, jobs=1, store=ResultStore(tmp_path / "serial"))
+        assert store_record_bytes(root) \
+            == store_record_bytes(tmp_path / "serial")
 
 
 class TestInterrupt:
@@ -162,33 +99,31 @@ class TestInterrupt:
 
 
 class TestDuplicateRecords:
-    def test_a_redispatched_record_counts_once(
+    def test_appended_record_is_cached_on_rerun(
             self, tmp_path, monkeypatch, capsys, store_record_bytes):
         """A worker that dies right after appending a record leaves it
-        behind, and the task's re-dispatch appends the same key again in
-        another worker's shard.  The store counts the key once, and every
-        copy holds the bytes a --jobs 1 run writes."""
+        behind.  A rerun on that store serves it from cache, so the
+        store holds one copy of every key, with the bytes a --jobs 1
+        run writes."""
         tasks = probe_sweep(n_tasks=8).tasks()
-        victim, died = tasks[3].key, tmp_path / "died"
+        victim = tasks[3].key
         parent, real = os.getpid(), PackedShards.append
 
-        def append_then_die_once(self, key, *args, **kwargs):
+        def append_then_die(self, key, *args, **kwargs):
             entry = real(self, key, *args, **kwargs)
             if key == victim and os.getpid() != parent:
-                try:
-                    os.close(os.open(died, os.O_CREAT | os.O_EXCL))
-                except FileExistsError:
-                    return entry
                 os._exit(1)
             return entry
 
-        monkeypatch.setattr(PackedShards, "append", append_then_die_once)
+        monkeypatch.setattr(PackedShards, "append", append_then_die)
         root = tmp_path / "cache"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            campaign = run_campaign(tasks, jobs=2, store=ResultStore(root))
+        campaign = run_campaign(tasks, jobs=2, store=ResultStore(root))
         monkeypatch.undo()
-        assert not campaign.failures and campaign.n_pool_respawns == 1
+        assert not campaign.results[3].ok
+        assert victim in ResultStore(root)
+
+        rerun = run_campaign(tasks, jobs=2, store=ResultStore(root))
+        assert not rerun.failures and rerun.results[3].cached
 
         serial = run_campaign(tasks, jobs=1,
                               store=ResultStore(tmp_path / "serial"))
@@ -200,11 +135,9 @@ class TestDuplicateRecords:
             for entry in shards.scan_shard(path):
                 copies.setdefault(entry.key, []).append(
                     data[entry.offset:entry.end])
-        assert len(copies[victim]) == 2
-        assert {key: set(found) for key, found in copies.items()} \
-            == {key: {payload} for key, payload in want.items()}
+        assert copies == {key: [payload] for key, payload in want.items()}
         assert store_record_bytes(root) == want
-        assert campaign.values() == serial.values()
+        assert rerun.values() == serial.values()
 
         assert len(list(ResultStore(root).keys())) == len(tasks)
         assert store_main(["ls", "--cache-dir", str(root), "--json"]) == 0

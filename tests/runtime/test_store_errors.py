@@ -6,17 +6,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.runtime import ResultStore, StoreError, SweepSpec, chaos, \
-    executor, run_campaign, shards
-from repro.runtime.chaos import ChaosSpec
-
-
-@pytest.fixture(autouse=True)
-def clean_chaos(monkeypatch):
-    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    chaos.uninstall()
-    yield
-    chaos.uninstall()
+from repro.runtime import ResultStore, StoreError, SweepSpec, executor, \
+    run_campaign, shards
 
 
 class TestEnsureWritable:
@@ -264,49 +255,6 @@ class TestPackedAppendErrors:
         assert sorted(reread.keys()) == ["aa01", "cc03"]
         np.testing.assert_array_equal(reread.get("cc03")["arr"],
                                       np.arange(4.0))
-
-
-class TestChaosTornWrites:
-    def test_committed_entry_survives_a_torn_tail(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        chaos.install(ChaosSpec(seed=0, torn_write_rate=1.0))
-        try:
-            store.put("aa11", {"x": 1}, spec={"fn": "f", "seed": 0})
-            store.put("bb22", {"x": 2}, spec={"fn": "f", "seed": 1})
-        finally:
-            chaos.uninstall()
-        # Each tear retires the writer, so every record got its own shard.
-        shard_dir = tmp_path / "cache" / "shards"
-        assert len(list(shard_dir.glob("*.shard"))) == 2
-        # A fresh reader scans around the garbage tails.
-        reread = ResultStore(tmp_path / "cache")
-        assert reread.get("aa11") == {"x": 1}
-        assert reread.get("bb22") == {"x": 2}
-        assert sorted(reread.keys()) == ["aa11", "bb22"]
-
-    def test_same_puts_tear_the_same_entries(self, tmp_path):
-        """A tear is keyed on the committed entry — not on the shard's
-        random file name or a process-wide counter — so a chaotic run
-        replays exactly: two stores given the same puts split their
-        keys into the same shards."""
-        def shard_groups(root):
-            store = ResultStore(root)
-            for i in range(20):
-                store.put(f"{i:04x}", {"x": i}, spec={"fn": "f", "seed": i})
-            packed = shards.PackedShards(root / "shards")
-            groups: "dict[str, list[str]]" = {}
-            for key in packed.keys():
-                groups.setdefault(packed.lookup(key).shard, []).append(key)
-            return sorted(sorted(keys) for keys in groups.values())
-
-        chaos.install(ChaosSpec(seed=0, torn_write_rate=0.5))
-        try:
-            first = shard_groups(tmp_path / "a")
-            second = shard_groups(tmp_path / "b")
-        finally:
-            chaos.uninstall()
-        assert 1 < len(first) < 20  # some puts tore, some did not
-        assert first == second
 
 
 class TestCorruptDescriptors:

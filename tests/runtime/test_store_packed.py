@@ -179,6 +179,18 @@ class TestTornShard:
         fresh = ResultStore(store.root)
         assert fresh.get(keyn(0)) is None  # CRC catches the damage
 
+    def test_committed_entry_survives_a_torn_tail(self, store):
+        """A writer killed mid-append leaves a partial header behind a
+        committed, indexed entry; a fresh reader keeps the entry and
+        scans no further."""
+        store.put(keyn(0), {"x": 1}, spec={"fn": "f", "seed": 0})
+        shard = next(iter((store.root / "shards").glob("*.shard")))
+        with open(shard, "ab") as fh:
+            fh.write(_MAGIC + b"\x7f\x7f\x7f")
+        fresh = ResultStore(store.root)
+        assert fresh.get(keyn(0)) == {"x": 1}
+        assert list(fresh.keys()) == [keyn(0)]
+
     def test_recovered_after_recompute(self, store):
         store.put(keyn(0), {"x": 1})
         shard = next(iter((store.root / "shards").glob("*.shard")))

@@ -340,27 +340,27 @@ class TestBatcherFailureIsolation:
         assert not campaign.failures
         assert campaign.values() == run_campaign(tasks, jobs=1).values()
 
-    def test_worker_death_in_a_batched_block_heals_as_probed_singletons(
-            self, monkeypatch):
-        """An injected abort inside a batched block kills its worker; the
-        pool respawns and the block's tasks heal as probed singletons,
-        with the values of a clean serial sweep."""
-        from repro.runtime import chaos
+    def test_worker_death_in_a_block_heals_on_rerun(self, monkeypatch,
+                                                    tmp_path):
+        """An injected abort inside a batched block kills its worker and
+        ends the sweep; a chaos-free rerun on its store completes it with
+        the values of a clean serial sweep."""
+        from repro.runtime import TaskError, chaos
         from repro.runtime.chaos import ChaosSpec
 
         spec = load_bundled_scenario("campaign_rate_sweep")
         clean = run_scenario_sweep(spec, jobs=1)
+        store = ResultStore(tmp_path / "cache")
         monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        chaos.install(ChaosSpec(seed=7, abort_rate=0.25,
-                                max_faults_per_task=1))
+        chaos.install(ChaosSpec(seed=7, abort_rate=0.25))
         try:
-            with pytest.warns(RuntimeWarning, match="worker pool broke"):
-                chaotic = run_scenario_sweep(spec, jobs=2)
+            with pytest.raises(TaskError, match="a pool worker died"):
+                run_scenario_sweep(spec, jobs=2, store=store)
         finally:
             chaos.uninstall()
-        assert chaotic.campaign.n_pool_respawns >= 1
-        assert not chaotic.campaign.failures
-        assert chaotic.campaign.values() == clean.campaign.values()
+        healed = run_scenario_sweep(spec, jobs=2, store=store)
+        assert not healed.campaign.failures
+        assert healed.campaign.values() == clean.campaign.values()
 
     def test_invalid_plan_is_rejected(self):
         class OverlappingPlan(ScenarioTaskBatcher):
